@@ -1,19 +1,29 @@
 //! Evaluation of `prim::FusionGroup` bodies.
 //!
-//! The group is compiled at execution time — when input shapes and scalar
+//! The group is lowered at launch time — when input shapes and scalar
 //! operands (slice bounds, select indices, fill values) are known, the same
-//! shape-specialization strategy as PyTorch NNC — into a flat plan of
-//! element-level operations, then materialized one tight pass per operator
-//! over plain `Vec` buffers (no tensor machinery, no locks, each element
-//! computed exactly once).
+//! shape-specialization strategy as PyTorch NNC — into a flat plan over
+//! dense slots. Every view transform (select, slice, permute, transpose,
+//! squeeze, unsqueeze, expand) and every broadcast is an affine map of
+//! coordinates, so such a node runs nothing: its slot is a [`View`]
+//! `(buffer, offset, strides)` onto an earlier buffer, with stride 0 on
+//! broadcast dims. A reshape re-strides a dense view and copies a strided
+//! one dense first. Compute nodes run one odometer over their output shape
+//! ([`for_each_row`]) with a typed loop over the innermost row; an assign
+//! copies — or, when nothing reads the base afterwards, steals — the base
+//! buffer and writes the region through its strides. Allocation is
+//! O(plan nodes) per launch; no per-element work allocates or dispatches.
 //!
 //! The *cost model* charges the whole group as a single kernel whose memory
 //! traffic covers only the group's inputs and outputs: on the modeled GPU
 //! the fused kernel keeps intermediates in registers. The host-side flat
 //! buffers here are an interpreter implementation detail.
 
-use tssa_ir::{Graph, NodeId, Op, ValueId, ViewKind};
-use tssa_tensor::{DType, Scalar, Tensor};
+use std::collections::HashMap;
+use std::time::Instant;
+
+use tssa_ir::{Graph, NodeId, Op, ScalarType, ValueId, ViewKind};
+use tssa_tensor::{DType, Scalar, Tensor, TensorError};
 
 use crate::observe::OpObserver;
 use crate::{ExecError, RtValue};
@@ -26,14 +36,11 @@ pub(crate) struct GroupResult {
     pub bytes: u64,
     /// Arithmetic work of the fused kernel.
     pub flops: u64,
+    /// Wall time the observer was told the body nodes took, summed.
+    pub node_ns: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Input(usize),
-    Node(usize),
-}
-
+/// One-operand element functions; scalar operands are folded in at lowering.
 #[derive(Debug, Clone, Copy)]
 enum UnKind {
     Neg,
@@ -45,6 +52,12 @@ enum UnKind {
     Sqrt,
     Abs,
     Not,
+    AddC(f32),
+    MulC(f32),
+    SubC(f32),
+    DivC(f32),
+    PowC(f32),
+    Clamp(f32, f32),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -65,210 +78,197 @@ enum BinKind {
     Or,
 }
 
-/// Out-coordinate → base-coordinate transform of an access, or the region
-/// test + inverse of an assign.
-#[derive(Debug, Clone)]
-enum Xform {
-    Select {
-        dim: usize,
-        index: usize,
-    },
-    Slice {
-        dim: usize,
-        start: usize,
-        step: usize,
-        len: usize,
-    },
-    Permute {
-        perm: Vec<usize>,
-    },
-    Transpose {
-        d0: usize,
-        d1: usize,
-    },
-    Unsqueeze {
-        dim: usize,
-    },
-    Squeeze {
-        dim: usize,
-    },
-    Expand {
-        base_shape: Vec<usize>,
-    },
-    ViewShape {
-        base_shape: Vec<usize>,
-        out_shape: Vec<usize>,
-    },
+/// A typed element buffer.
+enum Data {
+    F32(Vec<f32>),
+    I64(Vec<i64>),
+    Bool(Vec<bool>),
 }
 
-#[derive(Debug, Clone)]
-enum EvalOp {
-    Un {
-        f: UnKind,
-        a: Slot,
-    },
-    Bin {
-        f: BinKind,
-        a: Slot,
-        b: Slot,
-    },
-    AddConst {
-        a: Slot,
-        c: f32,
-        mul: bool,
-    },
-    SubConst {
-        a: Slot,
-        c: f32,
-    },
-    DivConst {
-        a: Slot,
-        c: f32,
-    },
-    PowConst {
-        a: Slot,
-        c: f32,
-    },
-    Clamp {
-        a: Slot,
-        lo: f32,
-        hi: f32,
-    },
-    Where {
-        c: Slot,
-        a: Slot,
-        b: Slot,
-    },
-    Fill {
-        value: Scalar,
-    },
-    Broadcast {
-        src: Slot,
-    },
-    Access {
-        base: Slot,
-        xform: Xform,
-    },
-    Assign {
-        base: Slot,
-        src: Slot,
-        xform: Xform,
-        view_shape: Vec<usize>,
-    },
-    Cast {
-        a: Slot,
-        dtype: DType,
-    },
+impl Default for Data {
+    fn default() -> Data {
+        Data::F32(Vec::new())
+    }
 }
 
-struct PlanNode {
-    op: EvalOp,
-    shape: Vec<usize>,
-    dtype: DType,
-    compute: bool,
-}
-
-#[derive(Clone)]
-enum InputBuf {
-    F32(Vec<f32>, Vec<usize>),
-    I64(Vec<i64>, Vec<usize>),
-    Bool(Vec<bool>, Vec<usize>),
-    Scalar(Scalar),
-}
-
-impl InputBuf {
-    fn shape(&self) -> &[usize] {
-        match self {
-            InputBuf::F32(_, s) | InputBuf::I64(_, s) | InputBuf::Bool(_, s) => s,
-            InputBuf::Scalar(_) => &[],
+impl Data {
+    fn filled(dtype: DType, n: usize, value: Scalar) -> Data {
+        match dtype {
+            DType::F32 => Data::F32(vec![value.as_f32(); n]),
+            DType::I64 => Data::I64(vec![value.as_i64(); n]),
+            DType::Bool => Data::Bool(vec![value.as_bool(); n]),
         }
     }
 
     fn dtype(&self) -> DType {
         match self {
-            InputBuf::F32(..) => DType::F32,
-            InputBuf::I64(..) => DType::I64,
-            InputBuf::Bool(..) => DType::Bool,
-            InputBuf::Scalar(s) => s.dtype(),
+            Data::F32(_) => DType::F32,
+            Data::I64(_) => DType::I64,
+            Data::Bool(_) => DType::Bool,
         }
     }
 
-    fn at_flat(&self, i: usize) -> Scalar {
+    fn len(&self) -> usize {
         match self {
-            InputBuf::F32(v, _) => Scalar::F32(v[i]),
-            InputBuf::I64(v, _) => Scalar::I64(v[i]),
-            InputBuf::Bool(v, _) => Scalar::Bool(v[i]),
-            InputBuf::Scalar(s) => *s,
+            Data::F32(v) => v.len(),
+            Data::I64(v) => v.len(),
+            Data::Bool(v) => v.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Scalar {
+        match self {
+            Data::F32(v) => Scalar::F32(v[i]),
+            Data::I64(v) => Scalar::I64(v[i]),
+            Data::Bool(v) => Scalar::Bool(v[i]),
+        }
+    }
+
+    /// Store `value`, cast to this buffer's element type.
+    fn set(&mut self, i: usize, value: Scalar) {
+        match self {
+            Data::F32(v) => v[i] = value.as_f32(),
+            Data::I64(v) => v[i] = value.as_i64(),
+            Data::Bool(v) => v[i] = value.as_bool(),
         }
     }
 }
 
-struct Plan {
-    inputs: Vec<InputBuf>,
-    nodes: Vec<PlanNode>,
-    /// Materialized node results, filled in topological order by
-    /// [`Plan::materialize`]; `at` for a `Slot::Node` reads from here, so a
-    /// node's elements are computed exactly once with no recursion depth.
-    cache: Vec<InputBuf>,
+/// A zero-copy window onto buffer `buf`: element `(c0, c1, …)` lives at
+/// `offset + Σ ci · strides[i]`; broadcast dims have stride 0.
+#[derive(Debug, Clone)]
+struct View {
+    buf: usize,
+    offset: usize,
+    shape: Vec<usize>,
+    strides: Vec<usize>,
+    dtype: DType,
 }
 
-fn flat_index(coord: &[usize], shape: &[usize]) -> usize {
-    let mut idx = 0usize;
-    for (c, s) in coord.iter().zip(shape) {
-        idx = idx * s + c;
+impl View {
+    /// All of a freshly allocated row-major buffer.
+    fn dense(buf: usize, shape: Vec<usize>, dtype: DType) -> View {
+        let mut strides = vec![1; shape.len()];
+        for i in (1..shape.len()).rev() {
+            strides[i - 1] = strides[i] * shape[i];
+        }
+        View {
+            buf,
+            offset: 0,
+            shape,
+            strides,
+            dtype,
+        }
     }
-    idx
-}
 
-fn delinearize(mut idx: usize, shape: &[usize]) -> Vec<usize> {
-    let mut coord = vec![0usize; shape.len()];
-    for i in (0..shape.len()).rev() {
-        coord[i] = idx % shape[i];
-        idx /= shape[i];
+    fn numel(&self) -> usize {
+        numel(&self.shape)
     }
-    coord
+
+    fn bytes(&self) -> u64 {
+        (self.numel() * self.dtype.size_bytes()) as u64
+    }
+
+    /// Whether the elements are laid out row-major without gaps.
+    fn is_dense(&self) -> bool {
+        let mut expect = 1;
+        for (&d, &s) in self.shape.iter().zip(&self.strides).rev() {
+            if d != 1 && s != expect {
+                return false;
+            }
+            expect *= d;
+        }
+        true
+    }
+
+    /// Whether this view is exactly `data`, so the buffer can be moved out.
+    fn covers(&self, data: &Data) -> bool {
+        self.offset == 0 && self.is_dense() && self.numel() == data.len()
+    }
+
+    /// This view as an operand of an iteration over `shape`: right-aligned,
+    /// stride 0 along every dim it is broadcast over.
+    fn broadcast_to(&self, shape: &[usize]) -> Result<View, ExecError> {
+        let mismatch = || TensorError::ShapeMismatch {
+            lhs: self.shape.clone(),
+            rhs: shape.to_vec(),
+            op: "broadcast",
+        };
+        let pad = shape
+            .len()
+            .checked_sub(self.shape.len())
+            .ok_or_else(mismatch)?;
+        let mut strides = vec![0; shape.len()];
+        for (i, (&d, &s)) in self.shape.iter().zip(&self.strides).enumerate() {
+            if d == shape[pad + i] {
+                strides[pad + i] = s;
+            } else if d != 1 {
+                return Err(mismatch().into());
+            }
+        }
+        Ok(View {
+            buf: self.buf,
+            offset: self.offset,
+            shape: shape.to_vec(),
+            strides,
+            dtype: self.dtype,
+        })
+    }
 }
 
-/// Map an output coordinate onto a (possibly broadcast) operand shape.
-fn bc_coord(coord: &[usize], operand_shape: &[usize]) -> Vec<usize> {
-    let pad = coord.len() - operand_shape.len();
-    operand_shape
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| if d == 1 { 0 } else { coord[pad + i] })
-        .collect()
+/// What a plan node runs. Operand views are already broadcast to the shape
+/// the kernel iterates over.
+enum Kernel {
+    /// Nothing: the node's slot is a view onto an earlier buffer.
+    Alias,
+    Un {
+        f: UnKind,
+        a: View,
+    },
+    Bin {
+        f: BinKind,
+        a: View,
+        b: View,
+    },
+    Where {
+        c: View,
+        a: View,
+        b: View,
+    },
+    Fill(Scalar),
+    /// Element-wise copy into a fresh dense buffer of the node's dtype: a
+    /// cast, or a strided view made dense ahead of a reshape.
+    Copy(View),
+    /// Copy or steal slot `base`, then write `src` over `region` of it.
+    Assign {
+        base: usize,
+        src: View,
+        region: View,
+    },
 }
 
-/// Whether `coord` can be passed to an operand of `shape` unchanged.
-fn bc_identity(coord_len: usize, operand_shape: &[usize]) -> bool {
-    coord_len == operand_shape.len() && !operand_shape.contains(&1)
+struct PlanNode {
+    kernel: Kernel,
+    /// Whether the cost model counts one flop per output element.
+    compute: bool,
+}
+
+fn numel(shape: &[usize]) -> usize {
+    shape.iter().product()
 }
 
 fn broadcast_shapes(a: &[usize], b: &[usize]) -> Result<Vec<usize>, ExecError> {
     let rank = a.len().max(b.len());
-    let mut out = vec![0usize; rank];
-    for i in 0..rank {
-        let da = if i < rank - a.len() {
-            1
-        } else {
-            a[i - (rank - a.len())]
-        };
-        let db = if i < rank - b.len() {
-            1
-        } else {
-            b[i - (rank - b.len())]
-        };
-        out[i] = if da == db || db == 1 {
-            da
-        } else if da == 1 {
-            db
-        } else {
-            return Err(ExecError::unsupported(format!(
+    let dim = |s: &[usize], i: usize| (i + s.len()).checked_sub(rank).map_or(1, |j| s[j]);
+    (0..rank)
+        .map(|i| match (dim(a, i), dim(b, i)) {
+            (x, y) if x == y || y == 1 => Ok(x),
+            (1, y) => Ok(y),
+            _ => Err(ExecError::unsupported(format!(
                 "fused broadcast of {a:?} and {b:?}"
-            )));
-        };
-    }
-    Ok(out)
+            ))),
+        })
+        .collect()
 }
 
 fn promote(a: DType, b: DType) -> DType {
@@ -279,229 +279,168 @@ fn promote(a: DType, b: DType) -> DType {
     }
 }
 
-impl Plan {
-    fn slot_shape(&self, s: Slot) -> &[usize] {
-        match s {
-            Slot::Input(i) => self.inputs[i].shape(),
-            Slot::Node(i) => &self.nodes[i].shape,
-        }
+/// Walk `shape` in row-major order one innermost row at a time, calling
+/// `row(out_start, len, starts, steps)`: the row's first index in a dense
+/// output, its length, and per operand the index of its first element and
+/// the distance between neighbours. Unit dims are dropped and dims that
+/// every operand walks without a gap are merged first, so rows are as long
+/// as the layouts allow (a dense elementwise op is one row).
+fn for_each_row<const N: usize>(
+    shape: &[usize],
+    ops: [&View; N],
+    mut row: impl FnMut(usize, usize, [usize; N], [usize; N]),
+) {
+    if shape.contains(&0) {
+        return;
     }
-
-    fn slot_dtype(&self, s: Slot) -> DType {
-        match s {
-            Slot::Input(i) => self.inputs[i].dtype(),
-            Slot::Node(i) => self.nodes[i].dtype,
+    let mut dims: Vec<usize> = Vec::with_capacity(shape.len());
+    let mut strides: Vec<[usize; N]> = Vec::with_capacity(shape.len());
+    for (d, &size) in shape.iter().enumerate() {
+        if size == 1 {
+            continue;
         }
-    }
-
-    /// Value of `slot` at `coord` (a coordinate in the slot's own shape).
-    /// Node slots must already be materialized.
-    fn at(&self, slot: Slot, coord: &[usize]) -> Scalar {
-        match slot {
-            Slot::Input(i) => {
-                let shape = self.inputs[i].shape();
-                self.inputs[i].at_flat(flat_index(coord, shape))
+        let s: [usize; N] = std::array::from_fn(|k| ops[k].strides[d]);
+        if let (Some(outer), Some(os)) = (dims.last_mut(), strides.last_mut()) {
+            if (0..N).all(|k| os[k] == s[k] * size) {
+                *outer *= size;
+                *os = s;
+                continue;
             }
-            Slot::Node(i) => self.cache[i].at_flat(flat_index(coord, &self.nodes[i].shape)),
+        }
+        dims.push(size);
+        strides.push(s);
+    }
+    let len = dims.pop().unwrap_or(1);
+    let steps = strides.pop().unwrap_or([0; N]);
+    let mut at: [usize; N] = std::array::from_fn(|k| ops[k].offset);
+    let mut coord = vec![0usize; dims.len()];
+    let mut out = 0;
+    loop {
+        row(out, len, at, steps);
+        out += len;
+        let mut d = dims.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            coord[d] += 1;
+            for k in 0..N {
+                at[k] += strides[d][k];
+            }
+            if coord[d] < dims[d] {
+                break;
+            }
+            for k in 0..N {
+                at[k] -= strides[d][k] * dims[d];
+            }
+            coord[d] = 0;
         }
     }
+}
 
-    /// Whether `Slot::Node(i)`'s buffer is still needed after node `idx`
-    /// (by a later node or as a group return, tracked in `returned`).
-    fn node_live_after(&self, i: usize, idx: usize, returned: &[bool]) -> bool {
-        if returned[i] {
-            return true;
+fn map1<A: Copy, O: Copy + Default>(
+    shape: &[usize],
+    a: (&[A], &View),
+    f: impl Fn(A) -> O,
+) -> Vec<O> {
+    let mut out = vec![O::default(); numel(shape)];
+    for_each_row(shape, [a.1], |start, len, [at], [step]| {
+        let row = &mut out[start..start + len];
+        if step == 1 {
+            for (o, &x) in row.iter_mut().zip(&a.0[at..at + len]) {
+                *o = f(x);
+            }
+        } else {
+            for (i, o) in row.iter_mut().enumerate() {
+                *o = f(a.0[at + i * step]);
+            }
         }
-        self.nodes[idx + 1..]
-            .iter()
-            .any(|n| eval_op_slots(&n.op).contains(&Slot::Node(i)))
-    }
+    });
+    out
+}
 
-    /// Evaluate an assign by writing only its *region* into `buf` (which
-    /// already holds the base contents) — the re-inplacing optimization a
-    /// production backend performs; turns O(tensor) assigns into O(region).
-    fn write_region(&self, buf: &mut InputBuf, xform: &Xform, src: Slot, view_shape: &[usize]) {
-        let n: usize = view_shape.iter().product();
-        if n == 0 {
-            return;
+fn map2<A: Copy, B: Copy, O: Copy + Default>(
+    shape: &[usize],
+    a: (&[A], &View),
+    b: (&[B], &View),
+    f: impl Fn(A, B) -> O,
+) -> Vec<O> {
+    let mut out = vec![O::default(); numel(shape)];
+    for_each_row(shape, [a.1, b.1], |start, len, [ia, ib], steps| {
+        let row = &mut out[start..start + len];
+        match steps {
+            [1, 1] => {
+                let (xs, ys) = (&a.0[ia..ia + len], &b.0[ib..ib + len]);
+                for ((o, &x), &y) in row.iter_mut().zip(xs).zip(ys) {
+                    *o = f(x, y);
+                }
+            }
+            [1, 0] => {
+                let y = b.0[ib];
+                for (o, &x) in row.iter_mut().zip(&a.0[ia..ia + len]) {
+                    *o = f(x, y);
+                }
+            }
+            [0, 1] => {
+                let x = a.0[ia];
+                for (o, &y) in row.iter_mut().zip(&b.0[ib..ib + len]) {
+                    *o = f(x, y);
+                }
+            }
+            [sa, sb] => {
+                for (i, o) in row.iter_mut().enumerate() {
+                    *o = f(a.0[ia + i * sa], b.0[ib + i * sb]);
+                }
+            }
         }
-        let base_shape = match buf {
-            InputBuf::F32(_, s) | InputBuf::I64(_, s) | InputBuf::Bool(_, s) => s.clone(),
-            InputBuf::Scalar(_) => return,
+    });
+    out
+}
+
+/// Element function over [`Scalar`]s for the dtype combinations without a
+/// typed loop (i64, bool, mixed); same strided iteration, results cast to
+/// `dtype` on store.
+fn map_scalar<const N: usize>(
+    bufs: &[Data],
+    dtype: DType,
+    shape: &[usize],
+    ops: [&View; N],
+    f: impl Fn([Scalar; N]) -> Scalar,
+) -> Data {
+    let mut out = Data::filled(dtype, numel(shape), Scalar::Bool(false));
+    let src: [&Data; N] = std::array::from_fn(|k| &bufs[ops[k].buf]);
+    for_each_row(shape, ops, |start, len, at, steps| {
+        for i in 0..len {
+            let args = std::array::from_fn(|k| src[k].get(at[k] + i * steps[k]));
+            out.set(start + i, f(args));
+        }
+    });
+    out
+}
+
+fn un_f32(f: UnKind, shape: &[usize], x: &[f32], a: &View) -> Data {
+    macro_rules! go {
+        ($f:expr) => {
+            Data::F32(map1(shape, (x, a), $f))
         };
-        let mut coord = vec![0usize; view_shape.len()];
-        for _ in 0..n {
-            // view coord -> base coord via the access mapping (same rule).
-            let base_coord = access_coord(xform, &coord);
-            let flat = flat_index(&base_coord, &base_shape);
-            let v = self.at_bc(src, &coord);
-            match buf {
-                InputBuf::F32(d, _) => d[flat] = v.as_f32(),
-                InputBuf::I64(d, _) => d[flat] = v.as_i64(),
-                InputBuf::Bool(d, _) => d[flat] = v.as_bool(),
-                InputBuf::Scalar(_) => {}
-            }
-            // odometer step
-            let mut i = view_shape.len();
-            loop {
-                if i == 0 {
-                    break;
-                }
-                i -= 1;
-                coord[i] += 1;
-                if coord[i] < view_shape[i] {
-                    break;
-                }
-                coord[i] = 0;
-            }
-        }
     }
-
-    /// Evaluate every node into the cache, in plan order: one tight pass per
-    /// node, each element computed exactly once. Assigns reuse (or copy)
-    /// their base buffer and write only the assigned region. When `observe`
-    /// is set it receives `(plan index, wall ns)` per node so the profiler
-    /// can attribute self-time inside the single fused launch.
-    fn materialize(&mut self, returned: &[bool], mut observe: Option<&mut dyn FnMut(usize, u64)>) {
-        for idx in 0..self.nodes.len() {
-            let started = observe.as_ref().map(|_| std::time::Instant::now());
-            if let EvalOp::Assign {
-                base,
-                src,
-                xform,
-                view_shape,
-            } = self.nodes[idx].op.clone()
-            {
-                let mut buf = match base {
-                    Slot::Node(i) if base != src && !self.node_live_after(i, idx, returned) => {
-                        // Steal the dead base buffer: true in-place update.
-                        std::mem::replace(&mut self.cache[i], InputBuf::Scalar(Scalar::F32(0.0)))
-                    }
-                    Slot::Node(i) => self.cache[i].clone(),
-                    Slot::Input(i) => self.inputs[i].clone(),
-                };
-                self.write_region(&mut buf, &xform, src, &view_shape);
-                self.cache.push(buf);
-            } else {
-                self.materialize_full(idx);
-            }
-            if let (Some(obs), Some(at)) = (observe.as_mut(), started) {
-                obs(idx, at.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-
-    fn materialize_full(&mut self, idx: usize) {
-        {
-            let shape = self.nodes[idx].shape.clone();
-            let dtype = self.nodes[idx].dtype;
-            let n: usize = shape.iter().product();
-            let mut coord = vec![0usize; shape.len()];
-            let step = |coord: &mut Vec<usize>| {
-                let mut i = shape.len();
-                loop {
-                    if i == 0 {
-                        return;
-                    }
-                    i -= 1;
-                    coord[i] += 1;
-                    if coord[i] < shape[i] {
-                        return;
-                    }
-                    coord[i] = 0;
-                }
-            };
-            let buf = match dtype {
-                DType::F32 => {
-                    let mut data = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        data.push(self.eval_node(idx, &coord).as_f32());
-                        step(&mut coord);
-                    }
-                    InputBuf::F32(data, shape)
-                }
-                DType::I64 => {
-                    let mut data = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        data.push(self.eval_node(idx, &coord).as_i64());
-                        step(&mut coord);
-                    }
-                    InputBuf::I64(data, shape)
-                }
-                DType::Bool => {
-                    let mut data = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        data.push(self.eval_node(idx, &coord).as_bool());
-                        step(&mut coord);
-                    }
-                    InputBuf::Bool(data, shape)
-                }
-            };
-            self.cache.push(buf);
-        }
-    }
-
-    /// Value of operand `slot` broadcast up to `coord` of shape `out_shape`.
-    fn at_bc(&self, slot: Slot, coord: &[usize]) -> Scalar {
-        let shape = self.slot_shape(slot);
-        if bc_identity(coord.len(), shape) {
-            return self.at(slot, coord);
-        }
-        let c = bc_coord(coord, shape);
-        self.at(slot, &c)
-    }
-
-    fn eval_node(&self, idx: usize, coord: &[usize]) -> Scalar {
-        let node = &self.nodes[idx];
-        match &node.op {
-            EvalOp::Un { f, a } => {
-                let v = self.at_bc(*a, coord);
-                un_apply(*f, v)
-            }
-            EvalOp::Bin { f, a, b } => {
-                let va = self.at_bc(*a, coord);
-                let vb = self.at_bc(*b, coord);
-                bin_apply(*f, va, vb).cast(node.dtype)
-            }
-            EvalOp::AddConst { a, c, mul } => {
-                let v = self.at_bc(*a, coord).as_f32();
-                Scalar::F32(if *mul { v * c } else { v + c })
-            }
-            EvalOp::SubConst { a, c } => Scalar::F32(self.at_bc(*a, coord).as_f32() - c),
-            EvalOp::DivConst { a, c } => Scalar::F32(self.at_bc(*a, coord).as_f32() / c),
-            EvalOp::PowConst { a, c } => Scalar::F32(self.at_bc(*a, coord).as_f32().powf(*c)),
-            EvalOp::Clamp { a, lo, hi } => {
-                Scalar::F32(self.at_bc(*a, coord).as_f32().clamp(*lo, *hi))
-            }
-            EvalOp::Where { c, a, b } => {
-                if self.at_bc(*c, coord).as_bool() {
-                    self.at_bc(*a, coord).cast(node.dtype)
-                } else {
-                    self.at_bc(*b, coord).cast(node.dtype)
-                }
-            }
-            EvalOp::Fill { value } => value.cast(node.dtype),
-            EvalOp::Broadcast { src } => self.at_bc(*src, coord).cast(node.dtype),
-            EvalOp::Access { base, xform } => {
-                let bc = access_coord(xform, coord);
-                self.at(*base, &bc)
-            }
-            EvalOp::Assign {
-                base,
-                src,
-                xform,
-                view_shape,
-            } => match assign_region(xform, coord) {
-                Some(view_coord) => {
-                    let s = self.slot_shape(*src).to_vec();
-                    let _ = view_shape;
-                    let sc = bc_coord(&view_coord, &s);
-                    self.at(*src, &sc).cast(node.dtype)
-                }
-                None => self.at(*base, coord),
-            },
-            EvalOp::Cast { a, dtype } => self.at_bc(*a, coord).cast(*dtype),
-        }
+    match f {
+        UnKind::Neg => go!(|v: f32| -v),
+        UnKind::Relu => go!(|v: f32| v.max(0.0)),
+        UnKind::Sigmoid => go!(|v: f32| 1.0 / (1.0 + (-v).exp())),
+        UnKind::Tanh => go!(f32::tanh),
+        UnKind::Exp => go!(f32::exp),
+        UnKind::Log => go!(f32::ln),
+        UnKind::Sqrt => go!(f32::sqrt),
+        UnKind::Abs => go!(f32::abs),
+        UnKind::Not => Data::Bool(map1(shape, (x, a), |v: f32| v == 0.0)),
+        UnKind::AddC(c) => go!(|v: f32| v + c),
+        UnKind::MulC(c) => go!(|v: f32| v * c),
+        UnKind::SubC(c) => go!(|v: f32| v - c),
+        UnKind::DivC(c) => go!(|v: f32| v / c),
+        UnKind::PowC(c) => go!(|v: f32| v.powf(c)),
+        UnKind::Clamp(lo, hi) => go!(|v: f32| v.clamp(lo, hi)),
     }
 }
 
@@ -522,6 +461,44 @@ fn un_apply(f: UnKind, v: Scalar) -> Scalar {
             _ => Scalar::F32(v.as_f32().abs()),
         },
         UnKind::Not => Scalar::Bool(!v.as_bool()),
+        UnKind::AddC(c) => Scalar::F32(v.as_f32() + c),
+        UnKind::MulC(c) => Scalar::F32(v.as_f32() * c),
+        UnKind::SubC(c) => Scalar::F32(v.as_f32() - c),
+        UnKind::DivC(c) => Scalar::F32(v.as_f32() / c),
+        UnKind::PowC(c) => Scalar::F32(v.as_f32().powf(c)),
+        UnKind::Clamp(lo, hi) => Scalar::F32(v.as_f32().clamp(lo, hi)),
+    }
+}
+
+/// f32 × f32: the f32 operators give exactly what [`bin_apply`]'s
+/// f64-then-round does (f64 holds every f32 sum, difference, product and
+/// correctly rounds every quotient); `pow` keeps the f64 evaluation.
+fn bin_f32(f: BinKind, shape: &[usize], a: (&[f32], &View), b: (&[f32], &View)) -> Data {
+    macro_rules! num {
+        ($f:expr) => {
+            Data::F32(map2(shape, a, b, $f))
+        };
+    }
+    macro_rules! test {
+        ($f:expr) => {
+            Data::Bool(map2(shape, a, b, $f))
+        };
+    }
+    match f {
+        BinKind::Add => num!(|x: f32, y: f32| x + y),
+        BinKind::Sub => num!(|x: f32, y: f32| x - y),
+        BinKind::Mul => num!(|x: f32, y: f32| x * y),
+        BinKind::Div => num!(|x: f32, y: f32| x / y),
+        BinKind::Max => num!(f32::max),
+        BinKind::Min => num!(f32::min),
+        BinKind::Pow => num!(|x: f32, y: f32| (x as f64).powf(y as f64) as f32),
+        BinKind::Gt => test!(|x: f32, y: f32| x > y),
+        BinKind::Lt => test!(|x: f32, y: f32| x < y),
+        BinKind::Ge => test!(|x: f32, y: f32| x >= y),
+        BinKind::Le => test!(|x: f32, y: f32| x <= y),
+        BinKind::Eq => test!(|x: f32, y: f32| x == y),
+        BinKind::And => test!(|x: f32, y: f32| x != 0.0 && y != 0.0),
+        BinKind::Or => test!(|x: f32, y: f32| x != 0.0 || y != 0.0),
     }
 }
 
@@ -545,216 +522,150 @@ fn bin_apply(f: BinKind, a: Scalar, b: Scalar) -> Scalar {
     }
 }
 
-fn access_coord(xform: &Xform, coord: &[usize]) -> Vec<usize> {
-    match xform {
-        Xform::Select { dim, index } => {
-            let mut c = coord.to_vec();
-            c.insert(*dim, *index);
-            c
-        }
-        Xform::Slice {
-            dim, start, step, ..
-        } => {
-            let mut c = coord.to_vec();
-            c[*dim] = start + c[*dim] * step;
-            c
-        }
-        Xform::Permute { perm } => {
-            let mut c = vec![0usize; coord.len()];
-            for (i, &p) in perm.iter().enumerate() {
-                c[p] = coord[i];
+/// `where` over a bool mask and f32 branches.
+fn select_f32(
+    shape: &[usize],
+    m: (&[bool], &View),
+    x: (&[f32], &View),
+    y: (&[f32], &View),
+) -> Data {
+    let mut out = vec![0.0; numel(shape)];
+    for_each_row(
+        shape,
+        [m.1, x.1, y.1],
+        |start, len, [im, ix, iy], [sm, sx, sy]| {
+            for (i, o) in out[start..start + len].iter_mut().enumerate() {
+                *o = if m.0[im + i * sm] {
+                    x.0[ix + i * sx]
+                } else {
+                    y.0[iy + i * sy]
+                };
             }
-            c
-        }
-        Xform::Transpose { d0, d1 } => {
-            let mut c = coord.to_vec();
-            c.swap(*d0, *d1);
-            c
-        }
-        Xform::Unsqueeze { dim } => {
-            let mut c = coord.to_vec();
-            c.remove(*dim);
-            c
-        }
-        Xform::Squeeze { dim } => {
-            let mut c = coord.to_vec();
-            c.insert(*dim, 0);
-            c
-        }
-        Xform::Expand { base_shape } => bc_coord(coord, base_shape),
-        Xform::ViewShape {
-            base_shape,
-            out_shape,
-        } => delinearize(flat_index(coord, out_shape), base_shape),
+        },
+    );
+    Data::F32(out)
+}
+
+/// The elements of `v` as a fresh dense buffer of `dtype`.
+fn copy(bufs: &[Data], v: &View, dtype: DType) -> Data {
+    match &bufs[v.buf] {
+        src if src.dtype() != dtype => map_scalar(bufs, dtype, &v.shape, [v], |[e]| e),
+        Data::F32(x) => Data::F32(map1(&v.shape, (x, v), |e| e)),
+        Data::I64(x) => Data::I64(map1(&v.shape, (x, v), |e| e)),
+        Data::Bool(x) => Data::Bool(map1(&v.shape, (x, v), |e| e)),
     }
 }
 
-/// For an assign at base-coordinate `coord`: `Some(view_coord)` when the
-/// coordinate lies in the written region, `None` when the base value shows
-/// through.
-fn assign_region(xform: &Xform, coord: &[usize]) -> Option<Vec<usize>> {
-    match xform {
-        Xform::Select { dim, index } => {
-            if coord[*dim] == *index {
-                let mut c = coord.to_vec();
-                c.remove(*dim);
-                Some(c)
+/// Write `src` (broadcast to `region`'s shape) over `region` of `dst`, in
+/// row-major order, cast to `dst`'s element type.
+fn scatter(dst: &mut Data, region: &View, src: (&Data, &View)) {
+    fn typed<T: Copy>(dst: &mut [T], region: &View, src: (&[T], &View)) {
+        for_each_row(&region.shape, [region, src.1], |_, len, [id, is], steps| {
+            if steps == [1, 1] {
+                dst[id..id + len].copy_from_slice(&src.0[is..is + len]);
             } else {
-                None
+                for i in 0..len {
+                    dst[id + i * steps[0]] = src.0[is + i * steps[1]];
+                }
             }
-        }
-        Xform::Slice {
-            dim,
-            start,
-            step,
-            len,
-        } => {
-            let x = coord[*dim];
-            if x < *start {
-                return None;
-            }
-            let off = x - start;
-            if !off.is_multiple_of(*step) || off / step >= *len {
-                return None;
-            }
-            let mut c = coord.to_vec();
-            c[*dim] = off / step;
-            Some(c)
-        }
-        Xform::Permute { perm } => {
-            // view_coord[i] = base_coord[perm[i]]
-            Some(perm.iter().map(|&p| coord[p]).collect())
-        }
-        Xform::Transpose { d0, d1 } => {
-            let mut c = coord.to_vec();
-            c.swap(*d0, *d1);
-            Some(c)
-        }
-        Xform::Unsqueeze { dim } => {
-            let mut c = coord.to_vec();
-            c.insert(*dim, 0);
-            Some(c)
-        }
-        Xform::Squeeze { dim } => {
-            let mut c = coord.to_vec();
-            c.remove(*dim);
-            Some(c)
-        }
-        Xform::ViewShape {
-            base_shape,
-            out_shape,
-        } => Some(delinearize(flat_index(coord, base_shape), out_shape)),
-        Xform::Expand { .. } => None,
+        });
     }
-}
-
-fn tensor_to_buf(t: &Tensor) -> Result<InputBuf, ExecError> {
-    let c = t.contiguous();
-    let shape = c.shape().to_vec();
-    Ok(match c.dtype() {
-        DType::F32 => InputBuf::F32(c.to_vec_f32()?, shape),
-        DType::I64 => InputBuf::I64(c.to_vec_i64()?, shape),
-        DType::Bool => InputBuf::Bool(c.to_vec_bool()?, shape),
-    })
-}
-
-fn resolve_shape_arg(shape: &[i64], base: &[usize], right_align: bool) -> Vec<usize> {
-    if right_align {
-        let pad = shape.len().saturating_sub(base.len());
-        shape
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                if d == -1 && i >= pad {
-                    base[i - pad]
-                } else {
-                    d.max(0) as usize
-                }
-            })
-            .collect()
-    } else {
-        // resolve a single -1 against the element count
-        let total: usize = base.iter().product();
-        let known: usize = shape
-            .iter()
-            .filter(|&&d| d != -1)
-            .map(|&d| d as usize)
-            .product();
-        shape
-            .iter()
-            .map(|&d| {
-                if d == -1 {
-                    total / known.max(1)
-                } else {
-                    d as usize
-                }
-            })
-            .collect()
+    match (dst, src.0) {
+        (Data::F32(d), Data::F32(s)) => typed(d, region, (s, src.1)),
+        (Data::I64(d), Data::I64(s)) => typed(d, region, (s, src.1)),
+        (Data::Bool(d), Data::Bool(s)) => typed(d, region, (s, src.1)),
+        (d, s) => for_each_row(&region.shape, [region, src.1], |_, len, at, steps| {
+            for i in 0..len {
+                d.set(at[0] + i * steps[0], s.get(at[1] + i * steps[1]));
+            }
+        }),
     }
 }
 
 /// Execute `group` (a `prim::FusionGroup` node) on `inputs`.
 ///
 /// When an [`OpObserver`] is supplied, each body node's share of the fused
-/// launch is timed during materialization and attributed to its graph node
-/// id under the group, with the remaining plan-building/readback overhead
-/// reported against the group node itself.
+/// launch is timed during evaluation and attributed to its graph node id
+/// under the group (view nodes run nothing and report 0); the caller
+/// charges the rest of the launch to the group node itself.
 pub(crate) fn run_group(
     g: &Graph,
     group: NodeId,
     inputs: &[RtValue],
     observer: Option<&dyn OpObserver>,
 ) -> Result<GroupResult, ExecError> {
-    let total_at = observer.map(|_| std::time::Instant::now());
-    let body = g.node(group).blocks[0];
-    let params: Vec<ValueId> = g.block(body).params.clone();
-
-    let mut plan = Plan {
-        inputs: Vec::with_capacity(inputs.len()),
-        nodes: Vec::new(),
-        cache: Vec::new(),
-    };
-    let mut slot_of: std::collections::HashMap<ValueId, Slot> = std::collections::HashMap::new();
-    for (k, v) in inputs.iter().enumerate() {
-        let buf = match v {
-            RtValue::Tensor(t) => tensor_to_buf(t)?,
-            RtValue::Float(f) => InputBuf::Scalar(Scalar::F32(*f as f32)),
-            RtValue::Int(i) => InputBuf::Scalar(Scalar::I64(*i)),
-            RtValue::Bool(b) => InputBuf::Scalar(Scalar::Bool(*b)),
-            RtValue::List(_) => return Err(ExecError::unsupported("list input to fusion group")),
-        };
-        plan.inputs.push(buf);
-        slot_of.insert(params[k], Slot::Input(k));
+    let body = g.block(g.node(group).blocks[0]);
+    let n_in = inputs.len();
+    if n_in != body.params.len() {
+        return Err(ExecError::ArityMismatch {
+            expected: body.params.len(),
+            found: n_in,
+        });
     }
 
-    let scalar_f32 = |plan: &Plan, slot: Slot| -> Result<f32, ExecError> {
-        match slot {
-            Slot::Input(i) => match &plan.inputs[i] {
-                InputBuf::Scalar(s) => Ok(s.as_f32()),
-                _ => Err(ExecError::unsupported("expected scalar operand in group")),
-            },
-            Slot::Node(_) => Err(ExecError::unsupported("computed scalar operand in group")),
-        }
-    };
-    let scalar_usize = |plan: &Plan, slot: Slot| -> Result<i64, ExecError> {
-        match slot {
-            Slot::Input(i) => match &plan.inputs[i] {
-                InputBuf::Scalar(s) => Ok(s.as_i64()),
-                _ => Err(ExecError::unsupported("expected int operand in group")),
-            },
-            Slot::Node(_) => Err(ExecError::unsupported("computed int operand in group")),
-        }
-    };
-
-    for n in g.block(body).nodes.clone() {
-        let node = g.node(n).clone();
-        let slot = |v: ValueId| -> Result<Slot, ExecError> {
-            slot_of
-                .get(&v)
-                .copied()
-                .ok_or_else(|| ExecError::unsupported("group operand escapes compilation scope"))
+    // Slot k < n_in is input k, slot n_in + i the i-th body node; a slot
+    // that owns a buffer owns `bufs[slot]`. Tensors are imported with one
+    // copy; host scalars become rank-0 buffers and are also kept by value
+    // for the operators that take them as attributes.
+    let n_slots = n_in + body.nodes.len();
+    let mut bufs: Vec<Data> = Vec::with_capacity(n_slots);
+    let mut slots: Vec<View> = Vec::with_capacity(n_slots);
+    let mut scalars: Vec<Option<Scalar>> = Vec::with_capacity(n_in);
+    let mut slot_of: HashMap<ValueId, usize> = HashMap::with_capacity(n_slots);
+    let host = |s: Scalar| (Data::filled(s.dtype(), 1, s), Vec::new(), Some(s));
+    for (k, (v, &param)) in inputs.iter().zip(&body.params).enumerate() {
+        let (data, shape, scalar) = match v {
+            RtValue::Tensor(t) => {
+                let data = match t.dtype() {
+                    DType::F32 => Data::F32(t.to_vec_f32()?),
+                    DType::I64 => Data::I64(t.to_vec_i64()?),
+                    DType::Bool => Data::Bool(t.to_vec_bool()?),
+                };
+                (data, t.shape().to_vec(), None)
+            }
+            RtValue::Float(f) => host(Scalar::F32(*f as f32)),
+            RtValue::Int(i) => host(Scalar::I64(*i)),
+            RtValue::Bool(b) => host(Scalar::Bool(*b)),
+            RtValue::List(_) => return Err(ExecError::unsupported("list input to fusion group")),
         };
-        let (op, shape, dtype, compute): (EvalOp, Vec<usize>, DType, bool) = match &node.op {
+        slots.push(View::dense(k, shape, data.dtype()));
+        bufs.push(data);
+        scalars.push(scalar);
+        slot_of.insert(param, k);
+    }
+    bufs.resize_with(n_slots, Data::default);
+
+    // Lowering. `last_use[b]` is the last node reading buffer `b` through
+    // any view (`usize::MAX` once returned); an input read only through
+    // accesses is charged the accessed elements rather than its full size
+    // (this matters for parallel-map bodies that read one slice per
+    // iteration), so accesses and other reads are told apart per input.
+    let mut nodes: Vec<PlanNode> = Vec::with_capacity(body.nodes.len());
+    let mut last_use = vec![0usize; n_slots];
+    let mut accessed = vec![0u64; n_in];
+    let mut other_use = vec![false; n_in];
+    let mut reads: Vec<usize> = Vec::with_capacity(3);
+    for (idx, &n) in body.nodes.iter().enumerate() {
+        let node = g.node(n);
+        reads.clear();
+        let slot = |i: usize| -> Result<usize, ExecError> {
+            let found = node.inputs.get(i).and_then(|v| slot_of.get(v));
+            found.copied().ok_or_else(|| {
+                ExecError::unsupported("group operand missing or out of compilation scope")
+            })
+        };
+        let mut read = |i: usize| -> Result<usize, ExecError> {
+            let s = slot(i)?;
+            reads.push(s);
+            Ok(s)
+        };
+        let scalar = |i: usize| -> Result<Scalar, ExecError> {
+            let host = scalars.get(slot(i)?).copied().flatten();
+            host.ok_or_else(|| ExecError::unsupported("expected scalar operand in group"))
+        };
+        let int_at = |i: usize| scalar(i).map(Scalar::as_i64);
+        let fresh = |shape: Vec<usize>, dtype: DType| View::dense(n_in + idx, shape, dtype);
+        let (kernel, out, compute) = match &node.op {
             Op::Neg
             | Op::Relu
             | Op::Sigmoid
@@ -763,8 +674,15 @@ pub(crate) fn run_group(
             | Op::Log
             | Op::Sqrt
             | Op::Abs
-            | Op::LogicalNot => {
-                let a = slot(node.inputs[0])?;
+            | Op::LogicalNot
+            | Op::AddScalar
+            | Op::MulScalar
+            | Op::SubScalar
+            | Op::DivScalar
+            | Op::PowScalar
+            | Op::Clamp => {
+                let a = slots[read(0)?].clone();
+                let c = |i: usize| scalar(i).map(Scalar::as_f32);
                 let f = match node.op {
                     Op::Neg => UnKind::Neg,
                     Op::Relu => UnKind::Relu,
@@ -774,14 +692,25 @@ pub(crate) fn run_group(
                     Op::Log => UnKind::Log,
                     Op::Sqrt => UnKind::Sqrt,
                     Op::Abs => UnKind::Abs,
-                    _ => UnKind::Not,
+                    Op::LogicalNot => UnKind::Not,
+                    Op::AddScalar => UnKind::AddC(c(1)?),
+                    Op::MulScalar => UnKind::MulC(c(1)?),
+                    Op::SubScalar => UnKind::SubC(c(1)?),
+                    Op::DivScalar => UnKind::DivC(c(1)?),
+                    Op::PowScalar => UnKind::PowC(c(1)?),
+                    _ => UnKind::Clamp(c(1)?, c(2)?),
                 };
-                let dt = match node.op {
-                    Op::Neg | Op::Abs => plan.slot_dtype(a),
-                    Op::LogicalNot => DType::Bool,
+                let dtype = match f {
+                    UnKind::Neg | UnKind::Abs => a.dtype,
+                    UnKind::Not => DType::Bool,
+                    // `f32::clamp` panics on an empty or NaN range.
+                    UnKind::Clamp(lo, hi) if lo > hi || lo.is_nan() || hi.is_nan() => {
+                        return Err(TensorError::invalid("clamp bounds are not ordered").into())
+                    }
                     _ => DType::F32,
                 };
-                (EvalOp::Un { f, a }, plan.slot_shape(a).to_vec(), dt, true)
+                let out = fresh(a.shape.clone(), dtype);
+                (Kernel::Un { f, a }, out, true)
             }
             Op::Add
             | Op::Sub
@@ -797,8 +726,7 @@ pub(crate) fn run_group(
             | Op::EqElem
             | Op::LogicalAnd
             | Op::LogicalOr => {
-                let a = slot(node.inputs[0])?;
-                let b = slot(node.inputs[1])?;
+                let (a, b) = (&slots[read(0)?], &slots[read(1)?]);
                 let f = match node.op {
                     Op::Add => BinKind::Add,
                     Op::Sub => BinKind::Sub,
@@ -815,132 +743,87 @@ pub(crate) fn run_group(
                     Op::LogicalAnd => BinKind::And,
                     _ => BinKind::Or,
                 };
-                let shape = broadcast_shapes(plan.slot_shape(a), plan.slot_shape(b))?;
-                let dt = match f {
-                    BinKind::Gt
-                    | BinKind::Lt
-                    | BinKind::Ge
-                    | BinKind::Le
-                    | BinKind::Eq
-                    | BinKind::And
-                    | BinKind::Or => DType::Bool,
+                let dtype = match f {
+                    BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Max | BinKind::Min => {
+                        promote(a.dtype, b.dtype)
+                    }
                     BinKind::Div | BinKind::Pow => DType::F32,
-                    _ => promote(plan.slot_dtype(a), plan.slot_dtype(b)),
+                    _ => DType::Bool,
                 };
-                (EvalOp::Bin { f, a, b }, shape, dt, true)
-            }
-            Op::AddScalar | Op::MulScalar | Op::SubScalar | Op::DivScalar | Op::PowScalar => {
-                let a = slot(node.inputs[0])?;
-                let c = scalar_f32(&plan, slot(node.inputs[1])?)?;
-                let op = match node.op {
-                    Op::AddScalar => EvalOp::AddConst { a, c, mul: false },
-                    Op::MulScalar => EvalOp::AddConst { a, c, mul: true },
-                    Op::SubScalar => EvalOp::SubConst { a, c },
-                    Op::DivScalar => EvalOp::DivConst { a, c },
-                    _ => EvalOp::PowConst { a, c },
-                };
-                (op, plan.slot_shape(a).to_vec(), DType::F32, true)
-            }
-            Op::Clamp => {
-                let a = slot(node.inputs[0])?;
-                let lo = scalar_f32(&plan, slot(node.inputs[1])?)?;
-                let hi = scalar_f32(&plan, slot(node.inputs[2])?)?;
-                (
-                    EvalOp::Clamp { a, lo, hi },
-                    plan.slot_shape(a).to_vec(),
-                    DType::F32,
-                    true,
-                )
+                let shape = broadcast_shapes(&a.shape, &b.shape)?;
+                let (a, b) = (a.broadcast_to(&shape)?, b.broadcast_to(&shape)?);
+                (Kernel::Bin { f, a, b }, fresh(shape, dtype), true)
             }
             Op::WhereSelect => {
-                let c = slot(node.inputs[0])?;
-                let a = slot(node.inputs[1])?;
-                let b = slot(node.inputs[2])?;
-                let s1 = broadcast_shapes(plan.slot_shape(a), plan.slot_shape(b))?;
-                let shape = broadcast_shapes(plan.slot_shape(c), &s1)?;
-                let dt = promote(plan.slot_dtype(a), plan.slot_dtype(b));
-                (EvalOp::Where { c, a, b }, shape, dt, true)
+                let (c, a, b) = (&slots[read(0)?], &slots[read(1)?], &slots[read(2)?]);
+                let shape = broadcast_shapes(&c.shape, &broadcast_shapes(&a.shape, &b.shape)?)?;
+                let dtype = promote(a.dtype, b.dtype);
+                let kernel = Kernel::Where {
+                    c: c.broadcast_to(&shape)?,
+                    a: a.broadcast_to(&shape)?,
+                    b: b.broadcast_to(&shape)?,
+                };
+                (kernel, fresh(shape, dtype), true)
             }
-            Op::FullLike => {
-                let like = slot(node.inputs[0])?;
-                let v = scalar_f32(&plan, slot(node.inputs[1])?)?;
-                (
-                    EvalOp::Fill {
-                        value: Scalar::F32(v),
-                    },
-                    plan.slot_shape(like).to_vec(),
-                    plan.slot_dtype(like),
-                    false,
-                )
-            }
-            Op::ZerosLike | Op::OnesLike => {
-                let like = slot(node.inputs[0])?;
-                let v = if node.op == Op::OnesLike { 1.0 } else { 0.0 };
-                (
-                    EvalOp::Fill {
-                        value: Scalar::F32(v),
-                    },
-                    plan.slot_shape(like).to_vec(),
-                    plan.slot_dtype(like),
-                    false,
-                )
+            Op::FullLike | Op::ZerosLike | Op::OnesLike => {
+                let like = &slots[slot(0)?];
+                let value = match node.op {
+                    Op::FullLike => scalar(1)?.as_f32(),
+                    Op::OnesLike => 1.0,
+                    _ => 0.0,
+                };
+                let out = fresh(like.shape.clone(), like.dtype);
+                (Kernel::Fill(Scalar::F32(value)), out, false)
             }
             Op::BroadcastLike => {
-                let src = slot(node.inputs[0])?;
-                let like = slot(node.inputs[1])?;
-                (
-                    EvalOp::Broadcast { src },
-                    plan.slot_shape(like).to_vec(),
-                    plan.slot_dtype(like),
-                    false,
-                )
+                let like = &slots[slot(1)?];
+                let src = slots[read(0)?].broadcast_to(&like.shape)?;
+                if src.dtype == like.dtype {
+                    (Kernel::Alias, src, false)
+                } else {
+                    let out = fresh(like.shape.clone(), like.dtype);
+                    (Kernel::Copy(src), out, false)
+                }
             }
             Op::Cast { dtype } => {
-                let a = slot(node.inputs[0])?;
-                let dt = match dtype {
-                    tssa_ir::ScalarType::F32 => DType::F32,
-                    tssa_ir::ScalarType::I64 => DType::I64,
-                    tssa_ir::ScalarType::Bool => DType::Bool,
+                let a = slots[read(0)?].clone();
+                let dtype = match dtype {
+                    ScalarType::F32 => DType::F32,
+                    ScalarType::I64 => DType::I64,
+                    ScalarType::Bool => DType::Bool,
                 };
-                (
-                    EvalOp::Cast { a, dtype: dt },
-                    plan.slot_shape(a).to_vec(),
-                    dt,
-                    true,
-                )
+                if a.dtype == dtype {
+                    (Kernel::Alias, a, true)
+                } else {
+                    let out = fresh(a.shape.clone(), dtype);
+                    (Kernel::Copy(a), out, true)
+                }
             }
             Op::Access(kind) => {
-                let base = slot(node.inputs[0])?;
-                let base_shape = plan.slot_shape(base).to_vec();
-                let (xform, shape) = build_xform(kind, &base_shape, &node.inputs[1..], &|v| {
-                    scalar_usize(&plan, slot(v)?)
-                })?;
-                (
-                    EvalOp::Access { base, xform },
-                    shape,
-                    plan.slot_dtype(base),
-                    false,
-                )
+                let b = slot(0)?;
+                let base = &slots[b];
+                // A strided layout has no affine reshape: copy it dense.
+                let dense;
+                let reshape = matches!(kind, ViewKind::ViewShape { .. });
+                let (kernel, from) = if reshape && !base.is_dense() {
+                    dense = fresh(base.shape.clone(), base.dtype);
+                    (Kernel::Copy(base.clone()), &dense)
+                } else {
+                    (Kernel::Alias, base)
+                };
+                let out = apply_view(kind, from, &int_at)?;
+                last_use[base.buf] = idx;
+                if b < n_in {
+                    accessed[b] += out.bytes();
+                }
+                (kernel, out, false)
             }
             Op::Assign(kind) => {
-                let base = slot(node.inputs[0])?;
-                let src = slot(node.inputs[1])?;
-                let base_shape = plan.slot_shape(base).to_vec();
-                let (xform, view_shape) =
-                    build_xform(kind, &base_shape, &node.inputs[2..], &|v| {
-                        scalar_usize(&plan, slot(v)?)
-                    })?;
-                (
-                    EvalOp::Assign {
-                        base,
-                        src,
-                        xform,
-                        view_shape,
-                    },
-                    base_shape,
-                    plan.slot_dtype(base),
-                    false,
-                )
+                let (base, src) = (read(0)?, &slots[read(1)?]);
+                let out = fresh(slots[base].shape.clone(), slots[base].dtype);
+                let region = apply_view(kind, &out, &|i| int_at(i + 1))?;
+                let src = src.broadcast_to(&region.shape)?;
+                (Kernel::Assign { base, src, region }, out, false)
             }
             other => {
                 return Err(ExecError::unsupported(format!(
@@ -949,252 +832,263 @@ pub(crate) fn run_group(
                 )))
             }
         };
-        let idx = plan.nodes.len();
-        plan.nodes.push(PlanNode {
-            op,
-            shape,
-            dtype,
-            compute,
-        });
-        slot_of.insert(node.outputs[0], Slot::Node(idx));
-    }
-
-    // Traffic accounting: an input consumed only through accesses is read
-    // partially, so it is charged the accessed elements (capped at its full
-    // size) rather than the whole buffer — this matters for parallel-map
-    // bodies that read one slice per iteration.
-    let mut in_bytes = 0u64;
-    for (k, buf) in plan.inputs.iter().enumerate() {
-        let full = (buf.shape().iter().product::<usize>() * buf.dtype().size_bytes()) as u64;
-        let mut only_access = true;
-        let mut accessed = 0u64;
-        for node in &plan.nodes {
-            let uses_k = |s: &Slot| *s == Slot::Input(k);
-            match &node.op {
-                EvalOp::Access { base, .. } if uses_k(base) => {
-                    accessed +=
-                        (node.shape.iter().product::<usize>() * buf.dtype().size_bytes()) as u64;
-                }
-                other => {
-                    if eval_op_slots(other).iter().any(uses_k) {
-                        only_access = false;
-                    }
-                }
+        for &s in &reads {
+            last_use[slots[s].buf] = idx;
+            if s < n_in {
+                other_use[s] = true;
             }
         }
-        in_bytes += if only_access && accessed > 0 {
-            accessed.min(full)
-        } else {
-            full
+        if let Some(&o) = node.outputs.first() {
+            slot_of.insert(o, slots.len());
+        }
+        slots.push(out);
+        nodes.push(PlanNode { kernel, compute });
+    }
+
+    let in_bytes: u64 = (0..n_in)
+        .map(|k| match slots[k].bytes() {
+            full if !other_use[k] && accessed[k] > 0 => accessed[k].min(full),
+            full => full,
+        })
+        .sum();
+    let rets: Vec<usize> = body
+        .returns
+        .iter()
+        .map(|r| slot_of.get(r).copied())
+        .collect::<Option<_>>()
+        .ok_or_else(|| ExecError::unsupported("group return not computed"))?;
+    for &r in &rets {
+        last_use[slots[r].buf] = usize::MAX;
+    }
+
+    // Evaluation, in plan order; each element is computed exactly once.
+    let mut node_ns = vec![0u64; nodes.len()];
+    for (idx, node) in nodes.iter().enumerate() {
+        let started = observer.map(|_| Instant::now());
+        let out = &slots[n_in + idx];
+        let (shape, dtype) = (&out.shape[..], out.dtype);
+        let data = match &node.kernel {
+            Kernel::Alias => continue,
+            Kernel::Un { f, a } => match &bufs[a.buf] {
+                Data::F32(x) => un_f32(*f, shape, x, a),
+                _ => map_scalar(&bufs, dtype, shape, [a], |[v]| un_apply(*f, v)),
+            },
+            Kernel::Bin { f, a, b } => match (&bufs[a.buf], &bufs[b.buf]) {
+                (Data::F32(x), Data::F32(y)) => bin_f32(*f, shape, (x, a), (y, b)),
+                _ => map_scalar(&bufs, dtype, shape, [a, b], |[x, y]| bin_apply(*f, x, y)),
+            },
+            Kernel::Where { c, a, b } => match (&bufs[c.buf], &bufs[a.buf], &bufs[b.buf]) {
+                (Data::Bool(m), Data::F32(x), Data::F32(y)) => {
+                    select_f32(shape, (m, c), (x, a), (y, b))
+                }
+                _ => map_scalar(&bufs, dtype, shape, [c, a, b], |[c, x, y]| {
+                    if c.as_bool() {
+                        x
+                    } else {
+                        y
+                    }
+                }),
+            },
+            Kernel::Fill(value) => Data::filled(dtype, numel(shape), *value),
+            Kernel::Copy(v) => copy(&bufs, v, dtype),
+            Kernel::Assign { base, src, region } => {
+                let base = &slots[*base];
+                let dead = last_use[base.buf] <= idx && src.buf != base.buf;
+                let mut dst = if dead && base.covers(&bufs[base.buf]) {
+                    std::mem::take(&mut bufs[base.buf])
+                } else {
+                    copy(&bufs, base, dtype)
+                };
+                scatter(&mut dst, region, (&bufs[src.buf], src));
+                dst
+            }
         };
-    }
-
-    let mut returned = vec![false; g.block(body).nodes.len()];
-    for &ret in &g.block(body).returns {
-        if let Some(Slot::Node(i)) = slot_of.get(&ret).copied() {
-            returned[i] = true;
+        bufs[out.buf] = data;
+        if let Some(at) = started {
+            node_ns[idx] = at.elapsed().as_nanos() as u64;
         }
     }
-    let mut node_ns = vec![0u64; plan.nodes.len()];
-    match observer {
-        Some(_) => {
-            let mut record = |idx: usize, ns: u64| node_ns[idx] = ns;
-            plan.materialize(&returned, Some(&mut record));
-        }
-        None => plan.materialize(&returned, None),
-    }
 
-    // Read each group output from the materialized cache.
-    let mut outputs = Vec::new();
+    // Read back: a returned slot that is all of its buffer gives it up.
+    let mut outputs = Vec::with_capacity(rets.len());
     let mut out_bytes = 0u64;
-    let mut flops = 0u64;
-    for node in &plan.nodes {
-        if node.compute {
-            flops += node.shape.iter().product::<usize>() as u64;
+    for (i, &r) in rets.iter().enumerate() {
+        if scalars.get(r).is_some_and(Option::is_some) {
+            return Err(ExecError::unsupported("scalar group return"));
         }
-    }
-    for &ret in &g.block(body).returns {
-        let slot = slot_of
-            .get(&ret)
-            .copied()
-            .ok_or_else(|| ExecError::unsupported("group return not computed"))?;
-        let shape = plan.slot_shape(slot).to_vec();
-        let dtype = plan.slot_dtype(slot);
-        let n: usize = shape.iter().product();
-        out_bytes += (n * dtype.size_bytes()) as u64;
-        let tensor = match slot {
-            Slot::Node(i) => match &plan.cache[i] {
-                InputBuf::F32(v, _) => Tensor::from_vec_f32(v.clone(), &shape)?,
-                InputBuf::I64(v, _) => Tensor::from_vec_i64(v.clone(), &shape)?,
-                InputBuf::Bool(v, _) => Tensor::from_vec_bool(v.clone(), &shape)?,
-                InputBuf::Scalar(_) => return Err(ExecError::unsupported("scalar group return")),
-            },
-            Slot::Input(i) => match &plan.inputs[i] {
-                InputBuf::F32(v, _) => Tensor::from_vec_f32(v.clone(), &shape)?,
-                InputBuf::I64(v, _) => Tensor::from_vec_i64(v.clone(), &shape)?,
-                InputBuf::Bool(v, _) => Tensor::from_vec_bool(v.clone(), &shape)?,
-                InputBuf::Scalar(_) => return Err(ExecError::unsupported("scalar group return")),
-            },
+        let v = &slots[r];
+        out_bytes += v.bytes();
+        let last = !rets[i + 1..].iter().any(|&l| slots[l].buf == v.buf);
+        let data = if last && v.covers(&bufs[v.buf]) {
+            std::mem::take(&mut bufs[v.buf])
+        } else {
+            copy(&bufs, v, v.dtype)
         };
-        outputs.push(RtValue::Tensor(tensor));
+        outputs.push(RtValue::Tensor(match data {
+            Data::F32(d) => Tensor::from_vec_f32(d, &v.shape)?,
+            Data::I64(d) => Tensor::from_vec_i64(d, &v.shape)?,
+            Data::Bool(d) => Tensor::from_vec_bool(d, &v.shape)?,
+        }));
     }
+    let node_flops = |i: usize| {
+        if nodes[i].compute {
+            slots[n_in + i].numel() as u64
+        } else {
+            0
+        }
+    };
+    let flops = (0..nodes.len()).map(node_flops).sum();
+
     if let Some(obs) = observer {
-        let mut child_ns = 0u64;
         // Plan node i was built from the i-th body node, in order.
-        for (i, &bn) in g.block(body).nodes.iter().enumerate() {
-            let pn = &plan.nodes[i];
-            let elems = pn.shape.iter().product::<usize>() as u64;
+        for (i, &bn) in body.nodes.iter().enumerate() {
             obs.record_op(
                 group.index() as u32,
                 bn.index() as u32,
                 &g.node(bn).op,
                 node_ns[i],
-                elems * pn.dtype.size_bytes() as u64,
-                if pn.compute { elems } else { 0 },
+                slots[n_in + i].bytes(),
+                node_flops(i),
             );
-            child_ns += node_ns[i];
         }
-        // The remainder (plan build, input conversion, output readback) is
-        // the fused launch's own overhead, charged to the group node.
-        let total = total_at
-            .map(|at| at.elapsed().as_nanos() as u64)
-            .unwrap_or(0);
-        obs.record_op(
-            group.index() as u32,
-            group.index() as u32,
-            &g.node(group).op,
-            total.saturating_sub(child_ns),
-            in_bytes + out_bytes,
-            0,
-        );
     }
     Ok(GroupResult {
         outputs,
         bytes: in_bytes + out_bytes,
         flops,
+        node_ns: node_ns.iter().sum(),
     })
 }
 
-/// Operand slots of an eval op (used by the traffic accounting above).
-fn eval_op_slots(op: &EvalOp) -> Vec<Slot> {
-    match op {
-        EvalOp::Un { a, .. }
-        | EvalOp::AddConst { a, .. }
-        | EvalOp::SubConst { a, .. }
-        | EvalOp::DivConst { a, .. }
-        | EvalOp::PowConst { a, .. }
-        | EvalOp::Clamp { a, .. }
-        | EvalOp::Cast { a, .. } => vec![*a],
-        EvalOp::Bin { a, b, .. } => vec![*a, *b],
-        EvalOp::Where { c, a, b } => vec![*c, *a, *b],
-        EvalOp::Fill { .. } => vec![],
-        EvalOp::Broadcast { src } => vec![*src],
-        EvalOp::Access { base, .. } => vec![*base],
-        EvalOp::Assign { base, src, .. } => vec![*base, *src],
-    }
-}
-
-fn build_xform(
+/// `base` seen through the view operator `kind`: every transform is an
+/// affine map of coordinates, i.e. a new offset and strides over the same
+/// buffer. `int_at(i)` reads the operator's i-th operand (0 is the base)
+/// as a host integer. A `ViewShape` base must be dense.
+fn apply_view(
     kind: &ViewKind,
-    base_shape: &[usize],
-    extra: &[ValueId],
-    scalar_int: &dyn Fn(ValueId) -> Result<i64, ExecError>,
-) -> Result<(Xform, Vec<usize>), ExecError> {
+    base: &View,
+    int_at: &dyn Fn(usize) -> Result<i64, ExecError>,
+) -> Result<View, ExecError> {
+    let mut v = base.clone();
     match kind {
         ViewKind::Select { dim } => {
-            let d = norm_dim(*dim, base_shape.len())?;
-            let raw = scalar_int(extra[0])?;
-            let size = base_shape[d] as i64;
+            let d = norm_dim(*dim, v.shape.len())?;
+            let raw = int_at(1)?;
+            let size = v.shape[d] as i64;
             let idx = if raw < 0 { raw + size } else { raw };
             if idx < 0 || idx >= size {
                 return Err(ExecError::unsupported("select index out of range in group"));
             }
-            let mut shape = base_shape.to_vec();
-            shape.remove(d);
-            Ok((
-                Xform::Select {
-                    dim: d,
-                    index: idx as usize,
-                },
-                shape,
-            ))
+            v.offset += idx as usize * v.strides[d];
+            v.shape.remove(d);
+            v.strides.remove(d);
         }
         ViewKind::SliceView { dim } => {
-            let d = norm_dim(*dim, base_shape.len())?;
-            let size = base_shape[d] as i64;
-            let clamp = |v: i64| -> i64 {
-                let v = if v < 0 { v + size } else { v };
-                v.clamp(0, size)
+            let d = norm_dim(*dim, v.shape.len())?;
+            let size = v.shape[d] as i64;
+            let clamp = |x: i64| -> i64 {
+                let x = if x < 0 { x + size } else { x };
+                x.clamp(0, size)
             };
-            let start = clamp(scalar_int(extra[0])?);
-            let end = clamp(scalar_int(extra[1])?).max(start);
-            let step = scalar_int(extra[2])?;
+            let start = clamp(int_at(1)?);
+            let end = clamp(int_at(2)?).max(start);
+            let step = int_at(3)?;
             if step <= 0 {
                 return Err(ExecError::unsupported("non-positive slice step in group"));
             }
-            let len = ((end - start) + step - 1) / step;
-            let mut shape = base_shape.to_vec();
-            shape[d] = len as usize;
-            Ok((
-                Xform::Slice {
-                    dim: d,
-                    start: start as usize,
-                    step: step as usize,
-                    len: len as usize,
-                },
-                shape,
-            ))
+            v.offset += start as usize * v.strides[d];
+            v.shape[d] = ((end - start) as u64).div_ceil(step as u64) as usize;
+            // With at most one element along `d` the stride is never used.
+            v.strides[d] = v.strides[d].saturating_mul(step as usize);
         }
         ViewKind::Permute { perm } => {
-            let p: Vec<usize> = perm.iter().map(|&x| x as usize).collect();
-            let shape: Vec<usize> = p.iter().map(|&i| base_shape[i]).collect();
-            Ok((Xform::Permute { perm: p }, shape))
+            let mut seen = vec![false; v.shape.len()];
+            for &p in perm {
+                match seen.get_mut(usize::try_from(p).unwrap_or(usize::MAX)) {
+                    Some(s) if !*s => *s = true,
+                    _ => return Err(TensorError::invalid("invalid permutation").into()),
+                }
+            }
+            if perm.len() != seen.len() {
+                return Err(TensorError::invalid("invalid permutation").into());
+            }
+            v.shape = perm.iter().map(|&p| base.shape[p as usize]).collect();
+            v.strides = perm.iter().map(|&p| base.strides[p as usize]).collect();
         }
         ViewKind::Transpose { dim0, dim1 } => {
-            let d0 = norm_dim(*dim0, base_shape.len())?;
-            let d1 = norm_dim(*dim1, base_shape.len())?;
-            let mut shape = base_shape.to_vec();
-            shape.swap(d0, d1);
-            Ok((Xform::Transpose { d0, d1 }, shape))
+            let d0 = norm_dim(*dim0, v.shape.len())?;
+            let d1 = norm_dim(*dim1, v.shape.len())?;
+            v.shape.swap(d0, d1);
+            v.strides.swap(d0, d1);
         }
         ViewKind::Unsqueeze { dim } => {
-            let d = norm_dim(*dim, base_shape.len() + 1)?;
-            let mut shape = base_shape.to_vec();
-            shape.insert(d, 1);
-            Ok((Xform::Unsqueeze { dim: d }, shape))
+            let d = norm_dim(*dim, v.shape.len() + 1)?;
+            v.shape.insert(d, 1);
+            v.strides.insert(d, 0);
         }
         ViewKind::Squeeze { dim } => {
-            let d = norm_dim(*dim, base_shape.len())?;
-            let mut shape = base_shape.to_vec();
-            shape.remove(d);
-            Ok((Xform::Squeeze { dim: d }, shape))
+            let d = norm_dim(*dim, v.shape.len())?;
+            if v.shape[d] != 1 {
+                return Err(TensorError::invalid("squeeze of a dimension of size != 1").into());
+            }
+            v.shape.remove(d);
+            v.strides.remove(d);
         }
         ViewKind::Expand { shape } => {
-            let target = resolve_shape_arg(shape, base_shape, true);
-            Ok((
-                Xform::Expand {
-                    base_shape: base_shape.to_vec(),
-                },
-                target,
-            ))
+            // A -1 keeps the (right-aligned) base dimension.
+            let pad = shape.len().saturating_sub(v.shape.len());
+            let target: Vec<usize> = shape
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| match d {
+                    -1 if i >= pad => v.shape[i - pad],
+                    _ => d.max(0) as usize,
+                })
+                .collect();
+            return base.broadcast_to(&target);
         }
         ViewKind::ViewShape { shape } => {
-            let out = resolve_shape_arg(shape, base_shape, false);
-            Ok((
-                Xform::ViewShape {
-                    base_shape: base_shape.to_vec(),
-                    out_shape: out.clone(),
-                },
-                out,
-            ))
+            let total = v.numel();
+            let mut known = 1usize;
+            for &d in shape.iter().filter(|&&d| d != -1) {
+                let d = usize::try_from(d)
+                    .map_err(|_| TensorError::invalid("negative dimension in shape"))?;
+                known = known.saturating_mul(d);
+            }
+            let inferred = match shape.iter().filter(|&&d| d == -1).count() {
+                0 => 1,
+                1 if known != 0 && total.is_multiple_of(known) => total / known,
+                1 => {
+                    return Err(TensorError::NumelMismatch {
+                        from: total,
+                        to: known,
+                    }
+                    .into())
+                }
+                _ => return Err(TensorError::invalid("at most one -1 dimension").into()),
+            };
+            if known.saturating_mul(inferred) != total {
+                return Err(TensorError::NumelMismatch {
+                    from: total,
+                    to: known,
+                }
+                .into());
+            }
+            let dims = shape
+                .iter()
+                .map(|&d| if d == -1 { inferred } else { d as usize });
+            let offset = v.offset;
+            v = View::dense(v.buf, dims.collect(), v.dtype);
+            v.offset = offset;
         }
     }
+    Ok(v)
 }
 
 fn norm_dim(dim: i64, rank: usize) -> Result<usize, ExecError> {
     let r = rank as i64;
     let d = if dim < 0 { dim + r } else { dim };
-    if d < 0 || d >= r.max(1) {
+    if d < 0 || d >= r {
         return Err(ExecError::unsupported("dimension out of range in group"));
     }
     Ok(d as usize)

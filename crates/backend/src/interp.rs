@@ -817,6 +817,7 @@ impl Executor {
 
             // ------------------------------------------------------ fused
             Op::FusionGroup => {
+                let started = self.observer.as_ref().map(|_| Instant::now());
                 let inputs: Vec<RtValue> = node
                     .inputs
                     .iter()
@@ -826,6 +827,13 @@ impl Executor {
                 self.kernel(stats, result.bytes, result.flops);
                 for (i, v) in result.outputs.into_iter().enumerate() {
                     set(env, i, v);
+                }
+                // What the launch cost beyond its body nodes (import,
+                // lowering, readback, teardown) is the group's own sample.
+                if let (Some(t0), Some(obs)) = (started, &self.observer) {
+                    let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(result.node_ns);
+                    let id = n.index() as u32;
+                    obs.record_op(id, id, &node.op, self_ns, result.bytes, 0);
                 }
             }
             Op::ParallelMap { dim } => {

@@ -279,10 +279,9 @@ impl Tensor {
 
     // ----------------------------------------------------------- conversion
 
-    /// Copy the logical contents into a fresh contiguous tensor.
-    pub fn clone_data(&self) -> Tensor {
-        let shape = self.shape.clone();
-        let buffer = self.storage.with_read(|b| {
+    /// The logical contents as a fresh row-major buffer.
+    fn to_buffer(&self) -> Buffer {
+        self.storage.with_read(|b| {
             if self.is_contiguous() {
                 // Fast path: one slice copy.
                 let n = self.numel();
@@ -298,8 +297,12 @@ impl Tensor {
                 Buffer::I64(v) => Buffer::I64(offs.iter().map(|&o| v[o]).collect()),
                 Buffer::Bool(v) => Buffer::Bool(offs.iter().map(|&o| v[o]).collect()),
             }
-        });
-        Tensor::from_buffer(buffer, shape)
+        })
+    }
+
+    /// Copy the logical contents into a fresh contiguous tensor.
+    pub fn clone_data(&self) -> Tensor {
+        Tensor::from_buffer(self.to_buffer(), self.shape.clone())
     }
 
     /// This tensor if already contiguous, otherwise a contiguous copy.
@@ -329,16 +332,14 @@ impl Tensor {
     ///
     /// Returns [`TensorError::DTypeMismatch`] for non-f32 tensors.
     pub fn to_vec_f32(&self) -> Result<Vec<f32>> {
-        if self.dtype() != DType::F32 {
-            return Err(TensorError::DTypeMismatch {
+        match self.to_buffer() {
+            Buffer::F32(v) => Ok(v),
+            other => Err(TensorError::DTypeMismatch {
                 expected: DType::F32,
-                found: self.dtype(),
+                found: other.dtype(),
                 op: "to_vec_f32",
-            });
+            }),
         }
-        let mut out = Vec::with_capacity(self.numel());
-        self.for_each(|s| out.push(s.as_f32()));
-        Ok(out)
     }
 
     /// Logical contents as a flat `Vec<i64>` in row-major order.
@@ -347,16 +348,14 @@ impl Tensor {
     ///
     /// Returns [`TensorError::DTypeMismatch`] for non-i64 tensors.
     pub fn to_vec_i64(&self) -> Result<Vec<i64>> {
-        if self.dtype() != DType::I64 {
-            return Err(TensorError::DTypeMismatch {
+        match self.to_buffer() {
+            Buffer::I64(v) => Ok(v),
+            other => Err(TensorError::DTypeMismatch {
                 expected: DType::I64,
-                found: self.dtype(),
+                found: other.dtype(),
                 op: "to_vec_i64",
-            });
+            }),
         }
-        let mut out = Vec::with_capacity(self.numel());
-        self.for_each(|s| out.push(s.as_i64()));
-        Ok(out)
     }
 
     /// Logical contents as a flat `Vec<bool>` in row-major order.
@@ -365,16 +364,14 @@ impl Tensor {
     ///
     /// Returns [`TensorError::DTypeMismatch`] for non-bool tensors.
     pub fn to_vec_bool(&self) -> Result<Vec<bool>> {
-        if self.dtype() != DType::Bool {
-            return Err(TensorError::DTypeMismatch {
+        match self.to_buffer() {
+            Buffer::Bool(v) => Ok(v),
+            other => Err(TensorError::DTypeMismatch {
                 expected: DType::Bool,
-                found: self.dtype(),
+                found: other.dtype(),
                 op: "to_vec_bool",
-            });
+            }),
         }
-        let mut out = Vec::with_capacity(self.numel());
-        self.for_each(|s| out.push(s.as_bool()));
-        Ok(out)
     }
 
     /// Whether two tensors have identical shape and all elements within

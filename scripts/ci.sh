@@ -89,6 +89,14 @@ step "tssa-profile: fusion-group hotness ranking (8 workloads)"
 # collapsed-stack.
 cargo run --release -q -p tssa-bench --bin tssa-profile -- rank
 
+step "benchmark harness: unit tests + smoke run of all five workloads"
+# benchmark/ is a package of its own, outside the workspace, so the
+# workspace test step above never builds it. Its tests cover the harness's
+# statistics, metric tables and comparison rules, then drive run.sh --smoke:
+# every workload untraced and traced with one-second phases, every output
+# checked, every metric in BENCHMARK.json printed exactly once.
+(cd benchmark && cargo test -q)
+
 step "serve chaos suite (210 seeded fault schedules, streaming span sink)"
 # Deterministic fault injection through the full serving stack: worker
 # panics, compile stalls, cache poisoning, admission bursts, slow
