@@ -16,7 +16,7 @@
 //!   uses this to poll its shutdown flag);
 //! - [`HttpError::Io`] — the connection died mid-request.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Hard limits on request framing. Exceeding any of them is a typed
 /// refusal, not a hang or an unbounded allocation.
@@ -252,7 +252,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a fixed-length response.
+/// Write a fixed-length response as one gather-write of `[head, body]`:
+/// the body is not copied, and head and body leave in the same segment. A
+/// head written on its own is a small packet the peer may hold its ACK for
+/// (≈ 40 ms) while Nagle's algorithm holds the body back waiting for it.
 ///
 /// # Errors
 ///
@@ -264,14 +267,25 @@ pub fn write_response<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    w.write_all(body)?;
+    );
+    let (mut head, mut body) = (head.as_bytes(), body);
+    // `write_vectored` may stop short anywhere in either slice.
+    while !head.is_empty() || !body.is_empty() {
+        let n = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let of_head = n.min(head.len());
+        head = &head[of_head..];
+        body = &body[n - of_head..];
+    }
     w.flush()
 }
 
@@ -291,8 +305,10 @@ pub fn write_chunked<W: Write>(
     chunk_hint: usize,
     keep_alive: bool,
 ) -> io::Result<()> {
+    // Assembled whole and written once, for the reason on `write_response`.
+    let mut out = Vec::with_capacity(256 + text.len() + 16 * (text.len() / chunk_hint.max(1)));
     write!(
-        w,
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
         reason(status),
         if keep_alive { "keep-alive" } else { "close" },
@@ -309,12 +325,13 @@ pub fn write_chunked<W: Write>(
             };
         }
         let chunk = &text[start..end];
-        write!(w, "{:x}\r\n", chunk.len())?;
-        w.write_all(chunk.as_bytes())?;
-        w.write_all(b"\r\n")?;
+        write!(out, "{:x}\r\n", chunk.len())?;
+        out.extend_from_slice(chunk.as_bytes());
+        out.extend_from_slice(b"\r\n");
         start = end;
     }
-    w.write_all(b"0\r\n\r\n")?;
+    out.extend_from_slice(b"0\r\n\r\n");
+    w.write_all(&out)?;
     w.flush()
 }
 

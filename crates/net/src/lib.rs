@@ -10,9 +10,9 @@
 //!    connection gateway with a bounded connection count. Backpressure
 //!    composes: connection cap at the edge, bounded admission in the
 //!    service, typed sheds all the way out (429/503/504 with JSON bodies).
-//! 2. **Wire format** ([`wire`]) — JSON requests and responses over the
-//!    existing `tssa-obs` JSON parser, with a stable machine-readable
-//!    error `kind` per [`tssa_serve::ServeError`] variant.
+//! 2. **Wire format** ([`wire`]) — JSON (or negotiated binary) requests and
+//!    responses through a typed single-pass tensor codec, with a stable
+//!    machine-readable error `kind` per [`tssa_serve::ServeError`] variant.
 //! 3. **Autoscaling** ([`autoscale`]) — a controller that reads the live
 //!    `tssa_queue_wait_us` histogram from the shared
 //!    [`MetricsRegistry`](tssa_obs::MetricsRegistry), computes windowed

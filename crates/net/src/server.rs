@@ -13,7 +13,7 @@
 //!
 //! | route            | behaviour |
 //! |------------------|-----------|
-//! | `POST /v1/infer` | JSON body → [`Service::submit_with`]; `Timeout-Ms` header sets the deadline |
+//! | `POST /v1/infer` | JSON or binary body → [`Service::submit_with`]; `Timeout-Ms` header sets the deadline |
 //! | `GET /metrics`   | consolidated Prometheus exposition, chunked at line boundaries |
 //! | `GET /debug/profile` | op-level profiler snapshot — JSON by default, collapsed-stack (flamegraph) with `?format=collapsed`; 404 when the service has no profiler |
 //! | `GET /healthz`   | liveness — 200 while the process accepts connections |
@@ -245,6 +245,9 @@ fn accept_loop(
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Every response is one complete write: Nagle's algorithm has nothing to
+    // coalesce and would only hold a last partial segment for the peer's ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -488,9 +491,9 @@ fn infer(request: &HttpRequest, writer: &mut TcpStream, shared: &Arc<Shared>) ->
     }
 }
 
-/// Client-side helper: send one request over `stream` and read the
-/// response. Used by tests and embedded smoke checks; not a general HTTP
-/// client.
+/// Client-side helper: send one request over `stream` (head and body in a
+/// single write, `TCP_NODELAY` set, as `curl` does) and read the response.
+/// Used by tests and embedded smoke checks; not a general HTTP client.
 ///
 /// # Errors
 ///
@@ -508,9 +511,10 @@ pub fn roundtrip(
         head.push_str(&format!("{k}: {v}\r\n"));
     }
     head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes()).map_err(HttpError::Io)?;
-    stream.write_all(body).map_err(HttpError::Io)?;
-    stream.flush().map_err(HttpError::Io)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.set_nodelay(true).map_err(HttpError::Io)?;
+    stream.write_all(&message).map_err(HttpError::Io)?;
     let mut reader = BufReader::new(stream.try_clone().map_err(HttpError::Io)?);
     http::read_response(&mut reader)
 }

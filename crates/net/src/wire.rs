@@ -20,8 +20,15 @@
 //! {"ok": false, "kind": "queue_full", "error": "admission queue full (depth 64)"}
 //! ```
 //!
-//! Parsing reuses the recursive-descent JSON parser from `tssa-obs`
-//! ([`tssa_obs::json`]) — no new dependency for the edge.
+//! Both directions are single-pass and typed: the decoder is a cursor that
+//! walks this grammar (any whitespace and key order, unknown keys skipped)
+//! and pushes each `data` token straight into the buffer its [`Tensor`]
+//! will own; the encoder writes into one pre-sized `String`. Values cross
+//! exactly: an f32 as the shortest decimal that parses back to the same
+//! bits (`0.7310586`; the 17-digit f64 spelling older clients send decodes
+//! to the same bits), an i64 never through f64, `null` only for a non-finite
+//! float (decoded as NaN). Nesting is capped at `MAX_LIST_DEPTH`, and an
+//! element count must fit `isize` before anything is allocated for it.
 //!
 //! # Binary negotiation
 //!
@@ -33,8 +40,11 @@
 //! the response (success or error) comes back in the same encoding. JSON
 //! remains the default for any other (or absent) content type.
 
+use std::borrow::Cow;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
+
 use tssa_backend::RtValue;
-use tssa_obs::json::{self, JsonValue};
 use tssa_serve::ServeError;
 use tssa_store::bytes::{ByteReader, ByteWriter};
 use tssa_tensor::{DType, Tensor};
@@ -55,170 +65,417 @@ pub struct InferRequest {
 /// A human-readable description of the first violation (surfaced to the
 /// client as a 400).
 pub fn parse_infer(body: &str) -> Result<InferRequest, String> {
-    let value = json::parse(body).map_err(|e| format!("body is not JSON: {e}"))?;
-    let model = value
-        .get("model")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field `model`")?
-        .to_string();
-    let inputs = value
-        .get("inputs")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing array field `inputs`")?;
-    let inputs = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| parse_value(v).map_err(|e| format!("inputs[{i}]: {e}")))
-        .collect::<Result<Vec<RtValue>, String>>()?;
-    Ok(InferRequest { model, inputs })
+    let mut c = Cursor { src: body, pos: 0 };
+    if c.peek() != Some(b'{') {
+        return Err(format!("body is not JSON: {}", c.expected("`{`")));
+    }
+    let (mut model, mut inputs) = (None, None);
+    let mut more = c.open(b'{', b'}')?;
+    while more {
+        match &*c.key()? {
+            "model" => model = Some(c.string()?.into_owned()),
+            "inputs" => inputs = Some(c.elements("inputs", 0, |c| c.value(0))?),
+            _ => c.skip(0)?,
+        }
+        more = c.more(b'}')?;
+    }
+    if c.peek().is_some() {
+        return Err(c.expected("end of body"));
+    }
+    Ok(InferRequest {
+        model: model.ok_or("missing string field `model`")?,
+        inputs: inputs.ok_or("missing array field `inputs`")?,
+    })
 }
 
-fn parse_value(value: &JsonValue) -> Result<RtValue, String> {
-    if let Some(t) = value.get("tensor") {
-        return parse_tensor(t).map(RtValue::Tensor);
+/// Element count of `shape`, refused when it would overflow. Zero extents
+/// count as one, so an empty tensor's row-major strides are known to fit too.
+fn checked_numel(shape: &[usize]) -> Result<usize, String> {
+    let span = shape
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d.max(1)))
+        .filter(|&n| isize::try_from(n).is_ok())
+        .ok_or("element count overflows")?;
+    Ok(if shape.contains(&0) { 0 } else { span })
+}
+
+/// A pull cursor over a JSON request body: each method consumes one
+/// production of the request grammar and returns it typed, so no value tree
+/// is built. Nesting is bounded by [`MAX_LIST_DEPTH`]; no body can exhaust
+/// the stack.
+struct Cursor<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn expected(&self, what: &str) -> String {
+        format!("expected {what} at byte {}", self.pos)
     }
-    if let Some(v) = value.get("int") {
-        let n = v.as_f64().ok_or("`int` is not a number")?;
-        return Ok(RtValue::Int(n as i64));
+
+    /// The next byte after any whitespace, not consumed.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.src.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied()
     }
-    if let Some(v) = value.get("float") {
-        let n = v.as_f64().ok_or("`float` is not a number")?;
-        return Ok(RtValue::Float(n));
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
     }
-    if let Some(v) = value.get("bool") {
-        return match v {
-            JsonValue::Bool(b) => Ok(RtValue::Bool(*b)),
-            _ => Err("`bool` is not a boolean".into()),
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        let hit = self.eat(byte).then_some(());
+        hit.ok_or_else(|| self.expected(&format!("`{}`", byte as char)))
+    }
+
+    fn literal(&mut self, word: &str) -> bool {
+        self.peek();
+        let hit = self.src.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        self.pos += if hit { word.len() } else { 0 };
+        hit
+    }
+
+    /// Enter an array or object; `false` when it is empty (and now closed).
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, String> {
+        self.expect(open)?;
+        Ok(!self.eat(close))
+    }
+
+    /// After an item: `true` past a comma, `false` past the `close`.
+    /// Inlined with [`Cursor::number`] into the per-element loop: as calls,
+    /// each would hand its `Result<_, String>` back through memory.
+    #[inline(always)]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        let more = self.eat(b',');
+        let closed = more || self.eat(close);
+        closed
+            .then_some(more)
+            .ok_or_else(|| self.expected(&format!("`,` or `{}`", close as char)))
+    }
+
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// Validate and step over one value of any type (an unknown key's).
+    fn skip(&mut self, depth: u32) -> Result<(), String> {
+        let (open, close) = match self.peek() {
+            Some(b'{' | b'[') if depth >= MAX_LIST_DEPTH => {
+                return Err(format!("nesting exceeds {MAX_LIST_DEPTH}"))
+            }
+            Some(b'{') => (b'{', b'}'),
+            Some(b'[') => (b'[', b']'),
+            Some(b'"') => return self.string().map(drop),
+            _ if self.literal("true") || self.literal("false") || self.literal("null") => {
+                return Ok(())
+            }
+            _ => return self.number().map(drop),
         };
+        let mut more = self.open(open, close)?;
+        while more {
+            if open == b'{' {
+                self.key()?;
+            }
+            self.skip(depth + 1)?;
+            more = self.more(close)?;
+        }
+        Ok(())
     }
-    Err("expected one of `tensor`, `int`, `float`, `bool`".into())
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let bytes = self.src.as_bytes();
+        let mut out = Cow::Borrowed("");
+        // Start of the run of unescaped bytes not yet copied into `out`.
+        let mut run = self.pos;
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err(self.expected("closing `\"`")),
+                Some(b'"') => {
+                    let tail = &self.src[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match out {
+                        Cow::Borrowed(_) => Cow::Borrowed(tail),
+                        Cow::Owned(s) => Cow::Owned(s + tail),
+                    });
+                }
+                Some(b'\\') => {
+                    out.to_mut().push_str(&self.src[run..self.pos]);
+                    self.pos += 1;
+                    let c = match bytes.get(self.pos) {
+                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => {
+                            let code = self
+                                .src
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.expected("four hex digits after `\\u`"))?;
+                            self.pos += 4;
+                            // Surrogate halves decode as replacement characters.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        _ => return Err(self.expected("an escape character")),
+                    };
+                    out.to_mut().push(c);
+                    self.pos += 1;
+                    run = self.pos;
+                }
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// One number token, checked against the JSON grammar before anything
+    /// parses it: `str::parse` alone would also take `inf`, `nan`, `+1`, `.5`.
+    #[inline(always)]
+    fn number(&mut self) -> Result<&'a str, String> {
+        self.peek();
+        let bytes = self.src.as_bytes();
+        let digits = |at: &mut usize| {
+            let from = *at;
+            while matches!(bytes.get(*at), Some(b'0'..=b'9')) {
+                *at += 1;
+            }
+            *at - from
+        };
+        let mut at = self.pos + usize::from(bytes.get(self.pos) == Some(&b'-'));
+        let leading_zero = bytes.get(at) == Some(&b'0');
+        let mut ok = matches!(digits(&mut at), n if n == 1 || (n > 1 && !leading_zero));
+        if bytes.get(at) == Some(&b'.') {
+            at += 1;
+            ok &= digits(&mut at) > 0;
+        }
+        if matches!(bytes.get(at), Some(b'e' | b'E')) {
+            at += 1 + usize::from(matches!(bytes.get(at + 1), Some(b'+' | b'-')));
+            ok &= digits(&mut at) > 0;
+        }
+        if !ok {
+            return Err(self.expected("a number"));
+        }
+        let token = &self.src[self.pos..at];
+        self.pos = at;
+        Ok(token)
+    }
+
+    /// A number of type `T`. An integer `T` is exact: it never goes through
+    /// `f64`, so a fraction, an exponent or a magnitude outside `T` is an
+    /// error, not a rounding.
+    fn parsed<T: FromStr>(&mut self, kind: &str) -> Result<T, String> {
+        let token = self.number()?;
+        let value = token.parse();
+        value.map_err(|_| format!("`{token}` is not {kind}"))
+    }
+
+    /// A float, or `null` — how the encoder spells the non-finite values
+    /// JSON has no literal for — decoded as `nan`.
+    fn float<F: FromStr>(&mut self, nan: F) -> Result<F, String> {
+        if self.literal("null") {
+            return Ok(nan);
+        }
+        self.parsed("a number")
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        let hit = self.literal("true");
+        let known = hit || self.literal("false");
+        known
+            .then_some(hit)
+            .ok_or_else(|| self.expected("`true` or `false`"))
+    }
+
+    /// The array `what`, decoded by `one` into a flat buffer sized by `hint`:
+    /// an element takes at least two bytes (`0,`), so the reservation never
+    /// exceeds what the body itself could hold.
+    fn elements<T>(
+        &mut self,
+        what: &str,
+        hint: usize,
+        one: impl Fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut out = Vec::with_capacity(hint.min((self.src.len() - self.pos) / 2));
+        let mut more = self.open(b'[', b']')?;
+        while more {
+            out.push(one(self).map_err(|e| format!("{what}[{}]: {e}", out.len()))?);
+            more = self.more(b']')?;
+        }
+        Ok(out)
+    }
+
+    /// A tensor's `data`, decoded straight into the buffers of a tensor of
+    /// `shape`, whose element count is checked before anything is reserved.
+    fn data(&mut self, dtype: DType, shape: &[usize]) -> Result<Tensor, String> {
+        let numel = checked_numel(shape)?;
+        let tensor = match dtype {
+            DType::F32 => {
+                let data = self.elements("data", numel, |c| c.float(f32::NAN))?;
+                Tensor::from_vec_f32(data, shape)
+            }
+            DType::I64 => {
+                let data = self.elements("data", numel, |c| c.parsed("a 64-bit integer"))?;
+                Tensor::from_vec_i64(data, shape)
+            }
+            DType::Bool => Tensor::from_vec_bool(self.elements("data", numel, Self::bool)?, shape),
+        };
+        tensor.map_err(|e| e.to_string())
+    }
+
+    fn tensor(&mut self) -> Result<Tensor, String> {
+        let (mut dtype, mut shape, mut tensor, mut deferred) =
+            (None, None::<Vec<usize>>, None, None);
+        let mut more = self.open(b'{', b'}')?;
+        while more {
+            match &*self.key()? {
+                "dtype" => {
+                    dtype = Some(match &*self.string()? {
+                        "f32" => DType::F32,
+                        "i64" => DType::I64,
+                        "bool" => DType::Bool,
+                        other => return Err(format!("unknown dtype `{other}`")),
+                    });
+                }
+                "shape" => {
+                    let dim = |c: &mut Self| c.parsed("a non-negative integer");
+                    shape = Some(self.elements("shape", 8, dim)?);
+                }
+                "data" => match (dtype, &shape) {
+                    // The encoder's key order: type and shape are known,
+                    // decode in place.
+                    (Some(dtype), Some(shape)) => tensor = Some(self.data(dtype, shape)?),
+                    // `data` ahead of either: validate it now, decode it
+                    // once the object has ended and both are settled.
+                    _ => {
+                        deferred = Some(self.pos);
+                        self.skip(0)?;
+                    }
+                },
+                _ => self.skip(0)?,
+            }
+            more = self.more(b'}')?;
+        }
+        let shape = shape.ok_or("missing array field `shape`")?;
+        let dtype = dtype.unwrap_or(DType::F32);
+        match (tensor, deferred) {
+            (Some(tensor), _) => Ok(tensor),
+            (None, Some(pos)) => Cursor { pos, ..*self }.data(dtype, &shape),
+            (None, None) => Err("missing array field `data`".into()),
+        }
+    }
+
+    /// One tagged value: `{"tensor": …}`, `{"int": …}`, `{"float": …}`,
+    /// `{"bool": …}` or `{"list": [value, …]}`.
+    fn value(&mut self, depth: u32) -> Result<RtValue, String> {
+        let mut value = None;
+        let mut more = self.open(b'{', b'}')?;
+        while more {
+            value = match &*self.key()? {
+                "tensor" => {
+                    let tensor = self.tensor();
+                    Some(RtValue::Tensor(tensor.map_err(|e| format!("tensor: {e}"))?))
+                }
+                "int" => Some(RtValue::Int(self.parsed("a 64-bit integer")?)),
+                "float" => Some(RtValue::Float(self.float(f64::NAN)?)),
+                "bool" => Some(RtValue::Bool(self.bool()?)),
+                "list" if depth >= MAX_LIST_DEPTH => {
+                    return Err(format!("list nesting exceeds {MAX_LIST_DEPTH}"))
+                }
+                "list" => Some(RtValue::List(
+                    self.elements("list", 0, |c| c.value(depth + 1))?,
+                )),
+                _ => self.skip(0).map(|()| value)?,
+            };
+            more = self.more(b'}')?;
+        }
+        value.ok_or_else(|| "expected one of `tensor`, `int`, `float`, `bool`, `list`".into())
+    }
 }
 
-fn parse_tensor(value: &JsonValue) -> Result<Tensor, String> {
-    let shape = value
-        .get("shape")
-        .and_then(JsonValue::as_array)
-        .ok_or("tensor: missing array field `shape`")?
-        .iter()
-        .map(|d| {
-            d.as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .map(|n| n as usize)
-                .ok_or("tensor: shape entries must be non-negative integers".to_string())
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    let data = value
-        .get("data")
-        .and_then(JsonValue::as_array)
-        .ok_or("tensor: missing array field `data`")?;
-    let dtype = match value.get("dtype").and_then(JsonValue::as_str) {
-        None | Some("f32") => DType::F32,
-        Some("i64") => DType::I64,
-        Some("bool") => DType::Bool,
-        Some(other) => return Err(format!("tensor: unknown dtype `{other}`")),
-    };
-    let numbers = |elems: &[JsonValue]| -> Result<Vec<f64>, String> {
-        elems
-            .iter()
-            .map(|e| match e {
-                JsonValue::Num(n) => Ok(*n),
-                JsonValue::Null => Ok(f64::NAN),
-                _ => Err("tensor: data entries must be numbers".to_string()),
-            })
-            .collect()
-    };
-    let tensor = match dtype {
-        DType::F32 => Tensor::from_vec_f32(
-            numbers(data)?.into_iter().map(|n| n as f32).collect(),
-            &shape,
-        ),
-        DType::I64 => Tensor::from_vec_i64(
-            numbers(data)?.into_iter().map(|n| n as i64).collect(),
-            &shape,
-        ),
-        DType::Bool => Tensor::from_vec_bool(
-            data.iter()
-                .map(|e| match e {
-                    JsonValue::Bool(b) => Ok(*b),
-                    _ => Err("tensor: data entries must be booleans".to_string()),
-                })
-                .collect::<Result<Vec<bool>, String>>()?,
-            &shape,
-        ),
-    };
-    tensor.map_err(|e| format!("tensor: {e}"))
+fn push(out: &mut String, v: impl Display) -> Result<(), String> {
+    write!(out, "{v}").map_err(|e| e.to_string())
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    // JSON has no NaN/Inf; encode them as null (decoded back to NaN).
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
+fn push_separated<T>(
+    out: &mut String,
+    items: &[T],
+    mut one: impl FnMut(&mut String, &T) -> Result<(), String>,
+) -> Result<(), String> {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        one(out, item)?;
     }
+    Ok(())
 }
 
 fn encode_tensor(out: &mut String, t: &Tensor) -> Result<(), String> {
-    let (dtype, data): (&str, String) = match t.dtype() {
+    push(
+        out,
+        format_args!("{{\"tensor\":{{\"dtype\":\"{}\",\"shape\":[", t.dtype()),
+    )?;
+    push_separated(out, t.shape(), |out, d| push(out, d))?;
+    out.push_str("],\"data\":[");
+    match t.dtype() {
+        // `Display` is the shortest decimal that parses back to the same
+        // bits, never with an exponent; JSON cannot spell a non-finite.
         DType::F32 => {
-            let mut s = String::new();
-            for (i, v) in t
-                .to_vec_f32()
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .enumerate()
-            {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_f64(&mut s, f64::from(v));
-            }
-            ("f32", s)
+            let data = t.to_vec_f32().map_err(|e| e.to_string())?;
+            push_separated(out, &data, |out, v| match v.is_finite() {
+                true => push(out, v),
+                false => push(out, "null"),
+            })?;
         }
         DType::I64 => {
-            let v = t.to_vec_i64().map_err(|e| e.to_string())?;
-            let s: Vec<String> = v.iter().map(i64::to_string).collect();
-            ("i64", s.join(","))
+            let data = t.to_vec_i64().map_err(|e| e.to_string())?;
+            push_separated(out, &data, |out, v| push(out, v))?;
         }
         DType::Bool => {
-            let v = t.to_vec_bool().map_err(|e| e.to_string())?;
-            let s: Vec<&str> = v
-                .iter()
-                .map(|b| if *b { "true" } else { "false" })
-                .collect();
-            ("bool", s.join(","))
+            let data = t.to_vec_bool().map_err(|e| e.to_string())?;
+            push_separated(out, &data, |out, v| push(out, v))?;
         }
-    };
-    let shape: Vec<String> = t.shape().iter().map(usize::to_string).collect();
-    out.push_str(&format!(
-        "{{\"tensor\":{{\"dtype\":\"{dtype}\",\"shape\":[{}],\"data\":[{data}]}}}}",
-        shape.join(",")
-    ));
+    }
+    out.push_str("]}}");
     Ok(())
 }
 
 fn encode_value(out: &mut String, value: &RtValue) -> Result<(), String> {
     match value {
-        RtValue::Tensor(t) => encode_tensor(out, t)?,
-        RtValue::Int(v) => out.push_str(&format!("{{\"int\":{v}}}")),
-        RtValue::Float(v) => {
-            out.push_str("{\"float\":");
-            push_f64(out, *v);
-            out.push('}');
-        }
-        RtValue::Bool(v) => out.push_str(&format!("{{\"bool\":{v}}}")),
+        RtValue::Tensor(t) => encode_tensor(out, t),
+        RtValue::Int(v) => push(out, format_args!("{{\"int\":{v}}}")),
+        RtValue::Float(v) if v.is_finite() => push(out, format_args!("{{\"float\":{v}}}")),
+        RtValue::Float(_) => push(out, "{\"float\":null}"),
+        RtValue::Bool(v) => push(out, format_args!("{{\"bool\":{v}}}")),
         RtValue::List(items) => {
             out.push_str("{\"list\":[");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                encode_value(out, item)?;
-            }
-            out.push_str("]}");
+            push_separated(out, items, encode_value)?;
+            push(out, "]}")
         }
     }
-    Ok(())
+}
+
+/// Bytes to reserve so the output is sized once: the element width in the
+/// binary framing, twelve in JSON (a shortest-form f32 averages eleven).
+fn size_hint(values: &[RtValue], binary: bool) -> usize {
+    values
+        .iter()
+        .map(|v| match v {
+            RtValue::Tensor(t) if binary => 64 + t.dtype().size_bytes() * t.numel(),
+            RtValue::Tensor(t) => 64 + 12 * t.numel(),
+            RtValue::List(items) => 16 + size_hint(items, binary),
+            _ => 16,
+        })
+        .sum()
 }
 
 /// Encode an infer request body — the client-side inverse of
@@ -229,12 +486,8 @@ fn encode_value(out: &mut String, value: &RtValue) -> Result<(), String> {
 /// When an input tensor cannot be materialized.
 pub fn encode_infer_request(model: &str, inputs: &[RtValue]) -> Result<String, String> {
     let mut out = format!("{{\"model\":\"{}\",\"inputs\":[", json_escape(model));
-    for (i, v) in inputs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_value(&mut out, v)?;
-    }
+    out.reserve(size_hint(inputs, false));
+    push_separated(&mut out, inputs, encode_value)?;
     out.push_str("]}");
     Ok(out)
 }
@@ -245,15 +498,12 @@ pub fn encode_infer_request(model: &str, inputs: &[RtValue]) -> Result<String, S
 ///
 /// When an output tensor cannot be materialized (surfaced as a 500).
 pub fn encode_response(response: &tssa_serve::Response) -> Result<String, String> {
-    let mut out = String::from("{\"ok\":true,\"coalesced\":");
-    out.push_str(&response.coalesced.to_string());
-    out.push_str(",\"outputs\":[");
-    for (i, v) in response.outputs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_value(&mut out, v)?;
-    }
+    let mut out = format!(
+        "{{\"ok\":true,\"coalesced\":{},\"outputs\":[",
+        response.coalesced
+    );
+    out.reserve(size_hint(&response.outputs, false));
+    push_separated(&mut out, &response.outputs, encode_value)?;
     out.push_str("]}");
     Ok(out)
 }
@@ -412,19 +662,16 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, String> {
         return Err(format!("tensor rank {rank} exceeds remaining payload"));
     }
     let mut shape = Vec::with_capacity(rank);
-    let mut numel: usize = 1;
     for _ in 0..rank {
         let d = r.get_u64("tensor dim").map_err(|e| e.to_string())?;
-        let d = usize::try_from(d).map_err(|_| "tensor dim overflows usize".to_string())?;
-        numel = numel
-            .checked_mul(d)
-            .ok_or_else(|| "tensor element count overflows".to_string())?;
-        shape.push(d);
+        shape.push(usize::try_from(d).map_err(|_| "tensor dim overflows usize".to_string())?);
     }
+    let numel = checked_numel(&shape).map_err(|e| format!("tensor {e}"))?;
+    let bytes = |width: usize| numel.checked_mul(width).ok_or("tensor byte size overflows");
     let tensor = match dtype {
         DTYPE_F32 => {
             let raw = r
-                .get_raw(numel * 4, "f32 tensor data")
+                .get_raw(bytes(4)?, "f32 tensor data")
                 .map_err(|e| e.to_string())?;
             let data = raw
                 .chunks_exact(4)
@@ -434,7 +681,7 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, String> {
         }
         DTYPE_I64 => {
             let raw = r
-                .get_raw(numel * 8, "i64 tensor data")
+                .get_raw(bytes(8)?, "i64 tensor data")
                 .map_err(|e| e.to_string())?;
             let data = raw
                 .chunks_exact(8)
@@ -495,7 +742,7 @@ pub fn parse_infer_binary(body: &[u8]) -> Result<InferRequest, String> {
 ///
 /// When an input tensor cannot be materialized.
 pub fn encode_infer_request_binary(model: &str, inputs: &[RtValue]) -> Result<Vec<u8>, String> {
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::with_capacity(16 + model.len() + size_hint(inputs, true));
     w.put_u8(BINARY_WIRE_VERSION);
     w.put_str(model);
     w.put_u32(inputs.len() as u32);
@@ -511,7 +758,7 @@ pub fn encode_infer_request_binary(model: &str, inputs: &[RtValue]) -> Result<Ve
 ///
 /// When an output tensor cannot be materialized (surfaced as a 500).
 pub fn encode_response_binary(response: &tssa_serve::Response) -> Result<Vec<u8>, String> {
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::with_capacity(16 + size_hint(&response.outputs, true));
     w.put_u8(BINARY_WIRE_VERSION);
     w.put_u8(1); // ok
     w.put_u64(response.coalesced as u64);
@@ -598,6 +845,7 @@ pub fn error_parts(e: &ServeError) -> (u16, &'static str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tssa_obs::json::{self, JsonValue};
 
     #[test]
     fn infer_request_round_trips_every_value_kind() {
@@ -631,15 +879,16 @@ mod tests {
             stats: Default::default(),
         };
         let encoded = encode_response(&response).unwrap();
-        let value = json::parse(&encoded).unwrap();
-        assert_eq!(
-            value.get("coalesced").and_then(JsonValue::as_f64),
-            Some(4.0)
-        );
-        let outputs = value.get("outputs").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(outputs.len(), 6);
-        let back = parse_value(&outputs[0]).unwrap();
-        assert!(back
+        json::parse(&encoded).expect("valid JSON");
+        // A response's `outputs` re-parse as a request's `inputs`.
+        let outputs = encoded
+            .strip_prefix("{\"ok\":true,\"coalesced\":4,\"outputs\":")
+            .expect("envelope");
+        let back = parse_infer(&format!("{{\"model\":\"m\",\"inputs\":{outputs}"))
+            .unwrap()
+            .inputs;
+        assert_eq!(back.len(), 6);
+        assert!(back[0]
             .as_tensor()
             .unwrap()
             .allclose(req.inputs[0].as_tensor().unwrap(), 0.0));

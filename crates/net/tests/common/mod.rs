@@ -1,0 +1,21 @@
+//! A seeded generator shared by the wire test suites, so a failure
+//! reproduces from the seed in its assertion message.
+
+/// SplitMix64.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform-enough index below `n` (`n > 0`).
+    #[allow(dead_code)] // not every suite that shares this module indexes
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}

@@ -45,24 +45,24 @@ fn teardown(service: Arc<Service>, gateway: Gateway) -> tssa_serve::MetricsSnaps
     service.shutdown().metrics
 }
 
-/// Decode `outputs[0].tensor.data` from a wire response body.
-fn output_data(body: &str) -> Vec<f64> {
+/// Decode `outputs[0].tensor.data` from a wire response body. The body
+/// must be valid JSON; the values come from the wire's own typed decoder
+/// (a response's `outputs` are encoded exactly as a request's `inputs`).
+fn output_data(body: &str) -> Vec<f32> {
     let value = json::parse(body).expect("response is JSON");
     assert_eq!(
         value.get("ok"),
         Some(&JsonValue::Bool(true)),
         "not ok: {body}"
     );
-    value
-        .get("outputs")
-        .and_then(JsonValue::as_array)
-        .and_then(|o| o[0].get("tensor"))
-        .and_then(|t| t.get("data"))
-        .and_then(JsonValue::as_array)
-        .expect("outputs[0].tensor.data")
-        .iter()
-        .map(|n| n.as_f64().expect("numeric data"))
-        .collect()
+    let outputs = body.split_once("\"outputs\":").expect("outputs key").1;
+    let as_request = format!("{{\"model\":\"m\",\"inputs\":{outputs}");
+    let decoded = tssa_net::parse_infer(&as_request).expect("outputs decode as inputs");
+    decoded.inputs[0]
+        .as_tensor()
+        .expect("outputs[0] is a tensor")
+        .to_vec_f32()
+        .expect("f32 data")
 }
 
 #[test]
@@ -84,14 +84,7 @@ fn sixty_four_concurrent_tcp_clients_match_direct_submit() {
         .expect("direct submit")
         .wait()
         .expect("direct wait");
-    let expected: Vec<f64> = direct.outputs[0]
-        .as_tensor()
-        .unwrap()
-        .to_vec_f32()
-        .unwrap()
-        .into_iter()
-        .map(f64::from)
-        .collect();
+    let expected: Vec<f32> = direct.outputs[0].as_tensor().unwrap().to_vec_f32().unwrap();
 
     let addr = gateway.local_addr();
     let expected = &expected;
@@ -114,13 +107,8 @@ fn sixty_four_concurrent_tcp_clients_match_direct_submit() {
                     .expect("roundtrip");
                     assert_eq!(resp.status, 200, "body: {}", resp.text());
                     let got = output_data(resp.text());
-                    assert_eq!(got.len(), expected.len());
-                    for (g, e) in got.iter().zip(expected) {
-                        assert!(
-                            (g - e).abs() < 1e-6,
-                            "network result {g} != direct result {e}"
-                        );
-                    }
+                    // The wire is bit-exact, so no tolerance.
+                    assert_eq!(&got, expected, "network result != direct result");
                     ok += 1;
                 }
                 ok
@@ -347,6 +335,85 @@ fn health_and_error_routes_behave() {
 }
 
 #[test]
+fn nesting_bomb_gets_a_typed_400_and_the_process_lives() {
+    let (service, gateway) = boot(ServeConfig::default().with_workers(1));
+    let addr = gateway.local_addr();
+    // Well under `max_body`; a recursive parser overflows its stack on
+    // this and takes the whole process down.
+    for bomb in ["[".repeat(1 << 20), "{\"a\":".repeat(1 << 18)] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let resp = roundtrip(&mut stream, "POST", "/v1/infer", &[], bomb.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400);
+        assert!(resp.text().contains("invalid_request"), "{}", resp.text());
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let resp = roundtrip(&mut stream, "POST", "/v1/infer", &[], INFER_BODY.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "the gateway still serves");
+    let metrics = teardown(service, gateway);
+    assert_eq!(metrics.resolved(), metrics.submitted);
+}
+
+#[test]
+fn fixed_response_survives_short_and_interrupted_writes() {
+    /// Accepts at most 7 bytes per call, from the first non-empty
+    /// slice only, and is interrupted before every other write.
+    struct Trickle(Vec<u8>, usize);
+    impl std::io::Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            if self.1 % 2 == 1 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let body: Vec<u8> = (0..100u8).collect();
+    let mut whole = Vec::new();
+    tssa_net::http::write_response(&mut whole, 200, "application/x-tssa-tensor", &body, true)
+        .unwrap();
+    let mut trickle = Trickle(Vec::new(), 0);
+    tssa_net::http::write_response(&mut trickle, 200, "application/x-tssa-tensor", &body, true)
+        .unwrap();
+    assert_eq!(trickle.0, whole);
+    assert!(whole.ends_with(&body));
+}
+
+/// The delayed-ACK stall (a response written in pieces on a socket without
+/// `TCP_NODELAY`) costs ≥ 40 ms per round trip; a healthy loopback round
+/// trip here is under 3 ms. The bound sits 4× from either.
+#[test]
+fn small_responses_do_not_wait_out_a_delayed_ack() {
+    const TRIPS: usize = 50;
+    const BOUND: Duration = Duration::from_millis(10);
+    let (service, gateway) = boot(ServeConfig::default().with_workers(1));
+    let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect");
+    let mut median = |method: &str, path: &str, body: &[u8], trips: usize| {
+        let mut took: Vec<Duration> = (0..trips)
+            .map(|_| {
+                let started = Instant::now();
+                let resp = roundtrip(&mut stream, method, path, &[], body).expect("roundtrip");
+                assert_eq!(resp.status, 200);
+                started.elapsed()
+            })
+            .collect();
+        took.sort();
+        took[trips / 2]
+    };
+    let healthz = median("GET", "/healthz", b"", TRIPS);
+    assert!(healthz < BOUND, "GET /healthz median {healthz:?}");
+    let infer = median("POST", "/v1/infer", INFER_BODY.as_bytes(), TRIPS);
+    assert!(infer < BOUND, "POST /v1/infer median {infer:?}");
+    let scrape = median("GET", "/metrics", b"", 1);
+    assert!(scrape < BOUND, "GET /metrics took {scrape:?}");
+    teardown(service, gateway);
+}
+
+#[test]
 fn binary_content_type_round_trips_and_matches_json() {
     use tssa_net::{wire, BinaryReply};
     let (service, gateway) = boot(ServeConfig::default().with_workers(1));
@@ -379,17 +446,15 @@ fn binary_content_type_round_trips_and_matches_json() {
         "binary requests get binary responses"
     );
     let bin_out = match wire::parse_response_binary(&bin_resp.body).expect("decode binary") {
-        BinaryReply::Ok { outputs, .. } => outputs[0]
-            .as_tensor()
-            .unwrap()
-            .to_vec_f32()
-            .unwrap()
-            .into_iter()
-            .map(f64::from)
-            .collect::<Vec<f64>>(),
+        BinaryReply::Ok { outputs, .. } => outputs[0].as_tensor().unwrap().to_vec_f32().unwrap(),
         BinaryReply::Err { kind, message } => panic!("binary infer failed: {kind}: {message}"),
     };
-    assert_eq!(bin_out, json_out, "both encodings see the same outputs");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(
+        bits(&bin_out),
+        bits(&json_out),
+        "both encodings see the same outputs"
+    );
 
     // Errors come back in the negotiated encoding too: unknown model (404)
     // and a garbage body (400) both decode as typed binary errors.

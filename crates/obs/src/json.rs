@@ -3,7 +3,11 @@
 //!
 //! Supports the full JSON grammar except `\uXXXX` surrogate pairs, which are
 //! decoded as replacement characters. Not a performance-oriented parser —
-//! keep it for validation, not data paths.
+//! keep it for validation, not data paths: it builds a boxed value tree and
+//! recurses once per nesting level. Documents nested deeper than 128
+//! levels are refused with a [`JsonError`], so no input can exhaust the
+//! stack. (The `/v1/infer` wire codec in `tssa-net` has its own typed,
+//! single-pass decoder and does not come through here.)
 
 use std::collections::HashMap;
 use std::fmt;
@@ -76,9 +80,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
@@ -87,6 +96,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -135,8 +145,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth >= MAX_DEPTH => {
+                Err(self.err(&format!("nesting exceeds {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -309,6 +330,17 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past_cap).unwrap_err().message.contains("nesting"));
+        for bomb in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            assert!(parse(&bomb).unwrap_err().message.contains("nesting"));
+        }
     }
 
     #[test]
