@@ -1,6 +1,6 @@
 //! Closed-loop load generator for the `tssa-serve` inference engine.
 //!
-//! Three experiments, documented in `EXPERIMENTS.md`:
+//! Experiments, documented in `EXPERIMENTS.md`:
 //!
 //! 1. **Cold vs warm** — per workload, the latency of acquiring a plan
 //!    through a cold cache (frontend parse + full pipeline compile) versus
@@ -15,32 +15,24 @@
 //!    capacity: everything completes or is shed with a typed error.
 //! 4. **Trace attribution** — requests run under a tracer; end-to-end time
 //!    is decomposed into queue / batch / exec phases from the span tree.
-//! 5. **Tracing overhead** — the same closed-loop load with tracing off and
-//!    with always-on sampled tracing; the simulated makespan must agree
-//!    within 5%, the bound production deployments rely on.
-//! 6. **Sampled-trace walkthrough** — head-sampling at rate 0 with one
+//! 5. **Sampled-trace walkthrough** — head-sampling at rate 0 with one
 //!    injected slow execution: the tail-keep rules retain exactly the
 //!    interesting trace, printed as a text tree next to the sampler ledger
 //!    and the registry's Prometheus series.
-//! 7. **Edge overhead** — the same requests issued via direct `submit`
+//! 6. **Edge overhead** — the same requests issued via direct `submit`
 //!    versus a real TCP round trip through the `tssa-net` gateway (HTTP
 //!    framing + JSON wire codec); the per-request overhead in µs is the
 //!    cost of the network front-end.
-//! 8. **Autoscaling** — closed-loop TCP load against a deliberately slow
+//! 7. **Autoscaling** — closed-loop TCP load against a deliberately slow
 //!    single worker; the autoscaler reads the live queue-wait histogram,
 //!    grows the pool, and shrinks it back after the load stops. Both
 //!    transitions are timed and the ledger must still reconcile.
-//! 9. **Shape classes** — every workload loaded at six batch sizes through
+//! 8. **Shape classes** — every workload loaded at six batch sizes through
 //!    one service. The shape-class cache admits them all from a single
 //!    compile; the gate is the global `tssa_pass_wall_us` histogram, which
 //!    must record zero new samples after each class's first compile. The
 //!    recompiles a per-shape cache would have paid are written to
 //!    `perf/BENCH_9.json` with `--json`.
-//! 10. **Profiling overhead** — the same closed-loop load with the op-level
-//!     execution profiler off and with sampled (10%) profiling on; the
-//!     simulated makespan must agree within 5%, the bound that keeps the
-//!     profiler always-on in production. Written to `perf/BENCH_10.json`
-//!     with `--json`.
 //!
 //! Throughput experiments report two figures with explicit tags: `sim` is
 //! the simulated-device makespan (the repository's evaluation methodology
@@ -49,8 +41,10 @@
 //! scheduler, never asserted).
 //!
 //! The scaling experiment runs with sampled tracing *on by default* — the
-//! production posture this crate is arguing for — and the overhead
-//! experiment is what makes that default defensible.
+//! production posture this crate is arguing for. What watching costs is a
+//! wall-clock question the simulated device cannot see; the `benchmark/`
+//! harness measures it (`obs.trace_overhead_ratio`,
+//! `obs.profile_overhead_ratio`).
 //!
 //! Run all experiments with no arguments, or one by name
 //! (`serve_throughput shape-class --json perf/BENCH_9.json`).
@@ -66,8 +60,8 @@ use tssa_net::{
 };
 use tssa_obs::text_tree;
 use tssa_serve::{
-    ArgRole, BatchSpec, FaultKind, FaultPlan, MetricsRegistry, PipelineKind, PlanStore, Profiler,
-    RingSink, Sampler, ServeConfig, ServeError, Service, TraceSink, Tracer,
+    ArgRole, BatchSpec, FaultKind, FaultPlan, MetricsRegistry, PipelineKind, PlanStore, RingSink,
+    Sampler, ServeConfig, ServeError, Service, TraceSink, Tracer,
 };
 use tssa_workloads::{all_workloads, Workload};
 
@@ -530,70 +524,6 @@ fn trace_attribution() {
     );
 }
 
-fn tracing_overhead() {
-    const REQUESTS: usize = 120;
-    // max_batch 1 pins the execution plan: both runs perform the identical
-    // sequence of unbatched executions, so the simulated makespans are
-    // directly comparable and the only variable is the tracing layer.
-    let run = |tracer: Option<Tracer>| -> f64 {
-        let mut config = ServeConfig::default()
-            .with_workers(2)
-            .with_queue_depth(256)
-            .with_max_batch(1)
-            .with_worker_parallel_threads(Some(1));
-        if let Some(t) = &tracer {
-            config = config.with_tracer(t.clone());
-        }
-        let service = Service::new(config);
-        let w = Workload::by_name("yolov3").expect("known workload");
-        let inputs = w.inputs(2, 0, 7);
-        let model = service
-            .loader(w.source)
-            .pipeline(PipelineKind::TensorSsa)
-            .example(&inputs)
-            .batch(spec_for(&w))
-            .load()
-            .expect("compiles");
-        let tickets: Vec<_> = (0..REQUESTS)
-            .map(|_| service.submit(&model, inputs.clone()).expect("admitted"))
-            .collect();
-        for t in tickets {
-            t.wait().expect("completes");
-        }
-        let report = service.shutdown();
-        assert_eq!(report.metrics.completed, REQUESTS as u64);
-        report
-            .per_worker
-            .iter()
-            .map(ExecStats::total_ns)
-            .fold(0.0f64, f64::max)
-    };
-    let untraced_ns = run(None);
-    let (tracer, sink) = sampled_tracer();
-    let traced_ns = run(Some(tracer.clone()));
-    let ratio = traced_ns / untraced_ns.max(1e-9);
-    let stats = tracer.sampler_stats().expect("sampled tracer");
-    println!("Serve — tracing overhead (yolov3, {REQUESTS} requests, max_batch 1)");
-    println!(
-        "  simulated makespan: untraced {:.2}ms, sampled-traced {:.2}ms ({:.3}x)",
-        untraced_ns / 1e6,
-        traced_ns / 1e6,
-        ratio
-    );
-    println!(
-        "  sampler: {} roots, {} head-kept, {} tail-kept, {} traces dropped, {} spans in the ring\n",
-        stats.roots,
-        stats.head_kept,
-        stats.tail_kept,
-        stats.dropped_traces,
-        sink.snapshot().len()
-    );
-    assert!(
-        ratio <= 1.05,
-        "always-on sampled tracing must stay within 5% of untraced makespan ({ratio:.3}x)"
-    );
-}
-
 fn sampled_trace_walkthrough() {
     const REQUESTS: usize = 32;
     // Rate 0 is the harshest head-sampling setting: *nothing* is kept by
@@ -634,8 +564,7 @@ fn sampled_trace_walkthrough() {
             .wait()
             .expect("completes");
     }
-    let report = service.shutdown();
-    report.metrics.register_into(&registry);
+    service.shutdown();
 
     let stats = tracer.sampler_stats().expect("sampled tracer");
     println!("Serve — sampled-trace walkthrough (yolov3, {REQUESTS} requests, head rate 0)");
@@ -651,7 +580,7 @@ fn sampled_trace_walkthrough() {
     for line in text_tree(&sink.snapshot()).lines() {
         println!("    {line}");
     }
-    println!("  registry excerpt (one exposition: first-class series + bridged snapshot):");
+    println!("  registry excerpt (one exposition, the registry is the store):");
     let exposition = registry.prometheus_text();
     for line in exposition.lines().filter(|l| {
         l.starts_with("tssa_queue_wait_us_count")
@@ -850,7 +779,7 @@ fn autoscale() {
     );
 }
 
-/// Experiment 9: the shape-class plan cache. Each workload is loaded and
+/// Experiment 8: the shape-class plan cache. Each workload is loaded and
 /// served at six batch sizes through one service; the class key erases the
 /// polymorphic dims, so one compile covers the whole sweep. The recompile
 /// gate reads the *global* registry — `tssa_pass_wall_us` is recorded by
@@ -959,99 +888,6 @@ fn shape_class(json_path: Option<&str>) {
     }
 }
 
-/// Experiment 10: the profiling-overhead gate. The same closed-loop load
-/// runs with the op-level profiler disabled and with sampled (10%)
-/// profiling attached; one worker and `max_batch` 1 pin the execution
-/// sequence, so the simulated makespans are directly comparable and
-/// deterministic — the `sim` ratio is the asserted (and committed) figure,
-/// the `wall` times are informational context only.
-fn profiling_overhead(json_path: Option<&str>) {
-    const REQUESTS: usize = 120;
-    const RATE: f64 = 0.1;
-    let run = |profiler: Option<Profiler>| -> (f64, f64) {
-        let mut config = ServeConfig::default()
-            .with_workers(1)
-            .with_queue_depth(256)
-            .with_max_batch(1)
-            .with_worker_parallel_threads(Some(1));
-        if let Some(p) = &profiler {
-            config = config.with_profiler(Some(p.clone()));
-        }
-        let service = Service::new(config);
-        let w = Workload::by_name("yolov3").expect("known workload");
-        let inputs = w.inputs(2, 0, 7);
-        let model = service
-            .loader(w.source)
-            .named("yolov3")
-            .pipeline(PipelineKind::TensorSsa)
-            .example(&inputs)
-            .batch(spec_for(&w))
-            .load()
-            .expect("compiles");
-        let t0 = Instant::now();
-        let tickets: Vec<_> = (0..REQUESTS)
-            .map(|_| service.submit(&model, inputs.clone()).expect("admitted"))
-            .collect();
-        for t in tickets {
-            t.wait().expect("completes");
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let report = service.shutdown();
-        assert_eq!(report.metrics.completed, REQUESTS as u64);
-        let sim_ns = report
-            .per_worker
-            .iter()
-            .map(ExecStats::total_ns)
-            .fold(0.0f64, f64::max);
-        (sim_ns, wall_s)
-    };
-    let (off_ns, off_wall) = run(None);
-    let profiler = Profiler::sampled(Sampler::new(42, RATE));
-    let (on_ns, on_wall) = run(Some(profiler.clone()));
-    let ratio = on_ns / off_ns.max(1e-9);
-    let snapshot = profiler.snapshot();
-    println!("Serve — profiling overhead (yolov3, {REQUESTS} requests, max_batch 1, rate {RATE})");
-    println!(
-        "  sim  (authoritative): unprofiled {:.3}ms, profiled {:.3}ms ({ratio:.3}x, bound 1.05x)",
-        off_ns / 1e6,
-        on_ns / 1e6
-    );
-    println!(
-        "  wall (informational): unprofiled {:.1}ms, profiled {:.1}ms",
-        off_wall * 1e3,
-        on_wall * 1e3
-    );
-    println!(
-        "  profiler: {} executions offered, {} op sites recorded, {} merge(s) costing {}us\n",
-        profiler.runs(),
-        snapshot.entries.len(),
-        snapshot.merges,
-        snapshot.merge_us
-    );
-    assert!(
-        !snapshot.entries.is_empty(),
-        "sampled profiling must record at least one op site"
-    );
-    assert!(
-        ratio <= 1.05,
-        "always-on sampled profiling must stay within 5% of unprofiled simulated makespan ({ratio:.3}x)"
-    );
-    if let Some(path) = json_path {
-        // Simulated figures only — deterministic across hosts, so the file
-        // can be committed and diffed.
-        let json = format!(
-            "{{\n  \"experiment\": \"profiling_overhead\",\n  \"requests\": {REQUESTS},\n  \"profile_rate\": {RATE},\n  \"sim_makespan_unprofiled_ms\": {:.3},\n  \"sim_makespan_profiled_ms\": {:.3},\n  \"sim_ratio\": {ratio:.3},\n  \"bound\": 1.05\n}}\n",
-            off_ns / 1e6,
-            on_ns / 1e6
-        );
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(parent).expect("create report directory");
-        }
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("  report written to {path}\n");
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
@@ -1080,12 +916,10 @@ fn main() {
             worker_scaling();
             overload();
             trace_attribution();
-            tracing_overhead();
             sampled_trace_walkthrough();
             edge_overhead();
             autoscale();
             shape_class(json.as_deref());
-            profiling_overhead(None);
         }
         Some("cold-vs-warm") => {
             cold_vs_warm();
@@ -1094,18 +928,15 @@ fn main() {
         Some("worker-scaling") => worker_scaling(),
         Some("overload") => overload(),
         Some("trace-attribution") => trace_attribution(),
-        Some("tracing-overhead") => tracing_overhead(),
         Some("sampled-trace") => sampled_trace_walkthrough(),
         Some("edge-overhead") => edge_overhead(),
         Some("autoscale") => autoscale(),
         Some("shape-class") => shape_class(json.as_deref()),
-        Some("profiling-overhead") => profiling_overhead(json.as_deref()),
         Some(other) => {
             eprintln!(
                 "serve_throughput: unknown experiment `{other}` \
                  (cold-vs-warm, worker-scaling, overload, trace-attribution, \
-                 tracing-overhead, sampled-trace, edge-overhead, autoscale, \
-                 shape-class, profiling-overhead)"
+                 sampled-trace, edge-overhead, autoscale, shape-class)"
             );
             std::process::exit(2);
         }

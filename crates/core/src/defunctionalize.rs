@@ -61,7 +61,8 @@ pub fn defunctionalize(g: &mut Graph) -> DefunctionalizeStats {
 mod tests {
     use super::*;
     use crate::convert_to_tensorssa;
-    use crate::passes::dce;
+    use crate::passes::Dce;
+    use crate::Pass;
     use tssa_ir::parse_graph;
 
     #[test]
@@ -77,7 +78,7 @@ mod tests {
         )
         .unwrap();
         convert_to_tensorssa(&mut g);
-        dce(&mut g);
+        Dce.run(&mut g);
         assert!(g.to_string().contains("immut::assign_select"));
         let stats = defunctionalize(&mut g);
         assert!(stats.assigns_to_mutations >= 1);

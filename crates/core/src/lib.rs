@@ -26,7 +26,7 @@
 //! The paper's Figure 4 example — mutating a row of `b` inside a loop:
 //!
 //! ```
-//! use tssa_core::{convert_to_tensorssa, passes};
+//! use tssa_core::{convert_to_tensorssa, passes, Pass};
 //! use tssa_ir::parse_graph;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,7 +44,7 @@
 //! )?;
 //! let stats = convert_to_tensorssa(&mut g);
 //! assert_eq!(stats.mutations_removed, 1);
-//! passes::dce(&mut g);
+//! passes::Dce.run(&mut g);
 //! let text = g.to_string();
 //! assert!(text.contains("immut::assign"));
 //! assert!(!text.contains("aten::add_scalar_"));

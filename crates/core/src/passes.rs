@@ -2,11 +2,9 @@
 //! elimination, common-subexpression elimination and scalar constant
 //! folding.
 //!
-//! Each pass exists in two forms: a unit struct implementing
-//! [`Pass`](crate::Pass) (the canonical entry, composable through
-//! [`PassManager`](crate::PassManager) for per-pass timing and span
-//! emission) and a free function of the same name kept as a thin wrapper
-//! for call sites that run one pass in isolation.
+//! Each pass is a unit struct implementing [`Pass`](crate::Pass): compose
+//! them through [`PassManager`](crate::PassManager) for per-pass timing and
+//! span emission, or run one in isolation with `Dce.run(&mut g)`.
 
 use std::collections::HashMap;
 
@@ -421,9 +419,9 @@ fn fold_op(op: &Op, inputs: &[ConstValue]) -> Option<ConstValue> {
     })
 }
 
-/// Declare a unit-struct [`Pass`] plus its free-function thin wrapper.
+/// Declare a unit-struct [`Pass`] over an implementation function.
 macro_rules! unit_pass {
-    ($(#[$doc:meta])+ $pass:ident, $pass_name:literal, $wrapper:ident, $impl_fn:ident;) => {
+    ($(#[$doc:meta])+ $pass:ident, $pass_name:literal, $impl_fn:ident;) => {
         $(#[$doc])+
         #[derive(Debug, Clone, Copy, Default)]
         pub struct $pass;
@@ -437,22 +435,13 @@ macro_rules! unit_pass {
                 $impl_fn(g)
             }
         }
-
-        $(#[$doc])+
-        ///
-        /// Thin wrapper over the pass of the same name; prefer composing
-        /// through [`PassManager`](crate::PassManager) when running a
-        /// sequence, which adds per-pass timing and tracing.
-        pub fn $wrapper(g: &mut Graph) -> usize {
-            $pass.run(g)
-        }
     };
 }
 
 unit_pass! {
     /// Dead code elimination: iteratively remove side-effect-free nodes
     /// none of whose outputs are used. Returns the number of nodes removed.
-    Dce, "dce", dce, dce_impl;
+    Dce, "dce", dce_impl;
 }
 
 unit_pass! {
@@ -465,7 +454,7 @@ unit_pass! {
     /// point (e.g. the recomputed condition of a `while` loop whose body
     /// mutates the inspected tensor). Such nodes are skipped, except for
     /// views: a view is a pure *alias*, identical wherever it is computed.
-    Cse, "cse", cse, cse_impl;
+    Cse, "cse", cse_impl;
 }
 
 unit_pass! {
@@ -477,7 +466,7 @@ unit_pass! {
     /// functionalization functorch performs (and the TensorSSA pipeline also
     /// applies after Algorithm 1 has handled the mutated components).
     /// Returns the number of views rewritten.
-    PurifyViews, "purify-views", purify_views, purify_views_impl;
+    PurifyViews, "purify-views", purify_views_impl;
 }
 
 unit_pass! {
@@ -489,15 +478,14 @@ unit_pass! {
     /// remaining mutation's receiver — then the aliasing a view introduces
     /// is unobservable. Run after fusion. Returns the number of accesses
     /// reverted.
-    RevertUnfusedAccesses, "revert-unfused-accesses", revert_unfused_accesses,
-        revert_unfused_accesses_impl;
+    RevertUnfusedAccesses, "revert-unfused-accesses", revert_unfused_accesses_impl;
 }
 
 unit_pass! {
     /// Loop-invariant code motion: move pure computations whose operands are
     /// defined outside the loop body to just before the loop. Returns the
     /// number of nodes hoisted (fixpoint over nested loops).
-    Licm, "licm", licm, licm_impl;
+    Licm, "licm", licm_impl;
 }
 
 unit_pass! {
@@ -507,13 +495,13 @@ unit_pass! {
     /// itself stays live. Block propagation often introduces such carries
     /// for versions that later turn out to be unread. Returns the number of
     /// carries removed.
-    PruneLoopCarries, "prune-loop-carries", prune_loop_carries, prune_loop_carries_impl;
+    PruneLoopCarries, "prune-loop-carries", prune_loop_carries_impl;
 }
 
 unit_pass! {
     /// Scalar constant folding over host int/float/bool arithmetic. Returns
     /// the number of nodes folded.
-    ConstantFold, "constant-fold", constant_fold, constant_fold_impl;
+    ConstantFold, "constant-fold", constant_fold_impl;
 }
 
 /// The TensorSSA conversion (Algorithm 1) as a [`Pass`], so pipelines can
@@ -585,7 +573,7 @@ mod tests {
                return (%c)",
         )
         .unwrap();
-        let removed = dce(&mut g);
+        let removed = Dce.run(&mut g);
         assert_eq!(removed, 2);
         assert!(!g.to_string().contains("relu"));
         assert!(g.to_string().contains("tanh"));
@@ -601,7 +589,7 @@ mod tests {
                return (%x)",
         )
         .unwrap();
-        let removed = dce(&mut g);
+        let removed = Dce.run(&mut g);
         assert_eq!(removed, 0);
     }
 
@@ -617,7 +605,7 @@ mod tests {
                return (%x)",
         )
         .unwrap();
-        let removed = dce(&mut g);
+        let removed = Dce.run(&mut g);
         assert!(removed >= 1, "{g}");
         assert!(!g.to_string().contains("prim::Loop"), "{g}");
     }
@@ -632,7 +620,7 @@ mod tests {
                return (%c)",
         )
         .unwrap();
-        let merged = cse(&mut g);
+        let merged = Cse.run(&mut g);
         assert_eq!(merged, 1);
         assert!(g.verify().is_ok());
         // add now uses the same value twice
@@ -653,7 +641,7 @@ mod tests {
                return (%x)",
         )
         .unwrap();
-        assert_eq!(cse(&mut g), 0);
+        assert_eq!(Cse.run(&mut g), 0);
     }
 
     #[test]
@@ -668,9 +656,9 @@ mod tests {
                return (%e)",
         )
         .unwrap();
-        let folded = constant_fold(&mut g);
+        let folded = ConstantFold.run(&mut g);
         assert_eq!(folded, 3);
-        dce(&mut g);
+        Dce.run(&mut g);
         let text = g.to_string();
         assert!(text.contains("value=true"), "{text}");
         assert!(!text.contains("int_add"), "{text}");
@@ -686,7 +674,7 @@ mod tests {
                return (%c)",
         )
         .unwrap();
-        assert_eq!(constant_fold(&mut g), 0);
+        assert_eq!(ConstantFold.run(&mut g), 0);
     }
 
     #[test]
@@ -701,7 +689,7 @@ mod tests {
                return (%s)",
         )
         .unwrap();
-        assert_eq!(purify_views(&mut g), 1);
+        assert_eq!(PurifyViews.run(&mut g), 1);
         let text = g.to_string();
         // The view of the unmutated x becomes an access; y's view stays.
         assert!(text.contains("immut::select"), "{text}");
@@ -718,7 +706,7 @@ mod tests {
                return (%s)",
         )
         .unwrap();
-        assert_eq!(revert_unfused_accesses(&mut g), 1);
+        assert_eq!(RevertUnfusedAccesses.run(&mut g), 1);
         assert!(g.to_string().contains("aten::select"), "{g}");
         assert!(g.verify().is_ok());
     }
@@ -736,7 +724,7 @@ mod tests {
         )
         .unwrap();
         // %a's base is mutated through %v: reverting would change semantics.
-        assert_eq!(revert_unfused_accesses(&mut g), 0);
+        assert_eq!(RevertUnfusedAccesses.run(&mut g), 0);
     }
 
     #[test]
@@ -752,7 +740,7 @@ mod tests {
                return (%o)",
         )
         .unwrap();
-        assert_eq!(licm(&mut g), 1);
+        assert_eq!(Licm.run(&mut g), 1);
         assert!(g.verify().is_ok(), "{:?}\n{g}", g.verify());
         // sigmoid now precedes the loop.
         let text = g.to_string();
@@ -777,7 +765,7 @@ mod tests {
         )
         .unwrap();
         // relu depends on the carried value; relu_ is a mutation.
-        assert_eq!(licm(&mut g), 0);
+        assert_eq!(Licm.run(&mut g), 0);
     }
 
     #[test]
@@ -796,7 +784,7 @@ mod tests {
                return (%o)",
         )
         .unwrap();
-        assert_eq!(licm(&mut g), 0);
+        assert_eq!(Licm.run(&mut g), 0);
         let text = g.to_string();
         assert!(
             text.find("aten::relu").unwrap() > text.find("prim::Loop").unwrap(),
@@ -814,8 +802,8 @@ mod tests {
                return (%g0)",
         )
         .unwrap();
-        assert_eq!(constant_fold(&mut g), 2);
-        dce(&mut g);
+        assert_eq!(ConstantFold.run(&mut g), 2);
+        Dce.run(&mut g);
         assert!(g.to_string().contains("value=4.0"), "{g}");
     }
 }

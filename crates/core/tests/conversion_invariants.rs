@@ -1,13 +1,13 @@
 //! Invariants of the TensorSSA conversion checked in isolation (beyond the
 //! cross-pipeline equivalence suite at the workspace root).
 
-use tssa_core::{convert_to_tensorssa, passes};
+use tssa_core::{convert_to_tensorssa, passes, Pass};
 use tssa_ir::{parse_graph, Graph, Op};
 
 fn convert(src: &str) -> Graph {
     let mut g = parse_graph(src).unwrap_or_else(|e| panic!("{src}\n{e}"));
     convert_to_tensorssa(&mut g);
-    passes::dce(&mut g);
+    passes::Dce.run(&mut g);
     g.verify().unwrap_or_else(|e| panic!("{e}\n{g}"));
     g
 }
@@ -158,7 +158,7 @@ fn prune_loop_carries_removes_pass_through() {
     )
     .unwrap();
     // %b is unused and %cb only passes through: one carry removable.
-    assert_eq!(passes::prune_loop_carries(&mut g), 1);
+    assert_eq!(passes::PruneLoopCarries.run(&mut g), 1);
     assert!(g.verify().is_ok(), "{:?}\n{g}", g.verify());
     let lp = g
         .nodes_recursive(g.top())
@@ -183,7 +183,7 @@ fn prune_keeps_live_and_computing_carries() {
     )
     .unwrap();
     // Output used: nothing to prune.
-    assert_eq!(passes::prune_loop_carries(&mut g), 0);
+    assert_eq!(passes::PruneLoopCarries.run(&mut g), 0);
 
     // Output unused but the param feeds real computation returned in the
     // same slot: the conservative pass leaves it alone.
@@ -197,5 +197,5 @@ fn prune_keeps_live_and_computing_carries() {
            return (%x)",
     )
     .unwrap();
-    assert_eq!(passes::prune_loop_carries(&mut g2), 0);
+    assert_eq!(passes::PruneLoopCarries.run(&mut g2), 0);
 }

@@ -16,6 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tssa_backend::{ExecConfig, Executor, RtValue};
+use tssa_core::Pass;
 use tssa_ir::{infer_shapes_symbolic, DimVar, Graph};
 use tssa_tensor::Tensor;
 
@@ -317,7 +318,7 @@ pub fn diff_case_compiled(seed: u64, transform: CompileFn<'_>) -> Result<(), Str
 pub fn functionalize(g: &Graph) -> Result<Graph, String> {
     let mut out = g.clone();
     tssa_core::convert_to_tensorssa(&mut out);
-    tssa_core::passes::dce(&mut out);
+    tssa_core::passes::Dce.run(&mut out);
     out.verify().map_err(|e| e.to_string())?;
     Ok(out)
 }

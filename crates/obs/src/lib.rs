@@ -24,9 +24,8 @@
 //! * [`chrome_trace_json`] — exports any span set as Chrome-trace JSON for
 //!   `chrome://tracing` / Perfetto; [`text_tree`] renders the same tree for
 //!   terminals and docs.
-//! * [`PromText`] — a Prometheus text-exposition encoder used by
-//!   `tssa-serve` to publish its `MetricsSnapshot` (counters, latency
-//!   histogram buckets and p50/p95/p99 quantiles).
+//! * [`PromText`] — the Prometheus text-exposition encoder behind
+//!   [`MetricsRegistry::prometheus_text`] and the sinks' own counters.
 //! * [`json`] — a tiny validating JSON reader so tests and CI can check the
 //!   exporters without external dependencies.
 //!

@@ -1,6 +1,6 @@
 //! Prometheus text-exposition encoder (version 0.0.4 of the format): the
-//! small, dependency-free subset needed to publish counters, gauges,
-//! histograms and precomputed quantiles.
+//! small, dependency-free subset needed to publish family headers, sample
+//! lines (with labels and exemplars) and plain counters.
 
 use std::fmt::Write as _;
 
@@ -118,54 +118,6 @@ impl PromText {
         let _ = writeln!(self.out, "{name} {value}");
     }
 
-    /// A point-in-time gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        let name = sanitize(name);
-        self.header(&name, help, "gauge");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// A histogram from *cumulative* bucket counts. `buckets` are
-    /// `(upper_bound, cumulative_count)` pairs in increasing bound order;
-    /// the mandatory `+Inf` bucket and `_sum`/`_count` series are appended
-    /// from `sum` and `count`.
-    pub fn histogram(
-        &mut self,
-        name: &str,
-        help: &str,
-        buckets: &[(f64, u64)],
-        sum: f64,
-        count: u64,
-    ) {
-        let name = sanitize(name);
-        self.header(&name, help, "histogram");
-        for (le, cumulative) in buckets {
-            let _ = writeln!(self.out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-        }
-        let _ = writeln!(self.out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-        let _ = writeln!(self.out, "{name}_sum {sum}");
-        let _ = writeln!(self.out, "{name}_count {count}");
-    }
-
-    /// Precomputed quantiles in summary notation: `(quantile, value)` pairs
-    /// like `(0.5, p50)`.
-    pub fn summary(
-        &mut self,
-        name: &str,
-        help: &str,
-        quantiles: &[(f64, f64)],
-        sum: f64,
-        count: u64,
-    ) {
-        let name = sanitize(name);
-        self.header(&name, help, "summary");
-        for (q, v) in quantiles {
-            let _ = writeln!(self.out, "{name}{{quantile=\"{q}\"}} {v}");
-        }
-        let _ = writeln!(self.out, "{name}_sum {sum}");
-        let _ = writeln!(self.out, "{name}_count {count}");
-    }
-
     /// The finished document.
     pub fn render(self) -> String {
         self.out
@@ -177,42 +129,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_format() {
+    fn counter_and_labeled_sample_format() {
         let mut p = PromText::new();
         p.counter("reqs_total", "Total requests.", 7);
-        p.gauge("occupancy", "Mean batch occupancy.", 2.5);
+        let name = p.family("occupancy", "Mean batch occupancy.", "gauge");
+        p.sample(&name, &[("plan".to_string(), "a\"b".to_string())], 2.5);
         let text = p.render();
         assert!(text.contains("# TYPE reqs_total counter"));
         assert!(text.contains("reqs_total 7"));
         assert!(text.contains("# TYPE occupancy gauge"));
-        assert!(text.contains("occupancy 2.5"));
-    }
-
-    #[test]
-    fn histogram_appends_inf_sum_count() {
-        let mut p = PromText::new();
-        p.histogram("lat_us", "Latency.", &[(2.0, 1), (4.0, 3)], 9.0, 4);
-        let text = p.render();
-        assert!(text.contains("lat_us_bucket{le=\"2\"} 1"));
-        assert!(text.contains("lat_us_bucket{le=\"4\"} 3"));
-        assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("lat_us_sum 9"));
-        assert!(text.contains("lat_us_count 4"));
-    }
-
-    #[test]
-    fn summary_emits_quantiles() {
-        let mut p = PromText::new();
-        p.summary(
-            "lat_us",
-            "Latency.",
-            &[(0.5, 128.0), (0.99, 8192.0)],
-            0.0,
-            0,
-        );
-        let text = p.render();
-        assert!(text.contains("lat_us{quantile=\"0.5\"} 128"));
-        assert!(text.contains("lat_us{quantile=\"0.99\"} 8192"));
+        assert!(text.contains("occupancy{plan=\"a\\\"b\"} 2.5"));
     }
 
     #[test]

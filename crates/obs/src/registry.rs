@@ -3,17 +3,17 @@
 //!
 //! The tracing side of this crate answers "what happened inside *this*
 //! request"; the registry answers "what is the process doing over time".
-//! Every layer registers into the same namespace — `tssa-serve` bridges its
-//! `MetricsSnapshot` and plan-cache counters, the dispatcher records
-//! queue-wait and per-plan batch-occupancy histograms, and `PassManager`
-//! records per-pass wall-time histograms — so one scrape shows the whole
-//! stack.
+//! Every layer registers into the same namespace — `tssa-serve` keeps its
+//! request counters and latency, queue-wait and per-plan batch-occupancy
+//! histograms here (its `MetricsSnapshot` is a typed read of them) and
+//! writes its plan-cache counters through, and `PassManager` records
+//! per-pass wall-time histograms — so one scrape shows the whole stack.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`HistogramMetric`]) are cheap atomic
 //! cells, safe to record into from hot paths; the registry mutex is only
-//! taken at registration and render time. Histograms use the same
-//! power-of-two bucket scheme as the serving layer (bucket *i* covers
-//! `[2^i, 2^(i+1))`), so recording is one atomic increment.
+//! taken at registration and render time. Histograms use power-of-two
+//! buckets (bucket *i* covers `[2^i, 2^(i+1))`), so recording is one atomic
+//! increment and a quantile is one pass.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -198,17 +198,12 @@ impl std::fmt::Debug for HistogramMetric {
     }
 }
 
+/// One series' cell; cloning yields another handle onto the same cell.
+#[derive(Clone)]
 enum Value {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
     Histogram(Arc<HistogramCore>),
-    /// A point-in-time copy of a histogram owned elsewhere (bridged via
-    /// [`MetricsRegistry::set_histogram`]). Buckets are cumulative.
-    BridgedHistogram {
-        buckets: Vec<(f64, u64)>,
-        sum: f64,
-        count: u64,
-    },
 }
 
 struct Series {
@@ -287,34 +282,11 @@ impl MetricsRegistry {
             }
         };
         if let Some(series) = family.series.iter().find(|s| s.labels == labels) {
-            match (&series.value, kind) {
-                (Value::Counter(c), _) => return Value::Counter(Arc::clone(c)),
-                (Value::Gauge(g), _) => return Value::Gauge(Arc::clone(g)),
-                (Value::Histogram(h), _) => return Value::Histogram(Arc::clone(h)),
-                // A live handle is being requested where a bridged snapshot
-                // was set: replace the snapshot below.
-                (Value::BridgedHistogram { .. }, _) => {}
-            }
+            return series.value.clone();
         }
         let value = make();
-        let handle = match &value {
-            Value::Counter(c) => Value::Counter(Arc::clone(c)),
-            Value::Gauge(g) => Value::Gauge(Arc::clone(g)),
-            Value::Histogram(h) => Value::Histogram(Arc::clone(h)),
-            Value::BridgedHistogram {
-                buckets,
-                sum,
-                count,
-            } => Value::BridgedHistogram {
-                buckets: buckets.clone(),
-                sum: *sum,
-                count: *count,
-            },
-        };
-        match family.series.iter_mut().find(|s| s.labels == labels) {
-            Some(series) => series.value = value,
-            None => family.series.push(Series { labels, value }),
-        }
+        let handle = value.clone();
+        family.series.push(Series { labels, value });
         handle
     }
 
@@ -358,49 +330,6 @@ impl MetricsRegistry {
         self.gauge(name, help, labels).set(value);
     }
 
-    /// Bridge a histogram owned elsewhere: `buckets` are cumulative
-    /// `(upper bound, count)` pairs in ascending bound order. Overwrites
-    /// any previous snapshot for the same series.
-    pub fn set_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        buckets: &[(f64, u64)],
-        sum: f64,
-        count: u64,
-    ) {
-        let labels = normalize(labels);
-        let mut families = self.inner.lock().expect("registry lock");
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind, "histogram",
-                    "metric family `{name}` is not a histogram"
-                );
-                f
-            }
-            None => {
-                families.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind: "histogram",
-                    series: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        let value = Value::BridgedHistogram {
-            buckets: buckets.to_vec(),
-            sum,
-            count,
-        };
-        match family.series.iter_mut().find(|s| s.labels == labels) {
-            Some(series) => series.value = value,
-            None => family.series.push(Series { labels, value }),
-        }
-    }
-
     /// Registered family count (for tests and diagnostics).
     pub fn family_count(&self) -> usize {
         self.inner.lock().expect("registry lock").len()
@@ -424,29 +353,7 @@ impl MetricsRegistry {
                     }
                     Value::Histogram(h) => {
                         let hist = HistogramMetric(Arc::clone(h));
-                        let buckets: Vec<(f64, u64)> = hist
-                            .cumulative_buckets()
-                            .into_iter()
-                            .map(|(le, c)| (le as f64, c))
-                            .collect();
-                        Self::render_histogram(
-                            &mut prom,
-                            &name,
-                            &s.labels,
-                            &buckets,
-                            hist.sum() as f64,
-                            hist.count(),
-                            hist.exemplar(),
-                        );
-                    }
-                    Value::BridgedHistogram {
-                        buckets,
-                        sum,
-                        count,
-                    } => {
-                        Self::render_histogram(
-                            &mut prom, &name, &s.labels, buckets, *sum, *count, None,
-                        );
+                        Self::render_histogram(&mut prom, &name, &s.labels, &hist);
                     }
                 }
             }
@@ -458,20 +365,18 @@ impl MetricsRegistry {
         prom: &mut PromText,
         name: &str,
         labels: &[(String, String)],
-        buckets: &[(f64, u64)],
-        sum: f64,
-        count: u64,
-        exemplar: Option<Exemplar>,
+        hist: &HistogramMetric,
     ) {
+        let count = hist.count();
         let bucket_name = format!("{name}_bucket");
         // The exemplar rides on the first bucket whose bound covers it
         // (OpenMetrics semantics); falls through to +Inf when out of range.
-        let mut pending = exemplar;
-        for &(le, cumulative) in buckets {
+        let mut pending = hist.exemplar();
+        for (le, cumulative) in hist.cumulative_buckets() {
             let mut with_le = labels.to_vec();
-            with_le.push(("le".to_string(), format!("{le}")));
+            with_le.push(("le".to_string(), le.to_string()));
             match pending {
-                Some(e) if (e.value as f64) <= le => {
+                Some(e) if e.value <= le => {
                     pending = None;
                     prom.sample_with_exemplar(
                         &bucket_name,
@@ -490,7 +395,7 @@ impl MetricsRegistry {
             Some(e) => prom.sample_with_exemplar(&bucket_name, &inf, count, e.trace_id, e.value),
             None => prom.sample(&bucket_name, &inf, count),
         }
-        prom.sample(&format!("{name}_sum"), labels, sum);
+        prom.sample(&format!("{name}_sum"), labels, hist.sum());
         prom.sample(&format!("{name}_count"), labels, count);
     }
 }
@@ -555,21 +460,20 @@ mod tests {
         assert!(text.contains("wait_us_bucket{le=\"+Inf\"} 10"));
         assert!(text.contains("wait_us_sum 5900"));
         assert!(text.contains("wait_us_count 10"));
+        // Trailing empty buckets are elided; `+Inf` covers them.
+        assert_eq!(h.cumulative_buckets().last(), Some(&(8192, 10)));
     }
 
     #[test]
-    fn bridged_histograms_render_from_snapshots() {
-        let reg = MetricsRegistry::new();
-        reg.set_histogram("lat_us", "h", &[], &[(2.0, 1), (4.0, 3)], 9.0, 4);
-        let text = reg.prometheus_text();
-        assert!(text.contains("lat_us_bucket{le=\"2\"} 1"));
-        assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("lat_us_sum 9"));
-        // A second bridge overwrites, not appends.
-        reg.set_histogram("lat_us", "h", &[], &[(2.0, 2)], 3.0, 2);
-        let text = reg.prometheus_text();
-        assert!(text.contains("lat_us_count 2"));
-        assert!(!text.contains("lat_us_count 4"));
+    fn histogram_buckets_clamp_at_both_ends() {
+        assert_eq!(HistogramCore::bucket(0), 0);
+        assert_eq!(HistogramCore::bucket(1), 0);
+        assert_eq!(HistogramCore::bucket(2), 1);
+        assert_eq!(HistogramCore::bucket(3), 1);
+        assert_eq!(HistogramCore::bucket(1024), 10);
+        assert_eq!(HistogramCore::bucket(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        let h = MetricsRegistry::new().histogram("empty", "h", &[]);
+        assert_eq!(h.quantile(0.5), 0, "empty histogram has no quantile");
     }
 
     #[test]
@@ -604,13 +508,6 @@ mod tests {
             })
         );
         assert_eq!(h.count(), 4);
-    }
-
-    #[test]
-    fn bridged_histograms_carry_no_exemplar() {
-        let reg = MetricsRegistry::new();
-        reg.set_histogram("lat_us", "h", &[], &[(2.0, 1)], 2.0, 1);
-        assert!(!reg.prometheus_text().contains("trace_id"));
     }
 
     #[test]

@@ -260,8 +260,6 @@ pub struct CacheStats {
     /// the concrete signature differed from the class's example but was
     /// admitted by its [`ShapeSignature`](tssa_ir::ShapeSignature).
     pub class_hits: u64,
-    /// Hot buckets promoted to a dedicated specialized plan.
-    pub specializations: u64,
     /// Shape classes currently resident.
     pub class_entries: usize,
 }
@@ -296,7 +294,6 @@ pub struct PlanCache {
     /// normally exactly one.
     classes: Mutex<HashMap<u64, Vec<Arc<ClassEntry>>>>,
     class_hits: AtomicU64,
-    specializations: AtomicU64,
 }
 
 /// Removes the in-flight marker if the compiling thread unwinds or errors,
@@ -344,7 +341,6 @@ impl PlanCache {
             poisoned: AtomicU64::new(0),
             classes: Mutex::new(HashMap::new()),
             class_hits: AtomicU64::new(0),
-            specializations: AtomicU64::new(0),
         }
     }
 
@@ -505,8 +501,8 @@ impl PlanCache {
 
     /// Insert a freshly derived class. When an equal class key is already
     /// resident (two threads compiled the same class concurrently), the
-    /// existing entry wins and is returned, so census and specializations
-    /// stay consolidated.
+    /// existing entry wins and is returned, so the census stays
+    /// consolidated.
     pub fn insert_class(&self, coarse: u64, entry: ClassEntry) -> Arc<ClassEntry> {
         let mut classes = self.classes.lock();
         let bucket = classes.entry(coarse).or_default();
@@ -521,11 +517,6 @@ impl PlanCache {
         let entry = Arc::new(entry);
         bucket.push(Arc::clone(&entry));
         entry
-    }
-
-    /// Count one hot-bucket specialization (the entry itself holds the plan).
-    pub fn note_specialization(&self) {
-        self.specializations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current counter values.
@@ -546,7 +537,6 @@ impl PlanCache {
             poisoned: self.poisoned.load(Ordering::Relaxed),
             entries,
             class_hits: self.class_hits.load(Ordering::Relaxed),
-            specializations: self.specializations.load(Ordering::Relaxed),
             class_entries,
         }
     }

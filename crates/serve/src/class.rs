@@ -14,9 +14,8 @@
 //! * [`ClassSignature`] — a key plus the certifying [`ShapeSignature`];
 //!   [`ClassSignature::admits`] is the gate a lookup passes before reusing
 //!   the class plan (pinned dims equal + the signature's constraints hold);
-//! * [`ClassEntry`] — the cached class: the generic plan, its batch spec,
-//!   the degraded twin, a per-bucket hit census, and up to K hot-bucket
-//!   specializations with the generic plan as fallback.
+//! * [`ClassEntry`] — the cached class: the one plan, its batch spec, the
+//!   degraded twin and a per-bucket hit census.
 //!
 //! Classes are only formed for signatures with zero data-dependent dims:
 //! those are exactly the plans whose output shapes are affine in the input
@@ -340,81 +339,26 @@ pub fn bucket_label(inputs: &[RtValue]) -> String {
     bucket_label_of(&crate::cache::signature_of(inputs))
 }
 
-/// Touches between sliding-window epoch advances: every `CENSUS_WINDOW`
-/// bucket touches across a class, the window shifts (`prev ← recent`,
-/// `recent ← 0`) and specializations of buckets with no hits in either
-/// half are retired — traffic drift stops pinning dead plans.
-const CENSUS_WINDOW: u64 = 256;
-
-#[derive(Debug, Default)]
-struct BucketState {
-    /// All-time hits; persisted with the class and kept for reporting.
-    hits: u64,
-    /// Hits in the current window half.
-    recent: u64,
-    /// Hits in the previous window half.
-    prev: u64,
-    specialized: Option<Arc<CompiledProgram>>,
-}
-
-impl BucketState {
-    /// Sliding-window heat: the last one-to-two windows of traffic. This —
-    /// not the all-time count — drives specialization and eviction, so a
-    /// bucket that was hot last week cannot hold a slot against today's
-    /// traffic.
-    fn windowed(&self) -> u64 {
-        self.recent + self.prev
-    }
-}
-
-/// The census under one lock: per-bucket states plus the window clock.
-#[derive(Debug, Default)]
-struct Census {
-    buckets: BTreeMap<String, BucketState>,
-    /// Touches since the last epoch advance.
-    window_touches: u64,
-    /// Epoch advances so far.
-    epochs: u64,
-}
-
-impl Census {
-    /// Shift the window: current half becomes previous, specializations of
-    /// buckets that went fully cold (no hits in either half) are retired —
-    /// the generic class plan keeps serving those shapes.
-    fn advance_epoch(&mut self) {
-        self.epochs += 1;
-        self.window_touches = 0;
-        for state in self.buckets.values_mut() {
-            state.prev = state.recent;
-            state.recent = 0;
-            if state.windowed() == 0 {
-                state.specialized = None;
-            }
-        }
-    }
-}
-
-/// A resident shape class: the generic plan plus per-bucket heat and hot
-/// specializations. Shared (via `Arc`) between the cache, every
-/// [`ModelHandle`](crate::ModelHandle) that loaded into the class, and the
-/// dispatcher.
+/// A resident shape class: the plan plus its per-bucket hit census. Shared
+/// (via `Arc`) between the cache and every
+/// [`ModelHandle`](crate::ModelHandle) that loaded into the class.
 #[derive(Debug)]
 pub struct ClassEntry {
     class: ClassSignature,
-    source: String,
     plan: Arc<CompiledProgram>,
     spec: Arc<BatchSpec>,
     content_hash: u64,
     roster_fp: u64,
     degraded: Mutex<Option<Arc<CompiledProgram>>>,
-    census: Mutex<Census>,
+    /// Requests served per concrete shape bucket, all-time. Persisted with
+    /// the class (v3 plan file) and re-seeded on warm boot.
+    census: Mutex<BTreeMap<String, u64>>,
     origin_keys: Mutex<Vec<PlanKey>>,
 }
 
 impl ClassEntry {
     pub(crate) fn new(
         class: ClassSignature,
-        source: &str,
         plan: Arc<CompiledProgram>,
         spec: Arc<BatchSpec>,
         content_hash: u64,
@@ -422,13 +366,12 @@ impl ClassEntry {
     ) -> ClassEntry {
         ClassEntry {
             class,
-            source: source.to_string(),
             plan,
             spec,
             content_hash,
             roster_fp,
             degraded: Mutex::new(None),
-            census: Mutex::new(Census::default()),
+            census: Mutex::new(BTreeMap::new()),
             origin_keys: Mutex::new(Vec::new()),
         }
     }
@@ -445,10 +388,6 @@ impl ClassEntry {
 
     pub(crate) fn admits(&self, args: &[ArgSig]) -> bool {
         self.class.admits(args)
-    }
-
-    pub(crate) fn source(&self) -> &str {
-        &self.source
     }
 
     pub(crate) fn plan(&self) -> &Arc<CompiledProgram> {
@@ -489,132 +428,41 @@ impl ClassEntry {
         self.origin_keys.lock().clone()
     }
 
-    /// The per-bucket *all-time* hit census, sorted by bucket label. This is
-    /// what persists into plan files; the sliding window drives
-    /// specialization decisions instead.
+    /// The per-bucket hit census, sorted by bucket label — what persists
+    /// into plan files (`tssa_plan_class_hits_total` counts the same hits
+    /// per process).
     pub fn census(&self) -> Vec<(String, u64)> {
         self.census
             .lock()
-            .buckets
             .iter()
-            .map(|(k, v)| (k.clone(), v.hits))
+            .map(|(k, v)| (k.clone(), *v))
             .collect()
-    }
-
-    /// The per-bucket *sliding-window* census (hits in the last one-to-two
-    /// windows), sorted by bucket label — the heat specialization and
-    /// eviction actually act on.
-    pub fn windowed_census(&self) -> Vec<(String, u64)> {
-        self.census
-            .lock()
-            .buckets
-            .iter()
-            .map(|(k, v)| (k.clone(), v.windowed()))
-            .collect()
-    }
-
-    /// Window epochs elapsed (one per [`CENSUS_WINDOW`] touches).
-    pub fn census_epochs(&self) -> u64 {
-        self.census.lock().epochs
     }
 
     /// Merge a persisted census (from a plan file) into the live one,
-    /// keeping the larger count per bucket — warm restarts rebuild bucket
-    /// heat from this. Seeded heat lands in the *previous* window half: it
-    /// keeps a restored bucket warm for one window, then expires unless
-    /// live traffic confirms it.
+    /// keeping the larger count per bucket.
     pub(crate) fn seed_census(&self, census: &[(String, u64)]) {
         let mut guard = self.census.lock();
         for (label, hits) in census {
-            let state = guard.buckets.entry(label.clone()).or_default();
-            state.hits = state.hits.max(*hits);
-            state.prev = state.prev.max(*hits);
+            let slot = guard.entry(label.clone()).or_default();
+            *slot = (*slot).max(*hits);
         }
     }
 
-    /// Bump a bucket by `inc` hits, advancing the sliding window every
-    /// [`CENSUS_WINDOW`] touches. Returns `(windowed_hits_after,
-    /// is_new_bucket)` — windowed, not all-time, so the caller's
-    /// specialization threshold tracks current traffic.
-    pub(crate) fn touch_bucket(&self, label: &str, inc: u64) -> (u64, bool) {
+    /// Bump a bucket by `inc` hits. Returns whether the bucket is new to
+    /// the census (the caller re-persists the class when it is).
+    pub(crate) fn touch_bucket(&self, label: &str, inc: u64) -> bool {
         let mut guard = self.census.lock();
-        guard.window_touches += inc;
-        if guard.window_touches >= CENSUS_WINDOW {
-            guard.advance_epoch();
-        }
-        let is_new = !guard.buckets.contains_key(label);
-        let state = guard.buckets.entry(label.to_string()).or_default();
-        state.hits += inc;
-        state.recent += inc;
-        (state.windowed(), is_new)
-    }
-
-    /// The dedicated plan for a bucket, when one was specialized.
-    pub(crate) fn specialized_for(&self, label: &str) -> Option<Arc<CompiledProgram>> {
-        self.census
-            .lock()
-            .buckets
-            .get(label)
-            .and_then(|s| s.specialized.clone())
-    }
-
-    /// Buckets currently holding a dedicated plan, sorted by label.
-    pub fn specialized_buckets(&self) -> Vec<String> {
-        self.census
-            .lock()
-            .buckets
-            .iter()
-            .filter(|(_, s)| s.specialized.is_some())
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    /// Number of buckets holding a dedicated plan.
-    pub fn specialization_count(&self) -> usize {
-        self.census
-            .lock()
-            .buckets
-            .values()
-            .filter(|s| s.specialized.is_some())
-            .count()
-    }
-
-    /// Install a dedicated plan for `label`, evicting the existing
-    /// specialization with the least *windowed* heat when the class already
-    /// holds `max_k` — all-time heat is irrelevant once traffic drifts.
-    /// Returns whether the plan was installed (false when the bucket
-    /// already has one, or `max_k` is 0).
-    pub(crate) fn install_specialization(
-        &self,
-        label: &str,
-        plan: Arc<CompiledProgram>,
-        max_k: usize,
-    ) -> bool {
-        if max_k == 0 {
-            return false;
-        }
-        let guard = &mut *self.census.lock();
-        let buckets = &mut guard.buckets;
-        if buckets.get(label).is_some_and(|s| s.specialized.is_some()) {
-            return false;
-        }
-        let resident = buckets.values().filter(|s| s.specialized.is_some()).count();
-        if resident >= max_k {
-            // Evict the specialized bucket coldest in the window (the
-            // generic plan keeps serving it).
-            let victim = buckets
-                .iter()
-                .filter(|(_, s)| s.specialized.is_some())
-                .min_by_key(|(_, s)| s.windowed())
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                if let Some(state) = buckets.get_mut(&victim) {
-                    state.specialized = None;
-                }
+        match guard.get_mut(label) {
+            Some(hits) => {
+                *hits += inc;
+                false
+            }
+            None => {
+                guard.insert(label.to_string(), inc);
+                true
             }
         }
-        buckets.entry(label.to_string()).or_default().specialized = Some(plan);
-        true
     }
 }
 
@@ -727,72 +575,6 @@ mod tests {
         .expect("eligible");
         assert!(class.admits(&[tensor(&[9, 6]), tensor(&[6, 5])]));
         assert!(!class.admits(&[tensor(&[9, 6]), tensor(&[7, 5])]));
-    }
-
-    fn entry() -> ClassEntry {
-        let g = tssa_frontend::compile("def f(x: Tensor):\n    y = x + 1.0\n    return y\n")
-            .expect("trivial source compiles");
-        let plan = Arc::new(PipelineKind::Eager.compile(&g));
-        let class = ClassSignature::derive(
-            "src",
-            PipelineKind::Eager,
-            &[tensor(&[2, 4])],
-            &poly_sig(&[2]),
-        )
-        .expect("eligible class");
-        ClassEntry::new(class, "src", plan, Arc::new(BatchSpec::stacked(1, 1)), 1, 2)
-    }
-
-    #[test]
-    fn traffic_drift_retires_window_cold_specializations() {
-        let entry = entry();
-        let plan = Arc::clone(entry.plan());
-        entry.touch_bucket("2x4", 10);
-        assert!(entry.install_specialization("2x4", Arc::clone(&plan), 4));
-
-        // Traffic drifts entirely to another bucket. After one window the
-        // old bucket is still warm (its heat sits in the previous half)...
-        entry.touch_bucket("8x4", CENSUS_WINDOW);
-        assert!(entry.specialized_for("2x4").is_some());
-        // ...after a second full window it has no hits in either half, so
-        // the epoch advance retires its specialization.
-        entry.touch_bucket("8x4", CENSUS_WINDOW);
-        assert!(entry.census_epochs() >= 2);
-        assert!(entry.specialized_for("2x4").is_none());
-        assert_eq!(entry.specialization_count(), 0);
-
-        // The all-time census still remembers the history; only the
-        // windowed census went cold.
-        assert!(entry.census().iter().any(|(l, h)| l == "2x4" && *h == 10));
-        assert!(entry
-            .windowed_census()
-            .iter()
-            .any(|(l, h)| l == "2x4" && *h == 0));
-    }
-
-    #[test]
-    fn eviction_picks_the_window_coldest_not_the_all_time_coldest() {
-        let entry = entry();
-        let plan = Arc::clone(entry.plan());
-        // "2x4" accumulates a huge all-time count, then its traffic stops:
-        // two epoch advances later its windowed heat is down to 1.
-        entry.touch_bucket("2x4", CENSUS_WINDOW - 1);
-        entry.touch_bucket("2x4", 1);
-        entry.touch_bucket("9x9", CENSUS_WINDOW);
-        // "3x4" is a newcomer: tiny all-time count, but all of it recent.
-        entry.touch_bucket("3x4", 5);
-        let census: BTreeMap<_, _> = entry.census().into_iter().collect();
-        assert!(census["2x4"] > census["3x4"], "2x4 dominates all-time");
-
-        assert!(entry.install_specialization("2x4", Arc::clone(&plan), 2));
-        assert!(entry.install_specialization("3x4", Arc::clone(&plan), 2));
-        // At capacity, the victim is the bucket coldest *in the window* —
-        // the all-time champion "2x4", not the newcomer "3x4".
-        assert!(entry.install_specialization("5x4", Arc::clone(&plan), 2));
-        assert!(entry.specialized_for("2x4").is_none(), "evicted");
-        assert!(entry.specialized_for("3x4").is_some());
-        assert!(entry.specialized_for("5x4").is_some());
-        assert_eq!(entry.specialization_count(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The compiler stack in this repository answers "how fast is one program,
 //! compiled one way, run once?". This crate answers the production question
 //! layered on top: many clients, many programs, one machine. It is built
-//! from four cooperating parts:
+//! from five cooperating parts:
 //!
 //! 1. **Plan cache** ([`PlanCache`]) — compiled programs keyed by
 //!    *(source hash, pipeline, input signature)*, with LRU eviction and
@@ -21,15 +21,14 @@
 //!    [`Service::shutdown`]), with the machine's cores divided among
 //!    workers to avoid oversubscription.
 //! 4. **Admission & metrics** — bounded-queue backpressure that sheds with
-//!    typed [`ServeError`]s instead of blocking or dropping, plus a
-//!    [`MetricsSnapshot`] with throughput, fixed-bucket latency quantiles,
-//!    cache and batch-occupancy counters (exportable as Prometheus text via
-//!    [`MetricsSnapshot::prometheus_text`]). The service also records
-//!    first-class series — a queue-wait histogram and per-plan
-//!    `tssa_batch_occupancy{plan=...}` histograms — into a
-//!    [`MetricsRegistry`] ([`ServeConfig::with_registry`]), and
-//!    [`Service::prometheus`] renders the registry plus the bridged
-//!    snapshot as one consolidated exposition.
+//!    typed [`ServeError`]s instead of blocking or dropping. Every series
+//!    the service records — request and recovery counters, the latency,
+//!    queue-wait and per-plan `tssa_batch_occupancy{plan=...}` histograms —
+//!    lives in one [`MetricsRegistry`] ([`ServeConfig::with_registry`]);
+//!    [`Service::metrics`] reads it back as a typed [`MetricsSnapshot`]
+//!    (throughput, fixed-bucket latency quantiles, cache and
+//!    batch-occupancy counters) and [`Service::prometheus`] renders it as
+//!    one consolidated exposition.
 //! 5. **Fault tolerance** ([`fault`], plus the recovery paths in
 //!    [`service`]) — a supervisor re-queues a crashed worker's in-flight
 //!    batch exactly once and respawns the worker; deadline-carrying waiters
@@ -92,7 +91,7 @@ pub use fault::{
     silence_injected_panics_for_tests, FaultAction, FaultKind, FaultPlan, Faults,
     INJECTED_COMPILE_PANIC, INJECTED_PANIC,
 };
-pub use metrics::{Histogram, Metrics, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use service::{
     ModelHandle, ModelLoader, PoolReport, Response, RetryPolicy, ServeConfig, Service, Ticket,
 };

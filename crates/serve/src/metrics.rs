@@ -1,204 +1,155 @@
-//! Service observability: request counters, a fixed-bucket latency
-//! histogram, and batch-occupancy accounting, snapshotted lock-free.
+//! Service observability: the handles the service records into and the
+//! typed snapshot read back from them.
 //!
-//! The histogram uses power-of-two microsecond buckets (bucket *i* covers
-//! `[2^i, 2^(i+1))` µs), so recording is one atomic increment and quantile
-//! estimation is a single pass — the standard fixed-bucket design used by
-//! serving systems that cannot afford per-request allocation on the hot
-//! path. Quantiles are reported as the upper bound of the containing
-//! bucket (≤ 2× overestimate by construction).
+//! The service's [`MetricsRegistry`] is the only metrics store. `Metrics`
+//! registers each request, recovery and batching series once — one name,
+//! one help string — and keeps the atomic handle, so recording on the hot
+//! path is one relaxed increment and the exposition is always current.
+//! [`MetricsSnapshot`] is a typed read of those handles. Values owned by
+//! another component (the plan cache's and plan store's counters) or derived
+//! at read time (throughput, mean occupancy) are written through to the
+//! registry by the same read, so the snapshot and the exposition agree.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::cache::CacheStats;
+use tssa_obs::{Counter, HistogramMetric, MetricsRegistry};
 use tssa_store::StoreStats;
 
-/// Number of power-of-two buckets: covers up to ~2^39 µs (~6 days).
-pub const BUCKETS: usize = 40;
+use crate::cache::CacheStats;
 
-/// Fixed-bucket log2 histogram of microsecond durations.
-pub struct Histogram {
-    counts: Vec<AtomicU64>,
-    sum_us: AtomicU64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum_us: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket(us: u64) -> usize {
-        // floor(log2(us)) with us clamped to >= 1, capped to the last bucket.
-        let idx = 63 - us.max(1).leading_zeros() as usize;
-        idx.min(BUCKETS - 1)
-    }
-
-    /// The inclusive upper bound (µs) of every bucket, ascending: bucket
-    /// *i* covers `[2^i, 2^(i+1))` µs, so its bound is `2^(i+1)`. These are
-    /// the `le` labels of the Prometheus export.
-    pub fn bucket_bounds() -> [u64; BUCKETS] {
-        let mut bounds = [0u64; BUCKETS];
-        let mut i = 0;
-        while i < BUCKETS {
-            bounds[i] = 1u64 << (i + 1);
-            i += 1;
-        }
-        bounds
-    }
-
-    /// Record one duration.
-    pub fn record(&self, d: Duration) {
-        let us = d.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.counts[Self::bucket(us)].fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of all recorded durations, µs.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// `(upper bound µs, cumulative count)` per bucket, ascending —
-    /// Prometheus histogram convention. Trailing empty buckets are elided
-    /// (the `+Inf` bucket the exporter appends covers them).
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let bounds = Self::bucket_bounds();
-        let mut cumulative = 0u64;
-        let mut out = Vec::new();
-        for (i, c) in self.counts.iter().enumerate() {
-            cumulative += c.load(Ordering::Relaxed);
-            out.push((bounds[i], cumulative));
-        }
-        while out.len() > 1 && out[out.len() - 1].1 == out[out.len() - 2].1 {
-            out.pop();
-        }
-        out
-    }
-
-    /// The upper bound (µs) of the bucket containing the `p`-quantile
-    /// (`0.0 < p <= 1.0`), or 0 when empty.
-    pub fn quantile_us(&self, p: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((p.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << BUCKETS
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-/// Live counters owned by the service; see [`Metrics::snapshot`].
-pub struct Metrics {
+/// Live series owned by the service; see [`Metrics::snapshot`].
+pub(crate) struct Metrics {
     started: Instant,
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) shed_queue_full: AtomicU64,
-    pub(crate) shed_deadline: AtomicU64,
-    pub(crate) exec_failures: AtomicU64,
-    pub(crate) canceled: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) requeues: AtomicU64,
-    pub(crate) worker_respawns: AtomicU64,
-    pub(crate) degraded_requests: AtomicU64,
-    pub(crate) faults_injected: AtomicU64,
-    pub(crate) latency: Histogram,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-    pub(crate) max_batch_seen: AtomicU64,
+    registry: MetricsRegistry,
+    pub(crate) submitted: Counter,
+    pub(crate) completed: Counter,
+    pub(crate) shed_queue_full: Counter,
+    pub(crate) shed_deadline: Counter,
+    pub(crate) exec_failures: Counter,
+    pub(crate) canceled: Counter,
+    pub(crate) timeouts: Counter,
+    pub(crate) retries: Counter,
+    pub(crate) requeues: Counter,
+    pub(crate) worker_respawns: Counter,
+    pub(crate) degraded_requests: Counter,
+    /// Faults fired at service sites only. The exported
+    /// `tssa_faults_injected_total` adds the cache's poisoned hits, so it is
+    /// written through at read time rather than incremented here.
+    faults_injected: AtomicU64,
+    pub(crate) latency: HistogramMetric,
+    batches: Counter,
+    batched_requests: AtomicU64,
+    max_batch_seen: AtomicU64,
 }
 
 impl Metrics {
-    /// Fresh counters; `started` anchors throughput computation.
-    pub fn new() -> Metrics {
+    /// Register the service's series in `registry`; `started` anchors
+    /// throughput computation.
+    pub(crate) fn new(registry: &MetricsRegistry) -> Metrics {
+        let counter = |name, help| registry.counter(name, help, &[]);
         Metrics {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            exec_failures: AtomicU64::new(0),
-            canceled: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            requeues: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            degraded_requests: AtomicU64::new(0),
+            registry: registry.clone(),
+            submitted: counter(
+                "tssa_requests_submitted_total",
+                "Requests presented to admission",
+            ),
+            completed: counter(
+                "tssa_requests_completed_total",
+                "Requests completed successfully",
+            ),
+            shed_queue_full: counter(
+                "tssa_requests_shed_queue_full_total",
+                "Requests shed at admission (queue full)",
+            ),
+            shed_deadline: counter(
+                "tssa_requests_shed_deadline_total",
+                "Requests expired before execution",
+            ),
+            exec_failures: counter(
+                "tssa_requests_exec_failures_total",
+                "Requests failed in the backend",
+            ),
+            canceled: counter(
+                "tssa_requests_canceled_total",
+                "Requests canceled by shutdown or worker loss",
+            ),
+            timeouts: counter(
+                "tssa_requests_timeout_total",
+                "Requests abandoned past deadline + grace",
+            ),
+            retries: counter(
+                "tssa_retries_total",
+                "Transient-error re-submissions (submit_retry)",
+            ),
+            requeues: counter(
+                "tssa_batch_requeues_total",
+                "Batches re-queued after a worker crash",
+            ),
+            worker_respawns: counter(
+                "tssa_worker_respawns_total",
+                "Worker threads respawned after a crash",
+            ),
+            degraded_requests: counter(
+                "tssa_requests_degraded_total",
+                "Requests served on the degraded path",
+            ),
             faults_injected: AtomicU64::new(0),
-            latency: Histogram::new(),
-            batches: AtomicU64::new(0),
+            batches: counter("tssa_batches_total", "Batches dispatched to workers"),
+            latency: registry.histogram(
+                "tssa_request_latency_us",
+                "End-to-end request latency (power-of-two buckets, µs)",
+                &[],
+            ),
             batched_requests: AtomicU64::new(0),
             max_batch_seen: AtomicU64::new(0),
         }
     }
 
+    pub(crate) fn note_fault(&self) {
+        self.faults_injected.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batches.inc();
         self.batched_requests
             .fetch_add(size as u64, Ordering::Relaxed);
         self.max_batch_seen
             .fetch_max(size as u64, Ordering::Relaxed);
     }
 
-    /// A consistent-enough point-in-time copy of every counter. Disk-cache
-    /// counters are zero; services with a persistent plan store use
-    /// [`Metrics::snapshot_with_disk`].
-    pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
-        self.snapshot_with_disk(cache, StoreStats::default())
-    }
-
-    /// As [`Metrics::snapshot`], folding in the persistent plan store's
-    /// counters.
-    pub fn snapshot_with_disk(&self, cache: CacheStats, disk: StoreStats) -> MetricsSnapshot {
+    /// A consistent-enough point-in-time read of every series, folding in
+    /// the plan cache's and the persistent plan store's counters. What the
+    /// registry does not own is written through to it here — the one place
+    /// those series get their name and help string.
+    pub(crate) fn snapshot(&self, cache: CacheStats, disk: StoreStats) -> MetricsSnapshot {
         let elapsed = self.started.elapsed();
-        let completed = self.completed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
+        let completed = self.completed.get();
+        let batches = self.batches.get();
         let batched_requests = self.batched_requests.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
+        let snap = MetricsSnapshot {
+            submitted: self.submitted.get(),
             completed,
-            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            exec_failures: self.exec_failures.load(Ordering::Relaxed),
-            canceled: self.canceled.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            degraded_requests: self.degraded_requests.load(Ordering::Relaxed),
+            shed_queue_full: self.shed_queue_full.get(),
+            shed_deadline: self.shed_deadline.get(),
+            exec_failures: self.exec_failures.get(),
+            canceled: self.canceled.get(),
+            timeouts: self.timeouts.get(),
+            retries: self.retries.get(),
+            requeues: self.requeues.get(),
+            worker_respawns: self.worker_respawns.get(),
+            degraded_requests: self.degraded_requests.get(),
             // Cache-site faults (poisoned hits) are counted by the cache
             // itself; fold them in so one counter covers the whole plan.
             faults_injected: self.faults_injected.load(Ordering::Relaxed) + cache.poisoned,
             throughput_rps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-            p50_us: self.latency.quantile_us(0.50),
-            p95_us: self.latency.quantile_us(0.95),
-            p99_us: self.latency.quantile_us(0.99),
+            p50_us: self.latency.quantile(0.50),
+            p95_us: self.latency.quantile(0.95),
+            p99_us: self.latency.quantile(0.99),
             latency_buckets: self.latency.cumulative_buckets(),
-            latency_sum_us: self.latency.sum_us(),
+            latency_sum_us: self.latency.sum(),
             latency_count: self.latency.count(),
             batches,
             avg_batch_occupancy: if batches == 0 {
@@ -210,13 +161,92 @@ impl Metrics {
             cache,
             disk,
             elapsed,
+        };
+        for (name, help, value) in [
+            (
+                "tssa_faults_injected_total",
+                "Faults injected by the armed fault plan",
+                snap.faults_injected,
+            ),
+            ("tssa_plan_cache_hits_total", "Plan cache hits", cache.hits),
+            (
+                "tssa_plan_cache_misses_total",
+                "Plan cache misses (compilations)",
+                cache.misses,
+            ),
+            (
+                "tssa_plan_cache_coalesced_total",
+                "Lookups coalesced onto in-flight compilations",
+                cache.coalesced,
+            ),
+            (
+                "tssa_plan_cache_evictions_total",
+                "Plans evicted to stay within capacity",
+                cache.evictions,
+            ),
+            (
+                "tssa_plan_cache_class_hits_total",
+                "Loads admitted by a resident shape class (compilation bypassed)",
+                cache.class_hits,
+            ),
+            (
+                "tssa_plan_cache_disk_hits_total",
+                "Plans loaded intact from the persistent store (compilation bypassed)",
+                disk.disk_hits,
+            ),
+            (
+                "tssa_plan_cache_disk_misses_total",
+                "Persistent-store lookups that found no entry",
+                disk.disk_misses,
+            ),
+            (
+                "tssa_plan_cache_disk_corrupt_total",
+                "Damaged store entries evicted (bad magic/truncated/checksum/parse)",
+                disk.corrupt_evicted,
+            ),
+            (
+                "tssa_plan_cache_disk_stale_total",
+                "Stale store entries evicted (version or pass-roster mismatch)",
+                disk.stale_evicted,
+            ),
+            (
+                "tssa_plan_cache_disk_writes_total",
+                "Plans written back to the persistent store",
+                disk.writes,
+            ),
+        ] {
+            self.registry.set_counter(name, help, &[], value);
         }
-    }
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
+        for (name, help, value) in [
+            (
+                "tssa_throughput_rps",
+                "Completed requests per second since start",
+                snap.throughput_rps,
+            ),
+            (
+                "tssa_batch_occupancy_avg",
+                "Mean requests coalesced per batch",
+                snap.avg_batch_occupancy,
+            ),
+            (
+                "tssa_batch_max",
+                "Largest batch dispatched",
+                snap.max_batch as f64,
+            ),
+            (
+                "tssa_plan_cache_entries",
+                "Ready plans resident",
+                cache.entries as f64,
+            ),
+            (
+                "tssa_plan_class_entries",
+                "Shape classes resident",
+                cache.class_entries as f64,
+            ),
+        ] {
+            self.registry.set_gauge(name, help, &[], value);
+        }
+        snap
     }
 }
 
@@ -294,362 +324,6 @@ impl MetricsSnapshot {
             + self.canceled
             + self.timeouts
     }
-
-    /// The snapshot in Prometheus text exposition format (0.0.4): request
-    /// counters, cache counters, batching gauges, the latency histogram
-    /// (`tssa_request_latency_us_bucket{le=...}`) and its p50/p95/p99
-    /// quantiles as a summary.
-    pub fn prometheus_text(&self) -> String {
-        let mut prom = tssa_obs::PromText::new();
-        prom.counter(
-            "tssa_requests_submitted_total",
-            "Requests presented to admission",
-            self.submitted,
-        );
-        prom.counter(
-            "tssa_requests_completed_total",
-            "Requests completed successfully",
-            self.completed,
-        );
-        prom.counter(
-            "tssa_requests_shed_queue_full_total",
-            "Requests shed at admission (queue full)",
-            self.shed_queue_full,
-        );
-        prom.counter(
-            "tssa_requests_shed_deadline_total",
-            "Requests expired before execution",
-            self.shed_deadline,
-        );
-        prom.counter(
-            "tssa_requests_exec_failures_total",
-            "Requests failed in the backend",
-            self.exec_failures,
-        );
-        prom.counter(
-            "tssa_requests_canceled_total",
-            "Requests canceled by shutdown or worker loss",
-            self.canceled,
-        );
-        prom.counter(
-            "tssa_requests_timeout_total",
-            "Requests abandoned past deadline + grace",
-            self.timeouts,
-        );
-        prom.counter(
-            "tssa_retries_total",
-            "Transient-error re-submissions (submit_retry)",
-            self.retries,
-        );
-        prom.counter(
-            "tssa_batch_requeues_total",
-            "Batches re-queued after a worker crash",
-            self.requeues,
-        );
-        prom.counter(
-            "tssa_worker_respawns_total",
-            "Worker threads respawned after a crash",
-            self.worker_respawns,
-        );
-        prom.counter(
-            "tssa_requests_degraded_total",
-            "Requests served on the degraded path",
-            self.degraded_requests,
-        );
-        prom.counter(
-            "tssa_faults_injected_total",
-            "Faults injected by the armed fault plan",
-            self.faults_injected,
-        );
-        prom.counter(
-            "tssa_batches_total",
-            "Batches dispatched to workers",
-            self.batches,
-        );
-        prom.gauge(
-            "tssa_throughput_rps",
-            "Completed requests per second since start",
-            self.throughput_rps,
-        );
-        prom.gauge(
-            "tssa_batch_occupancy_avg",
-            "Mean requests coalesced per batch",
-            self.avg_batch_occupancy,
-        );
-        prom.gauge(
-            "tssa_batch_max",
-            "Largest batch dispatched",
-            self.max_batch as f64,
-        );
-        prom.counter(
-            "tssa_plan_cache_hits_total",
-            "Plan cache hits",
-            self.cache.hits,
-        );
-        prom.counter(
-            "tssa_plan_cache_misses_total",
-            "Plan cache misses (compilations)",
-            self.cache.misses,
-        );
-        prom.counter(
-            "tssa_plan_cache_coalesced_total",
-            "Lookups coalesced onto in-flight compilations",
-            self.cache.coalesced,
-        );
-        prom.counter(
-            "tssa_plan_cache_evictions_total",
-            "Plans evicted to stay within capacity",
-            self.cache.evictions,
-        );
-        prom.counter(
-            "tssa_plan_cache_class_hits_total",
-            "Loads admitted by a resident shape class (compilation bypassed)",
-            self.cache.class_hits,
-        );
-        prom.counter(
-            "tssa_plan_cache_specializations_total",
-            "Dedicated plans compiled for hot shape buckets",
-            self.cache.specializations,
-        );
-        prom.gauge(
-            "tssa_plan_cache_entries",
-            "Ready plans resident",
-            self.cache.entries as f64,
-        );
-        prom.gauge(
-            "tssa_plan_class_entries",
-            "Shape classes resident",
-            self.cache.class_entries as f64,
-        );
-        prom.counter(
-            "tssa_plan_cache_disk_hits_total",
-            "Plans loaded intact from the persistent store (compilation bypassed)",
-            self.disk.disk_hits,
-        );
-        prom.counter(
-            "tssa_plan_cache_disk_misses_total",
-            "Persistent-store lookups that found no entry",
-            self.disk.disk_misses,
-        );
-        prom.counter(
-            "tssa_plan_cache_disk_corrupt_total",
-            "Damaged store entries evicted (bad magic/truncated/checksum/parse)",
-            self.disk.corrupt_evicted,
-        );
-        prom.counter(
-            "tssa_plan_cache_disk_stale_total",
-            "Stale store entries evicted (version or pass-roster mismatch)",
-            self.disk.stale_evicted,
-        );
-        prom.counter(
-            "tssa_plan_cache_disk_writes_total",
-            "Plans written back to the persistent store",
-            self.disk.writes,
-        );
-        let buckets: Vec<(f64, u64)> = self
-            .latency_buckets
-            .iter()
-            .map(|&(le, c)| (le as f64, c))
-            .collect();
-        prom.histogram(
-            "tssa_request_latency_us",
-            "End-to-end request latency (power-of-two buckets, µs)",
-            &buckets,
-            self.latency_sum_us as f64,
-            self.latency_count,
-        );
-        prom.summary(
-            "tssa_request_latency_quantiles_us",
-            "Latency quantiles (containing-bucket upper bound, µs)",
-            &[
-                (0.5, self.p50_us as f64),
-                (0.95, self.p95_us as f64),
-                (0.99, self.p99_us as f64),
-            ],
-            self.latency_sum_us as f64,
-            self.latency_count,
-        );
-        prom.render()
-    }
-}
-
-impl MetricsSnapshot {
-    /// Bridge this snapshot into a [`tssa_obs::MetricsRegistry`] so the
-    /// service's counters render alongside everything else registered there
-    /// (queue-wait/occupancy histograms, pass timings, sink health) in one
-    /// consolidated exposition. Metric names and helps match
-    /// [`MetricsSnapshot::prometheus_text`]; re-bridging a newer snapshot
-    /// overwrites the previous values.
-    pub fn register_into(&self, registry: &tssa_obs::MetricsRegistry) {
-        let no_labels: &[(&str, &str)] = &[];
-        for (name, help, value) in [
-            (
-                "tssa_requests_submitted_total",
-                "Requests presented to admission",
-                self.submitted,
-            ),
-            (
-                "tssa_requests_completed_total",
-                "Requests completed successfully",
-                self.completed,
-            ),
-            (
-                "tssa_requests_shed_queue_full_total",
-                "Requests shed at admission (queue full)",
-                self.shed_queue_full,
-            ),
-            (
-                "tssa_requests_shed_deadline_total",
-                "Requests expired before execution",
-                self.shed_deadline,
-            ),
-            (
-                "tssa_requests_exec_failures_total",
-                "Requests failed in the backend",
-                self.exec_failures,
-            ),
-            (
-                "tssa_requests_canceled_total",
-                "Requests canceled by shutdown or worker loss",
-                self.canceled,
-            ),
-            (
-                "tssa_requests_timeout_total",
-                "Requests abandoned past deadline + grace",
-                self.timeouts,
-            ),
-            (
-                "tssa_retries_total",
-                "Transient-error re-submissions (submit_retry)",
-                self.retries,
-            ),
-            (
-                "tssa_batch_requeues_total",
-                "Batches re-queued after a worker crash",
-                self.requeues,
-            ),
-            (
-                "tssa_worker_respawns_total",
-                "Worker threads respawned after a crash",
-                self.worker_respawns,
-            ),
-            (
-                "tssa_requests_degraded_total",
-                "Requests served on the degraded path",
-                self.degraded_requests,
-            ),
-            (
-                "tssa_faults_injected_total",
-                "Faults injected by the armed fault plan",
-                self.faults_injected,
-            ),
-            (
-                "tssa_batches_total",
-                "Batches dispatched to workers",
-                self.batches,
-            ),
-            (
-                "tssa_plan_cache_hits_total",
-                "Plan cache hits",
-                self.cache.hits,
-            ),
-            (
-                "tssa_plan_cache_misses_total",
-                "Plan cache misses (compilations)",
-                self.cache.misses,
-            ),
-            (
-                "tssa_plan_cache_coalesced_total",
-                "Lookups coalesced onto in-flight compilations",
-                self.cache.coalesced,
-            ),
-            (
-                "tssa_plan_cache_evictions_total",
-                "Plans evicted to stay within capacity",
-                self.cache.evictions,
-            ),
-            (
-                "tssa_plan_cache_class_hits_total",
-                "Loads admitted by a resident shape class (compilation bypassed)",
-                self.cache.class_hits,
-            ),
-            (
-                "tssa_plan_cache_specializations_total",
-                "Dedicated plans compiled for hot shape buckets",
-                self.cache.specializations,
-            ),
-            (
-                "tssa_plan_cache_disk_hits_total",
-                "Plans loaded intact from the persistent store (compilation bypassed)",
-                self.disk.disk_hits,
-            ),
-            (
-                "tssa_plan_cache_disk_misses_total",
-                "Persistent-store lookups that found no entry",
-                self.disk.disk_misses,
-            ),
-            (
-                "tssa_plan_cache_disk_corrupt_total",
-                "Damaged store entries evicted (bad magic/truncated/checksum/parse)",
-                self.disk.corrupt_evicted,
-            ),
-            (
-                "tssa_plan_cache_disk_stale_total",
-                "Stale store entries evicted (version or pass-roster mismatch)",
-                self.disk.stale_evicted,
-            ),
-            (
-                "tssa_plan_cache_disk_writes_total",
-                "Plans written back to the persistent store",
-                self.disk.writes,
-            ),
-        ] {
-            registry.set_counter(name, help, no_labels, value);
-        }
-        registry.set_gauge(
-            "tssa_throughput_rps",
-            "Completed requests per second since start",
-            no_labels,
-            self.throughput_rps,
-        );
-        registry.set_gauge(
-            "tssa_batch_occupancy_avg",
-            "Mean requests coalesced per batch",
-            no_labels,
-            self.avg_batch_occupancy,
-        );
-        registry.set_gauge(
-            "tssa_batch_max",
-            "Largest batch dispatched",
-            no_labels,
-            self.max_batch as f64,
-        );
-        registry.set_gauge(
-            "tssa_plan_cache_entries",
-            "Ready plans resident",
-            no_labels,
-            self.cache.entries as f64,
-        );
-        registry.set_gauge(
-            "tssa_plan_class_entries",
-            "Shape classes resident",
-            no_labels,
-            self.cache.class_entries as f64,
-        );
-        let buckets: Vec<(f64, u64)> = self
-            .latency_buckets
-            .iter()
-            .map(|&(le, c)| (le as f64, c))
-            .collect();
-        registry.set_histogram(
-            "tssa_request_latency_us",
-            "End-to-end request latency (power-of-two buckets, µs)",
-            no_labels,
-            &buckets,
-            self.latency_sum_us as f64,
-            self.latency_count,
-        );
-    }
 }
 
 impl fmt::Display for MetricsSnapshot {
@@ -691,8 +365,8 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  shape class hits {:>7}  classes {:>5}  specializations {:>4}",
-            self.cache.class_hits, self.cache.class_entries, self.cache.specializations
+            "  shape class hits {:>7}  classes {:>5}",
+            self.cache.class_hits, self.cache.class_entries
         )?;
         write!(
             f,
@@ -710,39 +384,16 @@ impl fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(Histogram::bucket(0), 0);
-        assert_eq!(Histogram::bucket(1), 0);
-        assert_eq!(Histogram::bucket(2), 1);
-        assert_eq!(Histogram::bucket(3), 1);
-        assert_eq!(Histogram::bucket(1024), 10);
-        assert_eq!(Histogram::bucket(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_walk_the_distribution() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile_us(0.5), 0);
-        for _ in 0..90 {
-            h.record(Duration::from_micros(100)); // bucket 6, upper bound 128
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(5_000)); // bucket 12, upper bound 8192
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.5), 128);
-        assert_eq!(h.quantile_us(0.9), 128);
-        assert_eq!(h.quantile_us(0.99), 8192);
-        assert_eq!(h.quantile_us(1.0), 8192);
+    fn read(m: &Metrics, cache: CacheStats) -> MetricsSnapshot {
+        m.snapshot(cache, StoreStats::default())
     }
 
     #[test]
     fn snapshot_aggregates_batches() {
-        let m = Metrics::new();
+        let m = Metrics::new(&MetricsRegistry::new());
         m.record_batch(4);
         m.record_batch(2);
-        let s = m.snapshot(CacheStats::default());
+        let s = read(&m, CacheStats::default());
         assert_eq!(s.batches, 2);
         assert!((s.avg_batch_occupancy - 3.0).abs() < 1e-9);
         assert_eq!(s.max_batch, 4);
@@ -750,107 +401,49 @@ mod tests {
     }
 
     #[test]
-    fn bucket_bounds_are_pinned_powers_of_two() {
-        let bounds = Histogram::bucket_bounds();
-        assert_eq!(bounds.len(), BUCKETS);
-        // Bucket i covers [2^i, 2^(i+1)) µs; its `le` bound is 2^(i+1).
-        assert_eq!(bounds[0], 2);
-        assert_eq!(bounds[1], 4);
-        assert_eq!(bounds[6], 128);
-        assert_eq!(bounds[9], 1024);
-        assert_eq!(bounds[BUCKETS - 1], 1u64 << 40);
-        for (i, b) in bounds.iter().enumerate() {
-            assert_eq!(*b, 1u64 << (i + 1));
-        }
-    }
-
-    #[test]
-    fn cumulative_buckets_and_sum_track_records() {
-        let h = Histogram::new();
-        h.record(Duration::from_micros(100)); // bucket 6 (le 128)
-        h.record(Duration::from_micros(100));
-        h.record(Duration::from_micros(5_000)); // bucket 12 (le 8192)
-        assert_eq!(h.sum_us(), 5_200);
-        let buckets = h.cumulative_buckets();
-        // Trailing empties elided: the last bucket is the 5ms one.
-        assert_eq!(buckets.last(), Some(&(8192, 3)));
-        let at = |le: u64| buckets.iter().find(|&&(b, _)| b == le).unwrap().1;
-        assert_eq!(at(64), 0);
-        assert_eq!(at(128), 2);
-        assert_eq!(at(4096), 2);
-        assert_eq!(at(8192), 3);
-    }
-
-    #[test]
-    fn prometheus_text_exposes_histogram_and_quantiles() {
-        let m = Metrics::new();
-        m.submitted.fetch_add(4, Ordering::Relaxed);
-        m.completed.fetch_add(3, Ordering::Relaxed);
+    fn snapshot_and_exposition_read_the_same_latency_histogram() {
+        let registry = MetricsRegistry::new();
+        let m = Metrics::new(&registry);
         for _ in 0..3 {
-            m.latency.record(Duration::from_micros(100));
+            m.latency.observe_duration_us(Duration::from_micros(100)); // le 128
         }
-        m.record_batch(3);
-        let text = m.snapshot(CacheStats::default()).prometheus_text();
-        assert!(text.contains("# TYPE tssa_requests_submitted_total counter"));
-        assert!(text.contains("tssa_requests_submitted_total 4"));
+        let s = read(&m, CacheStats::default());
+        assert_eq!((s.p50_us, s.p99_us), (128, 128));
+        assert_eq!((s.latency_sum_us, s.latency_count), (300, 3));
+        assert_eq!(s.latency_buckets.last(), Some(&(128, 3)));
+        let text = registry.prometheus_text();
         assert!(text.contains("# TYPE tssa_request_latency_us histogram"));
         assert!(text.contains("tssa_request_latency_us_bucket{le=\"128\"} 3"));
         assert!(text.contains("tssa_request_latency_us_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("tssa_request_latency_us_sum 300"));
-        assert!(text.contains("tssa_request_latency_us_count 3"));
-        assert!(text.contains("# TYPE tssa_request_latency_quantiles_us summary"));
-        assert!(text.contains("tssa_request_latency_quantiles_us{quantile=\"0.5\"} 128"));
-        assert!(text.contains("tssa_request_latency_quantiles_us{quantile=\"0.99\"} 128"));
-    }
-
-    #[test]
-    fn register_into_bridges_and_rebridges() {
-        let m = Metrics::new();
-        m.submitted.fetch_add(4, Ordering::Relaxed);
-        m.completed.fetch_add(3, Ordering::Relaxed);
-        for _ in 0..3 {
-            m.latency.record(Duration::from_micros(100));
-        }
-        let registry = tssa_obs::MetricsRegistry::new();
-        m.snapshot(CacheStats::default()).register_into(&registry);
-        let text = registry.prometheus_text();
-        assert!(text.contains("tssa_requests_submitted_total 4"));
-        assert!(text.contains("tssa_request_latency_us_bucket{le=\"128\"} 3"));
-        assert!(text.contains("tssa_request_latency_us_count 3"));
-        // A newer snapshot overwrites the bridged values in place.
-        m.completed.fetch_add(2, Ordering::Relaxed);
-        m.snapshot(CacheStats::default()).register_into(&registry);
-        let text = registry.prometheus_text();
-        assert!(text.contains("tssa_requests_completed_total 5"));
-        assert!(!text.contains("tssa_requests_completed_total 3"));
     }
 
     #[test]
     fn resolved_sums_terminal_outcomes() {
-        let m = Metrics::new();
-        m.completed.fetch_add(3, Ordering::Relaxed);
-        m.shed_queue_full.fetch_add(2, Ordering::Relaxed);
-        m.timeouts.fetch_add(1, Ordering::Relaxed);
-        let s = m.snapshot(CacheStats::default());
-        assert_eq!(s.resolved(), 6);
+        let m = Metrics::new(&MetricsRegistry::new());
+        m.completed.add(3);
+        m.shed_queue_full.add(2);
+        m.timeouts.inc();
+        assert_eq!(read(&m, CacheStats::default()).resolved(), 6);
     }
 
     #[test]
     fn fault_and_recovery_counters_are_exported() {
-        let m = Metrics::new();
-        m.retries.fetch_add(2, Ordering::Relaxed);
-        m.requeues.fetch_add(1, Ordering::Relaxed);
-        m.worker_respawns.fetch_add(1, Ordering::Relaxed);
-        m.degraded_requests.fetch_add(5, Ordering::Relaxed);
-        m.faults_injected.fetch_add(3, Ordering::Relaxed);
+        let registry = MetricsRegistry::new();
+        let m = Metrics::new(&registry);
+        m.retries.add(2);
+        m.requeues.inc();
+        m.worker_respawns.inc();
+        m.degraded_requests.add(5);
+        (0..3).for_each(|_| m.note_fault());
         let cache = CacheStats {
             poisoned: 2,
             ..CacheStats::default()
         };
-        let s = m.snapshot(cache);
+        let s = read(&m, cache);
         // Cache-site poison fires fold into the single fault counter.
         assert_eq!(s.faults_injected, 5);
-        let text = s.prometheus_text();
+        let text = registry.prometheus_text();
         for needle in [
             "tssa_retries_total 2",
             "tssa_batch_requeues_total 1",

@@ -49,7 +49,7 @@
 //! default), every hook is a branch on a `None`.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -113,12 +113,13 @@ pub struct ServeConfig {
     pub degrade_adaptive: Option<AdaptiveDegrade>,
     /// How long degraded mode holds before re-evaluating (hysteresis).
     pub degrade_cooldown: Duration,
-    /// Registry the service records first-class metrics into: queue-wait
-    /// and per-plan batch-occupancy histograms, plus the bridged
-    /// [`MetricsSnapshot`] when [`Service::prometheus`] renders. Defaults
-    /// to a fresh registry per service (isolated tests); production
-    /// binaries typically pass `MetricsRegistry::global().clone()` so one
-    /// scrape covers the whole process.
+    /// Registry holding every metric the service records — request and
+    /// recovery counters, latency, queue-wait and per-plan batch-occupancy
+    /// histograms; [`MetricsSnapshot`] is a typed read of it. Defaults to a
+    /// fresh registry per service (isolated tests); production binaries
+    /// typically pass `MetricsRegistry::global().clone()` so one scrape
+    /// covers the whole process. Services sharing a registry share its
+    /// series.
     pub registry: MetricsRegistry,
     /// Deterministic fault-injection schedule. Disabled by default; every
     /// injection site is a cheap `None` check when off.
@@ -129,15 +130,6 @@ pub struct ServeConfig {
     /// asynchronously. `None` (the default) keeps the service fully
     /// in-memory.
     pub plan_store: Option<Arc<PlanStore>>,
-    /// Bucketed specialization threshold: when a concrete shape bucket
-    /// inside a shape class accumulates this many hits, the service
-    /// compiles a dedicated plan for it (the generic class plan stays as
-    /// fallback). `None` (the default) disables re-specialization, so a
-    /// class is served by exactly one plan forever.
-    pub specialize_after: Option<u64>,
-    /// Cap on dedicated specializations retained per shape class; the
-    /// least-hit specialization is evicted to admit a hotter one.
-    pub max_specializations: usize,
     /// Op-level execution profiler. When set, each worker records per-op
     /// self-time into its own [`tssa_obs::ProfileSink`] (subject to the
     /// profiler's sampling decision per batch) and
@@ -165,8 +157,6 @@ impl Default for ServeConfig {
             registry: MetricsRegistry::new(),
             faults: Faults::disabled(),
             plan_store: None,
-            specialize_after: None,
-            max_specializations: 4,
             profiler: None,
         }
     }
@@ -212,16 +202,12 @@ with_field! {
     with_adaptive_degrade: degrade_adaptive, Option<AdaptiveDegrade>;
     /// Set the degraded-mode hysteresis window.
     with_degrade_cooldown: degrade_cooldown, Duration;
-    /// Record queue-wait/occupancy histograms and bridged metrics here.
+    /// Record the service's metrics into this registry.
     with_registry: registry, MetricsRegistry;
     /// Install a fault-injection schedule.
     with_faults: faults, Faults;
     /// Back model loads with a persistent plan store (warm restarts).
     with_plan_store: plan_store, Option<Arc<PlanStore>>;
-    /// Re-specialize a shape bucket after this many hits.
-    with_specialize_after: specialize_after, Option<u64>;
-    /// Cap dedicated specializations retained per shape class.
-    with_max_specializations: max_specializations, usize;
     /// Record per-op execution self-time into this profiler.
     with_profiler: profiler, Option<Profiler>;
 }
@@ -242,7 +228,7 @@ pub struct ModelHandle {
     degraded: Option<Arc<CompiledProgram>>,
     /// Shape-class entry this handle is admitted under, when the plan's
     /// certified signature proved shape-polymorphic. Carries the per-bucket
-    /// hit census and any re-specialized plans.
+    /// hit census.
     class: Option<Arc<ClassEntry>>,
 }
 
@@ -370,21 +356,13 @@ impl ModelLoader<'_> {
     /// arity disagrees with the example inputs; [`ServeError::Frontend`]
     /// when the source does not compile; [`ServeError::Timeout`] past a
     /// configured deadline.
-    pub fn load(self) -> Result<ModelHandle, ServeError> {
-        let Some(spec) = self.spec else {
+    pub fn load(mut self) -> Result<ModelHandle, ServeError> {
+        let Some(spec) = self.spec.take() else {
             return Err(ServeError::invalid(
                 "ModelLoader needs a batching contract: call .batch(spec) before .load()",
             ));
         };
-        self.service.load_inner(
-            self.name.as_deref(),
-            &self.source,
-            self.pipeline,
-            &self.example_inputs,
-            spec,
-            self.deadline,
-            self.warm_from_disk,
-        )
+        self.service.load_inner(&self, spec)
     }
 }
 
@@ -431,7 +409,6 @@ impl Ticket {
     /// [`ServeError::Timeout`] even if a worker is still executing the
     /// request (its eventual result is discarded).
     pub fn wait(self) -> Result<Response, ServeError> {
-        use std::sync::atomic::Ordering::Relaxed;
         let mut guard = self.shared.slot.lock();
         loop {
             match std::mem::replace(&mut *guard, Slot::Pending) {
@@ -451,7 +428,7 @@ impl Ticket {
                     if now >= at {
                         *guard = Slot::TimedOut;
                         drop(guard);
-                        self.shared.metrics.timeouts.fetch_add(1, Relaxed);
+                        self.shared.metrics.timeouts.inc();
                         return Err(ServeError::Timeout {
                             waited: self.shared.submitted.elapsed(),
                         });
@@ -521,7 +498,6 @@ impl Completer {
     /// when the waiter actually receives it; results discarded against a
     /// timed-out ticket leave the metrics to the timeout counter.
     fn complete(mut self, result: Result<Response, ServeError>) -> Delivery {
-        use std::sync::atomic::Ordering::Relaxed;
         let latency = self.shared.submitted.elapsed();
         let outcome = match &result {
             Ok(_) => 0u8,
@@ -532,17 +508,17 @@ impl Completer {
         let metrics = Arc::clone(&self.metrics);
         self.deliver(result, || match outcome {
             0 => {
-                metrics.completed.fetch_add(1, Relaxed);
-                metrics.latency.record(latency);
+                metrics.completed.inc();
+                metrics.latency.observe_duration_us(latency);
             }
             1 => {
-                metrics.shed_deadline.fetch_add(1, Relaxed);
+                metrics.shed_deadline.inc();
             }
             2 => {
-                metrics.exec_failures.fetch_add(1, Relaxed);
+                metrics.exec_failures.inc();
             }
             _ => {
-                metrics.canceled.fetch_add(1, Relaxed);
+                metrics.canceled.inc();
             }
         })
     }
@@ -580,9 +556,7 @@ impl Drop for Completer {
         if !self.done {
             let metrics = Arc::clone(&self.metrics);
             self.deliver(Err(ServeError::Canceled), || {
-                metrics
-                    .canceled
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                metrics.canceled.inc();
             });
         }
     }
@@ -690,10 +664,7 @@ const STOP_POLL: Duration = Duration::from_millis(2);
 
 /// Workers whose retire flag is unset.
 fn active_workers(pool: &Mutex<Vec<Arc<WorkerShared>>>) -> usize {
-    pool.lock()
-        .iter()
-        .filter(|s| !s.stop.load(std::sync::atomic::Ordering::Relaxed))
-        .count()
+    pool.lock().iter().filter(|s| !s.stop.load(Relaxed)).count()
 }
 
 /// Sends a crash event if the worker thread unwinds; disarmed on clean exit.
@@ -794,7 +765,7 @@ pub struct PoolReport {
 
 /// The multi-threaded inference service. See the module docs for the
 /// data path; construct with [`Service::new`], load models with
-/// [`Service::load`], submit with [`Service::submit`], and finish with
+/// [`Service::loader`], submit with [`Service::submit`], and finish with
 /// [`Service::shutdown`] (or just drop it — the pool joins either way).
 pub struct Service {
     cache: Arc<PlanCache>,
@@ -807,11 +778,6 @@ pub struct Service {
     default_deadline: Option<Duration>,
     timeout_grace: Duration,
     degrade_enabled: bool,
-    /// Bucket hit count past which a concrete shape earns a dedicated
-    /// plan; `None` disables re-specialization.
-    specialize_after: Option<u64>,
-    /// Dedicated specializations retained per shape class.
-    max_specializations: usize,
     /// Set by the dispatcher whenever its degrade controller re-evaluates;
     /// read by [`Service::is_degraded`] (readiness probes).
     degraded: Arc<AtomicBool>,
@@ -841,7 +807,7 @@ impl Service {
             config.cache_capacity,
             config.faults.clone(),
         ));
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::new(&config.registry));
         let (admit_tx, admit_rx) = channel::bounded::<Request>(config.queue_depth.max(1));
         let (batch_tx, batch_rx) = channel::bounded::<Batch>(config.queue_depth.max(1));
         let (events_tx, events_rx) = channel::unbounded::<WorkerEvent>();
@@ -937,8 +903,6 @@ impl Service {
             default_deadline: config.default_deadline,
             timeout_grace: config.timeout_grace,
             degrade_enabled,
-            specialize_after: config.specialize_after,
-            max_specializations: config.max_specializations.max(1),
             profiler: config.profiler,
             degraded,
             admit_tx: Some(admit_tx),
@@ -976,18 +940,13 @@ impl Service {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn load_inner(
         &self,
-        name: Option<&str>,
-        source: &str,
-        pipeline: PipelineKind,
-        example_inputs: &[RtValue],
+        req: &ModelLoader<'_>,
         spec: BatchSpec,
-        deadline: Option<Duration>,
-        warm_from_disk: bool,
     ) -> Result<ModelHandle, ServeError> {
-        use std::sync::atomic::Ordering::Relaxed;
+        let (source, pipeline) = (req.source.as_str(), req.pipeline);
+        let example_inputs = req.example_inputs.as_slice();
         if spec.args.len() != example_inputs.len() {
             return Err(ServeError::invalid(format!(
                 "batch spec covers {} arguments, model takes {}",
@@ -998,24 +957,28 @@ impl Service {
         let started = Instant::now();
         let args_sig = signature_of(example_inputs);
         let coarse = coarse_class_hash(source, pipeline, &args_sig);
+        let mut span = self.tracer.root("request:load", "serve");
         // Class fast path: a resident shape class whose certified signature
         // admits this concrete signature serves the load without touching
-        // the concrete-key machinery — any admitted batch size is a hit
-        // against the one class plan.
+        // the concrete-key machinery — no compile, no disk, no concrete-key
+        // slot: any admitted batch size is a hit against the one class plan.
         if let Some(entry) = self.cache.lookup_class(coarse, &args_sig) {
-            return self.load_from_class(
-                &entry,
-                name,
-                source,
-                pipeline,
-                example_inputs,
-                spec,
-                deadline,
-                started,
-            );
+            if span.enabled() {
+                span.counter("cache_hit", 1);
+                span.mark("class_hit");
+            }
+            let plan = Arc::clone(entry.plan());
+            // Reuse the class's spec allocation when the caller's contract
+            // is identical (the common case: every load of a model passes
+            // the same spec).
+            let spec = if **entry.spec() == spec {
+                Arc::clone(entry.spec())
+            } else {
+                Arc::new(spec)
+            };
+            return self.finish_load(req, span, started, plan, spec, Some(entry));
         }
         let key = PlanKey::new(source, pipeline, example_inputs);
-        let mut span = self.tracer.root("request:load", "serve");
         let scope = span.scope();
         let before = self.cache.stats();
         let stalled = std::cell::Cell::new(false);
@@ -1033,11 +996,11 @@ impl Service {
             // into the typed `ServeError::CompilePanic` and wakes any
             // single-flight followers to retry.
             if self.faults.fire(FaultKind::CompilePanic).is_some() {
-                self.metrics.faults_injected.fetch_add(1, Relaxed);
+                self.metrics.note_fault();
                 std::panic::panic_any(INJECTED_COMPILE_PANIC);
             }
             if let Some(FaultAction::Stall(pause)) = self.faults.fire(FaultKind::CompileStall) {
-                self.metrics.faults_injected.fetch_add(1, Relaxed);
+                self.metrics.note_fault();
                 stalled.set(true);
                 std::thread::sleep(pause);
             }
@@ -1047,7 +1010,7 @@ impl Service {
             if let Some(s) = store {
                 let (content_hash, roster_fp) = (key.content_hash(), pipeline.roster_fingerprint());
                 store_key.set(Some((content_hash, roster_fp)));
-                if warm_from_disk {
+                if req.warm_from_disk {
                     // Class-aware probe: the exact entry first, then any
                     // same-coarse entry on disk whose certified signature
                     // admits this concrete signature — a warm restart at a
@@ -1106,15 +1069,14 @@ impl Service {
             .map(|class| {
                 let entry = ClassEntry::new(
                     class,
-                    source,
                     Arc::clone(&plan),
                     Arc::clone(&spec),
                     key.content_hash(),
                     pipeline.roster_fingerprint(),
                 );
-                // Warm restarts rebuild bucket heat from the persisted
-                // census; the deriving example is a resident bucket from
-                // birth (at zero hits) so persistence starts complete.
+                // Warm restarts rebuild the census from the persisted one;
+                // the deriving example is a resident bucket from birth (at
+                // zero hits) so persistence starts complete.
                 entry.seed_census(&disk_census.borrow());
                 entry.touch_bucket(&bucket_label_of(&args_sig), 0);
                 entry.note_origin(key.clone());
@@ -1136,22 +1098,46 @@ impl Service {
                 store.save_async_with(content_hash, roster_fp, Arc::clone(&plan), meta);
             }
         }
-        // Compile the degraded twin alongside the primary when degradation
-        // is on, so the dispatcher can switch plans without a compile on the
-        // hot path.
-        let degraded = if self.degrade_enabled && pipeline != PipelineKind::Degraded {
-            let dkey = PlanKey::new(source, PipelineKind::Degraded, example_inputs);
-            Some(self.cache.get_or_compile(&dkey, || {
-                let graph = tssa_frontend::compile(source)?;
-                Ok(PipelineKind::Degraded.compile_traced(&graph, &scope))
-            })?)
+        self.finish_load(req, span, started, plan, spec, class)
+    }
+
+    /// The tail every load shares once its plan is in hand: acquire the
+    /// degraded twin, enforce the compile budget, publish the plan's
+    /// polymorphism gauge and build the handle.
+    fn finish_load(
+        &self,
+        req: &ModelLoader<'_>,
+        mut span: Span,
+        started: Instant,
+        plan: Arc<CompiledProgram>,
+        spec: Arc<BatchSpec>,
+        class: Option<Arc<ClassEntry>>,
+    ) -> Result<ModelHandle, ServeError> {
+        // The degraded twin is provisioned at load time when degradation is
+        // on, so the dispatcher can switch plans without a compile on the
+        // hot path; a class keeps it so later loads into the class reuse it.
+        let degraded = if self.degrade_enabled && req.pipeline != PipelineKind::Degraded {
+            let resident = class.as_ref().and_then(|entry| entry.degraded());
+            Some(match resident {
+                Some(twin) => twin,
+                None => {
+                    let dkey =
+                        PlanKey::new(&req.source, PipelineKind::Degraded, &req.example_inputs);
+                    let scope = span.scope();
+                    let twin = self.cache.get_or_compile(&dkey, || {
+                        let graph = tssa_frontend::compile(&req.source)?;
+                        Ok(PipelineKind::Degraded.compile_traced(&graph, &scope))
+                    })?;
+                    if let Some(entry) = class.as_ref() {
+                        entry.set_degraded(&twin);
+                    }
+                    twin
+                }
+            })
         } else {
             None
         };
-        if let (Some(entry), Some(d)) = (class.as_ref(), degraded.as_ref()) {
-            entry.set_degraded(d);
-        }
-        if let Some(limit) = deadline {
+        if let Some(limit) = req.deadline {
             let waited = started.elapsed();
             if waited > limit {
                 // Reported synchronously to the caller, so not counted in
@@ -1163,7 +1149,7 @@ impl Service {
             }
         }
         span.finish();
-        let label = model_label(name, pipeline, source);
+        let label = model_label(req.name.as_deref(), req.pipeline, &req.source);
         if let Some(sig) = plan.signature.as_ref() {
             self.registry
                 .gauge(
@@ -1182,79 +1168,6 @@ impl Service {
         })
     }
 
-    /// Serve a load from a resident [`ClassEntry`]: no compile, no disk, no
-    /// concrete-key slot — the class plan is the plan.
-    #[allow(clippy::too_many_arguments)]
-    fn load_from_class(
-        &self,
-        entry: &Arc<ClassEntry>,
-        name: Option<&str>,
-        source: &str,
-        pipeline: PipelineKind,
-        example_inputs: &[RtValue],
-        spec: BatchSpec,
-        deadline: Option<Duration>,
-        started: Instant,
-    ) -> Result<ModelHandle, ServeError> {
-        let mut span = self.tracer.root("request:load", "serve");
-        let scope = span.scope();
-        if span.enabled() {
-            span.counter("cache_hit", 1);
-            span.mark("class_hit");
-        }
-        let plan = Arc::clone(entry.plan());
-        // Reuse the class's spec allocation when the caller's contract is
-        // identical (the common case: every load of a model passes the same
-        // spec).
-        let spec = if **entry.spec() == spec {
-            Arc::clone(entry.spec())
-        } else {
-            Arc::new(spec)
-        };
-        let degraded = if self.degrade_enabled && pipeline != PipelineKind::Degraded {
-            match entry.degraded() {
-                Some(d) => Some(d),
-                None => {
-                    let dkey = PlanKey::new(source, PipelineKind::Degraded, example_inputs);
-                    let d = self.cache.get_or_compile(&dkey, || {
-                        let graph = tssa_frontend::compile(source)?;
-                        Ok(PipelineKind::Degraded.compile_traced(&graph, &scope))
-                    })?;
-                    entry.set_degraded(&d);
-                    Some(d)
-                }
-            }
-        } else {
-            None
-        };
-        if let Some(limit) = deadline {
-            let waited = started.elapsed();
-            if waited > limit {
-                span.mark("timed_out");
-                span.finish();
-                return Err(ServeError::Timeout { waited });
-            }
-        }
-        span.finish();
-        let label = model_label(name, pipeline, source);
-        if let Some(sig) = plan.signature.as_ref() {
-            self.registry
-                .gauge(
-                    "tssa_plan_polymorphic_dims",
-                    "Input dims the shape certifier proved batch-polymorphic, by plan",
-                    &[("plan", &label)],
-                )
-                .set(sig.polymorphic_dims() as f64);
-        }
-        Ok(ModelHandle {
-            plan,
-            spec,
-            label,
-            degraded,
-            class: Some(Arc::clone(entry)),
-        })
-    }
-
     /// Queue an asynchronous re-save of a class entry (refreshed census)
     /// when a persistent store is configured.
     fn persist_class(&self, entry: &ClassEntry) {
@@ -1269,39 +1182,6 @@ impl Service {
                     census: entry.census(),
                 },
             );
-        }
-    }
-
-    /// Compile a dedicated plan for a hot concrete bucket of `entry` and
-    /// install it, keeping the generic class plan as fallback for every
-    /// other shape. Compile failures leave the bucket on the generic plan.
-    fn specialize_bucket(&self, entry: &Arc<ClassEntry>, bucket: &str, inputs: &[RtValue]) {
-        let pipeline = entry.key().pipeline;
-        let key = PlanKey::new(entry.source(), pipeline, inputs);
-        entry.note_origin(key.clone());
-        let mut span = self.tracer.root("request:specialize", "serve");
-        let scope = span.scope();
-        let compiled = self.cache.get_or_compile(&key, || {
-            let graph = tssa_frontend::compile(entry.source())?;
-            let mut plan = pipeline.compile_traced(&graph, &scope);
-            let ranks: Vec<Option<usize>> = inputs
-                .iter()
-                .map(|v| match v {
-                    RtValue::Tensor(t) => Some(t.rank()),
-                    _ => None,
-                })
-                .collect();
-            plan.signature = Some(tssa_lint::certify_shapes(&plan.graph, &ranks));
-            Ok(plan)
-        });
-        if span.enabled() {
-            span.counter("installed", i64::from(compiled.is_ok()));
-        }
-        span.finish();
-        if let Ok(plan) = compiled {
-            if entry.install_specialization(bucket, plan, self.max_specializations) {
-                self.cache.note_specialization();
-            }
         }
     }
 
@@ -1331,16 +1211,15 @@ impl Service {
         inputs: Vec<RtValue>,
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        use std::sync::atomic::Ordering::Relaxed;
         let rows = model.spec.rows(&inputs)?;
-        self.metrics.submitted.fetch_add(1, Relaxed);
+        self.metrics.submitted.inc();
         let Some(tx) = self.admit_tx.as_ref() else {
             return Err(ServeError::ShuttingDown);
         };
         // Injected admission pressure: shed as if the queue were full.
         if self.faults.fire(FaultKind::QueueFullBurst).is_some() {
-            self.metrics.faults_injected.fetch_add(1, Relaxed);
-            self.metrics.shed_queue_full.fetch_add(1, Relaxed);
+            self.metrics.note_fault();
+            self.metrics.shed_queue_full.inc();
             if self.tracer.enabled() {
                 let mut span = self.tracer.root("request", "serve");
                 span.mark("fault:queue_full_burst");
@@ -1357,34 +1236,10 @@ impl Service {
             now.checked_add(d)
                 .and_then(|at| at.checked_add(self.timeout_grace))
         });
-        // Shape-class bookkeeping: bump the bucket census, export the
-        // per-bucket hit counter, re-persist the class when a never-seen
-        // bucket appears, and re-specialize a bucket that crossed the
-        // configured heat threshold (the generic plan stays as fallback —
-        // and keeps serving every other shape in the class).
-        let mut plan = Arc::clone(&model.plan);
-        if let Some(entry) = model.class.as_ref() {
-            let bucket = bucket_label(&inputs);
-            let (hits, is_new) = entry.touch_bucket(&bucket, 1);
-            self.registry
-                .counter(
-                    "tssa_plan_class_hits_total",
-                    "Requests served by a shape-class plan, by concrete shape bucket",
-                    &[("plan", &model.label), ("bucket", &bucket)],
-                )
-                .inc();
-            if is_new {
-                self.persist_class(entry);
-            }
-            if let Some(threshold) = self.specialize_after {
-                if hits >= threshold && entry.specialized_for(&bucket).is_none() {
-                    self.specialize_bucket(entry, &bucket, &inputs);
-                }
-            }
-            if let Some(dedicated) = entry.specialized_for(&bucket) {
-                plan = dedicated;
-            }
-        }
+        let class_bucket = model
+            .class
+            .as_ref()
+            .map(|entry| (entry, bucket_label(&inputs)));
         let (ticket, completer) = Completer::new(Arc::clone(&self.metrics), now, timeout_at);
         let (span, queue_span) = if self.tracer.enabled() {
             let mut span = self.tracer.root("request", "serve");
@@ -1395,7 +1250,7 @@ impl Service {
             (None, None)
         };
         let request = Request {
-            plan,
+            plan: Arc::clone(&model.plan),
             spec: Arc::clone(&model.spec),
             plan_label: Arc::clone(&model.label),
             inputs,
@@ -1409,9 +1264,27 @@ impl Service {
             degrade: false,
         };
         match tx.try_send(request) {
-            Ok(()) => Ok(ticket),
+            Ok(()) => {
+                // Shape-class bookkeeping, only once the request is admitted
+                // (a shed request is not served): bump the bucket census,
+                // export the per-bucket hit counter, and re-persist the
+                // class when a never-seen bucket appears.
+                if let Some((entry, bucket)) = class_bucket {
+                    self.registry
+                        .counter(
+                            "tssa_plan_class_hits_total",
+                            "Requests served by a shape-class plan, by concrete shape bucket",
+                            &[("plan", &model.label), ("bucket", &bucket)],
+                        )
+                        .inc();
+                    if entry.touch_bucket(&bucket, 1) {
+                        self.persist_class(entry);
+                    }
+                }
+                Ok(ticket)
+            }
             Err(TrySendError::Full(mut request)) => {
-                self.metrics.shed_queue_full.fetch_add(1, Relaxed);
+                self.metrics.shed_queue_full.inc();
                 if let Some(s) = request.span.as_mut() {
                     s.mark("shed_queue_full");
                 }
@@ -1442,7 +1315,6 @@ impl Service {
         inputs: Vec<RtValue>,
         policy: &RetryPolicy,
     ) -> Result<Response, ServeError> {
-        use std::sync::atomic::Ordering::Relaxed;
         let mut span = if self.tracer.enabled() {
             Some(self.tracer.root("request:retry", "serve"))
         } else {
@@ -1458,7 +1330,7 @@ impl Service {
                 Ok(response) => break Ok(response),
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
                     attempt += 1;
-                    self.metrics.retries.fetch_add(1, Relaxed);
+                    self.metrics.retries.inc();
                     if let Some(s) = span.as_mut() {
                         s.mark("retry");
                     }
@@ -1507,7 +1379,7 @@ impl Service {
     /// `Degraded` plans preferred). Readiness probes report not-ready while
     /// this holds; always `false` when degradation is not configured.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(std::sync::atomic::Ordering::Relaxed)
+        self.degraded.load(Relaxed)
     }
 
     /// The shared plan cache (exposed for cache-centric tests and tools).
@@ -1515,14 +1387,16 @@ impl Service {
         &self.cache
     }
 
-    /// Current metrics.
+    /// Current metrics: a typed read of the registry's series plus the
+    /// plan cache's and plan store's counters, which this read also writes
+    /// through to the registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         let disk = self
             .plan_store
             .as_ref()
             .map(|s| s.stats())
             .unwrap_or_default();
-        self.metrics.snapshot_with_disk(self.cache.stats(), disk)
+        self.metrics.snapshot(self.cache.stats(), disk)
     }
 
     /// The persistent plan store backing warm restarts, when configured.
@@ -1530,20 +1404,19 @@ impl Service {
         self.plan_store.as_ref()
     }
 
-    /// The registry this service records first-class metrics into
-    /// (queue-wait and per-plan batch-occupancy histograms).
+    /// The registry this service records its metrics into.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
-    /// One consolidated Prometheus exposition: the current
-    /// [`MetricsSnapshot`] is bridged into the service's registry
-    /// ([`MetricsSnapshot::register_into`]) and the whole registry —
-    /// snapshot counters, queue-wait and per-plan occupancy histograms, and
-    /// anything else sharing the registry (e.g. `PassManager` pass timings)
-    /// — renders as one document.
+    /// One consolidated Prometheus exposition of the service's registry:
+    /// request, recovery and cache counters, latency, queue-wait and
+    /// per-plan occupancy histograms, and anything else sharing the registry
+    /// (e.g. `PassManager` pass timings). Reads [`Service::metrics`] first so
+    /// the values the registry does not own are current.
     pub fn prometheus(&self) -> String {
-        self.metrics().register_into(&self.registry);
+        // Read for its write-through, not its value.
+        self.metrics();
         if let Some(profiler) = &self.profiler {
             profiler.snapshot().register_into(&self.registry);
         }
@@ -1622,7 +1495,6 @@ struct DispatcherCtx {
 }
 
 fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx) {
-    use std::sync::atomic::Ordering::Relaxed;
     let DispatcherCtx {
         max_batch,
         max_wait,
@@ -1701,7 +1573,7 @@ fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx)
                     if on {
                         let mut request = request;
                         request.degrade = true;
-                        metrics.degraded_requests.fetch_add(1, Relaxed);
+                        metrics.degraded_requests.inc();
                         if let Some(s) = request.span.as_mut() {
                             s.mark("degraded");
                         }
@@ -1787,7 +1659,7 @@ fn spawn_worker(ctx: WorkerCtx) -> JoinHandle<()> {
         loop {
             // Retire check between batches only — never mid-batch, so a
             // shrink drains accepted work instead of dropping it.
-            if ctx.shared.stop.load(std::sync::atomic::Ordering::Relaxed) {
+            if ctx.shared.stop.load(Relaxed) {
                 break;
             }
             match ctx.rx.recv_timeout(STOP_POLL) {
@@ -1818,7 +1690,6 @@ type Staged = (
 );
 
 fn process_in_flight(ctx: &WorkerCtx) {
-    use std::sync::atomic::Ordering::Relaxed;
     let now = Instant::now();
 
     // Phase 1 — under the slot lock: expire stale requests and snapshot
@@ -1905,14 +1776,14 @@ fn process_in_flight(ctx: &WorkerCtx) {
     // land here: a slow execution delays the batch; a worker panic unwinds
     // this frame (recording the batch spans) and trips the crash guard.
     if let Some(FaultAction::Stall(pause)) = ctx.faults.fire(FaultKind::SlowExec) {
-        ctx.metrics.faults_injected.fetch_add(1, Relaxed);
+        ctx.metrics.note_fault();
         for span in batch_spans.iter_mut().flatten() {
             span.mark("fault:slow_exec");
         }
         std::thread::sleep(pause);
     }
     if let Some(FaultAction::Panic) = ctx.faults.fire(FaultKind::WorkerPanic) {
-        ctx.metrics.faults_injected.fetch_add(1, Relaxed);
+        ctx.metrics.note_fault();
         for span in batch_spans.iter_mut().flatten() {
             span.mark("fault:worker_panic");
         }
@@ -2015,7 +1886,6 @@ struct SupervisorCtx {
 }
 
 fn supervisor_loop(mut ctx: SupervisorCtx) {
-    use std::sync::atomic::Ordering::Relaxed;
     // Runs until a Shutdown event or the last event sender drops.
     loop {
         match ctx.events_rx.recv() {
@@ -2033,7 +1903,7 @@ fn supervisor_loop(mut ctx: SupervisorCtx) {
                         }
                     } else {
                         batch.requeued = true;
-                        ctx.metrics.requeues.fetch_add(1, Relaxed);
+                        ctx.metrics.requeues.inc();
                         for request in batch.requests.iter_mut() {
                             if let Some(s) = request.span.as_mut() {
                                 s.mark("requeued");
@@ -2064,7 +1934,7 @@ fn supervisor_loop(mut ctx: SupervisorCtx) {
                 let replacement = spawn_worker(new_ctx);
                 let crashed = std::mem::replace(&mut ctx.handles[worker], replacement);
                 let _ = crashed.join();
-                ctx.metrics.worker_respawns.fetch_add(1, Relaxed);
+                ctx.metrics.worker_respawns.inc();
             }
             Ok(WorkerEvent::Grow) => {
                 let shared = Arc::new(WorkerShared::new());

@@ -1,7 +1,7 @@
-//! First-class metrics wiring: the service records queue-wait and per-plan
-//! batch-occupancy histograms into its [`MetricsRegistry`], and
-//! [`Service::prometheus`] renders them together with the bridged
-//! [`tssa_serve::MetricsSnapshot`] as one exposition.
+//! Metrics wiring: the service's [`MetricsRegistry`] is its only metrics
+//! store — request counters, latency, queue-wait and per-plan
+//! batch-occupancy histograms all record into it, and
+//! [`Service::prometheus`] renders it as one exposition.
 
 use std::time::Duration;
 
@@ -50,8 +50,7 @@ fn registry_collects_queue_wait_and_per_plan_occupancy() {
         "occupancy sums to the requests dispatched"
     );
 
-    // One consolidated exposition: registry series plus the bridged
-    // snapshot.
+    // One consolidated exposition.
     let text = service.prometheus();
     assert!(text.contains("tssa_queue_wait_us_bucket"));
     assert!(text.contains("tssa_batch_occupancy_bucket{plan=\"yolo-post\",le="));
@@ -62,12 +61,79 @@ fn registry_collects_queue_wait_and_per_plan_occupancy() {
     assert!(text.contains("tssa_request_latency_us_bucket"));
     assert!(service.registry().same_as(&registry));
 
-    // After shutdown every outcome counter is settled; re-bridging the
-    // final snapshot overwrites the earlier bridge with exact values.
+    // After shutdown every outcome counter is settled, and the registry —
+    // being the store — shows the exact values with no bridging step.
     let report = service.shutdown();
-    report.metrics.register_into(&registry);
+    assert_eq!(report.metrics.completed, SUBMITTED as u64);
     let text = registry.prometheus_text();
-    assert!(text.contains(&format!("tssa_requests_completed_total {SUBMITTED}")));
+    for series in [
+        format!("tssa_requests_submitted_total {SUBMITTED}"),
+        format!("tssa_requests_completed_total {SUBMITTED}"),
+        format!("tssa_request_latency_us_count {SUBMITTED}"),
+        format!("tssa_batches_total {}", report.metrics.batches),
+        "tssa_plan_cache_misses_total 1".to_string(),
+    ] {
+        assert!(text.contains(&series), "missing `{series}` in:\n{text}");
+    }
+}
+
+/// The exposition's family set, pinned: dashboards and `perf/alerts.toml`
+/// key on these names and kinds, so a family may only join or leave on
+/// purpose — by editing this list.
+#[test]
+fn exposition_family_set_is_pinned() {
+    const GOLDEN: &str = "\
+# TYPE tssa_batch_max gauge
+# TYPE tssa_batch_occupancy histogram
+# TYPE tssa_batch_occupancy_avg gauge
+# TYPE tssa_batch_requeues_total counter
+# TYPE tssa_batches_total counter
+# TYPE tssa_faults_injected_total counter
+# TYPE tssa_plan_cache_class_hits_total counter
+# TYPE tssa_plan_cache_coalesced_total counter
+# TYPE tssa_plan_cache_disk_corrupt_total counter
+# TYPE tssa_plan_cache_disk_hits_total counter
+# TYPE tssa_plan_cache_disk_misses_total counter
+# TYPE tssa_plan_cache_disk_stale_total counter
+# TYPE tssa_plan_cache_disk_writes_total counter
+# TYPE tssa_plan_cache_entries gauge
+# TYPE tssa_plan_cache_evictions_total counter
+# TYPE tssa_plan_cache_hits_total counter
+# TYPE tssa_plan_cache_misses_total counter
+# TYPE tssa_plan_class_entries gauge
+# TYPE tssa_plan_class_hits_total counter
+# TYPE tssa_plan_polymorphic_dims gauge
+# TYPE tssa_pool_workers gauge
+# TYPE tssa_queue_wait_us histogram
+# TYPE tssa_request_latency_us histogram
+# TYPE tssa_requests_canceled_total counter
+# TYPE tssa_requests_completed_total counter
+# TYPE tssa_requests_degraded_total counter
+# TYPE tssa_requests_exec_failures_total counter
+# TYPE tssa_requests_shed_deadline_total counter
+# TYPE tssa_requests_shed_queue_full_total counter
+# TYPE tssa_requests_submitted_total counter
+# TYPE tssa_requests_timeout_total counter
+# TYPE tssa_retries_total counter
+# TYPE tssa_throughput_rps gauge
+# TYPE tssa_worker_respawns_total counter
+";
+    let workload = Workload::by_name("yolov3").unwrap();
+    let service = Service::new(ServeConfig::default().with_workers(1));
+    let inputs = workload.inputs(2, 0, 3);
+    let model = service
+        .loader(workload.source)
+        .named("golden")
+        .pipeline(PipelineKind::TensorSsa)
+        .example(&inputs)
+        .batch(BatchSpec::stacked(1, 1))
+        .load()
+        .unwrap();
+    service.submit(&model, inputs).unwrap().wait().unwrap();
+    let text = service.prometheus();
+    let mut types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    types.sort_unstable();
+    assert_eq!(types.join("\n") + "\n", GOLDEN);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! ```
 
 use tensorssa::alias::AliasAnalysis;
-use tensorssa::core::passes::dce;
-use tensorssa::core::{convert_to_tensorssa, defunctionalize};
+use tensorssa::core::passes::Dce;
+use tensorssa::core::{convert_to_tensorssa, defunctionalize, Pass};
 use tensorssa::ir::{Graph, MutateKind, Op, Type, ViewKind};
 
 fn main() {
@@ -40,13 +40,13 @@ fn main() {
     );
 
     let stats = convert_to_tensorssa(&mut g);
-    dce(&mut g);
+    Dce.run(&mut g);
     println!("\n=== TensorSSA form ({stats:?}) ===\n{g}");
 
     // Round-trip: convert the immutable operators back to views/mutations
     // (§3.2 "flexibility").
     let defn = defunctionalize(&mut g);
-    dce(&mut g);
+    Dce.run(&mut g);
     println!("=== defunctionalized again ({defn:?}) ===\n{g}");
     g.verify().expect("still well-formed");
 }

@@ -75,13 +75,6 @@ step "shape-class recompile gate + perf/BENCH_9.json"
 # regenerated into the committed perf/BENCH_9.json.
 cargo run --release -q -p tssa-bench --bin serve_throughput -- shape-class --json perf/BENCH_9.json
 
-step "profiling-overhead gate + perf/BENCH_10.json"
-# Runs the same closed-loop load with the op-level profiler off and with
-# sampled (10%) profiling attached; fails if the profiled simulated
-# makespan exceeds 1.05x the unprofiled one. The simulated figures are
-# deterministic and are regenerated into the committed perf/BENCH_10.json.
-cargo run --release -q -p tssa-bench --bin serve_throughput -- profiling-overhead --json perf/BENCH_10.json
-
 step "tssa-profile: fusion-group hotness ranking (8 workloads)"
 # Profiles every workload under the TensorSSA pipeline and prints the
 # codegen work-list; fails unless attributed op self-time covers >= 90% of

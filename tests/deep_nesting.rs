@@ -3,8 +3,8 @@
 //! structures must version correctly all the way to the top block.
 
 use tensorssa::backend::{DeviceProfile, ExecConfig, Executor, RtValue};
-use tensorssa::core::convert_to_tensorssa;
-use tensorssa::core::passes::dce;
+use tensorssa::core::passes::Dce;
+use tensorssa::core::{convert_to_tensorssa, Pass};
 use tensorssa::frontend::compile;
 use tensorssa::ir::Op;
 use tensorssa::tensor::Tensor;
@@ -19,7 +19,7 @@ fn check(src: &str, inputs: &[RtValue]) {
     let mut converted = original.clone();
     let stats = convert_to_tensorssa(&mut converted);
     assert!(stats.mutations_removed > 0, "nothing converted for\n{src}");
-    dce(&mut converted);
+    Dce.run(&mut converted);
     converted
         .verify()
         .unwrap_or_else(|e| panic!("{e}\n{converted}"));

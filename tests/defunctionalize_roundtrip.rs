@@ -3,8 +3,8 @@
 //! preserve results on real workloads.
 
 use tensorssa::backend::{DeviceProfile, ExecConfig, Executor};
-use tensorssa::core::passes::dce;
-use tensorssa::core::{convert_to_tensorssa, defunctionalize};
+use tensorssa::core::passes::Dce;
+use tensorssa::core::{convert_to_tensorssa, defunctionalize, Pass};
 use tensorssa::workloads::all_workloads;
 
 #[test]
@@ -17,9 +17,9 @@ fn defunctionalized_workloads_match_eager() {
 
         let mut g = original.clone();
         convert_to_tensorssa(&mut g);
-        dce(&mut g);
+        Dce.run(&mut g);
         defunctionalize(&mut g);
-        dce(&mut g);
+        Dce.run(&mut g);
         g.verify()
             .unwrap_or_else(|e| panic!("{}: {e}\n{g}", w.name));
         let (roundtrip, _) = exec
@@ -44,7 +44,7 @@ fn tensorssa_form_contains_no_mutation_for_clean_workloads() {
     for w in all_workloads() {
         let mut g = w.graph().expect("workload compiles");
         convert_to_tensorssa(&mut g);
-        dce(&mut g);
+        Dce.run(&mut g);
         let leftover_mutations = g
             .nodes_recursive(g.top())
             .into_iter()
