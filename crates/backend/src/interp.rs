@@ -4,11 +4,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use tssa_ir::{BlockId, ConstValue, Graph, NodeId, Op, ValueId, ViewKind};
-use tssa_tensor::{concat, stack, where_select, DType, Scalar, Tensor};
+use tssa_ir::{BlockId, ConstValue, Graph, MutateKind, Node, NodeId, Op, ValueId, ViewKind};
+use tssa_tensor::{concat, stack, where_select, Scalar, Tensor};
 
 use crate::fused::run_group;
 use crate::observe::{OpObserver, TOP_LEVEL_GROUP};
+use crate::ops::{dtype_of, elementwise, view_layout, Elementwise};
 use crate::{ExecConfig, ExecError, ExecStats, RtValue};
 
 type Env = HashMap<ValueId, RtValue>;
@@ -298,7 +299,7 @@ impl Executor {
     ) -> Result<(), ExecError> {
         stats.ops_executed += 1;
         let node = g.node(n);
-        let arg = |i: usize| -> Result<RtValue, ExecError> { lookup(env, node.inputs[i]) };
+        let arg = |i: usize| operand(env, node, i);
         let tensor = |i: usize| -> Result<Tensor, ExecError> { Ok(arg(i)?.as_tensor()?.clone()) };
         let set = |env: &mut Env, i: usize, v: RtValue| {
             env.insert(node.outputs[i], v);
@@ -483,9 +484,8 @@ impl Executor {
             // --------------------------------------------- tensor queries
             Op::Size { dim } => {
                 self.host_scalar(stats);
-                let t = tensor(0)?;
-                let d = norm_dim(*dim, t.rank())?;
-                set(env, 0, RtValue::Int(t.shape()[d] as i64));
+                let size = tensor(0)?.size(*dim as isize)?;
+                set(env, 0, RtValue::Int(size as i64));
             }
             Op::ItemFloat | Op::ItemInt | Op::ItemBool => {
                 // Reading a device scalar forces a pipeline sync.
@@ -551,9 +551,7 @@ impl Executor {
             Op::View(kind) => {
                 // Metadata-only on device; dispatch cost on host.
                 stats.host_ns += self.cfg.host_dispatch_ns;
-                let base = tensor(0)?;
-                let extras = self.int_extras(env, &node.inputs[1..])?;
-                let v = apply_view(&base, kind, &extras)?;
+                let v = apply_view(&tensor(0)?, kind, |i| arg(i + 1)?.as_int())?;
                 set(env, 0, RtValue::Tensor(v));
             }
 
@@ -589,46 +587,13 @@ impl Executor {
             | Op::Le
             | Op::EqElem
             | Op::LogicalAnd
-            | Op::LogicalOr => {
-                let a = tensor(0)?;
-                let b = tensor(1)?;
-                let out = match node.op {
-                    Op::Add => a.add(&b)?,
-                    Op::Sub => a.sub(&b)?,
-                    Op::Mul => a.mul(&b)?,
-                    Op::Div => a.div(&b)?,
-                    Op::Maximum => a.maximum(&b)?,
-                    Op::Minimum => a.minimum(&b)?,
-                    Op::Pow => a.pow(&b)?,
-                    Op::Gt => a.gt(&b)?,
-                    Op::Lt => a.lt(&b)?,
-                    Op::Ge => a.ge(&b)?,
-                    Op::Le => a.le(&b)?,
-                    Op::EqElem => a.eq_elem(&b)?,
-                    Op::LogicalAnd => a.logical_and(&b)?,
-                    _ => a.logical_or(&b)?,
-                };
-                self.kernel(
-                    stats,
-                    t_bytes(&a) + t_bytes(&b) + t_bytes(&out),
-                    out.numel() as u64,
-                );
-                set(env, 0, RtValue::Tensor(out));
-            }
-            Op::AddScalar | Op::SubScalar | Op::MulScalar | Op::DivScalar | Op::PowScalar => {
-                let a = tensor(0)?;
-                let s = arg(1)?.as_float()? as f32;
-                let out = match node.op {
-                    Op::AddScalar => a.add_scalar(s),
-                    Op::SubScalar => a.sub_scalar(s),
-                    Op::MulScalar => a.mul_scalar(s),
-                    Op::DivScalar => a.div_scalar(s),
-                    _ => a.pow_scalar(s),
-                };
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), out.numel() as u64);
-                set(env, 0, RtValue::Tensor(out));
-            }
-            Op::Neg
+            | Op::LogicalOr
+            | Op::AddScalar
+            | Op::SubScalar
+            | Op::MulScalar
+            | Op::DivScalar
+            | Op::PowScalar
+            | Op::Neg
             | Op::Relu
             | Op::Sigmoid
             | Op::Tanh
@@ -636,36 +601,24 @@ impl Executor {
             | Op::Log
             | Op::Sqrt
             | Op::Abs
-            | Op::LogicalNot => {
+            | Op::LogicalNot
+            | Op::Clamp => {
                 let a = tensor(0)?;
-                let out = match node.op {
-                    Op::Neg => a.neg(),
-                    Op::Relu => a.relu(),
-                    Op::Sigmoid => a.sigmoid(),
-                    Op::Tanh => a.tanh(),
-                    Op::Exp => a.exp(),
-                    Op::Log => a.log(),
-                    Op::Sqrt => a.sqrt(),
-                    Op::Abs => a.abs(),
-                    _ => a.logical_not(),
+                let (out, bytes, unit) = match elementwise(&node.op, |i| float(&arg(i)?))? {
+                    Some(Elementwise::Binary(f)) => {
+                        let b = tensor(1)?;
+                        (a.binary(f, &b)?, t_bytes(&a) + t_bytes(&b), 1)
+                    }
+                    Some(Elementwise::Unary(f)) => {
+                        let unit = match node.op {
+                            Op::Sigmoid | Op::Tanh | Op::Exp | Op::Log | Op::Sqrt => 4,
+                            _ => 1,
+                        };
+                        (a.unary(f)?, t_bytes(&a), unit)
+                    }
+                    None => unreachable!("every operator of this arm is elementwise"),
                 };
-                let unit = match node.op {
-                    Op::Sigmoid | Op::Tanh | Op::Exp | Op::Log | Op::Sqrt => 4,
-                    _ => 1,
-                };
-                self.kernel(
-                    stats,
-                    t_bytes(&a) + t_bytes(&out),
-                    out.numel() as u64 * unit,
-                );
-                set(env, 0, RtValue::Tensor(out));
-            }
-            Op::Clamp => {
-                let a = tensor(0)?;
-                let lo = arg(1)?.as_float()? as f32;
-                let hi = arg(2)?.as_float()? as f32;
-                let out = a.clamp(lo, hi)?;
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), out.numel() as u64);
+                self.kernel(stats, bytes + t_bytes(&out), out.numel() as u64 * unit);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Softmax { dim } => {
@@ -767,12 +720,7 @@ impl Executor {
             }
             Op::Cast { dtype } => {
                 let a = tensor(0)?;
-                let dt = match dtype {
-                    tssa_ir::ScalarType::F32 => DType::F32,
-                    tssa_ir::ScalarType::I64 => DType::I64,
-                    tssa_ir::ScalarType::Bool => DType::Bool,
-                };
-                let out = a.cast(dt);
+                let out = a.cast(dtype_of(*dtype));
                 self.kernel(stats, t_bytes(&a) + t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
@@ -793,9 +741,7 @@ impl Executor {
             // -------------------------------------------------- TensorSSA
             Op::Access(kind) => {
                 // Standalone (unfused) access materializes a copy kernel.
-                let base = tensor(0)?;
-                let extras = self.int_extras(env, &node.inputs[1..])?;
-                let out = apply_view(&base, kind, &extras)?.clone_data();
+                let out = apply_view(&tensor(0)?, kind, |i| arg(i + 1)?.as_int())?.clone_data();
                 self.kernel(stats, 2 * t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
@@ -804,10 +750,8 @@ impl Executor {
                 // the cost fusion exists to eliminate.
                 let base = tensor(0)?;
                 let src = tensor(1)?;
-                let extras = self.int_extras(env, &node.inputs[2..])?;
                 let out = base.clone_data();
-                let view = apply_view(&out, kind, &extras)?;
-                view.copy_(&src)?;
+                apply_view(&out, kind, |i| arg(i + 2)?.as_int())?.copy_(&src)?;
                 self.kernel(stats, 2 * t_bytes(&base) + t_bytes(&src), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
@@ -844,10 +788,6 @@ impl Executor {
         Ok(())
     }
 
-    fn int_extras(&self, env: &Env, values: &[ValueId]) -> Result<Vec<i64>, ExecError> {
-        values.iter().map(|&v| lookup(env, v)?.as_int()).collect()
-    }
-
     /// Execute all iterations of a `prim::ParallelMap` as one batched
     /// kernel (optionally on multiple worker threads).
     fn eval_parallel_map(
@@ -860,8 +800,8 @@ impl Executor {
     ) -> Result<Tensor, ExecError> {
         let started = self.observer.as_ref().map(|_| Instant::now());
         let node = g.node(n);
-        let trip = lookup(env, node.inputs[0])?.as_int()?.max(0);
-        let init = lookup(env, node.inputs[1])?.as_tensor()?.clone();
+        let trip = operand(env, node, 0)?.as_int()?.max(0);
+        let init = operand(env, node, 1)?.as_tensor()?.clone();
         let out = init.clone_data();
         let body = node.blocks[0];
         let i_param = g.block(body).params[0];
@@ -889,8 +829,7 @@ impl Executor {
             for i in 0..trip {
                 let (slice, ns) = run_iter(i, env, &mut inner)?;
                 body_ns += ns;
-                out.select(norm_dim(dim, out.rank())? as isize, i as isize)?
-                    .copy_(&slice)?;
+                out.select(dim as isize, i as isize)?.copy_(&slice)?;
             }
         } else {
             let chunks: Vec<Vec<i64>> = (0..threads as i64)
@@ -926,8 +865,7 @@ impl Executor {
                 inner.merge(&acc);
                 body_ns += ns_sum;
                 for (i, slice) in slices {
-                    out.select(norm_dim(dim, out.rank())? as isize, i as isize)?
-                        .copy_(&slice)?;
+                    out.select(dim as isize, i as isize)?.copy_(&slice)?;
                 }
             }
         }
@@ -969,86 +907,51 @@ fn t_bytes(t: &Tensor) -> u64 {
     (t.numel() * t.dtype().size_bytes()) as u64
 }
 
-fn norm_dim(dim: i64, rank: usize) -> Result<usize, ExecError> {
-    let r = rank as i64;
-    let d = if dim < 0 { dim + r } else { dim };
-    if d < 0 || d >= r.max(1) {
-        return Err(ExecError::unsupported(format!(
-            "dimension {dim} out of range for rank {rank}"
-        )));
+/// The node's `i`-th operand; a node short of operands is an error, not an
+/// index past its input list.
+fn operand(env: &Env, node: &Node, i: usize) -> Result<RtValue, ExecError> {
+    match node.inputs.get(i) {
+        Some(&v) => lookup(env, v),
+        None => Err(ExecError::unsupported(format!(
+            "{} is missing operand {i}",
+            node.op.name()
+        ))),
     }
-    Ok(d as usize)
 }
 
-/// Apply an aliasing view described by `kind` + resolved integer extras.
-pub(crate) fn apply_view(
+fn float(v: &RtValue) -> Result<f32, ExecError> {
+    Ok(v.as_float()? as f32)
+}
+
+/// The aliasing view of `base` described by `kind`; `int(i)` reads the i-th
+/// extra operand.
+fn apply_view(
     base: &Tensor,
     kind: &ViewKind,
-    extras: &[i64],
+    int: impl Fn(usize) -> Result<i64, ExecError>,
 ) -> Result<Tensor, ExecError> {
-    Ok(match kind {
-        ViewKind::Select { dim } => base.select(*dim as isize, extras[0] as isize)?,
-        ViewKind::SliceView { dim } => {
-            let end = extras[1].min(isize::MAX as i64) as isize;
-            base.slice(*dim as isize, extras[0] as isize, end, extras[2] as isize)?
-        }
-        ViewKind::Permute { perm } => {
-            let p: Vec<usize> = perm.iter().map(|&x| x as usize).collect();
-            base.permute(&p)?
-        }
-        ViewKind::Transpose { dim0, dim1 } => base.transpose(*dim0 as isize, *dim1 as isize)?,
-        ViewKind::Unsqueeze { dim } => base.unsqueeze(*dim as isize)?,
-        ViewKind::Squeeze { dim } => base.squeeze(*dim as isize)?,
-        ViewKind::Expand { shape } => {
-            let pad = shape.len().saturating_sub(base.rank());
-            let target: Vec<usize> = shape
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| {
-                    if d == -1 && i >= pad {
-                        base.shape()[i - pad]
-                    } else {
-                        d.max(0) as usize
-                    }
-                })
-                .collect();
-            base.expand(&target)?
-        }
-        ViewKind::ViewShape { shape } => {
-            let s: Vec<isize> = shape.iter().map(|&d| d as isize).collect();
-            base.view(&s)?
-        }
-    })
+    Ok(base.with_layout(view_layout(kind, base.layout(), int)?)?)
 }
 
+/// `recv.kind_(operands…)`: what [`MutateKind::functional_op`] computes,
+/// stored through the receiver.
 fn apply_mutation(
     recv: &Tensor,
-    kind: tssa_ir::MutateKind,
-    node: &tssa_ir::Node,
+    kind: MutateKind,
+    node: &Node,
     env: &Env,
 ) -> Result<(), ExecError> {
-    use tssa_ir::MutateKind as MK;
-    let src = |i: usize| -> Result<Tensor, ExecError> {
-        Ok(lookup(env, node.inputs[i])?.as_tensor()?.clone())
-    };
-    let flt = |i: usize| -> Result<f32, ExecError> {
-        Ok(lookup(env, node.inputs[i])?.as_float()? as f32)
-    };
+    let src =
+        |i: usize| -> Result<Tensor, ExecError> { Ok(operand(env, node, i)?.as_tensor()?.clone()) };
+    let flt = |i: usize| float(&operand(env, node, i)?);
     match kind {
-        MK::Copy => recv.copy_(&src(1)?)?,
-        MK::Fill => recv.fill_(flt(1)?)?,
-        MK::Add => recv.add_(&src(1)?)?,
-        MK::Sub => recv.sub_(&src(1)?)?,
-        MK::Mul => recv.mul_(&src(1)?)?,
-        MK::Div => recv.div_(&src(1)?)?,
-        MK::AddScalar => recv.add_scalar_(flt(1)?)?,
-        MK::MulScalar => recv.mul_scalar_(flt(1)?)?,
-        MK::Relu => recv.relu_()?,
-        MK::Sigmoid => recv.sigmoid_()?,
-        MK::Tanh => recv.tanh_()?,
-        MK::Exp => recv.exp_()?,
-        MK::Neg => recv.neg_()?,
-        MK::Clamp => recv.clamp_(flt(1)?, flt(2)?)?,
+        MutateKind::Copy => recv.copy_(&src(1)?)?,
+        MutateKind::Fill => recv.fill_(flt(1)?)?,
+        _ => match elementwise(&kind.functional_op(), flt)? {
+            Some(Elementwise::Unary(f)) => recv.unary_(f)?,
+            Some(Elementwise::Binary(f)) => recv.binary_(f, &src(1)?)?,
+            None => unreachable!("every other mutation is elementwise"),
+        },
     }
     Ok(())
 }

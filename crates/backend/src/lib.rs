@@ -42,6 +42,7 @@ mod error;
 mod fused;
 mod interp;
 mod observe;
+mod ops;
 mod stats;
 mod value;
 

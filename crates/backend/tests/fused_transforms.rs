@@ -25,19 +25,30 @@ fn bits(t: &Tensor) -> Vec<u64> {
 }
 
 /// Run `fused_src` (a single fusion group) and the equivalent unfused
-/// program on `inputs`, comparing outputs bit for bit.
-fn check_pair(fused_src: &str, unfused_src: &str, inputs: &[RtValue]) {
+/// program on `inputs`, comparing outputs bit for bit — or, when a program
+/// fails, the two errors. Returns the agreed outcome.
+fn check_outcome(
+    fused_src: &str,
+    unfused_src: &str,
+    inputs: &[RtValue],
+) -> Result<Vec<RtValue>, ExecError> {
     let fused = parse_graph(fused_src).unwrap_or_else(|e| panic!("{fused_src}\n{e}"));
     let unfused = parse_graph(unfused_src).unwrap_or_else(|e| panic!("{unfused_src}\n{e}"));
     fused.verify().unwrap();
     unfused.verify().unwrap();
     let exec = Executor::new(ExecConfig::compiled());
-    let (fo, fs) = exec
-        .run(&fused, inputs)
-        .unwrap_or_else(|e| panic!("fused fails: {e}\n{fused_src}"));
-    let (uo, _) = exec
-        .run(&unfused, inputs)
-        .unwrap_or_else(|e| panic!("unfused fails: {e}\n{unfused_src}"));
+    let (fo, fs, uo) = match (exec.run(&fused, inputs), exec.run(&unfused, inputs)) {
+        (Ok((fo, fs)), Ok((uo, _))) => (fo, fs, uo),
+        (Err(f), Err(u)) => {
+            assert_eq!(f, u, "fused and unfused fail differently\n{fused_src}");
+            return Err(f);
+        }
+        (f, u) => panic!(
+            "one spelling fails: fused {:?}, unfused {:?}\n{fused_src}",
+            f.err(),
+            u.err()
+        ),
+    };
     assert_eq!(fs.kernel_launches, 1, "one launch for the group");
     assert_eq!(fo.len(), uo.len());
     for (a, b) in fo.iter().zip(&uo) {
@@ -45,6 +56,14 @@ fn check_pair(fused_src: &str, unfused_src: &str, inputs: &[RtValue]) {
         assert_eq!(a.shape(), b.shape(), "shapes disagree\n{fused_src}");
         assert_eq!(a.dtype(), b.dtype(), "dtypes disagree\n{fused_src}");
         assert_eq!(bits(a), bits(b), "fused and unfused disagree\n{fused_src}");
+    }
+    Ok(fo)
+}
+
+/// As [`check_outcome`], for programs that must run.
+fn check_pair(fused_src: &str, unfused_src: &str, inputs: &[RtValue]) {
+    if let Err(e) = check_outcome(fused_src, unfused_src, inputs) {
+        panic!("both spellings fail: {e}\n{fused_src}");
     }
 }
 
@@ -289,20 +308,46 @@ fn unsupported_op_in_group_reports_error() {
 /// Run a one-group program whose body is `body` over `%p : Tensor` and
 /// `%q : int`, expecting the launch to fail.
 fn group_error(body: &str, shape: &[usize], q: i64) -> ExecError {
-    let src = format!(
-        "graph(%x : Tensor, %i : int):
-           %o : Tensor = prim::FusionGroup(%x, %i)
-             block0(%p : Tensor, %q : int):
-               {body}
-               -> (%r)
-           return (%o)"
+    pair_error(body, &[input(shape, 20), RtValue::Int(q)]).0
+}
+
+/// `body` (which defines `%r`) over the inputs `%p`, `%q`, `%h`, inside a
+/// group and unfused.
+fn spellings(body: &str, inputs: &[RtValue]) -> (String, String) {
+    let ty = |v: &RtValue| match v {
+        RtValue::Tensor(_) => "Tensor",
+        RtValue::Float(_) => "float",
+        _ => "int",
+    };
+    let params = |prefix: &str| {
+        let typed = |(v, n): (&RtValue, &str)| format!("%{prefix}{n} : {}", ty(v));
+        let all: Vec<String> = inputs.iter().zip(["p", "q", "h"]).map(typed).collect();
+        all.join(", ")
+    };
+    let args = ["%gp", "%gq", "%gh"][..inputs.len()].join(", ");
+    let fused = format!(
+        "graph({}):\n%o : Tensor = prim::FusionGroup({args})\nblock0({}):\n{body}\n-> (%r)\nreturn (%o)",
+        params("g"),
+        params("")
     );
-    let g = parse_graph(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
-    let exec = Executor::new(ExecConfig::compiled());
-    match exec.run(&g, &[input(shape, 20), RtValue::Int(q)]) {
-        Ok(_) => panic!("expected an error from\n{src}"),
-        Err(e) => e,
-    }
+    (
+        fused,
+        format!("graph({}):\n{body}\nreturn (%r)", params("")),
+    )
+}
+
+/// Run `body` inside a group and unfused, expecting both to fail; returns
+/// the two errors.
+fn pair_error(body: &str, inputs: &[RtValue]) -> (ExecError, ExecError) {
+    let run = |src: String| {
+        let g = parse_graph(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        match Executor::new(ExecConfig::compiled()).run(&g, inputs) {
+            Ok(_) => panic!("expected an error from\n{src}"),
+            Err(e) => e,
+        }
+    };
+    let (fused, unfused) = spellings(body, inputs);
+    (run(fused), run(unfused))
 }
 
 #[test]
@@ -356,18 +401,168 @@ fn expand_that_does_not_broadcast_is_an_error() {
 
 #[test]
 fn missing_scalar_operand_is_an_error() {
-    // A select without its index, a slice without its step, and an int
-    // operand that is a tensor: none may index past the operand list.
+    // A select without its index, a slice without its step, an assign
+    // without its index and scalar operators without their scalars: none
+    // may index past the operand list, fused or not.
+    let inputs = [input(&[3, 8], 20), RtValue::Int(0)];
     for body in [
         "%r : Tensor = immut::select[dim=0](%p)",
         "%r : Tensor = immut::slice[dim=0](%p, %q, %q)",
         "%r : Tensor = immut::assign_select[dim=0](%p, %p)",
-        "%r : Tensor = immut::select[dim=0](%p, %p)",
         "%r : Tensor = aten::add_scalar(%p)",
+        "%r : Tensor = aten::clamp(%p, %q)",
+        "%r : Tensor = aten::full_like(%p)",
     ] {
-        let e = group_error(body, &[3, 8], 0);
-        assert!(matches!(e, ExecError::Unsupported { .. }), "{body}: {e}");
+        let (fused, unfused) = pair_error(body, &inputs);
+        for e in [fused, unfused] {
+            assert!(matches!(e, ExecError::Unsupported { .. }), "{body}: {e}");
+        }
     }
+    // The aliasing spellings of the same operators.
+    for body in [
+        "%r : Tensor = aten::select[dim=0](%p)",
+        "%r : Tensor = aten::add_scalar_(%p)",
+        "%r : Tensor = aten::clamp_(%p, %q)",
+    ] {
+        let src = format!("graph(%p : Tensor, %q : int):\n{body}\nreturn (%r)");
+        let g = parse_graph(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let e = Executor::new(ExecConfig::compiled()).run(&g, &inputs);
+        assert!(matches!(e, Err(ExecError::Unsupported { .. })), "{body}");
+    }
+    // An int operand that is a tensor is the same type error on both paths.
+    let (fused, unfused) = pair_error("%r : Tensor = immut::select[dim=0](%p, %p)", &inputs);
+    assert!(matches!(fused, ExecError::TypeMismatch { .. }), "{fused}");
+    assert_eq!(fused, unfused);
+}
+
+#[test]
+fn clamp_bounds_that_are_unordered_or_nan_are_an_error() {
+    // A NaN float reaches the executor from the wire (`{"float": null}`);
+    // `f32::clamp` would panic on it.
+    for (lo, hi) in [(1.0, 0.0), (f64::NAN, 1.0), (0.0, f64::NAN)] {
+        let inputs = [input(&[2, 3], 21), RtValue::Float(lo), RtValue::Float(hi)];
+        let (fused, unfused) = pair_error("%r : Tensor = aten::clamp(%p, %q, %h)", &inputs);
+        let invalid =
+            |e: &ExecError| matches!(e, ExecError::Tensor(TensorError::InvalidArgument { .. }));
+        assert!(invalid(&fused), "[{lo}, {hi}]: {fused}");
+        assert_eq!(fused, unfused);
+        let g = parse_graph(
+            "graph(%p : Tensor, %q : float, %h : float):
+               %c : Tensor = aten::clone(%p)
+               %r : Tensor = aten::clamp_(%c, %q, %h)
+               return (%c)",
+        )
+        .unwrap();
+        let e = Executor::new(ExecConfig::compiled()).run(&g, &inputs);
+        assert_eq!(e.err(), Some(unfused), "clamp_ [{lo}, {hi}]");
+    }
+}
+
+/// `body` over `%p` and `%q` (both tensors), fused and unfused.
+fn tensor_pair(body: &str, p: Tensor, q: Tensor) -> Result<Vec<RtValue>, ExecError> {
+    let inputs = [RtValue::Tensor(p), RtValue::Tensor(q)];
+    let (fused, unfused) = spellings(body, &inputs);
+    check_outcome(&fused, &unfused, &inputs)
+}
+
+#[test]
+fn integer_arithmetic_is_exact_on_both_paths() {
+    // None of these survives a trip through f32 (24 bits) or f64 (53 bits).
+    let i64s = |v: &[i64]| Tensor::from_vec_i64(v.to_vec(), &[v.len()]).unwrap();
+    let a = [16_777_217, 3_000_000_019, (1 << 53) + 1, i64::MAX];
+    let run = |body: &str, b: &[i64]| {
+        let out = tensor_pair(body, i64s(&a), i64s(b)).unwrap();
+        out[0].as_tensor().unwrap().to_vec_i64().unwrap()
+    };
+    let zeros = [0; 4];
+    assert_eq!(run("%r : Tensor = aten::add(%p, %q)", &zeros), a);
+    assert_eq!(run("%r : Tensor = aten::sub(%p, %q)", &zeros), a);
+    assert_eq!(run("%r : Tensor = aten::maximum(%p, %q)", &zeros), a);
+    assert_eq!(
+        run("%r : Tensor = aten::minimum(%q, %p)", &[i64::MAX; 4]),
+        a
+    );
+    assert_eq!(
+        run("%r : Tensor = aten::mul(%p, %q)", &[3; 4]),
+        a.map(|v| v.wrapping_mul(3))
+    );
+    assert_eq!(a[1].wrapping_mul(3), 9_000_000_057);
+    assert_eq!(
+        run("%r : Tensor = aten::add(%p, %q)", &[1; 4]),
+        [16_777_218, 3_000_000_020, (1 << 53) + 2, i64::MIN]
+    );
+    let neg = "%n : Tensor = aten::neg(%p)\n%r : Tensor = aten::abs(%n)";
+    assert_eq!(run(neg, &zeros), a);
+    // The in-place forms, unfused only (a group holds no mutation).
+    let exec = Executor::new(ExecConfig::compiled());
+    let g = parse_graph(
+        "graph(%p : Tensor, %q : Tensor):
+           %c : Tensor = aten::clone(%p)
+           %m : Tensor = aten::mul_(%c, %q)
+           %s : Tensor = aten::sub_(%c, %q)
+           %a : Tensor = aten::add_(%c, %q)
+           %n : Tensor = aten::neg_(%c)
+           return (%c)",
+    )
+    .unwrap();
+    let inputs = [a, [3; 4]].map(|v| RtValue::Tensor(i64s(&v)));
+    let (out, _) = exec.run(&g, &inputs).unwrap();
+    assert_eq!(
+        out[0].as_tensor().unwrap().to_vec_i64().unwrap(),
+        a.map(|v| v.wrapping_mul(3).wrapping_neg())
+    );
+}
+
+fn f32s(v: &[f32]) -> Tensor {
+    Tensor::from_vec_f32(v.to_vec(), &[v.len()]).unwrap()
+}
+
+#[test]
+fn neg_refuses_bool_and_abs_keeps_it() {
+    let bools = Tensor::from_vec_bool(vec![true, false, true], &[3]).unwrap();
+    let x = f32s(&[1.5, -2.0, 0.3]);
+    // neg refuses bool — fused, unfused and in place.
+    let e = tensor_pair("%r : Tensor = aten::neg(%p)", bools.clone(), x.clone()).unwrap_err();
+    assert!(
+        matches!(e, ExecError::Tensor(TensorError::InvalidArgument { .. })),
+        "{e}"
+    );
+    let g = parse_graph(
+        "graph(%p : Tensor):
+           %c : Tensor = aten::clone(%p)
+           %r : Tensor = aten::neg_(%c)
+           return (%c)",
+    )
+    .unwrap();
+    let r = Executor::new(ExecConfig::compiled()).run(&g, &[RtValue::Tensor(bools.clone())]);
+    assert_eq!(r.err(), Some(e));
+    // abs is the identity on bool and keeps the dtype.
+    let out = tensor_pair("%r : Tensor = aten::abs(%p)", bools.clone(), x).unwrap();
+    assert_eq!(out[0].as_tensor().unwrap(), &bools);
+}
+
+#[test]
+fn pow_on_f32_is_f32_powf() {
+    // As `pow_scalar` is; on each of these an f64 evaluation rounds to the
+    // neighbouring f32 (with this libm).
+    let base = [4.877_845_3_f32, 1.461_049_6, 4.521_852, 3.641_666];
+    let exp = [2.593_618_4_f32, -0.611_958, -1.975_607_5, 0.764_454_84];
+    let out = tensor_pair("%r : Tensor = aten::pow(%p, %q)", f32s(&base), f32s(&exp)).unwrap();
+    let powf: Vec<f32> = base.iter().zip(exp).map(|(b, e)| b.powf(e)).collect();
+    assert_eq!(bits(out[0].as_tensor().unwrap()), bits(&f32s(&powf)));
+}
+
+#[test]
+fn where_needs_a_bool_condition() {
+    let x = f32s(&[1.5, -2.0, 0.0]);
+    let body = "%r : Tensor = aten::where(%q, %p, %p)";
+    let e = tensor_pair(body, x.clone(), x.clone()).unwrap_err();
+    assert!(
+        matches!(e, ExecError::Tensor(TensorError::DTypeMismatch { .. })),
+        "{e}"
+    );
+    let bools = Tensor::from_vec_bool(vec![true, false, true], &[3]).unwrap();
+    assert!(tensor_pair(body, x, bools).is_ok());
 }
 
 // ------------------------------------------------- seeded differential
@@ -397,6 +592,12 @@ struct Seen {
     i64_operand: usize,
     bool_operand: usize,
     scalar_input: usize,
+    pow: usize,
+    bool_unary: usize,
+}
+
+fn first_dtype(inputs: &[RtValue]) -> DType {
+    inputs[0].as_tensor().unwrap().dtype()
 }
 
 struct Gen<'a> {
@@ -620,6 +821,7 @@ fn generate(seed: u64, seen: &mut Seen) -> (String, String, Vec<RtValue>) {
         "div",
         "maximum",
         "minimum",
+        "pow",
         "gt",
         "lt",
         "ge",
@@ -671,14 +873,17 @@ fn generate(seed: u64, seen: &mut Seen) -> (String, String, Vec<RtValue>) {
         src
     } else {
         let family: &[&'static str] = match g.below(4) {
-            0 if x_dtype != DType::Bool => &unary,
+            0 => &unary,
             1 => &scalar,
             2 => &["where"],
             _ => &binary,
         };
         let op = g.pick(family);
         match op {
-            op if unary.contains(&op) => g.emit(format!("aten::{op}({})", cur.0)),
+            op if unary.contains(&op) => {
+                g.seen.bool_unary += usize::from(x_dtype == DType::Bool);
+                g.emit(format!("aten::{op}({})", cur.0))
+            }
             op if scalar.contains(&op) => {
                 g.seen.scalar_input += 1;
                 g.emit(format!("aten::{op}({}, %f)", cur.0))
@@ -695,6 +900,7 @@ fn generate(seed: u64, seen: &mut Seen) -> (String, String, Vec<RtValue>) {
             op => {
                 y_shape = g.broadcastable(&cur.1);
                 g.seen.expand_into_binary += usize::from(expanded);
+                g.seen.pow += usize::from(op == "pow");
                 let (a, b) = match g.below(2) {
                     0 => (cur.0.as_str(), "%y"),
                     _ => ("%y", cur.0.as_str()),
@@ -734,8 +940,12 @@ fn generated_view_chains_agree_bit_for_bit() {
     let mut seen = Seen::default();
     for seed in 0..240u64 {
         let (fused, unfused, inputs) = generate(seed, &mut seen);
-        let outcome = std::panic::catch_unwind(|| check_pair(&fused, &unfused, &inputs));
-        assert!(outcome.is_ok(), "seed {seed} diverges");
+        let outcome = std::panic::catch_unwind(|| check_outcome(&fused, &unfused, &inputs));
+        let neg_on_bool = unfused.contains("aten::neg(") && first_dtype(&inputs) == DType::Bool;
+        match outcome {
+            Ok(agreed) => assert_eq!(agreed.is_err(), neg_on_bool, "seed {seed}: {agreed:?}"),
+            Err(_) => panic!("seed {seed} diverges"),
+        }
     }
     let counts = [
         seen.access_of_access,
@@ -749,6 +959,8 @@ fn generated_view_chains_agree_bit_for_bit() {
         seen.i64_operand,
         seen.bool_operand,
         seen.scalar_input,
+        seen.pow,
+        seen.bool_unary,
     ];
     assert!(
         counts.iter().all(|&c| c >= 3),

@@ -76,7 +76,10 @@ impl Scalar {
 
     /// Value as `f32`, converting integers and booleans.
     pub fn as_f32(self) -> f32 {
-        self.as_f64() as f32
+        match self {
+            Scalar::F32(v) => v,
+            other => other.as_f64() as f32,
+        }
     }
 
     /// Value as `i64`, truncating floats.
@@ -136,7 +139,7 @@ impl fmt::Display for Scalar {
 }
 
 /// Promotion rule used by binary operators: `bool < i64 < f32`.
-pub(crate) fn promote(a: DType, b: DType) -> DType {
+pub fn promote(a: DType, b: DType) -> DType {
     use DType::*;
     match (a, b) {
         (F32, _) | (_, F32) => F32,

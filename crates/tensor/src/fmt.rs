@@ -95,7 +95,8 @@ mod tests {
 
     #[test]
     fn scalar_and_bool_tensors() {
-        assert_eq!(Tensor::scalar_f32(2.5).to_string(), "2.5000 : f32[]");
+        let scalar = Tensor::from_vec_f32(vec![2.5], &[]).unwrap();
+        assert_eq!(scalar.to_string(), "2.5000 : f32[]");
         let b = Tensor::from_vec_bool(vec![true, false], &[2]).unwrap();
         assert_eq!(b.to_string(), "[true, false] : bool[2]");
         let i = Tensor::from_vec_i64(vec![-7], &[1]).unwrap();

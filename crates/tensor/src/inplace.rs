@@ -2,104 +2,31 @@
 //!
 //! These write through the receiver's storage; any tensor aliasing that
 //! storage observes the change. Sources broadcast to the receiver's shape
-//! following PyTorch semantics.
+//! following PyTorch semantics. `x.op_(…)` stores what the pure `op(x, …)`
+//! computes, cast to `x`'s element type — the rule the TensorSSA conversion
+//! rewrites mutations by.
 
-use crate::index::{broadcast_strides, offset_of, CoordIter};
+use crate::kernel::{self, BinaryOp, UnaryOp};
 use crate::storage::Buffer;
-use crate::{Result, Scalar, Tensor, TensorError};
+use crate::{Layout, Result, Scalar, Tensor};
 
 impl Tensor {
-    /// Apply `f` to every element of this view, in place.
-    fn map_inplace(&self, f: impl Fn(Scalar) -> Scalar) {
-        let offs = self.element_offsets();
-        self.storage.with_write(|b| {
-            for &o in &offs {
-                let v = b.get(o);
-                b.set(o, f(v));
-            }
-        });
-    }
-
-    /// Combine every element of this view with the broadcast `src`, in place.
-    fn zip_inplace(
+    /// Run `f` on this view's buffer, write-locked, and on `src` broadcast
+    /// to this shape. A source in the same storage is read out first, so an
+    /// overlapping write sees the old values throughout.
+    fn update_from(
         &self,
         src: &Tensor,
-        op: &'static str,
-        f: impl Fn(Scalar, Scalar) -> Scalar,
+        f: impl FnOnce(&mut Buffer, (&Buffer, &Layout)),
     ) -> Result<()> {
-        // Source must broadcast to the destination's exact shape.
-        let src_strides = {
-            if src.rank() > self.rank() {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: self.shape.clone(),
-                    rhs: src.shape.clone(),
-                    op,
-                });
-            }
-            let pad = self.rank() - src.rank();
-            for i in 0..src.rank() {
-                if src.shape[i] != self.shape[pad + i] && src.shape[i] != 1 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: src.shape.clone(),
-                        op,
-                    });
-                }
-            }
-            broadcast_strides(&src.shape, &src.strides, &self.shape)
-        };
-        // If src aliases our storage, snapshot it first: PyTorch's in-place
-        // ops read the source fully before writing when buffers overlap is
-        // not generally guaranteed, but copy-on-overlap gives the intuitive
-        // sequential semantics our interpreter needs.
-        // Fast path: same shape, both contiguous, disjoint storage — a flat
-        // element-by-element walk with no coordinate math.
-        if self.is_contiguous()
-            && src.is_contiguous()
-            && self.shape == src.shape
-            && !src.shares_storage_with(self)
-        {
-            let n = self.numel();
-            let values: Vec<Scalar> = {
-                let mut vals = Vec::with_capacity(n);
-                src.for_each(|s| vals.push(s));
-                vals
-            };
-            self.storage.with_write(|b| {
-                for (k, s) in values.into_iter().enumerate() {
-                    let off = self.offset + k;
-                    let d = b.get(off);
-                    b.set(off, f(d, s));
-                }
-            });
-            return Ok(());
+        if src.shares_storage_with(self) {
+            let snapshot = src.to_buffer();
+            let layout = Layout::contiguous(src.shape().to_vec()).broadcast_to(self.shape())?;
+            f(&mut self.storage.write(), (&snapshot, &layout));
+        } else {
+            let layout = src.layout.broadcast_to(self.shape())?;
+            f(&mut self.storage.write(), (&src.storage.read(), &layout));
         }
-        let src_snapshot;
-        let src_eff = if src.shares_storage_with(self) {
-            src_snapshot = src.clone_data();
-            &src_snapshot
-        } else {
-            src
-        };
-        let src_strides = if src_eff.shares_storage_with(src) {
-            src_strides
-        } else {
-            broadcast_strides(&src_eff.shape, &src_eff.strides, &self.shape)
-        };
-        let mut pairs: Vec<(usize, Scalar)> = Vec::with_capacity(self.numel());
-        src_eff.storage().with_read(|sb| {
-            for coord in CoordIter::new(&self.shape) {
-                let dst_off = (self.offset as isize + offset_of(&coord, &self.strides)) as usize;
-                let src_off = (src_eff.offset as isize + offset_of(&coord, &src_strides)) as usize;
-                pairs.push((dst_off, sb.get(src_off)));
-            }
-        });
-        self.storage.with_write(|b| {
-            for (off, s) in pairs {
-                let d = b.get(off);
-                b.set(off, f(d, s));
-            }
-        });
         Ok(())
     }
 
@@ -109,7 +36,7 @@ impl Tensor {
     ///
     /// Returns an error if `src` does not broadcast to this shape.
     pub fn copy_(&self, src: &Tensor) -> Result<()> {
-        self.zip_inplace(src, "copy_", |_, s| s)
+        self.update_from(src, |dst, src| kernel::write(dst, &self.layout, src))
     }
 
     /// Fill every element with `value`, i.e. `aten::fill_`.
@@ -119,54 +46,19 @@ impl Tensor {
     /// Infallible today; returns `Result` for interface uniformity with the
     /// other mutators.
     pub fn fill_(&self, value: f32) -> Result<()> {
-        self.map_inplace(|d| Scalar::F32(value).cast(d.dtype()));
+        kernel::fill(&mut self.storage.write(), &self.layout, Scalar::F32(value));
         Ok(())
     }
 
-    /// Fill every element with an arbitrary scalar.
+    /// `self ← op(self)` elementwise (`aten::relu_`, `aten::clamp_`, …).
+    /// Through a stride-0 view each logical element reads what the previous
+    /// one wrote.
     ///
     /// # Errors
     ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn fill_scalar_(&self, value: Scalar) -> Result<()> {
-        self.map_inplace(move |d| value.cast(d.dtype()));
-        Ok(())
-    }
-
-    /// `self += src` (broadcast), i.e. `aten::add_`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src` does not broadcast to this shape.
-    pub fn add_(&self, src: &Tensor) -> Result<()> {
-        self.zip_inplace(src, "add_", |d, s| arith(d, s, |a, b| a + b))
-    }
-
-    /// `self -= src` (broadcast), i.e. `aten::sub_`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src` does not broadcast to this shape.
-    pub fn sub_(&self, src: &Tensor) -> Result<()> {
-        self.zip_inplace(src, "sub_", |d, s| arith(d, s, |a, b| a - b))
-    }
-
-    /// `self *= src` (broadcast), i.e. `aten::mul_`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src` does not broadcast to this shape.
-    pub fn mul_(&self, src: &Tensor) -> Result<()> {
-        self.zip_inplace(src, "mul_", |d, s| arith(d, s, |a, b| a * b))
-    }
-
-    /// `self /= src` (broadcast), i.e. `aten::div_`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src` does not broadcast to this shape.
-    pub fn div_(&self, src: &Tensor) -> Result<()> {
-        self.zip_inplace(src, "div_", |d, s| arith(d, s, |a, b| a / b))
+    /// As [`UnaryOp::result_dtype`].
+    pub fn unary_(&self, op: UnaryOp) -> Result<()> {
+        kernel::unary_(&mut self.storage.write(), &self.layout, op)
     }
 
     /// `self += value` for a scalar, i.e. `aten::add_(t, s)`.
@@ -175,107 +67,24 @@ impl Tensor {
     ///
     /// Infallible today; returns `Result` for interface uniformity.
     pub fn add_scalar_(&self, value: f32) -> Result<()> {
-        self.map_inplace(move |d| arith(d, Scalar::F32(value), |a, b| a + b));
-        Ok(())
+        self.unary_(UnaryOp::AddC(value))
     }
 
-    /// `self *= value` for a scalar, i.e. `aten::mul_(t, s)`.
+    /// `self ← op(self, src)` elementwise with `src` broadcast
+    /// (`aten::add_`, `aten::mul_`, …).
     ///
     /// # Errors
     ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn mul_scalar_(&self, value: f32) -> Result<()> {
-        self.map_inplace(move |d| arith(d, Scalar::F32(value), |a, b| a * b));
-        Ok(())
+    /// Returns an error if `src` does not broadcast to this shape.
+    pub fn binary_(&self, op: BinaryOp, src: &Tensor) -> Result<()> {
+        self.update_from(src, |dst, src| kernel::binary_(dst, &self.layout, op, src))
     }
-
-    /// In-place logistic sigmoid, i.e. `aten::sigmoid_`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn sigmoid_(&self) -> Result<()> {
-        self.map_inplace(|d| Scalar::F32(1.0 / (1.0 + (-d.as_f32()).exp())));
-        Ok(())
-    }
-
-    /// In-place ReLU, i.e. `aten::relu_`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn relu_(&self) -> Result<()> {
-        self.map_inplace(|d| Scalar::F32(d.as_f32().max(0.0)));
-        Ok(())
-    }
-
-    /// In-place `tanh`, i.e. `aten::tanh_`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn tanh_(&self) -> Result<()> {
-        self.map_inplace(|d| Scalar::F32(d.as_f32().tanh()));
-        Ok(())
-    }
-
-    /// In-place `exp`, i.e. `aten::exp_`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn exp_(&self) -> Result<()> {
-        self.map_inplace(|d| Scalar::F32(d.as_f32().exp()));
-        Ok(())
-    }
-
-    /// In-place negation, i.e. `aten::neg_`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for interface uniformity.
-    pub fn neg_(&self) -> Result<()> {
-        self.map_inplace(|d| match d {
-            Scalar::F32(v) => Scalar::F32(-v),
-            Scalar::I64(v) => Scalar::I64(-v),
-            Scalar::Bool(v) => Scalar::Bool(!v),
-        });
-        Ok(())
-    }
-
-    /// In-place clamp to `[lo, hi]`, i.e. `aten::clamp_`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `lo > hi`.
-    pub fn clamp_(&self, lo: f32, hi: f32) -> Result<()> {
-        if lo > hi {
-            return Err(TensorError::invalid("clamp_ lower bound above upper"));
-        }
-        self.map_inplace(move |d| Scalar::F32(d.as_f32().clamp(lo, hi)));
-        Ok(())
-    }
-}
-
-/// Numeric binary helper preserving the destination's dtype.
-fn arith(d: Scalar, s: Scalar, f: impl Fn(f64, f64) -> f64) -> Scalar {
-    let out = f(d.as_f64(), s.as_f64());
-    match d.dtype() {
-        crate::DType::F32 => Scalar::F32(out as f32),
-        crate::DType::I64 => Scalar::I64(out as i64),
-        crate::DType::Bool => Scalar::Bool(out != 0.0),
-    }
-}
-
-/// A contiguous copy helper used by tests to freeze a value.
-#[allow(dead_code)]
-pub(crate) fn snapshot(t: &Tensor) -> Buffer {
-    t.storage().with_read(|b| b.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DType;
 
     fn iota(shape: &[usize]) -> Tensor {
         let n = shape.iter().product();
@@ -299,31 +108,54 @@ mod tests {
         a.copy_(&Tensor::full(&[1], 5.0)).unwrap();
         assert_eq!(a.to_vec_f32().unwrap(), vec![5.0; 6]);
         assert!(a.copy_(&iota(&[4])).is_err());
+        assert!(a.copy_(&iota(&[1, 2, 3])).is_err());
     }
 
     #[test]
     fn arith_mutators() {
         let a = iota(&[3]);
-        a.add_(&Tensor::full(&[3], 1.0)).unwrap();
+        a.binary_(BinaryOp::Add, &Tensor::full(&[3], 1.0)).unwrap();
         assert_eq!(a.to_vec_f32().unwrap(), vec![1.0, 2.0, 3.0]);
-        a.mul_scalar_(2.0).unwrap();
+        a.unary_(UnaryOp::MulC(2.0)).unwrap();
         assert_eq!(a.to_vec_f32().unwrap(), vec![2.0, 4.0, 6.0]);
-        a.sub_(&Tensor::full(&[3], 2.0)).unwrap();
-        a.div_(&Tensor::full(&[3], 2.0)).unwrap();
+        a.binary_(BinaryOp::Sub, &Tensor::full(&[3], 2.0)).unwrap();
+        a.binary_(BinaryOp::Div, &Tensor::full(&[3], 2.0)).unwrap();
         assert_eq!(a.to_vec_f32().unwrap(), vec![0.0, 1.0, 2.0]);
+        assert!(a.binary_(BinaryOp::Mul, &iota(&[2])).is_err());
     }
 
     #[test]
     fn unary_mutators() {
         let a = Tensor::from_vec_f32(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
-        a.relu_().unwrap();
+        a.unary_(UnaryOp::Relu).unwrap();
         assert_eq!(a.to_vec_f32().unwrap(), vec![0.0, 0.0, 2.0]);
-        a.clamp_(0.0, 1.0).unwrap();
+        a.unary_(UnaryOp::Clamp(0.0, 1.0)).unwrap();
         assert_eq!(a.to_vec_f32().unwrap(), vec![0.0, 0.0, 1.0]);
-        assert!(a.clamp_(2.0, 1.0).is_err());
+        assert!(a.unary_(UnaryOp::Clamp(2.0, 1.0)).is_err());
+        assert!(a.unary_(UnaryOp::Clamp(f32::NAN, 1.0)).is_err());
         let s = Tensor::from_vec_f32(vec![0.0], &[1]).unwrap();
-        s.sigmoid_().unwrap();
+        s.unary_(UnaryOp::Sigmoid).unwrap();
         assert_eq!(s.to_vec_f32().unwrap(), vec![0.5]);
+    }
+
+    #[test]
+    fn integer_and_bool_receivers_keep_their_dtype() {
+        let big = (1i64 << 53) + 1;
+        let t = Tensor::from_vec_i64(vec![big, -3], &[2]).unwrap();
+        t.binary_(
+            BinaryOp::Add,
+            &Tensor::from_vec_i64(vec![0, 1], &[2]).unwrap(),
+        )
+        .unwrap();
+        t.unary_(UnaryOp::Neg).unwrap();
+        assert_eq!(t.to_vec_i64().unwrap(), vec![-big, 2]);
+        t.unary_(UnaryOp::Relu).unwrap();
+        assert_eq!(t.to_vec_i64().unwrap(), vec![0, 2]);
+        let b = Tensor::from_vec_bool(vec![true, false], &[2]).unwrap();
+        assert!(b.unary_(UnaryOp::Neg).is_err());
+        b.unary_(UnaryOp::Not).unwrap();
+        assert_eq!(b.to_vec_bool().unwrap(), vec![false, true]);
+        assert_eq!(b.dtype(), DType::Bool);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! it provides n-dimensional tensors whose *views* (produced by [`Tensor::select`],
 //! [`Tensor::slice`], [`Tensor::permute`], …) share the same underlying storage
 //! as their base tensor, and *in-place* operators ([`Tensor::copy_`],
-//! [`Tensor::add_`], …) that mutate that storage through any view. This is
+//! [`Tensor::binary_`], …) that mutate that storage through any view. This is
 //! exactly the aliasing behaviour that the TensorSSA functionalization pass
 //! (crate `tssa-core`) must analyse and eliminate.
 //!
@@ -28,18 +28,21 @@
 mod dtype;
 mod error;
 mod fmt;
-mod index;
 mod inplace;
+pub mod kernel;
+mod layout;
 mod ops;
 mod random;
 mod storage;
 mod tensor;
 mod view;
 
-pub use dtype::{DType, Scalar};
+pub use dtype::{promote, DType, Scalar};
 pub use error::TensorError;
+pub use kernel::{BinaryOp, UnaryOp};
+pub use layout::{broadcast_shapes, Layout};
 pub use ops::{concat, stack, where_select};
-pub use storage::StorageId;
+pub use storage::{Buffer, StorageId};
 pub use tensor::Tensor;
 
 /// Result alias used throughout this crate.

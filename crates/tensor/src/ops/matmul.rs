@@ -1,6 +1,7 @@
 //! Matrix multiplication: 2-D `matmul` and batched `bmm`.
 
 use crate::storage::Buffer;
+use crate::tensor::with_buffers;
 use crate::{DType, Result, Tensor, TensorError};
 
 impl Tensor {
@@ -28,28 +29,24 @@ impl Tensor {
         let a = self.contiguous();
         let b = rhs.contiguous();
         let mut out = vec![0f32; m * n];
-        a.storage().with_read(|ab| {
-            b.storage().with_read(|bb| {
-                let (av, bv) = match (ab, bb) {
-                    (Buffer::F32(av), Buffer::F32(bv)) => (av, bv),
-                    _ => unreachable!("dtype checked above"),
-                };
-                let ao = a.storage_offset();
-                let bo = b.storage_offset();
-                for i in 0..m {
-                    for p in 0..k {
-                        let aval = av[ao + i * k + p];
-                        if aval == 0.0 {
-                            continue;
-                        }
-                        for j in 0..n {
-                            out[i * n + j] += aval * bv[bo + p * n + j];
-                        }
+        with_buffers([&a, &b], |bufs| {
+            let [Buffer::F32(av), Buffer::F32(bv)] = bufs else {
+                unreachable!("dtype checked above")
+            };
+            let (ao, bo) = (a.layout.offset, b.layout.offset);
+            for i in 0..m {
+                for p in 0..k {
+                    let aval = av[ao + i * k + p];
+                    if aval == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        out[i * n + j] += aval * bv[bo + p * n + j];
                     }
                 }
-            })
+            }
         });
-        Ok(Tensor::from_buffer(Buffer::F32(out), vec![m, n]))
+        Ok(Tensor::dense(Buffer::F32(out), vec![m, n]))
     }
 
     /// Batched matrix product (`aten::bmm`): `[b, m, k] × [b, k, n] → [b, m, n]`.

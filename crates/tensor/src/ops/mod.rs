@@ -1,9 +1,9 @@
 //! Functional (out-of-place) operators.
 
-mod binary;
+mod elementwise;
 mod matmul;
 mod reduce;
 mod shape;
-mod unary;
 
-pub use shape::{concat, stack, where_select};
+pub use elementwise::where_select;
+pub use shape::{concat, stack};

@@ -1,34 +1,89 @@
 //! Reductions: whole-tensor and along one dimension.
 
-use crate::index::{normalize_dim, offset_of, CoordIter};
+use crate::kernel::{for_each_row, typed, BinaryOp, Elem, UnaryOp};
+use crate::layout::normalize_dim;
 use crate::storage::Buffer;
-use crate::{Result, Tensor};
+use crate::{Layout, Result, Tensor};
+
+/// An operand over `shape` that is nowhere, but whose "address" is the
+/// coordinate along `d`: walking it gives a row loop its index.
+fn index_along(shape: &[usize], d: usize) -> Layout {
+    let mut strides = vec![0; shape.len()];
+    strides[d] = 1;
+    Layout {
+        offset: 0,
+        shape: shape.to_vec(),
+        strides,
+    }
+}
 
 impl Tensor {
-    /// Sum of all elements, as `f32`.
-    pub fn sum_all(&self) -> f32 {
-        let mut acc = 0.0f64;
-        self.for_each(|s| acc += s.as_f64());
+    /// Fold every element, as f64, in row-major order.
+    fn fold_all(&self, init: f64, f: impl Fn(f64, f64) -> f64) -> f32 {
+        let l = &self.layout;
+        let mut acc = init;
+        typed!(&*self.storage.read(), |x| for_each_row(
+            &l.shape,
+            [l],
+            |len, [at], [step]| {
+                for i in 0..len {
+                    acc = f(acc, x[at + i * step].f64());
+                }
+            }
+        ));
         acc as f32
     }
 
-    /// Mean of all elements, as `f32` (`NaN` for empty tensors).
-    pub fn mean_all(&self) -> f32 {
-        self.sum_all() / self.numel() as f32
+    /// Sum of all elements, as `f32`.
+    pub fn sum_all(&self) -> f32 {
+        self.fold_all(0.0, |a, b| a + b)
     }
 
     /// Maximum of all elements, as `f32` (`-inf` for empty tensors).
     pub fn max_all(&self) -> f32 {
-        let mut acc = f64::NEG_INFINITY;
-        self.for_each(|s| acc = acc.max(s.as_f64()));
-        acc as f32
+        self.fold_all(f64::NEG_INFINITY, f64::max)
     }
 
     /// Minimum of all elements, as `f32` (`+inf` for empty tensors).
     pub fn min_all(&self) -> f32 {
-        let mut acc = f64::INFINITY;
-        self.for_each(|s| acc = acc.min(s.as_f64()));
-        acc as f32
+        self.fold_all(f64::INFINITY, f64::min)
+    }
+
+    /// `dim` normalized, and the shape with it set to 1: one cell per
+    /// reduction.
+    fn cells(&self, dim: isize) -> Result<(usize, Vec<usize>)> {
+        let d = normalize_dim(dim, self.rank())?;
+        let mut shape = self.shape().to_vec();
+        shape[d] = 1;
+        Ok((d, shape))
+    }
+
+    /// Visit every element in row-major order as `f(i, cell, value)`: its
+    /// index along `d`, the row-major index of its cell in `cells` and its
+    /// value as f64. Each cell therefore sees its inputs in increasing `i`.
+    fn walk_dim(&self, d: usize, cells: &[usize], mut f: impl FnMut(usize, usize, f64)) {
+        let cells = Layout::contiguous(cells.to_vec())
+            .broadcast_to(self.shape())
+            .expect("unit dims broadcast");
+        let index = index_along(self.shape(), d);
+        let l = &self.layout;
+        typed!(&*self.storage.read(), |x| for_each_row(
+            &l.shape,
+            [l, &cells, &index],
+            |len, [at, cell, i], [step, cell_step, i_step]| {
+                for k in 0..len {
+                    f(i + k * i_step, cell + k * cell_step, x[at + k * step].f64());
+                }
+            }
+        ));
+    }
+
+    fn finish_dim(out: Tensor, d: usize, keepdim: bool) -> Result<Tensor> {
+        if keepdim {
+            Ok(out)
+        } else {
+            out.squeeze(d as isize)
+        }
     }
 
     fn reduce_dim(
@@ -38,29 +93,11 @@ impl Tensor {
         init: f64,
         f: impl Fn(f64, f64) -> f64,
     ) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        let mut out_shape = self.shape().to_vec();
-        out_shape[d] = 1;
-        let mut acc = vec![init; out_shape.iter().product()];
-        let out_strides = crate::index::contiguous_strides(&out_shape);
-        self.storage().with_read(|b| {
-            for coord in CoordIter::new(self.shape()) {
-                let src = (self.offset as isize + offset_of(&coord, &self.strides)) as usize;
-                let mut oc = coord.clone();
-                oc[d] = 0;
-                let dst = offset_of(&oc, &out_strides) as usize;
-                acc[dst] = f(acc[dst], b.get(src).as_f64());
-            }
-        });
-        let out = Tensor::from_buffer(
-            Buffer::F32(acc.into_iter().map(|v| v as f32).collect()),
-            out_shape,
-        );
-        if keepdim {
-            Ok(out)
-        } else {
-            out.squeeze(d as isize)
-        }
+        let (d, shape) = self.cells(dim)?;
+        let mut acc = vec![init; shape.iter().product()];
+        self.walk_dim(d, &shape, |_, cell, v| acc[cell] = f(acc[cell], v));
+        let data = Buffer::F32(acc.into_iter().map(|v| v as f32).collect());
+        Tensor::finish_dim(Tensor::dense(data, shape), d, keepdim)
     }
 
     /// Sum along `dim` (`aten::sum.dim`).
@@ -78,9 +115,8 @@ impl Tensor {
     ///
     /// Returns an error if `dim` is out of range.
     pub fn mean_dim(&self, dim: isize, keepdim: bool) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        let n = self.shape()[d] as f32;
-        Ok(self.sum_dim(dim, keepdim)?.div_scalar(n))
+        let n = self.size(dim)? as f32;
+        self.sum_dim(dim, keepdim)?.unary(UnaryOp::DivC(n))
     }
 
     /// Maximum along `dim` (`aten::max.dim`, values only).
@@ -107,33 +143,17 @@ impl Tensor {
     ///
     /// Returns an error if `dim` is out of range.
     pub fn argmax_dim(&self, dim: isize, keepdim: bool) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        let mut out_shape = self.shape().to_vec();
-        out_shape[d] = 1;
-        let out_numel: usize = out_shape.iter().product();
-        let mut best = vec![f64::NEG_INFINITY; out_numel];
-        let mut idx = vec![0i64; out_numel];
-        let out_strides = crate::index::contiguous_strides(&out_shape);
-        self.storage().with_read(|b| {
-            for coord in CoordIter::new(self.shape()) {
-                let src = (self.offset as isize + offset_of(&coord, &self.strides)) as usize;
-                let mut oc = coord.clone();
-                let i = oc[d];
-                oc[d] = 0;
-                let dst = offset_of(&oc, &out_strides) as usize;
-                let v = b.get(src).as_f64();
-                if v > best[dst] {
-                    best[dst] = v;
-                    idx[dst] = i as i64;
-                }
+        let (d, shape) = self.cells(dim)?;
+        let mut best = vec![f64::NEG_INFINITY; shape.iter().product()];
+        let mut idx = vec![0i64; best.len()];
+        self.walk_dim(d, &shape, |i, cell, v| {
+            if v > best[cell] {
+                best[cell] = v;
+                idx[cell] = i as i64;
             }
         });
-        let out = Tensor::from_buffer(Buffer::I64(idx), out_shape);
-        if keepdim {
-            Ok(out)
-        } else {
-            out.squeeze(d as isize)
-        }
+        let out = Tensor::dense(Buffer::I64(idx), shape);
+        Tensor::finish_dim(out, d, keepdim)
     }
 
     /// Numerically-stable softmax along `dim` (`aten::softmax`).
@@ -143,27 +163,34 @@ impl Tensor {
     /// Returns an error if `dim` is out of range.
     pub fn softmax(&self, dim: isize) -> Result<Tensor> {
         let max = self.max_dim(dim, true)?;
-        let shifted = self.sub(&max)?;
-        let e = shifted.exp();
+        let e = self.binary(BinaryOp::Sub, &max)?.unary(UnaryOp::Exp)?;
         let z = e.sum_dim(dim, true)?;
-        e.div(&z)
+        e.binary(BinaryOp::Div, &z)
     }
 
-    /// Cumulative sum along `dim` (`aten::cumsum`).
+    /// Cumulative sum along `dim` (`aten::cumsum`), in the operand's dtype.
     ///
     /// # Errors
     ///
     /// Returns an error if `dim` is out of range.
     pub fn cumsum(&self, dim: isize) -> Result<Tensor> {
         let d = normalize_dim(dim, self.rank())?;
-        let out = self.clone_data();
-        let n = self.shape()[d];
-        for i in 1..n {
-            let prev = out.select(d as isize, (i - 1) as isize)?;
-            let cur = out.select(d as isize, i as isize)?;
-            cur.add_(&prev)?;
-        }
-        Ok(out)
+        let mut out = self.to_buffer();
+        let l = Layout::contiguous(self.shape().to_vec());
+        let index = index_along(self.shape(), d);
+        let back = l.strides[d];
+        // Row-major order reaches `i - 1` along `d` before `i`.
+        typed!(&mut out, |x| for_each_row(
+            &l.shape,
+            [&l, &index],
+            |len, [at, i], [step, i_step]| {
+                for k in (0..len).filter(|k| i + k * i_step > 0) {
+                    let o = at + k * step;
+                    x[o] = x[o].add(x[o - back]);
+                }
+            }
+        ));
+        Ok(Tensor::dense(out, l.shape))
     }
 }
 
@@ -180,9 +207,10 @@ mod tests {
     fn whole_tensor_reductions() {
         let t = iota(&[2, 3]);
         assert_eq!(t.sum_all(), 15.0);
-        assert_eq!(t.mean_all(), 2.5);
         assert_eq!(t.max_all(), 5.0);
         assert_eq!(t.min_all(), 0.0);
+        assert_eq!(t.transpose(0, 1).unwrap().sum_all(), 15.0);
+        assert_eq!(iota(&[0]).max_all(), f32::NEG_INFINITY);
     }
 
     #[test]
@@ -210,6 +238,11 @@ mod tests {
             vec![1.0, 4.0]
         );
         assert!(t.sum_dim(2, false).is_err());
+        assert!(iota(&[]).sum_dim(0, false).is_err());
+        assert_eq!(
+            iota(&[2, 0]).sum_dim(1, false).unwrap(),
+            Tensor::zeros(&[2])
+        );
     }
 
     #[test]
@@ -217,6 +250,10 @@ mod tests {
         let t = Tensor::from_vec_f32(vec![1.0, 3.0, 3.0, 0.0], &[2, 2]).unwrap();
         assert_eq!(
             t.argmax_dim(1, false).unwrap().to_vec_i64().unwrap(),
+            vec![1, 0]
+        );
+        assert_eq!(
+            t.argmax_dim(0, true).unwrap().to_vec_i64().unwrap(),
             vec![1, 0]
         );
     }
@@ -246,6 +283,15 @@ mod tests {
         assert_eq!(
             m.cumsum(0).unwrap().to_vec_f32().unwrap(),
             vec![0.0, 1.0, 2.0, 4.0]
+        );
+        assert_eq!(
+            m.cumsum(-1).unwrap().to_vec_f32().unwrap(),
+            vec![0.0, 1.0, 2.0, 5.0]
+        );
+        let big = Tensor::from_vec_i64(vec![(1 << 53) + 1, 1], &[2]).unwrap();
+        assert_eq!(
+            big.cumsum(0).unwrap().to_vec_i64().unwrap()[1],
+            (1 << 53) + 2
         );
     }
 }

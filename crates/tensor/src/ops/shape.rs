@@ -1,8 +1,9 @@
-//! Shape-combining operators: `concat`, `stack`, `gather`, `where`.
+//! Shape-combining operators: `concat`, `stack`, `gather`, `index_select`.
 
-use crate::index::{normalize_dim, offset_of, CoordIter};
-use crate::storage::Buffer;
-use crate::{DType, Result, Scalar, Tensor, TensorError};
+use crate::kernel::{for_each_row, typed};
+use crate::layout::normalize_dim;
+use crate::tensor::with_buffers;
+use crate::{Buffer, DType, Layout, Result, Tensor, TensorError};
 
 /// Concatenate tensors along `dim` (`aten::cat`).
 ///
@@ -64,52 +65,6 @@ pub fn stack(tensors: &[&Tensor], dim: isize) -> Result<Tensor> {
     concat(&refs, dim)
 }
 
-/// Elementwise select: `cond ? a : b` with broadcasting (`aten::where`).
-///
-/// # Errors
-///
-/// Returns an error if `cond` is not boolean or shapes do not broadcast.
-pub fn where_select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if cond.dtype() != DType::Bool {
-        return Err(TensorError::DTypeMismatch {
-            expected: DType::Bool,
-            found: cond.dtype(),
-            op: "where",
-        });
-    }
-    // Broadcast in two steps: (a ? b) then with cond.
-    let picked = a.zip_broadcast(b, "where", None, |x, _| x)?;
-    let shape = crate::index::broadcast_shapes(cond.shape(), picked.shape(), "where")?;
-    let cs = crate::index::broadcast_strides(cond.shape(), cond.strides(), &shape);
-    let as_ = crate::index::broadcast_strides(a.shape(), a.strides(), &shape);
-    let bs = crate::index::broadcast_strides(b.shape(), b.strides(), &shape);
-    let dtype = picked.dtype();
-    let mut out: Vec<Scalar> = Vec::with_capacity(shape.iter().product());
-    cond.storage().with_read(|cb| {
-        a.storage().with_read(|ab| {
-            b.storage().with_read(|bb| {
-                for coord in CoordIter::new(&shape) {
-                    let co = (cond.offset as isize + offset_of(&coord, &cs)) as usize;
-                    let ao = (a.offset as isize + offset_of(&coord, &as_)) as usize;
-                    let bo = (b.offset as isize + offset_of(&coord, &bs)) as usize;
-                    let v = if cb.get(co).as_bool() {
-                        ab.get(ao)
-                    } else {
-                        bb.get(bo)
-                    };
-                    out.push(v.cast(dtype));
-                }
-            })
-        })
-    });
-    let buffer = match dtype {
-        DType::F32 => Buffer::F32(out.iter().map(|s| s.as_f32()).collect()),
-        DType::I64 => Buffer::I64(out.iter().map(|s| s.as_i64()).collect()),
-        DType::Bool => Buffer::Bool(out.iter().map(|s| s.as_bool()).collect()),
-    };
-    Ok(Tensor::from_buffer(buffer, shape))
-}
-
 impl Tensor {
     /// Gather elements along `dim` using integer `index` (`aten::gather`).
     ///
@@ -134,39 +89,55 @@ impl Tensor {
                 "gather index rank must match input rank",
             ));
         }
-        let out_shape = index.shape().to_vec();
-        let mut out: Vec<Scalar> = Vec::with_capacity(index.numel());
-        let mut fail: Option<TensorError> = None;
-        self.storage().with_read(|sb| {
-            index.storage().with_read(|ib| {
-                for coord in CoordIter::new(&out_shape) {
-                    let io = (index.offset as isize + offset_of(&coord, index.strides())) as usize;
-                    let i = ib.get(io).as_i64();
-                    if i < 0 || i as usize >= self.shape()[d] {
-                        fail.get_or_insert(TensorError::IndexOutOfRange {
-                            index: i as isize,
-                            size: self.shape()[d],
-                            dim: d,
-                        });
-                        out.push(Scalar::F32(0.0));
-                        continue;
-                    }
-                    let mut sc = coord.clone();
-                    sc[d] = i as usize;
-                    let so = (self.offset as isize + offset_of(&sc, self.strides())) as usize;
-                    out.push(sb.get(so));
-                }
+        let size = self.shape()[d];
+        let fits = |(k, (&i, &s)): (usize, (&usize, &usize))| k == d || i <= s;
+        if !(index.shape().iter().zip(self.shape()).enumerate()).all(fits) {
+            return Err(TensorError::ShapeMismatch {
+                lhs: self.shape().to_vec(),
+                rhs: index.shape().to_vec(),
+                op: "gather",
+            });
+        }
+        // The source at index 0 along `d`, walked in step with `index`.
+        let mut base = Layout {
+            shape: index.shape().to_vec(),
+            ..self.layout.clone()
+        };
+        let along = std::mem::take(&mut base.strides[d]);
+        let mut bad = None;
+        let out = with_buffers([self, index], |[src, ib]| {
+            let Buffer::I64(ids) = ib else {
+                unreachable!("dtype checked above")
+            };
+            typed!(src, |x| {
+                let mut out = Vec::with_capacity(index.numel());
+                for_each_row(
+                    index.shape(),
+                    [&index.layout, &base],
+                    |len, [ii, at], [i_step, step]| {
+                        out.extend((0..len).map(|k| {
+                            let i = ids[ii + k * i_step];
+                            match usize::try_from(i) {
+                                Ok(i) if i < size => x[at + k * step + i * along],
+                                _ => {
+                                    bad = bad.or(Some(i));
+                                    Default::default()
+                                }
+                            }
+                        }));
+                    },
+                );
+                crate::kernel::Elem::wrap(out)
             })
         });
-        if let Some(e) = fail {
-            return Err(e);
+        match bad {
+            Some(i) => Err(TensorError::IndexOutOfRange {
+                index: i as isize,
+                size,
+                dim: d,
+            }),
+            None => Ok(Tensor::dense(out, index.shape().to_vec())),
         }
-        let buffer = match self.dtype() {
-            DType::F32 => Buffer::F32(out.iter().map(|s| s.as_f32()).collect()),
-            DType::I64 => Buffer::I64(out.iter().map(|s| s.as_i64()).collect()),
-            DType::Bool => Buffer::Bool(out.iter().map(|s| s.as_bool()).collect()),
-        };
-        Ok(Tensor::from_buffer(buffer, out_shape))
     }
 
     /// Select whole slices along `dim` by integer indices
@@ -225,25 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn where_selects_elementwise() {
-        let cond = Tensor::from_vec_bool(vec![true, false], &[2]).unwrap();
-        let a = Tensor::full(&[2], 1.0);
-        let b = Tensor::full(&[2], 2.0);
-        let r = where_select(&cond, &a, &b).unwrap();
-        assert_eq!(r.to_vec_f32().unwrap(), vec![1.0, 2.0]);
-        assert!(where_select(&a, &a, &b).is_err());
-    }
-
-    #[test]
-    fn where_broadcasts_condition() {
-        let cond = Tensor::from_vec_bool(vec![true, false], &[2, 1]).unwrap();
-        let a = Tensor::full(&[2, 3], 1.0);
-        let b = Tensor::full(&[2, 3], 0.0);
-        let r = where_select(&cond, &a, &b).unwrap();
-        assert_eq!(r.to_vec_f32().unwrap(), vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn gather_along_dim() {
         let t = iota(&[2, 3]);
         let idx = Tensor::from_vec_i64(vec![2, 0], &[2, 1]).unwrap();
@@ -251,6 +203,11 @@ mod tests {
         assert_eq!(g.to_vec_f32().unwrap(), vec![2.0, 3.0]);
         let bad = Tensor::from_vec_i64(vec![5, 0], &[2, 1]).unwrap();
         assert!(t.gather(1, &bad).is_err());
+        let tall = Tensor::from_vec_i64(vec![0, 0, 0], &[3, 1]).unwrap();
+        assert!(t.gather(1, &tall).is_err());
+        let cols = t.transpose(0, 1).unwrap();
+        let g = cols.gather(0, &idx.transpose(0, 1).unwrap()).unwrap();
+        assert_eq!(g.to_vec_f32().unwrap(), vec![2.0, 3.0]);
     }
 
     #[test]

@@ -12,29 +12,7 @@ impl Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         let n: usize = shape.iter().product();
         let data: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor::from_buffer(Buffer::F32(data), shape.to_vec())
-    }
-
-    /// Standard-normal samples (Box–Muller) from a deterministic seed.
-    pub fn randn(shape: &[usize], seed: u64) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n: usize = shape.iter().product();
-        let data: Vec<f32> = (0..n)
-            .map(|_| {
-                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-                let u2: f32 = rng.gen_range(0.0..1.0);
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-            })
-            .collect();
-        Tensor::from_buffer(Buffer::F32(data), shape.to_vec())
-    }
-
-    /// Uniform integer samples in `[lo, hi)` from a deterministic seed.
-    pub fn rand_int(shape: &[usize], lo: i64, hi: i64, seed: u64) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n: usize = shape.iter().product();
-        let data: Vec<i64> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor::from_buffer(Buffer::I64(data), shape.to_vec())
+        Tensor::dense(Buffer::F32(data), shape.to_vec())
     }
 }
 
@@ -56,21 +34,6 @@ mod tests {
         let t = Tensor::rand_uniform(&[100], -2.0, 3.0, 7);
         for v in t.to_vec_f32().unwrap() {
             assert!((-2.0..3.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn randn_has_plausible_moments() {
-        let t = Tensor::randn(&[10_000], 1);
-        let mean = t.mean_all();
-        assert!(mean.abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn rand_int_respects_range() {
-        let t = Tensor::rand_int(&[64], 0, 5, 9);
-        for v in t.to_vec_i64().unwrap() {
-            assert!((0..5).contains(&v));
         }
     }
 }

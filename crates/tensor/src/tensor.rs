@@ -1,8 +1,11 @@
 //! The [`Tensor`] type: a strided view over shared storage.
 
-use crate::index::{contiguous_strides, normalize_index, numel, offset_of, CoordIter};
+use parking_lot::RwLockReadGuard;
+
+use crate::kernel::{self, for_each_row, typed};
+use crate::layout::{normalize_dim, normalize_index};
 use crate::storage::{Buffer, Storage};
-use crate::{DType, Result, Scalar, StorageId, TensorError};
+use crate::{DType, Layout, Result, Scalar, StorageId, TensorError};
 
 /// An n-dimensional strided view over reference-counted storage.
 ///
@@ -10,27 +13,43 @@ use crate::{DType, Result, Scalar, StorageId, TensorError};
 /// storage; use [`Tensor::contiguous`] or [`Tensor::clone_data`] to copy the
 /// data. View operators ([`Tensor::select`], [`Tensor::slice`], …) return
 /// tensors that alias the receiver, and in-place operators ([`Tensor::copy_`],
-/// [`Tensor::add_`], …) mutate storage visible through every alias — the
+/// [`Tensor::binary_`], …) mutate storage visible through every alias — the
 /// semantics the TensorSSA pass functionalizes away.
 #[derive(Debug, Clone)]
 pub struct Tensor {
     pub(crate) storage: Storage,
-    pub(crate) offset: usize,
-    pub(crate) shape: Vec<usize>,
-    pub(crate) strides: Vec<isize>,
+    pub(crate) layout: Layout,
+    dtype: DType,
+}
+
+/// Run `f` on the buffers of `ts`, read-locking each distinct storage once
+/// (a second `read()` of one lock can deadlock behind a waiting writer).
+pub(crate) fn with_buffers<const N: usize, R>(
+    ts: [&Tensor; N],
+    f: impl FnOnce([&Buffer; N]) -> R,
+) -> R {
+    let first = |k: usize| {
+        let same = |&j: &usize| ts[j].storage.id() == ts[k].storage.id();
+        (0..k).find(same).unwrap_or(k)
+    };
+    let guards: [Option<RwLockReadGuard<Buffer>>; N] =
+        std::array::from_fn(|k| (first(k) == k).then(|| ts[k].storage.read()));
+    f(std::array::from_fn(|k| {
+        &**guards[first(k)].as_ref().expect("locked above")
+    }))
 }
 
 impl Tensor {
     // ---------------------------------------------------------------- ctors
 
-    pub(crate) fn from_buffer(buffer: Buffer, shape: Vec<usize>) -> Tensor {
-        debug_assert_eq!(buffer.len(), numel(&shape));
-        let strides = contiguous_strides(&shape);
+    /// `buffer` as a row-major tensor of `shape`, which it must fill.
+    pub(crate) fn dense(buffer: Buffer, shape: Vec<usize>) -> Tensor {
+        let layout = Layout::contiguous(shape);
+        debug_assert_eq!(buffer.len(), layout.numel());
         Tensor {
+            dtype: buffer.dtype(),
             storage: Storage::new(buffer),
-            offset: 0,
-            shape,
-            strides,
+            layout,
         }
     }
 
@@ -51,8 +70,8 @@ impl Tensor {
 
     /// A new tensor of `value`'s dtype filled with `value`.
     pub fn full_scalar(shape: &[usize], value: Scalar) -> Tensor {
-        let buffer = Buffer::filled(value.dtype(), numel(shape), value);
-        Tensor::from_buffer(buffer, shape.to_vec())
+        let buffer = Buffer::filled(value.dtype(), shape.iter().product(), value);
+        Tensor::dense(buffer, shape.to_vec())
     }
 
     /// A new tensor of the given dtype filled with zeros.
@@ -60,19 +79,22 @@ impl Tensor {
         Tensor::full_scalar(shape, Scalar::F32(0.0).cast(dtype))
     }
 
-    /// A rank-0 f32 tensor.
-    pub fn scalar_f32(value: f32) -> Tensor {
-        Tensor::from_buffer(Buffer::F32(vec![value]), vec![])
-    }
-
-    /// A rank-0 i64 tensor.
-    pub fn scalar_i64(value: i64) -> Tensor {
-        Tensor::from_buffer(Buffer::I64(vec![value]), vec![])
-    }
-
-    /// A rank-0 bool tensor.
-    pub fn scalar_bool(value: bool) -> Tensor {
-        Tensor::from_buffer(Buffer::Bool(vec![value]), vec![])
+    /// Build a tensor of `buffer`'s dtype from its elements in row-major
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NumelMismatch`] if the buffer's length does not
+    /// match the number of elements of `shape`.
+    pub fn from_buffer(buffer: Buffer, shape: &[usize]) -> Result<Tensor> {
+        let to = shape.iter().product();
+        if buffer.len() != to {
+            return Err(TensorError::NumelMismatch {
+                from: buffer.len(),
+                to,
+            });
+        }
+        Ok(Tensor::dense(buffer, shape.to_vec()))
     }
 
     /// Build an f32 tensor from `data` in row-major order.
@@ -82,13 +104,7 @@ impl Tensor {
     /// Returns [`TensorError::NumelMismatch`] if `data.len()` does not match
     /// the number of elements of `shape`.
     pub fn from_vec_f32(data: Vec<f32>, shape: &[usize]) -> Result<Tensor> {
-        if data.len() != numel(shape) {
-            return Err(TensorError::NumelMismatch {
-                from: data.len(),
-                to: numel(shape),
-            });
-        }
-        Ok(Tensor::from_buffer(Buffer::F32(data), shape.to_vec()))
+        Tensor::from_buffer(Buffer::F32(data), shape)
     }
 
     /// Build an i64 tensor from `data` in row-major order.
@@ -97,13 +113,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::NumelMismatch`] on length mismatch.
     pub fn from_vec_i64(data: Vec<i64>, shape: &[usize]) -> Result<Tensor> {
-        if data.len() != numel(shape) {
-            return Err(TensorError::NumelMismatch {
-                from: data.len(),
-                to: numel(shape),
-            });
-        }
-        Ok(Tensor::from_buffer(Buffer::I64(data), shape.to_vec()))
+        Tensor::from_buffer(Buffer::I64(data), shape)
     }
 
     /// Build a bool tensor from `data` in row-major order.
@@ -112,60 +122,53 @@ impl Tensor {
     ///
     /// Returns [`TensorError::NumelMismatch`] on length mismatch.
     pub fn from_vec_bool(data: Vec<bool>, shape: &[usize]) -> Result<Tensor> {
-        if data.len() != numel(shape) {
-            return Err(TensorError::NumelMismatch {
-                from: data.len(),
-                to: numel(shape),
-            });
-        }
-        Ok(Tensor::from_buffer(Buffer::Bool(data), shape.to_vec()))
+        Tensor::from_buffer(Buffer::Bool(data), shape)
     }
 
     /// `[0, 1, …, n-1]` as a 1-D f32 tensor.
     pub fn arange_f32(n: usize) -> Tensor {
-        Tensor::from_buffer(Buffer::F32((0..n).map(|i| i as f32).collect()), vec![n])
-    }
-
-    /// `[0, 1, …, n-1]` as a 1-D i64 tensor.
-    pub fn arange_i64(n: usize) -> Tensor {
-        Tensor::from_buffer(Buffer::I64((0..n as i64).collect()), vec![n])
+        Tensor::dense(Buffer::F32((0..n).map(|i| i as f32).collect()), vec![n])
     }
 
     // ------------------------------------------------------------- metadata
 
     /// Element type.
     pub fn dtype(&self) -> DType {
-        self.storage.dtype()
+        self.dtype
     }
 
     /// Logical shape.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        &self.layout.shape
     }
 
-    /// Strides in elements (0 for broadcast dimensions).
-    pub fn strides(&self) -> &[isize] {
-        &self.strides
+    /// Where this view's elements live in its storage.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Size of dimension `dim`; a negative `dim` counts from the end.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `dim` is out of range.
+    pub fn size(&self, dim: isize) -> Result<usize> {
+        Ok(self.shape()[normalize_dim(dim, self.rank())?])
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.shape.len()
+        self.layout.shape.len()
     }
 
     /// Number of logical elements.
     pub fn numel(&self) -> usize {
-        numel(&self.shape)
+        self.layout.numel()
     }
 
     /// Identity of the underlying storage; equal ids alias the same memory.
     pub fn storage_id(&self) -> StorageId {
         self.storage.id()
-    }
-
-    /// Offset (in elements) of this view into its storage.
-    pub fn storage_offset(&self) -> usize {
-        self.offset
     }
 
     /// Whether two tensors share the same storage buffer.
@@ -175,25 +178,38 @@ impl Tensor {
 
     /// Whether this view is laid out contiguously in row-major order.
     pub fn is_contiguous(&self) -> bool {
-        self.strides == contiguous_strides(&self.shape)
+        self.layout.is_dense()
+    }
+
+    /// Another view of the same storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `layout` reaches past the end of the storage.
+    pub fn with_layout(&self, layout: Layout) -> Result<Tensor> {
+        let span = |(&d, &s): (&usize, &usize)| (d - 1).checked_mul(s);
+        let last = || {
+            (layout.shape.iter().zip(&layout.strides))
+                .try_fold(layout.offset, |at, ds| at.checked_add(span(ds)?))
+        };
+        if layout.shape.len() != layout.strides.len()
+            || !layout.shape.contains(&0) && last().is_none_or(|i| i >= self.storage.len())
+        {
+            return Err(TensorError::invalid("layout reaches past its storage"));
+        }
+        Ok(self.view_with(layout))
+    }
+
+    /// Another view of the same storage; `layout` must stay inside it.
+    pub(crate) fn view_with(&self, layout: Layout) -> Tensor {
+        Tensor {
+            storage: self.storage.clone(),
+            layout,
+            dtype: self.dtype,
+        }
     }
 
     // -------------------------------------------------------- element access
-
-    fn checked_offset(&self, coord: &[usize]) -> Result<usize> {
-        if coord.len() != self.rank() {
-            return Err(TensorError::invalid(format!(
-                "coordinate of length {} for rank {} tensor",
-                coord.len(),
-                self.rank()
-            )));
-        }
-        for (d, (&c, &s)) in coord.iter().zip(&self.shape).enumerate() {
-            normalize_index(c as isize, s, d)?;
-        }
-        let rel = offset_of(coord, &self.strides);
-        Ok((self.offset as isize + rel) as usize)
-    }
 
     /// Read the element at `coord`.
     ///
@@ -201,19 +217,18 @@ impl Tensor {
     ///
     /// Returns an error if `coord` has the wrong rank or is out of range.
     pub fn at(&self, coord: &[usize]) -> Result<Scalar> {
-        let off = self.checked_offset(coord)?;
-        Ok(self.storage.with_read(|b| b.get(off)))
-    }
-
-    /// Write the element at `coord` (casting `value` to this tensor's dtype).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `coord` has the wrong rank or is out of range.
-    pub fn set_at(&self, coord: &[usize], value: Scalar) -> Result<()> {
-        let off = self.checked_offset(coord)?;
-        self.storage.with_write(|b| b.set(off, value));
-        Ok(())
+        if coord.len() != self.rank() {
+            return Err(TensorError::invalid(format!(
+                "coordinate of length {} for rank {} tensor",
+                coord.len(),
+                self.rank()
+            )));
+        }
+        let mut off = self.layout.offset;
+        for (d, (&c, &s)) in coord.iter().zip(&self.layout.strides).enumerate() {
+            off += normalize_index(c as isize, self.shape()[d], d)? * s;
+        }
+        Ok(self.storage.read().get(off))
     }
 
     /// The single element of a one-element tensor.
@@ -228,81 +243,36 @@ impl Tensor {
                 self.numel()
             )));
         }
-        let coord = vec![0; self.rank()];
-        self.at(&coord)
+        self.at(&vec![0; self.rank()])
     }
 
-    // ----------------------------------------------------------- iteration
-
-    /// Visit every element in row-major logical order.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(Scalar)) {
-        if self.is_contiguous() {
-            // Fast path: a single flat range, no coordinate arithmetic.
-            let n = self.numel();
-            self.storage.with_read(|b| match b {
-                Buffer::F32(v) => {
-                    for &x in &v[self.offset..self.offset + n] {
-                        f(Scalar::F32(x));
-                    }
+    /// Whether `f` holds for every pair of corresponding elements of two
+    /// tensors of one shape, visited in row-major order.
+    fn all2(&self, other: &Tensor, f: impl Fn(Scalar, Scalar) -> bool) -> bool {
+        let (la, lb) = (&self.layout, &other.layout);
+        let mut all = true;
+        with_buffers([self, other], |[a, b]| {
+            typed!(a, |x| typed!(b, |y| for_each_row(
+                &la.shape,
+                [la, lb],
+                |len, [ia, ib], [sa, sb]| {
+                    all &= (0..len).all(|i| f(x[ia + i * sa].into(), y[ib + i * sb].into()));
                 }
-                Buffer::I64(v) => {
-                    for &x in &v[self.offset..self.offset + n] {
-                        f(Scalar::I64(x));
-                    }
-                }
-                Buffer::Bool(v) => {
-                    for &x in &v[self.offset..self.offset + n] {
-                        f(Scalar::Bool(x));
-                    }
-                }
-            });
-            return;
-        }
-        self.storage.with_read(|b| {
-            for coord in CoordIter::new(&self.shape) {
-                let off = (self.offset as isize + offset_of(&coord, &self.strides)) as usize;
-                f(b.get(off));
-            }
+            )));
         });
-    }
-
-    /// Flat storage offsets of every element in row-major logical order.
-    pub(crate) fn element_offsets(&self) -> Vec<usize> {
-        CoordIter::new(&self.shape)
-            .map(|coord| (self.offset as isize + offset_of(&coord, &self.strides)) as usize)
-            .collect()
-    }
-
-    pub(crate) fn storage(&self) -> &Storage {
-        &self.storage
+        all
     }
 
     // ----------------------------------------------------------- conversion
 
     /// The logical contents as a fresh row-major buffer.
-    fn to_buffer(&self) -> Buffer {
-        self.storage.with_read(|b| {
-            if self.is_contiguous() {
-                // Fast path: one slice copy.
-                let n = self.numel();
-                return match b {
-                    Buffer::F32(v) => Buffer::F32(v[self.offset..self.offset + n].to_vec()),
-                    Buffer::I64(v) => Buffer::I64(v[self.offset..self.offset + n].to_vec()),
-                    Buffer::Bool(v) => Buffer::Bool(v[self.offset..self.offset + n].to_vec()),
-                };
-            }
-            let offs = self.element_offsets();
-            match b {
-                Buffer::F32(v) => Buffer::F32(offs.iter().map(|&o| v[o]).collect()),
-                Buffer::I64(v) => Buffer::I64(offs.iter().map(|&o| v[o]).collect()),
-                Buffer::Bool(v) => Buffer::Bool(offs.iter().map(|&o| v[o]).collect()),
-            }
-        })
+    pub fn to_buffer(&self) -> Buffer {
+        kernel::cast((&self.storage.read(), &self.layout), self.dtype)
     }
 
     /// Copy the logical contents into a fresh contiguous tensor.
     pub fn clone_data(&self) -> Tensor {
-        Tensor::from_buffer(self.to_buffer(), self.shape.clone())
+        Tensor::dense(self.to_buffer(), self.shape().to_vec())
     }
 
     /// This tensor if already contiguous, otherwise a contiguous copy.
@@ -316,14 +286,8 @@ impl Tensor {
 
     /// Cast to another element type (always copies).
     pub fn cast(&self, dtype: DType) -> Tensor {
-        let mut out: Vec<Scalar> = Vec::with_capacity(self.numel());
-        self.for_each(|s| out.push(s.cast(dtype)));
-        let buffer = match dtype {
-            DType::F32 => Buffer::F32(out.iter().map(|s| s.as_f32()).collect()),
-            DType::I64 => Buffer::I64(out.iter().map(|s| s.as_i64()).collect()),
-            DType::Bool => Buffer::Bool(out.iter().map(|s| s.as_bool()).collect()),
-        };
-        Tensor::from_buffer(buffer, self.shape.clone())
+        let buffer = kernel::cast((&self.storage.read(), &self.layout), dtype);
+        Tensor::dense(buffer, self.shape().to_vec())
     }
 
     /// Logical contents as a flat `Vec<f32>` in row-major order.
@@ -379,30 +343,20 @@ impl Tensor {
     ///
     /// Useful in tests comparing eager execution against compiled execution.
     pub fn allclose(&self, other: &Tensor, tol: f64) -> bool {
-        if self.shape != other.shape {
-            return false;
-        }
-        let mut lhs = Vec::with_capacity(self.numel());
-        self.for_each(|s| lhs.push(s.as_f64()));
-        let mut rhs = Vec::with_capacity(other.numel());
-        other.for_each(|s| rhs.push(s.as_f64()));
-        lhs.iter()
-            .zip(&rhs)
-            .all(|(a, b)| (a - b).abs() <= tol + tol * b.abs().max(a.abs()))
+        self.shape() == other.shape()
+            && self.all2(other, |a, b| {
+                let (a, b) = (a.as_f64(), b.as_f64());
+                (a - b).abs() <= tol + tol * b.abs().max(a.abs())
+            })
     }
 }
 
 impl PartialEq for Tensor {
     /// Structural equality: same shape, dtype and logical contents.
     fn eq(&self, other: &Tensor) -> bool {
-        if self.shape != other.shape || self.dtype() != other.dtype() {
-            return false;
-        }
-        let mut lhs = Vec::with_capacity(self.numel());
-        self.for_each(|s| lhs.push(s));
-        let mut rhs = Vec::with_capacity(other.numel());
-        other.for_each(|s| rhs.push(s));
-        lhs == rhs
+        self.shape() == other.shape()
+            && self.dtype == other.dtype
+            && self.all2(other, |a, b| a == b)
     }
 }
 
@@ -414,7 +368,7 @@ mod tests {
     fn construction_and_metadata() {
         let t = Tensor::zeros(&[2, 3]);
         assert_eq!(t.shape(), &[2, 3]);
-        assert_eq!(t.strides(), &[3, 1]);
+        assert_eq!(t.layout().strides, vec![3, 1]);
         assert_eq!(t.rank(), 2);
         assert_eq!(t.numel(), 6);
         assert_eq!(t.dtype(), DType::F32);
@@ -426,13 +380,6 @@ mod tests {
         assert!(Tensor::from_vec_f32(vec![1.0, 2.0], &[3]).is_err());
         let t = Tensor::from_vec_f32(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         assert_eq!(t.at(&[1, 0]).unwrap(), Scalar::F32(3.0));
-    }
-
-    #[test]
-    fn element_set_and_get() {
-        let t = Tensor::zeros(&[2, 2]);
-        t.set_at(&[0, 1], Scalar::F32(5.0)).unwrap();
-        assert_eq!(t.at(&[0, 1]).unwrap(), Scalar::F32(5.0));
         assert!(t.at(&[0, 2]).is_err());
         assert!(t.at(&[0]).is_err());
     }
@@ -444,14 +391,35 @@ mod tests {
         let copy = t.clone_data();
         assert!(t.shares_storage_with(&alias));
         assert!(!t.shares_storage_with(&copy));
-        t.set_at(&[0], Scalar::F32(1.0)).unwrap();
+        t.fill_(1.0).unwrap();
         assert_eq!(alias.at(&[0]).unwrap(), Scalar::F32(1.0));
         assert_eq!(copy.at(&[0]).unwrap(), Scalar::F32(0.0));
     }
 
     #[test]
+    fn with_layout_checks_the_storage_bounds() {
+        let t = Tensor::arange_f32(6);
+        let l = t.layout().slice(0, 1, 6, 2).unwrap();
+        let v = t.with_layout(l.clone()).unwrap();
+        assert!(v.shares_storage_with(&t));
+        assert_eq!(v.to_vec_f32().unwrap(), vec![1.0, 3.0, 5.0]);
+        assert!(t
+            .with_layout(Layout {
+                offset: 2,
+                ..l.clone()
+            })
+            .is_err());
+        assert!(t.with_layout(Layout::contiguous(vec![7])).is_err());
+        assert!(t
+            .with_layout(Layout::contiguous(vec![usize::MAX, 2]))
+            .is_err());
+        assert!(t.with_layout(Layout::contiguous(vec![0, 9])).is_ok());
+    }
+
+    #[test]
     fn item_requires_single_element() {
-        assert_eq!(Tensor::scalar_i64(4).item().unwrap(), Scalar::I64(4));
+        let t = Tensor::from_vec_i64(vec![4], &[]).unwrap();
+        assert_eq!(t.item().unwrap(), Scalar::I64(4));
         assert!(Tensor::zeros(&[2]).item().is_err());
     }
 
@@ -472,11 +440,9 @@ mod tests {
         let c = Tensor::from_vec_f32(vec![1.0, 2.0], &[2, 1]).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn arange_builders() {
-        assert_eq!(Tensor::arange_i64(3).to_vec_i64().unwrap(), vec![0, 1, 2]);
-        assert_eq!(Tensor::arange_f32(2).to_vec_f32().unwrap(), vec![0.0, 1.0]);
+        assert_ne!(a, a.cast(DType::I64));
+        assert!(a.allclose(&a.cast(DType::I64), 0.0));
+        // A tensor compared with a view of itself locks its storage once.
+        assert_eq!(a, a.clone());
     }
 }

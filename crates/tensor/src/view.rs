@@ -2,21 +2,12 @@
 //!
 //! Every method in this module returns a tensor that **shares storage** with
 //! the receiver (Definition 3.1 of the paper: `v ← x[·]`). Mutating the result
-//! through an in-place operator mutates the base tensor too.
+//! through an in-place operator mutates the base tensor too. The arithmetic
+//! is [`crate::Layout`]'s; see there for the exact rules.
 
-use crate::index::{contiguous_strides, normalize_dim, normalize_index, numel};
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
-    fn view_with(&self, shape: Vec<usize>, strides: Vec<isize>, offset: usize) -> Tensor {
-        Tensor {
-            storage: self.storage.clone(),
-            offset,
-            shape,
-            strides,
-        }
-    }
-
     /// Select index `index` along `dim`, removing that dimension.
     ///
     /// Equivalent to PyTorch's `t.select(dim, index)` / `t[index]` on `dim` 0.
@@ -25,14 +16,7 @@ impl Tensor {
     ///
     /// Returns an error if `dim` or `index` is out of range.
     pub fn select(&self, dim: isize, index: isize) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        let i = normalize_index(index, self.shape[d], d)?;
-        let mut shape = self.shape.clone();
-        let mut strides = self.strides.clone();
-        let offset = (self.offset as isize + i as isize * strides[d]) as usize;
-        shape.remove(d);
-        strides.remove(d);
-        Ok(self.view_with(shape, strides, offset))
+        Ok(self.view_with(self.layout.select(dim, index)?))
     }
 
     /// Slice `[start, end)` with `step` along `dim`, keeping the dimension.
@@ -43,24 +27,7 @@ impl Tensor {
     ///
     /// Returns an error if `dim` is out of range or `step` is zero/negative.
     pub fn slice(&self, dim: isize, start: isize, end: isize, step: isize) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        if step <= 0 {
-            return Err(TensorError::invalid("slice step must be positive"));
-        }
-        let size = self.shape[d] as isize;
-        let clamp = |v: isize| -> isize {
-            let v = if v < 0 { v + size } else { v };
-            v.clamp(0, size)
-        };
-        let s = clamp(start);
-        let e = clamp(end).max(s);
-        let len = ((e - s) + step - 1) / step;
-        let mut shape = self.shape.clone();
-        let mut strides = self.strides.clone();
-        let offset = (self.offset as isize + s * strides[d]) as usize;
-        shape[d] = len as usize;
-        strides[d] *= step;
-        Ok(self.view_with(shape, strides, offset))
+        Ok(self.view_with(self.layout.slice(dim, start, end, step)?))
     }
 
     /// Narrow to `length` elements starting at `start` along `dim`.
@@ -69,16 +36,18 @@ impl Tensor {
     ///
     /// Returns an error if the range does not fit in the dimension.
     pub fn narrow(&self, dim: isize, start: isize, length: usize) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        let s = normalize_index(start, self.shape[d] + 1, d)?;
-        if s + length > self.shape[d] {
-            return Err(TensorError::IndexOutOfRange {
-                index: (s + length) as isize,
-                size: self.shape[d],
-                dim: d,
-            });
+        let size = self.size(dim)?;
+        let s = if start < 0 {
+            start + size as isize
+        } else {
+            start
+        };
+        match usize::try_from(s).ok().and_then(|s| s.checked_add(length)) {
+            Some(end) if end <= size => self.slice(dim, s, end as isize, 1),
+            _ => Err(TensorError::invalid(format!(
+                "narrow({start}, {length}) does not fit in a dimension of size {size}"
+            ))),
         }
-        self.slice(d as isize, s as isize, (s + length) as isize, 1)
     }
 
     /// Reorder dimensions according to `perm` (a permutation of `0..rank`).
@@ -87,23 +56,7 @@ impl Tensor {
     ///
     /// Returns an error if `perm` is not a permutation of the dimensions.
     pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
-        if perm.len() != self.rank() {
-            return Err(TensorError::invalid(format!(
-                "permutation of length {} for rank {}",
-                perm.len(),
-                self.rank()
-            )));
-        }
-        let mut seen = vec![false; self.rank()];
-        for &p in perm {
-            if p >= self.rank() || seen[p] {
-                return Err(TensorError::invalid("invalid permutation"));
-            }
-            seen[p] = true;
-        }
-        let shape = perm.iter().map(|&p| self.shape[p]).collect();
-        let strides = perm.iter().map(|&p| self.strides[p]).collect();
-        Ok(self.view_with(shape, strides, self.offset))
+        Ok(self.view_with(self.layout.permute(perm)?))
     }
 
     /// Swap dimensions `dim0` and `dim1`.
@@ -112,11 +65,7 @@ impl Tensor {
     ///
     /// Returns an error if either dimension is out of range.
     pub fn transpose(&self, dim0: isize, dim1: isize) -> Result<Tensor> {
-        let a = normalize_dim(dim0, self.rank())?;
-        let b = normalize_dim(dim1, self.rank())?;
-        let mut perm: Vec<usize> = (0..self.rank()).collect();
-        perm.swap(a, b);
-        self.permute(&perm)
+        Ok(self.view_with(self.layout.transpose(dim0, dim1)?))
     }
 
     /// Insert a size-1 dimension at `dim`.
@@ -125,14 +74,7 @@ impl Tensor {
     ///
     /// Returns an error if `dim` is out of range (`0..=rank`).
     pub fn unsqueeze(&self, dim: isize) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank() + 1)?;
-        let mut shape = self.shape.clone();
-        let mut strides = self.strides.clone();
-        // The stride value of a size-1 dim never affects addressing.
-        let stride = if d < strides.len() { strides[d] } else { 1 };
-        shape.insert(d, 1);
-        strides.insert(d, stride);
-        Ok(self.view_with(shape, strides, self.offset))
+        Ok(self.view_with(self.layout.unsqueeze(dim)?))
     }
 
     /// Remove the size-1 dimension at `dim`.
@@ -141,18 +83,7 @@ impl Tensor {
     ///
     /// Returns an error if `dim` is out of range or not of size 1.
     pub fn squeeze(&self, dim: isize) -> Result<Tensor> {
-        let d = normalize_dim(dim, self.rank())?;
-        if self.shape[d] != 1 {
-            return Err(TensorError::invalid(format!(
-                "squeeze dim {d} of size {}",
-                self.shape[d]
-            )));
-        }
-        let mut shape = self.shape.clone();
-        let mut strides = self.strides.clone();
-        shape.remove(d);
-        strides.remove(d);
-        Ok(self.view_with(shape, strides, self.offset))
+        Ok(self.view_with(self.layout.squeeze(dim)?))
     }
 
     /// Broadcast size-1 dimensions up to `target` shape without copying
@@ -162,29 +93,7 @@ impl Tensor {
     ///
     /// Returns an error if a non-1 dimension would need to change size.
     pub fn expand(&self, target: &[usize]) -> Result<Tensor> {
-        if target.len() < self.rank() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: target.to_vec(),
-                op: "expand",
-            });
-        }
-        let pad = target.len() - self.rank();
-        let mut strides = vec![0isize; target.len()];
-        for i in 0..self.rank() {
-            if self.shape[i] == target[pad + i] {
-                strides[pad + i] = self.strides[i];
-            } else if self.shape[i] == 1 {
-                strides[pad + i] = 0;
-            } else {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: self.shape.clone(),
-                    rhs: target.to_vec(),
-                    op: "expand",
-                });
-            }
-        }
-        Ok(self.view_with(target.to_vec(), strides, self.offset))
+        Ok(self.view_with(self.layout.broadcast_to(target)?))
     }
 
     /// Reinterpret a contiguous tensor with a new shape, sharing storage.
@@ -197,13 +106,7 @@ impl Tensor {
     /// (use [`Tensor::reshape`] to fall back to a copy), or
     /// [`TensorError::NumelMismatch`] if the element counts differ.
     pub fn view(&self, shape: &[isize]) -> Result<Tensor> {
-        if !self.is_contiguous() {
-            return Err(TensorError::NotViewable {
-                reason: "view() requires a contiguous tensor".into(),
-            });
-        }
-        let resolved = resolve_shape(shape, self.numel())?;
-        Ok(self.view_with(resolved.clone(), contiguous_strides(&resolved), self.offset))
+        Ok(self.view_with(self.layout.view(shape)?))
     }
 
     /// Like [`Tensor::view`], but copies to a contiguous layout when needed.
@@ -212,11 +115,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::NumelMismatch`] if element counts differ.
     pub fn reshape(&self, shape: &[isize]) -> Result<Tensor> {
-        if self.is_contiguous() {
-            self.view(shape)
-        } else {
-            self.clone_data().view(shape)
-        }
+        self.contiguous().view(shape)
     }
 
     /// Flatten to one dimension, copying if non-contiguous.
@@ -224,40 +123,6 @@ impl Tensor {
         // A flatten can never fail: -1 always resolves.
         self.reshape(&[-1]).expect("flatten is infallible")
     }
-}
-
-fn resolve_shape(shape: &[isize], total: usize) -> Result<Vec<usize>> {
-    let mut infer: Option<usize> = None;
-    let mut known = 1usize;
-    for (i, &d) in shape.iter().enumerate() {
-        if d == -1 {
-            if infer.is_some() {
-                return Err(TensorError::invalid("at most one -1 dimension"));
-            }
-            infer = Some(i);
-        } else if d < 0 {
-            return Err(TensorError::invalid("negative dimension in shape"));
-        } else {
-            known *= d as usize;
-        }
-    }
-    let mut out: Vec<usize> = shape.iter().map(|&d| d.max(0) as usize).collect();
-    if let Some(i) = infer {
-        if known == 0 || !total.is_multiple_of(known) {
-            return Err(TensorError::NumelMismatch {
-                from: total,
-                to: known,
-            });
-        }
-        out[i] = total / known;
-    }
-    if numel(&out) != total {
-        return Err(TensorError::NumelMismatch {
-            from: total,
-            to: numel(&out),
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -279,6 +144,7 @@ mod tests {
         assert_eq!(row.to_vec_f32().unwrap(), vec![4.0, 5.0, 6.0, 7.0]);
         let neg = t.select(0, -1).unwrap();
         assert_eq!(neg.at(&[0]).unwrap(), Scalar::F32(8.0));
+        assert!(iota(&[]).select(0, 0).is_err());
     }
 
     #[test]
@@ -298,7 +164,14 @@ mod tests {
             t.narrow(0, 1, 3).unwrap().to_vec_f32().unwrap(),
             vec![1.0, 2.0, 3.0]
         );
+        assert_eq!(
+            t.narrow(0, -2, 2).unwrap().to_vec_f32().unwrap(),
+            [3.0, 4.0]
+        );
+        assert_eq!(t.narrow(0, 5, 0).unwrap().numel(), 0);
         assert!(t.narrow(0, 3, 3).is_err());
+        assert!(t.narrow(0, -6, 1).is_err());
+        assert!(t.narrow(0, 1, usize::MAX).is_err());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! mutations are checked against a naive dense reference model.
 
 use proptest::prelude::*;
-use tssa_tensor::{Scalar, Tensor};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tssa_tensor::{where_select, BinaryOp, DType, Scalar, Tensor, UnaryOp};
 
 /// Maps an index in a view's coordinate space back to base coordinates.
 type IndexMap = Box<dyn Fn(&[usize]) -> Vec<usize>>;
@@ -264,17 +266,10 @@ proptest! {
     #[test]
     fn inplace_matches_functional(seed in 0u64..500) {
         let t = Tensor::rand_uniform(&[2, 6], -3.0, 3.0, seed);
-        type FuncPair = (fn(&Tensor) -> Tensor, fn(&Tensor));
-        let funcs: Vec<FuncPair> = vec![
-            (|t| t.relu(), |t| { t.relu_().unwrap(); }),
-            (|t| t.sigmoid(), |t| { t.sigmoid_().unwrap(); }),
-            (|t| t.tanh(), |t| { t.tanh_().unwrap(); }),
-            (|t| t.exp(), |t| { t.exp_().unwrap(); }),
-        ];
-        for (pure, inplace) in funcs {
-            let expected = pure(&t);
+        for op in [UnaryOp::Relu, UnaryOp::Sigmoid, UnaryOp::Tanh, UnaryOp::Exp] {
+            let expected = t.unary(op).unwrap();
             let working = t.clone_data();
-            inplace(&working);
+            working.unary_(op).unwrap();
             prop_assert!(working.allclose(&expected, 1e-6));
         }
     }
@@ -297,5 +292,741 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Every kernel family, on random view chains of every dtype, computes
+    /// bit for bit what a naive coordinate walk does.
+    #[test]
+    fn kernels_match_a_naive_coordinate_walk(seed in 0u64..300) {
+        Case::new(seed).run();
+    }
+}
+
+// ------------------------------------------------ naive reference model
+//
+// Independent of the crate's odometer and op table on purpose: views are
+// lists of base cells built coordinate by coordinate, element functions are
+// spelled out per dtype, and every loop is a plain walk over coordinates.
+
+/// Every coordinate of `shape` in row-major order.
+fn coords(shape: &[usize]) -> Vec<Vec<usize>> {
+    let mut out = vec![vec![]];
+    for &d in shape {
+        out = (out.iter())
+            .flat_map(|c| (0..d).map(move |i| [&c[..], &[i]].concat()))
+            .collect();
+    }
+    out
+}
+
+fn flat(coord: &[usize], shape: &[usize]) -> usize {
+    coord.iter().zip(shape).fold(0, |acc, (c, s)| acc * s + c)
+}
+
+/// A view in the reference model: per logical element, in row-major order,
+/// the base cell it addresses.
+#[derive(Debug, Clone)]
+struct Model {
+    shape: Vec<usize>,
+    cells: Vec<usize>,
+}
+
+impl Model {
+    /// The view of shape `shape` whose element `c` is this view's `back(c)`.
+    fn remap(&self, shape: Vec<usize>, back: impl Fn(&[usize]) -> Vec<usize>) -> Model {
+        let cells = (coords(&shape).iter())
+            .map(|c| self.cells[flat(&back(c), &self.shape)])
+            .collect();
+        Model { shape, cells }
+    }
+
+    /// This view broadcast (right-aligned) to `shape`.
+    fn broadcast(&self, shape: &[usize]) -> Model {
+        let pad = shape.len() - self.shape.len();
+        let own = self.shape.clone();
+        self.remap(shape.to_vec(), |c| {
+            (c[pad..].iter().zip(&own))
+                .map(|(&i, &d)| if d == 1 { 0 } else { i })
+                .collect()
+        })
+    }
+}
+
+fn key(s: Scalar) -> (u8, u64) {
+    match s {
+        Scalar::F32(v) => (0, u64::from(v.to_bits())),
+        Scalar::I64(v) => (1, v as u64),
+        Scalar::Bool(v) => (2, u64::from(v)),
+    }
+}
+
+fn keys(values: &[Scalar]) -> Vec<(u8, u64)> {
+    values.iter().map(|&s| key(s)).collect()
+}
+
+/// The logical contents of `t` in row-major order.
+fn scalars(t: &Tensor) -> Vec<Scalar> {
+    match t.dtype() {
+        DType::F32 => (t.to_vec_f32().unwrap().into_iter())
+            .map(Scalar::F32)
+            .collect(),
+        DType::I64 => (t.to_vec_i64().unwrap().into_iter())
+            .map(Scalar::I64)
+            .collect(),
+        DType::Bool => (t.to_vec_bool().unwrap().into_iter())
+            .map(Scalar::Bool)
+            .collect(),
+    }
+}
+
+fn f(s: Scalar) -> f32 {
+    match s {
+        Scalar::F32(v) => v,
+        Scalar::I64(v) => v as f64 as f32,
+        Scalar::Bool(v) => f32::from(u8::from(v)),
+    }
+}
+
+fn i(s: Scalar) -> i64 {
+    match s {
+        Scalar::F32(v) => v as i64,
+        Scalar::I64(v) => v,
+        Scalar::Bool(v) => i64::from(v),
+    }
+}
+
+fn truthy(s: Scalar) -> bool {
+    match s {
+        Scalar::F32(v) => v != 0.0,
+        Scalar::I64(v) => v != 0,
+        Scalar::Bool(v) => v,
+    }
+}
+
+fn conv(s: Scalar, dtype: DType) -> Scalar {
+    match dtype {
+        DType::F32 => Scalar::F32(f(s)),
+        DType::I64 => Scalar::I64(i(s)),
+        DType::Bool => Scalar::Bool(truthy(s)),
+    }
+}
+
+/// `bool < i64 < f32`.
+fn wider(a: DType, b: DType) -> DType {
+    [DType::F32, DType::I64, DType::Bool]
+        .into_iter()
+        .find(|&d| d == a || d == b)
+        .unwrap()
+}
+
+/// What `op` makes of one element; `None` where the op refuses the dtype.
+fn ref_unary(op: UnaryOp, v: Scalar) -> Option<Scalar> {
+    Some(match (op, v) {
+        (UnaryOp::Neg, Scalar::Bool(_)) => return None,
+        (UnaryOp::Neg, Scalar::I64(x)) => Scalar::I64(x.wrapping_neg()),
+        (UnaryOp::Abs, Scalar::I64(x)) => Scalar::I64(x.wrapping_abs()),
+        (UnaryOp::Abs, Scalar::Bool(x)) => Scalar::Bool(x),
+        (UnaryOp::Not, v) => Scalar::Bool(!truthy(v)),
+        (op, v) => {
+            let x = f(v);
+            Scalar::F32(match op {
+                UnaryOp::Neg => -x,
+                UnaryOp::Abs => x.abs(),
+                UnaryOp::Relu => x.max(0.0),
+                UnaryOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+                UnaryOp::Tanh => x.tanh(),
+                UnaryOp::Exp => x.exp(),
+                UnaryOp::Log => x.ln(),
+                UnaryOp::Sqrt => x.sqrt(),
+                UnaryOp::AddC(c) => x + c,
+                UnaryOp::MulC(c) => x * c,
+                UnaryOp::SubC(c) => x - c,
+                UnaryOp::DivC(c) => x / c,
+                UnaryOp::PowC(c) => x.powf(c),
+                UnaryOp::Clamp(lo, hi) => x.clamp(lo, hi),
+                UnaryOp::Not => unreachable!(),
+            })
+        }
+    })
+}
+
+/// What `op` makes of two elements: floats if either is one, else exact
+/// (wrapping) integers, bools being 0/1 and tested non-zero afterwards.
+fn ref_binary(op: BinaryOp, a: Scalar, b: Scalar) -> Scalar {
+    use BinaryOp::*;
+    let wide = wider(a.dtype(), b.dtype());
+    match op {
+        And => return Scalar::Bool(truthy(a) && truthy(b)),
+        Or => return Scalar::Bool(truthy(a) || truthy(b)),
+        Div => return Scalar::F32(f(a) / f(b)),
+        Pow => return Scalar::F32(f(a).powf(f(b))),
+        _ => {}
+    }
+    if wide == DType::F32 {
+        let (x, y) = (f(a), f(b));
+        return match op {
+            Add => Scalar::F32(x + y),
+            Sub => Scalar::F32(x - y),
+            Mul => Scalar::F32(x * y),
+            Max => Scalar::F32(x.max(y)),
+            Min => Scalar::F32(x.min(y)),
+            Gt => Scalar::Bool(x > y),
+            Lt => Scalar::Bool(x < y),
+            Ge => Scalar::Bool(x >= y),
+            Le => Scalar::Bool(x <= y),
+            _ => Scalar::Bool(x == y),
+        };
+    }
+    let (x, y) = (i(a), i(b));
+    let exact = match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Max => x.max(y),
+        Min => x.min(y),
+        Gt => return Scalar::Bool(x > y),
+        Lt => return Scalar::Bool(x < y),
+        Ge => return Scalar::Bool(x >= y),
+        Le => return Scalar::Bool(x <= y),
+        _ => return Scalar::Bool(x == y),
+    };
+    conv(Scalar::I64(exact), wide)
+}
+
+const UNARY: [UnaryOp; 15] = [
+    UnaryOp::Neg,
+    UnaryOp::Relu,
+    UnaryOp::Sigmoid,
+    UnaryOp::Tanh,
+    UnaryOp::Exp,
+    UnaryOp::Log,
+    UnaryOp::Sqrt,
+    UnaryOp::Abs,
+    UnaryOp::Not,
+    UnaryOp::AddC(1.5),
+    UnaryOp::MulC(-2.25),
+    UnaryOp::SubC(0.75),
+    UnaryOp::DivC(3.0),
+    UnaryOp::PowC(2.5),
+    UnaryOp::Clamp(-1.0, 1.5),
+];
+
+const BINARY: [BinaryOp; 14] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::Max,
+    BinaryOp::Min,
+    BinaryOp::Pow,
+    BinaryOp::Gt,
+    BinaryOp::Lt,
+    BinaryOp::Ge,
+    BinaryOp::Le,
+    BinaryOp::Eq,
+    BinaryOp::And,
+    BinaryOp::Or,
+];
+
+const DTYPES: [DType; 3] = [DType::F32, DType::I64, DType::Bool];
+
+/// A base tensor, the reference copy of its memory, and a view of both.
+struct Viewed {
+    base: Tensor,
+    memory: Vec<Scalar>,
+    view: Tensor,
+    model: Model,
+}
+
+impl Viewed {
+    /// The view's logical contents according to the model.
+    fn values(&self) -> Vec<Scalar> {
+        self.model.cells.iter().map(|&c| self.memory[c]).collect()
+    }
+
+    fn dtype(&self) -> DType {
+        self.base.dtype()
+    }
+
+    /// Another view of the same base.
+    fn with(&self, (view, model): (Tensor, Model)) -> Viewed {
+        Viewed {
+            base: self.base.clone(),
+            memory: self.memory.clone(),
+            view,
+            model,
+        }
+    }
+
+    /// The base must now hold `memory`, and this view its cells of it.
+    fn assert_memory(&self, what: &str) {
+        assert_eq!(
+            keys(&scalars(&self.base)),
+            keys(&self.memory),
+            "{what}: base"
+        );
+        assert_eq!(
+            keys(&scalars(&self.view)),
+            keys(&self.values()),
+            "{what}: view"
+        );
+    }
+}
+
+struct Case {
+    rng: StdRng,
+    seed: u64,
+}
+
+impl Case {
+    fn new(seed: u64) -> Case {
+        Case {
+            rng: StdRng::seed_from_u64(seed),
+            seed,
+        }
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        self.rng.gen_range(0..n.max(1))
+    }
+
+    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len())]
+    }
+
+    fn scalar(&mut self, dtype: DType) -> Scalar {
+        match dtype {
+            DType::F32 => Scalar::F32(match self.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => self.rng.gen_range(-4.0f32..4.0),
+            }),
+            // Mostly small, sometimes past what f32 (2^24) and f64 (2^53) hold.
+            DType::I64 => Scalar::I64(match self.below(6) {
+                0 => (1 << 24) + 1 + self.below(5) as i64,
+                1 => -(1i64 << 53) - 1 - self.below(5) as i64,
+                2 => i64::MAX - self.below(3) as i64,
+                _ => self.rng.gen_range(-4i64..5),
+            }),
+            DType::Bool => Scalar::Bool(self.below(2) == 1),
+        }
+    }
+
+    /// A fresh dense tensor and the reference copy of its memory.
+    fn dense(&mut self, shape: &[usize], dtype: DType) -> Viewed {
+        let n: usize = shape.iter().product();
+        let memory: Vec<Scalar> = (0..n).map(|_| self.scalar(dtype)).collect();
+        let base = match dtype {
+            DType::F32 => Tensor::from_vec_f32(memory.iter().map(|&s| f(s)).collect(), shape),
+            DType::I64 => Tensor::from_vec_i64(memory.iter().map(|&s| i(s)).collect(), shape),
+            DType::Bool => {
+                Tensor::from_vec_bool(memory.iter().map(|&s| truthy(s)).collect(), shape)
+            }
+        }
+        .unwrap();
+        let model = Model {
+            shape: shape.to_vec(),
+            cells: (0..n).collect(),
+        };
+        Viewed {
+            view: base.clone(),
+            base,
+            memory,
+            model,
+        }
+    }
+
+    /// One random view step applied to the tensor and to the model alike.
+    fn step(&mut self, t: &Tensor, m: &Model) -> (Tensor, Model) {
+        let shape = m.shape.clone();
+        let rank = shape.len();
+        loop {
+            let d = self.below(rank);
+            // Spell the dim from the back half of the time.
+            let dim = d as isize - if self.below(2) == 0 { rank as isize } else { 0 };
+            match self.below(7) {
+                0 if rank > 0 && shape[d] > 0 => {
+                    let at = self.below(shape[d]);
+                    let index = at as isize
+                        - if self.below(2) == 0 {
+                            shape[d] as isize
+                        } else {
+                            0
+                        };
+                    let mut out = shape.clone();
+                    out.remove(d);
+                    let model = m.remap(out, |c| [&c[..d], &[at], &c[d..]].concat());
+                    return (t.select(dim, index).unwrap(), model);
+                }
+                1 if rank > 0 => {
+                    // Any window, empty ones included, with steps 1 to 3.
+                    let start = self.below(shape[d] + 1);
+                    let end = start + self.below(shape[d] + 1 - start);
+                    let by = 1 + self.below(3);
+                    let mut out = shape.clone();
+                    out[d] = (end - start).div_ceil(by);
+                    let model = m.remap(out, |c| {
+                        let mut c = c.to_vec();
+                        c[d] = start + c[d] * by;
+                        c
+                    });
+                    let view = t.slice(dim, start as isize, end as isize, by as isize);
+                    return (view.unwrap(), model);
+                }
+                2 if rank > 1 => {
+                    let mut perm: Vec<usize> = (0..rank).collect();
+                    for k in (1..rank).rev() {
+                        perm.swap(k, self.below(k + 1));
+                    }
+                    let out = perm.iter().map(|&p| shape[p]).collect();
+                    let model = m.remap(out, |c| {
+                        let mut back = vec![0; rank];
+                        for (k, &p) in perm.iter().enumerate() {
+                            back[p] = c[k];
+                        }
+                        back
+                    });
+                    return (t.permute(&perm).unwrap(), model);
+                }
+                3 if rank > 1 => {
+                    let e = self.below(rank);
+                    let mut out = shape.clone();
+                    out.swap(d, e);
+                    let model = m.remap(out, |c| {
+                        let mut c = c.to_vec();
+                        c.swap(d, e);
+                        c
+                    });
+                    return (t.transpose(dim, e as isize).unwrap(), model);
+                }
+                4 if rank < 4 => {
+                    let at = self.below(rank + 1);
+                    let mut out = shape.clone();
+                    out.insert(at, 1);
+                    let model = m.remap(out, |c| [&c[..at], &c[at + 1..]].concat());
+                    return (t.unsqueeze(at as isize).unwrap(), model);
+                }
+                5 if rank > 0 && shape[d] == 1 => {
+                    let mut out = shape.clone();
+                    out.remove(d);
+                    let model = m.remap(out, |c| [&c[..d], &[0], &c[d..]].concat());
+                    return (t.squeeze(dim).unwrap(), model);
+                }
+                6 if rank < 4 => {
+                    // Stride 0: grow the unit dims and maybe add a leading one.
+                    let mut out: Vec<usize> = (shape.iter())
+                        .map(|&s| if s == 1 { 1 + self.below(3) } else { s })
+                        .collect();
+                    if self.below(2) == 0 {
+                        out.insert(0, self.below(3));
+                    }
+                    return (t.expand(&out).unwrap(), m.broadcast(&out));
+                }
+                _ => continue,
+            }
+        }
+    }
+
+    /// A random view chain over a fresh base: rank 0 to 3, zero-size dims
+    /// included.
+    fn viewed(&mut self, dtype: DType) -> Viewed {
+        let rank = self.below(4);
+        let shape: Vec<usize> = (0..rank)
+            .map(|_| [0, 1, 2, 3, 4, 5][self.below(6)])
+            .collect();
+        let fresh = self.dense(&shape, dtype);
+        let mut at = (fresh.view.clone(), fresh.model.clone());
+        for _ in 0..self.below(5) {
+            at = self.step(&at.0, &at.1);
+        }
+        fresh.with(at)
+    }
+
+    /// A strided operand that broadcasts to `shape`: dims dropped from the
+    /// front or set to 1, and laid out transposed half of the time.
+    fn broadcastable(&mut self, shape: &[usize], dtype: DType) -> Viewed {
+        let skip = self.below(shape.len() + 1);
+        let own: Vec<usize> = (shape[skip..].iter())
+            .map(|&s| if self.below(3) == 0 { 1 } else { s })
+            .collect();
+        if own.len() < 2 || self.below(2) == 0 {
+            return self.dense(&own, dtype);
+        }
+        let mut stored = own.clone();
+        stored.swap(0, 1);
+        let fresh = self.dense(&stored, dtype);
+        let model = fresh.model.remap(own, |c| {
+            let mut c = c.to_vec();
+            c.swap(0, 1);
+            c
+        });
+        let view = fresh.view.transpose(0, 1).unwrap();
+        fresh.with((view, model))
+    }
+
+    /// A source for writing into `dst`: a fresh broadcastable operand, or —
+    /// half of the time, when `dst` has a dim to shift along — a window of
+    /// the same base that overlaps the returned, equally shaped window of
+    /// `dst`.
+    fn source_for(&mut self, dst: Viewed, dtype: DType) -> (Viewed, Viewed) {
+        let wide: Vec<usize> = (0..dst.model.shape.len())
+            .filter(|&d| dst.model.shape[d] >= 2)
+            .collect();
+        if wide.is_empty() || dtype != dst.dtype() || self.below(2) == 0 {
+            let src = self.broadcastable(&dst.model.shape.clone(), dtype);
+            return (dst, src);
+        }
+        let d = self.pick(&wide);
+        let size = dst.model.shape[d];
+        let len = 1 + self.below(size - 1);
+        let window = |v: &Viewed, start: usize| {
+            let mut shape = v.model.shape.clone();
+            shape[d] = len;
+            let model = v.model.remap(shape, |c| {
+                let mut c = c.to_vec();
+                c[d] += start;
+                c
+            });
+            let view = v
+                .view
+                .slice(d as isize, start as isize, (start + len) as isize, 1);
+            v.with((view.unwrap(), model))
+        };
+        let (a, b) = (self.below(size - len + 1), self.below(size - len + 1));
+        (window(&dst, a), window(&dst, b))
+    }
+
+    fn run(&mut self) {
+        let seed = self.seed;
+        for dtype in DTYPES {
+            // Out of place: unary, cast, clone_data.
+            let x = self.viewed(dtype);
+            let values = x.values();
+            for op in UNARY {
+                let expected: Option<Vec<Scalar>> =
+                    values.iter().map(|&v| ref_unary(op, v)).collect();
+                match (x.view.unary(op), expected) {
+                    (Ok(got), Some(expected)) => {
+                        assert_eq!(got.shape(), &x.model.shape[..], "seed {seed} {op:?}");
+                        assert_eq!(keys(&scalars(&got)), keys(&expected), "seed {seed} {op:?}");
+                    }
+                    // An empty view still refuses what its dtype refuses.
+                    (Err(_), expected) => assert!(
+                        expected.is_none()
+                            || values.is_empty() && ref_unary(op, self.scalar(dtype)).is_none(),
+                        "seed {seed} {op:?} refused"
+                    ),
+                    (Ok(_), None) => panic!("seed {seed} {op:?} on {dtype} accepted"),
+                }
+            }
+            for to in DTYPES {
+                let expected: Vec<Scalar> = values.iter().map(|&v| conv(v, to)).collect();
+                assert_eq!(
+                    keys(&scalars(&x.view.cast(to))),
+                    keys(&expected),
+                    "seed {seed} cast"
+                );
+            }
+            let copy = x.view.clone_data();
+            assert!(copy.is_contiguous() && !copy.shares_storage_with(&x.base));
+            assert_eq!(
+                keys(&scalars(&copy)),
+                keys(&values),
+                "seed {seed} clone_data"
+            );
+
+            // Out of place: broadcast binary and where.
+            let other = self.pick(&DTYPES);
+            let y = self.broadcastable(&x.model.shape.clone(), other);
+            let (xs, ys) = (values.clone(), y.model.broadcast(&x.model.shape));
+            let ys: Vec<Scalar> = ys.cells.iter().map(|&c| y.memory[c]).collect();
+            for op in BINARY {
+                let expected: Vec<Scalar> = (xs.iter().zip(&ys))
+                    .map(|(&a, &b)| ref_binary(op, a, b))
+                    .collect();
+                let got = x.view.binary(op, &y.view).unwrap();
+                assert_eq!(got.shape(), &x.model.shape[..], "seed {seed} {op:?}");
+                assert_eq!(
+                    keys(&scalars(&got)),
+                    keys(&expected),
+                    "seed {seed} {op:?} {other}"
+                );
+                let flipped: Vec<Scalar> = (xs.iter().zip(&ys))
+                    .map(|(&a, &b)| ref_binary(op, b, a))
+                    .collect();
+                let got = y.view.binary(op, &x.view).unwrap();
+                assert_eq!(
+                    keys(&scalars(&got)),
+                    keys(&flipped),
+                    "seed {seed} flipped {op:?}"
+                );
+            }
+            let mask = self.broadcastable(&x.model.shape.clone(), DType::Bool);
+            let ms = mask.model.broadcast(&x.model.shape);
+            let wide = wider(dtype, other);
+            let expected: Vec<Scalar> = (ms.cells.iter().zip(xs.iter().zip(&ys)))
+                .map(|(&m, (&a, &b))| conv(if truthy(mask.memory[m]) { a } else { b }, wide))
+                .collect();
+            let got = where_select(&mask.view, &x.view, &y.view).unwrap();
+            assert_eq!(keys(&scalars(&got)), keys(&expected), "seed {seed} where");
+            assert!(where_select(&x.view, &x.view, &y.view).is_err() || dtype == DType::Bool);
+
+            // Reductions, in increasing index along the reduced dim.
+            self.reductions(&x);
+
+            // In place, sequentially in row-major order: fill, unary,
+            // copy_ and binary with fresh and with overlapping sources.
+            let mut w = self.viewed(dtype);
+            let value = self.rng.gen_range(-3.0f32..3.0);
+            w.view.fill_(value).unwrap();
+            for &c in &w.model.cells {
+                w.memory[c] = conv(Scalar::F32(value), dtype);
+            }
+            w.assert_memory("fill_");
+
+            let mut w = self.viewed(dtype);
+            let op = self.pick(&UNARY);
+            let refused = w.view.unary_(op).is_err();
+            assert_eq!(
+                refused,
+                ref_unary(op, self.scalar(dtype)).is_none(),
+                "seed {seed} {op:?}"
+            );
+            for &c in w.model.cells.iter().filter(|_| !refused) {
+                w.memory[c] = conv(ref_unary(op, w.memory[c]).unwrap(), dtype);
+            }
+            w.assert_memory("unary_");
+
+            for op in [
+                None,
+                Some(BinaryOp::Add),
+                Some(BinaryOp::Sub),
+                Some(BinaryOp::Mul),
+                Some(BinaryOp::Div),
+            ] {
+                let dst = self.viewed(dtype);
+                let from = self.pick(&DTYPES);
+                let (mut dst, src) = self.source_for(dst, from);
+                // The source is read out before anything is written.
+                let read = src.model.broadcast(&dst.model.shape);
+                let read: Vec<Scalar> = read.cells.iter().map(|&c| src.memory[c]).collect();
+                match op {
+                    None => dst.view.copy_(&src.view).unwrap(),
+                    Some(op) => dst.view.binary_(op, &src.view).unwrap(),
+                }
+                for (&c, &s) in dst.model.cells.iter().zip(&read) {
+                    let stored = op.map_or(s, |op| ref_binary(op, dst.memory[c], s));
+                    dst.memory[c] = conv(stored, dtype);
+                }
+                dst.assert_memory(&format!("seed {seed} {op:?} from {from}"));
+            }
+        }
+    }
+
+    fn reductions(&mut self, x: &Viewed) {
+        let seed = self.seed;
+        let values = x.values();
+        let as_f64 = |s: Scalar| match s {
+            Scalar::F32(v) => f64::from(v),
+            Scalar::I64(v) => v as f64,
+            Scalar::Bool(v) => f64::from(u8::from(v)),
+        };
+        let all = |init: f64, fold: fn(f64, f64) -> f64| {
+            values.iter().fold(init, |acc, &v| fold(acc, as_f64(v))) as f32
+        };
+        assert_eq!(x.view.sum_all().to_bits(), all(0.0, |a, b| a + b).to_bits());
+        assert_eq!(
+            x.view.max_all().to_bits(),
+            all(f64::NEG_INFINITY, f64::max).to_bits()
+        );
+        assert_eq!(
+            x.view.min_all().to_bits(),
+            all(f64::INFINITY, f64::min).to_bits()
+        );
+        let shape = &x.model.shape;
+        if shape.is_empty() {
+            assert!(x.view.sum_dim(0, false).is_err() && x.view.cumsum(0).is_err());
+            return;
+        }
+        let d = self.below(shape.len());
+        let keepdim = self.below(2) == 0;
+        let mut cells = shape.clone();
+        cells[d] = 1;
+        let lane = |c: &[usize]| -> Vec<Scalar> {
+            (0..shape[d])
+                .map(|k| {
+                    let mut c = c.to_vec();
+                    c[d] = k;
+                    values[flat(&c, shape)]
+                })
+                .collect()
+        };
+        let lanes: Vec<Vec<Scalar>> = coords(&cells).iter().map(|c| lane(c)).collect();
+        let fold = |init: f64, fold: fn(f64, f64) -> f64| -> Vec<Scalar> {
+            (lanes.iter())
+                .map(|l| Scalar::F32(l.iter().fold(init, |acc, &v| fold(acc, as_f64(v))) as f32))
+                .collect()
+        };
+        let dim = d as isize
+            - if self.below(2) == 0 {
+                shape.len() as isize
+            } else {
+                0
+            };
+        let check = |what: &str, got: Tensor, expected: Vec<Scalar>| {
+            let mut out = cells.clone();
+            if !keepdim {
+                out.remove(d);
+            }
+            assert_eq!(got.shape(), &out[..], "seed {seed} {what}");
+            assert_eq!(keys(&scalars(&got)), keys(&expected), "seed {seed} {what}");
+        };
+        let sums = fold(0.0, |a, b| a + b);
+        check(
+            "sum_dim",
+            x.view.sum_dim(dim, keepdim).unwrap(),
+            sums.clone(),
+        );
+        check(
+            "max_dim",
+            x.view.max_dim(dim, keepdim).unwrap(),
+            fold(f64::NEG_INFINITY, f64::max),
+        );
+        check(
+            "min_dim",
+            x.view.min_dim(dim, keepdim).unwrap(),
+            fold(f64::INFINITY, f64::min),
+        );
+        if shape[d] > 0 {
+            let n = shape[d] as f32;
+            let means = sums.iter().map(|&s| Scalar::F32(f(s) / n)).collect();
+            check("mean_dim", x.view.mean_dim(dim, keepdim).unwrap(), means);
+        }
+        let first_max = |l: &Vec<Scalar>| {
+            let mut best = (f64::NEG_INFINITY, 0);
+            for (k, &v) in l.iter().enumerate() {
+                if as_f64(v) > best.0 {
+                    best = (as_f64(v), k as i64);
+                }
+            }
+            Scalar::I64(best.1)
+        };
+        let argmax = lanes.iter().map(first_max).collect();
+        check(
+            "argmax_dim",
+            x.view.argmax_dim(dim, keepdim).unwrap(),
+            argmax,
+        );
+        // Running sums in the operand's own dtype.
+        let mut running = values.clone();
+        for c in coords(shape).iter().filter(|c| c[d] > 0) {
+            let mut prev = c.clone();
+            prev[d] -= 1;
+            let (at, before) = (flat(c, shape), flat(&prev, shape));
+            running[at] = ref_binary(BinaryOp::Add, running[at], running[before]);
+        }
+        let got = x.view.cumsum(dim).unwrap();
+        assert_eq!(got.shape(), &shape[..], "seed {seed} cumsum");
+        assert_eq!(keys(&scalars(&got)), keys(&running), "seed {seed} cumsum");
     }
 }

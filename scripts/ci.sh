@@ -23,6 +23,18 @@ cargo build --examples
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
+step "cargo test --release -q -p tssa-tensor -p tssa-backend"
+# The server runs the release kernels: debug builds panic on integer
+# overflow, which would hide a missing `wrapping_*` in the op table.
+cargo test --release -q -p tssa-tensor -p tssa-backend
+
+step "one strided kernel core (no second odometer, buffer enum or boxed walk)"
+# Strided data is walked by tssa_tensor::kernel::for_each_row and nothing
+# else; `#[cfg(test)]` modules come last in a file and are cut off first.
+guard() { for f in $(find crates/*/src -name '*.rs'); do sed '/#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" -E "$1" || true; done; }
+[ -z "$(guard 'CoordIter')" ] || { echo "CoordIter is back:"; guard 'CoordIter'; exit 1; }
+[ -z "$(guard 'fn for_each_row|enum Data\b' | grep -v '^crates/tensor/src/kernel.rs:')" ] || { echo "a second strided core:"; guard 'fn for_each_row|enum Data\b'; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
