@@ -1,37 +1,45 @@
 //! Evaluation of `prim::FusionGroup` bodies.
 //!
-//! The group is lowered at launch time — when input shapes and scalar
-//! operands (slice bounds, select indices, fill values) are known, the same
-//! shape-specialization strategy as PyTorch NNC — into a flat plan over
-//! dense slots. Every view transform and every broadcast is an affine map of
+//! A group is lowered once, when its graph is planned (`plan::GroupPlan`):
+//! dense slots, one kernel kind per body node, operands as slot indices,
+//! liveness. A launch *binds* that plan to the run's shapes and scalar
+//! operands (slice bounds, select indices, fill values — the same
+//! shape-specialization strategy as PyTorch NNC) and evaluates it node by
+//! node. Every view transform and every broadcast is an affine map of
 //! coordinates, so such a node runs nothing: its slot is a [`Layout`] onto
 //! an earlier buffer, with stride 0 on broadcast dims. A reshape re-strides
 //! a dense view and copies a strided one dense first. Compute nodes run the
 //! strided kernels of `tssa_tensor::kernel` — the loops eager execution
-//! runs — on plain owned buffers; an assign copies — or, when nothing reads
-//! the base afterwards, steals — the base buffer and writes the region
-//! through its strides. Allocation is O(plan nodes) per launch; no
-//! per-element work allocates or dispatches.
+//! runs; an assign copies — or, when nothing reads the base afterwards and
+//! the launch owns it, steals — the base buffer and writes the region
+//! through its strides.
 //!
-//! What is specific to a launch lives here: slot lowering, per-buffer
-//! liveness and steal-or-copy, accessed-bytes accounting and observer
-//! timing.
+//! Tensor inputs are not copied in. One that the enclosing block lets go of
+//! at this launch, that the body could write over or return, and that
+//! nobody else holds is *donated*: its storage buffer moves into the
+//! launch, where an assign can write it in place (a loop that carries a
+//! tensor through a group updates one buffer for its whole run). Every
+//! other input is *borrowed*: read where it lies, through
+//! its own layout, under one read lock per distinct storage. Whether a
+//! buffer may be taken is decided by ownership alone
+//! ([`Tensor::into_buffer`]); liveness only says who lets go.
 //!
 //! The *cost model* charges the whole group as a single kernel whose memory
 //! traffic covers only the group's inputs and outputs: on the modeled GPU
 //! the fused kernel keeps intermediates in registers. The host-side flat
 //! buffers here are an interpreter implementation detail.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::time::Instant;
 
-use tssa_ir::{Graph, NodeId, Op, ValueId, ViewKind};
+use tssa_ir::{Graph, NodeId, Op, ViewKind};
 use tssa_tensor::{
-    broadcast_shapes, kernel, promote, BinaryOp, Buffer, DType, Layout, Scalar, Tensor, UnaryOp,
+    broadcast_shapes, kernel, promote, read_buffers, Buffer, DType, Layout, Scalar, Tensor,
 };
 
 use crate::observe::OpObserver;
-use crate::ops::{dtype_of, elementwise, view_layout, Elementwise};
+use crate::ops::{elementwise, view_layout, Elementwise};
+use crate::plan::{GroupPlan, InputUse, Kind, PlanNode};
 use crate::{ExecError, RtValue};
 
 /// Result of executing a fusion group.
@@ -46,21 +54,31 @@ pub(crate) struct GroupResult {
     pub node_ns: u64,
 }
 
-/// A zero-copy window onto buffer `buf`.
-#[derive(Debug, Clone)]
-struct Slot {
+/// A zero-copy window onto buffer `buf`; a lent input is seen through the
+/// layout of its tensor.
+#[derive(Debug)]
+struct Slot<'a> {
     buf: usize,
-    layout: Layout,
+    layout: Cow<'a, Layout>,
     dtype: DType,
 }
 
-impl Slot {
-    /// All of a freshly allocated row-major buffer.
-    fn dense(buf: usize, shape: Vec<usize>, dtype: DType) -> Slot {
+impl Slot<'_> {
+    /// All of a row-major buffer.
+    fn dense(buf: usize, shape: Vec<usize>, dtype: DType) -> Slot<'static> {
         Slot {
             buf,
-            layout: Layout::contiguous(shape),
+            layout: Cow::Owned(Layout::contiguous(shape)),
             dtype,
+        }
+    }
+
+    /// Another window onto the same buffer.
+    fn view<'l>(&self, layout: Cow<'l, Layout>) -> Slot<'l> {
+        Slot {
+            buf: self.buf,
+            layout,
+            dtype: self.dtype,
         }
     }
 
@@ -71,60 +89,39 @@ impl Slot {
     fn bytes(&self) -> u64 {
         (self.layout.numel() * self.dtype.size_bytes()) as u64
     }
+}
 
-    /// The same buffer seen through `layout`.
-    fn with(&self, layout: Layout) -> Slot {
-        Slot {
-            buf: self.buf,
-            layout,
-            dtype: self.dtype,
+/// A buffer of a launch: its own, or an input's storage read in place.
+enum Buf<'a> {
+    Own(Buffer),
+    Lent(&'a Buffer),
+}
+
+impl Buf<'_> {
+    fn get(&self) -> &Buffer {
+        match self {
+            Buf::Own(b) => b,
+            Buf::Lent(b) => b,
         }
     }
 
-    /// This slot as an operand of an iteration over `shape`.
-    fn broadcast_to(&self, shape: &[usize]) -> Result<Slot, ExecError> {
-        Ok(self.with(self.layout.broadcast_to(shape)?))
+    /// The buffer itself, if the launch owns it and `layout` is all of it.
+    fn take(&mut self, layout: &Layout) -> Option<Buffer> {
+        match self {
+            Buf::Own(b) if layout.covers(b) => Some(std::mem::take(b)),
+            _ => None,
+        }
     }
 }
 
-/// What a plan node runs. Operand slots are already broadcast to the shape
-/// the kernel iterates over.
-enum Kernel {
-    /// Nothing: the node's slot is a view onto an earlier buffer.
-    Alias,
-    Un {
-        f: UnaryOp,
-        a: Slot,
-    },
-    Bin {
-        f: BinaryOp,
-        a: Slot,
-        b: Slot,
-    },
-    Where {
-        c: Slot,
-        a: Slot,
-        b: Slot,
-    },
-    Fill(Scalar),
-    /// Element-wise copy into a fresh dense buffer of the node's dtype: a
-    /// cast, or a strided view made dense ahead of a reshape.
-    Copy(Slot),
-    /// Copy or steal slot `base`, then write `src` over `region` of it.
-    Assign {
-        base: usize,
-        src: Slot,
-        region: Layout,
-    },
+/// Slot `s` as a kernel operand.
+fn at<'a>(bufs: &'a [Buf], s: &'a Slot) -> (&'a Buffer, &'a Layout) {
+    (bufs[s.buf].get(), &s.layout)
 }
 
-struct PlanNode {
-    kernel: Kernel,
-    /// Whether the cost model counts one flop per output element.
-    compute: bool,
-}
-
-/// Execute `group` (a `prim::FusionGroup` node) on `inputs`.
+/// Launch `group` (a `prim::FusionGroup` node, lowered as `plan`) on the
+/// values its inputs have in `regs`. An input the plan would donate leaves
+/// its register if it can give up its buffer.
 ///
 /// When an [`OpObserver`] is supplied, each body node's share of the fused
 /// launch is timed during evaluation and attributed to its graph node id
@@ -133,269 +130,269 @@ struct PlanNode {
 pub(crate) fn run_group(
     g: &Graph,
     group: NodeId,
-    inputs: &[RtValue],
+    plan: &GroupPlan,
+    regs: &mut [Option<RtValue>],
     observer: Option<&dyn OpObserver>,
 ) -> Result<GroupResult, ExecError> {
-    let body = g.block(g.node(group).blocks[0]);
-    let n_in = inputs.len();
-    if n_in != body.params.len() {
-        return Err(ExecError::ArityMismatch {
-            expected: body.params.len(),
-            found: n_in,
-        });
-    }
+    let inputs = &g.node(group).inputs;
 
-    // Slot k < n_in is input k, slot n_in + i the i-th body node; a slot
-    // that owns a buffer owns `bufs[slot]`. Tensors are imported with one
-    // copy; host scalars become rank-0 buffers, and the operators that take
-    // them as attributes read them from `inputs`.
-    let n_slots = n_in + body.nodes.len();
-    let mut bufs: Vec<Buffer> = Vec::with_capacity(n_slots);
-    let mut slots: Vec<Slot> = Vec::with_capacity(n_slots);
-    let mut slot_of: HashMap<ValueId, usize> = HashMap::with_capacity(n_slots);
-    let host = |s: Scalar| (Buffer::filled(s.dtype(), 1, s), Vec::new());
-    for (k, (v, &param)) in inputs.iter().zip(&body.params).enumerate() {
-        let (data, shape) = match v {
-            RtValue::Tensor(t) => (t.to_buffer(), t.shape().to_vec()),
-            RtValue::Float(f) => host(Scalar::F32(*f as f32)),
-            RtValue::Int(i) => host(Scalar::I64(*i)),
-            RtValue::Bool(b) => host(Scalar::Bool(*b)),
-            RtValue::List(_) => return Err(ExecError::unsupported("list input to fusion group")),
-        };
-        slots.push(Slot::dense(k, shape, data.dtype()));
-        bufs.push(data);
-        slot_of.insert(param, k);
-    }
-    bufs.resize_with(n_slots, Buffer::default);
-
-    // Lowering. `last_use[b]` is the last node reading buffer `b` through
-    // any view (`usize::MAX` once returned); an input read only through
-    // accesses is charged the accessed elements rather than its full size
-    // (this matters for parallel-map bodies that read one slice per
-    // iteration), so accesses and other reads are told apart per input.
-    let mut nodes: Vec<PlanNode> = Vec::with_capacity(body.nodes.len());
-    let mut last_use = vec![0usize; n_slots];
-    let mut accessed = vec![0u64; n_in];
-    let mut other_use = vec![false; n_in];
-    let mut reads: Vec<usize> = Vec::with_capacity(3);
-    for (idx, &n) in body.nodes.iter().enumerate() {
-        let node = g.node(n);
-        reads.clear();
-        let slot = |i: usize| -> Result<usize, ExecError> {
-            let found = node.inputs.get(i).and_then(|v| slot_of.get(v));
-            found.copied().ok_or_else(|| {
-                ExecError::unsupported("group operand missing or out of compilation scope")
-            })
-        };
-        let mut read = |i: usize| -> Result<usize, ExecError> {
-            let s = slot(i)?;
-            reads.push(s);
-            Ok(s)
-        };
-        let host = |i: usize| -> Result<&RtValue, ExecError> {
-            let scalar = inputs.get(slot(i)?);
-            scalar.ok_or_else(|| ExecError::unsupported("expected scalar operand in group"))
-        };
-        let float_at = |i: usize| Ok(host(i)?.as_float()? as f32);
-        let fresh = |shape: Vec<usize>, dtype: DType| Slot::dense(n_in + idx, shape, dtype);
-        let (kernel, out, compute) = match elementwise(&node.op, float_at)? {
-            Some(Elementwise::Unary(f)) => {
-                let a = slots[read(0)?].clone();
-                let out = fresh(a.shape().to_vec(), f.result_dtype(a.dtype)?);
-                (Kernel::Un { f, a }, out, true)
-            }
-            Some(Elementwise::Binary(f)) => {
-                let (a, b) = (&slots[read(0)?], &slots[read(1)?]);
-                let dtype = f.result_dtype(a.dtype, b.dtype);
-                let shape = broadcast_shapes(a.shape(), b.shape(), "fused broadcast")?;
-                let (a, b) = (a.broadcast_to(&shape)?, b.broadcast_to(&shape)?);
-                (Kernel::Bin { f, a, b }, fresh(shape, dtype), true)
-            }
-            None => match &node.op {
-                Op::WhereSelect => {
-                    let (c, a, b) = (&slots[read(0)?], &slots[read(1)?], &slots[read(2)?]);
-                    let shape = broadcast_shapes(a.shape(), b.shape(), "where")?;
-                    let shape = broadcast_shapes(c.shape(), &shape, "where")?;
-                    let dtype = promote(a.dtype, b.dtype);
-                    let kernel = Kernel::Where {
-                        c: c.broadcast_to(&shape)?,
-                        a: a.broadcast_to(&shape)?,
-                        b: b.broadcast_to(&shape)?,
-                    };
-                    (kernel, fresh(shape, dtype), true)
-                }
-                Op::FullLike | Op::ZerosLike | Op::OnesLike => {
-                    let like = &slots[slot(0)?];
-                    let value = match node.op {
-                        Op::FullLike => float_at(1)?,
-                        Op::OnesLike => 1.0,
-                        _ => 0.0,
-                    };
-                    let out = fresh(like.shape().to_vec(), like.dtype);
-                    (Kernel::Fill(Scalar::F32(value)), out, false)
-                }
-                Op::BroadcastLike => {
-                    let like = &slots[slot(1)?];
-                    let src = slots[read(0)?].broadcast_to(like.shape())?;
-                    if src.dtype == like.dtype {
-                        (Kernel::Alias, src, false)
-                    } else {
-                        let out = fresh(like.shape().to_vec(), like.dtype);
-                        (Kernel::Copy(src), out, false)
-                    }
-                }
-                Op::Cast { dtype } => {
-                    let a = slots[read(0)?].clone();
-                    let dtype = dtype_of(*dtype);
-                    if a.dtype == dtype {
-                        (Kernel::Alias, a, true)
-                    } else {
-                        let out = fresh(a.shape().to_vec(), dtype);
-                        (Kernel::Copy(a), out, true)
-                    }
-                }
-                Op::Access(kind) => {
-                    let b = slot(0)?;
-                    let base = &slots[b];
-                    // A strided layout has no affine reshape: copy it dense.
-                    let dense;
-                    let reshape = matches!(kind, ViewKind::ViewShape { .. });
-                    let (kernel, from) = if reshape && !base.layout.is_dense() {
-                        dense = fresh(base.shape().to_vec(), base.dtype);
-                        (Kernel::Copy(base.clone()), &dense)
-                    } else {
-                        (Kernel::Alias, base)
-                    };
-                    let out =
-                        from.with(view_layout(kind, &from.layout, |i| host(i + 1)?.as_int())?);
-                    last_use[base.buf] = idx;
-                    if b < n_in {
-                        accessed[b] += out.bytes();
-                    }
-                    (kernel, out, false)
-                }
-                Op::Assign(kind) => {
-                    let (base, src) = (read(0)?, &slots[read(1)?]);
-                    let out = fresh(slots[base].shape().to_vec(), slots[base].dtype);
-                    let region = view_layout(kind, &out.layout, |i| host(i + 2)?.as_int())?;
-                    let src = src.broadcast_to(&region.shape)?;
-                    (Kernel::Assign { base, src, region }, out, false)
-                }
-                other => {
-                    return Err(ExecError::unsupported(format!(
-                        "operator {} inside fusion group",
-                        other.name()
-                    )))
-                }
-            },
-        };
-        for &s in &reads {
-            last_use[slots[s].buf] = idx;
-            if s < n_in {
-                other_use[s] = true;
+    // Donation: a tensor the plan lets go of here and that nobody else holds
+    // gives up its buffer. Every other input stays in its register.
+    let mut donated: Vec<(Slot, Buffer)> = Vec::new();
+    for (k, &v) in inputs.iter().enumerate().filter(|&(k, _)| plan.donate[k]) {
+        let reg = &mut regs[v.index()];
+        if let Some(RtValue::Tensor(t)) = reg.take_if(|v| matches!(v, RtValue::Tensor(_))) {
+            let (shape, dtype) = (t.shape().to_vec(), t.dtype());
+            match t.into_buffer() {
+                Ok(data) => donated.push((Slot::dense(k, shape, dtype), data)),
+                Err(t) => *reg = Some(RtValue::Tensor(t)),
             }
         }
-        if let Some(&o) = node.outputs.first() {
-            slot_of.insert(o, slots.len());
+    }
+    // The tensors still there are lent: read where they lie, each distinct
+    // storage locked once for the launch.
+    let regs = &*regs;
+    let lent: Vec<&Tensor> = (inputs.iter())
+        .filter_map(|v| match &regs[v.index()] {
+            Some(RtValue::Tensor(t)) => Some(t),
+            _ => None,
+        })
+        .collect();
+    read_buffers(&lent, |storages| {
+        evaluate(g, group, plan, regs, donated, storages, observer)
+    })
+}
+
+/// `s` as an operand of an iteration over `shape`.
+fn broadcast<'a>(s: &'a Slot, shape: &[usize]) -> Result<Cow<'a, Layout>, ExecError> {
+    Ok(if s.shape() == shape {
+        Cow::Borrowed(&s.layout)
+    } else {
+        Cow::Owned(s.layout.broadcast_to(shape)?)
+    })
+}
+
+/// Bind `plan` to this launch's inputs — `donated` ones owned, the tensors
+/// left in `regs` seen through `storages`, in input order — evaluate it in
+/// plan order, each element computed exactly once, and read the returned
+/// slots back.
+fn evaluate(
+    g: &Graph,
+    group: NodeId,
+    plan: &GroupPlan,
+    regs: &[Option<RtValue>],
+    donated: Vec<(Slot, Buffer)>,
+    storages: &[&Buffer],
+    observer: Option<&dyn OpObserver>,
+) -> Result<GroupResult, ExecError> {
+    let inputs = &g.node(group).inputs;
+    let n_in = plan.n_in;
+    let n_slots = n_in + plan.nodes.len();
+    let mut bufs: Vec<Buf> = Vec::with_capacity(n_slots);
+    let mut slots: Vec<Slot> = Vec::with_capacity(n_slots);
+    let (mut donated, mut storages) = (donated.into_iter().peekable(), storages.iter());
+    for (k, &v) in inputs.iter().enumerate() {
+        if let Some((slot, data)) = donated.next_if(|(slot, _)| slot.buf == k) {
+            slots.push(slot);
+            bufs.push(Buf::Own(data));
+            continue;
+        }
+        // A host scalar is a rank-0 buffer if a kernel reads it; the
+        // operators that take scalars as attributes read their registers.
+        let scalar = match &regs[v.index()] {
+            Some(RtValue::Tensor(t)) => {
+                slots.push(Slot {
+                    buf: k,
+                    layout: Cow::Borrowed(t.layout()),
+                    dtype: t.dtype(),
+                });
+                bufs.push(Buf::Lent(storages.next().expect("one per lent tensor")));
+                continue;
+            }
+            Some(RtValue::Float(f)) => Scalar::F32(*f as f32),
+            Some(RtValue::Int(i)) => Scalar::I64(*i),
+            Some(RtValue::Bool(b)) => Scalar::Bool(*b),
+            Some(RtValue::List(_)) => {
+                return Err(ExecError::unsupported("list input to fusion group"))
+            }
+            None => return Err(ExecError::Undefined { value: v.index() }),
+        };
+        let read = usize::from(plan.uses[k] != InputUse::Meta);
+        slots.push(Slot::dense(k, Vec::new(), scalar.dtype()));
+        bufs.push(Buf::Own(Buffer::filled(scalar.dtype(), read, scalar)));
+    }
+
+    let (mut flops, mut node_ns) = (0u64, 0u64);
+    for (idx, pn) in plan.nodes.iter().enumerate() {
+        let op = &g.node(pn.id).op;
+        // Operand `i` as a host scalar: a group input, read from its register.
+        let scalar = |i: usize| -> Result<&RtValue, ExecError> {
+            let slot = pn.operands.get(i).ok_or_else(|| {
+                ExecError::unsupported("group operand missing or out of compilation scope")
+            })?;
+            let reg = inputs.get(*slot).and_then(|v| regs[v.index()].as_ref());
+            reg.ok_or_else(|| ExecError::unsupported("expected scalar operand in group"))
+        };
+        let float = |i: usize| Ok(scalar(i)?.as_float()? as f32);
+        let operand = |i: usize| &slots[pn.operands[i]];
+        let fresh = |shape: &[usize], dtype: DType| Slot::dense(n_in + idx, shape.to_vec(), dtype);
+        let started = observer.map(|_| Instant::now());
+        // The node's slot, and its buffer if it runs a kernel.
+        let (out, data) = match pn.kind {
+            Kind::Unary => {
+                let Some(Elementwise::Unary(f)) = elementwise(op, float)? else {
+                    unreachable!("planned as a unary operator")
+                };
+                let a = operand(0);
+                let out = fresh(a.shape(), f.result_dtype(a.dtype)?);
+                (out, Some(kernel::unary(f, at(&bufs, a))?))
+            }
+            Kind::Binary(f) => {
+                let (a, b) = (operand(0), operand(1));
+                let shape = broadcast_shapes(a.shape(), b.shape(), "fused broadcast")?;
+                let (la, lb) = (broadcast(a, &shape)?, broadcast(b, &shape)?);
+                let data = kernel::binary(f, (bufs[a.buf].get(), &la), (bufs[b.buf].get(), &lb));
+                (fresh(&shape, f.result_dtype(a.dtype, b.dtype)), Some(data))
+            }
+            Kind::Where => {
+                let (c, a, b) = (operand(0), operand(1), operand(2));
+                let shape = broadcast_shapes(a.shape(), b.shape(), "where")?;
+                let shape = broadcast_shapes(c.shape(), &shape, "where")?;
+                let (lc, la, lb) = (
+                    broadcast(c, &shape)?,
+                    broadcast(a, &shape)?,
+                    broadcast(b, &shape)?,
+                );
+                let data = kernel::select(
+                    (bufs[c.buf].get(), &lc),
+                    (bufs[a.buf].get(), &la),
+                    (bufs[b.buf].get(), &lb),
+                )?;
+                (fresh(&shape, promote(a.dtype, b.dtype)), Some(data))
+            }
+            Kind::Fill(value) => {
+                let like = operand(0);
+                let value = Scalar::F32(match value {
+                    Some(constant) => constant,
+                    None => float(1)?,
+                });
+                let data = Buffer::filled(like.dtype, like.layout.numel(), value);
+                (fresh(like.shape(), like.dtype), Some(data))
+            }
+            Kind::BroadcastLike => {
+                let (src, like) = (operand(0), operand(1));
+                let layout = src.layout.broadcast_to(like.shape())?;
+                if src.dtype == like.dtype {
+                    (src.view(Cow::Owned(layout)), None)
+                } else {
+                    let data = kernel::cast((bufs[src.buf].get(), &layout), like.dtype);
+                    (fresh(like.shape(), like.dtype), Some(data))
+                }
+            }
+            Kind::Cast(dtype) => {
+                let a = operand(0);
+                if a.dtype == dtype {
+                    (a.view(a.layout.clone()), None)
+                } else {
+                    let data = kernel::cast(at(&bufs, a), dtype);
+                    (fresh(a.shape(), dtype), Some(data))
+                }
+            }
+            Kind::Access => {
+                let Op::Access(kind) = op else {
+                    unreachable!("planned as an access")
+                };
+                let base = operand(0);
+                let int = |i: usize| scalar(i + 1)?.as_int();
+                // A strided layout has no affine reshape: copy it dense.
+                let reshape = matches!(kind, ViewKind::ViewShape { .. });
+                if reshape && !base.layout.is_dense() {
+                    let dense = fresh(base.shape(), base.dtype);
+                    let layout = view_layout(kind, &dense.layout, int)?;
+                    let data = kernel::cast(at(&bufs, base), base.dtype);
+                    (dense.view(Cow::Owned(layout)), Some(data))
+                } else {
+                    (
+                        base.view(Cow::Owned(view_layout(kind, &base.layout, int)?)),
+                        None,
+                    )
+                }
+            }
+            Kind::Assign => {
+                let Op::Assign(kind) = op else {
+                    unreachable!("planned as an assign")
+                };
+                let (base, src) = (operand(0), operand(1));
+                let out = fresh(base.shape(), base.dtype);
+                let region = view_layout(kind, &out.layout, |i| scalar(i + 2)?.as_int())?;
+                let from = broadcast(src, &region.shape)?;
+                // Write in place when the launch owns the base's buffer
+                // and nothing reads it from here on.
+                let dead = plan.last_use[base.buf] <= idx && src.buf != base.buf;
+                let stolen = dead.then(|| bufs[base.buf].take(&base.layout)).flatten();
+                let mut dst = stolen.unwrap_or_else(|| kernel::cast(at(&bufs, base), base.dtype));
+                kernel::write(&mut dst, &region, (bufs[src.buf].get(), &from));
+                (out, Some(dst))
+            }
+        };
+        let node_flops = if pn.compute {
+            out.layout.numel() as u64
+        } else {
+            0
+        };
+        flops += node_flops;
+        if let Some(obs) = observer {
+            // A view ran nothing.
+            let ns = match (&data, started) {
+                (Some(_), Some(at)) => at.elapsed().as_nanos() as u64,
+                _ => 0,
+            };
+            node_ns += ns;
+            let (group, node) = (group.index() as u32, pn.id.index() as u32);
+            obs.record_op(group, node, op, ns, out.bytes(), node_flops);
         }
         slots.push(out);
-        nodes.push(PlanNode { kernel, compute });
+        bufs.push(Buf::Own(data.unwrap_or_default()));
     }
 
+    // An input read only through accesses is charged what they read of it.
+    let accessed = |k: usize| -> u64 {
+        let of_k =
+            |(_, pn): &(usize, &PlanNode)| matches!(pn.kind, Kind::Access) && pn.operands[0] == k;
+        let nodes = plan.nodes.iter().enumerate().filter(of_k);
+        nodes.map(|(idx, _)| slots[n_in + idx].bytes()).sum()
+    };
     let in_bytes: u64 = (0..n_in)
-        .map(|k| match slots[k].bytes() {
-            full if !other_use[k] && accessed[k] > 0 => accessed[k].min(full),
-            full => full,
+        .map(|k| match (slots[k].bytes(), plan.uses[k]) {
+            (full, InputUse::Viewed) => match accessed(k) {
+                0 => full,
+                read => read.min(full),
+            },
+            (full, _) => full,
         })
         .sum();
-    let rets: Vec<usize> = body
-        .returns
-        .iter()
-        .map(|r| slot_of.get(r).copied())
-        .collect::<Option<_>>()
-        .ok_or_else(|| ExecError::unsupported("group return not computed"))?;
-    for &r in &rets {
-        last_use[slots[r].buf] = usize::MAX;
-    }
 
-    // Evaluation, in plan order; each element is computed exactly once.
-    let mut node_ns = vec![0u64; nodes.len()];
-    for (idx, node) in nodes.iter().enumerate() {
-        let started = observer.map(|_| Instant::now());
-        let out = &slots[n_in + idx];
-        let data = match &node.kernel {
-            Kernel::Alias => continue,
-            Kernel::Un { f, a } => kernel::unary(*f, at(&bufs, a))?,
-            Kernel::Bin { f, a, b } => kernel::binary(*f, at(&bufs, a), at(&bufs, b)),
-            Kernel::Where { c, a, b } => kernel::select(at(&bufs, c), at(&bufs, a), at(&bufs, b))?,
-            Kernel::Fill(value) => Buffer::filled(out.dtype, out.layout.numel(), *value),
-            Kernel::Copy(v) => kernel::cast(at(&bufs, v), out.dtype),
-            Kernel::Assign { base, src, region } => {
-                let base = &slots[*base];
-                let dead = last_use[base.buf] <= idx && src.buf != base.buf;
-                let mut dst = if dead && base.layout.covers(&bufs[base.buf]) {
-                    std::mem::take(&mut bufs[base.buf])
-                } else {
-                    kernel::cast(at(&bufs, base), out.dtype)
-                };
-                kernel::write(&mut dst, region, at(&bufs, src));
-                dst
-            }
-        };
-        bufs[out.buf] = data;
-        if let Some(at) = started {
-            node_ns[idx] = at.elapsed().as_nanos() as u64;
-        }
-    }
-
-    // Read back: a returned slot that is all of its buffer gives it up.
-    let mut outputs = Vec::with_capacity(rets.len());
+    // Read back: a returned slot that is all of a buffer the launch owns
+    // gives it up.
+    let mut outputs = Vec::with_capacity(plan.rets.len());
     let mut out_bytes = 0u64;
-    for (i, &r) in rets.iter().enumerate() {
-        if r < n_in && !matches!(inputs[r], RtValue::Tensor(_)) {
+    for (i, &r) in plan.rets.iter().enumerate() {
+        // A donated tensor has left its register; a scalar never does.
+        let reg = inputs.get(r).map(|v| &regs[v.index()]);
+        if !matches!(reg, None | Some(None | Some(RtValue::Tensor(_)))) {
             return Err(ExecError::unsupported("scalar group return"));
         }
         let v = &slots[r];
         out_bytes += v.bytes();
-        let last = !rets[i + 1..].iter().any(|&l| slots[l].buf == v.buf);
-        let data = if last && v.layout.covers(&bufs[v.buf]) {
-            std::mem::take(&mut bufs[v.buf])
-        } else {
-            kernel::cast(at(&bufs, v), v.dtype)
-        };
+        let last = !plan.rets[i + 1..].iter().any(|&l| slots[l].buf == v.buf);
+        let owned = last.then(|| bufs[v.buf].take(&v.layout)).flatten();
+        let data = owned.unwrap_or_else(|| kernel::cast(at(&bufs, v), v.dtype));
         outputs.push(RtValue::Tensor(Tensor::from_buffer(data, v.shape())?));
-    }
-    let node_flops = |i: usize| {
-        if nodes[i].compute {
-            slots[n_in + i].layout.numel() as u64
-        } else {
-            0
-        }
-    };
-    let flops = (0..nodes.len()).map(node_flops).sum();
-
-    if let Some(obs) = observer {
-        // Plan node i was built from the i-th body node, in order.
-        for (i, &bn) in body.nodes.iter().enumerate() {
-            obs.record_op(
-                group.index() as u32,
-                bn.index() as u32,
-                &g.node(bn).op,
-                node_ns[i],
-                slots[n_in + i].bytes(),
-                node_flops(i),
-            );
-        }
     }
     Ok(GroupResult {
         outputs,
         bytes: in_bytes + out_bytes,
         flops,
-        node_ns: node_ns.iter().sum(),
+        node_ns,
     })
-}
-
-/// Slot `s` as a kernel operand.
-fn at<'a>(bufs: &'a [Buffer], s: &'a Slot) -> (&'a Buffer, &'a Layout) {
-    (&bufs[s.buf], &s.layout)
 }

@@ -10,9 +10,12 @@ use tssa_tensor::{concat, stack, where_select, Scalar, Tensor};
 use crate::fused::run_group;
 use crate::observe::{OpObserver, TOP_LEVEL_GROUP};
 use crate::ops::{dtype_of, elementwise, view_layout, Elementwise};
-use crate::{ExecConfig, ExecError, ExecStats, RtValue};
+use crate::{ExecConfig, ExecError, ExecPlan, ExecStats, RtValue};
 
-type Env = HashMap<ValueId, RtValue>;
+/// The register file: one register per graph value, by `ValueId::index()`
+/// (ids are dense). A register is empty until its value is defined and
+/// again once the value has been moved out at its last use.
+type Env = Vec<Option<RtValue>>;
 
 /// Per-operator aggregate recorded when profiling is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -114,7 +117,7 @@ impl Executor {
 
     fn record_shape(&self, env: &Env, v: ValueId) {
         if let Some(trace) = &self.shape_trace {
-            if let Some(RtValue::Tensor(t)) = env.get(&v) {
+            if let Some(Some(RtValue::Tensor(t))) = env.get(v.index()) {
                 trace
                     .lock()
                     .expect("shape trace lock")
@@ -158,6 +161,8 @@ impl Executor {
     }
 
     /// Run `graph` on `inputs`, returning outputs and execution statistics.
+    /// Plans the graph first; callers that run one graph many times keep the
+    /// [`ExecPlan`] and call [`Executor::run_plan`].
     ///
     /// # Errors
     ///
@@ -168,6 +173,20 @@ impl Executor {
         graph: &Graph,
         inputs: &[RtValue],
     ) -> Result<(Vec<RtValue>, ExecStats), ExecError> {
+        self.run_plan(graph, &ExecPlan::new(graph), inputs)
+    }
+
+    /// Run `graph`, of which `plan` is the [`ExecPlan`], on `inputs`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::run`]; also if `plan` was built from another graph.
+    pub fn run_plan(
+        &self,
+        graph: &Graph,
+        plan: &ExecPlan,
+        inputs: &[RtValue],
+    ) -> Result<(Vec<RtValue>, ExecStats), ExecError> {
         let top = graph.top();
         let params = &graph.block(top).params;
         if params.len() != inputs.len() {
@@ -176,43 +195,28 @@ impl Executor {
                 found: inputs.len(),
             });
         }
-        let mut env: Env = Env::new();
+        if plan.values != graph.value_count() {
+            return Err(ExecPlan::foreign());
+        }
+        let mut env: Env = vec![None; plan.values];
         for (&p, v) in params.iter().zip(inputs) {
-            env.insert(p, v.clone());
+            env[p.index()] = Some(v.clone());
         }
         let mut stats = ExecStats::default();
-        self.eval_block(graph, top, &mut env, &mut stats)?;
+        self.eval_block(graph, plan, top, &mut env, &mut stats)?;
         let outs = graph
             .block(top)
             .returns
             .iter()
-            .map(|&r| lookup(&env, r))
+            .map(|&r| lookup(&env, r).cloned())
             .collect::<Result<Vec<_>, _>>()?;
-        Ok((outs, stats))
-    }
-
-    /// As [`Executor::run`], but additionally folds the run's statistics
-    /// into `aggregate` — the hook long-lived callers (benchmark loops, the
-    /// serving worker pool) use to account many runs without re-merging at
-    /// every call site.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::run`]; `aggregate` is untouched when the run fails.
-    pub fn run_collect(
-        &self,
-        graph: &Graph,
-        inputs: &[RtValue],
-        aggregate: &mut ExecStats,
-    ) -> Result<(Vec<RtValue>, ExecStats), ExecError> {
-        let (outs, stats) = self.run(graph, inputs)?;
-        aggregate.merge(&stats);
         Ok((outs, stats))
     }
 
     fn eval_block(
         &self,
         g: &Graph,
+        plan: &ExecPlan,
         b: BlockId,
         env: &mut Env,
         stats: &mut ExecStats,
@@ -239,7 +243,7 @@ impl Executor {
                 }
                 _ => None,
             };
-            self.eval_node(g, n, env, stats)?;
+            self.eval_node(g, plan, n, env, stats)?;
             if let (Some(started), Some(obs)) = (observed_at, &self.observer) {
                 obs.record_op(
                     TOP_LEVEL_GROUP,
@@ -293,16 +297,18 @@ impl Executor {
     fn eval_node(
         &self,
         g: &Graph,
+        plan: &ExecPlan,
         n: NodeId,
         env: &mut Env,
         stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
         stats.ops_executed += 1;
         let node = g.node(n);
+        // Operands are read where they lie; nothing is cloned to look.
         let arg = |i: usize| operand(env, node, i);
-        let tensor = |i: usize| -> Result<Tensor, ExecError> { Ok(arg(i)?.as_tensor()?.clone()) };
+        let tensor = |i: usize| arg(i)?.as_tensor();
         let set = |env: &mut Env, i: usize, v: RtValue| {
-            env.insert(node.outputs[i], v);
+            env[node.outputs[i].index()] = Some(v);
         };
 
         match &node.op {
@@ -323,7 +329,7 @@ impl Executor {
                 let items = node
                     .inputs
                     .iter()
-                    .map(|&v| lookup(env, v))
+                    .map(|&v| lookup(env, v).cloned())
                     .collect::<Result<Vec<_>, _>>()?;
                 set(env, 0, RtValue::List(items));
             }
@@ -343,11 +349,10 @@ impl Executor {
                 let cond = arg(0)?.as_bool()?;
                 let block = node.blocks[if cond { 0 } else { 1 }];
                 let body_at = started.map(|_| Instant::now());
-                self.eval_block(g, block, env, stats)?;
+                self.eval_block(g, plan, block, env, stats)?;
                 let body_ns = body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                let rets = g.block(block).returns.clone();
-                for (i, r) in rets.into_iter().enumerate() {
-                    let v = lookup(env, r)?;
+                for (i, &r) in g.block(block).returns.iter().enumerate() {
+                    let v = lookup(env, r)?.clone();
                     set(env, i, v);
                 }
                 if let (Some(t0), Some(obs)) = (started, &self.observer) {
@@ -360,26 +365,34 @@ impl Executor {
                 let mut body_ns = 0u64;
                 let trip = arg(0)?.as_int()?.max(0);
                 let mut cond = arg(1)?.as_bool()?;
-                let mut carried: Vec<RtValue> = node.inputs[2..]
-                    .iter()
-                    .map(|&v| lookup(env, v))
+                // Carried values move: into the loop if the block is done
+                // with them, into the body's parameters, and out of its
+                // returns — so a body that is the only holder of a carried
+                // tensor can update it in place.
+                let moves = plan.carried(n)?;
+                let pass = |env: &mut Env, v: ValueId, moved: bool| {
+                    let reg = &mut env[v.index()];
+                    let value = if moved { reg.take() } else { reg.clone() };
+                    value.ok_or(ExecError::Undefined { value: v.index() })
+                };
+                let mut carried: Vec<RtValue> = (node.inputs[2..].iter())
+                    .zip(&moves.init_dies)
+                    .map(|(&v, &dies)| pass(env, v, dies))
                     .collect::<Result<_, _>>()?;
-                let body = node.blocks[0];
-                let params = g.block(body).params.clone();
-                let rets = g.block(body).returns.clone();
+                let body = g.block(node.blocks[0]);
                 let mut i = 0i64;
                 while i < trip && cond {
                     stats.host_ns += self.cfg.control_entry_ns;
-                    env.insert(params[0], RtValue::Int(i));
-                    for (k, v) in carried.iter().enumerate() {
-                        env.insert(params[1 + k], v.clone());
+                    env[body.params[0].index()] = Some(RtValue::Int(i));
+                    for (&p, v) in body.params[1..].iter().zip(carried.drain(..)) {
+                        env[p.index()] = Some(v);
                     }
                     let body_at = started.map(|_| Instant::now());
-                    self.eval_block(g, body, env, stats)?;
+                    self.eval_block(g, plan, node.blocks[0], env, stats)?;
                     body_ns += body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    cond = lookup(env, rets[0])?.as_bool()?;
-                    for (k, &r) in rets[1..].iter().enumerate() {
-                        carried[k] = lookup(env, r)?;
+                    cond = lookup(env, body.returns[0])?.as_bool()?;
+                    for (&r, &moved) in body.returns[1..].iter().zip(&moves.ret_moves) {
+                        carried.push(pass(env, r, moved)?);
                     }
                     i += 1;
                 }
@@ -405,13 +418,13 @@ impl Executor {
                         if b == 0 {
                             return Err(ExecError::unsupported("integer division by zero"));
                         }
-                        a / b
+                        a.wrapping_div(b)
                     }
                     _ => {
                         if b == 0 {
                             return Err(ExecError::unsupported("integer modulo by zero"));
                         }
-                        a % b
+                        a.wrapping_rem(b)
                     }
                 };
                 set(env, 0, RtValue::Int(r));
@@ -419,7 +432,7 @@ impl Executor {
             Op::IntNeg => {
                 self.host_scalar(stats);
                 let a = arg(0)?.as_int()?;
-                set(env, 0, RtValue::Int(-a));
+                set(env, 0, RtValue::Int(a.wrapping_neg()));
             }
             Op::IntLt | Op::IntLe | Op::IntGt | Op::IntGe | Op::IntEq | Op::IntNe => {
                 self.host_scalar(stats);
@@ -542,8 +555,8 @@ impl Executor {
                 let src = tensor(0)?;
                 let like = tensor(1)?;
                 let out = Tensor::zeros_dtype(like.shape(), like.dtype());
-                out.copy_(&src)?;
-                self.kernel(stats, t_bytes(&src) + t_bytes(&out), 0);
+                out.copy_(src)?;
+                self.kernel(stats, t_bytes(src) + t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
 
@@ -551,25 +564,21 @@ impl Executor {
             Op::View(kind) => {
                 // Metadata-only on device; dispatch cost on host.
                 stats.host_ns += self.cfg.host_dispatch_ns;
-                let v = apply_view(&tensor(0)?, kind, |i| arg(i + 1)?.as_int())?;
+                let v = apply_view(tensor(0)?, kind, |i| arg(i + 1)?.as_int())?;
                 set(env, 0, RtValue::Tensor(v));
             }
 
             // -------------------------------------------------- mutations
             Op::Mutate(kind) => {
                 let recv = tensor(0)?;
-                let bytes = 2 * t_bytes(&recv)
-                    + node
-                        .inputs
-                        .get(1)
-                        .and_then(|&v| lookup(env, v).ok())
-                        .and_then(|v| v.as_tensor().ok().map(t_bytes))
-                        .unwrap_or(0);
-                apply_mutation(&recv, *kind, node, env)?;
+                let src_bytes = arg(1).ok().and_then(|v| v.as_tensor().ok().map(t_bytes));
+                let bytes = 2 * t_bytes(recv) + src_bytes.unwrap_or(0);
+                apply_mutation(recv, *kind, node, env)?;
                 self.kernel(stats, bytes, recv.numel() as u64);
                 // The output aliases the receiver.
                 if !node.outputs.is_empty() {
-                    set(env, 0, RtValue::Tensor(recv));
+                    let alias = RtValue::Tensor(recv.clone());
+                    set(env, 0, alias);
                 }
             }
 
@@ -604,17 +613,17 @@ impl Executor {
             | Op::LogicalNot
             | Op::Clamp => {
                 let a = tensor(0)?;
-                let (out, bytes, unit) = match elementwise(&node.op, |i| float(&arg(i)?))? {
+                let (out, bytes, unit) = match elementwise(&node.op, |i| float(arg(i)?))? {
                     Some(Elementwise::Binary(f)) => {
                         let b = tensor(1)?;
-                        (a.binary(f, &b)?, t_bytes(&a) + t_bytes(&b), 1)
+                        (a.binary(f, b)?, t_bytes(a) + t_bytes(b), 1)
                     }
                     Some(Elementwise::Unary(f)) => {
                         let unit = match node.op {
                             Op::Sigmoid | Op::Tanh | Op::Exp | Op::Log | Op::Sqrt => 4,
                             _ => 1,
                         };
-                        (a.unary(f)?, t_bytes(&a), unit)
+                        (a.unary(f)?, t_bytes(a), unit)
                     }
                     None => unreachable!("every operator of this arm is elementwise"),
                 };
@@ -624,7 +633,7 @@ impl Executor {
             Op::Softmax { dim } => {
                 let a = tensor(0)?;
                 let out = a.softmax(*dim as isize)?;
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), a.numel() as u64 * 4);
+                self.kernel(stats, t_bytes(a) + t_bytes(&out), a.numel() as u64 * 4);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::SumDim { dim, keepdim }
@@ -638,52 +647,43 @@ impl Executor {
                     Op::MaxDim { .. } => a.max_dim(*dim as isize, *keepdim)?,
                     _ => a.min_dim(*dim as isize, *keepdim)?,
                 };
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), a.numel() as u64);
+                self.kernel(stats, t_bytes(a) + t_bytes(&out), a.numel() as u64);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::ArgmaxDim { dim, keepdim } => {
                 let a = tensor(0)?;
                 let out = a.argmax_dim(*dim as isize, *keepdim)?;
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), a.numel() as u64);
+                self.kernel(stats, t_bytes(a) + t_bytes(&out), a.numel() as u64);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Cumsum { dim } => {
                 let a = tensor(0)?;
                 let out = a.cumsum(*dim as isize)?;
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), a.numel() as u64);
+                self.kernel(stats, t_bytes(a) + t_bytes(&out), a.numel() as u64);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Matmul => {
                 let a = tensor(0)?;
                 let b = tensor(1)?;
-                let out = a.matmul(&b)?;
+                let out = a.matmul(b)?;
                 let flops = 2 * a.shape()[0] * a.shape()[1] * b.shape()[1];
-                self.kernel(
-                    stats,
-                    t_bytes(&a) + t_bytes(&b) + t_bytes(&out),
-                    flops as u64,
-                );
+                self.kernel(stats, t_bytes(a) + t_bytes(b) + t_bytes(&out), flops as u64);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Bmm => {
                 let a = tensor(0)?;
                 let b = tensor(1)?;
-                let out = a.bmm(&b)?;
+                let out = a.bmm(b)?;
                 let flops = 2 * a.shape()[0] * a.shape()[1] * a.shape()[2] * b.shape()[2];
-                self.kernel(
-                    stats,
-                    t_bytes(&a) + t_bytes(&b) + t_bytes(&out),
-                    flops as u64,
-                );
+                self.kernel(stats, t_bytes(a) + t_bytes(b) + t_bytes(&out), flops as u64);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Concat { dim } | Op::Stack { dim } => {
-                let tensors: Vec<Tensor> = node
+                let refs: Vec<&Tensor> = node
                     .inputs
                     .iter()
-                    .map(|&v| Ok(lookup(env, v)?.as_tensor()?.clone()))
+                    .map(|&v| lookup(env, v)?.as_tensor())
                     .collect::<Result<_, ExecError>>()?;
-                let refs: Vec<&Tensor> = tensors.iter().collect();
                 let out = if matches!(node.op, Op::Concat { .. }) {
                     concat(&refs, *dim as isize)?
                 } else {
@@ -696,10 +696,10 @@ impl Executor {
                 let c = tensor(0)?;
                 let a = tensor(1)?;
                 let b = tensor(2)?;
-                let out = where_select(&c, &a, &b)?;
+                let out = where_select(c, a, b)?;
                 self.kernel(
                     stats,
-                    t_bytes(&c) + t_bytes(&a) + t_bytes(&b) + t_bytes(&out),
+                    t_bytes(c) + t_bytes(a) + t_bytes(b) + t_bytes(&out),
                     out.numel() as u64,
                 );
                 set(env, 0, RtValue::Tensor(out));
@@ -707,21 +707,21 @@ impl Executor {
             Op::Gather { dim } => {
                 let a = tensor(0)?;
                 let idx = tensor(1)?;
-                let out = a.gather(*dim as isize, &idx)?;
-                self.kernel(stats, t_bytes(&a) + t_bytes(&idx) + t_bytes(&out), 0);
+                let out = a.gather(*dim as isize, idx)?;
+                self.kernel(stats, t_bytes(a) + t_bytes(idx) + t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::IndexSelect { dim } => {
                 let a = tensor(0)?;
                 let idx = tensor(1)?;
-                let out = a.index_select(*dim as isize, &idx)?;
-                self.kernel(stats, t_bytes(&a) + t_bytes(&idx) + t_bytes(&out), 0);
+                let out = a.index_select(*dim as isize, idx)?;
+                self.kernel(stats, t_bytes(a) + t_bytes(idx) + t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Cast { dtype } => {
                 let a = tensor(0)?;
                 let out = a.cast(dtype_of(*dtype));
-                self.kernel(stats, t_bytes(&a) + t_bytes(&out), 0);
+                self.kernel(stats, t_bytes(a) + t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::CloneOp | Op::Contiguous => {
@@ -741,7 +741,7 @@ impl Executor {
             // -------------------------------------------------- TensorSSA
             Op::Access(kind) => {
                 // Standalone (unfused) access materializes a copy kernel.
-                let out = apply_view(&tensor(0)?, kind, |i| arg(i + 1)?.as_int())?.clone_data();
+                let out = apply_view(tensor(0)?, kind, |i| arg(i + 1)?.as_int())?.clone_data();
                 self.kernel(stats, 2 * t_bytes(&out), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
@@ -751,8 +751,8 @@ impl Executor {
                 let base = tensor(0)?;
                 let src = tensor(1)?;
                 let out = base.clone_data();
-                apply_view(&out, kind, |i| arg(i + 2)?.as_int())?.copy_(&src)?;
-                self.kernel(stats, 2 * t_bytes(&base) + t_bytes(&src), 0);
+                apply_view(&out, kind, |i| arg(i + 2)?.as_int())?.copy_(src)?;
+                self.kernel(stats, 2 * t_bytes(base) + t_bytes(src), 0);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Update => {
@@ -762,12 +762,7 @@ impl Executor {
             // ------------------------------------------------------ fused
             Op::FusionGroup => {
                 let started = self.observer.as_ref().map(|_| Instant::now());
-                let inputs: Vec<RtValue> = node
-                    .inputs
-                    .iter()
-                    .map(|&v| lookup(env, v))
-                    .collect::<Result<_, _>>()?;
-                let result = run_group(g, n, &inputs, self.observer.as_deref())?;
+                let result = run_group(g, n, plan.group(n)?, env, self.observer.as_deref())?;
                 self.kernel(stats, result.bytes, result.flops);
                 for (i, v) in result.outputs.into_iter().enumerate() {
                     set(env, i, v);
@@ -781,7 +776,7 @@ impl Executor {
                 }
             }
             Op::ParallelMap { dim } => {
-                let out = self.eval_parallel_map(g, n, *dim, env, stats)?;
+                let out = self.eval_parallel_map(g, plan, n, *dim, env, stats)?;
                 set(env, 0, RtValue::Tensor(out));
             }
         }
@@ -793,6 +788,7 @@ impl Executor {
     fn eval_parallel_map(
         &self,
         g: &Graph,
+        plan: &ExecPlan,
         n: NodeId,
         dim: i64,
         env: &mut Env,
@@ -801,8 +797,7 @@ impl Executor {
         let started = self.observer.as_ref().map(|_| Instant::now());
         let node = g.node(n);
         let trip = operand(env, node, 0)?.as_int()?.max(0);
-        let init = operand(env, node, 1)?.as_tensor()?.clone();
-        let out = init.clone_data();
+        let out = operand(env, node, 1)?.as_tensor()?.clone_data();
         let body = node.blocks[0];
         let i_param = g.block(body).params[0];
         let ret = g.block(body).returns[0];
@@ -814,59 +809,48 @@ impl Executor {
         let mut inner = ExecStats::default();
         let mut body_ns = 0u64;
         let observing = self.observer.is_some();
-        let run_iter =
-            |i: i64, env_snapshot: &Env, acc: &mut ExecStats| -> Result<(Tensor, u64), ExecError> {
-                let mut e = env_snapshot.clone();
-                e.insert(i_param, RtValue::Int(i));
-                let body_at = observing.then(Instant::now);
-                self.eval_block(g, body, &mut e, acc)?;
-                let ns = body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                Ok((lookup(&e, ret)?.as_tensor()?.clone(), ns))
-            };
+        // An iteration only defines the body's own values, so iterations
+        // take turns in one register file and write their slice from it.
+        let run_iter = |i: i64, env: &mut Env, acc: &mut ExecStats| -> Result<u64, ExecError> {
+            env[i_param.index()] = Some(RtValue::Int(i));
+            let body_at = observing.then(Instant::now);
+            self.eval_block(g, plan, body, env, acc)?;
+            let ns = body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            let slice = lookup(env, ret)?.as_tensor()?;
+            out.select(dim as isize, i as isize)?.copy_(slice)?;
+            Ok(ns)
+        };
 
         let threads = self.cfg.parallel_threads;
         if threads <= 1 || trip < 4 {
             for i in 0..trip {
-                let (slice, ns) = run_iter(i, env, &mut inner)?;
-                body_ns += ns;
-                out.select(dim as isize, i as isize)?.copy_(&slice)?;
+                body_ns += run_iter(i, env, &mut inner)?;
             }
         } else {
-            let chunks: Vec<Vec<i64>> = (0..threads as i64)
-                .map(|t| (0..trip).filter(|i| i % threads as i64 == t).collect())
-                .collect();
+            // One copy of the register file per worker; the slices of `out`
+            // are disjoint and each write locks the storage for itself.
+            let env = &*env;
             let results = crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk in &chunks {
-                    let env_ref = &*env;
-                    handles.push(scope.spawn(move |_| {
-                        let mut acc = ExecStats::default();
-                        let mut slices = Vec::new();
-                        let mut ns_sum = 0u64;
-                        for &i in chunk {
-                            match run_iter(i, env_ref, &mut acc) {
-                                Ok((t, ns)) => {
-                                    slices.push((i, t));
-                                    ns_sum += ns;
-                                }
-                                Err(e) => return Err(e),
+                let workers: Vec<_> = (0..threads as i64)
+                    .map(|t| {
+                        scope.spawn(move |_| {
+                            let (mut env, mut acc, mut ns) = (env.clone(), ExecStats::default(), 0);
+                            for i in (t..trip).step_by(threads) {
+                                ns += run_iter(i, &mut env, &mut acc)?;
                             }
-                        }
-                        Ok((slices, acc, ns_sum))
-                    }));
-                }
-                handles
+                            Ok((acc, ns))
+                        })
+                    })
+                    .collect();
+                workers
                     .into_iter()
                     .map(|h| h.join().expect("parallel map worker panicked"))
                     .collect::<Result<Vec<_>, ExecError>>()
             })
             .expect("parallel map scope panicked")?;
-            for (slices, acc, ns_sum) in results {
+            for (acc, ns) in results {
                 inner.merge(&acc);
-                body_ns += ns_sum;
-                for (i, slice) in slices {
-                    out.select(dim as isize, i as isize)?.copy_(&slice)?;
-                }
+                body_ns += ns;
             }
         }
 
@@ -897,10 +881,9 @@ impl Executor {
     }
 }
 
-fn lookup(env: &Env, v: ValueId) -> Result<RtValue, ExecError> {
-    env.get(&v)
-        .cloned()
-        .ok_or(ExecError::Undefined { value: v.index() })
+fn lookup(env: &Env, v: ValueId) -> Result<&RtValue, ExecError> {
+    let reg = env.get(v.index()).and_then(Option::as_ref);
+    reg.ok_or(ExecError::Undefined { value: v.index() })
 }
 
 fn t_bytes(t: &Tensor) -> u64 {
@@ -909,7 +892,7 @@ fn t_bytes(t: &Tensor) -> u64 {
 
 /// The node's `i`-th operand; a node short of operands is an error, not an
 /// index past its input list.
-fn operand(env: &Env, node: &Node, i: usize) -> Result<RtValue, ExecError> {
+fn operand<'e>(env: &'e Env, node: &Node, i: usize) -> Result<&'e RtValue, ExecError> {
     match node.inputs.get(i) {
         Some(&v) => lookup(env, v),
         None => Err(ExecError::unsupported(format!(
@@ -941,15 +924,14 @@ fn apply_mutation(
     node: &Node,
     env: &Env,
 ) -> Result<(), ExecError> {
-    let src =
-        |i: usize| -> Result<Tensor, ExecError> { Ok(operand(env, node, i)?.as_tensor()?.clone()) };
-    let flt = |i: usize| float(&operand(env, node, i)?);
+    let src = |i: usize| operand(env, node, i)?.as_tensor();
+    let flt = |i: usize| float(operand(env, node, i)?);
     match kind {
-        MutateKind::Copy => recv.copy_(&src(1)?)?,
+        MutateKind::Copy => recv.copy_(src(1)?)?,
         MutateKind::Fill => recv.fill_(flt(1)?)?,
         _ => match elementwise(&kind.functional_op(), flt)? {
             Some(Elementwise::Unary(f)) => recv.unary_(f)?,
-            Some(Elementwise::Binary(f)) => recv.binary_(f, &src(1)?)?,
+            Some(Elementwise::Binary(f)) => recv.binary_(f, src(1)?)?,
             None => unreachable!("every other mutation is elementwise"),
         },
     }
@@ -1149,6 +1131,38 @@ mod tests {
             &[RtValue::Tensor(Tensor::zeros(&[3, 4]))],
         );
         assert_eq!(outs[0].as_int().unwrap(), 6);
+    }
+
+    #[test]
+    fn one_plan_serves_many_runs_and_only_its_own_graph() {
+        let src = "graph(%b0 : Tensor, %n : int):
+               %t : bool = prim::Constant[value=true]()
+               %b : Tensor = aten::clone(%b0)
+               %o : Tensor = prim::Loop(%n, %t, %b)
+                 block0(%i : int, %c : Tensor):
+                   %c2 : Tensor = prim::FusionGroup(%c, %i)
+                     block0(%p : Tensor, %j : int):
+                       %r : Tensor = immut::select[dim=0](%p, %j)
+                       %w : Tensor = aten::sigmoid(%r)
+                       %v : Tensor = immut::assign_select[dim=0](%p, %w, %j)
+                       -> (%v)
+                   -> (%t, %c2)
+               return (%o)";
+        let g = parse_graph(src).unwrap();
+        let plan = ExecPlan::new(&g);
+        let exec = Executor::new(ExecConfig::compiled());
+        for rows in [3usize, 5, 2] {
+            let x = Tensor::rand_uniform(&[rows, 4], -1.0, 1.0, rows as u64);
+            let inputs = [RtValue::Tensor(x.clone()), RtValue::Int(rows as i64)];
+            let (planned, stats) = exec.run_plan(&g, &plan, &inputs).unwrap();
+            assert_eq!(planned[0].as_tensor().unwrap(), &x.sigmoid());
+            assert_eq!(stats.kernel_launches, 1 + rows as u64);
+            // The loop wrote its own copy in place, never the caller's.
+            assert_eq!(inputs[0].as_tensor().unwrap(), &x);
+        }
+        let other = parse_graph("graph(%x : Tensor):\n  return (%x)").unwrap();
+        let r = exec.run_plan(&other, &plan, &[RtValue::Tensor(Tensor::zeros(&[1]))]);
+        assert!(matches!(r, Err(ExecError::Unsupported { .. })));
     }
 
     #[test]

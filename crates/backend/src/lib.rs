@@ -9,11 +9,16 @@
 //! measures: every tensor operator is a *kernel launch* against a
 //! [`DeviceProfile`] (launch overhead + memory bandwidth + FLOP throughput),
 //! scalar/control operators run on the *host* with per-framework overheads
-//! from [`ExecConfig`], a `prim::FusionGroup` executes as a **single** launch
-//! evaluated element-at-a-time without intermediate buffers, and a
-//! `prim::ParallelMap` executes all loop iterations as one batched launch.
+//! from [`ExecConfig`], a `prim::FusionGroup` is charged as a **single**
+//! launch that keeps its intermediates in registers, and a
+//! `prim::ParallelMap` as one batched launch of all loop iterations.
 //! [`ExecStats`] reports kernel counts (Figure 6) and simulated time
 //! (Figures 5, 7, 8).
+//!
+//! What does not depend on a run's shapes and values — how each fusion
+//! group lowers onto kernels, and which values a block lets go of where —
+//! is an [`ExecPlan`], built once per graph; [`Executor::run`] builds one on
+//! the spot, long-lived callers keep it ([`Executor::run_plan`]).
 //!
 //! # Examples
 //!
@@ -43,6 +48,7 @@ mod fused;
 mod interp;
 mod observe;
 mod ops;
+mod plan;
 mod stats;
 mod value;
 
@@ -50,5 +56,6 @@ pub use device::{DeviceProfile, ExecConfig};
 pub use error::ExecError;
 pub use interp::{Executor, OpProfile};
 pub use observe::{OpObserver, TOP_LEVEL_GROUP};
+pub use plan::ExecPlan;
 pub use stats::ExecStats;
 pub use value::RtValue;

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tssa_backend::{ExecConfig, ExecError, Executor, RtValue};
+use tssa_backend::{ExecConfig, ExecError, ExecPlan, Executor, RtValue};
 use tssa_ir::parse_graph;
 use tssa_tensor::{DType, Tensor, TensorError};
 
@@ -594,10 +594,28 @@ struct Seen {
     scalar_input: usize,
     pow: usize,
     bool_unary: usize,
+    replanned_shape: usize,
+    aliased_inputs: usize,
+    donated_assign: usize,
 }
 
 fn first_dtype(inputs: &[RtValue]) -> DType {
     inputs[0].as_tensor().unwrap().dtype()
+}
+
+fn random_tensor(rng: &mut StdRng, shape: &[usize], dtype: DType) -> Tensor {
+    let n: usize = shape.iter().product();
+    match dtype {
+        DType::F32 => Tensor::rand_uniform(shape, -2.0, 2.0, rng.gen_range(0..1 << 30)),
+        DType::I64 => {
+            let data = (0..n).map(|_| rng.gen_range(-4i64..5)).collect();
+            Tensor::from_vec_i64(data, shape).unwrap()
+        }
+        DType::Bool => {
+            let data = (0..n).map(|_| rng.gen_range(0..2) == 1).collect();
+            Tensor::from_vec_bool(data, shape).unwrap()
+        }
+    }
 }
 
 struct Gen<'a> {
@@ -629,20 +647,9 @@ impl Gen<'_> {
     }
 
     fn tensor(&mut self, shape: &[usize], dtype: DType) -> RtValue {
-        let n: usize = shape.iter().product();
-        RtValue::Tensor(match dtype {
-            DType::F32 => Tensor::rand_uniform(shape, -2.0, 2.0, self.rng.gen_range(0..1 << 30)),
-            DType::I64 => {
-                self.seen.i64_operand += 1;
-                let data = (0..n).map(|_| self.rng.gen_range(-4i64..5)).collect();
-                Tensor::from_vec_i64(data, shape).unwrap()
-            }
-            DType::Bool => {
-                self.seen.bool_operand += 1;
-                let data = (0..n).map(|_| self.rng.gen_range(0..2) == 1).collect();
-                Tensor::from_vec_bool(data, shape).unwrap()
-            }
-        })
+        self.seen.i64_operand += usize::from(dtype == DType::I64);
+        self.seen.bool_operand += usize::from(dtype == DType::Bool);
+        RtValue::Tensor(random_tensor(&mut self.rng, shape, dtype))
     }
 
     /// A random view operator applicable to `shape`, and the shape it
@@ -935,6 +942,74 @@ fn generate(seed: u64, seen: &mut Seen) -> (String, String, Vec<RtValue>) {
     (fused, unfused, inputs)
 }
 
+/// What an [`ExecPlan`] adds to a launch is state that outlives it and
+/// buffers that change hands. One plan of the generated group serves its
+/// inputs, then `%x` one element longer along a dim with every scalar
+/// operand redrawn, then one tensor as both `%x` and `%y` (one read lock
+/// for the two) — and each time again with `%x` a copy nobody else holds,
+/// which the launch is given to keep. Every run must agree with the unfused
+/// program run afresh (the two may word a refusal differently), and none
+/// may touch what the caller holds.
+fn check_plan_reuse(seed: u64, fused: &str, unfused: &str, inputs: &[RtValue], seen: &mut Seen) {
+    let group = "%o : Tensor = prim::FusionGroup(%gx,";
+    let donating = fused.replace(
+        group,
+        "%cx : Tensor = aten::clone(%gx)\n%o : Tensor = prim::FusionGroup(%cx,",
+    );
+    assert_ne!(donating, fused, "the generator's group spelling changed");
+    let [fused, unfused, donating] =
+        [fused, unfused, &donating].map(|src| parse_graph(src).unwrap());
+    let plans = [&fused, &donating].map(ExecPlan::new);
+    let exec = Executor::new(ExecConfig::compiled());
+
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+    let x = inputs[0].as_tensor().unwrap();
+    let mut longer = x.shape().to_vec();
+    let d = rng.gen_range(0..longer.len());
+    longer[d] += 1;
+    let mut grown = inputs.to_vec();
+    grown[0] = RtValue::Tensor(random_tensor(&mut rng, &longer, x.dtype()));
+    grown[2] = RtValue::Float(f64::from(rng.gen_range(0.5f32..3.0)));
+    for k in &mut grown[3..] {
+        *k = RtValue::Int(rng.gen_range(-3i64..4));
+    }
+    let mut aliased = inputs.to_vec();
+    aliased[1] = aliased[0].clone();
+
+    let assigns = unfused.to_string().contains("immut::assign_");
+    for (variant, args) in [inputs.to_vec(), grown, aliased].iter().enumerate() {
+        let held = |v: &RtValue| v.as_tensor().ok().map(bits);
+        let before: Vec<_> = args.iter().map(held).collect();
+        let reference = exec.run(&unfused, args).map(|(outs, _)| outs);
+        for (graph, plan) in [&fused, &donating].into_iter().zip(&plans) {
+            let planned = exec.run_plan(graph, plan, args).map(|(outs, _)| outs);
+            match (&planned, &reference) {
+                (Ok(got), Ok(want)) => {
+                    let pairs = got.iter().zip(want);
+                    for (a, b) in
+                        pairs.map(|(a, b)| (a.as_tensor().unwrap(), b.as_tensor().unwrap()))
+                    {
+                        assert_eq!(a.shape(), b.shape(), "seed {seed} variant {variant}");
+                        assert_eq!(bits(a), bits(b), "seed {seed} variant {variant}");
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("seed {seed} variant {variant}: {planned:?} but {reference:?}"),
+            }
+            let after: Vec<_> = args.iter().map(held).collect();
+            assert_eq!(
+                before, after,
+                "seed {seed} variant {variant}: inputs changed"
+            );
+        }
+        if reference.is_ok() {
+            seen.replanned_shape += usize::from(variant == 1);
+            seen.aliased_inputs += usize::from(variant == 2);
+            seen.donated_assign += usize::from(assigns);
+        }
+    }
+}
+
 #[test]
 fn generated_view_chains_agree_bit_for_bit() {
     let mut seen = Seen::default();
@@ -946,6 +1021,7 @@ fn generated_view_chains_agree_bit_for_bit() {
             Ok(agreed) => assert_eq!(agreed.is_err(), neg_on_bool, "seed {seed}: {agreed:?}"),
             Err(_) => panic!("seed {seed} diverges"),
         }
+        check_plan_reuse(seed, &fused, &unfused, &inputs, &mut seen);
     }
     let counts = [
         seen.access_of_access,
@@ -961,6 +1037,9 @@ fn generated_view_chains_agree_bit_for_bit() {
         seen.scalar_input,
         seen.pow,
         seen.bool_unary,
+        seen.replanned_shape,
+        seen.aliased_inputs,
+        seen.donated_assign,
     ];
     assert!(
         counts.iter().all(|&c| c >= 3),

@@ -207,6 +207,49 @@ fn division_by_zero_is_an_error() {
     assert!(matches!(r, Err(ExecError::Unsupported { .. })));
 }
 
+/// `op` on host ints supplied as graph inputs, the way a request supplies
+/// them.
+fn int_op(op: &str, args: &[i64]) -> Result<i64, ExecError> {
+    let params: Vec<String> = (0..args.len()).map(|i| format!("%a{i}")).collect();
+    let typed: Vec<String> = params.iter().map(|p| format!("{p} : int")).collect();
+    let src = format!(
+        "graph({}):\n%r : int = aten::{op}({})\nreturn (%r)",
+        typed.join(", "),
+        params.join(", ")
+    );
+    let g = parse_graph(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+    let inputs: Vec<RtValue> = args.iter().map(|&a| RtValue::Int(a)).collect();
+    let (outs, _) = Executor::new(ExecConfig::compiled()).run(&g, &inputs)?;
+    outs[0].as_int()
+}
+
+#[test]
+fn int_div_wraps_on_overflow() {
+    // The one quotient an i64 cannot hold: it wraps, as add/sub/mul do.
+    assert_eq!(int_op("int_div", &[i64::MIN, -1]), Ok(i64::MIN));
+    assert_eq!(int_op("int_div", &[-7, 2]), Ok(-3));
+    assert!(matches!(
+        int_op("int_div", &[i64::MIN, 0]),
+        Err(ExecError::Unsupported { .. })
+    ));
+}
+
+#[test]
+fn int_mod_wraps_on_overflow() {
+    assert_eq!(int_op("int_mod", &[i64::MIN, -1]), Ok(0));
+    assert_eq!(int_op("int_mod", &[-7, 2]), Ok(-1));
+    assert!(matches!(
+        int_op("int_mod", &[i64::MIN, 0]),
+        Err(ExecError::Unsupported { .. })
+    ));
+}
+
+#[test]
+fn int_neg_wraps_on_overflow() {
+    assert_eq!(int_op("int_neg", &[i64::MIN]), Ok(i64::MIN));
+    assert_eq!(int_op("int_neg", &[5]), Ok(-5));
+}
+
 #[test]
 fn loop_respects_trip_and_condition() {
     // Condition becomes false after 3 iterations even though trip is 100.

@@ -53,7 +53,7 @@
 use std::sync::Arc;
 
 use tssa_backend::{
-    DeviceProfile, ExecConfig, ExecError, ExecStats, Executor, OpObserver, RtValue,
+    DeviceProfile, ExecConfig, ExecError, ExecPlan, ExecStats, Executor, OpObserver, RtValue,
 };
 use tssa_core::passes::{
     ConstantFold, Convert, Cse, Dce, Licm, PruneLoopCarries, PurifyViews, RevertUnfusedAccesses,
@@ -88,9 +88,31 @@ pub struct CompiledProgram {
     /// inputs — the serving layer — attach it post-compile via
     /// `tssa_lint::certify_shapes` and persist it in plan files.
     pub signature: Option<ShapeSignature>,
+    /// The shape-independent half of executing `graph`, derived from it
+    /// when the program is made — never serialised — and shared by every
+    /// clone and every run.
+    plan: Arc<ExecPlan>,
 }
 
 impl CompiledProgram {
+    /// `graph` as `pipeline` left it, to be executed under `exec_config`:
+    /// plans its execution. What the compilation did (`conversion`,
+    /// `fusion_groups`, `parallel_loops`, `passes`, `signature`) starts
+    /// empty for the maker to fill in.
+    pub fn new(graph: Graph, exec_config: ExecConfig, pipeline: &'static str) -> CompiledProgram {
+        CompiledProgram {
+            plan: Arc::new(ExecPlan::new(&graph)),
+            graph,
+            exec_config,
+            pipeline,
+            conversion: ConversionStats::default(),
+            fusion_groups: 0,
+            parallel_loops: 0,
+            passes: Vec::new(),
+            signature: None,
+        }
+    }
+
     /// Start building an execution: an [`ExecSession`] seeded with the
     /// pipeline's compile-time [`ExecConfig`].
     pub fn session(&self) -> ExecSession<'_> {
@@ -258,7 +280,11 @@ impl<'p> ExecSession<'p> {
         if let Some(obs) = &self.observer {
             exec = exec.observed(Arc::clone(obs));
         }
-        let result = exec.run_collect(&self.program.graph, inputs, aggregate);
+        let program = self.program;
+        let result = exec.run_plan(&program.graph, &program.plan, inputs);
+        if let Ok((_, stats)) = &result {
+            aggregate.merge(stats);
+        }
         if let Some(span) = batch_span.as_mut() {
             match &result {
                 Ok((_, stats)) => span.counters(stats.counters()),
@@ -376,16 +402,12 @@ fn compile_with(
     let fusion_groups = rewrites_of("fuse-vertical");
     let parallel_loops = rewrites_of("parallelize-loops");
     span.counter("fusion_groups", fusion_groups as i64);
-    CompiledProgram {
-        graph: g,
-        exec_config,
-        pipeline: name,
-        conversion: conversion_from(&runs),
-        fusion_groups,
-        parallel_loops,
-        passes: runs,
-        signature: None,
-    }
+    let mut program = CompiledProgram::new(g, exec_config, name);
+    program.conversion = conversion_from(&runs);
+    program.fusion_groups = fusion_groups;
+    program.parallel_loops = parallel_loops;
+    program.passes = runs;
+    program
 }
 
 /// Reassemble the conversion pass's [`ConversionStats`] from the counters

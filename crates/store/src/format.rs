@@ -628,17 +628,13 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
         let hits = p.get_u64("census hits")?;
         census.push((label, hits));
     }
+    let mut plan = CompiledProgram::new(graph, exec_config, pipeline);
+    plan.conversion = conversion;
+    plan.fusion_groups = fusion_groups;
+    plan.parallel_loops = parallel_loops;
+    plan.signature = signature;
     Ok(DecodedPlan {
-        plan: CompiledProgram {
-            graph,
-            exec_config,
-            pipeline,
-            conversion,
-            fusion_groups,
-            parallel_loops,
-            passes: Vec::new(),
-            signature,
-        },
+        plan,
         roster,
         class: ClassMeta {
             class_hash,

@@ -100,7 +100,12 @@ impl Layout {
 
     /// Whether this view is exactly `buf`, so the buffer can stand for it.
     pub fn covers(&self, buf: &Buffer) -> bool {
-        self.offset == 0 && self.is_dense() && self.numel() == buf.len()
+        self.covers_len(buf.len())
+    }
+
+    /// Whether this view is exactly a buffer of `len` elements, in order.
+    pub(crate) fn covers_len(&self, len: usize) -> bool {
+        self.offset == 0 && self.is_dense() && self.numel() == len
     }
 
     /// Index `index` along `dim`, removing that dimension.

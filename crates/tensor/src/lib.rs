@@ -43,7 +43,7 @@ pub use kernel::{BinaryOp, UnaryOp};
 pub use layout::{broadcast_shapes, Layout};
 pub use ops::{concat, stack, where_select};
 pub use storage::{Buffer, StorageId};
-pub use tensor::Tensor;
+pub use tensor::{read_buffers, Tensor};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -26,26 +26,37 @@ impl Tensor {
         }
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let n = rhs.shape()[1];
-        let a = self.contiguous();
-        let b = rhs.contiguous();
+        // Dense operands are read where they lie.
+        let dense = |t: &Tensor| (!t.is_contiguous()).then(|| t.clone_data());
+        let (a, b) = (dense(self), dense(rhs));
+        let (a, b) = (a.as_ref().unwrap_or(self), b.as_ref().unwrap_or(rhs));
         let mut out = vec![0f32; m * n];
-        with_buffers([&a, &b], |bufs| {
-            let [Buffer::F32(av), Buffer::F32(bv)] = bufs else {
-                unreachable!("dtype checked above")
-            };
-            let (ao, bo) = (a.layout.offset, b.layout.offset);
-            for i in 0..m {
-                for p in 0..k {
-                    let aval = av[ao + i * k + p];
-                    if aval == 0.0 {
-                        continue;
+        // `chunks_exact` needs a row length; with none there is nothing to add.
+        if m * k * n > 0 {
+            with_buffers([a, b], |bufs| {
+                let [Buffer::F32(av), Buffer::F32(bv)] = bufs else {
+                    unreachable!("dtype checked above")
+                };
+                // Rows as slices, so the inner loops carry no bounds checks
+                // and vectorise. Every cell still sums its products in
+                // ascending `p` from +0.0, one rounding per step.
+                let av = &av[a.layout.offset..][..m * k];
+                let bv = &bv[b.layout.offset..][..k * n];
+                if n == 1 {
+                    for (o, arow) in out.iter_mut().zip(av.chunks_exact(k)) {
+                        *o = (arow.iter().zip(bv)).fold(0.0, |acc, (&x, &y)| acc + x * y);
                     }
-                    for j in 0..n {
-                        out[i * n + j] += aval * bv[bo + p * n + j];
+                } else {
+                    for (orow, arow) in out.chunks_exact_mut(n).zip(av.chunks_exact(k)) {
+                        for (&x, brow) in arow.iter().zip(bv.chunks_exact(n)) {
+                            for (o, &y) in orow.iter_mut().zip(brow) {
+                                *o += x * y;
+                            }
+                        }
                     }
                 }
-            }
-        });
+            });
+        }
         Ok(Tensor::dense(Buffer::F32(out), vec![m, n]))
     }
 
@@ -125,6 +136,37 @@ mod tests {
         let at = a.transpose(0, 1).unwrap();
         let c = at.matmul(&Tensor::ones(&[2, 1])).unwrap();
         assert_eq!(c.to_vec_f32().unwrap(), vec![4.0, 6.0]);
+    }
+
+    #[test]
+    fn matmul_propagates_non_finite_operands_past_a_zero() {
+        // 0 × inf and 0 × NaN are NaN (IEEE, PyTorch): a zero in A may not
+        // skip its row of B.
+        let a = Tensor::from_vec_f32(vec![0.0, 1.0], &[1, 2]).unwrap();
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let b = Tensor::from_vec_f32(vec![bad, 1.0], &[2, 1]).unwrap();
+            assert!(a.matmul(&b).unwrap().to_vec_f32().unwrap()[0].is_nan());
+            // The same through the row loop (`n > 1`).
+            let b = Tensor::from_vec_f32(vec![bad, 2.0, 1.0, 3.0], &[2, 2]).unwrap();
+            let c = a.matmul(&b).unwrap().to_vec_f32().unwrap();
+            assert!(c[0].is_nan() && c[1] == 3.0, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn matmul_with_an_empty_dimension() {
+        let c = Tensor::zeros(&[2, 0])
+            .matmul(&Tensor::zeros(&[0, 3]))
+            .unwrap();
+        assert_eq!(c.to_vec_f32().unwrap(), vec![0.0; 6]);
+        let c = Tensor::zeros(&[0, 4])
+            .matmul(&Tensor::zeros(&[4, 3]))
+            .unwrap();
+        assert_eq!(c.shape(), &[0, 3]);
+        let c = Tensor::zeros(&[2, 4])
+            .matmul(&Tensor::zeros(&[4, 0]))
+            .unwrap();
+        assert_eq!(c.shape(), &[2, 0]);
     }
 
     #[test]

@@ -81,7 +81,10 @@ pub(crate) struct Storage {
 /// 1 MiB block up front — never touched, so never resident — starts the
 /// threshold there: the small tensors, whose kernels cost less than the
 /// mapping, come from the heap, and anything larger still goes back to the
-/// system when freed. Other allocators ignore it.
+/// system when freed. Other allocators ignore it. Still needed now that a
+/// fused launch borrows its inputs instead of copying them: every compute
+/// node returns a whole buffer, and without this `exec-cv` loses a tenth of
+/// its throughput (EXPERIMENTS.md "PR 21").
 fn raise_mmap_threshold() {
     static PRIMED: Once = Once::new();
     PRIMED.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(1 << 20))));
@@ -114,6 +117,15 @@ impl Storage {
     /// Exclusive access to the buffer.
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Buffer> {
         self.data.write()
+    }
+
+    /// The buffer itself, if this is the only handle on it.
+    pub(crate) fn into_buffer(self) -> Result<Buffer, Storage> {
+        let Storage { id, len, data } = self;
+        match Arc::try_unwrap(data) {
+            Ok(lock) => Ok(lock.into_inner()),
+            Err(data) => Err(Storage { id, len, data }),
+        }
     }
 }
 

@@ -22,21 +22,39 @@ pub struct Tensor {
     dtype: DType,
 }
 
+/// The first of `ts` that shares `ts[k]`'s storage.
+fn first_sharing(ts: &[&Tensor], k: usize) -> usize {
+    let same = |&j: &usize| ts[j].storage.id() == ts[k].storage.id();
+    (0..k).find(same).unwrap_or(k)
+}
+
 /// Run `f` on the buffers of `ts`, read-locking each distinct storage once
 /// (a second `read()` of one lock can deadlock behind a waiting writer).
 pub(crate) fn with_buffers<const N: usize, R>(
     ts: [&Tensor; N],
     f: impl FnOnce([&Buffer; N]) -> R,
 ) -> R {
-    let first = |k: usize| {
-        let same = |&j: &usize| ts[j].storage.id() == ts[k].storage.id();
-        (0..k).find(same).unwrap_or(k)
-    };
+    let first = |k: usize| first_sharing(&ts, k);
     let guards: [Option<RwLockReadGuard<Buffer>>; N] =
         std::array::from_fn(|k| (first(k) == k).then(|| ts[k].storage.read()));
     f(std::array::from_fn(|k| {
         &**guards[first(k)].as_ref().expect("locked above")
     }))
+}
+
+/// Run `f` on the storage buffers of `ts`, in order, each to be read
+/// through its tensor's [`Tensor::layout`]: what the eager operators do for
+/// their two or three operands, for a number of tensors known at run time.
+/// Each distinct storage is read-locked once for the whole call.
+pub fn read_buffers<R>(ts: &[&Tensor], f: impl FnOnce(&[&Buffer]) -> R) -> R {
+    let first = |k: usize| first_sharing(ts, k);
+    let guards: Vec<Option<RwLockReadGuard<Buffer>>> = (0..ts.len())
+        .map(|k| (first(k) == k).then(|| ts[k].storage.read()))
+        .collect();
+    let bufs: Vec<&Buffer> = (0..ts.len())
+        .map(|k| &**guards[first(k)].as_ref().expect("locked above"))
+        .collect();
+    f(&bufs)
 }
 
 impl Tensor {
@@ -266,8 +284,32 @@ impl Tensor {
     // ----------------------------------------------------------- conversion
 
     /// The logical contents as a fresh row-major buffer.
-    pub fn to_buffer(&self) -> Buffer {
+    pub(crate) fn to_buffer(&self) -> Buffer {
         kernel::cast((&self.storage.read(), &self.layout), self.dtype)
+    }
+
+    /// Give up the storage buffer itself: succeeds only when no other tensor
+    /// shares the storage and this view is all of it in row-major order, so
+    /// the buffer *is* the tensor's contents and nobody else can see what
+    /// its next owner writes. Otherwise the tensor comes back unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns `self` if the storage is shared or the view does not cover it.
+    pub fn into_buffer(self) -> std::result::Result<Buffer, Tensor> {
+        if !self.layout.covers_len(self.storage.len()) {
+            return Err(self);
+        }
+        let Tensor {
+            storage,
+            layout,
+            dtype,
+        } = self;
+        storage.into_buffer().map_err(|storage| Tensor {
+            storage,
+            layout,
+            dtype,
+        })
     }
 
     /// Copy the logical contents into a fresh contiguous tensor.
@@ -414,6 +456,52 @@ mod tests {
             .with_layout(Layout::contiguous(vec![usize::MAX, 2]))
             .is_err());
         assert!(t.with_layout(Layout::contiguous(vec![0, 9])).is_ok());
+    }
+
+    #[test]
+    fn only_a_sole_owner_of_all_of_its_storage_gives_up_the_buffer() {
+        let t = Tensor::arange_f32(6);
+        // Another handle on the storage, of any layout, keeps the buffer.
+        let alias = t.clone();
+        let t = t.into_buffer().unwrap_err();
+        drop(alias);
+        let row = t.select(0, 1).unwrap();
+        let t = t.into_buffer().unwrap_err();
+        drop(row);
+        // A view that is not all of the storage in order keeps it too.
+        let tail = t.slice(0, 1, 6, 1).unwrap();
+        drop(t);
+        let tail = tail.into_buffer().unwrap_err();
+        assert_eq!(tail.to_vec_f32().unwrap(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        let grid = Tensor::arange_f32(6).view(&[2, 3]).unwrap();
+        let flipped = grid.transpose(0, 1).unwrap();
+        drop(grid);
+        assert!(flipped.into_buffer().is_err());
+        // A reshaped sole owner is still all of it.
+        let grid = Tensor::arange_f32(6).view(&[2, 3]).unwrap();
+        let Ok(Buffer::F32(data)) = grid.into_buffer() else {
+            panic!("sole owner of a dense f32 view");
+        };
+        assert_eq!(data, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn read_buffers_locks_a_shared_storage_once() {
+        let a = Tensor::arange_f32(4);
+        let b = Tensor::from_vec_i64(vec![7], &[1]).unwrap();
+        let row = a.slice(0, 2, 4, 1).unwrap();
+        // Holding a write lock elsewhere would block; holding the read
+        // lock twice is what must not happen, so the same buffer comes
+        // back for both handles.
+        let seen = read_buffers(&[&a, &b, &row], |bufs| {
+            assert!(std::ptr::eq(bufs[0], bufs[2]));
+            (bufs[0].dtype(), bufs[1].dtype(), bufs.len())
+        });
+        assert_eq!(seen, (DType::F32, DType::I64, 3));
+        assert_eq!(read_buffers(&[], |bufs| bufs.len()), 0);
+        // The locks are gone: the storage can be written again.
+        a.fill_(1.0).unwrap();
+        assert_eq!(row.to_vec_f32().unwrap(), vec![1.0, 1.0]);
     }
 
     #[test]

@@ -921,6 +921,57 @@ impl Case {
                 dst.assert_memory(&format!("seed {seed} {op:?} from {from}"));
             }
         }
+        self.matmul();
+    }
+
+    /// An f32 `[rows, cols]` operand: dense, stored transposed, or a window
+    /// of a larger base.
+    fn matrix(&mut self, rows: usize, cols: usize) -> Viewed {
+        match self.below(3) {
+            0 => self.dense(&[rows, cols], DType::F32),
+            1 => {
+                let fresh = self.dense(&[cols, rows], DType::F32);
+                let model = fresh.model.remap(vec![rows, cols], |c| vec![c[1], c[0]]);
+                let view = fresh.view.transpose(0, 1).unwrap();
+                fresh.with((view, model))
+            }
+            _ => {
+                let (top, left) = (self.below(3), self.below(3));
+                let fresh = self.dense(&[top + rows + 1, left + cols + 2], DType::F32);
+                let model =
+                    (fresh.model).remap(vec![rows, cols], |c| vec![top + c[0], left + c[1]]);
+                let view = (fresh.view.slice(0, top as isize, (top + rows) as isize, 1))
+                    .and_then(|v| v.slice(1, left as isize, (left + cols) as isize, 1));
+                fresh.with((view.unwrap(), model))
+            }
+        }
+    }
+
+    /// `[m, k] × [k, n]` against a triple loop: every cell sums its products
+    /// in ascending `p` from +0.0, one rounding per step.
+    fn matmul(&mut self) {
+        let seed = self.seed;
+        let sizes = [0, 1, 2, 5, 48];
+        let (m, k, n) = (self.pick(&sizes), self.pick(&sizes), self.pick(&sizes));
+        let (a, b) = (self.matrix(m, k), self.matrix(k, n));
+        let (av, bv) = (a.values(), b.values());
+        let mut expected = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += f(av[i * k + p]) * f(bv[p * n + j]);
+                }
+                expected.push(Scalar::F32(acc));
+            }
+        }
+        let got = a.view.matmul(&b.view).unwrap();
+        assert_eq!(got.shape(), &[m, n], "seed {seed} matmul");
+        assert_eq!(
+            keys(&scalars(&got)),
+            keys(&expected),
+            "seed {seed} matmul [{m}, {k}] x [{k}, {n}]"
+        );
     }
 
     fn reductions(&mut self, x: &Viewed) {

@@ -35,6 +35,12 @@ guard() { for f in $(find crates/*/src -name '*.rs'); do sed '/#\[cfg(test)\]/,$
 [ -z "$(guard 'CoordIter')" ] || { echo "CoordIter is back:"; guard 'CoordIter'; exit 1; }
 [ -z "$(guard 'fn for_each_row|enum Data\b' | grep -v '^crates/tensor/src/kernel.rs:')" ] || { echo "a second strided core:"; guard 'fn for_each_row|enum Data\b'; exit 1; }
 
+step "one execution plan (no launch-time lowering, no import copy, registers not a map)"
+# A launch binds the ExecPlan built with the program: it hashes nothing and
+# copies no input in; the interpreter's environment is indexed by value id.
+[ -z "$(guard '\bto_buffer\(|HashMap' | grep '^crates/backend/src/fused.rs:')" ] || { echo "a launch lowers or copies again:"; guard '\bto_buffer\(|HashMap' | grep '^crates/backend/src/fused.rs:'; exit 1; }
+[ -z "$(guard 'HashMap<ValueId' | grep '^crates/backend/src/interp.rs:')" ] || { echo "registers are a map again:"; guard 'HashMap<ValueId' | grep '^crates/backend/src/interp.rs:'; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
