@@ -68,9 +68,6 @@ pub struct ExecConfig {
     /// Extra stall charged when a device value must be synchronized to the
     /// host (`aten::item`).
     pub sync_ns: f64,
-    /// Number of worker threads used to execute `prim::ParallelMap`
-    /// iterations (1 = serial).
-    pub parallel_threads: usize,
 }
 
 impl ExecConfig {
@@ -82,7 +79,6 @@ impl ExecConfig {
             host_scalar_ns: 300.0,
             control_entry_ns: 800.0,
             sync_ns: 10_000.0,
-            parallel_threads: 1,
         }
     }
 
@@ -95,7 +91,6 @@ impl ExecConfig {
             host_scalar_ns: 60.0,
             control_entry_ns: 100.0,
             sync_ns: 6_000.0,
-            parallel_threads: 1,
         }
     }
 
@@ -109,19 +104,12 @@ impl ExecConfig {
             host_scalar_ns: 300.0,
             control_entry_ns: 2_500.0,
             sync_ns: 10_000.0,
-            parallel_threads: 1,
         }
     }
 
     /// Replace the device, keeping framework overheads.
     pub fn with_device(mut self, device: DeviceProfile) -> ExecConfig {
         self.device = device;
-        self
-    }
-
-    /// Enable multi-threaded `prim::ParallelMap` execution.
-    pub fn with_parallel_threads(mut self, threads: usize) -> ExecConfig {
-        self.parallel_threads = threads.max(1);
         self
     }
 }

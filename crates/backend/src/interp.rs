@@ -1,6 +1,5 @@
 //! The graph interpreter and cost accountant.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -17,26 +16,12 @@ use crate::{ExecConfig, ExecError, ExecPlan, ExecStats, RtValue};
 /// again once the value has been moved out at its last use.
 type Env = Vec<Option<RtValue>>;
 
-/// Per-operator aggregate recorded when profiling is enabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OpProfile {
-    /// Number of executions.
-    pub count: u64,
-    /// Kernel launches attributed to the operator.
-    pub launches: u64,
-    /// Simulated device time, ns.
-    pub device_ns: f64,
-    /// Simulated host time, ns.
-    pub host_ns: f64,
-}
-
 /// One shape-trace entry: a value binding and the concrete shape it took.
 pub type ShapeTraceEntry = (ValueId, Vec<usize>);
 
 /// Executes graphs against a simulated device, with real tensor semantics.
 pub struct Executor {
     cfg: ExecConfig,
-    profile: Option<Mutex<HashMap<String, OpProfile>>>,
     shape_trace: Option<Mutex<Vec<ShapeTraceEntry>>>,
     /// Wall-time op observer ([`Executor::observed`]); `None` costs one
     /// branch per node.
@@ -47,25 +32,9 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("cfg", &self.cfg)
-            .field("profiling", &self.profile.is_some())
             .field("shape_trace", &self.shape_trace.is_some())
             .field("observed", &self.observer.is_some())
             .finish()
-    }
-}
-
-impl Clone for Executor {
-    fn clone(&self) -> Executor {
-        Executor {
-            cfg: self.cfg.clone(),
-            profile: self.profile.as_ref().map(|_| Mutex::new(HashMap::new())),
-            // Cloned executors (parallel-map workers get one each) share no
-            // trace; callers only read the original's.
-            shape_trace: self.shape_trace.as_ref().map(|_| Mutex::new(Vec::new())),
-            // The observer *is* shared: its sinks are thread-safe and the
-            // samples all belong to the same profile.
-            observer: self.observer.clone(),
-        }
     }
 }
 
@@ -74,7 +43,6 @@ impl Executor {
     pub fn new(cfg: ExecConfig) -> Executor {
         Executor {
             cfg,
-            profile: None,
             shape_trace: None,
             observer: None,
         }
@@ -100,7 +68,6 @@ impl Executor {
     pub fn with_shape_trace(cfg: ExecConfig) -> Executor {
         Executor {
             cfg,
-            profile: None,
             shape_trace: Some(Mutex::new(Vec::new())),
             observer: None,
         }
@@ -124,35 +91,6 @@ impl Executor {
                     .push((v, t.shape().to_vec()));
             }
         }
-    }
-
-    /// An executor that additionally aggregates per-operator costs,
-    /// retrievable with [`Executor::take_profile`] after a run. Control-flow
-    /// nodes are not recorded themselves (their bodies are, node by node);
-    /// fused groups and parallel maps are recorded as single kernels.
-    pub fn with_profiling(cfg: ExecConfig) -> Executor {
-        Executor {
-            cfg,
-            profile: Some(Mutex::new(HashMap::new())),
-            shape_trace: None,
-            observer: None,
-        }
-    }
-
-    /// Drain the per-operator profile, sorted by total simulated time
-    /// (descending). Empty when profiling is off or nothing ran.
-    pub fn take_profile(&self) -> Vec<(String, OpProfile)> {
-        let Some(prof) = &self.profile else {
-            return Vec::new();
-        };
-        let mut entries: Vec<(String, OpProfile)> =
-            prof.lock().expect("profile lock").drain().collect();
-        entries.sort_by(|a, b| {
-            let ta = a.1.device_ns + a.1.host_ns;
-            let tb = b.1.device_ns + b.1.host_ns;
-            tb.partial_cmp(&ta).expect("finite times")
-        });
-        entries
     }
 
     /// The active configuration.
@@ -227,7 +165,6 @@ impl Executor {
             }
         }
         for &n in &g.block(b).nodes {
-            let before = (stats.device_ns, stats.host_ns, stats.kernel_launches);
             // Wall-time observation: block-bearing nodes attribute their
             // own self-time inside their eval arms (bodies report node by
             // node), so only leaf ops are timed here.
@@ -257,19 +194,6 @@ impl Executor {
             if self.shape_trace.is_some() {
                 for &out in &g.node(n).outputs {
                     self.record_shape(env, out);
-                }
-            }
-            if let Some(prof) = &self.profile {
-                // Control flow is attributed to its children; atomic
-                // block-bearing nodes (fused groups, parallel maps) count as
-                // themselves.
-                if !matches!(g.node(n).op, Op::If | Op::Loop) {
-                    let mut map = prof.lock().expect("profile lock");
-                    let entry = map.entry(g.node(n).op.name()).or_default();
-                    entry.count += 1;
-                    entry.device_ns += stats.device_ns - before.0;
-                    entry.host_ns += stats.host_ns - before.1;
-                    entry.launches += stats.kernel_launches - before.2;
                 }
             }
         }
@@ -783,8 +707,8 @@ impl Executor {
         Ok(())
     }
 
-    /// Execute all iterations of a `prim::ParallelMap` as one batched
-    /// kernel (optionally on multiple worker threads).
+    /// Execute all iterations of a `prim::ParallelMap`, charged as one
+    /// batched kernel.
     fn eval_parallel_map(
         &self,
         g: &Graph,
@@ -808,65 +732,22 @@ impl Executor {
         // only its own overhead (bodies report node by node).
         let mut inner = ExecStats::default();
         let mut body_ns = 0u64;
-        let observing = self.observer.is_some();
         // An iteration only defines the body's own values, so iterations
         // take turns in one register file and write their slice from it.
-        let run_iter = |i: i64, env: &mut Env, acc: &mut ExecStats| -> Result<u64, ExecError> {
+        for i in 0..trip {
             env[i_param.index()] = Some(RtValue::Int(i));
-            let body_at = observing.then(Instant::now);
-            self.eval_block(g, plan, body, env, acc)?;
-            let ns = body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            let body_at = started.map(|_| Instant::now());
+            self.eval_block(g, plan, body, env, &mut inner)?;
+            body_ns += body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
             let slice = lookup(env, ret)?.as_tensor()?;
             out.select(dim as isize, i as isize)?.copy_(slice)?;
-            Ok(ns)
-        };
-
-        let threads = self.cfg.parallel_threads;
-        if threads <= 1 || trip < 4 {
-            for i in 0..trip {
-                body_ns += run_iter(i, env, &mut inner)?;
-            }
-        } else {
-            // One copy of the register file per worker; the slices of `out`
-            // are disjoint and each write locks the storage for itself.
-            let env = &*env;
-            let results = crossbeam::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads as i64)
-                    .map(|t| {
-                        scope.spawn(move |_| {
-                            let (mut env, mut acc, mut ns) = (env.clone(), ExecStats::default(), 0);
-                            for i in (t..trip).step_by(threads) {
-                                ns += run_iter(i, &mut env, &mut acc)?;
-                            }
-                            Ok((acc, ns))
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|h| h.join().expect("parallel map worker panicked"))
-                    .collect::<Result<Vec<_>, ExecError>>()
-            })
-            .expect("parallel map scope panicked")?;
-            for (acc, ns) in results {
-                inner.merge(&acc);
-                body_ns += ns;
-            }
         }
 
         // One batched launch: all per-iteration traffic and arithmetic, one
         // overhead, one dispatch.
-        stats.kernel_launches += 1;
-        let bytes = inner.bytes + 2 * t_bytes(&out);
-        let flops = inner.flops;
-        stats.device_ns +=
-            self.cfg.device.launch_overhead_ns + self.cfg.device.kernel_work_ns(bytes, flops);
-        stats.bytes += bytes;
-        stats.flops += flops;
-        stats.host_ns += self.cfg.host_dispatch_ns;
+        self.kernel(stats, inner.bytes + 2 * t_bytes(&out), inner.flops);
         if let (Some(t0), Some(obs)) = (started, &self.observer) {
-            // Scatter copies and launch folding; per-thread body sums can
-            // exceed the wall on multi-core runs, hence the saturation.
+            // Scatter copies and launch folding.
             let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(body_ns);
             obs.record_op(
                 TOP_LEVEL_GROUP,
@@ -1094,30 +975,6 @@ mod tests {
             .allclose(lo[0].as_tensor().unwrap(), 1e-6));
         assert_eq!(ps.kernel_launches, 1);
         assert!(ls.kernel_launches > 6);
-    }
-
-    #[test]
-    fn parallel_map_multithreaded_matches_serial() {
-        let pm_src = "graph(%b0 : Tensor, %n : int):
-               %o : Tensor = prim::ParallelMap[dim=0](%n, %b0)
-                 block0(%i : int):
-                   %bi : Tensor = immut::select[dim=0](%b0, %i)
-                   %w : Tensor = aten::sigmoid(%bi)
-                   -> (%w)
-               return (%o)";
-        let g = parse_graph(pm_src).unwrap();
-        let b = Tensor::rand_uniform(&[16, 8], -2.0, 2.0, 11);
-        let serial = Executor::new(ExecConfig::compiled())
-            .run(&g, &[RtValue::Tensor(b.clone()), RtValue::Int(16)])
-            .unwrap();
-        let parallel = Executor::new(ExecConfig::compiled().with_parallel_threads(4))
-            .run(&g, &[RtValue::Tensor(b), RtValue::Int(16)])
-            .unwrap();
-        assert!(serial.0[0]
-            .as_tensor()
-            .unwrap()
-            .allclose(parallel.0[0].as_tensor().unwrap(), 1e-6));
-        assert_eq!(parallel.1.kernel_launches, 1);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod value;
 
 pub use device::{DeviceProfile, ExecConfig};
 pub use error::ExecError;
-pub use interp::{Executor, OpProfile};
+pub use interp::Executor;
 pub use observe::{OpObserver, TOP_LEVEL_GROUP};
 pub use plan::ExecPlan;
 pub use stats::ExecStats;

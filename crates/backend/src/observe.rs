@@ -12,7 +12,7 @@ use tssa_ir::Op;
 pub const TOP_LEVEL_GROUP: u32 = u32::MAX;
 
 /// Receives one sample per executed op. Implementations must be cheap and
-/// thread-safe: parallel-map bodies record from worker threads.
+/// thread-safe: one observer is shared by every thread that runs the plan.
 pub trait OpObserver: Send + Sync {
     /// One op executed: `group` is the owning fusion-group node id (or
     /// [`TOP_LEVEL_GROUP`]), `node` the op's node id, `wall_ns` its wall

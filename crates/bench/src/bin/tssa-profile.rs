@@ -42,8 +42,7 @@ const USAGE: &str = "usage: tssa-profile [rank|flame|trace] [options]
 
 /// Run every workload `runs` times under `profiler`, returning the wall
 /// time spent inside execution (the denominator coverage is measured
-/// against). Parallelism is capped at one thread so attributed self-time
-/// nests inside the measured wall time.
+/// against).
 fn profile_all(profiler: &Profiler, runs: usize) -> u64 {
     let mut exec_wall_ns = 0u64;
     for w in all_workloads() {
@@ -54,7 +53,6 @@ fn profile_all(profiler: &Profiler, runs: usize) -> u64 {
         let sink = profiler.sink();
         let mut session = program
             .session()
-            .cap_parallel_threads(1)
             .observed(Arc::new(ProfileRecorder::new(w.name, sink)));
         let inputs = w.inputs(2, 8, 1);
         for _ in 0..runs {

@@ -82,26 +82,24 @@ fn cse_impl(g: &mut Graph) -> usize {
     cse_block(g, top, &mut seen, &unstable)
 }
 
-/// Values whose observed contents can change between program points: every
-/// value that may alias some mutation's receiver.
+/// Values whose storage may be written: every value that may alias some
+/// mutation's receiver. What such a value reads differs between program
+/// points; CSE, LICM, view purification and access reversion all ask this.
 fn unstable_values(g: &Graph) -> std::collections::HashSet<tssa_ir::ValueId> {
-    let analysis = tssa_alias::AliasAnalysis::build(g);
     let receivers: Vec<tssa_ir::ValueId> = g
         .nodes_recursive(g.top())
         .into_iter()
         .filter(|&n| g.node(n).op.is_mutation())
         .map(|n| g.node(n).inputs[0])
         .collect();
-    let mut out = std::collections::HashSet::new();
     if receivers.is_empty() {
-        return out;
+        return std::collections::HashSet::new();
     }
-    for v in (0..g.value_count()).map(tssa_ir::ValueId::from_index) {
-        if receivers.iter().any(|&r| analysis.may_alias(v, r)) {
-            out.insert(v);
-        }
-    }
-    out
+    let analysis = tssa_alias::AliasAnalysis::build(g);
+    (0..g.value_count())
+        .map(tssa_ir::ValueId::from_index)
+        .filter(|&v| receivers.iter().any(|&r| analysis.may_alias(v, r)))
+        .collect()
 }
 
 fn cse_block(
@@ -127,9 +125,11 @@ fn cse_block(
         if !node.op.is_pure() || node.op == Op::Update || node.outputs.is_empty() {
             continue;
         }
-        // Reading possibly-mutated storage is point-dependent (views are
-        // aliases, not reads, and stay mergeable).
-        if !node.op.is_view() && node.inputs.iter().any(|v| unstable.contains(v)) {
+        // Reading possibly-mutated storage is point-dependent, and two
+        // results merged into one buffer would show each other's later
+        // writes (views are aliases, not reads, and stay mergeable).
+        let mut touched = node.inputs.iter().chain(&node.outputs);
+        if !node.op.is_view() && touched.any(|v| unstable.contains(v)) {
             continue;
         }
         let key = format!("{:?}|{:?}", node.op, node.inputs);
@@ -147,19 +147,13 @@ fn cse_block(
 }
 
 fn purify_views_impl(g: &mut Graph) -> usize {
-    let analysis = tssa_alias::AliasAnalysis::build(g);
-    let receivers: Vec<tssa_ir::ValueId> = g
-        .nodes_recursive(g.top())
-        .into_iter()
-        .filter(|&n| g.node(n).op.is_mutation())
-        .map(|n| g.node(n).inputs[0])
-        .collect();
+    let unstable = unstable_values(g);
     let mut count = 0;
     for n in g.nodes_recursive(g.top()) {
         let node = g.node(n);
         if let Op::View(kind) = node.op.clone() {
             let out = node.outputs[0];
-            if receivers.iter().all(|&r| !analysis.may_alias(out, r)) {
+            if !unstable.contains(&out) {
                 g.set_op(n, Op::Access(kind));
                 count += 1;
             }
@@ -169,13 +163,7 @@ fn purify_views_impl(g: &mut Graph) -> usize {
 }
 
 fn revert_unfused_accesses_impl(g: &mut Graph) -> usize {
-    let analysis = tssa_alias::AliasAnalysis::build(g);
-    let receivers: Vec<tssa_ir::ValueId> = g
-        .nodes_recursive(g.top())
-        .into_iter()
-        .filter(|&n| g.node(n).op.is_mutation())
-        .map(|n| g.node(n).inputs[0])
-        .collect();
+    let unstable = unstable_values(g);
     let mut count = 0;
     for n in g.nodes_recursive(g.top()) {
         let node = g.node(n);
@@ -187,7 +175,7 @@ fn revert_unfused_accesses_impl(g: &mut Graph) -> usize {
             continue;
         }
         let base = node.inputs[0];
-        if receivers.iter().all(|&r| !analysis.may_alias(base, r)) {
+        if !unstable.contains(&base) {
             g.set_op(n, Op::View(kind));
             count += 1;
         }
@@ -642,6 +630,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(Cse.run(&mut g), 0);
+    }
+
+    #[test]
+    fn cse_keeps_identical_results_apart_when_one_is_mutated() {
+        // Merged, `%a` and `%b` would be one buffer and the `neg_` of `%b`
+        // would show through `%a`: (2.5, -2.5) would become (-2.5, -2.5).
+        let mut g = parse_graph(
+            "graph(%x : Tensor, %c : float):
+               %a : Tensor = aten::add_scalar(%x, %c)
+               %b : Tensor = aten::add_scalar(%x, %c)
+               %m : Tensor = aten::neg_(%b)
+               return (%a, %b)",
+        )
+        .unwrap();
+        assert_eq!(Cse.run(&mut g), 0);
+        let returns = &g.block(g.top()).returns;
+        assert_ne!(returns[0], returns[1]);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!
 //! All tensors are 4x4 matrices; the integer input is pinned to 4 so loop
 //! indices always stay in bounds, and only NaN-free operations are emitted
-//! (no `exp`/`log`/`sqrt`/division), keeping `allclose` comparisons
-//! meaningful.
+//! (no `exp`/`log`/`sqrt`/division), so outputs are compared bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,9 +21,6 @@ use tssa_tensor::Tensor;
 
 /// Side length of every generated matrix (and the value of the `n` input).
 pub const DIM: usize = 4;
-
-/// Comparison tolerance for the differential check.
-pub const TOLERANCE: f64 = 1e-5;
 
 /// Generate the DSL source text for `seed`.
 ///
@@ -303,14 +299,24 @@ pub fn diff_case_compiled(seed: u64, transform: CompileFn<'_>) -> Result<(), Str
         ));
     }
     for (i, (x, y)) in before.iter().zip(&after).enumerate() {
-        if !x.allclose(y, TOLERANCE) {
-            return Err(fail(
-                "diff",
-                format!("output {i} diverges (tolerance {TOLERANCE})"),
-            ));
+        if !same_bits(x, y) {
+            return Err(fail("diff", format!("output {i} diverges")));
         }
     }
     Ok(())
+}
+
+/// Same shape, dtype and element bits: both executors run the same element
+/// functions, so a compiled program owes the reference every bit (`-0.0`
+/// is not `0.0` here).
+fn same_bits(x: &Tensor, y: &Tensor) -> bool {
+    x.shape() == y.shape()
+        && x.dtype() == y.dtype()
+        && match (x.to_vec_f32(), y.to_vec_f32()) {
+            (Ok(a), Ok(b)) => (a.iter().map(|v| v.to_bits())).eq(b.iter().map(|v| v.to_bits())),
+            // Integer and boolean contents compare exactly as they are.
+            _ => x == y,
+        }
 }
 
 /// The standard transform under test: TensorSSA conversion plus the cleanup

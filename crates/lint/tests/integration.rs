@@ -141,14 +141,15 @@ fn sanitizer_passes_clean_schedule_on_same_graph() {
 
 #[test]
 fn differential_fuzz_full_pipeline() {
-    // Smoke slice of the CI fuzz run (200 seeds in scripts/ci.sh): the full
-    // TensorSSA pipeline, compiled ExecConfig included, against the
-    // reference interpreter.
+    // Smoke slice of the CI fuzz run (2,000 seeds in scripts/ci.sh): the
+    // full TensorSSA pipeline, compiled ExecConfig included, bit for bit
+    // against the reference interpreter — plus the three seeds of the first
+    // 2,000 where CSE once merged a tensor with its later-mutated twin.
     let compile = |g: &Graph| {
         let cp = TensorSsa::default().compile(g);
         Ok((cp.graph, cp.exec_config))
     };
-    for seed in 0..25 {
+    for seed in (0..25).chain([351, 1028, 1790]) {
         fuzz::diff_case_compiled(seed, &compile).unwrap();
     }
 }

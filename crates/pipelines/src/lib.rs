@@ -152,8 +152,7 @@ impl CompiledProgram {
 /// A configured execution of one [`CompiledProgram`]: owns the
 /// [`ExecConfig`] (seeded from compile time, overridable per knob) and an
 /// optional [`TraceScope`]. Long-lived hosts use it to re-point the device
-/// or cap `parallel_threads` — e.g. a worker pool dividing the machine's
-/// cores between concurrent executions.
+/// and to attach tracing and op observation per execution.
 ///
 /// When traced, the session emits a single `exec` span (opened lazily at
 /// the first run, closed when the session drops) with one `batch[i]` child
@@ -187,26 +186,10 @@ impl<'p> ExecSession<'p> {
         self
     }
 
-    /// Replace the whole [`ExecConfig`] (device, overheads, threads).
+    /// Replace the whole [`ExecConfig`] (device and overheads).
     #[must_use]
     pub fn with_config(mut self, config: ExecConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Set the `prim::ParallelMap` thread budget.
-    #[must_use]
-    pub fn with_parallel_threads(mut self, threads: usize) -> Self {
-        self.config = self.config.with_parallel_threads(threads);
-        self
-    }
-
-    /// Cap the thread budget at `cap` (≥ 1), keeping a smaller compile-time
-    /// choice — how a worker pool divides cores without oversubscribing.
-    #[must_use]
-    pub fn cap_parallel_threads(mut self, cap: usize) -> Self {
-        let threads = self.config.parallel_threads.min(cap.max(1));
-        self.config = self.config.with_parallel_threads(threads);
         self
     }
 
@@ -402,7 +385,10 @@ fn compile_with(
     let fusion_groups = rewrites_of("fuse-vertical");
     let parallel_loops = rewrites_of("parallelize-loops");
     span.counter("fusion_groups", fusion_groups as i64);
-    let mut program = CompiledProgram::new(g, exec_config, name);
+    let mut program = {
+        let _plan = cscope.span("plan", "compile");
+        CompiledProgram::new(g, exec_config, name)
+    };
     program.conversion = conversion_from(&runs);
     program.fusion_groups = fusion_groups;
     program.parallel_loops = parallel_loops;
@@ -569,12 +555,7 @@ impl Pipeline for TensorSsa {
         }));
         pm.add(RevertUnfusedAccesses);
         pm.add(Dce);
-        // A ParallelMap is one batched kernel occupying the whole device;
-        // mirror that in the engine by running its iterations on all cores.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        (pm, ExecConfig::compiled().with_parallel_threads(threads))
+        (pm, ExecConfig::compiled())
     }
 }
 
@@ -818,11 +799,8 @@ mod tests {
     fn session_reuses_and_overrides_config() {
         let g = figure4();
         let cp = TensorSsa::default().compile(&g);
-        let mut session = cp
-            .session()
-            .on_device(DeviceProfile::consumer())
-            .cap_parallel_threads(1);
-        assert_eq!(session.config().parallel_threads, 1);
+        let mut session = cp.session().on_device(DeviceProfile::consumer());
+        assert_eq!(session.config().device, DeviceProfile::consumer());
         let inputs = [
             RtValue::Tensor(Tensor::rand_uniform(&[8, 4], -1.0, 1.0, 7)),
             RtValue::Int(8),
@@ -846,7 +824,6 @@ mod tests {
         let mut session = cp
             .session()
             .on_device(DeviceProfile::consumer())
-            .cap_parallel_threads(1)
             .observed(Arc::new(ProfileRecorder::new("figure4", Arc::clone(&sink))));
         let inputs = [
             RtValue::Tensor(Tensor::rand_uniform(&[8, 4], -1.0, 1.0, 5)),

@@ -61,10 +61,12 @@ fn compile_and_exec_span_tree_matches_pass_schedule() {
     );
 
     // The compile span's children: the graph capture, then one span per
-    // scheduled pass, in schedule order — mirroring `cp.passes` exactly.
+    // scheduled pass, in schedule order — mirroring `cp.passes` exactly —
+    // then the `ExecPlan` build.
     let compile_children = children(&records, compile);
     assert_eq!(compile_children[0].name, "capture");
-    let pass_names: Vec<&str> = compile_children[1..]
+    assert_eq!(compile_children.last().unwrap().name, "plan");
+    let pass_names: Vec<&str> = compile_children[1..compile_children.len() - 1]
         .iter()
         .map(|r| r.name.as_str())
         .collect();

@@ -209,9 +209,7 @@ impl PlanKey {
     }
 
     /// Content hash naming this plan on disk: FNV-1a over (source hash,
-    /// pipeline name, input signature, execution profile). Machine-local
-    /// knobs (`parallel_threads`) are deliberately excluded so a cache
-    /// directory survives a core-count change.
+    /// pipeline name, input signature, execution profile).
     pub fn content_hash(&self) -> u64 {
         let mut bytes = Vec::with_capacity(128);
         bytes.extend_from_slice(&self.source_hash.to_le_bytes());

@@ -85,10 +85,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Simulated device every worker executes on.
     pub device: DeviceProfile,
-    /// Per-worker cap on `prim::ParallelMap` threads. `None` divides the
-    /// machine's cores evenly among workers so the pool does not
-    /// oversubscribe.
-    pub worker_parallel_threads: Option<usize>,
     /// Deadline applied to requests submitted without an explicit one.
     pub default_deadline: Option<Duration>,
     /// Where request/compile/exec spans are recorded. Defaults to the
@@ -147,7 +143,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             cache_capacity: 32,
             device: DeviceProfile::consumer(),
-            worker_parallel_threads: None,
             default_deadline: None,
             tracer: Tracer::disabled(),
             timeout_grace: Duration::from_millis(250),
@@ -188,8 +183,6 @@ with_field! {
     with_cache_capacity: cache_capacity, usize;
     /// Set the execution device.
     with_device: device, DeviceProfile;
-    /// Cap per-worker parallel threads.
-    with_worker_parallel_threads: worker_parallel_threads, Option<usize>;
     /// Set the default request deadline.
     with_default_deadline: default_deadline, Option<Duration>;
     /// Record request/compile/exec spans into `tracer`.
@@ -690,7 +683,6 @@ struct WorkerCtx {
     rx: Receiver<Batch>,
     shared: Arc<WorkerShared>,
     device: DeviceProfile,
-    thread_cap: usize,
     metrics: Arc<Metrics>,
     faults: Faults,
     events: Sender<WorkerEvent>,
@@ -797,12 +789,6 @@ impl Service {
     /// Start the dispatcher, worker, and supervisor threads.
     pub fn new(config: ServeConfig) -> Service {
         let workers_n = config.workers.max(1);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let thread_cap = config
-            .worker_parallel_threads
-            .unwrap_or_else(|| (cores / workers_n).max(1));
         let cache = Arc::new(PlanCache::with_faults(
             config.cache_capacity,
             config.faults.clone(),
@@ -860,7 +846,6 @@ impl Service {
                     rx: batch_rx.clone(),
                     shared: Arc::clone(shared),
                     device: config.device.clone(),
-                    thread_cap,
                     metrics: Arc::clone(&metrics),
                     faults: config.faults.clone(),
                     events: events_tx.clone(),
@@ -880,7 +865,6 @@ impl Service {
                 events_rx,
                 batch_rx,
                 device: config.device.clone(),
-                thread_cap,
                 metrics: Arc::clone(&metrics),
                 faults: config.faults.clone(),
                 events_tx: events_tx.clone(),
@@ -1801,7 +1785,6 @@ fn process_in_flight(ctx: &WorkerCtx) {
         let mut session = plan
             .session()
             .on_device(ctx.device.clone())
-            .cap_parallel_threads(ctx.thread_cap)
             .traced(&exec_scope);
         // Per-op profiling, when this batch drew a keep from the sampler:
         // one sample per executed op into this worker's private sink.
@@ -1871,7 +1854,6 @@ struct SupervisorCtx {
     events_rx: Receiver<WorkerEvent>,
     batch_rx: Receiver<Batch>,
     device: DeviceProfile,
-    thread_cap: usize,
     metrics: Arc<Metrics>,
     faults: Faults,
     events_tx: Sender<WorkerEvent>,
@@ -1925,7 +1907,6 @@ fn supervisor_loop(mut ctx: SupervisorCtx) {
                     rx: ctx.batch_rx.clone(),
                     shared: Arc::clone(&shared),
                     device: ctx.device.clone(),
-                    thread_cap: ctx.thread_cap,
                     metrics: Arc::clone(&ctx.metrics),
                     faults: ctx.faults.clone(),
                     events: ctx.events_tx.clone(),
@@ -1948,7 +1929,6 @@ fn supervisor_loop(mut ctx: SupervisorCtx) {
                     rx: ctx.batch_rx.clone(),
                     shared,
                     device: ctx.device.clone(),
-                    thread_cap: ctx.thread_cap,
                     metrics: Arc::clone(&ctx.metrics),
                     faults: ctx.faults.clone(),
                     events: ctx.events_tx.clone(),

@@ -31,7 +31,7 @@ fn single_request_traces_three_levels_deep() {
     let (tracer, sink) = Tracer::ring(4096);
     let service = Service::new(
         ServeConfig::default()
-            .with_workers(1)
+            .with_workers(2)
             .with_tracer(tracer.clone()),
     );
     let workload = Workload::by_name("attention").unwrap();
@@ -43,11 +43,25 @@ fn single_request_traces_three_levels_deep() {
         .batch(BatchSpec::unbatched(inputs.len()))
         .load()
         .unwrap();
-    let response = service.submit(&model, inputs).unwrap().wait().unwrap();
+    let response = service
+        .submit(&model, inputs.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(response.coalesced, 1);
+    // A burst in flight at once: every request still gets its own root.
+    const BURST: usize = 12;
+    let tickets: Vec<_> = (0..BURST)
+        .map(|_| service.submit(&model, inputs.clone()).unwrap())
+        .collect();
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
     service.shutdown();
 
     let records = sink.snapshot();
+    let roots = records.iter().filter(|r| r.name == "request").count();
+    assert_eq!(roots, 1 + BURST, "one root span per submitted request");
     let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
 
     // Load path: request:load → compile:TensorSSA → pass:* children.

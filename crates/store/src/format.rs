@@ -51,7 +51,8 @@ pub const MAGIC: [u8; 8] = *b"TSSAPLAN";
 /// v3: header carries the class + coarse class hashes, the payload carries
 /// the admitted-shape census, and the checksum covers the header prefix as
 /// well as the payload.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4: the `ExecConfig` record loses its machine-local thread count.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
@@ -461,7 +462,6 @@ pub fn encode_plan_with(
     p.put_f64(cfg.host_scalar_ns);
     p.put_f64(cfg.control_entry_ns);
     p.put_f64(cfg.sync_ns);
-    p.put_u64(cfg.parallel_threads as u64);
     let c = &plan.conversion;
     for v in [
         c.candidates,
@@ -594,7 +594,6 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
         host_scalar_ns: p.get_f64("host scalar")?,
         control_entry_ns: p.get_f64("control entry")?,
         sync_ns: p.get_f64("sync")?,
-        parallel_threads: p.get_u64("parallel threads")? as usize,
     };
     let mut conv = [0usize; 6];
     for (i, slot) in conv.iter_mut().enumerate() {

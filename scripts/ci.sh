@@ -41,6 +41,13 @@ step "one execution plan (no launch-time lowering, no import copy, registers not
 [ -z "$(guard '\bto_buffer\(|HashMap' | grep '^crates/backend/src/fused.rs:')" ] || { echo "a launch lowers or copies again:"; guard '\bto_buffer\(|HashMap' | grep '^crates/backend/src/fused.rs:'; exit 1; }
 [ -z "$(guard 'HashMap<ValueId' | grep '^crates/backend/src/interp.rs:')" ] || { echo "registers are a map again:"; guard 'HashMap<ValueId' | grep '^crates/backend/src/interp.rs:'; exit 1; }
 
+step "one way to run a program (no threaded map, thread knob or second profiler)"
+# A ParallelMap's iterations run in turn on the calling thread and the
+# OpObserver seam is the only per-operator profiler; neither comes back as
+# an option.
+ONE_WAY='parallel_threads|crossbeam::thread|available_parallelism|OpProfile'
+[ -z "$(guard "$ONE_WAY" | grep -E '^crates/(backend|pipelines|serve|store)/src/')" ] || { echo "a second way to run or profile a program:"; guard "$ONE_WAY" | grep -E '^crates/(backend|pipelines|serve|store)/src/'; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
@@ -241,10 +248,10 @@ step "tssa-perf: alert rules vs the live scrape"
 cargo run --release -q --bin tssa-perf -- alerts --exposition "$SCRAPE"
 rm -f "$BIN_LOG" "$SCRAPE"
 
-step "differential fuzz smoke (200 seeds)"
+step "differential fuzz (2000 seeds, bit for bit)"
 # Random imperative programs (views + mutations + nested control flow)
 # executed by the reference interpreter before and after the full TensorSSA
-# pipeline; any numeric divergence fails the build.
-cargo run --release -q --bin tssa-lint -- fuzz --seeds 200
+# pipeline; any output bit that differs fails the build.
+cargo run --release -q --bin tssa-lint -- fuzz --seeds 2000
 
 printf '\nCI: all checks passed.\n'
