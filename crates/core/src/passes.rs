@@ -6,11 +6,14 @@
 //! them through [`PassManager`](crate::PassManager) for per-pass timing and
 //! span emission, or run one in isolation with `Dce.run(&mut g)`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::pass::Pass;
-use crate::tensorssa::{convert_to_tensorssa, convert_with_options, ConversionStats};
-use tssa_ir::{BlockId, ConstValue, Graph, NodeId, Op};
+use crate::tensorssa::{
+    convert_to_tensorssa, convert_with_options, substitute_operands, substitute_returns,
+    ConversionStats,
+};
+use tssa_ir::{BlockId, ConstValue, Graph, NodeId, Op, ValueId};
 
 /// Whether removing `n` (given its outputs are unused) preserves semantics.
 fn removable(g: &Graph, n: NodeId) -> bool {
@@ -38,75 +41,90 @@ fn subtree_side_effect_free(g: &Graph, block: BlockId) -> bool {
 }
 
 /// Remove a node together with everything nested inside it, clearing nested
-/// block returns so orphaned blocks do not pin values.
-fn remove_subtree(g: &mut Graph, n: NodeId) {
-    let blocks = g.node(n).blocks.clone();
-    for b in blocks {
+/// block returns so orphaned blocks do not pin values, and releasing every
+/// use the removed code held in `uses`.
+fn remove_subtree(g: &mut Graph, n: NodeId, uses: &mut [u32]) {
+    for &v in &g.node(n).inputs {
+        uses[v.index()] -= 1;
+    }
+    for b in g.node(n).blocks.clone() {
+        for &v in &g.block(b).returns {
+            uses[v.index()] -= 1;
+        }
         g.set_returns(b, &[]);
-        let nodes = g.block(b).nodes.clone();
-        for inner in nodes {
-            remove_subtree(g, inner);
+        for inner in g.block(b).nodes.clone() {
+            remove_subtree(g, inner, uses);
         }
     }
     g.remove_node(n);
 }
 
 fn dce_impl(g: &mut Graph) -> usize {
-    let mut removed = 0;
-    loop {
-        let mut changed = false;
-        // Reverse program order so consumers die before their producers.
-        let mut nodes = g.nodes_recursive(g.top());
-        nodes.reverse();
-        for n in nodes {
-            if g.is_removed(n) {
-                continue;
-            }
-            let node = g.node(n);
-            if node.outputs.iter().all(|&o| !g.has_uses(o)) && removable(g, n) {
-                remove_subtree(g, n);
-                removed += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return removed;
+    // Use counts as `Graph::uses` sees them: operands of live nodes plus the
+    // returns of every block.
+    let mut uses = vec![0u32; g.value_count()];
+    let mut worklist = g.nodes_recursive(g.top());
+    for &n in &worklist {
+        for &v in &g.node(n).inputs {
+            uses[v.index()] += 1;
         }
     }
+    for b in g.block_ids() {
+        for &v in &g.block(b).returns {
+            uses[v.index()] += 1;
+        }
+    }
+    // Popped in reverse program order, so consumers die before their
+    // producers: a producer precedes every reader it has, and is still on
+    // the worklist when its count drops to zero.
+    let mut removed = 0;
+    while let Some(n) = worklist.pop() {
+        if g.is_removed(n) {
+            continue;
+        }
+        if g.node(n).outputs.iter().all(|&o| uses[o.index()] == 0) && removable(g, n) {
+            remove_subtree(g, n, &mut uses);
+            removed += 1;
+        }
+    }
+    removed
 }
 
 fn cse_impl(g: &mut Graph) -> usize {
     let unstable = unstable_values(g);
     let top = g.top();
-    let mut seen = HashMap::new();
-    cse_block(g, top, &mut seen, &unstable)
+    cse_block(g, top, &mut HashMap::new(), &mut HashMap::new(), &unstable)
 }
 
 /// Values whose storage may be written: every value that may alias some
 /// mutation's receiver. What such a value reads differs between program
 /// points; CSE, LICM, view purification and access reversion all ask this.
-fn unstable_values(g: &Graph) -> std::collections::HashSet<tssa_ir::ValueId> {
-    let receivers: Vec<tssa_ir::ValueId> = g
+fn unstable_values(g: &Graph) -> HashSet<ValueId> {
+    let receivers: Vec<ValueId> = g
         .nodes_recursive(g.top())
         .into_iter()
         .filter(|&n| g.node(n).op.is_mutation())
         .map(|n| g.node(n).inputs[0])
         .collect();
     if receivers.is_empty() {
-        return std::collections::HashSet::new();
+        return HashSet::new();
     }
     let analysis = tssa_alias::AliasAnalysis::build(g);
     (0..g.value_count())
-        .map(tssa_ir::ValueId::from_index)
+        .map(ValueId::from_index)
         .filter(|&v| receivers.iter().any(|&r| analysis.may_alias(v, r)))
         .collect()
 }
 
+/// CSE over `block` in program order. A merged node's outputs are recorded
+/// in `merged_into`, and every later operand and return is read through it,
+/// so no merge rewrites uses across the graph.
 fn cse_block(
     g: &mut Graph,
     block: BlockId,
-    seen: &mut HashMap<String, Vec<tssa_ir::ValueId>>,
-    unstable: &std::collections::HashSet<tssa_ir::ValueId>,
+    seen: &mut HashMap<String, Vec<ValueId>>,
+    merged_into: &mut HashMap<ValueId, ValueId>,
+    unstable: &HashSet<ValueId>,
 ) -> usize {
     let mut merged = 0;
     let nodes = g.block(block).nodes.clone();
@@ -114,11 +132,12 @@ fn cse_block(
         if g.is_removed(n) {
             continue;
         }
+        substitute_operands(g, n, merged_into);
         let node = g.node(n).clone();
         if !node.blocks.is_empty() {
             for b in &node.blocks {
                 let mut inner = seen.clone();
-                merged += cse_block(g, *b, &mut inner, unstable);
+                merged += cse_block(g, *b, &mut inner, merged_into, unstable);
             }
             continue;
         }
@@ -134,15 +153,14 @@ fn cse_block(
         }
         let key = format!("{:?}|{:?}", node.op, node.inputs);
         if let Some(prev) = seen.get(&key) {
-            for (i, &out) in node.outputs.iter().enumerate() {
-                g.replace_all_uses(out, prev[i]);
-            }
+            merged_into.extend(node.outputs.iter().copied().zip(prev.iter().copied()));
             g.remove_node(n);
             merged += 1;
         } else {
-            seen.insert(key, node.outputs.clone());
+            seen.insert(key, node.outputs);
         }
     }
+    substitute_returns(g, block, merged_into);
     merged
 }
 
@@ -278,7 +296,6 @@ fn prune_loop_carries_impl(g: &mut Graph) -> usize {
                     continue;
                 }
                 let param = g.block(body).params[1 + k];
-                let ret = g.block(body).returns[1 + k];
                 // The param may appear only as its own return (a pure
                 // pass-through) for the carry to be removable.
                 let pass_through = g.uses(param).iter().all(|u| {
@@ -288,7 +305,6 @@ fn prune_loop_carries_impl(g: &mut Graph) -> usize {
                             if *block == body && *index == 1 + k
                     )
                 });
-                let _ = ret;
                 if pass_through {
                     victim = Some(k);
                     break;
@@ -309,7 +325,7 @@ fn prune_loop_carries_impl(g: &mut Graph) -> usize {
     }
 }
 
-fn const_of(g: &Graph, v: tssa_ir::ValueId) -> Option<ConstValue> {
+fn const_of(g: &Graph, v: ValueId) -> Option<ConstValue> {
     let def = g.def_node(v)?;
     match &g.node(def).op {
         Op::Constant(c) => Some(c.clone()),

@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use tssa_alias::AliasAnalysis;
+use tssa_alias::{AliasAnalysis, Candidate};
 use tssa_ir::{BlockId, Graph, NodeId, Op, Type, ValueId};
 
 /// Counters describing what the conversion did (useful for tests, logging
@@ -51,6 +51,7 @@ pub fn convert_with_options(g: &mut Graph, block_prop: bool) -> ConversionStats 
     normalize_mutation_outputs(g);
     let analysis = AliasAnalysis::build(g);
     let candidates = analysis.candidates().to_vec();
+    let order = ReadAfter::build(g, &candidates);
     for cand in &candidates {
         if !block_prop && component_crosses_blocks(g, cand.origin, &cand.mutations) {
             continue;
@@ -58,17 +59,19 @@ pub fn convert_with_options(g: &mut Graph, block_prop: bool) -> ConversionStats 
         stats.candidates += 1;
         // Rewrite every view of the component to its immutable access
         // (Definition 3.3); identical operands, new pure semantics.
+        let mut views_of: HashMap<ValueId, Vec<NodeId>> = HashMap::new();
         for &vn in &cand.views {
             if let Op::View(kind) = g.node(vn).op.clone() {
                 g.set_op(vn, Op::Access(kind));
                 stats.views_rewritten += 1;
             }
+            views_of.entry(g.node(vn).inputs[0]).or_default().push(vn);
         }
         // Handle mutations in program order (§4.1.1).
         let mut muts = cand.mutations.clone();
-        muts.sort_by_key(|&m| g.position(m));
+        muts.sort_by_key(|&m| order.rank[m.index()]);
         for m in muts {
-            rewrite_mutation(g, m, cand.origin, &cand.views, &mut stats);
+            rewrite_mutation(g, m, cand.origin, &views_of, &order, &mut stats);
             stats.mutations_removed += 1;
         }
     }
@@ -87,25 +90,140 @@ fn component_crosses_blocks(g: &Graph, origin: ValueId, mutations: &[NodeId]) ->
 }
 
 /// Replace uses of every mutation's output with its receiver: after the
-/// mutation executes, the two are indistinguishable aliases.
+/// mutation executes, the two are indistinguishable aliases. One walk in
+/// program order: a use always follows its definition, so each operand is
+/// rewritten through the receivers recorded so far, and returns last.
 fn normalize_mutation_outputs(g: &mut Graph) {
+    let mut receiver: HashMap<ValueId, ValueId> = HashMap::new();
     for n in g.nodes_recursive(g.top()) {
+        substitute_operands(g, n, &receiver);
         let node = g.node(n);
         if node.op.is_mutation() {
             if let (Some(&out), Some(&recv)) = (node.outputs.first(), node.inputs.first()) {
-                g.replace_all_uses(out, recv);
+                receiver.insert(out, recv);
             }
         }
     }
+    for b in g.block_ids().collect::<Vec<_>>() {
+        substitute_returns(g, b, &receiver);
+    }
+}
+
+/// Which versions the pass-down must materialise, read off the graph as
+/// [`normalize_mutation_outputs`] left it. Exact for the whole conversion:
+/// every node the conversion inserts sits right before the mutation being
+/// rewritten, so only original nodes lie after a mutation still to come.
+struct ReadAfter {
+    /// Pre-order rank of every original node.
+    rank: Vec<u32>,
+    /// Per value: one past the rank of its latest reader, or of the latest
+    /// reader of any candidate view taken (transitively) from it; 0 when
+    /// nothing reads it, `u32::MAX` when a block returns it.
+    last_read: Vec<u32>,
+    /// Per block and [`cse_shape`]: rank of the latest view of that shape
+    /// taken in a block nested inside it.
+    nested: HashMap<(BlockId, String), u32>,
+}
+
+impl ReadAfter {
+    fn build(g: &Graph, candidates: &[Candidate]) -> ReadAfter {
+        let order = g.nodes_recursive(g.top());
+        let len = order.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut rank = vec![u32::MAX; len];
+        let (mut last_read, mut nested) = (vec![0; g.value_count()], HashMap::new());
+        for (r, &n) in order.iter().enumerate() {
+            rank[n.index()] = r as u32;
+            for &v in &g.node(n).inputs {
+                last_read[v.index()] = r as u32 + 1;
+            }
+            let mut b = g.node(n).owner;
+            if matches!(g.node(n).op, Op::View(_) | Op::Access(_)) && g.block(b).owner.is_some() {
+                let shape = cse_shape(g, n);
+                while let Some(owner) = g.block(b).owner {
+                    b = g.node(owner).owner;
+                    nested.insert((b, shape.clone()), r as u32);
+                }
+            }
+        }
+        for b in g.block_ids() {
+            for &v in &g.block(b).returns {
+                last_read[v.index()] = u32::MAX;
+            }
+        }
+        // A sub-view follows its base in program order: walking the views
+        // backwards folds every chain into its root.
+        let mut views: Vec<NodeId> = candidates
+            .iter()
+            .flat_map(|c| c.views.iter().copied())
+            .collect();
+        views.sort_by_key(|&vn| std::cmp::Reverse(rank[vn.index()]));
+        for vn in views {
+            let node = g.node(vn);
+            let (base, out) = (node.inputs[0].index(), node.outputs[0].index());
+            last_read[base] = last_read[base].max(last_read[out]);
+        }
+        ReadAfter {
+            rank,
+            last_read,
+            nested,
+        }
+    }
+
+    /// Whether view node `vn`, which dominates `m`, needs a new version at
+    /// `m`. It does when
+    /// - a reader of it (or of a view of it) does not strictly precede `m`
+    ///   (`m` reads its own receiver);
+    /// - a loop between its block and `m` re-runs its earlier readers with
+    ///   the carry block propagation will add;
+    /// - a view of its shape is taken later inside a block nested in `m`'s:
+    ///   CSE merges that view into the new version, hoisting it out.
+    fn still_read(&self, g: &Graph, vn: NodeId, m: NodeId) -> bool {
+        let out = g.node(vn).outputs[0];
+        if self.last_read[out.index()] > self.rank[m.index()] {
+            return true;
+        }
+        let mut b = g.node(m).owner;
+        while b != g.node(vn).owner {
+            let owner = g.block(b).owner.expect("a view's block encloses `m`");
+            if g.node(owner).op != Op::If {
+                return true;
+            }
+            b = g.node(owner).owner;
+        }
+        if self.nested.is_empty() {
+            return false;
+        }
+        let later = self.nested.get(&(g.node(m).owner, cse_shape(g, vn)));
+        later.is_some_and(|&r| r > self.rank[m.index()])
+    }
+}
+
+/// What CSE compares of a view once bases are renamed to versions: its
+/// operator and constant indices, any two other indices taken as equal.
+/// Bases are left out: two different values can become one under CSE.
+fn cse_shape(g: &Graph, vn: NodeId) -> String {
+    let node = g.node(vn);
+    let (Op::View(kind) | Op::Access(kind)) = &node.op else {
+        unreachable!("a view")
+    };
+    let consts: Vec<_> = (node.inputs[1..].iter())
+        .map(|&i| match g.def_node(i).map(|d| &g.node(d).op) {
+            Some(Op::Constant(c)) => Some(c),
+            _ => None,
+        })
+        .collect();
+    format!("{kind:?}{consts:?}")
 }
 
 /// §4.1.1: decompose one `Mutate` into functional compute + assign chain
 /// (pass-up) + re-accessed views with updates (pass-down), then remove it.
+/// `views_of` holds the candidate's view nodes keyed by the value they view.
 fn rewrite_mutation(
     g: &mut Graph,
     m: NodeId,
     origin: ValueId,
-    views: &[NodeId],
+    views_of: &HashMap<ValueId, Vec<NodeId>>,
+    order: &ReadAfter,
     stats: &mut ConversionStats,
 ) {
     let node = g.node(m).clone();
@@ -149,38 +267,41 @@ fn rewrite_mutation(
     }
 
     // Pass-down from the fresh origin version.
-    traversal(g, m, origin, cur_new, views, stats);
+    traversal(g, m, origin, cur_new, views_of, order, stats);
     g.remove_node(m);
 }
 
 /// Algorithm 1's `Traversal(x, x')`: annotate the new version and re-access
-/// every dominated view of `x`, recursively.
+/// every dominated view of `x` that is still read, recursively. A version
+/// nothing reads is dead weight: DCE removes it, or block propagation
+/// exports it from a branch for nobody.
 fn traversal(
     g: &mut Graph,
     m: NodeId,
     x: ValueId,
     x_new: ValueId,
-    views: &[NodeId],
+    views_of: &HashMap<ValueId, Vec<NodeId>>,
+    order: &ReadAfter,
     stats: &mut ConversionStats,
 ) {
     g.insert_before(m, Op::Update, &[x_new, x], &[]);
     stats.updates_inserted += 1;
-    for &vn in views {
-        if g.is_removed(vn) {
+    for &vn in views_of.get(&x).map_or(&[][..], Vec::as_slice) {
+        // Dominance from ranks, both nodes being original and `vn` block-less.
+        let dominates = order.rank[vn.index()] < order.rank[m.index()]
+            && g.block_is_ancestor(g.node(vn).owner, g.node(m).owner);
+        if !dominates || !order.still_read(g, vn, m) {
             continue;
         }
         let vnode = g.node(vn).clone();
-        if vnode.inputs[0] != x || !g.dominates(vn, m) {
-            continue;
-        }
-        let Op::Access(kind) = vnode.op.clone() else {
+        let Op::Access(kind) = vnode.op else {
             continue;
         };
         let mut inputs = vec![x_new];
         inputs.extend_from_slice(&vnode.inputs[1..]);
         let a = g.insert_before(m, Op::Access(kind), &inputs, &[Type::Tensor]);
         let v_new = g.out(a);
-        traversal(g, m, vnode.outputs[0], v_new, views, stats);
+        traversal(g, m, vnode.outputs[0], v_new, views_of, order, stats);
     }
 }
 
@@ -293,12 +414,7 @@ fn rename_block(g: &mut Graph, block: BlockId, map: &mut HashMap<ValueId, ValueI
             continue;
         }
         // Rewrite operands through the current version map.
-        for i in 0..g.node(n).inputs.len() {
-            let v = g.node(n).inputs[i];
-            if let Some(&cur) = map.get(&v) {
-                g.set_input(n, i, cur);
-            }
-        }
+        substitute_operands(g, n, map);
         // Recurse into nested blocks with a scoped copy of the map.
         let blocks = g.node(n).blocks.clone();
         for b in blocks {
@@ -307,12 +423,22 @@ fn rename_block(g: &mut Graph, block: BlockId, map: &mut HashMap<ValueId, ValueI
         }
     }
     // Returns see the block-final versions.
-    let renamed: Vec<ValueId> = g
-        .block(block)
-        .returns
-        .iter()
-        .map(|r| *map.get(r).unwrap_or(r))
-        .collect();
+    substitute_returns(g, block, map);
+}
+
+/// Rewrite every operand of `n` that `map` renames.
+pub(crate) fn substitute_operands(g: &mut Graph, n: NodeId, map: &HashMap<ValueId, ValueId>) {
+    for i in 0..g.node(n).inputs.len() {
+        if let Some(&to) = map.get(&g.node(n).inputs[i]) {
+            g.set_input(n, i, to);
+        }
+    }
+}
+
+/// Rewrite every return of `block` that `map` renames.
+pub(crate) fn substitute_returns(g: &mut Graph, block: BlockId, map: &HashMap<ValueId, ValueId>) {
+    let returns = &g.block(block).returns;
+    let renamed: Vec<ValueId> = returns.iter().map(|r| *map.get(r).unwrap_or(r)).collect();
     g.set_returns(block, &renamed);
 }
 

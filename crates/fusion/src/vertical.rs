@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use tssa_ir::{BlockId, Graph, NodeId, Op, Type, ValueId};
+use tssa_ir::{BlockId, Graph, NodeId, Op, Type, Use, ValueId};
 
 use crate::transplant::transplant;
 
@@ -75,16 +75,53 @@ fn transparent(op: &Op) -> bool {
 /// fusion groups created.
 pub fn fuse_vertical(g: &mut Graph, cfg: &FusionConfig) -> usize {
     let top = g.top();
-    fuse_block(g, top, cfg)
+    let mut uses = use_table(g);
+    fuse_block(g, top, cfg, &mut uses)
 }
 
-fn fuse_block(g: &mut Graph, block: BlockId, cfg: &FusionConfig) -> usize {
+/// Every use site of every value, collected once. Fusion keeps it complete:
+/// a group node's operands are added as the group is built, and a member's
+/// uses stay behind but are skipped once the member is removed.
+type UseTable = HashMap<ValueId, Vec<Use>>;
+
+fn use_table(g: &Graph) -> UseTable {
+    let mut uses = UseTable::new();
+    for node in g.nodes_recursive(g.top()) {
+        for (operand, &v) in g.node(node).inputs.iter().enumerate() {
+            uses.entry(v)
+                .or_default()
+                .push(Use::Operand { node, operand });
+        }
+    }
+    for block in g.block_ids() {
+        for (index, &v) in g.block(block).returns.iter().enumerate() {
+            uses.entry(v)
+                .or_default()
+                .push(Use::Return { block, index });
+        }
+    }
+    uses
+}
+
+/// The uses of `v` in the graph as it stands — what `Graph::uses` returns.
+fn live_uses<'a>(g: &'a Graph, uses: &'a UseTable, v: ValueId) -> impl Iterator<Item = Use> + 'a {
+    uses.get(&v)
+        .into_iter()
+        .flatten()
+        .copied()
+        .filter(|u| match u {
+            Use::Operand { node, .. } => !g.is_removed(*node),
+            Use::Return { .. } => true,
+        })
+}
+
+fn fuse_block(g: &mut Graph, block: BlockId, cfg: &FusionConfig, uses: &mut UseTable) -> usize {
     let mut created = 0;
     // Recurse into nested blocks first so inner loop/if bodies get their own
     // groups before the outer scan.
     for n in g.block(block).nodes.clone() {
         for b in g.node(n).blocks.clone() {
-            created += fuse_block(g, b, cfg);
+            created += fuse_block(g, b, cfg, uses);
         }
     }
 
@@ -129,13 +166,13 @@ fn fuse_block(g: &mut Graph, block: BlockId, cfg: &FusionConfig) -> usize {
     flush(&mut run, &mut run_values, &mut hoists, &mut pending);
 
     for (members, hoists) in pending {
-        build_group(g, &members, &hoists);
+        build_group(g, &members, &hoists, uses);
         created += 1;
     }
     created
 }
 
-fn build_group(g: &mut Graph, members: &[NodeId], hoists: &[NodeId]) {
+fn build_group(g: &mut Graph, members: &[NodeId], hoists: &[NodeId], uses: &mut UseTable) {
     let anchor = members[0];
     for &h in hoists {
         g.move_node_before(h, anchor);
@@ -158,9 +195,9 @@ fn build_group(g: &mut Graph, members: &[NodeId], hoists: &[NodeId]) {
     // Escaped outputs: used by a non-member node or any block returns.
     let mut escaped: Vec<ValueId> = Vec::new();
     for &v in &defined {
-        let used_outside = g.uses(v).iter().any(|u| match u {
-            tssa_ir::Use::Operand { node, .. } => !member_set.contains(node),
-            tssa_ir::Use::Return { .. } => true,
+        let used_outside = live_uses(g, uses, v).any(|u| match u {
+            Use::Operand { node, .. } => !member_set.contains(&node),
+            Use::Return { .. } => true,
         });
         if used_outside {
             escaped.push(v);
@@ -181,9 +218,18 @@ fn build_group(g: &mut Graph, members: &[NodeId], hoists: &[NodeId]) {
     let rets: Vec<ValueId> = escaped.iter().map(|&v| map[&v]).collect();
     g.set_returns(body, &rets);
 
+    for (operand, &v) in inputs.iter().enumerate() {
+        uses.entry(v).or_default().push(Use::Operand {
+            node: group,
+            operand,
+        });
+    }
     for (i, &orig) in escaped.iter().enumerate() {
         let out = g.node(group).outputs[i];
-        g.replace_all_uses(orig, out);
+        let sites: Vec<Use> = live_uses(g, uses, orig).collect();
+        for site in sites {
+            g.rewrite_use(site, out);
+        }
     }
     for &m in members {
         g.remove_node(m);

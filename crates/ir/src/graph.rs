@@ -605,9 +605,13 @@ impl Graph {
         uses
     }
 
-    /// Whether `value` has any uses.
+    /// Whether `value` has any uses (stops at the first one).
     pub fn has_uses(&self, value: ValueId) -> bool {
-        !self.uses(value).is_empty()
+        self.blocks.iter().any(|b| b.returns.contains(&value))
+            || self
+                .nodes
+                .iter()
+                .any(|n| !n.dead && n.inputs.contains(&value))
     }
 
     /// Rewrite one use site to reference `new`.

@@ -42,6 +42,50 @@ fn check(src: &str, inputs: &[RtValue]) {
 }
 
 #[test]
+fn view_read_in_a_loop_before_its_mutation_sees_the_last_iteration() {
+    // `v` is taken before the loop and read in the body ahead of the write
+    // to the same row: iteration k must read the row as iteration k - 1
+    // left it, so the conversion carries `v` through the loop even though
+    // nothing reads it after the write in program order.
+    check(
+        "def f(x: Tensor, n: int):
+             b = x.clone()
+             v = b[0]
+             acc = x[1].clone()
+             for i in range(n):
+                 acc = acc + v
+                 b[0] += 1.0
+             return acc, b
+        ",
+        &[
+            RtValue::Tensor(Tensor::rand_uniform(&[3, 4], -1.0, 1.0, 5)),
+            RtValue::Int(3),
+        ],
+    );
+}
+
+#[test]
+fn sub_view_read_after_a_write_through_its_base_sees_it() {
+    // `r` is read only by `e`, before the write, but `e` is read after it:
+    // `r` needs its new version for `e`'s to be taken from.
+    check(
+        "def f(x: Tensor):
+             b = x.clone()
+             r = b[0]
+             e = r[1]
+             b[0, 1] += 1.0
+             return e * 2.0, b
+        ",
+        &[RtValue::Tensor(Tensor::rand_uniform(
+            &[3, 4, 2],
+            -1.0,
+            1.0,
+            6,
+        ))],
+    );
+}
+
+#[test]
 fn mutation_two_loops_deep() {
     check(
         "def f(x: Tensor, n: int, m: int):
