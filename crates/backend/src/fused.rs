@@ -6,13 +6,13 @@
 //! operands (slice bounds, select indices, fill values — the same
 //! shape-specialization strategy as PyTorch NNC) and evaluates it node by
 //! node. Every view transform and every broadcast is an affine map of
-//! coordinates, so such a node runs nothing: its slot is a [`Layout`] onto
-//! an earlier buffer, with stride 0 on broadcast dims. A reshape re-strides
-//! a dense view and copies a strided one dense first. Compute nodes run the
-//! strided kernels of `tssa_tensor::kernel` — the loops eager execution
-//! runs; an assign copies — or, when nothing reads the base afterwards and
-//! the launch owns it, steals — the base buffer and writes the region
-//! through its strides.
+//! coordinates, so such a node runs nothing: its slot owns a [`Layout`] onto
+//! an earlier buffer, with stride 0 on broadcast dims (its dims are inline:
+//! making one allocates nothing). A reshape re-strides a dense view and
+//! copies a strided one dense first. Compute nodes run the strided kernels
+//! of `tssa_tensor::kernel` — the loops eager execution runs; an assign
+//! copies — or, when nothing reads the base afterwards and the launch owns
+//! it, steals — the base buffer and writes the region through its strides.
 //!
 //! Tensor inputs are not copied in. One that the enclosing block lets go of
 //! at this launch, that the body could write over or return, and that
@@ -29,7 +29,6 @@
 //! the fused kernel keeps intermediates in registers. The host-side flat
 //! buffers here are an interpreter implementation detail.
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use tssa_ir::{Graph, NodeId, Op, ViewKind};
@@ -54,27 +53,27 @@ pub(crate) struct GroupResult {
     pub node_ns: u64,
 }
 
-/// A zero-copy window onto buffer `buf`; a lent input is seen through the
-/// layout of its tensor.
+/// A zero-copy window onto buffer `buf`; a lent input is seen through a
+/// copy of its tensor's layout.
 #[derive(Debug)]
-struct Slot<'a> {
+struct Slot {
     buf: usize,
-    layout: Cow<'a, Layout>,
+    layout: Layout,
     dtype: DType,
 }
 
-impl Slot<'_> {
+impl Slot {
     /// All of a row-major buffer.
-    fn dense(buf: usize, shape: Vec<usize>, dtype: DType) -> Slot<'static> {
+    fn dense(buf: usize, shape: &[usize], dtype: DType) -> Slot {
         Slot {
             buf,
-            layout: Cow::Owned(Layout::contiguous(shape)),
+            layout: Layout::contiguous(shape),
             dtype,
         }
     }
 
     /// Another window onto the same buffer.
-    fn view<'l>(&self, layout: Cow<'l, Layout>) -> Slot<'l> {
+    fn view(&self, layout: Layout) -> Slot {
         Slot {
             buf: self.buf,
             layout,
@@ -83,7 +82,7 @@ impl Slot<'_> {
     }
 
     fn shape(&self) -> &[usize] {
-        &self.layout.shape
+        self.layout.shape()
     }
 
     fn bytes(&self) -> u64 {
@@ -142,9 +141,9 @@ pub(crate) fn run_group(
     for (k, &v) in inputs.iter().enumerate().filter(|&(k, _)| plan.donate[k]) {
         let reg = &mut regs[v.index()];
         if let Some(RtValue::Tensor(t)) = reg.take_if(|v| matches!(v, RtValue::Tensor(_))) {
-            let (shape, dtype) = (t.shape().to_vec(), t.dtype());
+            let slot = Slot::dense(k, t.shape(), t.dtype());
             match t.into_buffer() {
-                Ok(data) => donated.push((Slot::dense(k, shape, dtype), data)),
+                Ok(data) => donated.push((slot, data)),
                 Err(t) => *reg = Some(RtValue::Tensor(t)),
             }
         }
@@ -160,15 +159,6 @@ pub(crate) fn run_group(
         .collect();
     read_buffers(&lent, |storages| {
         evaluate(g, group, plan, regs, donated, storages, observer)
-    })
-}
-
-/// `s` as an operand of an iteration over `shape`.
-fn broadcast<'a>(s: &'a Slot, shape: &[usize]) -> Result<Cow<'a, Layout>, ExecError> {
-    Ok(if s.shape() == shape {
-        Cow::Borrowed(&s.layout)
-    } else {
-        Cow::Owned(s.layout.broadcast_to(shape)?)
     })
 }
 
@@ -203,7 +193,7 @@ fn evaluate(
             Some(RtValue::Tensor(t)) => {
                 slots.push(Slot {
                     buf: k,
-                    layout: Cow::Borrowed(t.layout()),
+                    layout: t.layout().clone(),
                     dtype: t.dtype(),
                 });
                 bufs.push(Buf::Lent(storages.next().expect("one per lent tensor")));
@@ -218,7 +208,7 @@ fn evaluate(
             None => return Err(ExecError::Undefined { value: v.index() }),
         };
         let read = usize::from(plan.uses[k] != InputUse::Meta);
-        slots.push(Slot::dense(k, Vec::new(), scalar.dtype()));
+        slots.push(Slot::dense(k, &[], scalar.dtype()));
         bufs.push(Buf::Own(Buffer::filled(scalar.dtype(), read, scalar)));
     }
 
@@ -235,7 +225,7 @@ fn evaluate(
         };
         let float = |i: usize| Ok(scalar(i)?.as_float()? as f32);
         let operand = |i: usize| &slots[pn.operands[i]];
-        let fresh = |shape: &[usize], dtype: DType| Slot::dense(n_in + idx, shape.to_vec(), dtype);
+        let fresh = |shape: &[usize], dtype: DType| Slot::dense(n_in + idx, shape, dtype);
         let started = observer.map(|_| Instant::now());
         // The node's slot, and its buffer if it runs a kernel.
         let (out, data) = match pn.kind {
@@ -250,7 +240,10 @@ fn evaluate(
             Kind::Binary(f) => {
                 let (a, b) = (operand(0), operand(1));
                 let shape = broadcast_shapes(a.shape(), b.shape(), "fused broadcast")?;
-                let (la, lb) = (broadcast(a, &shape)?, broadcast(b, &shape)?);
+                let (la, lb) = (
+                    a.layout.broadcast_to(&shape)?,
+                    b.layout.broadcast_to(&shape)?,
+                );
                 let data = kernel::binary(f, (bufs[a.buf].get(), &la), (bufs[b.buf].get(), &lb));
                 (fresh(&shape, f.result_dtype(a.dtype, b.dtype)), Some(data))
             }
@@ -259,9 +252,9 @@ fn evaluate(
                 let shape = broadcast_shapes(a.shape(), b.shape(), "where")?;
                 let shape = broadcast_shapes(c.shape(), &shape, "where")?;
                 let (lc, la, lb) = (
-                    broadcast(c, &shape)?,
-                    broadcast(a, &shape)?,
-                    broadcast(b, &shape)?,
+                    c.layout.broadcast_to(&shape)?,
+                    a.layout.broadcast_to(&shape)?,
+                    b.layout.broadcast_to(&shape)?,
                 );
                 let data = kernel::select(
                     (bufs[c.buf].get(), &lc),
@@ -283,7 +276,7 @@ fn evaluate(
                 let (src, like) = (operand(0), operand(1));
                 let layout = src.layout.broadcast_to(like.shape())?;
                 if src.dtype == like.dtype {
-                    (src.view(Cow::Owned(layout)), None)
+                    (src.view(layout), None)
                 } else {
                     let data = kernel::cast((bufs[src.buf].get(), &layout), like.dtype);
                     (fresh(like.shape(), like.dtype), Some(data))
@@ -310,12 +303,9 @@ fn evaluate(
                     let dense = fresh(base.shape(), base.dtype);
                     let layout = view_layout(kind, &dense.layout, int)?;
                     let data = kernel::cast(at(&bufs, base), base.dtype);
-                    (dense.view(Cow::Owned(layout)), Some(data))
+                    (dense.view(layout), Some(data))
                 } else {
-                    (
-                        base.view(Cow::Owned(view_layout(kind, &base.layout, int)?)),
-                        None,
-                    )
+                    (base.view(view_layout(kind, &base.layout, int)?), None)
                 }
             }
             Kind::Assign => {
@@ -325,7 +315,7 @@ fn evaluate(
                 let (base, src) = (operand(0), operand(1));
                 let out = fresh(base.shape(), base.dtype);
                 let region = view_layout(kind, &out.layout, |i| scalar(i + 2)?.as_int())?;
-                let from = broadcast(src, &region.shape)?;
+                let from = src.layout.broadcast_to(region.shape())?;
                 // Write in place when the launch owns the base's buffer
                 // and nothing reads it from here on.
                 let dead = plan.last_use[base.buf] <= idx && src.buf != base.buf;

@@ -4,11 +4,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tssa_ir::{BlockId, ConstValue, Graph, MutateKind, Node, NodeId, Op, ValueId, ViewKind};
-use tssa_tensor::{concat, stack, where_select, Scalar, Tensor};
+use tssa_tensor::{concat, stack, where_select, Scalar, Tensor, TensorError};
 
 use crate::fused::run_group;
 use crate::observe::{OpObserver, TOP_LEVEL_GROUP};
-use crate::ops::{dtype_of, elementwise, view_layout, Elementwise};
+use crate::ops::{dtype_of, elementwise, view_layout, with_dims, Elementwise};
 use crate::{ExecConfig, ExecError, ExecPlan, ExecStats, RtValue};
 
 /// The register file: one register per graph value, by `ValueId::index()`
@@ -439,19 +439,17 @@ impl Executor {
 
             // -------------------------------------------- tensor creation
             Op::Zeros { shape } | Op::Ones { shape } => {
-                let s: Vec<usize> = shape.iter().map(|&d| d.max(0) as usize).collect();
                 let t = if matches!(node.op, Op::Zeros { .. }) {
-                    Tensor::zeros(&s)
+                    created(shape, Tensor::zeros)?
                 } else {
-                    Tensor::ones(&s)
+                    created(shape, Tensor::ones)?
                 };
                 self.kernel(stats, t_bytes(&t), 0);
                 set(env, 0, RtValue::Tensor(t));
             }
             Op::Full { shape } => {
-                let s: Vec<usize> = shape.iter().map(|&d| d.max(0) as usize).collect();
                 let v = arg(0)?.as_float()? as f32;
-                let t = Tensor::full(&s, v);
+                let t = created(shape, |s| Tensor::full(s, v))?;
                 self.kernel(stats, t_bytes(&t), 0);
                 set(env, 0, RtValue::Tensor(t));
             }
@@ -785,6 +783,22 @@ fn operand<'e>(env: &'e Env, node: &Node, i: usize) -> Result<&'e RtValue, ExecE
 
 fn float(v: &RtValue) -> Result<f32, ExecError> {
     Ok(v.as_float()? as f32)
+}
+
+/// A creation op's tensor, made by `make` over `shape` (a negative size
+/// reads as 0). A shape with more elements than a `usize` counts is an
+/// error.
+fn created(shape: &[i64], make: impl FnOnce(&[usize]) -> Tensor) -> Result<Tensor, ExecError> {
+    with_dims(
+        shape,
+        |_, d| d.max(0) as usize,
+        |s| {
+            let overflow =
+                || TensorError::invalid(format!("{s:?}: more elements than a usize counts"));
+            let numel = s.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            Ok(numel.map(|_| make(s)).ok_or_else(overflow)?)
+        },
+    )
 }
 
 /// The aliasing view of `base` described by `kind`; `int(i)` reads the i-th

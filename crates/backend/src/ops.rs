@@ -78,27 +78,37 @@ pub(crate) fn view_layout(
             base.slice(at(*dim), at(int(0)?), at(int(1)?), at(int(2)?))?
         }
         ViewKind::Permute { perm } => {
-            let dim = |&p| usize::try_from(p).unwrap_or(usize::MAX);
-            base.permute(&perm.iter().map(dim).collect::<Vec<_>>())?
+            let dim = |_, p: i64| usize::try_from(p).unwrap_or(usize::MAX);
+            with_dims(perm, dim, |perm| base.permute(perm))?
         }
         ViewKind::Transpose { dim0, dim1 } => base.transpose(at(*dim0), at(*dim1))?,
         ViewKind::Unsqueeze { dim } => base.unsqueeze(at(*dim))?,
         ViewKind::Squeeze { dim } => base.squeeze(at(*dim))?,
         ViewKind::Expand { shape } => {
             // A -1 keeps the (right-aligned) base dimension.
-            let pad = shape.len().saturating_sub(base.shape.len());
-            let target: Vec<usize> = shape
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| match d {
-                    -1 if i >= pad => base.shape[i - pad],
-                    _ => d.max(0) as usize,
-                })
-                .collect();
-            base.broadcast_to(&target)?
+            let pad = shape.len().saturating_sub(base.shape().len());
+            let dim = |i, d: i64| match d {
+                -1 if i >= pad => base.shape()[i - pad],
+                _ => d.max(0) as usize,
+            };
+            with_dims(shape, dim, |target| base.broadcast_to(target))?
         }
-        ViewKind::ViewShape { shape } => {
-            base.view(&shape.iter().map(|&d| at(d)).collect::<Vec<_>>())?
-        }
+        ViewKind::ViewShape { shape } => with_dims(shape, |_, d| at(d), |s| base.view(s))?,
     })
+}
+
+/// `go` on the IR dims `dims`, each mapped by `f(index, dim)` to what the
+/// view algebra takes: on the stack up to rank 8, which no program reaches.
+pub(crate) fn with_dims<T: Copy + Default, R>(
+    dims: &[i64],
+    f: impl Fn(usize, i64) -> T,
+    go: impl FnOnce(&[T]) -> R,
+) -> R {
+    let mapped = dims.iter().enumerate().map(|(i, &d)| f(i, d));
+    let mut stack = [T::default(); 8];
+    if dims.len() > stack.len() {
+        return go(&mapped.collect::<Vec<_>>());
+    }
+    stack.iter_mut().zip(mapped).for_each(|(o, v)| *o = v);
+    go(&stack[..dims.len()])
 }

@@ -400,6 +400,19 @@ fn expand_that_does_not_broadcast_is_an_error() {
 }
 
 #[test]
+fn expand_whose_element_count_overflows_is_an_error() {
+    // 2^62 * 4 elements wrap a usize to 0.
+    let body = "%r : Tensor = immut::expand[shape=[4611686018427387904, 4]](%p)";
+    let (fused, unfused) = pair_error(body, &[input(&[1, 1], 20), RtValue::Int(0)]);
+    for e in [fused, unfused] {
+        assert!(
+            matches!(e, ExecError::Tensor(TensorError::InvalidArgument { .. })),
+            "{e}"
+        );
+    }
+}
+
+#[test]
 fn missing_scalar_operand_is_an_error() {
     // A select without its index, a slice without its step, an assign
     // without its index and scalar operators without their scalars: none

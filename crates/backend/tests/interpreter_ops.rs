@@ -3,7 +3,7 @@
 
 use tssa_backend::{DeviceProfile, ExecConfig, ExecError, Executor, RtValue};
 use tssa_ir::parse_graph;
-use tssa_tensor::Tensor;
+use tssa_tensor::{Tensor, TensorError};
 
 fn run(src: &str, inputs: &[RtValue]) -> (Vec<RtValue>, tssa_backend::ExecStats) {
     let g = parse_graph(src).unwrap_or_else(|e| panic!("{src}\n{e}"));
@@ -122,6 +122,32 @@ fn creation_ops() {
     );
     // Four creation kernels.
     assert_eq!(stats.kernel_launches, 4);
+}
+
+#[test]
+fn shapes_whose_element_count_overflows_are_errors() {
+    // 2^62 * 4 elements wrap a usize to 0.
+    let big = 1i64 << 62;
+    for body in [
+        format!(
+            "%e : Tensor = aten::expand[shape=[{big}, 4]](%x)\n%r : Tensor = aten::sigmoid(%e)"
+        ),
+        format!("%r : Tensor = aten::zeros[shape=[{big}, 4]]()"),
+        format!("%r : Tensor = aten::ones[shape=[4, {big}]]()"),
+        format!("%r : Tensor = aten::full[shape=[2, {big}, 2]](%f)"),
+    ] {
+        let src = format!("graph(%x : Tensor, %f : float):\n{body}\nreturn (%r)");
+        let g = parse_graph(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let inputs = [t(vec![1.0], &[1, 1]), RtValue::Float(1.0)];
+        let r = Executor::new(ExecConfig::compiled()).run(&g, &inputs);
+        assert!(
+            matches!(
+                r,
+                Err(ExecError::Tensor(TensorError::InvalidArgument { .. }))
+            ),
+            "{src}\n{r:?}"
+        );
+    }
 }
 
 #[test]

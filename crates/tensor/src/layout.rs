@@ -5,10 +5,76 @@
 //! broadcast is an affine map of coordinates, i.e. a new offset and strides
 //! over the same buffer. [`crate::Tensor`] pairs a layout with shared
 //! storage; the fused evaluator in `tssa-backend` pairs one with a plain
-//! owned [`crate::Buffer`]. Both go through the methods here.
+//! owned [`crate::Buffer`]. Both go through the methods here, and up to
+//! rank [`INLINE`] none of them allocates: a view costs no more than its
+//! affine map.
+
+use std::cmp::Ordering;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::storage::Buffer;
 use crate::{Result, TensorError};
+
+/// The rank up to which [`Dims`] are stored in place: the eight programs'
+/// highest. A `Tensor` then takes 120 bytes; rank 6 makes it 152 and ran
+/// 5 % slower on the RNN programs, though none of them spills at 4.
+pub(crate) const INLINE: usize = 4;
+
+/// A shape or a list of strides: up to [`INLINE`] dims in place, more on
+/// the heap; read and written as a `[usize]`. Every constructor zeroes the
+/// inline array past the last dim and writes stay inside it, so a list has
+/// one representation and the derived equality is the slices'.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) enum Dims {
+    Inline(u8, [usize; INLINE]),
+    Heap(Vec<usize>),
+}
+
+impl Dims {
+    /// `len` dims, dim `i` being `f(i)`: every `Dims` is made here.
+    pub(crate) fn from_fn(len: usize, f: impl Fn(usize) -> usize) -> Dims {
+        match len {
+            0..=INLINE => Dims::Inline(
+                len as u8,
+                std::array::from_fn(|i| if i < len { f(i) } else { 0 }),
+            ),
+            _ => Dims::Heap((0..len).map(f).collect()),
+        }
+    }
+}
+
+impl From<&[usize]> for Dims {
+    fn from(dims: &[usize]) -> Dims {
+        Dims::from_fn(dims.len(), |i| dims[i])
+    }
+}
+
+impl Deref for Dims {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            Dims::Inline(len, dims) => &dims[..usize::from(*len)],
+            Dims::Heap(heap) => heap,
+        }
+    }
+}
+
+impl DerefMut for Dims {
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match self {
+            Dims::Inline(len, dims) => &mut dims[..usize::from(*len)],
+            Dims::Heap(heap) => heap,
+        }
+    }
+}
+
+impl fmt::Debug for Dims {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// A strided window onto a flat buffer: element `(c0, c1, …)` lives at
 /// `offset + Σ ci · strides[i]`; broadcast dimensions have stride 0.
@@ -16,10 +82,22 @@ use crate::{Result, TensorError};
 pub struct Layout {
     /// Index of element `(0, 0, …)`.
     pub offset: usize,
-    /// Logical shape.
-    pub shape: Vec<usize>,
-    /// Distance between neighbours along each dimension, in elements.
-    pub strides: Vec<usize>,
+    pub(crate) shape: Dims,
+    pub(crate) strides: Dims,
+}
+
+/// `dims` without dim `d`.
+fn without(dims: &[usize], d: usize) -> Dims {
+    Dims::from_fn(dims.len() - 1, |i| dims[i + usize::from(i >= d)])
+}
+
+/// `dims` with `value` inserted before dim `d`.
+fn inserted(dims: &[usize], d: usize, value: usize) -> Dims {
+    Dims::from_fn(dims.len() + 1, |i| match i.cmp(&d) {
+        Ordering::Less => dims[i],
+        Ordering::Equal => value,
+        Ordering::Greater => dims[i - 1],
+    })
 }
 
 /// Normalize a possibly-negative dimension index against `rank`.
@@ -50,34 +128,47 @@ pub(crate) fn normalize_index(index: isize, size: usize, dim: usize) -> Result<u
 ///
 /// Returns [`TensorError::ShapeMismatch`] (naming `op`) if a dimension
 /// differs and neither side is 1.
-pub fn broadcast_shapes(a: &[usize], b: &[usize], op: &'static str) -> Result<Vec<usize>> {
+pub fn broadcast_shapes(
+    a: &[usize],
+    b: &[usize],
+    op: &'static str,
+) -> Result<impl Deref<Target = [usize]>> {
     let rank = a.len().max(b.len());
     let dim = |s: &[usize], i: usize| (i + s.len()).checked_sub(rank).map_or(1, |j| s[j]);
-    (0..rank)
-        .map(|i| match (dim(a, i), dim(b, i)) {
-            (x, y) if x == y || y == 1 => Ok(x),
-            (1, y) => Ok(y),
-            _ => Err(TensorError::ShapeMismatch {
-                lhs: a.to_vec(),
-                rhs: b.to_vec(),
-                op,
-            }),
-        })
-        .collect()
+    let fits = |i| matches!((dim(a, i), dim(b, i)), (x, y) if x == y || x == 1 || y == 1);
+    if !(0..rank).all(fits) {
+        let (lhs, rhs) = (a.to_vec(), b.to_vec());
+        return Err(TensorError::ShapeMismatch { lhs, rhs, op });
+    }
+    Ok(Dims::from_fn(rank, |i| match dim(a, i) {
+        1 => dim(b, i),
+        x => x,
+    }))
 }
 
 impl Layout {
     /// All of a row-major buffer of `shape`.
-    pub fn contiguous(shape: Vec<usize>) -> Layout {
-        let mut strides = vec![1; shape.len()];
+    pub fn contiguous(shape: &[usize]) -> Layout {
+        let mut strides = Dims::from_fn(shape.len(), |_| 1);
+        let s = &mut strides[..];
         for i in (1..shape.len()).rev() {
-            strides[i - 1] = strides[i] * shape[i];
+            s[i - 1] = s[i] * shape[i];
         }
         Layout {
             offset: 0,
-            shape,
+            shape: shape.into(),
             strides,
         }
+    }
+
+    /// Logical shape.
+    pub fn shape(&self) -> &[usize] {
+        &self.shape
+    }
+
+    /// Distance between neighbours along each dimension, in elements.
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
     }
 
     /// Number of logical elements.
@@ -89,7 +180,7 @@ impl Layout {
     /// of a size-1 dimension never affects addressing and is ignored).
     pub fn is_dense(&self) -> bool {
         let mut expect = 1;
-        for (&d, &s) in self.shape.iter().zip(&self.strides).rev() {
+        for (&d, &s) in self.shape.iter().zip(self.strides.iter()).rev() {
             if d != 1 && s != expect {
                 return false;
             }
@@ -116,11 +207,11 @@ impl Layout {
     pub fn select(&self, dim: isize, index: isize) -> Result<Layout> {
         let d = normalize_dim(dim, self.shape.len())?;
         let i = normalize_index(index, self.shape[d], d)?;
-        let mut v = self.clone();
-        v.offset += i * v.strides[d];
-        v.shape.remove(d);
-        v.strides.remove(d);
-        Ok(v)
+        Ok(Layout {
+            offset: self.offset + i * self.strides[d],
+            shape: without(&self.shape, d),
+            strides: without(&self.strides, d),
+        })
     }
 
     /// `[start, end)` with `step` along `dim`; negative bounds count from
@@ -152,20 +243,16 @@ impl Layout {
     ///
     /// Returns an error if `perm` is not a permutation of `0..rank`.
     pub fn permute(&self, perm: &[usize]) -> Result<Layout> {
-        let mut seen = vec![false; self.shape.len()];
-        for &p in perm {
-            match seen.get_mut(p) {
-                Some(s) if !*s => *s = true,
-                _ => return Err(TensorError::invalid("invalid permutation")),
-            }
-        }
-        if perm.len() != seen.len() {
+        let rank = self.shape.len();
+        let fresh = |(i, &p): (usize, &usize)| p < rank && !perm[..i].contains(&p);
+        if perm.len() != rank || !perm.iter().enumerate().all(fresh) {
             return Err(TensorError::invalid("invalid permutation"));
         }
+        let (shape, strides) = (&self.shape[..], &self.strides[..]);
         Ok(Layout {
             offset: self.offset,
-            shape: perm.iter().map(|&p| self.shape[p]).collect(),
-            strides: perm.iter().map(|&p| self.strides[p]).collect(),
+            shape: Dims::from_fn(rank, |i| shape[perm[i]]),
+            strides: Dims::from_fn(rank, |i| strides[perm[i]]),
         })
     }
 
@@ -190,10 +277,11 @@ impl Layout {
     /// Returns an error if `dim` is out of range (`0..=rank`).
     pub fn unsqueeze(&self, dim: isize) -> Result<Layout> {
         let d = normalize_dim(dim, self.shape.len() + 1)?;
-        let mut v = self.clone();
-        v.shape.insert(d, 1);
-        v.strides.insert(d, 0);
-        Ok(v)
+        Ok(Layout {
+            offset: self.offset,
+            shape: inserted(&self.shape, d, 1),
+            strides: inserted(&self.strides, d, 0),
+        })
     }
 
     /// Remove the size-1 dimension at `dim`.
@@ -209,10 +297,11 @@ impl Layout {
                 self.shape[d]
             )));
         }
-        let mut v = self.clone();
-        v.shape.remove(d);
-        v.strides.remove(d);
-        Ok(v)
+        Ok(Layout {
+            offset: self.offset,
+            shape: without(&self.shape, d),
+            strides: without(&self.strides, d),
+        })
     }
 
     /// This view as an operand of an iteration over `shape` (`expand`):
@@ -221,10 +310,11 @@ impl Layout {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if a non-1 dimension would
-    /// have to change size.
+    /// have to change size, and [`TensorError::InvalidArgument`] if `shape`
+    /// has more elements than a `usize` counts.
     pub fn broadcast_to(&self, shape: &[usize]) -> Result<Layout> {
         let mismatch = || TensorError::ShapeMismatch {
-            lhs: self.shape.clone(),
+            lhs: self.shape.to_vec(),
             rhs: shape.to_vec(),
             op: "broadcast",
         };
@@ -232,17 +322,26 @@ impl Layout {
             .len()
             .checked_sub(self.shape.len())
             .ok_or_else(mismatch)?;
-        let mut strides = vec![0; shape.len()];
-        for (i, (&d, &s)) in self.shape.iter().zip(&self.strides).enumerate() {
-            if d == shape[pad + i] {
-                strides[pad + i] = s;
-            } else if d != 1 {
-                return Err(mismatch());
-            }
+        let fits = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .is_some();
+        if !fits {
+            return Err(TensorError::invalid(format!(
+                "{shape:?}: more elements than a usize counts"
+            )));
         }
+        let (own, strides) = (&self.shape[..], &self.strides[..]);
+        if (own.iter().zip(&shape[pad..])).any(|(&d, &t)| d != t && d != 1) {
+            return Err(mismatch());
+        }
+        let strides = Dims::from_fn(shape.len(), |j| match j.checked_sub(pad) {
+            Some(k) if own[k] == shape[j] => strides[k],
+            _ => 0,
+        });
         Ok(Layout {
             offset: self.offset,
-            shape: shape.to_vec(),
+            shape: shape.into(),
             strides,
         })
     }
@@ -281,12 +380,13 @@ impl Layout {
         if known.saturating_mul(inferred) != total {
             return Err(mismatch);
         }
-        let dims = shape
-            .iter()
-            .map(|&d| if d == -1 { inferred } else { d as usize });
+        let dims = Dims::from_fn(shape.len(), |i| match shape[i] {
+            -1 => inferred,
+            d => d as usize,
+        });
         Ok(Layout {
             offset: self.offset,
-            ..Layout::contiguous(dims.collect())
+            ..Layout::contiguous(&dims)
         })
     }
 }
@@ -294,23 +394,24 @@ impl Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::for_each_row;
 
     #[test]
     fn contiguous_strides_row_major() {
-        assert_eq!(Layout::contiguous(vec![2, 3, 4]).strides, vec![12, 4, 1]);
-        assert!(Layout::contiguous(vec![]).strides.is_empty());
-        assert_eq!(Layout::contiguous(vec![5]).strides, vec![1]);
+        assert_eq!(Layout::contiguous(&[2, 3, 4]).strides(), [12, 4, 1]);
+        assert!(Layout::contiguous(&[]).strides().is_empty());
+        assert_eq!(Layout::contiguous(&[5]).strides(), [1]);
     }
 
     #[test]
     fn broadcasting_rules() {
-        assert_eq!(broadcast_shapes(&[2, 1], &[3], "t").unwrap(), vec![2, 3]);
-        assert_eq!(broadcast_shapes(&[], &[4], "t").unwrap(), vec![4]);
+        assert_eq!(*broadcast_shapes(&[2, 1], &[3], "t").unwrap(), [2, 3]);
+        assert_eq!(*broadcast_shapes(&[], &[4], "t").unwrap(), [4]);
         assert!(broadcast_shapes(&[2], &[3], "t").is_err());
-        let l = Layout::contiguous(vec![2, 1]);
-        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides, vec![1, 0]);
-        let l = Layout::contiguous(vec![3]);
-        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides, vec![0, 1]);
+        let l = Layout::contiguous(&[2, 1]);
+        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides(), [1, 0]);
+        let l = Layout::contiguous(&[3]);
+        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides(), [0, 1]);
         assert!(l.broadcast_to(&[3, 2]).is_err());
         assert!(l.broadcast_to(&[]).is_err());
     }
@@ -326,7 +427,7 @@ mod tests {
 
     #[test]
     fn density_ignores_unit_dims_and_sees_gaps() {
-        let l = Layout::contiguous(vec![2, 3, 4]);
+        let l = Layout::contiguous(&[2, 3, 4]);
         assert!(l.is_dense());
         assert!(l.select(0, 1).unwrap().is_dense());
         assert!(!l.select(2, 1).unwrap().is_dense());
@@ -340,24 +441,18 @@ mod tests {
 
     #[test]
     fn slice_clamps_and_survives_huge_steps() {
-        let l = Layout::contiguous(vec![6]);
+        let l = Layout::contiguous(&[6]);
         let s = l.slice(0, 1, 100, 2).unwrap();
-        assert_eq!(
-            (s.offset, &s.shape[..], &s.strides[..]),
-            (1, &[3][..], &[2][..])
-        );
-        assert_eq!(l.slice(0, 4, 2, 1).unwrap().shape, vec![0]);
-        assert_eq!(
-            l.slice(0, -2, isize::MAX, isize::MAX).unwrap().shape,
-            vec![1]
-        );
+        assert_eq!((s.offset, s.shape(), s.strides()), (1, &[3][..], &[2][..]));
+        assert_eq!(l.slice(0, 4, 2, 1).unwrap().shape(), [0]);
+        assert_eq!(l.slice(0, -2, isize::MAX, isize::MAX).unwrap().shape(), [1]);
         assert!(l.slice(0, 0, 6, 0).is_err());
     }
 
     #[test]
     fn view_resolves_and_validates_shapes() {
-        let l = Layout::contiguous(vec![2, 6]);
-        assert_eq!(l.view(&[3, -1]).unwrap().shape, vec![3, 4]);
+        let l = Layout::contiguous(&[2, 6]);
+        assert_eq!(l.view(&[3, -1]).unwrap().shape(), [3, 4]);
         assert_eq!(
             l.view(&[4, 5]),
             Err(TensorError::NumelMismatch { from: 12, to: 20 })
@@ -374,5 +469,39 @@ mod tests {
         ));
         // A view of a row keeps the row's offset.
         assert_eq!(l.select(0, 1).unwrap().view(&[2, 3]).unwrap().offset, 6);
+    }
+
+    /// Every row `for_each_row` walks over `l`, as `(len, start, step)`.
+    fn rows(l: &Layout) -> Vec<(usize, usize, usize)> {
+        let mut seen = Vec::new();
+        for_each_row(l.shape(), [l], |len, [at], [step]| {
+            seen.push((len, at, step))
+        });
+        seen
+    }
+
+    #[test]
+    fn dims_spill_past_the_inline_rank_and_come_back() {
+        // Rank INLINE, strided: every other element of the last dim, two
+        // middle dims swapped.
+        let dims = [2, 3, 4, 5];
+        assert_eq!(dims.len(), INLINE);
+        let base = Layout::contiguous(&dims).slice(-1, 1, 5, 2).unwrap();
+        let base = base.transpose(1, 2).unwrap();
+        let walk = rows(&base);
+        assert_eq!((walk.len(), &walk[..2]), (24, &[(2, 1, 2), (2, 21, 2)][..]));
+        for at in 0..=INLINE {
+            let up = base.unsqueeze(at as isize).unwrap();
+            assert!(matches!(up.strides, Dims::Heap(_)));
+            // What inserting into a `Vec` makes of them.
+            let (mut s, mut st) = (base.shape().to_vec(), base.strides().to_vec());
+            s.insert(at, 1);
+            st.insert(at, 0);
+            assert_eq!((up.offset, up.shape(), up.strides()), (1, &s[..], &st[..]));
+            assert_eq!(rows(&up), walk, "unsqueeze at {at}");
+            let down = up.squeeze(at as isize).unwrap();
+            assert!(matches!(down.shape, Dims::Inline(..)));
+            assert_eq!(down, base);
+        }
     }
 }

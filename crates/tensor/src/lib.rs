@@ -42,7 +42,7 @@ pub use error::TensorError;
 pub use kernel::{BinaryOp, UnaryOp};
 pub use layout::{broadcast_shapes, Layout};
 pub use ops::{concat, stack, where_select};
-pub use storage::{Buffer, StorageId};
+pub use storage::Buffer;
 pub use tensor::{read_buffers, Tensor};
 
 /// Result alias used throughout this crate.

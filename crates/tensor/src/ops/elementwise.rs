@@ -15,7 +15,7 @@ impl Tensor {
     /// As [`UnaryOp::result_dtype`].
     pub fn unary(&self, op: UnaryOp) -> Result<Tensor> {
         let buffer = kernel::unary(op, (&self.storage.read(), &self.layout))?;
-        Ok(Tensor::dense(buffer, self.shape().to_vec()))
+        Ok(Tensor::dense(buffer, self.shape()))
     }
 
     /// `op` applied pairwise with broadcasting (`aten::add`, `aten::gt`, …).
@@ -30,7 +30,7 @@ impl Tensor {
             rhs.layout.broadcast_to(&shape)?,
         );
         let buffer = with_buffers([self, rhs], |[a, b]| kernel::binary(op, (a, &la), (b, &lb)));
-        Ok(Tensor::dense(buffer, shape))
+        Ok(Tensor::dense(buffer, &shape))
     }
 
     /// Elementwise absolute value (`aten::abs`); the identity on bool.
@@ -70,7 +70,7 @@ pub fn where_select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let buffer = with_buffers([cond, a, b], |[c, x, y]| {
         kernel::select((c, &lc), (x, &la), (y, &lb))
     })?;
-    Ok(Tensor::dense(buffer, shape))
+    Ok(Tensor::dense(buffer, &shape))
 }
 
 #[cfg(test)]

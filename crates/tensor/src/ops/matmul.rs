@@ -57,7 +57,7 @@ impl Tensor {
                 }
             });
         }
-        Ok(Tensor::dense(Buffer::F32(out), vec![m, n]))
+        Ok(Tensor::dense(Buffer::F32(out), &[m, n]))
     }
 
     /// Batched matrix product (`aten::bmm`): `[b, m, k] × [b, k, n] → [b, m, n]`.

@@ -1,19 +1,17 @@
 //! Reductions: whole-tensor and along one dimension.
 
 use crate::kernel::{for_each_row, typed, BinaryOp, Elem, UnaryOp};
-use crate::layout::normalize_dim;
+use crate::layout::{normalize_dim, Dims};
 use crate::storage::Buffer;
 use crate::{Layout, Result, Tensor};
 
 /// An operand over `shape` that is nowhere, but whose "address" is the
 /// coordinate along `d`: walking it gives a row loop its index.
 fn index_along(shape: &[usize], d: usize) -> Layout {
-    let mut strides = vec![0; shape.len()];
-    strides[d] = 1;
     Layout {
         offset: 0,
-        shape: shape.to_vec(),
-        strides,
+        shape: shape.into(),
+        strides: Dims::from_fn(shape.len(), |i| usize::from(i == d)),
     }
 }
 
@@ -51,9 +49,9 @@ impl Tensor {
 
     /// `dim` normalized, and the shape with it set to 1: one cell per
     /// reduction.
-    fn cells(&self, dim: isize) -> Result<(usize, Vec<usize>)> {
+    fn cells(&self, dim: isize) -> Result<(usize, Dims)> {
         let d = normalize_dim(dim, self.rank())?;
-        let mut shape = self.shape().to_vec();
+        let mut shape = Dims::from(self.shape());
         shape[d] = 1;
         Ok((d, shape))
     }
@@ -62,7 +60,7 @@ impl Tensor {
     /// index along `d`, the row-major index of its cell in `cells` and its
     /// value as f64. Each cell therefore sees its inputs in increasing `i`.
     fn walk_dim(&self, d: usize, cells: &[usize], mut f: impl FnMut(usize, usize, f64)) {
-        let cells = Layout::contiguous(cells.to_vec())
+        let cells = Layout::contiguous(cells)
             .broadcast_to(self.shape())
             .expect("unit dims broadcast");
         let index = index_along(self.shape(), d);
@@ -97,7 +95,7 @@ impl Tensor {
         let mut acc = vec![init; shape.iter().product()];
         self.walk_dim(d, &shape, |_, cell, v| acc[cell] = f(acc[cell], v));
         let data = Buffer::F32(acc.into_iter().map(|v| v as f32).collect());
-        Tensor::finish_dim(Tensor::dense(data, shape), d, keepdim)
+        Tensor::finish_dim(Tensor::dense(data, &shape), d, keepdim)
     }
 
     /// Sum along `dim` (`aten::sum.dim`).
@@ -152,7 +150,7 @@ impl Tensor {
                 idx[cell] = i as i64;
             }
         });
-        let out = Tensor::dense(Buffer::I64(idx), shape);
+        let out = Tensor::dense(Buffer::I64(idx), &shape);
         Tensor::finish_dim(out, d, keepdim)
     }
 
@@ -176,7 +174,7 @@ impl Tensor {
     pub fn cumsum(&self, dim: isize) -> Result<Tensor> {
         let d = normalize_dim(dim, self.rank())?;
         let mut out = self.to_buffer();
-        let l = Layout::contiguous(self.shape().to_vec());
+        let l = Layout::contiguous(self.shape());
         let index = index_along(self.shape(), d);
         let back = l.strides[d];
         // Row-major order reaches `i - 1` along `d` before `i`.
@@ -190,7 +188,7 @@ impl Tensor {
                 }
             }
         ));
-        Ok(Tensor::dense(out, l.shape))
+        Ok(Tensor::dense(out, &l.shape))
     }
 }
 

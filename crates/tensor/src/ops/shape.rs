@@ -100,7 +100,7 @@ impl Tensor {
         }
         // The source at index 0 along `d`, walked in step with `index`.
         let mut base = Layout {
-            shape: index.shape().to_vec(),
+            shape: index.shape().into(),
             ..self.layout.clone()
         };
         let along = std::mem::take(&mut base.strides[d]);
@@ -136,7 +136,7 @@ impl Tensor {
                 size,
                 dim: d,
             }),
-            None => Ok(Tensor::dense(out, index.shape().to_vec())),
+            None => Ok(Tensor::dense(out, index.shape())),
         }
     }
 

@@ -12,7 +12,7 @@ impl Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         let n: usize = shape.iter().product();
         let data: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor::dense(Buffer::F32(data), shape.to_vec())
+        Tensor::dense(Buffer::F32(data), shape)
     }
 }
 

@@ -2,9 +2,8 @@
 //!
 //! A [`Buffer`] is plain owned data. A [`Storage`] is the unit of aliasing:
 //! every tensor view of the same base tensor holds a clone of the same
-//! `Storage`, and in-place operators write through it. [`StorageId`] lets
-//! analyses (and tests) ask whether two tensors share memory without
-//! touching the data.
+//! `Storage`, and in-place operators write through it. A [`StorageId`] tells
+//! whether two tensors share memory without touching the data.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
@@ -17,7 +16,7 @@ static NEXT_STORAGE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Opaque identity of a storage buffer; equal ids mean shared memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StorageId(u64);
+pub(crate) struct StorageId(u64);
 
 /// Typed element buffer.
 #[derive(Debug, Clone)]

@@ -5,7 +5,7 @@ use parking_lot::RwLockReadGuard;
 use crate::kernel::{self, for_each_row, typed};
 use crate::layout::{normalize_dim, normalize_index};
 use crate::storage::{Buffer, Storage};
-use crate::{DType, Layout, Result, Scalar, StorageId, TensorError};
+use crate::{DType, Layout, Result, Scalar, TensorError};
 
 /// An n-dimensional strided view over reference-counted storage.
 ///
@@ -61,7 +61,7 @@ impl Tensor {
     // ---------------------------------------------------------------- ctors
 
     /// `buffer` as a row-major tensor of `shape`, which it must fill.
-    pub(crate) fn dense(buffer: Buffer, shape: Vec<usize>) -> Tensor {
+    pub(crate) fn dense(buffer: Buffer, shape: &[usize]) -> Tensor {
         let layout = Layout::contiguous(shape);
         debug_assert_eq!(buffer.len(), layout.numel());
         Tensor {
@@ -89,7 +89,7 @@ impl Tensor {
     /// A new tensor of `value`'s dtype filled with `value`.
     pub fn full_scalar(shape: &[usize], value: Scalar) -> Tensor {
         let buffer = Buffer::filled(value.dtype(), shape.iter().product(), value);
-        Tensor::dense(buffer, shape.to_vec())
+        Tensor::dense(buffer, shape)
     }
 
     /// A new tensor of the given dtype filled with zeros.
@@ -112,7 +112,7 @@ impl Tensor {
                 to,
             });
         }
-        Ok(Tensor::dense(buffer, shape.to_vec()))
+        Ok(Tensor::dense(buffer, shape))
     }
 
     /// Build an f32 tensor from `data` in row-major order.
@@ -145,7 +145,7 @@ impl Tensor {
 
     /// `[0, 1, …, n-1]` as a 1-D f32 tensor.
     pub fn arange_f32(n: usize) -> Tensor {
-        Tensor::dense(Buffer::F32((0..n).map(|i| i as f32).collect()), vec![n])
+        Tensor::dense(Buffer::F32((0..n).map(|i| i as f32).collect()), &[n])
     }
 
     // ------------------------------------------------------------- metadata
@@ -184,14 +184,9 @@ impl Tensor {
         self.layout.numel()
     }
 
-    /// Identity of the underlying storage; equal ids alias the same memory.
-    pub fn storage_id(&self) -> StorageId {
-        self.storage.id()
-    }
-
     /// Whether two tensors share the same storage buffer.
     pub fn shares_storage_with(&self, other: &Tensor) -> bool {
-        self.storage_id() == other.storage_id()
+        self.storage.id() == other.storage.id()
     }
 
     /// Whether this view is laid out contiguously in row-major order.
@@ -207,12 +202,10 @@ impl Tensor {
     pub fn with_layout(&self, layout: Layout) -> Result<Tensor> {
         let span = |(&d, &s): (&usize, &usize)| (d - 1).checked_mul(s);
         let last = || {
-            (layout.shape.iter().zip(&layout.strides))
+            (layout.shape.iter().zip(layout.strides.iter()))
                 .try_fold(layout.offset, |at, ds| at.checked_add(span(ds)?))
         };
-        if layout.shape.len() != layout.strides.len()
-            || !layout.shape.contains(&0) && last().is_none_or(|i| i >= self.storage.len())
-        {
+        if !layout.shape.contains(&0) && last().is_none_or(|i| i >= self.storage.len()) {
             return Err(TensorError::invalid("layout reaches past its storage"));
         }
         Ok(self.view_with(layout))
@@ -243,7 +236,7 @@ impl Tensor {
             )));
         }
         let mut off = self.layout.offset;
-        for (d, (&c, &s)) in coord.iter().zip(&self.layout.strides).enumerate() {
+        for (d, (&c, &s)) in coord.iter().zip(self.layout.strides.iter()).enumerate() {
             off += normalize_index(c as isize, self.shape()[d], d)? * s;
         }
         Ok(self.storage.read().get(off))
@@ -261,7 +254,8 @@ impl Tensor {
                 self.numel()
             )));
         }
-        self.at(&vec![0; self.rank()])
+        // Every dim has size 1: the element is at the offset.
+        Ok(self.storage.read().get(self.layout.offset))
     }
 
     /// Whether `f` holds for every pair of corresponding elements of two
@@ -314,7 +308,7 @@ impl Tensor {
 
     /// Copy the logical contents into a fresh contiguous tensor.
     pub fn clone_data(&self) -> Tensor {
-        Tensor::dense(self.to_buffer(), self.shape().to_vec())
+        Tensor::dense(self.to_buffer(), self.shape())
     }
 
     /// This tensor if already contiguous, otherwise a contiguous copy.
@@ -329,7 +323,7 @@ impl Tensor {
     /// Cast to another element type (always copies).
     pub fn cast(&self, dtype: DType) -> Tensor {
         let buffer = kernel::cast((&self.storage.read(), &self.layout), dtype);
-        Tensor::dense(buffer, self.shape().to_vec())
+        Tensor::dense(buffer, self.shape())
     }
 
     /// Logical contents as a flat `Vec<f32>` in row-major order.
@@ -410,7 +404,7 @@ mod tests {
     fn construction_and_metadata() {
         let t = Tensor::zeros(&[2, 3]);
         assert_eq!(t.shape(), &[2, 3]);
-        assert_eq!(t.layout().strides, vec![3, 1]);
+        assert_eq!(t.layout().strides(), [3, 1]);
         assert_eq!(t.rank(), 2);
         assert_eq!(t.numel(), 6);
         assert_eq!(t.dtype(), DType::F32);
@@ -451,11 +445,9 @@ mod tests {
                 ..l.clone()
             })
             .is_err());
-        assert!(t.with_layout(Layout::contiguous(vec![7])).is_err());
-        assert!(t
-            .with_layout(Layout::contiguous(vec![usize::MAX, 2]))
-            .is_err());
-        assert!(t.with_layout(Layout::contiguous(vec![0, 9])).is_ok());
+        assert!(t.with_layout(Layout::contiguous(&[7])).is_err());
+        assert!(t.with_layout(Layout::contiguous(&[usize::MAX, 2])).is_err());
+        assert!(t.with_layout(Layout::contiguous(&[0, 9])).is_ok());
     }
 
     #[test]

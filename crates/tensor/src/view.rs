@@ -203,6 +203,8 @@ mod tests {
         assert_eq!(e.at(&[3, 2]).unwrap(), Scalar::F32(2.0));
         assert!(e.shares_storage_with(&t));
         assert!(iota(&[2, 3]).expand(&[4, 3]).is_err());
+        // 2 * (2^63 + 1) elements would wrap to 2.
+        assert!(iota(&[1, 1]).expand(&[usize::MAX / 2 + 2, 2]).is_err());
     }
 
     #[test]

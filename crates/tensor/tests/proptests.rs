@@ -11,6 +11,12 @@ type IndexMap = Box<dyn Fn(&[usize]) -> Vec<usize>>;
 
 const DIMS: [usize; 3] = [3, 4, 5];
 
+/// The highest rank a generated view reaches: two past the rank up to which
+/// a layout keeps its dims in place (4), so views, kernels and the odometer
+/// also run on dims spilled to the heap. Dims past the third are kept to
+/// size 1 or 2, so that the reference model stays small.
+const MAX_RANK: usize = 6;
+
 /// A step in a random view chain over a rank-3 base tensor.
 #[derive(Debug, Clone)]
 enum ViewStep {
@@ -186,7 +192,7 @@ proptest! {
     /// A random view chain addresses exactly the base cells the reference
     /// model predicts.
     #[test]
-    fn view_chains_address_predicted_cells(steps in prop::collection::vec(step_strategy(), 0..5)) {
+    fn view_chains_address_predicted_cells(steps in prop::collection::vec(step_strategy(), 0..MAX_RANK)) {
         let numel: usize = DIMS.iter().product();
         let base = Tensor::from_vec_f32((0..numel).map(|i| i as f32).collect(), &DIMS).unwrap();
         let mut view = base.clone();
@@ -211,7 +217,7 @@ proptest! {
     /// base cells and nothing else.
     #[test]
     fn mutation_through_chain_hits_predicted_cells(
-        steps in prop::collection::vec(step_strategy(), 0..5),
+        steps in prop::collection::vec(step_strategy(), 0..MAX_RANK),
         fill in -100i32..100,
     ) {
         let numel: usize = DIMS.iter().product();
@@ -699,7 +705,7 @@ impl Case {
                     });
                     return (t.transpose(dim, e as isize).unwrap(), model);
                 }
-                4 if rank < 4 => {
+                4 if rank < MAX_RANK => {
                     let at = self.below(rank + 1);
                     let mut out = shape.clone();
                     out.insert(at, 1);
@@ -712,10 +718,13 @@ impl Case {
                     let model = m.remap(out, |c| [&c[..d], &[0], &c[d..]].concat());
                     return (t.squeeze(dim).unwrap(), model);
                 }
-                6 if rank < 4 => {
+                6 if rank < MAX_RANK => {
                     // Stride 0: grow the unit dims and maybe add a leading one.
-                    let mut out: Vec<usize> = (shape.iter())
-                        .map(|&s| if s == 1 { 1 + self.below(3) } else { s })
+                    let mut out: Vec<usize> = (shape.iter().enumerate())
+                        .map(|(i, &s)| match s {
+                            1 => 1 + self.below(if i < 3 { 3 } else { 2 }),
+                            s => s,
+                        })
                         .collect();
                     if self.below(2) == 0 {
                         out.insert(0, self.below(3));
@@ -727,12 +736,18 @@ impl Case {
         }
     }
 
-    /// A random view chain over a fresh base: rank 0 to 3, zero-size dims
-    /// included.
+    /// A random view chain over a fresh base: mostly of rank 0 to 3, one in
+    /// four up to [`MAX_RANK`]; zero-size dims included.
     fn viewed(&mut self, dtype: DType) -> Viewed {
-        let rank = self.below(4);
+        let rank = match self.below(4) {
+            0 => 4 + self.below(MAX_RANK - 3),
+            _ => self.below(4),
+        };
         let shape: Vec<usize> = (0..rank)
-            .map(|_| [0, 1, 2, 3, 4, 5][self.below(6)])
+            .map(|d| match d {
+                0..3 => [0, 1, 2, 3, 4, 5][self.below(6)],
+                _ => 1 + self.below(2),
+            })
             .collect();
         let fresh = self.dense(&shape, dtype);
         let mut at = (fresh.view.clone(), fresh.model.clone());

@@ -23,10 +23,13 @@ cargo build --examples
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
-step "cargo test --release -q -p tssa-tensor -p tssa-backend"
+step "cargo test --release -q -p tssa-tensor -p tssa-backend, and --test alloc_counts"
 # The server runs the release kernels: debug builds panic on integer
-# overflow, which would hide a missing `wrapping_*` in the op table.
+# overflow, which would hide a missing `wrapping_*` in the op table. The
+# pinned allocation ceilings are checked on the optimized build the
+# benchmark measures.
 cargo test --release -q -p tssa-tensor -p tssa-backend
+cargo test --release -q --test alloc_counts
 
 step "one strided kernel core (no second odometer, buffer enum or boxed walk)"
 # Strided data is walked by tssa_tensor::kernel::for_each_row and nothing
