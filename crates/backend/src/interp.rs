@@ -17,7 +17,7 @@ use crate::{ExecConfig, ExecError, ExecPlan, ExecStats, RtValue};
 type Env = Vec<Option<RtValue>>;
 
 /// One shape-trace entry: a value binding and the concrete shape it took.
-pub type ShapeTraceEntry = (ValueId, Vec<usize>);
+pub(crate) type ShapeTraceEntry = (ValueId, Vec<usize>);
 
 /// Executes graphs against a simulated device, with real tensor semantics.
 pub struct Executor {

@@ -2,10 +2,10 @@
 //! reproduces from the seed in its assertion message.
 
 /// SplitMix64.
-pub struct Rng(pub u64);
+pub(crate) struct Rng(pub(crate) u64);
 
 impl Rng {
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -15,7 +15,7 @@ impl Rng {
 
     /// Uniform-enough index below `n` (`n > 0`).
     #[allow(dead_code)] // not every suite that shares this module indexes
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
 }

@@ -317,7 +317,7 @@ impl OpObserver for ProfileRecorder {
 /// A pipeline is fully described by its [`Pipeline::plan`]: the
 /// [`PassManager`] it would schedule plus the [`ExecConfig`] it stamps on
 /// the result. Compilation is derived from the plan, which means callers
-/// (the persistent plan store, the perf gate) can inspect a pipeline's pass
+/// (the plan store, the serving cache's key) can inspect a pipeline's pass
 /// roster — [`Pipeline::roster`] — without compiling anything.
 pub trait Pipeline {
     /// Display name, e.g. `"TensorSSA"`.

@@ -10,13 +10,31 @@
 //! every output against a fresh service that cold-compiles at that exact
 //! shape.
 
+use std::sync::{Mutex, PoisonError};
+
 use tssa_backend::RtValue;
-use tssa_serve::{ArgRole, BatchSpec, PipelineKind, ServeConfig, Service, Tracer};
+use tssa_serve::{ArgRole, BatchSpec, MetricsRegistry, PipelineKind, ServeConfig, Service, Tracer};
 use tssa_workloads::{all_workloads, Workload};
 
 // Batch 1 included deliberately: a class plan must not silently assume a
 // batch dim ≥ the deriving example's.
 const BATCHES: [usize; 6] = [1, 2, 3, 4, 6, 8];
+
+/// Every test here compiles, and every compile feeds the process-wide
+/// `tssa_pass_wall_us` histogram; the zero-recompile assertion reads that
+/// histogram, so no test may compile while another holds this lock.
+static COMPILES: Mutex<()> = Mutex::new(());
+
+/// Samples in the global `tssa_pass_wall_us` histogram, summed over passes:
+/// it grows by one per pass run, wherever in the process the compile was.
+fn pass_samples() -> u64 {
+    MetricsRegistry::global()
+        .prometheus_text()
+        .lines()
+        .filter(|l| l.starts_with("tssa_pass_wall_us_count"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
+}
 
 /// All-Shared spec: every request runs unbatched, so the differential
 /// comparison exercises the plan itself rather than the batcher.
@@ -63,11 +81,14 @@ fn cold_reference(w: &Workload, inputs: &[RtValue]) -> Vec<RtValue> {
 
 #[test]
 fn one_class_plan_serves_every_batch_size() {
+    let _compiles = COMPILES.lock().unwrap_or_else(PoisonError::into_inner);
     for w in all_workloads() {
         let (tracer, sink) = Tracer::ring(8192);
         let service = Service::new(ServeConfig::default().with_workers(1).with_tracer(tracer));
         let mut sweep: Vec<(usize, Vec<RtValue>, Vec<RtValue>)> = Vec::new();
-        for &b in &BATCHES {
+        let before = pass_samples();
+        let mut after_first_load = before;
+        for (i, &b) in BATCHES.iter().enumerate() {
             let inputs = w.inputs(b, 0, 9);
             let model = service
                 .loader(w.source)
@@ -76,6 +97,9 @@ fn one_class_plan_serves_every_batch_size() {
                 .batch(shared_spec(&w))
                 .load()
                 .unwrap_or_else(|e| panic!("{} @ batch {b}: {e}", w.name));
+            if i == 0 {
+                after_first_load = pass_samples();
+            }
             assert!(
                 model.class().is_some(),
                 "{}: class-eligible (fully polymorphic signature)",
@@ -89,6 +113,19 @@ fn one_class_plan_serves_every_batch_size() {
                 .outputs;
             sweep.push((b, inputs, outputs));
         }
+        // The cache's own miss count cannot see a compile that bypassed it;
+        // the pass histogram sees every compile in the process.
+        assert!(
+            after_first_load > before,
+            "{}: the first load runs the pass pipeline",
+            w.name
+        );
+        assert_eq!(
+            pass_samples(),
+            after_first_load,
+            "{}: the pass pipeline ran again after the class compile",
+            w.name
+        );
         let stats = service.cache().stats();
         assert_eq!(
             stats.misses, 1,
@@ -131,6 +168,7 @@ fn one_class_plan_serves_every_batch_size() {
 
 #[test]
 fn census_counts_every_served_bucket() {
+    let _compiles = COMPILES.lock().unwrap_or_else(PoisonError::into_inner);
     let w = Workload::by_name("yolact").unwrap();
     let service = Service::new(ServeConfig::default().with_workers(1));
     let model = service
@@ -168,6 +206,7 @@ fn census_counts_every_served_bucket() {
 
 #[test]
 fn compatible_shapes_stack_pad_free_in_one_batch() {
+    let _compiles = COMPILES.lock().unwrap_or_else(PoisonError::into_inner);
     let w = Workload::by_name("yolact").unwrap();
     let service = Service::new(
         ServeConfig::default()
