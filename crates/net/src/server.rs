@@ -51,9 +51,6 @@ pub struct GatewayConfig {
     pub read_timeout: Duration,
     /// Request framing limits.
     pub limits: Limits,
-    /// Deadline applied to infer requests that carry no `Timeout-Ms`
-    /// header.
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for GatewayConfig {
@@ -63,7 +60,6 @@ impl Default for GatewayConfig {
             max_connections: 128,
             read_timeout: Duration::from_millis(100),
             limits: Limits::default(),
-            default_deadline: None,
         }
     }
 }
@@ -440,8 +436,7 @@ fn infer(request: &HttpRequest, writer: &mut TcpStream, shared: &Arc<Shared>) ->
         Ok(p) => p,
         Err(e) => return respond(writer, 400, &error_body("invalid_request", &e)),
     };
-    // Deadline: the `Timeout-Ms` header wins; otherwise the configured
-    // default (possibly none — wait without bound).
+    // Deadline: the `Timeout-Ms` header, or none — wait without bound.
     let deadline = match request.header("timeout-ms") {
         Some(v) => match v.trim().parse::<u64>() {
             Ok(ms) => Some(Duration::from_millis(ms)),
@@ -456,7 +451,7 @@ fn infer(request: &HttpRequest, writer: &mut TcpStream, shared: &Arc<Shared>) ->
                 )
             }
         },
-        None => shared.config.default_deadline,
+        None => None,
     };
     let model = match shared.models.lock().get(&parsed.model) {
         Some(m) => m.clone(),

@@ -559,28 +559,6 @@ impl Pipeline for TensorSsa {
     }
 }
 
-/// The serving layer's graceful-degradation fallback: no optimization
-/// passes at all — the captured imperative graph is interpreted directly.
-///
-/// Not one of the paper's evaluated configurations (and deliberately absent
-/// from [`all_pipelines`]): its purpose is a compile that costs microseconds
-/// and an execution with no batching assumptions, so an overloaded service
-/// can shed its optimization pipeline without shedding correctness.
-/// Numerically it agrees with every other pipeline, which
-/// `degraded_agrees_with_eager` pins.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Degraded;
-
-impl Pipeline for Degraded {
-    fn name(&self) -> &'static str {
-        "Degraded"
-    }
-
-    fn plan(&self) -> (PassManager, ExecConfig) {
-        (PassManager::new(), ExecConfig::eager())
-    }
-}
-
 /// The pipelines of Figure 5, in the paper's order.
 pub fn all_pipelines() -> Vec<Box<dyn Pipeline>> {
     vec![
@@ -769,30 +747,6 @@ mod tests {
             let names: Vec<&str> = p.compile(&g).passes.iter().map(|r| r.name).collect();
             assert_eq!(roster, names, "{} roster drifted from compile", p.name());
         }
-        assert!(Degraded.roster().is_empty());
-    }
-
-    #[test]
-    fn degraded_agrees_with_eager_and_schedules_nothing() {
-        let g = figure4();
-        let cp = Degraded.compile(&g);
-        assert!(cp.passes.is_empty(), "degraded path must skip every pass");
-        assert_eq!(cp.pipeline, "Degraded");
-        let inputs = [
-            RtValue::Tensor(Tensor::rand_uniform(&[8, 4], -1.0, 1.0, 11)),
-            RtValue::Int(8),
-        ];
-        let (ours, _) = cp.run(DeviceProfile::consumer(), &inputs).unwrap();
-        let (eager, _) = Eager
-            .compile(&g)
-            .run(DeviceProfile::consumer(), &inputs)
-            .unwrap();
-        assert!(ours[0]
-            .as_tensor()
-            .unwrap()
-            .allclose(eager[0].as_tensor().unwrap(), 1e-6));
-        // Not part of the paper's comparison set.
-        assert!(all_pipelines().iter().all(|p| p.name() != "Degraded"));
     }
 
     #[test]

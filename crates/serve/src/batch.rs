@@ -218,12 +218,13 @@ impl BatchSpec {
     }
 }
 
-/// How the adaptive degrade trigger derives its threshold from the
-/// service's long-run queue-wait histogram (`tssa_queue_wait_us` in the
-/// [`tssa_obs::MetricsRegistry`]): the threshold is
-/// `max(floor, factor × median queue wait)`, and the trigger stays inactive
-/// until the histogram holds at least `min_samples` observations — a cold
-/// service never degrades off a handful of warmup waits.
+/// The degrade trigger: its threshold is derived from the service's
+/// long-run queue-wait histogram (`tssa_queue_wait_us` in the
+/// [`tssa_obs::MetricsRegistry`]) as `max(floor, factor × median queue
+/// wait)`, and it stays inactive until the histogram holds at least
+/// `min_samples` observations — a cold service never degrades off a handful
+/// of warmup waits. A fixed threshold is `factor: 0.0, min_samples: 0` with
+/// the threshold as `floor`: armed from the first request.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveDegrade {
     /// Multiple of the long-run median queue wait that counts as overload.
@@ -232,6 +233,8 @@ pub struct AdaptiveDegrade {
     pub floor: std::time::Duration,
     /// Histogram observations required before the trigger arms.
     pub min_samples: u64,
+    /// How long degraded mode holds before re-evaluating (hysteresis).
+    pub cooldown: std::time::Duration,
 }
 
 impl Default for AdaptiveDegrade {
@@ -240,42 +243,30 @@ impl Default for AdaptiveDegrade {
             factor: 8.0,
             floor: std::time::Duration::from_micros(200),
             min_samples: 64,
+            cooldown: std::time::Duration::from_millis(10),
         }
     }
-}
-
-/// Where a [`DegradeController`]'s threshold comes from.
-#[derive(Debug)]
-enum Trigger {
-    /// A fixed operator-chosen threshold ([`DegradeController::new`]).
-    Fixed(std::time::Duration),
-    /// Derived from the long-run queue-wait distribution
-    /// ([`DegradeController::adaptive`]).
-    Adaptive {
-        hist: tssa_obs::HistogramMetric,
-        policy: AdaptiveDegrade,
-    },
 }
 
 /// Latency-triggered degradation policy: when the p99 queue wait over a
 /// sliding window of recent requests exceeds the threshold, the
 /// dispatcher sheds batching — each request is flushed alone and marked to
-/// run on its model's degraded plan (no optimization pipeline, direct
-/// interpretation), trading per-request efficiency for immediate dispatch
-/// until the queue drains.
+/// run on its model's degraded plan (the `Eager` plan: no optimization
+/// passes), trading per-request efficiency for immediate dispatch until the
+/// queue drains.
 ///
-/// The threshold is either fixed ([`DegradeController::new`]) or adaptive
-/// ([`DegradeController::adaptive`]): a multiple of the long-run median
-/// queue wait read from the registry histogram the dispatcher records into,
-/// so the knob scales with the workload instead of being tuned per model.
+/// The threshold is a multiple of the long-run median queue wait read from
+/// the registry histogram the dispatcher records into (see
+/// [`AdaptiveDegrade`]), so the knob scales with the workload instead of
+/// being tuned per model.
 ///
 /// Owned by the dispatcher thread (no internal synchronization). Once
 /// entered, degraded mode is held for a cooldown before the window is
 /// re-evaluated, so the service does not flap at the threshold.
 #[derive(Debug)]
 pub struct DegradeController {
-    trigger: Trigger,
-    cooldown: std::time::Duration,
+    hist: tssa_obs::HistogramMetric,
+    policy: AdaptiveDegrade,
     /// Recent queue waits, µs, oldest first (bounded ring).
     window: std::collections::VecDeque<u64>,
     capacity: usize,
@@ -287,55 +278,35 @@ impl DegradeController {
     /// Window size the p99 estimate is computed over.
     pub const WINDOW: usize = 64;
 
-    /// A controller that degrades when windowed p99 queue wait exceeds
-    /// `threshold`, holding the mode for `cooldown` once entered.
-    pub fn new(threshold: std::time::Duration, cooldown: std::time::Duration) -> DegradeController {
-        DegradeController {
-            trigger: Trigger::Fixed(threshold),
-            cooldown,
-            window: std::collections::VecDeque::with_capacity(Self::WINDOW),
-            capacity: Self::WINDOW,
-            hold_until: None,
-        }
-    }
-
     /// A controller whose threshold tracks the workload: degraded mode trips
     /// when windowed p99 exceeds `max(policy.floor, policy.factor × median)`
     /// of `hist` — the long-run queue-wait histogram the dispatcher records
     /// every request into — and never before `hist` holds
     /// `policy.min_samples` observations.
-    pub fn adaptive(
-        hist: tssa_obs::HistogramMetric,
-        policy: AdaptiveDegrade,
-        cooldown: std::time::Duration,
-    ) -> DegradeController {
+    pub fn adaptive(hist: tssa_obs::HistogramMetric, policy: AdaptiveDegrade) -> DegradeController {
         DegradeController {
-            trigger: Trigger::Adaptive { hist, policy },
-            cooldown,
+            hist,
+            policy,
             window: std::collections::VecDeque::with_capacity(Self::WINDOW),
             capacity: Self::WINDOW,
             hold_until: None,
         }
     }
 
-    /// The current trip threshold in µs, or `None` while an adaptive
-    /// trigger is still unarmed (fewer than `min_samples` long-run waits).
+    /// The current trip threshold in µs, or `None` while the trigger is
+    /// still unarmed (fewer than `min_samples` long-run waits).
     pub fn threshold_us(&self) -> Option<u64> {
-        match &self.trigger {
-            Trigger::Fixed(d) => Some(d.as_micros().min(u128::from(u64::MAX)) as u64),
-            Trigger::Adaptive { hist, policy } => {
-                if hist.count() < policy.min_samples {
-                    return None;
-                }
-                let floor = policy.floor.as_micros().min(u128::from(u64::MAX)) as u64;
-                let scaled = (policy.factor * hist.quantile(0.50) as f64).round();
-                Some(floor.max(if scaled >= u64::MAX as f64 {
-                    u64::MAX
-                } else {
-                    scaled as u64
-                }))
-            }
+        let policy = &self.policy;
+        if self.hist.count() < policy.min_samples {
+            return None;
         }
+        let floor = policy.floor.as_micros().min(u128::from(u64::MAX)) as u64;
+        let scaled = (policy.factor * self.hist.quantile(0.50) as f64).round();
+        Some(floor.max(if scaled >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            scaled as u64
+        }))
     }
 
     /// Record one request's admission-to-dispatch wait.
@@ -374,7 +345,7 @@ impl DegradeController {
             return false;
         };
         if self.p99_us() > threshold {
-            self.hold_until = Some(now + self.cooldown);
+            self.hold_until = Some(now + self.policy.cooldown);
             return true;
         }
         false
@@ -479,7 +450,16 @@ mod tests {
     #[test]
     fn degrade_controller_trips_holds_and_recovers() {
         use std::time::{Duration, Instant};
-        let mut ctl = DegradeController::new(Duration::from_millis(1), Duration::from_millis(5));
+        // A fixed 1 ms threshold: no median scaling, armed from the start.
+        let reg = tssa_obs::MetricsRegistry::new();
+        let policy = AdaptiveDegrade {
+            factor: 0.0,
+            floor: Duration::from_millis(1),
+            min_samples: 0,
+            cooldown: Duration::from_millis(5),
+        };
+        let mut ctl =
+            DegradeController::adaptive(reg.histogram("tssa_queue_wait_us", "h", &[]), policy);
         let now = Instant::now();
         // Healthy waits: no degradation.
         for _ in 0..16 {
@@ -511,8 +491,9 @@ mod tests {
             factor: 8.0,
             floor: Duration::from_micros(200),
             min_samples: 64,
+            cooldown: Duration::from_millis(5),
         };
-        let mut ctl = DegradeController::adaptive(hist.clone(), policy, Duration::from_millis(5));
+        let mut ctl = DegradeController::adaptive(hist.clone(), policy);
         // Too few long-run samples: no threshold, no degradation — even
         // with an atrocious window.
         for _ in 0..16 {
@@ -532,8 +513,9 @@ mod tests {
             factor: 8.0,
             floor: Duration::from_micros(200),
             min_samples: 64,
+            cooldown: Duration::from_millis(5),
         };
-        let ctl = DegradeController::adaptive(hist.clone(), policy, Duration::from_millis(5));
+        let ctl = DegradeController::adaptive(hist.clone(), policy);
         // Sub-floor medians clamp to the floor (fast services must not end
         // up with a microscopic trip point).
         for _ in 0..64 {
@@ -556,8 +538,9 @@ mod tests {
             factor: 8.0,
             floor: Duration::from_micros(200),
             min_samples: 64,
+            cooldown: Duration::from_millis(5),
         };
-        let mut ctl = DegradeController::adaptive(hist.clone(), policy, Duration::from_millis(5));
+        let mut ctl = DegradeController::adaptive(hist.clone(), policy);
         let now = Instant::now();
         // Healthy traffic: 100µs waits → threshold 8×128 = 1024µs.
         for _ in 0..64 {

@@ -1,16 +1,26 @@
-//! The plan cache: compiled programs keyed by *(source, pipeline, input
-//! signature)* with LRU eviction and single-flight compilation.
+//! The plan cache: one table of shape classes, bounded by one LRU, with
+//! single-flight compilation.
 //!
-//! Compilation is the expensive step of serving a model (the whole pipeline
-//! of conversion, optimization passes and fusion runs again), so the cache
-//! guarantees two properties:
+//! Every compiled plan is a [`ClassEntry`] indexed by its coarse class hash
+//! ([`coarse_class_hash`](crate::coarse_class_hash): source, pipeline, rank
+//! and dtype per argument, every dim erased). A lookup returns the first
+//! resident entry of its coarse hash whose class admits the concrete
+//! signature. Compilation is the expensive step of serving a model (the
+//! whole pipeline of conversion, optimization passes and fusion runs
+//! again), so the cache guarantees two properties:
 //!
-//! * **single-flight** — when M threads request the same uncached plan
-//!   concurrently, exactly one runs the compiler; the others block on a
-//!   condition variable and share the result (counted as *coalesced*);
-//! * **bounded residency** — at most `capacity` ready plans are retained;
-//!   inserting past that evicts the least-recently-used ready entry
-//!   (in-flight compilations are never evicted).
+//! * **single-flight** — one compile per coarse hash at a time. When M
+//!   threads request an uncached plan concurrently, one runs the compiler;
+//!   the others block on a condition variable and, once it publishes, share
+//!   the result if its class admits them (counted as *coalesced*). A
+//!   follower the new class does not admit leads its own compile next — so
+//!   concurrent cold loads of one class-eligible program at different batch
+//!   sizes compile once, while concurrent cold loads of one data-dependent
+//!   program at different shapes compile one after another;
+//! * **bounded residency** — at most `capacity` plans are resident;
+//!   inserting past that evicts the least-recently-used entry (counted in
+//!   [`CacheStats::evictions`]). Handles already holding an evicted entry
+//!   keep serving it; the next load of its shape recompiles.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,8 +31,7 @@ use tssa_backend::RtValue;
 use tssa_ir::Graph;
 use tssa_obs::TraceScope;
 use tssa_pipelines::{
-    CompiledProgram, Degraded, DynamoInductor, Eager, Pipeline, TensorSsa, TorchScriptNnc,
-    TorchScriptNvfuser,
+    CompiledProgram, DynamoInductor, Eager, Pipeline, TensorSsa, TorchScriptNnc, TorchScriptNvfuser,
 };
 use tssa_tensor::DType;
 
@@ -33,7 +42,8 @@ use crate::ServeError;
 /// Which compilation pipeline a plan was (or will be) built with.
 ///
 /// A `Copy + Eq + Hash` mirror of the pipeline structs in `tssa-pipelines`,
-/// so it can live inside a [`PlanKey`] and cross thread boundaries freely.
+/// so it can live inside a [`PlanClassKey`](crate::PlanClassKey) and cross
+/// thread boundaries freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineKind {
     /// PyTorch eager baseline.
@@ -46,11 +56,6 @@ pub enum PipelineKind {
     DynamoInductor,
     /// The paper's holistic TensorSSA pipeline.
     TensorSsa,
-    /// The degradation fallback: no optimization passes, direct
-    /// interpretation. Not part of the paper's comparison
-    /// ([`PipelineKind::all`]); the service compiles it alongside a model's
-    /// primary plan when latency-triggered degradation is enabled.
-    Degraded,
 }
 
 impl PipelineKind {
@@ -62,7 +67,6 @@ impl PipelineKind {
             PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.name(),
             PipelineKind::DynamoInductor => DynamoInductor.name(),
             PipelineKind::TensorSsa => TensorSsa::default().name(),
-            PipelineKind::Degraded => Degraded.name(),
         }
     }
 
@@ -80,7 +84,6 @@ impl PipelineKind {
             PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.compile_traced(graph, scope),
             PipelineKind::DynamoInductor => DynamoInductor.compile_traced(graph, scope),
             PipelineKind::TensorSsa => TensorSsa::default().compile_traced(graph, scope),
-            PipelineKind::Degraded => Degraded.compile_traced(graph, scope),
         }
     }
 
@@ -94,7 +97,6 @@ impl PipelineKind {
             PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.roster(),
             PipelineKind::DynamoInductor => DynamoInductor.roster(),
             PipelineKind::TensorSsa => TensorSsa::default().roster(),
-            PipelineKind::Degraded => Degraded.roster(),
         }
     }
 
@@ -114,13 +116,10 @@ impl PipelineKind {
             PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.plan().1,
             PipelineKind::DynamoInductor => DynamoInductor.plan().1,
             PipelineKind::TensorSsa => TensorSsa::default().plan().1,
-            PipelineKind::Degraded => Degraded.plan().1,
         }
     }
 
-    /// The paper's five pipelines, in the paper's order (excludes
-    /// [`PipelineKind::Degraded`], which is a serving fallback, not an
-    /// evaluated configuration).
+    /// The paper's five pipelines, in the paper's order.
     pub fn all() -> [PipelineKind; 5] {
         [
             PipelineKind::Eager,
@@ -183,97 +182,61 @@ pub fn source_hash(source: &str) -> u64 {
     h
 }
 
-/// Cache key: which program, compiled how, for which input signature.
-///
-/// The engine specializes plans per input signature (as shape-specializing
-/// serving systems do), so resizing the batch dimension compiles — and
-/// caches — a fresh plan.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// FNV-1a hash of the DSL source.
-    pub source_hash: u64,
-    /// Pipeline used to compile.
-    pub pipeline: PipelineKind,
-    /// Shape/dtype signature of the inputs the plan is specialized for.
-    pub signature: Vec<ArgSig>,
-}
-
-impl PlanKey {
-    /// Build a key from source text, pipeline and exemplar inputs.
-    pub fn new(source: &str, pipeline: PipelineKind, inputs: &[RtValue]) -> PlanKey {
-        PlanKey {
-            source_hash: source_hash(source),
-            pipeline,
-            signature: signature_of(inputs),
-        }
-    }
-
-    /// Content hash naming this plan on disk: FNV-1a over (source hash,
-    /// pipeline name, input signature, execution profile).
-    pub fn content_hash(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(128);
-        bytes.extend_from_slice(&self.source_hash.to_le_bytes());
-        bytes.extend_from_slice(self.pipeline.name().as_bytes());
-        bytes.push(0xFF);
-        // ArgSig's derived Debug output is deterministic and covers every
-        // shape/dtype field — a stable textual encoding of the signature.
-        bytes.extend_from_slice(format!("{:?}", self.signature).as_bytes());
-        bytes.push(0xFF);
-        let cfg = self.pipeline.exec_profile();
-        bytes.extend_from_slice(cfg.device.name.as_bytes());
-        for v in [
-            cfg.device.launch_overhead_ns,
-            cfg.device.bytes_per_ns,
-            cfg.device.flops_per_ns,
-            cfg.host_dispatch_ns,
-            cfg.host_scalar_ns,
-            cfg.control_entry_ns,
-            cfg.sync_ns,
-        ] {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        tssa_store::fnv64(&bytes)
-    }
-}
-
 /// Monotonic counters exposed by [`PlanCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served immediately from a ready entry.
+    /// Lookups served immediately by a resident entry.
     pub hits: u64,
-    /// Lookups that ran the compiler.
+    /// Lookups that ran the compiler (or the disk probe standing in for it).
     pub misses: u64,
     /// Lookups that blocked on another thread's in-flight compilation and
     /// shared its result (single-flight coalescing).
     pub coalesced: u64,
-    /// Ready entries discarded to stay within capacity.
+    /// Resident entries discarded to stay within capacity.
     pub evictions: u64,
-    /// Ready entries evicted because an injected [`FaultKind::CachePoison`]
-    /// marked them corrupt on a hit (each one recompiles; always 0 without
-    /// an armed fault plan).
+    /// Resident entries evicted because an injected
+    /// [`FaultKind::CachePoison`] marked them corrupt on a hit (each one
+    /// recompiles; always 0 without an armed fault plan).
     pub poisoned: u64,
-    /// Ready entries currently resident.
+    /// Plans currently resident.
     pub entries: usize,
-    /// Loads served by an existing shape class (no compile, no disk probe):
-    /// the concrete signature differed from the class's example but was
-    /// admitted by its [`ShapeSignature`](tssa_ir::ShapeSignature).
+    /// The subset of [`CacheStats::hits`] served at a concrete signature
+    /// other than the entry's example — admitted by its class's
+    /// [`ShapeSignature`](tssa_ir::ShapeSignature) alone.
     pub class_hits: u64,
-    /// Shape classes currently resident.
-    pub class_entries: usize,
 }
 
-enum Slot {
-    /// A thread is compiling this key right now.
-    InFlight,
-    Ready {
-        plan: Arc<CompiledProgram>,
-        last_used: u64,
-    },
+struct Resident {
+    entry: Arc<ClassEntry>,
+    last_used: u64,
+}
+
+/// The entries sharing one coarse hash, and whether a thread is compiling
+/// into it right now.
+#[derive(Default)]
+struct Bucket {
+    resident: Vec<Resident>,
+    in_flight: bool,
 }
 
 struct Inner {
-    slots: HashMap<PlanKey, Slot>,
+    buckets: HashMap<u64, Bucket>,
+    entries: usize,
     tick: u64,
+}
+
+impl Inner {
+    /// Drop `coarse`'s bucket once it holds nothing and nobody compiles
+    /// into it.
+    fn prune(&mut self, coarse: u64) {
+        if self
+            .buckets
+            .get(&coarse)
+            .is_some_and(|b| b.resident.is_empty() && !b.in_flight)
+        {
+            self.buckets.remove(&coarse);
+        }
+    }
 }
 
 /// See the module documentation.
@@ -287,18 +250,14 @@ pub struct PlanCache {
     coalesced: AtomicU64,
     evictions: AtomicU64,
     poisoned: AtomicU64,
-    /// Shape classes, indexed by coarse (rank + dtype) hash. Each coarse
-    /// bucket holds the classes whose admission must be checked in turn —
-    /// normally exactly one.
-    classes: Mutex<HashMap<u64, Vec<Arc<ClassEntry>>>>,
     class_hits: AtomicU64,
 }
 
-/// Removes the in-flight marker if the compiling thread unwinds or errors,
+/// Clears the in-flight marker if the compiling thread unwinds or errors,
 /// so waiters retry instead of blocking forever.
 struct InFlightCleanup<'a> {
     cache: &'a PlanCache,
-    key: &'a PlanKey,
+    coarse: u64,
     armed: bool,
 }
 
@@ -306,7 +265,10 @@ impl Drop for InFlightCleanup<'_> {
     fn drop(&mut self) {
         if self.armed {
             let mut guard = self.cache.inner.lock();
-            guard.slots.remove(self.key);
+            if let Some(bucket) = guard.buckets.get_mut(&self.coarse) {
+                bucket.in_flight = false;
+            }
+            guard.prune(self.coarse);
             drop(guard);
             self.cache.ready.notify_all();
         }
@@ -314,7 +276,7 @@ impl Drop for InFlightCleanup<'_> {
 }
 
 impl PlanCache {
-    /// A cache retaining at most `capacity` ready plans (minimum 1).
+    /// A cache retaining at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache::with_faults(capacity, Faults::disabled())
     }
@@ -326,7 +288,8 @@ impl PlanCache {
     pub fn with_faults(capacity: usize, faults: Faults) -> PlanCache {
         PlanCache {
             inner: Mutex::new(Inner {
-                slots: HashMap::new(),
+                buckets: HashMap::new(),
+                entries: 0,
                 tick: 0,
             }),
             ready: Condvar::new(),
@@ -337,13 +300,13 @@ impl PlanCache {
             coalesced: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
-            classes: Mutex::new(HashMap::new()),
             class_hits: AtomicU64::new(0),
         }
     }
 
-    /// Fetch the plan for `key`, running `compile` at most once per
-    /// residency no matter how many threads race on the same key.
+    /// Fetch the resident entry of coarse hash `coarse` that admits `args`,
+    /// or run `compile` to make one — at most one compile per coarse hash at
+    /// a time, no matter how many threads race on it.
     ///
     /// # Errors
     ///
@@ -351,182 +314,114 @@ impl PlanCache {
     /// retry compilation themselves (errors are not cached).
     pub fn get_or_compile<F>(
         &self,
-        key: &PlanKey,
+        coarse: u64,
+        args: &[ArgSig],
         compile: F,
-    ) -> Result<Arc<CompiledProgram>, ServeError>
+    ) -> Result<Arc<ClassEntry>, ServeError>
     where
-        F: FnOnce() -> Result<CompiledProgram, ServeError>,
+        F: FnOnce() -> Result<ClassEntry, ServeError>,
     {
-        let mut counted_wait = false;
+        let mut waited = false;
         let mut guard = self.inner.lock();
         loop {
-            let ready_plan = match guard.slots.get(key) {
-                Some(Slot::Ready { plan, .. }) => Some(Arc::clone(plan)),
-                Some(Slot::InFlight) => {
-                    if !counted_wait {
-                        counted_wait = true;
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.ready.wait(&mut guard);
+            let inner = &mut *guard;
+            let bucket = inner.buckets.entry(coarse).or_default();
+            if let Some(pos) = bucket.resident.iter().position(|r| r.entry.admits(args)) {
+                // A poisoned hit models a corrupt entry: evict it and fall
+                // through to the recompile path, exactly as a real
+                // corruption detector would recover.
+                if self.faults.fire(FaultKind::CachePoison).is_some() {
+                    bucket.resident.remove(pos);
+                    inner.entries -= 1;
+                    self.poisoned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                None => None,
-            };
-            match ready_plan {
-                Some(plan) => {
-                    // A poisoned hit models a corrupt cache entry: evict it
-                    // and fall through to the recompile path, exactly as a
-                    // real corruption detector would recover.
-                    if self.faults.fire(FaultKind::CachePoison).is_some() {
-                        guard.slots.remove(key);
-                        self.poisoned.fetch_add(1, Ordering::Relaxed);
-                        break;
+                inner.tick += 1;
+                let hit = &mut bucket.resident[pos];
+                hit.last_used = inner.tick;
+                let entry = Arc::clone(&hit.entry);
+                if waited {
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    if !entry.is_example(args) {
+                        self.class_hits.fetch_add(1, Ordering::Relaxed);
                     }
-                    guard.tick += 1;
-                    let now = guard.tick;
-                    if let Some(Slot::Ready { last_used, .. }) = guard.slots.get_mut(key) {
-                        *last_used = now;
-                    }
-                    if !counted_wait {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(plan);
                 }
-                None => break,
+                return Ok(entry);
             }
+            if !bucket.in_flight {
+                // This thread compiles. Mark the coarse hash in-flight; the
+                // lock drops below so lookups of other programs proceed
+                // during compilation.
+                bucket.in_flight = true;
+                break;
+            }
+            waited = true;
+            self.ready.wait(&mut guard);
         }
-        // This thread compiles. Mark the key in-flight and drop the lock so
-        // concurrent lookups of *other* keys proceed during compilation.
-        guard.slots.insert(key.clone(), Slot::InFlight);
         self.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
 
         let mut cleanup = InFlightCleanup {
             cache: self,
-            key,
+            coarse,
             armed: true,
         };
         // Compilation may unwind (an injected CompilePanic or a genuine
         // compiler bug). Catch it here so the leader gets a typed error and
         // the cleanup guard retracts the in-flight marker normally — waking
         // followers to retry — instead of unwinding through their wait.
-        let plan = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
-            Ok(Ok(compiled)) => Arc::new(compiled),
+        let entry = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
+            Ok(Ok(entry)) => Arc::new(entry),
             Ok(Err(e)) => return Err(e),
             Err(_payload) => return Err(ServeError::CompilePanic),
         };
-        // Success: publish the plan before the cleanup guard could retract it.
+        // Success: publish the entry and clear the marker under one lock.
         cleanup.armed = false;
-        drop(cleanup);
-
         let mut guard = self.inner.lock();
-        guard.tick += 1;
-        let now = guard.tick;
-        guard.slots.insert(
-            key.clone(),
-            Slot::Ready {
-                plan: Arc::clone(&plan),
-                last_used: now,
-            },
-        );
-        self.evict_over_capacity(&mut guard);
+        let inner = &mut *guard;
+        inner.tick += 1;
+        let bucket = inner.buckets.entry(coarse).or_default();
+        bucket.in_flight = false;
+        bucket.resident.push(Resident {
+            entry: Arc::clone(&entry),
+            last_used: inner.tick,
+        });
+        inner.entries += 1;
+        self.evict_over_capacity(inner);
         drop(guard);
         self.ready.notify_all();
-        Ok(plan)
+        Ok(entry)
     }
 
-    fn evict_over_capacity(&self, guard: &mut parking_lot::MutexGuard<'_, Inner>) {
-        loop {
-            let ready = guard
-                .slots
+    fn evict_over_capacity(&self, inner: &mut Inner) {
+        while inner.entries > self.capacity {
+            let victim = inner
+                .buckets
                 .iter()
-                .filter(|(_, s)| matches!(s, Slot::Ready { .. }))
-                .count();
-            if ready <= self.capacity {
-                return;
-            }
-            let victim = guard
-                .slots
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } => Some((*last_used, k.clone())),
-                    Slot::InFlight => None,
+                .flat_map(|(&coarse, b)| {
+                    b.resident
+                        .iter()
+                        .enumerate()
+                        .map(move |(pos, r)| (r.last_used, coarse, pos))
                 })
-                .min_by_key(|(last_used, _)| *last_used)
-                .map(|(_, k)| k);
-            match victim {
-                Some(k) => {
-                    guard.slots.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => return,
+                .min();
+            let Some((_, coarse, pos)) = victim else {
+                return;
+            };
+            if let Some(bucket) = inner.buckets.get_mut(&coarse) {
+                bucket.resident.remove(pos);
             }
+            inner.entries -= 1;
+            inner.prune(coarse);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Find the resident shape class admitting a concrete signature, if any.
-    ///
-    /// Consults the fault plan exactly like a concrete hit: an injected
-    /// [`FaultKind::CachePoison`] evicts the whole class *and* its origin
-    /// concrete slots (counted once in [`CacheStats::poisoned`]), and the
-    /// caller recompiles.
-    pub fn lookup_class(&self, coarse: u64, args: &[ArgSig]) -> Option<Arc<ClassEntry>> {
-        let mut classes = self.classes.lock();
-        let bucket = classes.get_mut(&coarse)?;
-        let pos = bucket.iter().position(|entry| entry.admits(args))?;
-        if self.faults.fire(FaultKind::CachePoison).is_some() {
-            let entry = bucket.remove(pos);
-            if bucket.is_empty() {
-                classes.remove(&coarse);
-            }
-            drop(classes);
-            // Evict the concrete slots that fed the class, so the recompile
-            // is a genuine one (a poisoned class must not be resurrected
-            // from a stale concrete entry).
-            let mut guard = self.inner.lock();
-            for key in entry.origin_keys() {
-                guard.slots.remove(&key);
-            }
-            drop(guard);
-            self.poisoned.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let entry = Arc::clone(&bucket[pos]);
-        drop(classes);
-        self.class_hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry)
-    }
-
-    /// Insert a freshly derived class. When an equal class key is already
-    /// resident (two threads compiled the same class concurrently), the
-    /// existing entry wins and is returned, so the census stays
-    /// consolidated.
-    pub fn insert_class(&self, coarse: u64, entry: ClassEntry) -> Arc<ClassEntry> {
-        let mut classes = self.classes.lock();
-        let bucket = classes.entry(coarse).or_default();
-        if let Some(existing) = bucket.iter().find(|e| e.key() == entry.key()) {
-            let existing = Arc::clone(existing);
-            drop(classes);
-            for key in entry.origin_keys() {
-                existing.note_origin(key);
-            }
-            return existing;
-        }
-        let entry = Arc::new(entry);
-        bucket.push(Arc::clone(&entry));
-        entry
     }
 
     /// Current counter values.
     pub fn stats(&self) -> CacheStats {
-        let guard = self.inner.lock();
-        let entries = guard
-            .slots
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Ready { .. }))
-            .count();
-        drop(guard);
-        let class_entries = self.classes.lock().values().map(Vec::len).sum();
+        let entries = self.inner.lock().entries;
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -535,7 +430,6 @@ impl PlanCache {
             poisoned: self.poisoned.load(Ordering::Relaxed),
             entries,
             class_hits: self.class_hits.load(Ordering::Relaxed),
-            class_entries,
         }
     }
 }
@@ -543,58 +437,116 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchSpec;
+    use crate::class::ClassSignature;
+    use tssa_ir::{DimClass, ShapeSignature};
     use tssa_tensor::Tensor;
 
-    fn key(tag: u64) -> PlanKey {
-        PlanKey {
-            source_hash: tag,
-            pipeline: PipelineKind::Eager,
-            signature: vec![ArgSig::Int],
-        }
+    fn tensor(shape: &[usize]) -> Vec<ArgSig> {
+        vec![ArgSig::Tensor {
+            shape: shape.to_vec(),
+            dtype: DType::F32,
+        }]
     }
 
-    fn trivial_plan() -> Result<CompiledProgram, ServeError> {
+    /// A compiled trivial program as an entry of `class`, built for `args`.
+    fn entry_of(class: ClassSignature, args: &[ArgSig]) -> Result<ClassEntry, ServeError> {
         let g = tssa_frontend::compile("def f(x: Tensor):\n    y = x + 1.0\n    return y\n")
             .map_err(ServeError::Frontend)?;
-        Ok(PipelineKind::Eager.compile(&g))
+        Ok(ClassEntry::new(
+            class,
+            Arc::new(PipelineKind::Eager.compile(&g)),
+            Arc::new(BatchSpec::stacked(1, 1)),
+            args.to_vec(),
+            0,
+            0,
+        ))
+    }
+
+    /// The exact class of `[2, 4]`: admits that shape only.
+    fn exact() -> Result<ClassEntry, ServeError> {
+        let args = tensor(&[2, 4]);
+        entry_of(
+            ClassSignature::exact("src", PipelineKind::Eager, &args),
+            &args,
+        )
     }
 
     #[test]
     fn hit_after_miss() {
         let cache = PlanCache::new(4);
-        let k = key(1);
-        cache.get_or_compile(&k, trivial_plan).unwrap();
+        let args = tensor(&[2, 4]);
+        cache.get_or_compile(1, &args, exact).unwrap();
         cache
-            .get_or_compile(&k, || panic!("must not recompile"))
+            .get_or_compile(1, &args, || panic!("must not recompile"))
             .unwrap();
         let s = cache.stats();
-        assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1));
+        assert_eq!((s.misses, s.hits, s.class_hits, s.entries), (1, 1, 0, 1));
+    }
+
+    #[test]
+    fn a_class_serves_every_admitted_shape_and_counts_class_hits() {
+        let cache = PlanCache::new(4);
+        let example = tensor(&[2, 4]);
+        let poly = ShapeSignature {
+            inputs: vec![Some(vec![DimClass::Polymorphic; 2])],
+            ..ShapeSignature::default()
+        };
+        let class = ClassSignature::derive("src", PipelineKind::Eager, &example, &poly).unwrap();
+        let first = cache
+            .get_or_compile(1, &example, || entry_of(class, &example))
+            .unwrap();
+        let other = cache
+            .get_or_compile(1, &tensor(&[7, 3]), || panic!("admitted"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &other));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.class_hits, s.entries), (1, 1, 1, 1));
+    }
+
+    #[test]
+    fn an_exact_class_admits_only_its_shape() {
+        let cache = PlanCache::new(4);
+        cache.get_or_compile(1, &tensor(&[2, 4]), exact).unwrap();
+        // Same coarse hash, another shape: a second entry, compiled.
+        let args = tensor(&[3, 4]);
+        cache
+            .get_or_compile(1, &args, || {
+                entry_of(
+                    ClassSignature::exact("src", PipelineKind::Eager, &args),
+                    &args,
+                )
+            })
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (2, 0, 2));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = PlanCache::new(2);
-        cache.get_or_compile(&key(1), trivial_plan).unwrap();
-        cache.get_or_compile(&key(2), trivial_plan).unwrap();
+        let args = tensor(&[2, 4]);
+        cache.get_or_compile(1, &args, exact).unwrap();
+        cache.get_or_compile(2, &args, exact).unwrap();
         // Touch 1 so 2 becomes the LRU victim.
-        cache.get_or_compile(&key(1), || panic!("cached")).unwrap();
-        cache.get_or_compile(&key(3), trivial_plan).unwrap();
+        cache.get_or_compile(1, &args, || panic!("cached")).unwrap();
+        cache.get_or_compile(3, &args, exact).unwrap();
         let s = cache.stats();
         assert_eq!((s.evictions, s.entries), (1, 2));
         // 1 survived; 2 was evicted and recompiles.
-        cache.get_or_compile(&key(1), || panic!("cached")).unwrap();
-        cache.get_or_compile(&key(2), trivial_plan).unwrap();
+        cache.get_or_compile(1, &args, || panic!("cached")).unwrap();
+        cache.get_or_compile(2, &args, exact).unwrap();
         assert_eq!(cache.stats().misses, 4);
     }
 
     #[test]
     fn compile_errors_are_not_cached() {
         let cache = PlanCache::new(2);
-        let k = key(9);
-        let err = cache.get_or_compile(&k, || Err(ServeError::invalid("boom")));
+        let args = tensor(&[2, 4]);
+        let err = cache.get_or_compile(9, &args, || Err(ServeError::invalid("boom")));
         assert!(matches!(err, Err(ServeError::InvalidRequest(_))));
-        // The slot was retracted; a later call compiles for real.
-        cache.get_or_compile(&k, trivial_plan).unwrap();
+        // The marker was retracted; a later call compiles for real.
+        cache.get_or_compile(9, &args, exact).unwrap();
         assert_eq!(cache.stats().entries, 1);
     }
 
@@ -618,20 +570,19 @@ mod tests {
             assert!(!k.name().is_empty());
         }
         assert_eq!(PipelineKind::TensorSsa.name(), "TensorSSA");
-        assert_eq!(PipelineKind::Degraded.name(), "Degraded");
     }
 
     #[test]
     fn compile_panic_is_a_typed_error_and_is_not_cached() {
         crate::fault::silence_injected_panics_for_tests();
         let cache = PlanCache::new(2);
-        let k = key(11);
-        let err = cache.get_or_compile(&k, || {
+        let args = tensor(&[2, 4]);
+        let err = cache.get_or_compile(11, &args, || {
             std::panic::panic_any(crate::fault::INJECTED_COMPILE_PANIC)
         });
         assert_eq!(err.unwrap_err(), ServeError::CompilePanic);
         // The in-flight marker was retracted: a later call compiles cleanly.
-        cache.get_or_compile(&k, trivial_plan).unwrap();
+        cache.get_or_compile(11, &args, exact).unwrap();
         assert_eq!(cache.stats().entries, 1);
     }
 
@@ -639,7 +590,7 @@ mod tests {
     fn followers_survive_a_leader_compile_panic() {
         crate::fault::silence_injected_panics_for_tests();
         let cache = Arc::new(PlanCache::new(4));
-        let k = key(12);
+        let args = tensor(&[2, 4]);
         // Every racing thread's own compile attempt panics; each must come
         // back with the typed error — none may hang on the condition
         // variable waiting for a result that will never be published.
@@ -647,9 +598,9 @@ mod tests {
             (0..8)
                 .map(|_| {
                     let cache = Arc::clone(&cache);
-                    let k = k.clone();
+                    let args = args.clone();
                     s.spawn(move || {
-                        cache.get_or_compile(&k, || {
+                        cache.get_or_compile(12, &args, || {
                             std::panic::panic_any(crate::fault::INJECTED_COMPILE_PANIC)
                         })
                     })
@@ -663,7 +614,7 @@ mod tests {
             assert_eq!(outcome.unwrap_err(), ServeError::CompilePanic);
         }
         // Nothing was cached; a clean compile succeeds afterwards.
-        cache.get_or_compile(&k, trivial_plan).unwrap();
+        cache.get_or_compile(12, &args, exact).unwrap();
         let s = cache.stats();
         assert_eq!(s.entries, 1);
     }
@@ -674,13 +625,13 @@ mod tests {
         // Poison the first hit (arrival 0 at the cache-poison site).
         let faults = FaultPlan::script().at(FaultKind::CachePoison, 0).faults();
         let cache = PlanCache::with_faults(4, faults.clone());
-        let k = key(1);
-        cache.get_or_compile(&k, trivial_plan).unwrap();
+        let args = tensor(&[2, 4]);
+        cache.get_or_compile(1, &args, exact).unwrap();
         // First hit is poisoned: the entry is evicted and recompiled.
-        cache.get_or_compile(&k, trivial_plan).unwrap();
+        cache.get_or_compile(1, &args, exact).unwrap();
         // Second hit is clean and must not recompile.
         cache
-            .get_or_compile(&k, || panic!("poison fired twice"))
+            .get_or_compile(1, &args, || panic!("poison fired twice"))
             .unwrap();
         let s = cache.stats();
         assert_eq!((s.misses, s.poisoned, s.hits, s.entries), (2, 1, 1, 1));

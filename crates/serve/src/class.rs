@@ -1,23 +1,25 @@
-//! Shape classes: one cached plan per `ShapeSignature` equivalence class.
-//!
-//! The concrete-shape [`PlanKey`](crate::PlanKey) specializes a plan per
-//! exact input signature, so every new batch size recompiles even though the
-//! shape certifier (PR 8) proves the plan generic over the batch dim. This
-//! module introduces the class-level identity:
+//! Shape classes: every cached plan is one `ShapeSignature` equivalence
+//! class, and the plan cache holds nothing else.
 //!
 //! * [`ArgKey`] — one argument's skeleton: polymorphic dims erased to `None`,
 //!   specialized dims pinned to their constant;
 //! * [`PlanClassKey`] — *(source, pipeline, skeleton)*: the identity of a
 //!   whole shape class. Two concrete signatures map to the same key iff they
 //!   agree on every pinned dim (and rank/dtype/arity), which by construction
-//!   of the skeleton means the same compiled plan serves both;
+//!   of the skeleton means the same compiled plan serves both.
+//!   [`PlanClassKey::class_hash`] is the one identity hash: the class hash of
+//!   a load's *exact* class names its plan file on disk;
 //! * [`ClassSignature`] — a key plus the certifying [`ShapeSignature`];
 //!   [`ClassSignature::admits`] is the gate a lookup passes before reusing
-//!   the class plan (pinned dims equal + the signature's constraints hold);
+//!   the class plan (pinned dims equal + the signature's constraints hold).
+//!   [`ClassSignature::derive`] generalizes a compiled plan from its
+//!   certificate; [`ClassSignature::exact`] pins every argument and admits
+//!   only the example's shapes and dtypes (scalar values erased) — the class
+//!   of a plan `derive` refuses;
 //! * [`ClassEntry`] — the cached class: the one plan, its batch spec, the
 //!   degraded twin and a per-bucket hit census.
 //!
-//! Classes are only formed for signatures with zero data-dependent dims:
+//! `derive` only generalizes signatures with zero data-dependent dims:
 //! those are exactly the plans whose output shapes are affine in the input
 //! dims, so any admitted concrete shape executes identically to a fresh
 //! compile at that shape (certified end-to-end by the cross-shape
@@ -33,7 +35,8 @@ use tssa_pipelines::CompiledProgram;
 use tssa_tensor::DType;
 
 use crate::batch::BatchSpec;
-use crate::cache::{source_hash, ArgSig, PipelineKind, PlanKey};
+use crate::cache::{source_hash, ArgSig, PipelineKind};
+use crate::ServeError;
 
 /// One argument's shape skeleton within a [`PlanClassKey`]: `None` dims are
 /// polymorphic (any extent admitted), `Some(n)` dims are pinned.
@@ -135,9 +138,9 @@ pub struct PlanClassKey {
 }
 
 impl PlanClassKey {
-    /// Content hash naming this *class* on disk and in the store header.
-    /// Mirrors [`PlanKey::content_hash`]: FNV-1a over (source hash, pipeline
-    /// name, skeleton, execution profile).
+    /// Identity hash of this class, in plan-file headers and — for a
+    /// load's exact class — as the plan's file name: FNV-1a over (source
+    /// hash, pipeline name, skeleton, execution profile).
     pub fn class_hash(&self) -> u64 {
         hash_identity(self.source_hash, self.pipeline, &self.skeleton)
     }
@@ -187,7 +190,7 @@ fn hash_identity(source_hash: u64, pipeline: PipelineKind, skeleton: &[ArgKey]) 
     bytes.extend_from_slice(pipeline.name().as_bytes());
     bytes.push(0xFE);
     // ArgKey's derived Debug output is deterministic and covers every
-    // pin/dtype field — the same stable textual encoding PlanKey uses.
+    // pin/dtype field — a stable textual encoding of the skeleton.
     bytes.extend_from_slice(format!("{skeleton:?}").as_bytes());
     bytes.push(0xFE);
     let cfg = pipeline.exec_profile();
@@ -216,6 +219,21 @@ pub struct ClassSignature {
 }
 
 impl ClassSignature {
+    /// The class that admits exactly `example`'s signature: every argument
+    /// pinned, no constraints — same tensor shapes and dtypes, any scalar
+    /// values. Computable before compiling; its key's class hash is the
+    /// plan's file name on disk.
+    pub fn exact(source: &str, pipeline: PipelineKind, example: &[ArgSig]) -> ClassSignature {
+        ClassSignature {
+            key: PlanClassKey {
+                source_hash: source_hash(source),
+                pipeline,
+                skeleton: example.iter().map(ArgKey::pinned).collect(),
+            },
+            signature: ShapeSignature::default(),
+        }
+    }
+
     /// Derive the class of a compiled plan from its certified signature and
     /// the example it was compiled against. Returns `None` when the plan is
     /// not class-eligible: any data-dependent dim (input or output), or a
@@ -347,13 +365,14 @@ pub struct ClassEntry {
     class: ClassSignature,
     plan: Arc<CompiledProgram>,
     spec: Arc<BatchSpec>,
-    content_hash: u64,
+    /// The concrete signature the plan was compiled (or loaded) for.
+    example: Vec<ArgSig>,
+    file_hash: u64,
     roster_fp: u64,
     degraded: Mutex<Option<Arc<CompiledProgram>>>,
     /// Requests served per concrete shape bucket, all-time. Persisted with
     /// the class (v3 plan file) and re-seeded on warm boot.
     census: Mutex<BTreeMap<String, u64>>,
-    origin_keys: Mutex<Vec<PlanKey>>,
 }
 
 impl ClassEntry {
@@ -361,18 +380,19 @@ impl ClassEntry {
         class: ClassSignature,
         plan: Arc<CompiledProgram>,
         spec: Arc<BatchSpec>,
-        content_hash: u64,
+        example: Vec<ArgSig>,
+        file_hash: u64,
         roster_fp: u64,
     ) -> ClassEntry {
         ClassEntry {
             class,
             plan,
             spec,
-            content_hash,
+            example,
+            file_hash,
             roster_fp,
             degraded: Mutex::new(None),
             census: Mutex::new(BTreeMap::new()),
-            origin_keys: Mutex::new(Vec::new()),
         }
     }
 
@@ -381,13 +401,18 @@ impl ClassEntry {
         &self.class.key
     }
 
-    /// The certifying signature.
+    /// The certifying signature (empty for an exact class).
     pub fn signature(&self) -> &ShapeSignature {
         &self.class.signature
     }
 
     pub(crate) fn admits(&self, args: &[ArgSig]) -> bool {
         self.class.admits(args)
+    }
+
+    /// Is `args` the signature this entry's plan was compiled for?
+    pub(crate) fn is_example(&self, args: &[ArgSig]) -> bool {
+        self.example == args
     }
 
     pub(crate) fn plan(&self) -> &Arc<CompiledProgram> {
@@ -398,34 +423,30 @@ impl ClassEntry {
         &self.spec
     }
 
-    /// Content hash of the origin concrete plan (the on-disk file name).
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash
+    /// The plan's file name on disk: the class hash of its example's exact
+    /// class.
+    pub(crate) fn file_hash(&self) -> u64 {
+        self.file_hash
     }
 
     pub(crate) fn roster_fp(&self) -> u64 {
         self.roster_fp
     }
 
-    pub(crate) fn degraded(&self) -> Option<Arc<CompiledProgram>> {
-        self.degraded.lock().clone()
-    }
-
-    pub(crate) fn set_degraded(&self, plan: &Arc<CompiledProgram>) {
-        *self.degraded.lock() = Some(Arc::clone(plan));
-    }
-
-    /// Record a concrete [`PlanKey`] that resolved into this class, so a
-    /// poison eviction of the class can also evict its concrete slots.
-    pub(crate) fn note_origin(&self, key: PlanKey) {
-        let mut keys = self.origin_keys.lock();
-        if !keys.contains(&key) {
-            keys.push(key);
+    /// The degraded twin of this class's program, running `compile` on the
+    /// first call only; later calls (from any load into the class) share
+    /// the result. A failed compile is not kept.
+    pub(crate) fn degraded_or_compile(
+        &self,
+        compile: impl FnOnce() -> Result<CompiledProgram, ServeError>,
+    ) -> Result<Arc<CompiledProgram>, ServeError> {
+        let mut slot = self.degraded.lock();
+        if let Some(twin) = slot.as_ref() {
+            return Ok(Arc::clone(twin));
         }
-    }
-
-    pub(crate) fn origin_keys(&self) -> Vec<PlanKey> {
-        self.origin_keys.lock().clone()
+        let twin = Arc::new(compile()?);
+        *slot = Some(Arc::clone(&twin));
+        Ok(twin)
     }
 
     /// The per-bucket hit census, sorted by bucket label — what persists
@@ -546,6 +567,21 @@ mod tests {
         assert_eq!(
             class.key.coarse_hash(),
             coarse_class_hash("src", PipelineKind::TensorSsa, &[tensor(&[3, 7])])
+        );
+    }
+
+    #[test]
+    fn exact_class_admits_only_its_example_signature() {
+        let example = vec![tensor(&[2, 4]), ArgSig::Int];
+        let class = ClassSignature::exact("src", PipelineKind::TensorSsa, &example);
+        assert_eq!(class.key.render(), "2x4,i");
+        assert!(class.admits(&example));
+        assert!(!class.admits(&[tensor(&[3, 4]), ArgSig::Int]), "shape");
+        assert!(!class.admits(&[tensor(&[2, 4])]), "arity");
+        // Filed under the request's coarse hash, beside any derived class.
+        assert_eq!(
+            class.key.coarse_hash(),
+            coarse_class_hash("src", PipelineKind::TensorSsa, &example)
         );
     }
 

@@ -6,10 +6,11 @@
 //! layered on top: many clients, many programs, one machine. It is built
 //! from five cooperating parts:
 //!
-//! 1. **Plan cache** ([`PlanCache`]) — compiled programs keyed by
-//!    *(source hash, pipeline, input signature)*, with LRU eviction and
-//!    single-flight compilation so a thundering herd on a cold model
-//!    compiles exactly once.
+//! 1. **Plan cache** ([`PlanCache`]) — one table of shape classes
+//!    ([`ClassEntry`]): every compiled plan serves each concrete signature
+//!    its certified class admits, under one LRU bound and single-flight
+//!    compilation so a thundering herd on a cold model compiles exactly
+//!    once.
 //! 2. **Dynamic batcher** (the dispatcher inside [`Service`]) — requests
 //!    for the same plan are coalesced from a bounded queue into one batched
 //!    execution, up to `max_batch` requests or `max_wait`, whichever comes
@@ -35,9 +36,9 @@
 //!    time out with [`ServeError::Timeout`] instead of hanging;
 //!    [`Service::submit_retry`] retries transient sheds with exponential
 //!    backoff; and an overloaded dispatcher degrades to unbatched,
-//!    unoptimized execution ([`ServeConfig::with_degrade_p99`], or with a
-//!    threshold derived from the workload's own queue-wait distribution via
-//!    [`ServeConfig::with_adaptive_degrade`]). All of it
+//!    unoptimized execution at a threshold derived from the workload's own
+//!    queue-wait distribution ([`ServeConfig::with_adaptive_degrade`]). All
+//!    of it
 //!    is exercised deterministically by seeded [`FaultPlan`] schedules
 //!    ([`ServeConfig::with_faults`]) — zero-cost when disabled.
 //!
@@ -81,7 +82,7 @@ pub mod metrics;
 pub mod service;
 
 pub use batch::{AdaptiveDegrade, ArgRole, BatchSpec, DegradeController};
-pub use cache::{signature_of, source_hash, ArgSig, CacheStats, PipelineKind, PlanCache, PlanKey};
+pub use cache::{signature_of, source_hash, ArgSig, CacheStats, PipelineKind, PlanCache};
 pub use class::{
     bucket_label, bucket_label_of, coarse_class_hash, ArgKey, ClassEntry, ClassSignature,
     PlanClassKey,

@@ -186,7 +186,7 @@ impl Metrics {
             ),
             (
                 "tssa_plan_cache_class_hits_total",
-                "Loads admitted by a resident shape class (compilation bypassed)",
+                "Cache hits a shape class admitted at a signature other than its example",
                 cache.class_hits,
             ),
             (
@@ -237,11 +237,6 @@ impl Metrics {
                 "tssa_plan_cache_entries",
                 "Ready plans resident",
                 cache.entries as f64,
-            ),
-            (
-                "tssa_plan_class_entries",
-                "Shape classes resident",
-                cache.class_entries as f64,
             ),
         ] {
             self.registry.set_gauge(name, help, &[], value);
@@ -363,11 +358,7 @@ impl fmt::Display for MetricsSnapshot {
             "  plan cache hits {:>8}  misses {:>6}  coalesced {:>5}  evictions {:>4}  resident {:>3}",
             self.cache.hits, self.cache.misses, self.cache.coalesced, self.cache.evictions, self.cache.entries
         )?;
-        writeln!(
-            f,
-            "  shape class hits {:>7}  classes {:>5}",
-            self.cache.class_hits, self.cache.class_entries
-        )?;
+        writeln!(f, "  shape class hits {:>7}", self.cache.class_hits)?;
         write!(
             f,
             "  disk store hits {:>8}  misses {:>6}  corrupt {:>7}  stale {:>7}  writes {:>5}",

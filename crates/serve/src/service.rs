@@ -33,14 +33,14 @@
 //!   and a late worker completion is discarded (its span is marked
 //!   `timed_out`) instead of double-counting.
 //! - **Degradation.** When the dispatcher's sliding-window p99 of
-//!   admission-to-dispatch wait exceeds the threshold — fixed
-//!   ([`ServeConfig::degrade_p99`]) or derived from the service's own
-//!   long-run queue-wait histogram
-//!   ([`ServeConfig::degrade_adaptive`]) — it sheds batching (size-1
-//!   flushes) and routes requests to the model's `Degraded` plan — no
-//!   optimization pipeline, direct interpretation — trading throughput for
-//!   bounded queueing latency, with cooldown hysteresis before
-//!   re-evaluating.
+//!   admission-to-dispatch wait exceeds the threshold derived from the
+//!   service's own long-run queue-wait histogram
+//!   ([`ServeConfig::degrade_adaptive`]; a fixed threshold is the policy
+//!   with `factor: 0.0, min_samples: 0`), it sheds batching (size-1
+//!   flushes) and routes requests to the model's degraded twin — its
+//!   `Eager` plan: no optimization passes, direct interpretation — trading
+//!   throughput for bounded queueing latency, with cooldown hysteresis
+//!   before re-evaluating.
 //!
 //! Deterministic fault injection (see [`crate::fault`]) exercises all three:
 //! a [`crate::FaultPlan`] threaded through [`ServeConfig::with_faults`]
@@ -62,7 +62,7 @@ use tssa_pipelines::{CompiledProgram, ProfileRecorder};
 use tssa_store::{ClassMeta, DecodedPlan, PlanStore};
 
 use crate::batch::{AdaptiveDegrade, BatchSpec, DegradeController};
-use crate::cache::{signature_of, source_hash, PipelineKind, PlanCache, PlanKey};
+use crate::cache::{signature_of, source_hash, PipelineKind, PlanCache};
 use crate::class::{bucket_label, bucket_label_of, coarse_class_hash, ClassEntry, ClassSignature};
 use crate::fault::{FaultAction, FaultKind, Faults, INJECTED_COMPILE_PANIC, INJECTED_PANIC};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -81,12 +81,11 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// How long an under-full batch may wait for company before flushing.
     pub max_wait: Duration,
-    /// Plan-cache capacity (ready plans retained).
+    /// Plan-cache capacity: compiled plans resident, every shape class
+    /// counted once.
     pub cache_capacity: usize,
     /// Simulated device every worker executes on.
     pub device: DeviceProfile,
-    /// Deadline applied to requests submitted without an explicit one.
-    pub default_deadline: Option<Duration>,
     /// Where request/compile/exec spans are recorded. Defaults to the
     /// disabled tracer (zero overhead); install one with
     /// [`ServeConfig::with_tracer`] to capture end-to-end traces.
@@ -97,18 +96,12 @@ pub struct ServeConfig {
     /// `DeadlineExceeded`); the grace bounds how long the waiter tolerates
     /// an execution that started in time but never finishes.
     pub timeout_grace: Duration,
-    /// Queue-wait p99 above which the dispatcher enters degraded mode
-    /// (batching shed, `Degraded` plans preferred). `None` disables
-    /// fixed-threshold degradation ([`ServeConfig::degrade_adaptive`] may
-    /// still enable the adaptive trigger, which takes precedence).
-    pub degrade_p99: Option<Duration>,
-    /// Adaptive degradation: the trip threshold is derived from the
+    /// Degradation: above a queue-wait p99 threshold derived from the
     /// service's own long-run queue-wait histogram
-    /// (`max(floor, factor × median)`) instead of a fixed knob. Takes
-    /// precedence over [`ServeConfig::degrade_p99`] when both are set.
+    /// (`max(floor, factor × median)`), the dispatcher enters degraded mode
+    /// (batching shed, `Eager` twins preferred) for the policy's cooldown.
+    /// `None` (the default) disables it.
     pub degrade_adaptive: Option<AdaptiveDegrade>,
-    /// How long degraded mode holds before re-evaluating (hysteresis).
-    pub degrade_cooldown: Duration,
     /// Registry holding every metric the service records — request and
     /// recovery counters, latency, queue-wait and per-plan batch-occupancy
     /// histograms; [`MetricsSnapshot`] is a typed read of it. Defaults to a
@@ -143,12 +136,9 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             cache_capacity: 32,
             device: DeviceProfile::consumer(),
-            default_deadline: None,
             tracer: Tracer::disabled(),
             timeout_grace: Duration::from_millis(250),
-            degrade_p99: None,
             degrade_adaptive: None,
-            degrade_cooldown: Duration::from_millis(10),
             registry: MetricsRegistry::new(),
             faults: Faults::disabled(),
             plan_store: None,
@@ -183,18 +173,12 @@ with_field! {
     with_cache_capacity: cache_capacity, usize;
     /// Set the execution device.
     with_device: device, DeviceProfile;
-    /// Set the default request deadline.
-    with_default_deadline: default_deadline, Option<Duration>;
     /// Record request/compile/exec spans into `tracer`.
     with_tracer: tracer, Tracer;
     /// Set the waiter's slack past the deadline before `Timeout`.
     with_timeout_grace: timeout_grace, Duration;
-    /// Enable degraded mode above this queue-wait p99.
-    with_degrade_p99: degrade_p99, Option<Duration>;
-    /// Derive the degrade threshold from the queue-wait histogram.
+    /// Enable degradation with this policy.
     with_adaptive_degrade: degrade_adaptive, Option<AdaptiveDegrade>;
-    /// Set the degraded-mode hysteresis window.
-    with_degrade_cooldown: degrade_cooldown, Duration;
     /// Record the service's metrics into this registry.
     with_registry: registry, MetricsRegistry;
     /// Install a fault-injection schedule.
@@ -205,30 +189,29 @@ with_field! {
     with_profiler: profiler, Option<Profiler>;
 }
 
-/// A loaded model: a cached compiled plan plus its batching contract.
+/// A loaded model: a cached shape class plus its batching contract.
 /// Cheap to clone; clones share the plan.
 #[derive(Clone)]
 pub struct ModelHandle {
-    plan: Arc<CompiledProgram>,
     spec: Arc<BatchSpec>,
     /// Metric label identifying this model's plan (`plan="<label>"` on the
     /// per-plan batch-occupancy histogram). Defaults to
     /// `<pipeline>:<source-hash-prefix>`; name it with
     /// [`ModelLoader::named`].
     label: Arc<str>,
-    /// Zero-pass fallback plan, compiled alongside the primary when
-    /// degradation is enabled on the service.
+    /// Zero-pass fallback plan (the `Eager` plan of the same program),
+    /// compiled alongside the primary when degradation is enabled on the
+    /// service.
     degraded: Option<Arc<CompiledProgram>>,
-    /// Shape-class entry this handle is admitted under, when the plan's
-    /// certified signature proved shape-polymorphic. Carries the per-bucket
-    /// hit census.
-    class: Option<Arc<ClassEntry>>,
+    /// Shape-class entry this handle is admitted under: the plan, plus the
+    /// per-bucket hit census.
+    class: Arc<ClassEntry>,
 }
 
 impl ModelHandle {
     /// The compiled plan backing this handle.
     pub fn plan(&self) -> &Arc<CompiledProgram> {
-        &self.plan
+        self.class.plan()
     }
 
     /// The batching contract.
@@ -246,10 +229,9 @@ impl ModelHandle {
         self.degraded.as_ref()
     }
 
-    /// The shape-class entry admitting this model, when its certified
-    /// signature proved shape-polymorphic.
-    pub fn class(&self) -> Option<&Arc<ClassEntry>> {
-        self.class.as_ref()
+    /// The shape-class entry admitting this model.
+    pub fn class(&self) -> &Arc<ClassEntry> {
+        &self.class
     }
 }
 
@@ -311,8 +293,9 @@ impl ModelLoader<'_> {
         self
     }
 
-    /// Example inputs the compiled plan is specialized to. Required: a plan
-    /// is keyed by the argument signature these induce.
+    /// Example inputs the compiled plan is specialized to. Required: the
+    /// load is served by the shape class admitting the argument signature
+    /// these induce.
     pub fn example(mut self, inputs: &[RtValue]) -> Self {
         self.example_inputs = inputs.to_vec();
         self
@@ -429,19 +412,6 @@ impl Ticket {
                     self.shared.cv.wait_for(&mut guard, at - now);
                 }
             }
-        }
-    }
-
-    /// Poll without blocking: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<Response, ServeError>> {
-        let mut guard = self.shared.slot.lock();
-        match std::mem::replace(&mut *guard, Slot::Pending) {
-            Slot::Done(result) => Some(result),
-            Slot::TimedOut => {
-                *guard = Slot::TimedOut;
-                None
-            }
-            Slot::Pending => None,
         }
     }
 }
@@ -767,7 +737,6 @@ pub struct Service {
     tracer: Tracer,
     faults: Faults,
     queue_depth: usize,
-    default_deadline: Option<Duration>,
     timeout_grace: Duration,
     degrade_enabled: bool,
     /// Set by the dispatcher whenever its degrade controller re-evaluates;
@@ -806,16 +775,9 @@ impl Service {
             "Admission-to-dispatch queue wait (power-of-two buckets, µs)",
             &[],
         );
-        let degrade = match config.degrade_adaptive {
-            Some(policy) => Some(DegradeController::adaptive(
-                queue_wait.clone(),
-                policy,
-                config.degrade_cooldown,
-            )),
-            None => config
-                .degrade_p99
-                .map(|p99| DegradeController::new(p99, config.degrade_cooldown)),
-        };
+        let degrade = config
+            .degrade_adaptive
+            .map(|policy| DegradeController::adaptive(queue_wait.clone(), policy));
         let degrade_enabled = degrade.is_some();
         let degraded = Arc::new(AtomicBool::new(false));
         let dispatcher = {
@@ -884,7 +846,6 @@ impl Service {
             tracer: config.tracer,
             faults: config.faults,
             queue_depth: config.queue_depth.max(1),
-            default_deadline: config.default_deadline,
             timeout_grace: config.timeout_grace,
             degrade_enabled,
             profiler: config.profiler,
@@ -942,40 +903,18 @@ impl Service {
         let args_sig = signature_of(example_inputs);
         let coarse = coarse_class_hash(source, pipeline, &args_sig);
         let mut span = self.tracer.root("request:load", "serve");
-        // Class fast path: a resident shape class whose certified signature
-        // admits this concrete signature serves the load without touching
-        // the concrete-key machinery — no compile, no disk, no concrete-key
-        // slot: any admitted batch size is a hit against the one class plan.
-        if let Some(entry) = self.cache.lookup_class(coarse, &args_sig) {
-            if span.enabled() {
-                span.counter("cache_hit", 1);
-                span.mark("class_hit");
-            }
-            let plan = Arc::clone(entry.plan());
-            // Reuse the class's spec allocation when the caller's contract
-            // is identical (the common case: every load of a model passes
-            // the same spec).
-            let spec = if **entry.spec() == spec {
-                Arc::clone(entry.spec())
-            } else {
-                Arc::new(spec)
-            };
-            return self.finish_load(req, span, started, plan, spec, Some(entry));
-        }
-        let key = PlanKey::new(source, pipeline, example_inputs);
         let scope = span.scope();
-        let before = self.cache.stats();
         let stalled = std::cell::Cell::new(false);
-        // Disk interactions stay inside the single-flight closure, so when
-        // M threads race on a cold key, exactly one touches the store — and
-        // the key hashing itself is deferred to the miss path, keeping
-        // in-memory warm hits free of it.
-        let store = self.plan_store.as_deref();
-        let store_key = std::cell::Cell::new(None::<(u64, u64)>);
-        let disk_hit = std::cell::Cell::new(false);
-        let disk_census = std::cell::RefCell::new(Vec::new());
-        let compiled_fresh = std::cell::Cell::new(false);
-        let plan = self.cache.get_or_compile(&key, || {
+        // Set by the thread that runs the closure: whether its plan came
+        // from disk. Still `None` after the call means a resident class
+        // served the load.
+        let from_disk = std::cell::Cell::new(None::<bool>);
+        // A resident class admitting this signature serves the load at any
+        // admitted batch size — no compile, no disk. Disk interactions stay
+        // inside the single-flight closure, so when M threads race on a
+        // cold program, exactly one touches the store, and the exact key is
+        // hashed on the miss path only.
+        let class = self.cache.get_or_compile(coarse, &args_sig, || {
             // Injected compile panic: the cache's catch_unwind converts this
             // into the typed `ServeError::CompilePanic` and wakes any
             // single-flight followers to retry.
@@ -988,136 +927,107 @@ impl Service {
                 stalled.set(true);
                 std::thread::sleep(pause);
             }
+            let exact = ClassSignature::exact(source, pipeline, &args_sig);
+            let file_hash = exact.key.class_hash();
+            let roster_fp = pipeline.roster_fingerprint();
             // Warm start: an intact, roster-matched entry bypasses
-            // compilation entirely. Damaged or stale entries count their
-            // typed counter inside the store and fall through to compile.
-            if let Some(s) = store {
-                let (content_hash, roster_fp) = (key.content_hash(), pipeline.roster_fingerprint());
-                store_key.set(Some((content_hash, roster_fp)));
-                if req.warm_from_disk {
-                    // Class-aware probe: the exact entry first, then any
-                    // same-coarse entry on disk whose certified signature
-                    // admits this concrete signature — a warm restart at a
-                    // batch size the previous process never saw still
-                    // avoids the compile.
-                    let admit = |decoded: &DecodedPlan| {
-                        decoded.plan.signature.as_ref().is_some_and(|sig| {
-                            ClassSignature::derive(source, pipeline, &args_sig, sig).is_some()
-                        })
-                    };
-                    if let Some((decoded, _exact)) =
-                        s.load_class(content_hash, coarse, roster_fp, admit)
-                    {
-                        disk_hit.set(true);
-                        *disk_census.borrow_mut() = decoded.class.census;
-                        return Ok(decoded.plan);
-                    }
-                }
-            }
-            let graph = tssa_frontend::compile(source)?;
-            compiled_fresh.set(true);
-            let mut plan = pipeline.compile_traced(&graph, &scope);
-            // Certify shape polymorphism against the ranks this plan is
-            // specialized to; the signature travels with the plan into the
-            // in-memory cache and (via the v2 wire format) the disk store,
-            // so warm loads get it back without re-running the analysis.
-            let ranks: Vec<Option<usize>> = example_inputs
-                .iter()
-                .map(|v| match v {
-                    RtValue::Tensor(t) => Some(t.rank()),
-                    _ => None,
+            // compilation entirely — the exact file first, then any
+            // same-coarse entry whose certified signature admits this
+            // concrete signature, so a warm restart at a batch size the
+            // previous process never saw still avoids the compile. Damaged
+            // or stale entries count their typed counter inside the store
+            // and fall through to compile.
+            let admit = |decoded: &DecodedPlan| {
+                decoded.plan.signature.as_ref().is_some_and(|sig| {
+                    ClassSignature::derive(source, pipeline, &args_sig, sig).is_some()
                 })
-                .collect();
-            plan.signature = Some(tssa_lint::certify_shapes(&plan.graph, &ranks));
-            Ok(plan)
+            };
+            let warm = self
+                .plan_store
+                .as_deref()
+                .filter(|_| req.warm_from_disk)
+                .and_then(|store| store.load_class(file_hash, coarse, roster_fp, admit));
+            from_disk.set(Some(warm.is_some()));
+            let (plan, census) = match warm {
+                Some((decoded, _exact)) => (decoded.plan, decoded.class.census),
+                None => {
+                    let graph = tssa_frontend::compile(source)?;
+                    let mut plan = pipeline.compile_traced(&graph, &scope);
+                    // Certify shape polymorphism against the ranks this plan
+                    // is specialized to; the signature travels with the plan
+                    // into the cache and (via the wire format) the disk
+                    // store, so warm loads get it back without re-running
+                    // the analysis.
+                    let ranks: Vec<Option<usize>> = example_inputs
+                        .iter()
+                        .map(|v| match v {
+                            RtValue::Tensor(t) => Some(t.rank()),
+                            _ => None,
+                        })
+                        .collect();
+                    plan.signature = Some(tssa_lint::certify_shapes(&plan.graph, &ranks));
+                    (plan, Vec::new())
+                }
+            };
+            // The shape class this plan certifies, so later loads and
+            // requests at any admitted shape reuse it; a plan with
+            // data-dependent dims serves its exact signature only.
+            let class = plan
+                .signature
+                .as_ref()
+                .and_then(|sig| ClassSignature::derive(source, pipeline, &args_sig, sig))
+                .unwrap_or(exact);
+            let entry = ClassEntry::new(
+                class,
+                Arc::new(plan),
+                Arc::new(spec.clone()),
+                args_sig.clone(),
+                file_hash,
+                roster_fp,
+            );
+            // Warm restarts rebuild the census from the persisted one; the
+            // deriving example is a resident bucket from birth (at zero
+            // hits) so persistence starts complete.
+            entry.seed_census(&census);
+            entry.touch_bucket(&bucket_label_of(&args_sig), 0);
+            Ok(entry)
         })?;
         if span.enabled() {
-            let after = self.cache.stats();
-            span.counter("cache_hit", i64::from(after.misses == before.misses));
-            if disk_hit.get() {
+            span.counter("cache_hit", i64::from(from_disk.get().is_none()));
+            if from_disk.get().is_none() && !class.is_example(&args_sig) {
+                span.mark("class_hit");
+            }
+            if from_disk.get() == Some(true) {
                 span.mark("warm_hit");
             }
             if stalled.get() {
                 span.mark("fault:compile_stall");
             }
         }
-        // Form (or join) the shape class this plan certifies: future loads
-        // and requests at *any* admitted concrete shape reuse this one plan.
-        // Plans with data-dependent dims derive no class and stay keyed by
-        // concrete signature.
-        let spec = Arc::new(spec);
-        let class = plan
-            .signature
-            .as_ref()
-            .and_then(|sig| ClassSignature::derive(source, pipeline, &args_sig, sig))
-            .map(|class| {
-                let entry = ClassEntry::new(
-                    class,
-                    Arc::clone(&plan),
-                    Arc::clone(&spec),
-                    key.content_hash(),
-                    pipeline.roster_fingerprint(),
-                );
-                // Warm restarts rebuild the census from the persisted one;
-                // the deriving example is a resident bucket from birth (at
-                // zero hits) so persistence starts complete.
-                entry.seed_census(&disk_census.borrow());
-                entry.touch_bucket(&bucket_label_of(&args_sig), 0);
-                entry.note_origin(key.clone());
-                self.cache.insert_class(coarse, entry)
-            });
         // Write-back is asynchronous (encode + write happen on the store's
-        // writer thread): the load path never blocks on I/O. Class-eligible
-        // plans carry their class hashes and census in the v3 header so a
-        // restarted process can admit *new* shapes from this entry.
-        if compiled_fresh.get() {
-            if let (Some(store), Some((content_hash, roster_fp))) = (store, store_key.get()) {
-                let meta = class
-                    .as_ref()
-                    .map_or_else(ClassMeta::default, |entry| ClassMeta {
-                        class_hash: entry.key().class_hash(),
-                        coarse_hash: entry.key().coarse_hash(),
-                        census: entry.census(),
-                    });
-                store.save_async_with(content_hash, roster_fp, Arc::clone(&plan), meta);
-            }
+        // writer thread): the load path never blocks on I/O. The header
+        // carries the class hashes and census, so a restarted process can
+        // admit *new* shapes from this entry.
+        if from_disk.get() == Some(false) {
+            self.persist_class(&class);
         }
-        self.finish_load(req, span, started, plan, spec, class)
-    }
-
-    /// The tail every load shares once its plan is in hand: acquire the
-    /// degraded twin, enforce the compile budget, publish the plan's
-    /// polymorphism gauge and build the handle.
-    fn finish_load(
-        &self,
-        req: &ModelLoader<'_>,
-        mut span: Span,
-        started: Instant,
-        plan: Arc<CompiledProgram>,
-        spec: Arc<BatchSpec>,
-        class: Option<Arc<ClassEntry>>,
-    ) -> Result<ModelHandle, ServeError> {
+        // Reuse the class's spec allocation when the caller's contract is
+        // identical (the common case: every load of a model passes the same
+        // spec).
+        let spec = if **class.spec() == spec {
+            Arc::clone(class.spec())
+        } else {
+            Arc::new(spec)
+        };
         // The degraded twin is provisioned at load time when degradation is
         // on, so the dispatcher can switch plans without a compile on the
-        // hot path; a class keeps it so later loads into the class reuse it.
-        let degraded = if self.degrade_enabled && req.pipeline != PipelineKind::Degraded {
-            let resident = class.as_ref().and_then(|entry| entry.degraded());
-            Some(match resident {
-                Some(twin) => twin,
-                None => {
-                    let dkey =
-                        PlanKey::new(&req.source, PipelineKind::Degraded, &req.example_inputs);
-                    let scope = span.scope();
-                    let twin = self.cache.get_or_compile(&dkey, || {
-                        let graph = tssa_frontend::compile(&req.source)?;
-                        Ok(PipelineKind::Degraded.compile_traced(&graph, &scope))
-                    })?;
-                    if let Some(entry) = class.as_ref() {
-                        entry.set_degraded(&twin);
-                    }
-                    twin
-                }
-            })
+        // hot path. It lives on the class, so it compiles once per class;
+        // an `Eager` model is its own fallback.
+        let degraded = if self.degrade_enabled && pipeline != PipelineKind::Eager {
+            Some(class.degraded_or_compile(|| {
+                let graph = tssa_frontend::compile(source)?;
+                Ok(PipelineKind::Eager.compile_traced(&graph, &scope))
+            })?)
         } else {
             None
         };
@@ -1133,8 +1043,8 @@ impl Service {
             }
         }
         span.finish();
-        let label = model_label(req.name.as_deref(), req.pipeline, &req.source);
-        if let Some(sig) = plan.signature.as_ref() {
+        let label = model_label(req.name.as_deref(), pipeline, source);
+        if let Some(sig) = class.plan().signature.as_ref() {
             self.registry
                 .gauge(
                     "tssa_plan_polymorphic_dims",
@@ -1144,7 +1054,6 @@ impl Service {
                 .set(sig.polymorphic_dims() as f64);
         }
         Ok(ModelHandle {
-            plan,
             spec,
             label,
             degraded,
@@ -1157,7 +1066,7 @@ impl Service {
     fn persist_class(&self, entry: &ClassEntry) {
         if let Some(store) = self.plan_store.as_deref() {
             store.save_async_with(
-                entry.content_hash(),
+                entry.file_hash(),
                 entry.roster_fp(),
                 Arc::clone(entry.plan()),
                 ClassMeta {
@@ -1169,13 +1078,13 @@ impl Service {
         }
     }
 
-    /// Submit a request with the service's default deadline.
+    /// Submit a request with no deadline.
     ///
     /// # Errors
     ///
     /// See [`Service::submit_with`].
     pub fn submit(&self, model: &ModelHandle, inputs: Vec<RtValue>) -> Result<Ticket, ServeError> {
-        self.submit_with(model, inputs, self.default_deadline)
+        self.submit_with(model, inputs, None)
     }
 
     /// Submit a request that must start executing within `deadline`.
@@ -1220,10 +1129,7 @@ impl Service {
             now.checked_add(d)
                 .and_then(|at| at.checked_add(self.timeout_grace))
         });
-        let class_bucket = model
-            .class
-            .as_ref()
-            .map(|entry| (entry, bucket_label(&inputs)));
+        let bucket = bucket_label(&inputs);
         let (ticket, completer) = Completer::new(Arc::clone(&self.metrics), now, timeout_at);
         let (span, queue_span) = if self.tracer.enabled() {
             let mut span = self.tracer.root("request", "serve");
@@ -1234,7 +1140,7 @@ impl Service {
             (None, None)
         };
         let request = Request {
-            plan: Arc::clone(&model.plan),
+            plan: Arc::clone(model.plan()),
             spec: Arc::clone(&model.spec),
             plan_label: Arc::clone(&model.label),
             inputs,
@@ -1253,17 +1159,15 @@ impl Service {
                 // (a shed request is not served): bump the bucket census,
                 // export the per-bucket hit counter, and re-persist the
                 // class when a never-seen bucket appears.
-                if let Some((entry, bucket)) = class_bucket {
-                    self.registry
-                        .counter(
-                            "tssa_plan_class_hits_total",
-                            "Requests served by a shape-class plan, by concrete shape bucket",
-                            &[("plan", &model.label), ("bucket", &bucket)],
-                        )
-                        .inc();
-                    if entry.touch_bucket(&bucket, 1) {
-                        self.persist_class(entry);
-                    }
+                self.registry
+                    .counter(
+                        "tssa_plan_class_hits_total",
+                        "Requests served by a shape-class plan, by concrete shape bucket",
+                        &[("plan", &model.label), ("bucket", &bucket)],
+                    )
+                    .inc();
+                if model.class.touch_bucket(&bucket, 1) {
+                    self.persist_class(&model.class);
                 }
                 Ok(ticket)
             }
@@ -1360,7 +1264,7 @@ impl Service {
     }
 
     /// Whether the dispatcher is currently in degraded mode (batching shed,
-    /// `Degraded` plans preferred). Readiness probes report not-ready while
+    /// `Eager` twins preferred). Readiness probes report not-ready while
     /// this holds; always `false` when degradation is not configured.
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Relaxed)

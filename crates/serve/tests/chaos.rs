@@ -18,8 +18,8 @@
 //! - **No cross-shape mixing.** Traffic is heterogeneous — batch sizes 2–4
 //!   interleave through one class plan — and every successful response must
 //!   carry exactly the rows of the shape it submitted. A CachePoison fault
-//!   evicts the whole class (not one concrete shape), and the next load
-//!   recompiles it.
+//!   evicts the whole class (the one entry serving every shape), and the
+//!   next load recompiles it.
 
 use std::io::BufWriter;
 use std::sync::Arc;
@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use tssa_backend::RtValue;
 use tssa_serve::{
-    silence_injected_panics_for_tests, BatchSpec, FaultKind, FaultPlan, PipelineKind, RetryPolicy,
-    ServeConfig, ServeError, Service, StreamSink, TraceSink, Tracer,
+    silence_injected_panics_for_tests, AdaptiveDegrade, BatchSpec, FaultKind, FaultPlan,
+    PipelineKind, RetryPolicy, ServeConfig, ServeError, Service, StreamSink, TraceSink, Tracer,
 };
 use tssa_tensor::Tensor;
 
@@ -89,9 +89,14 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
         .with_tracer(tracer.clone())
         .with_faults(faults.clone());
     if mode == 1 {
-        config = config
-            .with_degrade_p99(Some(Duration::from_micros(100)))
-            .with_degrade_cooldown(Duration::from_millis(1));
+        // A fixed 100 µs threshold: no median scaling, armed from the
+        // first request.
+        config = config.with_adaptive_degrade(Some(AdaptiveDegrade {
+            factor: 0.0,
+            floor: Duration::from_micros(100),
+            min_samples: 0,
+            cooldown: Duration::from_millis(1),
+        }));
     }
     if mode == 3 {
         // Tight grace so stalled executions resolve as waiter timeouts.

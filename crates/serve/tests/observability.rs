@@ -100,7 +100,6 @@ fn exposition_family_set_is_pinned() {
 # TYPE tssa_plan_cache_evictions_total counter
 # TYPE tssa_plan_cache_hits_total counter
 # TYPE tssa_plan_cache_misses_total counter
-# TYPE tssa_plan_class_entries gauge
 # TYPE tssa_plan_class_hits_total counter
 # TYPE tssa_plan_polymorphic_dims gauge
 # TYPE tssa_pool_workers gauge
@@ -223,13 +222,15 @@ fn default_plan_labels_name_pipeline_and_source() {
 #[test]
 fn adaptive_degrade_compiles_the_fallback_plan() {
     let workload = Workload::by_name("yolov3").unwrap();
-    // Adaptive degradation (no fixed p99) must still provision the
-    // zero-pass fallback at load time, like the fixed trigger does.
+    // Degradation must provision the zero-pass fallback at load time, even
+    // while the trigger is unarmed.
     let service = Service::new(
         ServeConfig::default()
             .with_workers(1)
-            .with_adaptive_degrade(Some(AdaptiveDegrade::default()))
-            .with_degrade_cooldown(Duration::from_millis(1)),
+            .with_adaptive_degrade(Some(AdaptiveDegrade {
+                cooldown: Duration::from_millis(1),
+                ..AdaptiveDegrade::default()
+            })),
     );
     let inputs = workload.inputs(2, 0, 9);
     let model = service

@@ -253,7 +253,11 @@ fn reboot_serves_a_never_seen_batch_size_from_disk() {
     );
 
     // Bucket heat from before the restart came back with the plan.
-    let entry = model.class().expect("disk-loaded plan reforms its class");
+    let entry = model.class();
+    assert!(
+        entry.key().render().contains('*'),
+        "disk-loaded plan reforms its class"
+    );
     let census = entry.census();
     for b in [2usize, 3, 4] {
         let label = format!("{b}x48x48");

@@ -177,13 +177,12 @@ pub struct Expected {
 
 /// Pipeline names that may appear in a plan file, interned so the decoded
 /// [`CompiledProgram::pipeline`] keeps its `&'static str` type.
-const KNOWN_PIPELINES: [&str; 6] = [
+const KNOWN_PIPELINES: [&str; 5] = [
     "Eager",
     "TorchScript+NNC",
     "TorchScript+nvFuser",
     "Dynamo+Inductor",
     "TensorSSA",
-    "Degraded",
 ];
 
 fn intern_pipeline(name: &str) -> Result<&'static str, StoreError> {

@@ -51,6 +51,13 @@ step "one way to run a program (no threaded map, thread knob or second profiler)
 ONE_WAY='parallel_threads|crossbeam::thread|available_parallelism|OpProfile'
 [ -z "$(guard "$ONE_WAY" | grep -E '^crates/(backend|pipelines|serve|store)/src/')" ] || { echo "a second way to run or profile a program:"; guard "$ONE_WAY" | grep -E '^crates/(backend|pipelines|serve|store)/src/'; exit 1; }
 
+step "one plan table (no concrete-key table, origin keys or second degrade trigger)"
+# Every compiled plan is a shape class in the plan cache's one table, under
+# one LRU; neither a second key type, the bookkeeping that tied two tables
+# together, nor a fixed degrade trigger beside the adaptive one comes back.
+ONE_TABLE='struct PlanKey|origin_keys|Trigger::Fixed'
+[ -z "$(guard "$ONE_TABLE" | grep '^crates/serve/src/')" ] || { echo "a second plan table:"; guard "$ONE_TABLE" | grep '^crates/serve/src/'; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.
