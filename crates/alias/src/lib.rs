@@ -363,7 +363,7 @@ impl AliasAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::{ConstValue, MutateKind, ViewKind};
+    use tssa_ir::{ConstValue, MutateKind, UnaryKind, ViewKind};
 
     fn cloned_base(g: &mut Graph) -> ValueId {
         let x = g.add_input("x", Type::Tensor);
@@ -408,7 +408,7 @@ mod tests {
         let mut g = Graph::new();
         let a = cloned_base(&mut g);
         let y = g.add_input("y", Type::Tensor);
-        let b = g.append(g.top(), Op::Relu, &[y], &[Type::Tensor]);
+        let b = g.append(g.top(), UnaryKind::Relu, &[y], &[Type::Tensor]);
         let bv = g.out(b);
         let analysis = AliasAnalysis::build(&g);
         assert!(!analysis.may_alias(a, bv));
@@ -572,7 +572,7 @@ mod tests {
         let iff = g.append(g.top(), Op::If, &[c], &[Type::Tensor]);
         let tb = g.add_node_block(iff);
         let eb = g.add_node_block(iff);
-        let t1 = g.append(tb, Op::Relu, &[x], &[Type::Tensor]);
+        let t1 = g.append(tb, UnaryKind::Relu, &[x], &[Type::Tensor]);
         let tv = g.out(t1);
         g.set_returns(tb, &[tv]);
         g.set_returns(eb, &[x]);

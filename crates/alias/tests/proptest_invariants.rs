@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tssa_alias::{AliasAnalysis, DepKind};
-use tssa_ir::{ConstValue, Graph, MutateKind, Op, Type, ValueId, ViewKind};
+use tssa_ir::{ConstValue, Graph, MutateKind, Op, Type, UnaryKind, ValueId, ViewKind};
 
 /// Build a random graph from `seed`: a few base tensors (inputs and
 /// clones), random view chains off random tensors, random mutations, and
@@ -37,7 +37,7 @@ fn random_alias_graph(seed: u64) -> Graph {
                 tensors.push(g.out(n));
             }
             2 => {
-                let n = g.append(g.top(), Op::Relu, &[pick], &[Type::Tensor]);
+                let n = g.append(g.top(), UnaryKind::Relu, &[pick], &[Type::Tensor]);
                 tensors.push(g.out(n));
             }
             // A view off an existing tensor.

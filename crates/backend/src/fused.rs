@@ -37,7 +37,7 @@ use tssa_tensor::{
 };
 
 use crate::observe::OpObserver;
-use crate::ops::{elementwise, view_layout, Elementwise};
+use crate::ops::{unary_op, view_layout};
 use crate::plan::{GroupPlan, InputUse, Kind, PlanNode};
 use crate::{ExecError, RtValue};
 
@@ -230,9 +230,10 @@ fn evaluate(
         // The node's slot, and its buffer if it runs a kernel.
         let (out, data) = match pn.kind {
             Kind::Unary => {
-                let Some(Elementwise::Unary(f)) = elementwise(op, float)? else {
+                let Op::Unary(kind) = op else {
                     unreachable!("planned as a unary operator")
                 };
+                let f = unary_op(*kind, float)?;
                 let a = operand(0);
                 let out = fresh(a.shape(), f.result_dtype(a.dtype)?);
                 (out, Some(kernel::unary(f, at(&bufs, a))?))

@@ -3,12 +3,15 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use tssa_ir::{BlockId, ConstValue, Graph, MutateKind, Node, NodeId, Op, ValueId, ViewKind};
+use tssa_ir::{
+    BlockId, ConstValue, Graph, MutateKind, Node, NodeId, Op, ScalarError, UnaryKind, ValueId,
+    ViewKind,
+};
 use tssa_tensor::{concat, stack, where_select, Scalar, Tensor, TensorError};
 
 use crate::fused::run_group;
 use crate::observe::{OpObserver, TOP_LEVEL_GROUP};
-use crate::ops::{dtype_of, elementwise, view_layout, with_dims, Elementwise};
+use crate::ops::{binary_op, dtype_of, unary_op, view_layout, with_dims};
 use crate::{ExecConfig, ExecError, ExecPlan, ExecStats, RtValue};
 
 /// The register file: one register per graph value, by `ValueId::index()`
@@ -238,15 +241,7 @@ impl Executor {
         match &node.op {
             Op::Constant(c) => {
                 self.host_scalar(stats);
-                let v = match c {
-                    ConstValue::Int(v) => RtValue::Int(*v),
-                    ConstValue::Float(v) => RtValue::Float(*v),
-                    ConstValue::Bool(v) => RtValue::Bool(*v),
-                    ConstValue::IntList(v) => {
-                        RtValue::List(v.iter().map(|&x| RtValue::Int(x)).collect())
-                    }
-                };
-                set(env, 0, v);
+                set(env, 0, constant(c.clone()));
             }
             Op::ListConstruct => {
                 self.host_scalar(stats);
@@ -330,92 +325,19 @@ impl Executor {
             }
 
             // ------------------------------------------------- scalar ops
-            Op::IntAdd | Op::IntSub | Op::IntMul | Op::IntDiv | Op::IntMod => {
+            Op::Scalar(k) => {
                 self.host_scalar(stats);
-                let a = arg(0)?.as_int()?;
-                let b = arg(1)?.as_int()?;
-                let r = match node.op {
-                    Op::IntAdd => a.wrapping_add(b),
-                    Op::IntSub => a.wrapping_sub(b),
-                    Op::IntMul => a.wrapping_mul(b),
-                    Op::IntDiv => {
-                        if b == 0 {
-                            return Err(ExecError::unsupported("integer division by zero"));
-                        }
-                        a.wrapping_div(b)
+                let v = k.eval(|i| arg(i).ok().and_then(scalar_const));
+                let v = v.map_err(|e| match e {
+                    ScalarError::Operand { index, expected } => match arg(index) {
+                        Ok(found) => ExecError::type_mismatch(expected, found),
+                        Err(missing) => missing,
+                    },
+                    ScalarError::DivisionByZero => {
+                        ExecError::unsupported(format!("{} by zero", node.op.name()))
                     }
-                    _ => {
-                        if b == 0 {
-                            return Err(ExecError::unsupported("integer modulo by zero"));
-                        }
-                        a.wrapping_rem(b)
-                    }
-                };
-                set(env, 0, RtValue::Int(r));
-            }
-            Op::IntNeg => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_int()?;
-                set(env, 0, RtValue::Int(a.wrapping_neg()));
-            }
-            Op::IntLt | Op::IntLe | Op::IntGt | Op::IntGe | Op::IntEq | Op::IntNe => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_int()?;
-                let b = arg(1)?.as_int()?;
-                let r = match node.op {
-                    Op::IntLt => a < b,
-                    Op::IntLe => a <= b,
-                    Op::IntGt => a > b,
-                    Op::IntGe => a >= b,
-                    Op::IntEq => a == b,
-                    _ => a != b,
-                };
-                set(env, 0, RtValue::Bool(r));
-            }
-            Op::BoolAnd | Op::BoolOr => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_bool()?;
-                let b = arg(1)?.as_bool()?;
-                let r = if node.op == Op::BoolAnd {
-                    a && b
-                } else {
-                    a || b
-                };
-                set(env, 0, RtValue::Bool(r));
-            }
-            Op::BoolNot => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_bool()?;
-                set(env, 0, RtValue::Bool(!a));
-            }
-            Op::FloatAdd | Op::FloatSub | Op::FloatMul | Op::FloatDiv => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_float()?;
-                let b = arg(1)?.as_float()?;
-                let r = match node.op {
-                    Op::FloatAdd => a + b,
-                    Op::FloatSub => a - b,
-                    Op::FloatMul => a * b,
-                    _ => a / b,
-                };
-                set(env, 0, RtValue::Float(r));
-            }
-            Op::FloatNeg => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_float()?;
-                set(env, 0, RtValue::Float(-a));
-            }
-            Op::FloatLt | Op::FloatGt => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_float()?;
-                let b = arg(1)?.as_float()?;
-                let r = if node.op == Op::FloatLt { a < b } else { a > b };
-                set(env, 0, RtValue::Bool(r));
-            }
-            Op::IntToFloat => {
-                self.host_scalar(stats);
-                let a = arg(0)?.as_int()?;
-                set(env, 0, RtValue::Float(a as f64));
+                })?;
+                set(env, 0, constant(v));
             }
 
             // --------------------------------------------- tensor queries
@@ -505,51 +427,26 @@ impl Executor {
             }
 
             // ------------------------------------------------- functional
-            Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::Div
-            | Op::Maximum
-            | Op::Minimum
-            | Op::Pow
-            | Op::Gt
-            | Op::Lt
-            | Op::Ge
-            | Op::Le
-            | Op::EqElem
-            | Op::LogicalAnd
-            | Op::LogicalOr
-            | Op::AddScalar
-            | Op::SubScalar
-            | Op::MulScalar
-            | Op::DivScalar
-            | Op::PowScalar
-            | Op::Neg
-            | Op::Relu
-            | Op::Sigmoid
-            | Op::Tanh
-            | Op::Exp
-            | Op::Log
-            | Op::Sqrt
-            | Op::Abs
-            | Op::LogicalNot
-            | Op::Clamp => {
+            Op::Unary(k) => {
                 let a = tensor(0)?;
-                let (out, bytes, unit) = match elementwise(&node.op, |i| float(arg(i)?))? {
-                    Some(Elementwise::Binary(f)) => {
-                        let b = tensor(1)?;
-                        (a.binary(f, b)?, t_bytes(a) + t_bytes(b), 1)
-                    }
-                    Some(Elementwise::Unary(f)) => {
-                        let unit = match node.op {
-                            Op::Sigmoid | Op::Tanh | Op::Exp | Op::Log | Op::Sqrt => 4,
-                            _ => 1,
-                        };
-                        (a.unary(f)?, t_bytes(a), unit)
-                    }
-                    None => unreachable!("every operator of this arm is elementwise"),
+                let out = a.unary(unary_op(*k, |i| float(arg(i)?))?)?;
+                // A transcendental costs four units of work per element.
+                let unit = match k {
+                    UnaryKind::Sigmoid
+                    | UnaryKind::Tanh
+                    | UnaryKind::Exp
+                    | UnaryKind::Log
+                    | UnaryKind::Sqrt => 4,
+                    _ => 1,
                 };
-                self.kernel(stats, bytes + t_bytes(&out), out.numel() as u64 * unit);
+                self.kernel(stats, t_bytes(a) + t_bytes(&out), out.numel() as u64 * unit);
+                set(env, 0, RtValue::Tensor(out));
+            }
+            Op::Binary(k) => {
+                let (a, b) = (tensor(0)?, tensor(1)?);
+                let out = a.binary(binary_op(*k), b)?;
+                let bytes = t_bytes(a) + t_bytes(b) + t_bytes(&out);
+                self.kernel(stats, bytes, out.numel() as u64);
                 set(env, 0, RtValue::Tensor(out));
             }
             Op::Softmax { dim } => {
@@ -785,6 +682,25 @@ fn float(v: &RtValue) -> Result<f32, ExecError> {
     Ok(v.as_float()? as f32)
 }
 
+/// A host scalar as the constant payload [`tssa_ir::ScalarKind::eval`] reads.
+fn scalar_const(v: &RtValue) -> Option<ConstValue> {
+    match *v {
+        RtValue::Int(x) => Some(ConstValue::Int(x)),
+        RtValue::Float(x) => Some(ConstValue::Float(x)),
+        RtValue::Bool(x) => Some(ConstValue::Bool(x)),
+        _ => None,
+    }
+}
+
+fn constant(c: ConstValue) -> RtValue {
+    match c {
+        ConstValue::Int(v) => RtValue::Int(v),
+        ConstValue::Float(v) => RtValue::Float(v),
+        ConstValue::Bool(v) => RtValue::Bool(v),
+        ConstValue::IntList(v) => RtValue::List(v.into_iter().map(RtValue::Int).collect()),
+    }
+}
+
 /// A creation op's tensor, made by `make` over `shape` (a negative size
 /// reads as 0). A shape with more elements than a `usize` counts is an
 /// error.
@@ -824,10 +740,10 @@ fn apply_mutation(
     match kind {
         MutateKind::Copy => recv.copy_(src(1)?)?,
         MutateKind::Fill => recv.fill_(flt(1)?)?,
-        _ => match elementwise(&kind.functional_op(), flt)? {
-            Some(Elementwise::Unary(f)) => recv.unary_(f)?,
-            Some(Elementwise::Binary(f)) => recv.binary_(f, src(1)?)?,
-            None => unreachable!("every other mutation is elementwise"),
+        _ => match kind.functional_op() {
+            Op::Unary(k) => recv.unary_(unary_op(k, flt)?)?,
+            Op::Binary(k) => recv.binary_(binary_op(k), src(1)?)?,
+            _ => unreachable!("every other mutation is elementwise"),
         },
     }
     Ok(())

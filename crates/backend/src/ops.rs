@@ -1,57 +1,55 @@
-//! What an IR operator means to the tensor core: the one mapping from
-//! [`Op`] to the op table and from [`ViewKind`] to the view algebra, shared
-//! by the interpreter and the fused evaluator.
+//! What an IR operator means to the tensor core: the one mapping from the
+//! elementwise kinds to the op table and from [`ViewKind`] to the view
+//! algebra, shared by the interpreter and the fused evaluator.
 
-use tssa_ir::{Op, ScalarType, ViewKind};
+use tssa_ir::{BinaryKind, ScalarType, UnaryKind, ViewKind};
 use tssa_tensor::{BinaryOp, DType, Layout, UnaryOp};
 
 use crate::ExecError;
 
-/// An elementwise operator, its scalar operands folded in.
-pub(crate) enum Elementwise {
-    Unary(UnaryOp),
-    Binary(BinaryOp),
+/// The element function of `kind`. `scalar(i)` reads the node's i-th
+/// operand as a host float.
+pub(crate) fn unary_op(
+    kind: UnaryKind,
+    scalar: impl Fn(usize) -> Result<f32, ExecError>,
+) -> Result<UnaryOp, ExecError> {
+    Ok(match kind {
+        UnaryKind::Neg => UnaryOp::Neg,
+        UnaryKind::Relu => UnaryOp::Relu,
+        UnaryKind::Sigmoid => UnaryOp::Sigmoid,
+        UnaryKind::Tanh => UnaryOp::Tanh,
+        UnaryKind::Exp => UnaryOp::Exp,
+        UnaryKind::Log => UnaryOp::Log,
+        UnaryKind::Sqrt => UnaryOp::Sqrt,
+        UnaryKind::Abs => UnaryOp::Abs,
+        UnaryKind::LogicalNot => UnaryOp::Not,
+        UnaryKind::AddScalar => UnaryOp::AddC(scalar(1)?),
+        UnaryKind::SubScalar => UnaryOp::SubC(scalar(1)?),
+        UnaryKind::MulScalar => UnaryOp::MulC(scalar(1)?),
+        UnaryKind::DivScalar => UnaryOp::DivC(scalar(1)?),
+        UnaryKind::PowScalar => UnaryOp::PowC(scalar(1)?),
+        UnaryKind::Clamp => UnaryOp::Clamp(scalar(1)?, scalar(2)?),
+    })
 }
 
-/// The element function of `op`, if it is elementwise. `scalar(i)` reads the
-/// node's i-th operand as a host float.
-pub(crate) fn elementwise(
-    op: &Op,
-    scalar: impl Fn(usize) -> Result<f32, ExecError>,
-) -> Result<Option<Elementwise>, ExecError> {
-    use Elementwise::{Binary, Unary};
-    Ok(Some(match op {
-        Op::Neg => Unary(UnaryOp::Neg),
-        Op::Relu => Unary(UnaryOp::Relu),
-        Op::Sigmoid => Unary(UnaryOp::Sigmoid),
-        Op::Tanh => Unary(UnaryOp::Tanh),
-        Op::Exp => Unary(UnaryOp::Exp),
-        Op::Log => Unary(UnaryOp::Log),
-        Op::Sqrt => Unary(UnaryOp::Sqrt),
-        Op::Abs => Unary(UnaryOp::Abs),
-        Op::LogicalNot => Unary(UnaryOp::Not),
-        Op::AddScalar => Unary(UnaryOp::AddC(scalar(1)?)),
-        Op::MulScalar => Unary(UnaryOp::MulC(scalar(1)?)),
-        Op::SubScalar => Unary(UnaryOp::SubC(scalar(1)?)),
-        Op::DivScalar => Unary(UnaryOp::DivC(scalar(1)?)),
-        Op::PowScalar => Unary(UnaryOp::PowC(scalar(1)?)),
-        Op::Clamp => Unary(UnaryOp::Clamp(scalar(1)?, scalar(2)?)),
-        Op::Add => Binary(BinaryOp::Add),
-        Op::Sub => Binary(BinaryOp::Sub),
-        Op::Mul => Binary(BinaryOp::Mul),
-        Op::Div => Binary(BinaryOp::Div),
-        Op::Maximum => Binary(BinaryOp::Max),
-        Op::Minimum => Binary(BinaryOp::Min),
-        Op::Pow => Binary(BinaryOp::Pow),
-        Op::Gt => Binary(BinaryOp::Gt),
-        Op::Lt => Binary(BinaryOp::Lt),
-        Op::Ge => Binary(BinaryOp::Ge),
-        Op::Le => Binary(BinaryOp::Le),
-        Op::EqElem => Binary(BinaryOp::Eq),
-        Op::LogicalAnd => Binary(BinaryOp::And),
-        Op::LogicalOr => Binary(BinaryOp::Or),
-        _ => return Ok(None),
-    }))
+/// The element function of `kind`.
+pub(crate) fn binary_op(kind: BinaryKind) -> BinaryOp {
+    match kind {
+        BinaryKind::Add => BinaryOp::Add,
+        BinaryKind::Sub => BinaryOp::Sub,
+        BinaryKind::Mul => BinaryOp::Mul,
+        BinaryKind::Div => BinaryOp::Div,
+        BinaryKind::Maximum => BinaryOp::Max,
+        BinaryKind::Minimum => BinaryOp::Min,
+        BinaryKind::Pow => BinaryOp::Pow,
+        BinaryKind::Gt => BinaryOp::Gt,
+        BinaryKind::Lt => BinaryOp::Lt,
+        BinaryKind::Ge => BinaryOp::Ge,
+        BinaryKind::Le => BinaryOp::Le,
+        BinaryKind::Eq => BinaryOp::Eq,
+        BinaryKind::LogicalAnd => BinaryOp::And,
+        BinaryKind::LogicalOr => BinaryOp::Or,
+    }
 }
 
 pub(crate) fn dtype_of(ty: ScalarType) -> DType {

@@ -12,7 +12,7 @@
 use tssa_ir::{BlockId, Graph, NodeId, Op, ValueId};
 use tssa_tensor::{BinaryOp, DType};
 
-use crate::ops::{dtype_of, elementwise, Elementwise};
+use crate::ops::{binary_op, dtype_of};
 use crate::ExecError;
 
 /// The shape-independent execution plan of one graph. Derived from the
@@ -366,25 +366,23 @@ fn seen_through(parent: &[usize], s: usize) -> impl Iterator<Item = usize> + '_ 
 
 /// The kernel `op` runs inside a group, and whether it counts as compute.
 fn kind_of(op: &Op) -> Result<(Kind, bool), ExecError> {
-    Ok(match elementwise(op, |_| Ok(0.0))? {
-        Some(Elementwise::Unary(_)) => (Kind::Unary, true),
-        Some(Elementwise::Binary(f)) => (Kind::Binary(f), true),
-        None => match op {
-            Op::WhereSelect => (Kind::Where, true),
-            Op::FullLike => (Kind::Fill(None), false),
-            Op::OnesLike => (Kind::Fill(Some(1.0)), false),
-            Op::ZerosLike => (Kind::Fill(Some(0.0)), false),
-            Op::BroadcastLike => (Kind::BroadcastLike, false),
-            Op::Cast { dtype } => (Kind::Cast(dtype_of(*dtype)), true),
-            Op::Access(_) => (Kind::Access, false),
-            Op::Assign(_) => (Kind::Assign, false),
-            other => {
-                return Err(ExecError::unsupported(format!(
-                    "operator {} inside fusion group",
-                    other.name()
-                )))
-            }
-        },
+    Ok(match op {
+        Op::Unary(_) => (Kind::Unary, true),
+        Op::Binary(k) => (Kind::Binary(binary_op(*k)), true),
+        Op::WhereSelect => (Kind::Where, true),
+        Op::FullLike => (Kind::Fill(None), false),
+        Op::OnesLike => (Kind::Fill(Some(1.0)), false),
+        Op::ZerosLike => (Kind::Fill(Some(0.0)), false),
+        Op::BroadcastLike => (Kind::BroadcastLike, false),
+        Op::Cast { dtype } => (Kind::Cast(dtype_of(*dtype)), true),
+        Op::Access(_) => (Kind::Access, false),
+        Op::Assign(_) => (Kind::Assign, false),
+        other => {
+            return Err(ExecError::unsupported(format!(
+                "operator {} inside fusion group",
+                other.name()
+            )))
+        }
     })
 }
 

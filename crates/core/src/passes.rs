@@ -13,7 +13,7 @@ use crate::tensorssa::{
     convert_to_tensorssa, convert_with_options, substitute_operands, substitute_returns,
     ConversionStats,
 };
-use tssa_ir::{BlockId, ConstValue, Graph, NodeId, Op, ValueId};
+use tssa_ir::{BlockId, ConstValue, Graph, NodeId, Op, ScalarKind, ValueId};
 
 /// Whether removing `n` (given its outputs are unused) preserves semantics.
 fn removable(g: &Graph, n: NodeId) -> bool {
@@ -225,8 +225,7 @@ fn hoistable(op: &Op) -> bool {
     !matches!(
         op,
         Op::Update
-            | Op::IntDiv
-            | Op::IntMod
+            | Op::Scalar(ScalarKind::IntDiv | ScalarKind::IntMod)
             | Op::ItemFloat
             | Op::ItemInt
             | Op::ItemBool
@@ -338,17 +337,19 @@ fn constant_fold_impl(g: &mut Graph) -> usize {
     loop {
         let mut changed = false;
         for n in g.nodes_recursive(g.top()) {
+            // A host-scalar operator on constants folds through
+            // `ScalarKind::eval`, the interpreter's own definition; one that
+            // would fail at run time stays unfolded.
+            let Op::Scalar(kind) = g.node(n).op else {
+                continue;
+            };
             if g.is_removed(n) {
                 continue;
             }
-            let node = g.node(n).clone();
-            if matches!(node.op, Op::Constant(_)) {
-                continue;
-            }
             let consts: Option<Vec<ConstValue>> =
-                node.inputs.iter().map(|&v| const_of(g, v)).collect();
+                g.node(n).inputs.iter().map(|&v| const_of(g, v)).collect();
             let Some(consts) = consts else { continue };
-            let Some(result) = fold_op(&node.op, &consts) else {
+            let Ok(result) = kind.eval(|i| consts.get(i).cloned()) else {
                 continue;
             };
             g.set_op(n, Op::Constant(result));
@@ -360,67 +361,6 @@ fn constant_fold_impl(g: &mut Graph) -> usize {
             return folded;
         }
     }
-}
-
-fn fold_op(op: &Op, inputs: &[ConstValue]) -> Option<ConstValue> {
-    use ConstValue::*;
-    let int = |i: usize| -> Option<i64> {
-        match inputs.get(i)? {
-            Int(v) => Some(*v),
-            _ => None,
-        }
-    };
-    let float = |i: usize| -> Option<f64> {
-        match inputs.get(i)? {
-            Float(v) => Some(*v),
-            Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    };
-    let boolean = |i: usize| -> Option<bool> {
-        match inputs.get(i)? {
-            Bool(v) => Some(*v),
-            _ => None,
-        }
-    };
-    Some(match op {
-        Op::IntAdd => Int(int(0)? + int(1)?),
-        Op::IntSub => Int(int(0)? - int(1)?),
-        Op::IntMul => Int(int(0)? * int(1)?),
-        Op::IntDiv => {
-            let d = int(1)?;
-            if d == 0 {
-                return None;
-            }
-            Int(int(0)? / d)
-        }
-        Op::IntMod => {
-            let d = int(1)?;
-            if d == 0 {
-                return None;
-            }
-            Int(int(0)? % d)
-        }
-        Op::IntNeg => Int(-int(0)?),
-        Op::IntLt => Bool(int(0)? < int(1)?),
-        Op::IntLe => Bool(int(0)? <= int(1)?),
-        Op::IntGt => Bool(int(0)? > int(1)?),
-        Op::IntGe => Bool(int(0)? >= int(1)?),
-        Op::IntEq => Bool(int(0)? == int(1)?),
-        Op::IntNe => Bool(int(0)? != int(1)?),
-        Op::BoolAnd => Bool(boolean(0)? && boolean(1)?),
-        Op::BoolOr => Bool(boolean(0)? || boolean(1)?),
-        Op::BoolNot => Bool(!boolean(0)?),
-        Op::FloatAdd => Float(float(0)? + float(1)?),
-        Op::FloatSub => Float(float(0)? - float(1)?),
-        Op::FloatMul => Float(float(0)? * float(1)?),
-        Op::FloatDiv => Float(float(0)? / float(1)?),
-        Op::FloatNeg => Float(-float(0)?),
-        Op::FloatLt => Bool(float(0)? < float(1)?),
-        Op::FloatGt => Bool(float(0)? > float(1)?),
-        Op::IntToFloat => Float(int(0)? as f64),
-        _ => return None,
-    })
 }
 
 /// Declare a unit-struct [`Pass`] over an implementation function.
@@ -565,7 +505,7 @@ impl Pass for Convert {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::parse_graph;
+    use tssa_ir::{parse_graph, BinaryKind};
 
     #[test]
     fn dce_removes_unused_chain() {
@@ -631,7 +571,7 @@ mod tests {
         let add = g
             .nodes_recursive(g.top())
             .into_iter()
-            .find(|&n| g.node(n).op == Op::Add)
+            .find(|&n| g.node(n).op == Op::Binary(BinaryKind::Add))
             .unwrap();
         assert_eq!(g.node(add).inputs[0], g.node(add).inputs[1]);
     }

@@ -445,7 +445,7 @@ pub(crate) fn substitute_returns(g: &mut Graph, block: BlockId, map: &HashMap<Va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::parse_graph;
+    use tssa_ir::{parse_graph, UnaryKind};
 
     fn has_op(g: &Graph, fragment: &str) -> bool {
         g.to_string().contains(fragment)
@@ -492,7 +492,7 @@ mod tests {
         // relu_ decomposes to pure relu; the return is that value.
         let ret = g.block(g.top()).returns[0];
         let def = g.def_node(ret).unwrap();
-        assert_eq!(g.node(def).op, Op::Relu);
+        assert_eq!(g.node(def).op, Op::Unary(UnaryKind::Relu));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! cross-pipeline equivalence suite at the workspace root).
 
 use tssa_core::{convert_to_tensorssa, passes, ConversionStats, Pass};
-use tssa_ir::{parse_graph, Graph, Op, ValueDef};
+use tssa_ir::{parse_graph, BinaryKind, Graph, Op, ValueDef};
 
 /// The conversion alone, before DCE removes what it left dead.
 fn convert_only(src: &str) -> (Graph, ConversionStats) {
@@ -212,7 +212,7 @@ fn a_view_read_in_a_loop_before_the_mutation_stays_carried() {
     let add = g
         .nodes_recursive(g.top())
         .into_iter()
-        .find(|&n| g.node(n).op == Op::Add)
+        .find(|&n| g.node(n).op == Op::Binary(BinaryKind::Add))
         .unwrap();
     let read = g.node(add).inputs[1];
     assert!(

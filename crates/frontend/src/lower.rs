@@ -8,7 +8,10 @@
 
 use std::collections::HashMap;
 
-use tssa_ir::{BlockId, ConstValue, Graph, MutateKind, Op, SrcSpan, Type, ValueId, ViewKind};
+use tssa_ir::{
+    BinaryKind, BlockId, ConstValue, Graph, MutateKind, Op, ScalarKind, SrcSpan, Type, UnaryKind,
+    ValueId, ViewKind,
+};
 
 use crate::ast::{AugOp, BinOp, CmpOp, Expr, Function, Stmt, Sub, Target};
 use crate::FrontendError;
@@ -131,8 +134,8 @@ impl Lowerer {
         self.g.constant_in(block, ConstValue::Bool(v))
     }
 
-    fn one(&mut self, block: BlockId, op: Op, inputs: &[ValueId], ty: Type) -> ValueId {
-        let n = self.g.append(block, op, inputs, &[ty]);
+    fn one(&mut self, block: BlockId, op: impl Into<Op>, inputs: &[ValueId], ty: Type) -> ValueId {
+        let n = self.g.append(block, op.into(), inputs, &[ty]);
         self.g.out(n)
     }
 
@@ -145,7 +148,7 @@ impl Lowerer {
     ) -> Result<ValueId, FrontendError> {
         match self.ty(v) {
             Type::Float => Ok(v),
-            Type::Int => Ok(self.one(block, Op::IntToFloat, &[v], Type::Float)),
+            Type::Int => Ok(self.one(block, ScalarKind::IntToFloat, &[v], Type::Float)),
             other => err(line, format!("expected a scalar, found {other}")),
         }
     }
@@ -289,13 +292,13 @@ impl Lowerer {
                 let (kind, operand) = match op {
                     AugOp::Add => (MutateKind::AddScalar, f),
                     AugOp::Sub => {
-                        let neg = self.one(block, Op::FloatNeg, &[f], Type::Float);
+                        let neg = self.one(block, ScalarKind::FloatNeg, &[f], Type::Float);
                         (MutateKind::AddScalar, neg)
                     }
                     AugOp::Mul => (MutateKind::MulScalar, f),
                     AugOp::Div => {
                         let one = self.c_float(block, 1.0);
-                        let inv = self.one(block, Op::FloatDiv, &[one, f], Type::Float);
+                        let inv = self.one(block, ScalarKind::FloatDiv, &[one, f], Type::Float);
                         (MutateKind::MulScalar, inv)
                     }
                 };
@@ -478,17 +481,17 @@ impl Lowerer {
             Expr::Neg(inner) => {
                 let v = self.expr(inner, block, env)?;
                 Ok(match self.ty(v) {
-                    Type::Int => self.one(block, Op::IntNeg, &[v], Type::Int),
-                    Type::Float => self.one(block, Op::FloatNeg, &[v], Type::Float),
-                    Type::Tensor => self.one(block, Op::Neg, &[v], Type::Tensor),
+                    Type::Int => self.one(block, ScalarKind::IntNeg, &[v], Type::Int),
+                    Type::Float => self.one(block, ScalarKind::FloatNeg, &[v], Type::Float),
+                    Type::Tensor => self.one(block, UnaryKind::Neg, &[v], Type::Tensor),
                     other => return err(0, format!("cannot negate {other}")),
                 })
             }
             Expr::Not(inner) => {
                 let v = self.expr(inner, block, env)?;
                 Ok(match self.ty(v) {
-                    Type::Bool => self.one(block, Op::BoolNot, &[v], Type::Bool),
-                    Type::Tensor => self.one(block, Op::LogicalNot, &[v], Type::Tensor),
+                    Type::Bool => self.one(block, ScalarKind::BoolNot, &[v], Type::Bool),
+                    Type::Tensor => self.one(block, UnaryKind::LogicalNot, &[v], Type::Tensor),
                     other => return err(0, format!("cannot apply `not` to {other}")),
                 })
             }
@@ -507,14 +510,18 @@ impl Lowerer {
                 let r = self.expr(rhs, block, env)?;
                 match (self.ty(l), self.ty(r)) {
                     (Type::Bool, Type::Bool) => {
-                        let op = if *is_and { Op::BoolAnd } else { Op::BoolOr };
+                        let op = if *is_and {
+                            ScalarKind::BoolAnd
+                        } else {
+                            ScalarKind::BoolOr
+                        };
                         Ok(self.one(block, op, &[l, r], Type::Bool))
                     }
                     (Type::Tensor, Type::Tensor) => {
                         let op = if *is_and {
-                            Op::LogicalAnd
+                            BinaryKind::LogicalAnd
                         } else {
-                            Op::LogicalOr
+                            BinaryKind::LogicalOr
                         };
                         Ok(self.one(block, op, &[l, r], Type::Tensor))
                     }
@@ -597,15 +604,15 @@ impl Lowerer {
         Ok(match (self.ty(l), self.ty(r)) {
             (Int, Int) => {
                 let o = match op {
-                    BinOp::Add => Op::IntAdd,
-                    BinOp::Sub => Op::IntSub,
-                    BinOp::Mul => Op::IntMul,
-                    BinOp::FloorDiv => Op::IntDiv,
-                    BinOp::Mod => Op::IntMod,
+                    BinOp::Add => ScalarKind::IntAdd,
+                    BinOp::Sub => ScalarKind::IntSub,
+                    BinOp::Mul => ScalarKind::IntMul,
+                    BinOp::FloorDiv => ScalarKind::IntDiv,
+                    BinOp::Mod => ScalarKind::IntMod,
                     BinOp::Div => {
                         let lf = self.coerce_float(block, l, line)?;
                         let rf = self.coerce_float(block, r, line)?;
-                        return Ok(self.one(block, Op::FloatDiv, &[lf, rf], Float));
+                        return Ok(self.one(block, ScalarKind::FloatDiv, &[lf, rf], Float));
                     }
                 };
                 self.one(block, o, &[l, r], Int)
@@ -614,20 +621,20 @@ impl Lowerer {
                 let lf = self.coerce_float(block, l, line)?;
                 let rf = self.coerce_float(block, r, line)?;
                 let o = match op {
-                    BinOp::Add => Op::FloatAdd,
-                    BinOp::Sub => Op::FloatSub,
-                    BinOp::Mul => Op::FloatMul,
-                    BinOp::Div | BinOp::FloorDiv => Op::FloatDiv,
+                    BinOp::Add => ScalarKind::FloatAdd,
+                    BinOp::Sub => ScalarKind::FloatSub,
+                    BinOp::Mul => ScalarKind::FloatMul,
+                    BinOp::Div | BinOp::FloorDiv => ScalarKind::FloatDiv,
                     BinOp::Mod => return err(line, "float modulo is not supported"),
                 };
                 self.one(block, o, &[lf, rf], Float)
             }
             (Tensor, Tensor) => {
                 let o = match op {
-                    BinOp::Add => Op::Add,
-                    BinOp::Sub => Op::Sub,
-                    BinOp::Mul => Op::Mul,
-                    BinOp::Div => Op::Div,
+                    BinOp::Add => BinaryKind::Add,
+                    BinOp::Sub => BinaryKind::Sub,
+                    BinOp::Mul => BinaryKind::Mul,
+                    BinOp::Div => BinaryKind::Div,
                     BinOp::FloorDiv | BinOp::Mod => {
                         return err(line, "floor-div/mod are not defined on tensors")
                     }
@@ -637,10 +644,10 @@ impl Lowerer {
             (Tensor, Float) | (Tensor, Int) => {
                 let s = self.coerce_float(block, r, line)?;
                 let o = match op {
-                    BinOp::Add => Op::AddScalar,
-                    BinOp::Sub => Op::SubScalar,
-                    BinOp::Mul => Op::MulScalar,
-                    BinOp::Div => Op::DivScalar,
+                    BinOp::Add => UnaryKind::AddScalar,
+                    BinOp::Sub => UnaryKind::SubScalar,
+                    BinOp::Mul => UnaryKind::MulScalar,
+                    BinOp::Div => UnaryKind::DivScalar,
                     BinOp::FloorDiv | BinOp::Mod => {
                         return err(line, "floor-div/mod are not defined on tensors")
                     }
@@ -650,18 +657,18 @@ impl Lowerer {
             (Float, Tensor) | (Int, Tensor) => {
                 let s = self.coerce_float(block, l, line)?;
                 match op {
-                    BinOp::Add => self.one(block, Op::AddScalar, &[r, s], Tensor),
-                    BinOp::Mul => self.one(block, Op::MulScalar, &[r, s], Tensor),
+                    BinOp::Add => self.one(block, UnaryKind::AddScalar, &[r, s], Tensor),
+                    BinOp::Mul => self.one(block, UnaryKind::MulScalar, &[r, s], Tensor),
                     BinOp::Sub => {
                         // s - t = (-t) + s
-                        let neg = self.one(block, Op::Neg, &[r], Tensor);
-                        self.one(block, Op::AddScalar, &[neg, s], Tensor)
+                        let neg = self.one(block, UnaryKind::Neg, &[r], Tensor);
+                        self.one(block, UnaryKind::AddScalar, &[neg, s], Tensor)
                     }
                     BinOp::Div => {
                         // s / t = s * t^-1
                         let m1 = self.c_float(block, -1.0);
-                        let inv = self.one(block, Op::PowScalar, &[r, m1], Tensor);
-                        self.one(block, Op::MulScalar, &[inv, s], Tensor)
+                        let inv = self.one(block, UnaryKind::PowScalar, &[r, m1], Tensor);
+                        self.one(block, UnaryKind::MulScalar, &[inv, s], Tensor)
                     }
                     BinOp::FloorDiv | BinOp::Mod => {
                         return err(line, "floor-div/mod are not defined on tensors")
@@ -683,12 +690,12 @@ impl Lowerer {
         Ok(match (self.ty(l), self.ty(r)) {
             (Int, Int) => {
                 let o = match op {
-                    CmpOp::Lt => Op::IntLt,
-                    CmpOp::Le => Op::IntLe,
-                    CmpOp::Gt => Op::IntGt,
-                    CmpOp::Ge => Op::IntGe,
-                    CmpOp::Eq => Op::IntEq,
-                    CmpOp::Ne => Op::IntNe,
+                    CmpOp::Lt => ScalarKind::IntLt,
+                    CmpOp::Le => ScalarKind::IntLe,
+                    CmpOp::Gt => ScalarKind::IntGt,
+                    CmpOp::Ge => ScalarKind::IntGe,
+                    CmpOp::Eq => ScalarKind::IntEq,
+                    CmpOp::Ne => ScalarKind::IntNe,
                 };
                 self.one(block, o, &[l, r], Bool)
             }
@@ -696,15 +703,15 @@ impl Lowerer {
                 let lf = self.coerce_float(block, l, 0)?;
                 let rf = self.coerce_float(block, r, 0)?;
                 match op {
-                    CmpOp::Lt => self.one(block, Op::FloatLt, &[lf, rf], Bool),
-                    CmpOp::Gt => self.one(block, Op::FloatGt, &[lf, rf], Bool),
+                    CmpOp::Lt => self.one(block, ScalarKind::FloatLt, &[lf, rf], Bool),
+                    CmpOp::Gt => self.one(block, ScalarKind::FloatGt, &[lf, rf], Bool),
                     CmpOp::Le => {
-                        let gt = self.one(block, Op::FloatGt, &[lf, rf], Bool);
-                        self.one(block, Op::BoolNot, &[gt], Bool)
+                        let gt = self.one(block, ScalarKind::FloatGt, &[lf, rf], Bool);
+                        self.one(block, ScalarKind::BoolNot, &[gt], Bool)
                     }
                     CmpOp::Ge => {
-                        let lt = self.one(block, Op::FloatLt, &[lf, rf], Bool);
-                        self.one(block, Op::BoolNot, &[lt], Bool)
+                        let lt = self.one(block, ScalarKind::FloatLt, &[lf, rf], Bool);
+                        self.one(block, ScalarKind::BoolNot, &[lt], Bool)
                     }
                     CmpOp::Eq | CmpOp::Ne => return err(0, "float equality is not supported"),
                 }
@@ -726,15 +733,15 @@ impl Lowerer {
 
     fn tensor_compare(&mut self, op: CmpOp, l: ValueId, r: ValueId, block: BlockId) -> ValueId {
         let o = match op {
-            CmpOp::Lt => Op::Lt,
-            CmpOp::Le => Op::Le,
-            CmpOp::Gt => Op::Gt,
-            CmpOp::Ge => Op::Ge,
-            CmpOp::Eq | CmpOp::Ne => Op::EqElem,
+            CmpOp::Lt => BinaryKind::Lt,
+            CmpOp::Le => BinaryKind::Le,
+            CmpOp::Gt => BinaryKind::Gt,
+            CmpOp::Ge => BinaryKind::Ge,
+            CmpOp::Eq | CmpOp::Ne => BinaryKind::Eq,
         };
         let v = self.one(block, o, &[l, r], Type::Tensor);
         if op == CmpOp::Ne {
-            self.one(block, Op::LogicalNot, &[v], Type::Tensor)
+            self.one(block, UnaryKind::LogicalNot, &[v], Type::Tensor)
         } else {
             v
         }
@@ -755,21 +762,11 @@ impl Lowerer {
                 }
                 Ok(v)
             };
+        if let Some(kind) = activation(func) {
+            let t = tensor_arg(self, env, 0)?;
+            return Ok(self.one(block, Op::Unary(kind), &[t], Type::Tensor));
+        }
         match func {
-            "sigmoid" | "exp" | "relu" | "tanh" | "log" | "sqrt" | "abs" | "neg" => {
-                let t = tensor_arg(self, env, 0)?;
-                let op = match func {
-                    "sigmoid" => Op::Sigmoid,
-                    "exp" => Op::Exp,
-                    "relu" => Op::Relu,
-                    "tanh" => Op::Tanh,
-                    "log" => Op::Log,
-                    "sqrt" => Op::Sqrt,
-                    "abs" => Op::Abs,
-                    _ => Op::Neg,
-                };
-                Ok(self.one(block, op, &[t], Type::Tensor))
-            }
             "zeros" | "ones" => {
                 let shape = literal_int_list(&args[0])
                     .ok_or_else(|| FrontendError::at(0, "zeros/ones need a literal shape list"))?;
@@ -834,9 +831,9 @@ impl Lowerer {
                 let a = tensor_arg(self, env, 0)?;
                 let b = tensor_arg(self, env, 1)?;
                 let op = if func == "minimum" {
-                    Op::Minimum
+                    BinaryKind::Minimum
                 } else {
-                    Op::Maximum
+                    BinaryKind::Maximum
                 };
                 Ok(self.one(block, op, &[a, b], Type::Tensor))
             }
@@ -844,7 +841,7 @@ impl Lowerer {
                 let t = tensor_arg(self, env, 0)?;
                 let v = self.expr(&args[1], block, env)?;
                 let f = self.coerce_float(block, v, 0)?;
-                Ok(self.one(block, Op::PowScalar, &[t, f], Type::Tensor))
+                Ok(self.one(block, UnaryKind::PowScalar, &[t, f], Type::Tensor))
             }
             "matmul" => {
                 let a = tensor_arg(self, env, 0)?;
@@ -896,23 +893,18 @@ impl Lowerer {
                 .ok_or_else(|| FrontendError::at(0, format!("`{name}` needs a literal {what}")))
         };
         let keepdim = |args: &[Expr]| -> bool { matches!(args.get(1), Some(Expr::Bool(true))) };
+        if let Some(kind) = activation(name) {
+            return Ok(self.one(block, Op::Unary(kind), &[r], Type::Tensor));
+        }
         Ok(match name {
             "clone" => self.one(block, Op::CloneOp, &[r], Type::Tensor),
             "contiguous" => self.one(block, Op::Contiguous, &[r], Type::Tensor),
-            "relu" => self.one(block, Op::Relu, &[r], Type::Tensor),
-            "sigmoid" => self.one(block, Op::Sigmoid, &[r], Type::Tensor),
-            "tanh" => self.one(block, Op::Tanh, &[r], Type::Tensor),
-            "exp" => self.one(block, Op::Exp, &[r], Type::Tensor),
-            "log" => self.one(block, Op::Log, &[r], Type::Tensor),
-            "sqrt" => self.one(block, Op::Sqrt, &[r], Type::Tensor),
-            "abs" => self.one(block, Op::Abs, &[r], Type::Tensor),
-            "neg" => self.one(block, Op::Neg, &[r], Type::Tensor),
             "clamp" => {
                 let lo = self.expr(&args[0], block, env)?;
                 let hi = self.expr(&args[1], block, env)?;
                 let lo = self.coerce_float(block, lo, 0)?;
                 let hi = self.coerce_float(block, hi, 0)?;
-                self.one(block, Op::Clamp, &[r, lo, hi], Type::Tensor)
+                self.one(block, UnaryKind::Clamp, &[r, lo, hi], Type::Tensor)
             }
             "softmax" => {
                 let dim = lit(&args[0], "dim")?;
@@ -1084,6 +1076,14 @@ impl Lowerer {
             other => return err(0, format!("unknown method `{other}`")),
         })
     }
+}
+
+/// The element functions the DSL spells both as a call (`relu(x)`) and as
+/// a method (`x.relu()`), under their IR names.
+fn activation(name: &str) -> Option<UnaryKind> {
+    use UnaryKind::{Abs, Exp, Log, Neg, Relu, Sigmoid, Sqrt, Tanh};
+    UnaryKind::from_name(name)
+        .filter(|k| [Sigmoid, Exp, Relu, Tanh, Log, Sqrt, Abs, Neg].contains(k))
 }
 
 #[cfg(test)]

@@ -43,32 +43,7 @@ fn fusable(op: &Op, cfg: &FusionConfig) -> bool {
 /// Pure host-scalar producers that can be hoisted out of a fusion region
 /// when their operands are defined before it.
 fn transparent(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Constant(_)
-            | Op::IntAdd
-            | Op::IntSub
-            | Op::IntMul
-            | Op::IntDiv
-            | Op::IntMod
-            | Op::IntNeg
-            | Op::IntLt
-            | Op::IntLe
-            | Op::IntGt
-            | Op::IntGe
-            | Op::IntEq
-            | Op::IntNe
-            | Op::BoolAnd
-            | Op::BoolOr
-            | Op::BoolNot
-            | Op::FloatAdd
-            | Op::FloatSub
-            | Op::FloatMul
-            | Op::FloatDiv
-            | Op::FloatNeg
-            | Op::IntToFloat
-            | Op::Size { .. }
-    )
+    matches!(op, Op::Constant(_) | Op::Scalar(_) | Op::Size { .. })
 }
 
 /// Fuse every block of the graph (recursively). Returns the number of

@@ -313,13 +313,13 @@ impl Graph {
     fn make_node(
         &mut self,
         block: BlockId,
-        op: Op,
+        op: impl Into<Op>,
         inputs: &[ValueId],
         out_types: &[Type],
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
-            op,
+            op: op.into(),
             inputs: inputs.to_vec(),
             outputs: Vec::new(),
             blocks: Vec::new(),
@@ -336,11 +336,12 @@ impl Graph {
         id
     }
 
-    /// Append a node at the end of `block`.
+    /// Append a node at the end of `block`. Like every node builder it takes
+    /// an [`Op`] or a kind that is one (`UnaryKind::Relu`).
     pub fn append(
         &mut self,
         block: BlockId,
-        op: Op,
+        op: impl Into<Op>,
         inputs: &[ValueId],
         out_types: &[Type],
     ) -> NodeId {
@@ -358,7 +359,7 @@ impl Graph {
         &mut self,
         block: BlockId,
         index: usize,
-        op: Op,
+        op: impl Into<Op>,
         inputs: &[ValueId],
         out_types: &[Type],
     ) -> NodeId {
@@ -371,7 +372,7 @@ impl Graph {
     pub fn insert_before(
         &mut self,
         anchor: NodeId,
-        op: Op,
+        op: impl Into<Op>,
         inputs: &[ValueId],
         out_types: &[Type],
     ) -> NodeId {
@@ -384,7 +385,7 @@ impl Graph {
     pub fn insert_after(
         &mut self,
         anchor: NodeId,
-        op: Op,
+        op: impl Into<Op>,
         inputs: &[ValueId],
         out_types: &[Type],
     ) -> NodeId {
@@ -397,7 +398,7 @@ impl Graph {
     pub fn prepend(
         &mut self,
         block: BlockId,
-        op: Op,
+        op: impl Into<Op>,
         inputs: &[ValueId],
         out_types: &[Type],
     ) -> NodeId {
@@ -678,13 +679,13 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{MutateKind, Op, ViewKind};
+    use crate::ops::{MutateKind, Op, UnaryKind, ViewKind};
 
     #[test]
     fn build_straight_line() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let n = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let n = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let y = g.out(n);
         g.set_returns(g.top(), &[y]);
         assert_eq!(g.block(g.top()).nodes.len(), 1);
@@ -697,9 +698,9 @@ mod tests {
     fn insertion_order() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let a = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
-        let b = g.insert_before(a, Op::Sigmoid, &[x], &[Type::Tensor]);
-        let c = g.insert_after(a, Op::Tanh, &[x], &[Type::Tensor]);
+        let a = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
+        let b = g.insert_before(a, UnaryKind::Sigmoid, &[x], &[Type::Tensor]);
+        let c = g.insert_after(a, UnaryKind::Tanh, &[x], &[Type::Tensor]);
         let order: Vec<NodeId> = g.block(g.top()).nodes.clone();
         assert_eq!(order, vec![b, a, c]);
         assert_eq!(g.node_index(a), 1);
@@ -709,8 +710,8 @@ mod tests {
     fn uses_and_replacement() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let n1 = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
-        let n2 = g.append(g.top(), Op::Sigmoid, &[x], &[Type::Tensor]);
+        let n1 = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
+        let n2 = g.append(g.top(), UnaryKind::Sigmoid, &[x], &[Type::Tensor]);
         let r1 = g.out(n1);
         g.set_returns(g.top(), &[x]);
         assert_eq!(g.uses(x).len(), 3);
@@ -744,7 +745,7 @@ mod tests {
     fn remove_node_unlinks() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let n = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let n = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         assert_eq!(g.live_node_count(), 1);
         g.remove_node(n);
         assert!(g.is_removed(n));

@@ -13,7 +13,9 @@
 //!   produce tensors sharing storage with their base;
 //! * **in-place mutation operators** ([`Op::Mutate`]) — `copy_`, `add_`, …
 //!   with tensor-level side effects;
-//! * **pure functional operators** — elementwise math, reductions, matmul…;
+//! * **pure functional operators** — elementwise math ([`Op::Unary`],
+//!   [`Op::Binary`]), host-scalar arithmetic ([`Op::Scalar`]), reductions,
+//!   matmul…;
 //! * **TensorSSA operators** — `immut::access`, `immut::assign` and
 //!   `tssa::update` (§3.2), the immutable replacements installed by the
 //!   conversion pass in `tssa-core`.
@@ -23,14 +25,14 @@
 //! Build `y = relu(x + 1)` and print it:
 //!
 //! ```
-//! use tssa_ir::{Graph, Op, Type};
+//! use tssa_ir::{Graph, Type, UnaryKind};
 //!
 //! let mut g = Graph::new();
 //! let x = g.add_input("x", Type::Tensor);
 //! let one = g.constant_float(1.0);
-//! let add = g.append(g.top(), Op::AddScalar, &[x, one], &[Type::Tensor]);
+//! let add = g.append(g.top(), UnaryKind::AddScalar, &[x, one], &[Type::Tensor]);
 //! let sum = g.node(add).outputs[0];
-//! let relu = g.append(g.top(), Op::Relu, &[sum], &[Type::Tensor]);
+//! let relu = g.append(g.top(), UnaryKind::Relu, &[sum], &[Type::Tensor]);
 //! let y = g.node(relu).outputs[0];
 //! g.set_returns(g.top(), &[y]);
 //! assert!(g.verify().is_ok());
@@ -50,7 +52,7 @@ mod verify;
 
 pub use dot::{contains_op, to_dot};
 pub use graph::{Block, BlockId, Graph, Node, NodeId, SrcSpan, Use, Value, ValueDef, ValueId};
-pub use ops::{MutateKind, Op, ViewKind};
+pub use ops::{BinaryKind, MutateKind, Op, ScalarError, ScalarKind, UnaryKind, ViewKind};
 pub use parser::{parse_graph, ParseIrError};
 pub use shapes::{infer_shapes, infer_shapes_seeded, infer_shapes_symbolic, Shape, ShapeInfo};
 pub use symdim::{Constraint, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};

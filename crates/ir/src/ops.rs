@@ -89,80 +89,78 @@ impl ViewKind {
     }
 }
 
-/// In-place mutation operators (`Mutate(v, w)`, Definition 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutateKind {
-    /// `copy_(self, src)` — replace data with broadcast `src`.
-    Copy,
-    /// `fill_(self, value: Float)`.
-    Fill,
-    /// `add_(self, src)`.
-    Add,
-    /// `sub_(self, src)`.
-    Sub,
-    /// `mul_(self, src)`.
-    Mul,
-    /// `div_(self, src)`.
-    Div,
-    /// `add_(self, value: Float)`.
-    AddScalar,
-    /// `mul_(self, value: Float)`.
-    MulScalar,
-    /// `relu_(self)`.
-    Relu,
-    /// `sigmoid_(self)`.
-    Sigmoid,
-    /// `tanh_(self)`.
-    Tanh,
-    /// `exp_(self)`.
-    Exp,
-    /// `neg_(self)`.
-    Neg,
-    /// `clamp_(self, lo: Float, hi: Float)`.
-    Clamp,
+/// Declare an operator-kind enum from one table: each row is a variant, its
+/// printed name and its number of node inputs. `name()`, `from_name()`,
+/// `arity()` and `ALL` all read the rows, and `Op::$wrap` carries the kind.
+macro_rules! op_kinds {
+    ($(#[$doc:meta])* $kind:ident => Op::$wrap:ident {
+        $($variant:ident = ($name:literal, $arity:literal),)+
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $kind {
+            $(#[doc = concat!("`aten::", $name, "`.")] $variant,)+
+        }
+
+        impl $kind {
+            /// Every kind, in table order.
+            pub const ALL: &'static [$kind] = &[$($kind::$variant),+];
+
+            /// Printed name without namespace, e.g. `add`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($kind::$variant => $name,)+
+                }
+            }
+
+            /// The kind printed as `name` — the inverse of [`Self::name`].
+            pub fn from_name(name: &str) -> Option<$kind> {
+                match name {
+                    $($name => Some($kind::$variant),)+
+                    _ => None,
+                }
+            }
+
+            /// Number of node inputs.
+            pub fn arity(self) -> usize {
+                match self {
+                    $($kind::$variant => $arity,)+
+                }
+            }
+        }
+
+        impl From<$kind> for Op {
+            fn from(kind: $kind) -> Op {
+                Op::$wrap(kind)
+            }
+        }
+    };
+}
+
+op_kinds! {
+    /// In-place mutation operators (`Mutate(v, w)`, Definition 3.2). The
+    /// receiver is the first input; `copy_`, `add_`, `sub_`, `mul_` and
+    /// `div_` take a tensor after it (broadcast to the receiver), `fill_`
+    /// and the `*_scalar_` kinds one float, `clamp_` two (`lo`, `hi`).
+    MutateKind => Op::Mutate {
+        Copy = ("copy_", 2),
+        Fill = ("fill_", 2),
+        Add = ("add_", 2),
+        Sub = ("sub_", 2),
+        Mul = ("mul_", 2),
+        Div = ("div_", 2),
+        AddScalar = ("add_scalar_", 2),
+        MulScalar = ("mul_scalar_", 2),
+        Relu = ("relu_", 1),
+        Sigmoid = ("sigmoid_", 1),
+        Tanh = ("tanh_", 1),
+        Exp = ("exp_", 1),
+        Neg = ("neg_", 1),
+        Clamp = ("clamp_", 3),
+    }
 }
 
 impl MutateKind {
-    /// Number of inputs including the mutated tensor itself.
-    pub fn arity(self) -> usize {
-        match self {
-            MutateKind::Copy
-            | MutateKind::Add
-            | MutateKind::Sub
-            | MutateKind::Mul
-            | MutateKind::Div
-            | MutateKind::Fill
-            | MutateKind::AddScalar
-            | MutateKind::MulScalar => 2,
-            MutateKind::Relu
-            | MutateKind::Sigmoid
-            | MutateKind::Tanh
-            | MutateKind::Exp
-            | MutateKind::Neg => 1,
-            MutateKind::Clamp => 3,
-        }
-    }
-
-    /// Printed name, e.g. `copy_`.
-    pub fn name(self) -> &'static str {
-        match self {
-            MutateKind::Copy => "copy_",
-            MutateKind::Fill => "fill_",
-            MutateKind::Add => "add_",
-            MutateKind::Sub => "sub_",
-            MutateKind::Mul => "mul_",
-            MutateKind::Div => "div_",
-            MutateKind::AddScalar => "add_scalar_",
-            MutateKind::MulScalar => "mul_scalar_",
-            MutateKind::Relu => "relu_",
-            MutateKind::Sigmoid => "sigmoid_",
-            MutateKind::Tanh => "tanh_",
-            MutateKind::Exp => "exp_",
-            MutateKind::Neg => "neg_",
-            MutateKind::Clamp => "clamp_",
-        }
-    }
-
     /// The pure operator computing the mutated view's new value from
     /// `(old_view_value, extra inputs…)` — used by the TensorSSA conversion
     /// (`w` in §4.1.1).
@@ -170,19 +168,170 @@ impl MutateKind {
         match self {
             MutateKind::Copy => Op::BroadcastLike,
             MutateKind::Fill => Op::FullLike,
-            MutateKind::Add => Op::Add,
-            MutateKind::Sub => Op::Sub,
-            MutateKind::Mul => Op::Mul,
-            MutateKind::Div => Op::Div,
-            MutateKind::AddScalar => Op::AddScalar,
-            MutateKind::MulScalar => Op::MulScalar,
-            MutateKind::Relu => Op::Relu,
-            MutateKind::Sigmoid => Op::Sigmoid,
-            MutateKind::Tanh => Op::Tanh,
-            MutateKind::Exp => Op::Exp,
-            MutateKind::Neg => Op::Neg,
-            MutateKind::Clamp => Op::Clamp,
+            MutateKind::Add => Op::Binary(BinaryKind::Add),
+            MutateKind::Sub => Op::Binary(BinaryKind::Sub),
+            MutateKind::Mul => Op::Binary(BinaryKind::Mul),
+            MutateKind::Div => Op::Binary(BinaryKind::Div),
+            MutateKind::AddScalar => Op::Unary(UnaryKind::AddScalar),
+            MutateKind::MulScalar => Op::Unary(UnaryKind::MulScalar),
+            MutateKind::Relu => Op::Unary(UnaryKind::Relu),
+            MutateKind::Sigmoid => Op::Unary(UnaryKind::Sigmoid),
+            MutateKind::Tanh => Op::Unary(UnaryKind::Tanh),
+            MutateKind::Exp => Op::Unary(UnaryKind::Exp),
+            MutateKind::Neg => Op::Unary(UnaryKind::Neg),
+            MutateKind::Clamp => Op::Unary(UnaryKind::Clamp),
         }
+    }
+}
+
+op_kinds! {
+    /// Elementwise operators on one tensor, each the tensor core's element
+    /// function of the same name. The `*_scalar` kinds take one float
+    /// operand `c` after the tensor (`x + c`, …, `x ^ c`), `clamp` two
+    /// (`lo`, `hi`).
+    UnaryKind => Op::Unary {
+        Neg = ("neg", 1),
+        Relu = ("relu", 1),
+        Sigmoid = ("sigmoid", 1),
+        Tanh = ("tanh", 1),
+        Exp = ("exp", 1),
+        Log = ("log", 1),
+        Sqrt = ("sqrt", 1),
+        Abs = ("abs", 1),
+        LogicalNot = ("logical_not", 1),
+        AddScalar = ("add_scalar", 2),
+        SubScalar = ("sub_scalar", 2),
+        MulScalar = ("mul_scalar", 2),
+        DivScalar = ("div_scalar", 2),
+        PowScalar = ("pow_scalar", 2),
+        Clamp = ("clamp", 3),
+    }
+}
+
+op_kinds! {
+    /// Elementwise operators on two tensors broadcast against each other;
+    /// the comparisons give a bool tensor.
+    BinaryKind => Op::Binary {
+        Add = ("add", 2),
+        Sub = ("sub", 2),
+        Mul = ("mul", 2),
+        Div = ("div", 2),
+        Maximum = ("maximum", 2),
+        Minimum = ("minimum", 2),
+        Pow = ("pow", 2),
+        Gt = ("gt", 2),
+        Lt = ("lt", 2),
+        Ge = ("ge", 2),
+        Le = ("le", 2),
+        Eq = ("eq", 2),
+        LogicalAnd = ("logical_and", 2),
+        LogicalOr = ("logical_or", 2),
+    }
+}
+
+op_kinds! {
+    /// Host arithmetic on ints, floats and bools; [`ScalarKind::eval`] is
+    /// what each computes (`int_div` truncates, `int_mod` takes the sign of
+    /// the dividend).
+    ScalarKind => Op::Scalar {
+        IntAdd = ("int_add", 2),
+        IntSub = ("int_sub", 2),
+        IntMul = ("int_mul", 2),
+        IntDiv = ("int_div", 2),
+        IntMod = ("int_mod", 2),
+        IntNeg = ("int_neg", 1),
+        IntLt = ("int_lt", 2),
+        IntLe = ("int_le", 2),
+        IntGt = ("int_gt", 2),
+        IntGe = ("int_ge", 2),
+        IntEq = ("int_eq", 2),
+        IntNe = ("int_ne", 2),
+        BoolAnd = ("bool_and", 2),
+        BoolOr = ("bool_or", 2),
+        BoolNot = ("bool_not", 1),
+        FloatAdd = ("float_add", 2),
+        FloatSub = ("float_sub", 2),
+        FloatMul = ("float_mul", 2),
+        FloatDiv = ("float_div", 2),
+        FloatNeg = ("float_neg", 1),
+        FloatLt = ("float_lt", 2),
+        FloatGt = ("float_gt", 2),
+        IntToFloat = ("int_to_float", 1),
+    }
+}
+
+/// Why [`ScalarKind::eval`] refused its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarError {
+    /// Operand `index` is missing or not of the `expected` type.
+    Operand {
+        /// Position of the operand.
+        index: usize,
+        /// The type the operator reads it as.
+        expected: &'static str,
+    },
+    /// Integer division or modulo by zero.
+    DivisionByZero,
+}
+
+impl ScalarKind {
+    /// The operator applied to `operand(0..arity)`. Integers wrap; a float
+    /// operand may be an int. Nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`ScalarError::Operand`] for a missing or mistyped operand,
+    /// [`ScalarError::DivisionByZero`] for `int_div` / `int_mod` by zero.
+    #[inline]
+    pub fn eval(
+        self,
+        operand: impl Fn(usize) -> Option<ConstValue>,
+    ) -> Result<ConstValue, ScalarError> {
+        use ConstValue::{Bool, Float, Int};
+        use ScalarKind::*;
+        let bad = |index, expected| ScalarError::Operand { index, expected };
+        let int = |i| match operand(i) {
+            Some(Int(v)) => Ok(v),
+            _ => Err(bad(i, "int")),
+        };
+        let float = |i| match operand(i) {
+            Some(Float(v)) => Ok(v),
+            Some(Int(v)) => Ok(v as f64),
+            _ => Err(bad(i, "float")),
+        };
+        let boolean = |i| match operand(i) {
+            Some(Bool(v)) => Ok(v),
+            _ => Err(bad(i, "bool")),
+        };
+        let divisor = || match int(1)? {
+            0 => Err(ScalarError::DivisionByZero),
+            d => Ok(d),
+        };
+        Ok(match self {
+            IntAdd => Int(int(0)?.wrapping_add(int(1)?)),
+            IntSub => Int(int(0)?.wrapping_sub(int(1)?)),
+            IntMul => Int(int(0)?.wrapping_mul(int(1)?)),
+            IntDiv => Int(int(0)?.wrapping_div(divisor()?)),
+            IntMod => Int(int(0)?.wrapping_rem(divisor()?)),
+            IntNeg => Int(int(0)?.wrapping_neg()),
+            IntLt => Bool(int(0)? < int(1)?),
+            IntLe => Bool(int(0)? <= int(1)?),
+            IntGt => Bool(int(0)? > int(1)?),
+            IntGe => Bool(int(0)? >= int(1)?),
+            IntEq => Bool(int(0)? == int(1)?),
+            IntNe => Bool(int(0)? != int(1)?),
+            BoolAnd => Bool(boolean(0)? & boolean(1)?),
+            BoolOr => Bool(boolean(0)? | boolean(1)?),
+            BoolNot => Bool(!boolean(0)?),
+            FloatAdd => Float(float(0)? + float(1)?),
+            FloatSub => Float(float(0)? - float(1)?),
+            FloatMul => Float(float(0)? * float(1)?),
+            FloatDiv => Float(float(0)? / float(1)?),
+            FloatNeg => Float(-float(0)?),
+            FloatLt => Bool(float(0)? < float(1)?),
+            FloatGt => Bool(float(0)? > float(1)?),
+            IntToFloat => Float(int(0)? as f64),
+        })
     }
 }
 
@@ -206,53 +355,9 @@ pub enum Op {
     /// outputs are the final carried values.
     Loop,
 
-    // ---------------------------------------------------------- scalar ops
-    /// Integer addition.
-    IntAdd,
-    /// Integer subtraction.
-    IntSub,
-    /// Integer multiplication.
-    IntMul,
-    /// Integer (truncating) division.
-    IntDiv,
-    /// Integer remainder.
-    IntMod,
-    /// Integer negation.
-    IntNeg,
-    /// Integer `<`.
-    IntLt,
-    /// Integer `<=`.
-    IntLe,
-    /// Integer `>`.
-    IntGt,
-    /// Integer `>=`.
-    IntGe,
-    /// Integer `==`.
-    IntEq,
-    /// Integer `!=`.
-    IntNe,
-    /// Boolean and.
-    BoolAnd,
-    /// Boolean or.
-    BoolOr,
-    /// Boolean not.
-    BoolNot,
-    /// Float addition.
-    FloatAdd,
-    /// Float subtraction.
-    FloatSub,
-    /// Float multiplication.
-    FloatMul,
-    /// Float division.
-    FloatDiv,
-    /// Float negation.
-    FloatNeg,
-    /// Float `<`.
-    FloatLt,
-    /// Float `>`.
-    FloatGt,
-    /// Int → Float conversion.
-    IntToFloat,
+    // --------------------------------------------------------- host scalars
+    /// Host-scalar arithmetic.
+    Scalar(ScalarKind),
 
     // ------------------------------------------------------ tensor queries
     /// `aten::size(t, dim)` → Int.
@@ -304,64 +409,10 @@ pub enum Op {
     Mutate(MutateKind),
 
     // ----------------------------------------------- functional elementwise
-    /// Elementwise `+` with broadcasting.
-    Add,
-    /// Elementwise `-` with broadcasting.
-    Sub,
-    /// Elementwise `*` with broadcasting.
-    Mul,
-    /// Elementwise `/` with broadcasting.
-    Div,
-    /// Elementwise maximum.
-    Maximum,
-    /// Elementwise minimum.
-    Minimum,
-    /// Elementwise power.
-    Pow,
-    /// Tensor + scalar float input.
-    AddScalar,
-    /// Tensor − scalar float input.
-    SubScalar,
-    /// Tensor × scalar float input.
-    MulScalar,
-    /// Tensor ÷ scalar float input.
-    DivScalar,
-    /// Tensor ^ scalar float input.
-    PowScalar,
-    /// Elementwise `>` → bool tensor.
-    Gt,
-    /// Elementwise `<` → bool tensor.
-    Lt,
-    /// Elementwise `>=` → bool tensor.
-    Ge,
-    /// Elementwise `<=` → bool tensor.
-    Le,
-    /// Elementwise `==` → bool tensor.
-    EqElem,
-    /// Elementwise logical and.
-    LogicalAnd,
-    /// Elementwise logical or.
-    LogicalOr,
-    /// Elementwise logical not.
-    LogicalNot,
-    /// Elementwise negation.
-    Neg,
-    /// Elementwise ReLU.
-    Relu,
-    /// Elementwise sigmoid.
-    Sigmoid,
-    /// Elementwise tanh.
-    Tanh,
-    /// Elementwise exp.
-    Exp,
-    /// Elementwise natural log.
-    Log,
-    /// Elementwise square root.
-    Sqrt,
-    /// Elementwise absolute value.
-    Abs,
-    /// Elementwise clamp; inputs `(t, lo: Float, hi: Float)`.
-    Clamp,
+    /// An elementwise operator on one tensor.
+    Unary(UnaryKind),
+    /// An elementwise operator on two broadcast tensors.
+    Binary(BinaryKind),
 
     // ------------------------------------------------ reductions & algebra
     /// Softmax along a dimension.
@@ -513,37 +564,7 @@ impl Op {
     pub fn is_elementwise(&self) -> bool {
         matches!(
             self,
-            Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::Div
-                | Op::Maximum
-                | Op::Minimum
-                | Op::Pow
-                | Op::AddScalar
-                | Op::SubScalar
-                | Op::MulScalar
-                | Op::DivScalar
-                | Op::PowScalar
-                | Op::Gt
-                | Op::Lt
-                | Op::Ge
-                | Op::Le
-                | Op::EqElem
-                | Op::LogicalAnd
-                | Op::LogicalOr
-                | Op::LogicalNot
-                | Op::Neg
-                | Op::Relu
-                | Op::Sigmoid
-                | Op::Tanh
-                | Op::Exp
-                | Op::Log
-                | Op::Sqrt
-                | Op::Abs
-                | Op::Clamp
-                | Op::WhereSelect
-                | Op::Cast { .. }
+            Op::Unary(_) | Op::Binary(_) | Op::WhereSelect | Op::Cast { .. }
         )
     }
 
@@ -556,29 +577,7 @@ impl Op {
             Op::ListUnpack => "prim::ListUnpack".into(),
             Op::If => "prim::If".into(),
             Op::Loop => "prim::Loop".into(),
-            Op::IntAdd => "aten::int_add".into(),
-            Op::IntSub => "aten::int_sub".into(),
-            Op::IntMul => "aten::int_mul".into(),
-            Op::IntDiv => "aten::int_div".into(),
-            Op::IntMod => "aten::int_mod".into(),
-            Op::IntNeg => "aten::int_neg".into(),
-            Op::IntLt => "aten::int_lt".into(),
-            Op::IntLe => "aten::int_le".into(),
-            Op::IntGt => "aten::int_gt".into(),
-            Op::IntGe => "aten::int_ge".into(),
-            Op::IntEq => "aten::int_eq".into(),
-            Op::IntNe => "aten::int_ne".into(),
-            Op::BoolAnd => "aten::bool_and".into(),
-            Op::BoolOr => "aten::bool_or".into(),
-            Op::BoolNot => "aten::bool_not".into(),
-            Op::FloatAdd => "aten::float_add".into(),
-            Op::FloatSub => "aten::float_sub".into(),
-            Op::FloatMul => "aten::float_mul".into(),
-            Op::FloatDiv => "aten::float_div".into(),
-            Op::FloatNeg => "aten::float_neg".into(),
-            Op::FloatLt => "aten::float_lt".into(),
-            Op::FloatGt => "aten::float_gt".into(),
-            Op::IntToFloat => "aten::int_to_float".into(),
+            Op::Scalar(k) => format!("aten::{}", k.name()),
             Op::Size { .. } => "aten::size".into(),
             Op::ItemFloat => "aten::item_float".into(),
             Op::ItemInt => "aten::item_int".into(),
@@ -593,35 +592,8 @@ impl Op {
             Op::BroadcastLike => "aten::broadcast_like".into(),
             Op::View(k) => format!("aten::{}", k.name()),
             Op::Mutate(k) => format!("aten::{}", k.name()),
-            Op::Add => "aten::add".into(),
-            Op::Sub => "aten::sub".into(),
-            Op::Mul => "aten::mul".into(),
-            Op::Div => "aten::div".into(),
-            Op::Maximum => "aten::maximum".into(),
-            Op::Minimum => "aten::minimum".into(),
-            Op::Pow => "aten::pow".into(),
-            Op::AddScalar => "aten::add_scalar".into(),
-            Op::SubScalar => "aten::sub_scalar".into(),
-            Op::MulScalar => "aten::mul_scalar".into(),
-            Op::DivScalar => "aten::div_scalar".into(),
-            Op::PowScalar => "aten::pow_scalar".into(),
-            Op::Gt => "aten::gt".into(),
-            Op::Lt => "aten::lt".into(),
-            Op::Ge => "aten::ge".into(),
-            Op::Le => "aten::le".into(),
-            Op::EqElem => "aten::eq".into(),
-            Op::LogicalAnd => "aten::logical_and".into(),
-            Op::LogicalOr => "aten::logical_or".into(),
-            Op::LogicalNot => "aten::logical_not".into(),
-            Op::Neg => "aten::neg".into(),
-            Op::Relu => "aten::relu".into(),
-            Op::Sigmoid => "aten::sigmoid".into(),
-            Op::Tanh => "aten::tanh".into(),
-            Op::Exp => "aten::exp".into(),
-            Op::Log => "aten::log".into(),
-            Op::Sqrt => "aten::sqrt".into(),
-            Op::Abs => "aten::abs".into(),
-            Op::Clamp => "aten::clamp".into(),
+            Op::Unary(k) => format!("aten::{}", k.name()),
+            Op::Binary(k) => format!("aten::{}", k.name()),
             Op::Softmax { .. } => "aten::softmax".into(),
             Op::SumDim { .. } => "aten::sum".into(),
             Op::MeanDim { .. } => "aten::mean".into(),
@@ -658,20 +630,24 @@ mod tests {
         assert!(Op::View(ViewKind::Select { dim: 0 }).is_view());
         assert!(Op::Mutate(MutateKind::Copy).is_mutation());
         assert!(!Op::Mutate(MutateKind::Copy).is_pure());
-        assert!(Op::Add.is_pure());
-        assert!(Op::Add.is_elementwise());
+        assert!(Op::Binary(BinaryKind::Add).is_pure());
+        assert!(Op::Binary(BinaryKind::Add).is_elementwise());
+        assert!(!Op::Scalar(ScalarKind::IntAdd).is_elementwise());
         assert!(!Op::Matmul.is_elementwise());
         assert!(Op::If.has_blocks());
         assert!(Op::Loop.has_blocks());
-        assert!(!Op::Relu.has_blocks());
+        assert!(!Op::Unary(UnaryKind::Relu).has_blocks());
     }
 
     #[test]
     fn functional_counterparts() {
-        assert_eq!(MutateKind::Add.functional_op(), Op::Add);
+        assert_eq!(MutateKind::Add.functional_op(), Op::Binary(BinaryKind::Add));
         assert_eq!(MutateKind::Copy.functional_op(), Op::BroadcastLike);
         assert_eq!(MutateKind::Fill.functional_op(), Op::FullLike);
-        assert_eq!(MutateKind::Sigmoid.functional_op(), Op::Sigmoid);
+        assert_eq!(
+            MutateKind::Sigmoid.functional_op(),
+            Op::Unary(UnaryKind::Sigmoid)
+        );
     }
 
     #[test]
@@ -679,6 +655,8 @@ mod tests {
         assert_eq!(MutateKind::Copy.arity(), 2);
         assert_eq!(MutateKind::Relu.arity(), 1);
         assert_eq!(MutateKind::Clamp.arity(), 3);
+        assert_eq!(UnaryKind::Clamp.arity(), 3);
+        assert_eq!(ScalarKind::IntToFloat.arity(), 1);
         assert_eq!(ViewKind::Select { dim: 0 }.extra_inputs(), 1);
         assert_eq!(ViewKind::SliceView { dim: 0 }.extra_inputs(), 3);
         assert_eq!(ViewKind::Transpose { dim0: 0, dim1: 1 }.extra_inputs(), 0);
@@ -704,5 +682,26 @@ mod tests {
         );
         assert_eq!(Op::Update.name(), "tssa::update");
         assert_eq!(Op::Loop.name(), "prim::Loop");
+    }
+
+    #[test]
+    fn scalar_eval_wraps_promotes_and_refuses_zero_divisors() {
+        use ConstValue::{Bool, Float, Int};
+        use ScalarKind::*;
+        let eval = |k: ScalarKind, a: ConstValue, b: ConstValue| {
+            k.eval(|i| [a.clone(), b.clone()].get(i).cloned())
+        };
+        let (min, max) = (i64::MIN, i64::MAX);
+        assert_eq!(eval(IntDiv, Int(min), Int(-1)), Ok(Int(min)));
+        assert_eq!(eval(IntMod, Int(min), Int(-1)), Ok(Int(0)));
+        assert_eq!(eval(IntAdd, Int(max), Int(1)), Ok(Int(min)));
+        assert_eq!(eval(IntNeg, Int(min), Int(0)), Ok(Int(min)));
+        let zero = Err(ScalarError::DivisionByZero);
+        assert_eq!(eval(IntMod, Int(1), Int(0)), zero);
+        assert_eq!(eval(FloatAdd, Int(1), Float(0.5)), Ok(Float(1.5)));
+        assert_eq!(eval(FloatLt, Int(1), Float(0.5)), Ok(Bool(false)));
+        let (index, expected) = (1, "bool");
+        let mistyped = Err(ScalarError::Operand { index, expected });
+        assert_eq!(eval(BoolAnd, Bool(false), Int(1)), mistyped);
     }
 }

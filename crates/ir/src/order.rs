@@ -103,25 +103,25 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Op;
+    use crate::ops::{Op, UnaryKind};
     use crate::types::Type;
 
     /// graph: n0; if { n_then } ; n1
     fn fixture() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let n0 = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let n0 = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let c = g.constant_bool(true);
         let iff = g.append(g.top(), Op::If, &[c], &[Type::Tensor]);
         let then_b = g.add_node_block(iff);
         let else_b = g.add_node_block(iff);
         let v0 = g.out(n0);
-        let nt = g.append(then_b, Op::Sigmoid, &[v0], &[Type::Tensor]);
+        let nt = g.append(then_b, UnaryKind::Sigmoid, &[v0], &[Type::Tensor]);
         let ntv = g.out(nt);
         g.set_returns(then_b, &[ntv]);
         g.set_returns(else_b, &[v0]);
         let iv = g.out(iff);
-        let n1 = g.append(g.top(), Op::Tanh, &[iv], &[Type::Tensor]);
+        let n1 = g.append(g.top(), UnaryKind::Tanh, &[iv], &[Type::Tensor]);
         (g, n0, iff, nt, n1)
     }
 
@@ -163,7 +163,7 @@ mod tests {
         let body = g.add_node_block(lp);
         let i = g.add_block_param(body, Type::Int);
         let carried = g.add_block_param(body, Type::Tensor);
-        let inner = g.append(body, Op::Relu, &[carried], &[Type::Tensor]);
+        let inner = g.append(body, UnaryKind::Relu, &[carried], &[Type::Tensor]);
         let iv = g.out(inner);
         let cond = g.constant_in(body, crate::types::ConstValue::Bool(true));
         g.set_returns(body, &[cond, iv]);

@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::graph::{BlockId, Graph, ValueId};
-use crate::ops::{MutateKind, Op, ViewKind};
+use crate::ops::{BinaryKind, MutateKind, Op, ScalarKind, UnaryKind, ViewKind};
 use crate::types::{ConstValue, ScalarType, Type};
 
 /// Error produced by [`parse_graph`].
@@ -450,27 +450,7 @@ fn view_kind_from(base: &str, attrs: &HashMap<String, AttrVal>) -> Result<ViewKi
         "view" => ViewKind::ViewShape {
             shape: attr_list(attrs, "shape")?,
         },
-        other => return err(format!("unknown view kind `{other}`")),
-    })
-}
-
-fn mutate_kind_from(base: &str) -> Option<MutateKind> {
-    Some(match base {
-        "copy_" => MutateKind::Copy,
-        "fill_" => MutateKind::Fill,
-        "add_" => MutateKind::Add,
-        "sub_" => MutateKind::Sub,
-        "mul_" => MutateKind::Mul,
-        "div_" => MutateKind::Div,
-        "add_scalar_" => MutateKind::AddScalar,
-        "mul_scalar_" => MutateKind::MulScalar,
-        "relu_" => MutateKind::Relu,
-        "sigmoid_" => MutateKind::Sigmoid,
-        "tanh_" => MutateKind::Tanh,
-        "exp_" => MutateKind::Exp,
-        "neg_" => MutateKind::Neg,
-        "clamp_" => MutateKind::Clamp,
-        _ => return None,
+        other => return err(format!("unknown op `{other}`")),
     })
 }
 
@@ -526,39 +506,7 @@ fn op_from_name(
         "aten" => {}
         other => return err(format!("unknown namespace `{other}`")),
     }
-    if let Some(mk) = mutate_kind_from(base) {
-        return Ok(Op::Mutate(mk));
-    }
-    if matches!(
-        base,
-        "select" | "slice" | "permute" | "transpose" | "unsqueeze" | "squeeze" | "expand" | "view"
-    ) {
-        return Ok(Op::View(view_kind_from(base, attrs)?));
-    }
     Ok(match base {
-        "int_add" => Op::IntAdd,
-        "int_sub" => Op::IntSub,
-        "int_mul" => Op::IntMul,
-        "int_div" => Op::IntDiv,
-        "int_mod" => Op::IntMod,
-        "int_neg" => Op::IntNeg,
-        "int_lt" => Op::IntLt,
-        "int_le" => Op::IntLe,
-        "int_gt" => Op::IntGt,
-        "int_ge" => Op::IntGe,
-        "int_eq" => Op::IntEq,
-        "int_ne" => Op::IntNe,
-        "bool_and" => Op::BoolAnd,
-        "bool_or" => Op::BoolOr,
-        "bool_not" => Op::BoolNot,
-        "float_add" => Op::FloatAdd,
-        "float_sub" => Op::FloatSub,
-        "float_mul" => Op::FloatMul,
-        "float_div" => Op::FloatDiv,
-        "float_neg" => Op::FloatNeg,
-        "float_lt" => Op::FloatLt,
-        "float_gt" => Op::FloatGt,
-        "int_to_float" => Op::IntToFloat,
         "size" => Op::Size {
             dim: attr_int(attrs, "dim")?,
         },
@@ -579,35 +527,6 @@ fn op_from_name(
         "ones_like" => Op::OnesLike,
         "full_like" => Op::FullLike,
         "broadcast_like" => Op::BroadcastLike,
-        "add" => Op::Add,
-        "sub" => Op::Sub,
-        "mul" => Op::Mul,
-        "div" => Op::Div,
-        "maximum" => Op::Maximum,
-        "minimum" => Op::Minimum,
-        "pow" => Op::Pow,
-        "add_scalar" => Op::AddScalar,
-        "sub_scalar" => Op::SubScalar,
-        "mul_scalar" => Op::MulScalar,
-        "div_scalar" => Op::DivScalar,
-        "pow_scalar" => Op::PowScalar,
-        "gt" => Op::Gt,
-        "lt" => Op::Lt,
-        "ge" => Op::Ge,
-        "le" => Op::Le,
-        "eq" => Op::EqElem,
-        "logical_and" => Op::LogicalAnd,
-        "logical_or" => Op::LogicalOr,
-        "logical_not" => Op::LogicalNot,
-        "neg" => Op::Neg,
-        "relu" => Op::Relu,
-        "sigmoid" => Op::Sigmoid,
-        "tanh" => Op::Tanh,
-        "exp" => Op::Exp,
-        "log" => Op::Log,
-        "sqrt" => Op::Sqrt,
-        "abs" => Op::Abs,
-        "clamp" => Op::Clamp,
         "softmax" => Op::Softmax {
             dim: attr_int(attrs, "dim")?,
         },
@@ -662,7 +581,16 @@ fn op_from_name(
         "reshape" => Op::Reshape {
             shape: attr_list(attrs, "shape")?,
         },
-        other => return err(format!("unknown aten op `{other}`")),
+        other => {
+            let op = (MutateKind::from_name(other).map(Op::Mutate))
+                .or_else(|| UnaryKind::from_name(other).map(Op::Unary))
+                .or_else(|| BinaryKind::from_name(other).map(Op::Binary))
+                .or_else(|| ScalarKind::from_name(other).map(Op::Scalar));
+            match op {
+                Some(op) => op,
+                None => Op::View(view_kind_from(other, attrs)?),
+            }
+        }
     })
 }
 

@@ -131,14 +131,14 @@ impl fmt::Display for Graph {
 #[cfg(test)]
 mod tests {
     use crate::graph::Graph;
-    use crate::ops::{MutateKind, Op, ViewKind};
+    use crate::ops::{MutateKind, Op, UnaryKind, ViewKind};
     use crate::types::Type;
 
     #[test]
     fn prints_straight_line() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let n = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let n = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let y = g.out(n);
         g.set_returns(g.top(), &[y]);
         let s = g.to_string();

@@ -27,7 +27,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::graph::{BlockId, Graph, ValueId};
-use crate::ops::{Op, ViewKind};
+use crate::ops::{Op, ScalarKind, ViewKind};
 use crate::symdim::{Constraint, DimVar, SymDim, SymExpr};
 use crate::types::{ConstValue, Type};
 
@@ -159,7 +159,7 @@ impl Infer<'_> {
 
     /// Record `a >= b` unless trivially true.
     fn assume_ge(&mut self, a: &SymExpr, b: &SymExpr) {
-        if let Some(c) = a.sub(b).as_const() {
+        if let Some(c) = a.sub(b).and_then(|d| d.as_const()) {
             if c >= 0 {
                 return;
             }
@@ -314,14 +314,15 @@ impl Infer<'_> {
                 }
             }
         }
-        let canon = |e: &SymExpr| -> SymExpr {
+        let canon = |e: &SymExpr| -> Option<SymExpr> {
             let mut out = SymExpr::constant(e.constant_term());
             for &(v, c) in e.terms() {
-                out = out.add(&SymExpr::var(leader(&parent, v)).mul_const(c));
+                out = out.add(&SymExpr::var(leader(&parent, v)).mul_const(c)?)?;
             }
-            out
+            Some(out)
         };
-        canon(a) == canon(b)
+        let a = canon(a);
+        a.is_some() && a == canon(b)
     }
 
     /// Loop-head join: like [`Infer::merge`], except a carried dim whose
@@ -352,8 +353,8 @@ impl Infer<'_> {
         for d in shape {
             let e = d.expr()?;
             acc = match (acc.as_const(), e.as_const()) {
-                (_, Some(k)) => acc.mul_const(k),
-                (Some(k), None) => e.mul_const(k),
+                (_, Some(k)) => acc.mul_const(k)?,
+                (Some(k), None) => e.mul_const(k)?,
                 (None, None) => return None,
             };
         }
@@ -372,27 +373,27 @@ impl Infer<'_> {
 
     /// Resolve a slice bound against the (known) dim size `size`, recording
     /// the in-range assumptions the symbolic form relies on.
-    fn resolve_bound(&mut self, bound: &SymExpr, size: &SymExpr) -> SymExpr {
+    fn resolve_bound(&mut self, bound: &SymExpr, size: &SymExpr) -> Option<SymExpr> {
         if bound == size {
-            return size.clone();
+            return Some(size.clone());
         }
         if let Some(v) = bound.as_const() {
             if v == i64::MAX {
                 // The frontend lowers an open-ended slice (`x[4:]`) with an
                 // i64::MAX end; clamping to the size is exact.
-                return size.clone();
+                return Some(size.clone());
             }
             if v < 0 {
-                self.assume_ge(size, &SymExpr::constant(-v));
+                self.assume_ge(size, &SymExpr::constant(v.checked_neg()?));
                 return size.add(&SymExpr::constant(v));
             }
             self.assume_ge(size, bound);
-            return bound.clone();
+            return Some(bound.clone());
         }
         // Symbolic bound (e.g. `h-2`, `hs*2`): assume it lies in [0, size].
         self.assume_ge(bound, &SymExpr::constant(0));
         self.assume_ge(size, bound);
-        bound.clone()
+        Some(bound.clone())
     }
 
     /// The length of `slice(start, end, step)` over a dim of extent `size`.
@@ -423,14 +424,18 @@ impl Infer<'_> {
             };
             let a = clamp(s0);
             let b = clamp(e0).max(a);
-            return SymDim::konst(((b - a + step - 1) / step) as usize);
+            return SymDim::konst((b - a).unsigned_abs().div_ceil(step as u64) as usize);
         }
-        let a = self.resolve_bound(&start, sz);
-        let b = self.resolve_bound(&end, sz);
-        let diff = b.sub(&a);
+        let bounds = (self.resolve_bound(&start, sz), self.resolve_bound(&end, sz));
+        let (Some(a), Some(b)) = bounds else {
+            return SymDim::Unknown(taint);
+        };
+        let Some(diff) = b.sub(&a) else {
+            return SymDim::Unknown(taint);
+        };
         if let Some(c) = diff.as_const() {
             let c = c.max(0);
-            return SymDim::konst(((c + step - 1) / step) as usize);
+            return SymDim::konst(c.unsigned_abs().div_ceil(step as u64) as usize);
         }
         if step == 1 {
             self.assume_ge(&b, &a);
@@ -670,20 +675,7 @@ impl Infer<'_> {
                         }
                     }
                 }
-                Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::Div
-                | Op::Maximum
-                | Op::Minimum
-                | Op::Pow
-                | Op::Gt
-                | Op::Lt
-                | Op::Ge
-                | Op::Le
-                | Op::EqElem
-                | Op::LogicalAnd
-                | Op::LogicalOr => {
+                Op::Binary(_) => {
                     if let (Some(a), Some(b)) = (in_shape(self, 0), in_shape(self, 1)) {
                         if let Some(s) = self.broadcast(&a, &b) {
                             self.info.set(node.outputs[0], s);
@@ -702,24 +694,10 @@ impl Infer<'_> {
                         }
                     }
                 }
-                Op::Neg
-                | Op::Relu
-                | Op::Sigmoid
-                | Op::Tanh
-                | Op::Exp
-                | Op::Log
-                | Op::Sqrt
-                | Op::Abs
-                | Op::LogicalNot
-                | Op::Clamp
+                Op::Unary(_)
                 | Op::Cast { .. }
                 | Op::Softmax { .. }
                 | Op::Cumsum { .. }
-                | Op::AddScalar
-                | Op::SubScalar
-                | Op::MulScalar
-                | Op::DivScalar
-                | Op::PowScalar
                 | Op::ZerosLike
                 | Op::OnesLike
                 | Op::FullLike => {
@@ -783,7 +761,7 @@ impl Infer<'_> {
                                 for s in &shapes {
                                     taint.extend(s[d].vars());
                                     acc = match (&acc, s[d].expr()) {
-                                        (Some(a), Some(e)) => Some(a.add(e)),
+                                        (Some(a), Some(e)) => a.add(e),
                                         _ => None,
                                     };
                                 }
@@ -870,35 +848,26 @@ impl Infer<'_> {
                         }
                     }
                 }
-                Op::IntAdd | Op::IntSub => {
-                    if let (Some(a), Some(b)) =
-                        (self.sym_int(node.inputs[0]), self.sym_int(node.inputs[1]))
-                    {
-                        let e = if matches!(node.op, Op::IntAdd) {
-                            a.add(&b)
-                        } else {
-                            a.sub(&b)
-                        };
-                        self.info.ints.insert(node.outputs[0], e);
-                    }
-                }
-                Op::IntMul => {
-                    if let (Some(a), Some(b)) =
-                        (self.sym_int(node.inputs[0]), self.sym_int(node.inputs[1]))
-                    {
-                        let e = match (a.as_const(), b.as_const()) {
-                            (_, Some(k)) => Some(a.mul_const(k)),
-                            (Some(k), None) => Some(b.mul_const(k)),
-                            (None, None) => None, // product of two symbols: not affine
-                        };
-                        if let Some(e) = e {
-                            self.info.ints.insert(node.outputs[0], e);
+                Op::Scalar(kind) => {
+                    // Affine integer arithmetic; a product of two symbols or
+                    // an overflow is not tracked.
+                    let int = |i: usize| node.inputs.get(i).and_then(|&v| self.sym_int(v));
+                    let ints = || int(0).zip(int(1));
+                    let e = match kind {
+                        ScalarKind::IntAdd => ints().and_then(|(a, b)| a.add(&b)),
+                        ScalarKind::IntSub => ints().and_then(|(a, b)| a.sub(&b)),
+                        ScalarKind::IntMul => {
+                            ints().and_then(|(a, b)| match (a.as_const(), b.as_const()) {
+                                (_, Some(k)) => a.mul_const(k),
+                                (Some(k), None) => b.mul_const(k),
+                                (None, None) => None,
+                            })
                         }
-                    }
-                }
-                Op::IntNeg => {
-                    if let Some(a) = self.sym_int(node.inputs[0]) {
-                        self.info.ints.insert(node.outputs[0], a.mul_const(-1));
+                        ScalarKind::IntNeg => int(0).and_then(|a| a.mul_const(-1)),
+                        _ => None,
+                    };
+                    if let Some(e) = e {
+                        self.info.ints.insert(node.outputs[0], e);
                     }
                 }
                 _ => {}
@@ -1098,6 +1067,38 @@ mod tests {
             "{:?}",
             info.constraints()
         );
+    }
+
+    #[test]
+    fn overflowing_int_arithmetic_is_untracked() {
+        // Each of %big, %neg and %twice overflows an i64 (the last in its
+        // coefficient): the int is ⊥, not a panic, and so is the slice it
+        // bounds.
+        let g = parse_graph(
+            "graph(%x : Tensor):
+               %h : int = aten::size[dim=0](%x)
+               %one : int = prim::Constant[value=1]()
+               %max : int = prim::Constant[value=9223372036854775807]()
+               %big : int = aten::int_add(%max, %one)
+               %zero : int = prim::Constant[value=0]()
+               %nmax : int = aten::int_sub(%zero, %max)
+               %min : int = aten::int_sub(%nmax, %one)
+               %neg : int = aten::int_neg(%min)
+               %hmax : int = aten::int_mul(%h, %max)
+               %twice : int = aten::int_add(%hmax, %hmax)
+               %v : Tensor = aten::slice[dim=0](%x, %one, %twice, %one)
+               %w : Tensor = aten::slice[dim=0](%x, %zero, %one, %max)
+               return (%v, %big, %min, %neg, %w)",
+        )
+        .unwrap();
+        let info = infer_shapes_symbolic(&g, &[Some(2)]);
+        assert_eq!(ret_sym(&g, &info, 0), vec!["?", "in0.d1"]);
+        // A step near i64::MAX: one element, no overflowing ceil-division.
+        assert_eq!(ret_sym(&g, &info, 4), vec!["1", "in0.d1"]);
+        let int = |i: usize| info.int_of(g.block(g.top()).returns[i]);
+        assert_eq!(int(1), None);
+        assert_eq!(int(2), Some(&SymExpr::constant(i64::MIN)));
+        assert_eq!(int(3), None);
     }
 
     #[test]

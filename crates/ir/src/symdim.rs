@@ -84,28 +84,31 @@ impl SymExpr {
     }
 
     /// Rebuild from raw parts (used by the plan-file decoder). Terms are
-    /// re-normalized, so untrusted input cannot break the invariants.
-    pub fn from_parts(c0: i64, terms: impl IntoIterator<Item = (DimVar, i64)>) -> SymExpr {
+    /// re-normalized, so untrusted input cannot break the invariants;
+    /// `None` when merging them overflows.
+    pub fn from_parts(c0: i64, terms: impl IntoIterator<Item = (DimVar, i64)>) -> Option<SymExpr> {
         let mut e = SymExpr::constant(c0);
         for (v, c) in terms {
-            e.add_term(v, c);
+            e.add_term(v, c)?;
         }
-        e
+        Some(e)
     }
 
-    fn add_term(&mut self, v: DimVar, c: i64) {
+    /// Add `c·v`; `None` when a coefficient overflows.
+    fn add_term(&mut self, v: DimVar, c: i64) -> Option<()> {
         if c == 0 {
-            return;
+            return Some(());
         }
         match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
             Ok(i) => {
-                self.terms[i].1 += c;
+                self.terms[i].1 = self.terms[i].1.checked_add(c)?;
                 if self.terms[i].1 == 0 {
                     self.terms.remove(i);
                 }
             }
             Err(i) => self.terms.insert(i, (v, c)),
         }
+        Some(())
     }
 
     /// The constant term.
@@ -136,54 +139,59 @@ impl SymExpr {
         self.terms.iter().map(|&(v, _)| v)
     }
 
+    // Arithmetic is checked: an expression that overflows an `i64` is
+    // `None`, which callers widen to ⊥ — the dim is merely unknown.
+
     /// `self + other`.
-    pub fn add(&self, other: &SymExpr) -> SymExpr {
+    pub fn add(&self, other: &SymExpr) -> Option<SymExpr> {
         let mut out = self.clone();
-        out.c0 += other.c0;
+        out.c0 = out.c0.checked_add(other.c0)?;
         for &(v, c) in &other.terms {
-            out.add_term(v, c);
+            out.add_term(v, c)?;
         }
-        out
+        Some(out)
     }
 
     /// `self - other`.
-    pub fn sub(&self, other: &SymExpr) -> SymExpr {
+    pub fn sub(&self, other: &SymExpr) -> Option<SymExpr> {
         let mut out = self.clone();
-        out.c0 -= other.c0;
+        out.c0 = out.c0.checked_sub(other.c0)?;
         for &(v, c) in &other.terms {
-            out.add_term(v, -c);
+            out.add_term(v, c.checked_neg()?)?;
         }
-        out
+        Some(out)
     }
 
     /// `self * k`.
-    pub fn mul_const(&self, k: i64) -> SymExpr {
+    pub fn mul_const(&self, k: i64) -> Option<SymExpr> {
         if k == 0 {
-            return SymExpr::constant(0);
+            return Some(SymExpr::constant(0));
         }
-        SymExpr {
-            c0: self.c0 * k,
-            terms: self.terms.iter().map(|&(v, c)| (v, c * k)).collect(),
-        }
+        Some(SymExpr {
+            c0: self.c0.checked_mul(k)?,
+            terms: (self.terms.iter())
+                .map(|&(v, c)| Some((v, c.checked_mul(k)?)))
+                .collect::<Option<_>>()?,
+        })
     }
 
     /// `self / k` when every coefficient (and the constant) divides exactly.
     pub fn div_exact(&self, k: i64) -> Option<SymExpr> {
-        if k == 0 || self.c0 % k != 0 || self.terms.iter().any(|&(_, c)| c % k != 0) {
-            return None;
-        }
+        let div = |c: i64| (c.checked_rem(k)? == 0).then(|| c / k);
         Some(SymExpr {
-            c0: self.c0 / k,
-            terms: self.terms.iter().map(|&(v, c)| (v, c / k)).collect(),
+            c0: div(self.c0)?,
+            terms: (self.terms.iter())
+                .map(|&(v, c)| Some((v, div(c)?)))
+                .collect::<Option<_>>()?,
         })
     }
 
     /// Evaluate under an assignment of the variables. `None` when `env`
-    /// lacks a variable the expression mentions.
+    /// lacks a variable the expression mentions or the value overflows.
     pub fn eval(&self, env: &dyn Fn(DimVar) -> Option<i64>) -> Option<i64> {
         let mut acc = self.c0;
         for &(v, c) in &self.terms {
-            acc += c * env(v)?;
+            acc = acc.checked_add(c.checked_mul(env(v)?)?)?;
         }
         Some(acc)
     }
@@ -221,12 +229,12 @@ impl SymExpr {
             }
             if let Some((coef, var)) = body.split_once('*') {
                 let c: i64 = coef.trim().parse().ok()?;
-                expr.add_term(DimVar::parse(var.trim())?, sgn * c);
+                expr.add_term(DimVar::parse(var.trim())?, sgn * c)?;
             } else if let Some(v) = DimVar::parse(body) {
-                expr.add_term(v, sgn);
+                expr.add_term(v, sgn)?;
             } else {
                 let c: i64 = body.parse().ok()?;
-                expr.c0 += sgn * c;
+                expr.c0 = expr.c0.checked_add(sgn * c)?;
             }
         }
         Some(expr)
@@ -236,7 +244,9 @@ impl SymExpr {
     /// makes the expression equal `k`. Used to prove broadcasts impossible:
     /// `false` is a guarantee, `true` is "could not rule it out".
     pub fn can_equal(&self, k: i64) -> bool {
-        let d = k - self.c0;
+        let Some(d) = k.checked_sub(self.c0) else {
+            return true;
+        };
         if self.terms.is_empty() {
             return d == 0;
         }
@@ -597,12 +607,43 @@ mod tests {
         DimVar { input: i, dim: d }
     }
 
+    /// `2*in1.d2 + in0.d0 - 3`.
+    fn affine() -> SymExpr {
+        let e = SymExpr::var(v(1, 2)).mul_const(2).unwrap();
+        let e = e.add(&SymExpr::var(v(0, 0))).unwrap();
+        e.sub(&SymExpr::constant(3)).unwrap()
+    }
+
+    #[test]
+    fn overflow_is_none_not_a_panic() {
+        let max = SymExpr::constant(i64::MAX);
+        let min = SymExpr::constant(i64::MIN);
+        assert_eq!(max.add(&SymExpr::constant(1)), None);
+        assert_eq!(min.sub(&SymExpr::constant(1)), None);
+        assert_eq!(min.mul_const(-1), None);
+        assert_eq!(min.div_exact(-1), None);
+        assert_eq!(
+            SymExpr::var(v(0, 0))
+                .mul_const(i64::MAX)
+                .unwrap()
+                .mul_const(2),
+            None
+        );
+        let big = SymExpr::var(v(0, 0)).mul_const(i64::MAX).unwrap();
+        assert_eq!(big.add(&SymExpr::var(v(0, 0))), None);
+        assert_eq!(big.eval(&|_| Some(2)), None);
+        assert_eq!(
+            SymExpr::from_parts(0, [(v(0, 0), i64::MAX), (v(0, 0), 1)]),
+            None
+        );
+    }
+
     #[test]
     fn affine_normalization_cancels_terms() {
-        let a = SymExpr::var(v(0, 0)).add(&SymExpr::constant(2));
-        let b = a.sub(&SymExpr::var(v(0, 0)));
+        let a = SymExpr::var(v(0, 0)).add(&SymExpr::constant(2)).unwrap();
+        let b = a.sub(&SymExpr::var(v(0, 0))).unwrap();
         assert_eq!(b.as_const(), Some(2));
-        let c = a.mul_const(3);
+        let c = a.mul_const(3).unwrap();
         assert_eq!(c.to_string(), "3*in0.d0+6");
         assert_eq!(c.div_exact(3).unwrap(), a);
         assert!(c.div_exact(2).is_none());
@@ -610,10 +651,7 @@ mod tests {
 
     #[test]
     fn display_is_stable() {
-        let e = SymExpr::var(v(1, 2))
-            .mul_const(2)
-            .add(&SymExpr::var(v(0, 0)))
-            .sub(&SymExpr::constant(3));
+        let e = affine();
         assert_eq!(e.to_string(), "in0.d0+2*in1.d2-3");
         assert_eq!(SymExpr::constant(-4).to_string(), "-4");
         assert_eq!(SymDim::unknown().to_string(), "?");
@@ -621,9 +659,8 @@ mod tests {
 
     #[test]
     fn eval_and_admits() {
-        let e = SymExpr::var(v(0, 1))
-            .mul_const(2)
-            .add(&SymExpr::constant(1));
+        let e = SymExpr::var(v(0, 1)).mul_const(2).unwrap();
+        let e = e.add(&SymExpr::constant(1)).unwrap();
         let env = |var: DimVar| (var == v(0, 1)).then_some(3i64);
         assert_eq!(e.eval(&env), Some(7));
         assert!(SymDim::Known(e.clone()).admits(7, &env));
@@ -635,14 +672,14 @@ mod tests {
     fn can_equal_parity_and_sign() {
         // 2v can never be 1 (parity), nor can 2v+4 be 2 (sign + parity ok but
         // negative assignment needed).
-        let even = SymExpr::var(v(0, 0)).mul_const(2);
+        let even = SymExpr::var(v(0, 0)).mul_const(2).unwrap();
         assert!(!even.can_equal(1));
         assert!(even.can_equal(4));
-        let shifted = even.add(&SymExpr::constant(4));
+        let shifted = even.add(&SymExpr::constant(4)).unwrap();
         assert!(!shifted.can_equal(2));
         assert!(shifted.can_equal(6));
         // v - w can always be 0.
-        let diff = SymExpr::var(v(0, 0)).sub(&SymExpr::var(v(1, 0)));
+        let diff = SymExpr::var(v(0, 0)).sub(&SymExpr::var(v(1, 0))).unwrap();
         assert!(diff.can_equal(0));
     }
 
@@ -686,15 +723,12 @@ mod tests {
     #[test]
     fn parse_round_trips_display() {
         let exprs = [
-            SymExpr::var(v(1, 2))
-                .mul_const(2)
-                .add(&SymExpr::var(v(0, 0)))
-                .sub(&SymExpr::constant(3)),
+            affine(),
             SymExpr::constant(-4),
             SymExpr::var(v(0, 2)),
-            SymExpr::var(v(3, 1)).mul_const(4),
-            SymExpr::var(v(0, 1)).sub(&SymExpr::constant(2)),
-            SymExpr::var(v(0, 0)).mul_const(-1),
+            SymExpr::var(v(3, 1)).mul_const(4).unwrap(),
+            SymExpr::var(v(0, 1)).sub(&SymExpr::constant(2)).unwrap(),
+            SymExpr::var(v(0, 0)).mul_const(-1).unwrap(),
         ];
         for e in exprs {
             let back = SymExpr::parse(&e.to_string());

@@ -348,7 +348,7 @@ impl Graph {
 mod tests {
     use super::VerifyErrorKind;
     use crate::graph::Graph;
-    use crate::ops::{MutateKind, Op};
+    use crate::ops::{MutateKind, Op, UnaryKind};
     use crate::types::{ConstValue, Type};
 
     #[test]
@@ -373,7 +373,7 @@ mod tests {
     fn valid_graph_passes() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let n = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let n = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let y = g.out(n);
         g.set_returns(g.top(), &[y]);
         assert!(g.verify().is_ok());
@@ -383,8 +383,8 @@ mod tests {
     fn use_before_def_fails() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let a = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
-        let b = g.append(g.top(), Op::Sigmoid, &[x], &[Type::Tensor]);
+        let a = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
+        let b = g.append(g.top(), UnaryKind::Sigmoid, &[x], &[Type::Tensor]);
         let bv = g.out(b);
         // Rewrite a's operand to b's output: use before def.
         let av = g.out(a);

@@ -119,14 +119,14 @@ impl fmt::Display for Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::{Op, Type};
+    use tssa_ir::{Type, UnaryKind};
 
     #[test]
     fn renders_rule_span_and_message() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
         g.set_current_span(Some(SrcSpan::line(7)));
-        let n = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let n = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         g.set_current_span(None);
         let d = Diagnostic::at_node("unused-value", Severity::Warn, &g, n, "result never used");
         assert_eq!(

@@ -161,7 +161,7 @@ pub fn certify_pure(g: &Graph) -> Result<(), Vec<Diagnostic>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::{ConstValue, MutateKind, ViewKind};
+    use tssa_ir::{ConstValue, MutateKind, UnaryKind, ViewKind};
 
     fn cloned_base(g: &mut Graph) -> tssa_ir::ValueId {
         let x = g.add_input("x", Type::Tensor);
@@ -173,7 +173,7 @@ mod tests {
     fn pure_graph_certifies() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let r = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let r = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
         assert!(certify_pure(&g).is_ok());
@@ -231,7 +231,7 @@ mod tests {
     fn leftover_update_is_e2() {
         let mut g = Graph::new();
         let base = cloned_base(&mut g);
-        let y = g.append(g.top(), Op::Relu, &[base], &[Type::Tensor]);
+        let y = g.append(g.top(), UnaryKind::Relu, &[base], &[Type::Tensor]);
         let yv = g.out(y);
         g.append(g.top(), Op::Update, &[base, yv], &[Type::Tensor]);
         let report = check_effects(&g);

@@ -424,8 +424,8 @@ fn symbolic_numel(shape: &Shape) -> Option<SymExpr> {
     for d in shape {
         let e = d.expr()?;
         acc = match (acc.as_const(), e.as_const()) {
-            (_, Some(k)) => acc.mul_const(k),
-            (Some(k), None) => e.mul_const(k),
+            (_, Some(k)) => acc.mul_const(k)?,
+            (Some(k), None) => e.mul_const(k)?,
             (None, None) => return None,
         };
     }
@@ -613,7 +613,8 @@ struct SymbolicBroadcastMismatch;
 fn provable_broadcast_mismatch(a: &SymDim, b: &SymDim) -> bool {
     match (a.expr(), b.expr()) {
         (Some(ea), Some(eb)) => {
-            ea != eb && !ea.sub(eb).can_equal(0) && !ea.can_equal(1) && !eb.can_equal(1)
+            let never_equal = ea.sub(eb).is_some_and(|d| !d.can_equal(0));
+            ea != eb && never_equal && !ea.can_equal(1) && !eb.can_equal(1)
         }
         _ => false,
     }
@@ -634,24 +635,7 @@ impl Rule for SymbolicBroadcastMismatch {
         let mut out = Vec::new();
         for n in g.nodes_recursive(g.top()) {
             let node = g.node(n);
-            let broadcasting = matches!(
-                node.op,
-                Op::Add
-                    | Op::Sub
-                    | Op::Mul
-                    | Op::Div
-                    | Op::Maximum
-                    | Op::Minimum
-                    | Op::Pow
-                    | Op::Gt
-                    | Op::Lt
-                    | Op::Ge
-                    | Op::Le
-                    | Op::EqElem
-                    | Op::LogicalAnd
-                    | Op::LogicalOr
-                    | Op::WhereSelect
-            );
+            let broadcasting = matches!(node.op, Op::Binary(_) | Op::WhereSelect);
             if !broadcasting {
                 continue;
             }
@@ -869,7 +853,7 @@ impl Linter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::MutateKind;
+    use tssa_ir::{BinaryKind, MutateKind, UnaryKind};
 
     fn cloned_base(g: &mut Graph) -> ValueId {
         let x = g.add_input("x", Type::Tensor);
@@ -891,7 +875,7 @@ mod tests {
     fn clean_graph_has_no_diagnostics() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let r = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let r = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
         assert!(Linter::new().lint(&g).is_empty());
@@ -901,7 +885,7 @@ mod tests {
     fn unused_pure_node_fires() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         g.set_returns(g.top(), &[x]);
         let diags = Linter::new().lint(&g);
         assert_eq!(names(&diags), vec!["unused-value"]);
@@ -911,7 +895,7 @@ mod tests {
     fn allow_suppresses_rule() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         g.set_returns(g.top(), &[x]);
         let mut l = Linter::new();
         assert!(l.allow("unused-value"));
@@ -923,7 +907,7 @@ mod tests {
     fn deny_escalates_severity() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         g.set_returns(g.top(), &[x]);
         let mut l = Linter::new();
         l.deny("unused-value");
@@ -1132,7 +1116,7 @@ mod tests {
             &[Type::Tensor],
         );
         let bv = g.out(b);
-        let s = g.append(g.top(), Op::Add, &[av, bv], &[Type::Tensor]);
+        let s = g.append(g.top(), BinaryKind::Add, &[av, bv], &[Type::Tensor]);
         let sv = g.out(s);
         g.set_returns(g.top(), &[sv]);
         let diags = Linter::new().lint_symbolic(&g, &[Some(1)]);
@@ -1148,7 +1132,7 @@ mod tests {
         let y = g2.add_input("x", Type::Tensor);
         let cc = g2.append(g2.top(), Op::Concat { dim: 0 }, &[y, y], &[Type::Tensor]);
         let ccv = g2.out(cc);
-        let add = g2.append(g2.top(), Op::Add, &[ccv, y], &[Type::Tensor]);
+        let add = g2.append(g2.top(), BinaryKind::Add, &[ccv, y], &[Type::Tensor]);
         let addv = g2.out(add);
         g2.set_returns(g2.top(), &[addv]);
         let diags = Linter::new().lint_symbolic(&g2, &[Some(1)]);
@@ -1176,7 +1160,7 @@ mod tests {
     fn polymorphic_output_is_not_data_dependent() {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let r = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let r = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
         let diags = Linter::new().lint_symbolic(&g, &[Some(2)]);

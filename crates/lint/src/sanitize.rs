@@ -72,7 +72,7 @@ impl PassHook for PassSanitizer {
 mod tests {
     use super::*;
     use tssa_core::{Pass, PassManager};
-    use tssa_ir::{MutateKind, Op, Type};
+    use tssa_ir::{MutateKind, Op, Type, UnaryKind};
     use tssa_obs::TraceScope;
 
     /// A pass that ignores its input and appends a fresh in-place mutation —
@@ -104,7 +104,7 @@ mod tests {
     fn input_graph() -> Graph {
         let mut g = Graph::new();
         let x = g.add_input("x", Type::Tensor);
-        let r = g.append(g.top(), Op::Relu, &[x], &[Type::Tensor]);
+        let r = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
         g

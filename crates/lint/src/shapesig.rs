@@ -83,7 +83,7 @@ impl DimClasses {
 fn solve(classes: &mut DimClasses, constraints: &[Constraint]) {
     for c in constraints {
         let Constraint::Eq(a, b) = c else { continue };
-        let d = a.sub(b);
+        let Some(d) = a.sub(b) else { continue };
         match d.terms() {
             [(v, coef)] => {
                 // coef·v + c0 = 0  →  v = -c0/coef when exact and ≥ 0.

@@ -273,7 +273,7 @@ fn get_expr(p: &mut ByteReader<'_>) -> Result<SymExpr, StoreError> {
         let coef = p.get_i64("term coefficient")?;
         terms.push((DimVar { input, dim }, coef));
     }
-    Ok(SymExpr::from_parts(c0, terms))
+    SymExpr::from_parts(c0, terms).ok_or_else(|| StoreError::Parse("expr overflows i64".into()))
 }
 
 fn put_signature(w: &mut ByteWriter, sig: Option<&ShapeSignature>) {

@@ -58,6 +58,17 @@ step "one plan table (no concrete-key table, origin keys or second degrade trigg
 ONE_TABLE='struct PlanKey|origin_keys|Trigger::Fixed'
 [ -z "$(guard "$ONE_TABLE" | grep '^crates/serve/src/')" ] || { echo "a second plan table:"; guard "$ONE_TABLE" | grep '^crates/serve/src/'; exit 1; }
 
+step "one definition per operator (no second op-name table or scalar evaluator)"
+# Each elementwise, host-scalar and mutation kind is named once, in the
+# kind tables of crates/ir/src/ops.rs, and ScalarKind::eval is the only
+# definition of host-scalar arithmetic: neither a hand-kept list of op names
+# nor a second integer semantics in the constant folder or the interpreter
+# comes back.
+ONE_NAME='"(int_add|add_scalar|logical_and|float_lt)"'
+[ -z "$(guard "$ONE_NAME" | grep -v '^crates/ir/src/ops.rs:')" ] || { echo "an op name outside the kind tables:"; guard "$ONE_NAME" | grep -v '^crates/ir/src/ops.rs:'; exit 1; }
+ONE_EVAL='wrapping_(add|sub|mul|div|rem|neg)'
+[ -z "$(guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)')" ] || { echo "host-scalar arithmetic outside ScalarKind::eval:"; guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)'; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.

@@ -160,3 +160,32 @@ fn ablations_stay_correct() {
             .allclose(reference[0].as_tensor().unwrap(), 1e-5));
     }
 }
+
+/// Host-int arithmetic that overflows an `i64`, computed from constants: the
+/// constant folder and the shape analysis see it at compile time, the
+/// interpreter at run time, and every pipeline must return `Eager`'s ints
+/// bit for bit — the interpreter's, which wrap.
+#[test]
+fn overflowing_int_constants_compile_and_wrap_as_eager_does() {
+    let src = "def f(n: int):
+    m = 0 - 9223372036854775807 - 1
+    q = m // -1
+    r = m % -1
+    s = 9223372036854775807 + 1
+    t = -m
+    return q + n, r + n, s + n, t + n
+";
+    let g = tensorssa::frontend::compile(src).expect("compiles");
+    let ints = |p: &dyn Pipeline| -> Vec<i64> {
+        let (outs, _) = p
+            .compile(&g)
+            .run(DeviceProfile::consumer(), &[RtValue::Int(0)])
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        outs.iter().map(|v| v.as_int().unwrap()).collect()
+    };
+    let eager = ints(&tensorssa::pipelines::Eager);
+    assert_eq!(eager, [i64::MIN, 0, i64::MIN, i64::MIN]);
+    for p in all_pipelines() {
+        assert_eq!(ints(p.as_ref()), eager, "{}", p.name());
+    }
+}

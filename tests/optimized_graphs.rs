@@ -60,18 +60,20 @@ const PINNED: &[(&str, [u64; 3])] = &[
 ];
 
 /// deep-N × the same three pipelines, hashed over sorted structural lines.
+/// The lines spell each operator by its `Debug` text, so renaming an `Op`
+/// variant moves these hashes even when no node changes.
 const PINNED_DEEP: &[(usize, [u64; 3])] = &[
     (
         16,
-        [0xc5bea09ce9855bdc, 0xc5bea09ce9855bdc, 0xc5bea09ce9855bdc],
+        [0x88ec9ec4dacb4eb1, 0x88ec9ec4dacb4eb1, 0x88ec9ec4dacb4eb1],
     ),
     (
         32,
-        [0x29c5dd0ba87c0e29, 0x29c5dd0ba87c0e29, 0x29c5dd0ba87c0e29],
+        [0xa8cdf4ae335fb5f0, 0xa8cdf4ae335fb5f0, 0xa8cdf4ae335fb5f0],
     ),
     (
         48,
-        [0xe334d1138450c591, 0xe334d1138450c591, 0xe334d1138450c591],
+        [0x630f295e1863bcb3, 0x630f295e1863bcb3, 0x630f295e1863bcb3],
     ),
 ];
 
