@@ -204,11 +204,6 @@ impl Graph {
         self.current_span = span;
     }
 
-    /// Attach a source span to one node.
-    pub fn set_node_span(&mut self, node: NodeId, span: SrcSpan) {
-        self.spans.insert(node, span);
-    }
-
     /// The source span of `node`, when the frontend attributed one.
     pub fn node_span(&self, node: NodeId) -> Option<SrcSpan> {
         self.spans.get(&node).copied()

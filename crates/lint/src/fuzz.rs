@@ -329,18 +329,6 @@ pub fn functionalize(g: &Graph) -> Result<Graph, String> {
     Ok(out)
 }
 
-/// Run seeds `start..start + count` through [`diff_case`], collecting every
-/// failure.
-pub fn run_seeds(
-    start: u64,
-    count: u64,
-    transform: &dyn Fn(&Graph) -> Result<Graph, String>,
-) -> Vec<String> {
-    (start..start + count)
-        .filter_map(|seed| diff_case(seed, transform).err())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 //! | `GET /metrics`   | consolidated Prometheus exposition, chunked at line boundaries |
 //! | `GET /debug/profile` | op-level profiler snapshot — JSON by default, collapsed-stack (flamegraph) with `?format=collapsed`; 404 when the service has no profiler |
 //! | `GET /healthz`   | liveness — 200 while the process accepts connections |
-//! | `GET /readyz`    | readiness — 503 while degraded or shutting down |
+//! | `GET /readyz`    | readiness — 503 while shutting down |
 //!
 //! Shutdown is drain-first: [`Gateway::shutdown`] stops the accept loop,
 //! lets every in-flight request complete, and joins all handler threads
@@ -372,12 +372,6 @@ fn route(request: &HttpRequest, writer: &mut TcpStream, shared: &Arc<Shared>) ->
                     writer,
                     503,
                     wire::encode_error("shutting_down", "gateway is draining").as_bytes(),
-                )
-            } else if shared.service.is_degraded() {
-                respond(
-                    writer,
-                    503,
-                    wire::encode_error("degraded", "service is in degraded mode").as_bytes(),
                 )
             } else {
                 respond(writer, 200, b"{\"ok\":true,\"status\":\"ready\"}")

@@ -13,8 +13,8 @@
 //!   traces.
 //! * **Tail keep.** Traces the head decision rejected are buffered until
 //!   their root finishes, then retained anyway if any span carries a
-//!   `fault:*` mark, one of the configured error marks (`timed_out`,
-//!   `degraded`, `failed`, `deadline_exceeded` by default), or the root ran
+//!   `fault:*` mark, one of the error marks in [`DEFAULT_KEEP_MARKS`]
+//!   (`timed_out`, `failed`, `deadline_exceeded`), or the root ran
 //!   past [`Sampler::slow_after`]. Everything else is discarded — the slow
 //!   and broken traces survive even at aggressive sampling rates.
 //!
@@ -33,7 +33,7 @@ use crate::span::SpanRecord;
 
 /// Marks that force tail retention regardless of sampling rate, in
 /// addition to the `fault:*` prefix.
-pub const DEFAULT_KEEP_MARKS: [&str; 4] = ["timed_out", "degraded", "failed", "deadline_exceeded"];
+pub const DEFAULT_KEEP_MARKS: [&str; 3] = ["timed_out", "failed", "deadline_exceeded"];
 
 /// Sampling policy consumed by [`crate::Tracer::sampled`].
 #[derive(Debug, Clone)]
@@ -41,32 +41,24 @@ pub struct Sampler {
     seed: u64,
     rate: f64,
     slow_after_ns: Option<u64>,
-    keep_marks: Vec<String>,
 }
 
 impl Sampler {
     /// Head-keep roughly `rate` (clamped to `[0, 1]`) of traces, decided by
-    /// a seeded hash of each root's arrival index. Tail-keep rules default
-    /// to the `fault:*` prefix plus [`DEFAULT_KEEP_MARKS`]; no slow-trace
+    /// a seeded hash of each root's arrival index. Tail-keep rules are the
+    /// `fault:*` prefix plus [`DEFAULT_KEEP_MARKS`]; no slow-trace
     /// threshold until [`Sampler::slow_after`] sets one.
     pub fn new(seed: u64, rate: f64) -> Sampler {
         Sampler {
             seed,
             rate: rate.clamp(0.0, 1.0),
             slow_after_ns: None,
-            keep_marks: DEFAULT_KEEP_MARKS.iter().map(|s| s.to_string()).collect(),
         }
     }
 
     /// Also tail-keep traces whose root span ran at least `threshold`.
     pub fn slow_after(mut self, threshold: Duration) -> Sampler {
         self.slow_after_ns = Some(threshold.as_nanos().min(u128::from(u64::MAX)) as u64);
-        self
-    }
-
-    /// Also tail-keep traces containing a span marked `name`.
-    pub fn also_keep_marked(mut self, name: impl Into<String>) -> Sampler {
-        self.keep_marks.push(name.into());
         self
     }
 
@@ -99,7 +91,8 @@ impl Sampler {
     fn tail_keep(&self, trace: &[SpanRecord]) -> bool {
         trace.iter().any(|r| {
             let marked = r.counters.iter().any(|(name, v)| {
-                *v != 0 && (name.starts_with("fault:") || self.keep_marks.iter().any(|m| m == name))
+                *v != 0
+                    && (name.starts_with("fault:") || DEFAULT_KEEP_MARKS.contains(&name.as_str()))
             });
             let slow = self
                 .slow_after_ns

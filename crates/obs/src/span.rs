@@ -54,7 +54,7 @@ impl SpanRecord {
 
     /// Whether [`Span::mark`] flagged this span with `name` — the
     /// convention fault-injection and recovery paths use to annotate spans
-    /// (`fault:worker_panic`, `requeued`, `timed_out`, `degraded`, …).
+    /// (`fault:worker_panic`, `requeued`, `timed_out`, …).
     pub fn is_marked(&self, name: &str) -> bool {
         self.counter(name).is_some_and(|v| v != 0)
     }

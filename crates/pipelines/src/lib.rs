@@ -186,13 +186,6 @@ impl<'p> ExecSession<'p> {
         self
     }
 
-    /// Replace the whole [`ExecConfig`] (device and overheads).
-    #[must_use]
-    pub fn with_config(mut self, config: ExecConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Record this session's execution under `scope`: an `exec` span with
     /// one `batch[i]` child per run.
     #[must_use]

@@ -218,140 +218,6 @@ impl BatchSpec {
     }
 }
 
-/// The degrade trigger: its threshold is derived from the service's
-/// long-run queue-wait histogram (`tssa_queue_wait_us` in the
-/// [`tssa_obs::MetricsRegistry`]) as `max(floor, factor × median queue
-/// wait)`, and it stays inactive until the histogram holds at least
-/// `min_samples` observations — a cold service never degrades off a handful
-/// of warmup waits. A fixed threshold is `factor: 0.0, min_samples: 0` with
-/// the threshold as `floor`: armed from the first request.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveDegrade {
-    /// Multiple of the long-run median queue wait that counts as overload.
-    pub factor: f64,
-    /// Threshold never drops below this, however fast the median is.
-    pub floor: std::time::Duration,
-    /// Histogram observations required before the trigger arms.
-    pub min_samples: u64,
-    /// How long degraded mode holds before re-evaluating (hysteresis).
-    pub cooldown: std::time::Duration,
-}
-
-impl Default for AdaptiveDegrade {
-    fn default() -> Self {
-        AdaptiveDegrade {
-            factor: 8.0,
-            floor: std::time::Duration::from_micros(200),
-            min_samples: 64,
-            cooldown: std::time::Duration::from_millis(10),
-        }
-    }
-}
-
-/// Latency-triggered degradation policy: when the p99 queue wait over a
-/// sliding window of recent requests exceeds the threshold, the
-/// dispatcher sheds batching — each request is flushed alone and marked to
-/// run on its model's degraded plan (the `Eager` plan: no optimization
-/// passes), trading per-request efficiency for immediate dispatch until the
-/// queue drains.
-///
-/// The threshold is a multiple of the long-run median queue wait read from
-/// the registry histogram the dispatcher records into (see
-/// [`AdaptiveDegrade`]), so the knob scales with the workload instead of
-/// being tuned per model.
-///
-/// Owned by the dispatcher thread (no internal synchronization). Once
-/// entered, degraded mode is held for a cooldown before the window is
-/// re-evaluated, so the service does not flap at the threshold.
-#[derive(Debug)]
-pub struct DegradeController {
-    hist: tssa_obs::HistogramMetric,
-    policy: AdaptiveDegrade,
-    /// Recent queue waits, µs, oldest first (bounded ring).
-    window: std::collections::VecDeque<u64>,
-    capacity: usize,
-    /// While set, degraded mode is held regardless of the window.
-    hold_until: Option<std::time::Instant>,
-}
-
-impl DegradeController {
-    /// Window size the p99 estimate is computed over.
-    pub const WINDOW: usize = 64;
-
-    /// A controller whose threshold tracks the workload: degraded mode trips
-    /// when windowed p99 exceeds `max(policy.floor, policy.factor × median)`
-    /// of `hist` — the long-run queue-wait histogram the dispatcher records
-    /// every request into — and never before `hist` holds
-    /// `policy.min_samples` observations.
-    pub fn adaptive(hist: tssa_obs::HistogramMetric, policy: AdaptiveDegrade) -> DegradeController {
-        DegradeController {
-            hist,
-            policy,
-            window: std::collections::VecDeque::with_capacity(Self::WINDOW),
-            capacity: Self::WINDOW,
-            hold_until: None,
-        }
-    }
-
-    /// The current trip threshold in µs, or `None` while the trigger is
-    /// still unarmed (fewer than `min_samples` long-run waits).
-    pub fn threshold_us(&self) -> Option<u64> {
-        let policy = &self.policy;
-        if self.hist.count() < policy.min_samples {
-            return None;
-        }
-        let floor = policy.floor.as_micros().min(u128::from(u64::MAX)) as u64;
-        let scaled = (policy.factor * self.hist.quantile(0.50) as f64).round();
-        Some(floor.max(if scaled >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            scaled as u64
-        }))
-    }
-
-    /// Record one request's admission-to-dispatch wait.
-    pub fn observe(&mut self, wait: std::time::Duration) {
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
-        }
-        self.window
-            .push_back(wait.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// The p99 queue wait (µs) over the current window (0 when empty).
-    pub fn p99_us(&self) -> u64 {
-        if self.window.is_empty() {
-            return 0;
-        }
-        let mut sorted: Vec<u64> = self.window.iter().copied().collect();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 * 0.99).ceil() as usize).max(1) - 1;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// Whether the service should run in degraded mode right now.
-    pub fn degraded(&mut self, now: std::time::Instant) -> bool {
-        if let Some(until) = self.hold_until {
-            if now < until {
-                return true;
-            }
-            self.hold_until = None;
-            // Leaving the hold: judge afresh on a clean window so stale
-            // pre-degradation waits cannot re-trigger immediately.
-            self.window.clear();
-            return false;
-        }
-        let Some(threshold) = self.threshold_us() else {
-            return false;
-        };
-        if self.p99_us() > threshold {
-            self.hold_until = Some(now + self.policy.cooldown);
-            return true;
-        }
-        false
-    }
-}
-
 /// Structural equality over runtime values (tensor contents compared
 /// logically; floats compared by bits via `PartialEq`).
 fn rt_eq(a: &RtValue, b: &RtValue) -> bool {
@@ -445,122 +311,6 @@ mod tests {
         // batch with [2,4] even when the shared args match.
         let d = [t(&[2, 3], 2), shared.clone()];
         assert!(!spec.compatible(&a, &d), "trailing dims must match");
-    }
-
-    #[test]
-    fn degrade_controller_trips_holds_and_recovers() {
-        use std::time::{Duration, Instant};
-        // A fixed 1 ms threshold: no median scaling, armed from the start.
-        let reg = tssa_obs::MetricsRegistry::new();
-        let policy = AdaptiveDegrade {
-            factor: 0.0,
-            floor: Duration::from_millis(1),
-            min_samples: 0,
-            cooldown: Duration::from_millis(5),
-        };
-        let mut ctl =
-            DegradeController::adaptive(reg.histogram("tssa_queue_wait_us", "h", &[]), policy);
-        let now = Instant::now();
-        // Healthy waits: no degradation.
-        for _ in 0..16 {
-            ctl.observe(Duration::from_micros(50));
-        }
-        assert!(!ctl.degraded(now));
-        assert_eq!(ctl.p99_us(), 50);
-        // One slow outlier in a window of 64 pushes p99 over 1ms.
-        ctl.observe(Duration::from_millis(20));
-        assert!(ctl.degraded(now));
-        // Held through the cooldown even if the window looks healthy again.
-        for _ in 0..DegradeController::WINDOW {
-            ctl.observe(Duration::from_micros(10));
-        }
-        assert!(ctl.degraded(now + Duration::from_millis(4)));
-        // Past the cooldown the cleared window must re-trip before
-        // degrading again.
-        assert!(!ctl.degraded(now + Duration::from_millis(6)));
-        ctl.observe(Duration::from_micros(10));
-        assert!(!ctl.degraded(now + Duration::from_millis(7)));
-    }
-
-    #[test]
-    fn adaptive_trigger_is_inert_until_min_samples() {
-        use std::time::{Duration, Instant};
-        let reg = tssa_obs::MetricsRegistry::new();
-        let hist = reg.histogram("tssa_queue_wait_us", "h", &[]);
-        let policy = AdaptiveDegrade {
-            factor: 8.0,
-            floor: Duration::from_micros(200),
-            min_samples: 64,
-            cooldown: Duration::from_millis(5),
-        };
-        let mut ctl = DegradeController::adaptive(hist.clone(), policy);
-        // Too few long-run samples: no threshold, no degradation — even
-        // with an atrocious window.
-        for _ in 0..16 {
-            hist.observe(100);
-            ctl.observe(Duration::from_millis(50));
-        }
-        assert_eq!(ctl.threshold_us(), None);
-        assert!(!ctl.degraded(Instant::now()));
-    }
-
-    #[test]
-    fn adaptive_threshold_tracks_median_with_floor() {
-        use std::time::Duration;
-        let reg = tssa_obs::MetricsRegistry::new();
-        let hist = reg.histogram("tssa_queue_wait_us", "h", &[]);
-        let policy = AdaptiveDegrade {
-            factor: 8.0,
-            floor: Duration::from_micros(200),
-            min_samples: 64,
-            cooldown: Duration::from_millis(5),
-        };
-        let ctl = DegradeController::adaptive(hist.clone(), policy);
-        // Sub-floor medians clamp to the floor (fast services must not end
-        // up with a microscopic trip point).
-        for _ in 0..64 {
-            hist.observe(10); // bucket upper bound 16 → 8×16 = 128 < 200
-        }
-        assert_eq!(ctl.threshold_us(), Some(200));
-        // A slower long-run median raises the threshold proportionally.
-        for _ in 0..640 {
-            hist.observe(100); // median bucket upper bound 128 → 8×128
-        }
-        assert_eq!(ctl.threshold_us(), Some(1024));
-    }
-
-    #[test]
-    fn adaptive_controller_trips_holds_and_recovers() {
-        use std::time::{Duration, Instant};
-        let reg = tssa_obs::MetricsRegistry::new();
-        let hist = reg.histogram("tssa_queue_wait_us", "h", &[]);
-        let policy = AdaptiveDegrade {
-            factor: 8.0,
-            floor: Duration::from_micros(200),
-            min_samples: 64,
-            cooldown: Duration::from_millis(5),
-        };
-        let mut ctl = DegradeController::adaptive(hist.clone(), policy);
-        let now = Instant::now();
-        // Healthy traffic: 100µs waits → threshold 8×128 = 1024µs.
-        for _ in 0..64 {
-            hist.observe(100);
-            ctl.observe(Duration::from_micros(100));
-        }
-        assert!(!ctl.degraded(now));
-        // A queue spike blows the windowed p99 past the adaptive threshold.
-        ctl.observe(Duration::from_millis(20));
-        assert!(ctl.degraded(now));
-        // Hysteresis: held through the cooldown despite a healthy window...
-        for _ in 0..DegradeController::WINDOW {
-            ctl.observe(Duration::from_micros(10));
-        }
-        assert!(ctl.degraded(now + Duration::from_millis(4)));
-        // ...and past it, the cleared window must re-trip before degrading
-        // again.
-        assert!(!ctl.degraded(now + Duration::from_millis(6)));
-        ctl.observe(Duration::from_micros(10));
-        assert!(!ctl.degraded(now + Duration::from_millis(7)));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   certificate; [`ClassSignature::exact`] pins every argument and admits
 //!   only the example's shapes and dtypes (scalar values erased) — the class
 //!   of a plan `derive` refuses;
-//! * [`ClassEntry`] — the cached class: the one plan, its batch spec, the
-//!   degraded twin and a per-bucket hit census.
+//! * [`ClassEntry`] — the cached class: the one plan, its batch spec and a
+//!   per-bucket hit census.
 //!
 //! `derive` only generalizes signatures with zero data-dependent dims:
 //! those are exactly the plans whose output shapes are affine in the input
@@ -36,7 +36,6 @@ use tssa_tensor::DType;
 
 use crate::batch::BatchSpec;
 use crate::cache::{source_hash, ArgSig, PipelineKind};
-use crate::ServeError;
 
 /// One argument's shape skeleton within a [`PlanClassKey`]: `None` dims are
 /// polymorphic (any extent admitted), `Some(n)` dims are pinned.
@@ -369,7 +368,6 @@ pub struct ClassEntry {
     example: Vec<ArgSig>,
     file_hash: u64,
     roster_fp: u64,
-    degraded: Mutex<Option<Arc<CompiledProgram>>>,
     /// Requests served per concrete shape bucket, all-time. Persisted with
     /// the class (v3 plan file) and re-seeded on warm boot.
     census: Mutex<BTreeMap<String, u64>>,
@@ -391,7 +389,6 @@ impl ClassEntry {
             example,
             file_hash,
             roster_fp,
-            degraded: Mutex::new(None),
             census: Mutex::new(BTreeMap::new()),
         }
     }
@@ -431,22 +428,6 @@ impl ClassEntry {
 
     pub(crate) fn roster_fp(&self) -> u64 {
         self.roster_fp
-    }
-
-    /// The degraded twin of this class's program, running `compile` on the
-    /// first call only; later calls (from any load into the class) share
-    /// the result. A failed compile is not kept.
-    pub(crate) fn degraded_or_compile(
-        &self,
-        compile: impl FnOnce() -> Result<CompiledProgram, ServeError>,
-    ) -> Result<Arc<CompiledProgram>, ServeError> {
-        let mut slot = self.degraded.lock();
-        if let Some(twin) = slot.as_ref() {
-            return Ok(Arc::clone(twin));
-        }
-        let twin = Arc::new(compile()?);
-        *slot = Some(Arc::clone(&twin));
-        Ok(twin)
     }
 
     /// The per-bucket hit census, sorted by bucket label — what persists

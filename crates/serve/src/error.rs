@@ -60,15 +60,6 @@ impl ServeError {
     pub(crate) fn invalid(message: impl Into<String>) -> ServeError {
         ServeError::InvalidRequest(message.into())
     }
-
-    /// Whether retrying the same request may succeed: momentary overload
-    /// ([`ServeError::QueueFull`]) and worker loss ([`ServeError::Canceled`])
-    /// are transient; malformed requests, compile failures, execution
-    /// errors, elapsed deadlines and shutdown are not.
-    /// [`crate::Service::submit_retry`] retries exactly these variants.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ServeError::QueueFull { .. } | ServeError::Canceled)
-    }
 }
 
 impl fmt::Display for ServeError {
@@ -153,25 +144,6 @@ mod tests {
         });
         assert!(e.to_string().contains("inputs"));
         assert!(Error::source(&e).is_some());
-    }
-
-    #[test]
-    fn transient_classification_is_retry_safe() {
-        assert!(ServeError::QueueFull { depth: 4 }.is_transient());
-        assert!(ServeError::Canceled.is_transient());
-        for terminal in [
-            ServeError::ShuttingDown,
-            ServeError::invalid("x"),
-            ServeError::DeadlineExceeded {
-                waited: Duration::ZERO,
-            },
-            ServeError::Timeout {
-                waited: Duration::ZERO,
-            },
-            ServeError::CompilePanic,
-        ] {
-            assert!(!terminal.is_transient(), "{terminal} must not be retried");
-        }
     }
 
     #[test]

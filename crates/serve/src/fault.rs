@@ -19,8 +19,8 @@
 //! | [`FaultKind::WorkerPanic`] | worker, mid-batch | supervision: re-queue once, respawn |
 //! | [`FaultKind::CompileStall`] | plan compilation | load deadline → [`crate::ServeError::Timeout`] |
 //! | [`FaultKind::CachePoison`] | plan-cache hit | poisoned-entry eviction + recompile |
-//! | [`FaultKind::QueueFullBurst`] | admission | retry with exponential backoff |
-//! | [`FaultKind::SlowExec`] | worker, pre-exec | ticket-side timeout, degradation |
+//! | [`FaultKind::QueueFullBurst`] | admission | typed shed: [`crate::ServeError::QueueFull`] |
+//! | [`FaultKind::SlowExec`] | worker, pre-exec | deadline shed, ticket-side timeout |
 //! | [`FaultKind::CompilePanic`] | plan compilation | single-flight unwind → typed error, follower wakeup |
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -33,13 +33,10 @@
 //! 5. **Fault tolerance** ([`fault`], plus the recovery paths in
 //!    [`service`]) — a supervisor re-queues a crashed worker's in-flight
 //!    batch exactly once and respawns the worker; deadline-carrying waiters
-//!    time out with [`ServeError::Timeout`] instead of hanging;
-//!    [`Service::submit_retry`] retries transient sheds with exponential
-//!    backoff; and an overloaded dispatcher degrades to unbatched,
-//!    unoptimized execution at a threshold derived from the workload's own
-//!    queue-wait distribution ([`ServeConfig::with_adaptive_degrade`]). All
-//!    of it
-//!    is exercised deterministically by seeded [`FaultPlan`] schedules
+//!    time out with [`ServeError::Timeout`] instead of hanging. Queue
+//!    pressure is answered by adding workers ([`Service::grow`]), not by
+//!    changing the plan a request runs. All of it is exercised
+//!    deterministically by seeded [`FaultPlan`] schedules
 //!    ([`ServeConfig::with_faults`]) — zero-cost when disabled.
 //!
 //! Install a [`Tracer`] with [`ServeConfig::with_tracer`] and every request
@@ -81,7 +78,7 @@ pub mod fault;
 pub mod metrics;
 pub mod service;
 
-pub use batch::{AdaptiveDegrade, ArgRole, BatchSpec, DegradeController};
+pub use batch::{ArgRole, BatchSpec};
 pub use cache::{signature_of, source_hash, ArgSig, CacheStats, PipelineKind, PlanCache};
 pub use class::{
     bucket_label, bucket_label_of, coarse_class_hash, ArgKey, ClassEntry, ClassSignature,
@@ -93,9 +90,7 @@ pub use fault::{
     INJECTED_COMPILE_PANIC, INJECTED_PANIC,
 };
 pub use metrics::MetricsSnapshot;
-pub use service::{
-    ModelHandle, ModelLoader, PoolReport, Response, RetryPolicy, ServeConfig, Service, Ticket,
-};
+pub use service::{ModelHandle, ModelLoader, PoolReport, Response, ServeConfig, Service, Ticket};
 // Re-exported so warm-restart callers can open a store and read its stats
 // without naming `tssa-store`.
 pub use tssa_store::{PlanStore, StoreStats};

@@ -30,10 +30,8 @@ pub(crate) struct Metrics {
     pub(crate) exec_failures: Counter,
     pub(crate) canceled: Counter,
     pub(crate) timeouts: Counter,
-    pub(crate) retries: Counter,
     pub(crate) requeues: Counter,
     pub(crate) worker_respawns: Counter,
-    pub(crate) degraded_requests: Counter,
     /// Faults fired at service sites only. The exported
     /// `tssa_faults_injected_total` adds the cache's poisoned hits, so it is
     /// written through at read time rather than incremented here.
@@ -80,10 +78,6 @@ impl Metrics {
                 "tssa_requests_timeout_total",
                 "Requests abandoned past deadline + grace",
             ),
-            retries: counter(
-                "tssa_retries_total",
-                "Transient-error re-submissions (submit_retry)",
-            ),
             requeues: counter(
                 "tssa_batch_requeues_total",
                 "Batches re-queued after a worker crash",
@@ -91,10 +85,6 @@ impl Metrics {
             worker_respawns: counter(
                 "tssa_worker_respawns_total",
                 "Worker threads respawned after a crash",
-            ),
-            degraded_requests: counter(
-                "tssa_requests_degraded_total",
-                "Requests served on the degraded path",
             ),
             faults_injected: AtomicU64::new(0),
             batches: counter("tssa_batches_total", "Batches dispatched to workers"),
@@ -137,10 +127,8 @@ impl Metrics {
             exec_failures: self.exec_failures.get(),
             canceled: self.canceled.get(),
             timeouts: self.timeouts.get(),
-            retries: self.retries.get(),
             requeues: self.requeues.get(),
             worker_respawns: self.worker_respawns.get(),
-            degraded_requests: self.degraded_requests.get(),
             // Cache-site faults (poisoned hits) are counted by the cache
             // itself; fold them in so one counter covers the whole plan.
             faults_injected: self.faults_injected.load(Ordering::Relaxed) + cache.poisoned,
@@ -265,17 +253,11 @@ pub struct MetricsSnapshot {
     /// the caller synchronously and, like load compile errors, not counted
     /// here.
     pub timeouts: u64,
-    /// Re-submissions performed by [`crate::Service::submit_retry`] after a
-    /// transient error.
-    pub retries: u64,
     /// Batches re-queued after their worker crashed mid-execution (each
     /// batch is re-queued at most once).
     pub requeues: u64,
     /// Worker threads respawned by the supervisor after a crash.
     pub worker_respawns: u64,
-    /// Requests executed on the degraded path (batching shed, optimization
-    /// pipeline skipped) because queue latency crossed the threshold.
-    pub degraded_requests: u64,
     /// Faults injected by the armed [`crate::FaultPlan`] across every site
     /// (0 in production configurations).
     pub faults_injected: u64,
@@ -336,12 +318,8 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  recovery   retries {:>8}  requeues {:>9}  respawns {:>7}  degraded {:>4}  faults {:>5}",
-            self.retries,
-            self.requeues,
-            self.worker_respawns,
-            self.degraded_requests,
-            self.faults_injected
+            "  recovery   requeues {:>9}  respawns {:>7}  faults {:>5}",
+            self.requeues, self.worker_respawns, self.faults_injected
         )?;
         writeln!(
             f,
@@ -422,10 +400,8 @@ mod tests {
     fn fault_and_recovery_counters_are_exported() {
         let registry = MetricsRegistry::new();
         let m = Metrics::new(&registry);
-        m.retries.add(2);
         m.requeues.inc();
         m.worker_respawns.inc();
-        m.degraded_requests.add(5);
         (0..3).for_each(|_| m.note_fault());
         let cache = CacheStats {
             poisoned: 2,
@@ -436,10 +412,8 @@ mod tests {
         assert_eq!(s.faults_injected, 5);
         let text = registry.prometheus_text();
         for needle in [
-            "tssa_retries_total 2",
             "tssa_batch_requeues_total 1",
             "tssa_worker_respawns_total 1",
-            "tssa_requests_degraded_total 5",
             "tssa_faults_injected_total 5",
             "tssa_requests_timeout_total 0",
         ] {

@@ -20,7 +20,7 @@
 //!
 //! # Fault tolerance
 //!
-//! Three recovery mechanisms ride on the normal data path:
+//! Two recovery mechanisms ride on the normal data path:
 //!
 //! - **Supervision.** Workers run inside a crash guard; a panic mid-batch
 //!   notifies the supervisor, which re-queues the batch parked in the
@@ -32,17 +32,8 @@
 //!   arrives by then, [`Ticket::wait`] returns [`crate::ServeError::Timeout`]
 //!   and a late worker completion is discarded (its span is marked
 //!   `timed_out`) instead of double-counting.
-//! - **Degradation.** When the dispatcher's sliding-window p99 of
-//!   admission-to-dispatch wait exceeds the threshold derived from the
-//!   service's own long-run queue-wait histogram
-//!   ([`ServeConfig::degrade_adaptive`]; a fixed threshold is the policy
-//!   with `factor: 0.0, min_samples: 0`), it sheds batching (size-1
-//!   flushes) and routes requests to the model's degraded twin — its
-//!   `Eager` plan: no optimization passes, direct interpretation — trading
-//!   throughput for bounded queueing latency, with cooldown hysteresis
-//!   before re-evaluating.
 //!
-//! Deterministic fault injection (see [`crate::fault`]) exercises all three:
+//! Deterministic fault injection (see [`crate::fault`]) exercises both:
 //! a [`crate::FaultPlan`] threaded through [`ServeConfig::with_faults`]
 //! triggers worker panics, compile stalls, cache poisoning, admission
 //! bursts, and slow executions on a seeded schedule. When disabled (the
@@ -61,7 +52,7 @@ use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, ProfileSink, Profiler, S
 use tssa_pipelines::{CompiledProgram, ProfileRecorder};
 use tssa_store::{ClassMeta, DecodedPlan, PlanStore};
 
-use crate::batch::{AdaptiveDegrade, BatchSpec, DegradeController};
+use crate::batch::BatchSpec;
 use crate::cache::{signature_of, source_hash, PipelineKind, PlanCache};
 use crate::class::{bucket_label, bucket_label_of, coarse_class_hash, ClassEntry, ClassSignature};
 use crate::fault::{FaultAction, FaultKind, Faults, INJECTED_COMPILE_PANIC, INJECTED_PANIC};
@@ -96,12 +87,6 @@ pub struct ServeConfig {
     /// `DeadlineExceeded`); the grace bounds how long the waiter tolerates
     /// an execution that started in time but never finishes.
     pub timeout_grace: Duration,
-    /// Degradation: above a queue-wait p99 threshold derived from the
-    /// service's own long-run queue-wait histogram
-    /// (`max(floor, factor × median)`), the dispatcher enters degraded mode
-    /// (batching shed, `Eager` twins preferred) for the policy's cooldown.
-    /// `None` (the default) disables it.
-    pub degrade_adaptive: Option<AdaptiveDegrade>,
     /// Registry holding every metric the service records — request and
     /// recovery counters, latency, queue-wait and per-plan batch-occupancy
     /// histograms; [`MetricsSnapshot`] is a typed read of it. Defaults to a
@@ -138,7 +123,6 @@ impl Default for ServeConfig {
             device: DeviceProfile::consumer(),
             tracer: Tracer::disabled(),
             timeout_grace: Duration::from_millis(250),
-            degrade_adaptive: None,
             registry: MetricsRegistry::new(),
             faults: Faults::disabled(),
             plan_store: None,
@@ -177,8 +161,6 @@ with_field! {
     with_tracer: tracer, Tracer;
     /// Set the waiter's slack past the deadline before `Timeout`.
     with_timeout_grace: timeout_grace, Duration;
-    /// Enable degradation with this policy.
-    with_adaptive_degrade: degrade_adaptive, Option<AdaptiveDegrade>;
     /// Record the service's metrics into this registry.
     with_registry: registry, MetricsRegistry;
     /// Install a fault-injection schedule.
@@ -199,10 +181,6 @@ pub struct ModelHandle {
     /// `<pipeline>:<source-hash-prefix>`; name it with
     /// [`ModelLoader::named`].
     label: Arc<str>,
-    /// Zero-pass fallback plan (the `Eager` plan of the same program),
-    /// compiled alongside the primary when degradation is enabled on the
-    /// service.
-    degraded: Option<Arc<CompiledProgram>>,
     /// Shape-class entry this handle is admitted under: the plan, plus the
     /// per-bucket hit census.
     class: Arc<ClassEntry>,
@@ -222,11 +200,6 @@ impl ModelHandle {
     /// The metric label this model's batches are reported under.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The degraded fallback plan, when one was compiled.
-    pub fn degraded_plan(&self) -> Option<&Arc<CompiledProgram>> {
-        self.degraded.as_ref()
     }
 
     /// The shape-class entry admitting this model.
@@ -541,11 +514,6 @@ struct Request {
     /// `queue` child covering admission-to-execution wait; finished by the
     /// worker just before the batch runs (or dropped on expiry).
     queue_span: Option<Span>,
-    /// Fallback plan to use when the dispatcher routes this request through
-    /// degraded mode.
-    degraded_plan: Option<Arc<CompiledProgram>>,
-    /// Set by the dispatcher when degraded mode claimed this request.
-    degrade: bool,
 }
 
 impl Request {
@@ -677,41 +645,6 @@ impl WorkerProfile {
     }
 }
 
-/// Bounded-retry policy for [`Service::submit_retry`]: transient errors
-/// (queue sheds, cancellations from worker churn) are retried with
-/// exponential backoff; typed failures surface immediately.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = no retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(20),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based): `base * 2^(n-1)`,
-    /// capped at `max_backoff`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16);
-        self.base_backoff
-            .checked_mul(1u32 << shift)
-            .unwrap_or(self.max_backoff)
-            .min(self.max_backoff)
-    }
-}
-
 /// Final accounting returned by [`Service::shutdown`].
 #[derive(Debug, Clone)]
 pub struct PoolReport {
@@ -738,10 +671,6 @@ pub struct Service {
     faults: Faults,
     queue_depth: usize,
     timeout_grace: Duration,
-    degrade_enabled: bool,
-    /// Set by the dispatcher whenever its degrade controller re-evaluates;
-    /// read by [`Service::is_degraded`] (readiness probes).
-    degraded: Arc<AtomicBool>,
     /// Op-level execution profiler shared with every worker, when enabled.
     profiler: Option<Profiler>,
     admit_tx: Option<Sender<Request>>,
@@ -768,25 +697,18 @@ impl Service {
         let (events_tx, events_rx) = channel::unbounded::<WorkerEvent>();
 
         // The dispatcher records every request's admission-to-dispatch wait
-        // into this histogram; an adaptive degrade trigger reads its median
-        // back, closing the loop without a hand-tuned threshold.
+        // into this histogram; the autoscaler reads it back from the
+        // registry.
         let queue_wait = config.registry.histogram(
             "tssa_queue_wait_us",
             "Admission-to-dispatch queue wait (power-of-two buckets, µs)",
             &[],
         );
-        let degrade = config
-            .degrade_adaptive
-            .map(|policy| DegradeController::adaptive(queue_wait.clone(), policy));
-        let degrade_enabled = degrade.is_some();
-        let degraded = Arc::new(AtomicBool::new(false));
         let dispatcher = {
             let ctx = DispatcherCtx {
                 max_batch: config.max_batch.max(1),
                 max_wait: config.max_wait,
                 metrics: Arc::clone(&metrics),
-                degrade,
-                degraded: Arc::clone(&degraded),
                 queue_wait,
                 registry: config.registry.clone(),
             };
@@ -847,9 +769,7 @@ impl Service {
             faults: config.faults,
             queue_depth: config.queue_depth.max(1),
             timeout_grace: config.timeout_grace,
-            degrade_enabled,
             profiler: config.profiler,
-            degraded,
             admit_tx: Some(admit_tx),
             events_tx,
             dispatcher: Some(dispatcher),
@@ -1019,18 +939,6 @@ impl Service {
         } else {
             Arc::new(spec)
         };
-        // The degraded twin is provisioned at load time when degradation is
-        // on, so the dispatcher can switch plans without a compile on the
-        // hot path. It lives on the class, so it compiles once per class;
-        // an `Eager` model is its own fallback.
-        let degraded = if self.degrade_enabled && pipeline != PipelineKind::Eager {
-            Some(class.degraded_or_compile(|| {
-                let graph = tssa_frontend::compile(source)?;
-                Ok(PipelineKind::Eager.compile_traced(&graph, &scope))
-            })?)
-        } else {
-            None
-        };
         if let Some(limit) = req.deadline {
             let waited = started.elapsed();
             if waited > limit {
@@ -1053,12 +961,7 @@ impl Service {
                 )
                 .set(sig.polymorphic_dims() as f64);
         }
-        Ok(ModelHandle {
-            spec,
-            label,
-            degraded,
-            class,
-        })
+        Ok(ModelHandle { spec, label, class })
     }
 
     /// Queue an asynchronous re-save of a class entry (refreshed census)
@@ -1150,8 +1053,6 @@ impl Service {
             completer,
             span,
             queue_span,
-            degraded_plan: model.degraded.clone(),
-            degrade: false,
         };
         match tx.try_send(request) {
             Ok(()) => {
@@ -1188,56 +1089,6 @@ impl Service {
         }
     }
 
-    /// Submit and wait, retrying transient failures (queue sheds,
-    /// cancellations from worker churn) per `policy` with exponential
-    /// backoff. Typed failures — deadline, timeout, execution errors —
-    /// surface immediately.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error when retries are exhausted, or the first
-    /// non-transient error.
-    pub fn submit_retry(
-        &self,
-        model: &ModelHandle,
-        inputs: Vec<RtValue>,
-        policy: &RetryPolicy,
-    ) -> Result<Response, ServeError> {
-        let mut span = if self.tracer.enabled() {
-            Some(self.tracer.root("request:retry", "serve"))
-        } else {
-            None
-        };
-        let mut attempt: u32 = 0;
-        let result = loop {
-            let outcome = match self.submit(model, inputs.clone()) {
-                Ok(ticket) => ticket.wait(),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(response) => break Ok(response),
-                Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                    attempt += 1;
-                    self.metrics.retries.inc();
-                    if let Some(s) = span.as_mut() {
-                        s.mark("retry");
-                    }
-                    let backoff = policy.backoff(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        if let Some(mut s) = span.take() {
-            s.counter("attempts", i64::from(attempt) + 1);
-            s.counter("succeeded", i64::from(result.is_ok()));
-            s.finish();
-        }
-        result
-    }
-
     /// Ask the supervisor to add `n` worker slots. Asynchronous: the pool
     /// grows as the supervisor processes the events; observe the effect
     /// through [`Service::worker_count`] or the `tssa_pool_workers` gauge.
@@ -1261,13 +1112,6 @@ impl Service {
     /// Active (non-retired) workers right now.
     pub fn worker_count(&self) -> usize {
         active_workers(&self.pool)
-    }
-
-    /// Whether the dispatcher is currently in degraded mode (batching shed,
-    /// `Eager` twins preferred). Readiness probes report not-ready while
-    /// this holds; always `false` when degradation is not configured.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Relaxed)
     }
 
     /// The shared plan cache (exposed for cache-centric tests and tools).
@@ -1371,12 +1215,8 @@ struct DispatcherCtx {
     max_batch: usize,
     max_wait: Duration,
     metrics: Arc<Metrics>,
-    degrade: Option<DegradeController>,
-    /// Published degrade state, re-stored on every controller evaluation so
-    /// readiness probes see mode changes promptly.
-    degraded: Arc<AtomicBool>,
     /// Long-run queue-wait histogram; every dispatched request records
-    /// here, and an adaptive [`DegradeController`] reads its median back.
+    /// here.
     queue_wait: HistogramMetric,
     /// Registry the per-plan batch-occupancy histograms register into.
     registry: MetricsRegistry,
@@ -1387,8 +1227,6 @@ fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx)
         max_batch,
         max_wait,
         metrics,
-        mut degrade,
-        degraded,
         queue_wait,
         registry,
     } = ctx;
@@ -1451,24 +1289,6 @@ fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx)
                     wait.as_micros().min(u128::from(u64::MAX)) as u64,
                     trace_id,
                 );
-                // Degradation check: track the admission-to-dispatch wait
-                // and, when the sliding p99 blows the budget, shed batching
-                // and route through the degraded plan immediately.
-                if let Some(ctl) = degrade.as_mut() {
-                    ctl.observe(wait);
-                    let on = ctl.degraded(now);
-                    degraded.store(on, Relaxed);
-                    if on {
-                        let mut request = request;
-                        request.degrade = true;
-                        metrics.degraded_requests.inc();
-                        if let Some(s) = request.span.as_mut() {
-                            s.mark("degraded");
-                        }
-                        flush(vec![request]);
-                        continue;
-                    }
-                }
                 if !request.spec.batchable() || max_batch == 1 {
                     flush(vec![request]);
                     continue;
@@ -1623,13 +1443,7 @@ fn process_in_flight(ctx: &WorkerCtx) {
                 })
                 .collect();
             let head = &batch.requests[0];
-            let plan = if head.degrade {
-                head.degraded_plan
-                    .clone()
-                    .unwrap_or_else(|| Arc::clone(&head.plan))
-            } else {
-                Arc::clone(&head.plan)
-            };
+            let plan = Arc::clone(&head.plan);
             let spec = Arc::clone(&head.spec);
             let plan_label = Arc::clone(&head.plan_label);
             let inputs: Result<Vec<RtValue>, ServeError> = if coalesced == 1 {

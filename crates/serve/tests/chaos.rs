@@ -1,11 +1,13 @@
 //! Chaos suite: 200+ deterministic seeded fault schedules driven through
 //! the full service. Under every schedule — worker panics, compile stalls,
-//! cache poisoning, admission bursts, slow executions, degradation, retry —
-//! the invariants must hold:
+//! cache poisoning, admission bursts, slow executions, deadlines — the
+//! invariants must hold:
 //!
 //! - **No silent drops.** Every accepted ticket reaches a terminal state
 //!   (a hang here fails the suite by timeout), and the metric ledger
-//!   reconciles: `resolved() == submitted`.
+//!   reconciles: `resolved() == submitted`. Transient outcomes — admission
+//!   sheds and cancellations from worker churn — surface typed to the
+//!   caller (`QueueFull`, `Canceled`); nothing retries them in-process.
 //! - **Fault accounting.** `faults_injected` in the snapshot equals the
 //!   plan's own injection count, batch re-queues never exceed panics, and
 //!   observed successes equal the `completed` counter.
@@ -27,8 +29,8 @@ use std::time::Duration;
 
 use tssa_backend::RtValue;
 use tssa_serve::{
-    silence_injected_panics_for_tests, AdaptiveDegrade, BatchSpec, FaultKind, FaultPlan,
-    PipelineKind, RetryPolicy, ServeConfig, ServeError, Service, StreamSink, TraceSink, Tracer,
+    silence_injected_panics_for_tests, BatchSpec, FaultKind, FaultPlan, PipelineKind, ServeConfig,
+    ServeError, Service, StreamSink, TraceSink, Tracer,
 };
 use tssa_tensor::Tensor;
 
@@ -46,8 +48,6 @@ struct SuiteTotals {
     injected_by_kind: [u64; 6],
     requeues: u64,
     respawns: u64,
-    retries: u64,
-    degraded: u64,
     completed: u64,
     /// Deadline sheds plus waiter timeouts, from the deadline-mode rounds.
     deadline_outcomes: u64,
@@ -56,7 +56,8 @@ struct SuiteTotals {
 }
 
 fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
-    let mode = seed % 4;
+    // One round in four carries deadlines; the rest are plain submit/wait.
+    let deadlines = seed % 4 == 3;
     let mut plan = FaultPlan::seeded(seed)
         .with_rate(FaultKind::WorkerPanic, 0.06, 48)
         .with_rate(FaultKind::QueueFullBurst, 0.10, 48)
@@ -65,14 +66,13 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
         .with_rate(FaultKind::CompilePanic, 0.25, 4)
         .with_stall(Duration::from_micros(300))
         .with_slow_exec(Duration::from_micros(500));
-    // Degradation and deadline rounds lean on slow executions to build a
-    // queue backlog.
-    plan = if mode == 1 || mode == 3 {
+    // Deadline rounds lean on slow executions to build a queue backlog.
+    plan = if deadlines {
         plan.with_rate(FaultKind::SlowExec, 0.50, 64)
     } else {
         plan.with_rate(FaultKind::SlowExec, 0.12, 48)
     };
-    if mode == 3 {
+    if deadlines {
         // A slow execution must outlive every deadline (max 2.4ms) plus the
         // 2ms grace even in release builds, where the un-faulted path is
         // microseconds — otherwise deadline outcomes depend on the build
@@ -88,17 +88,7 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
         .with_max_wait(Duration::from_micros(500))
         .with_tracer(tracer.clone())
         .with_faults(faults.clone());
-    if mode == 1 {
-        // A fixed 100 µs threshold: no median scaling, armed from the
-        // first request.
-        config = config.with_adaptive_degrade(Some(AdaptiveDegrade {
-            factor: 0.0,
-            floor: Duration::from_micros(100),
-            min_samples: 0,
-            cooldown: Duration::from_millis(1),
-        }));
-    }
-    if mode == 3 {
+    if deadlines {
         // Tight grace so stalled executions resolve as waiter timeouts.
         config = config.with_timeout_grace(Duration::from_millis(2));
     }
@@ -122,100 +112,42 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
 
     let mut observed_ok = 0u64;
     let mut observed_shed = 0u64;
-    match mode {
-        // Modes 0 and 1: raw submit/wait traffic over mixed batch sizes,
-        // with periodic re-loads at never-yet-loaded shapes so class hits
-        // (and therefore poison injections) happen mid-round.
-        0 | 1 => {
-            let mut tickets = Vec::new();
-            for i in 0..18usize {
-                if i % 6 == 5 {
-                    // A class hit unless poisoned; poison evicts the whole
-                    // class and the retry recompiles it — either way the
-                    // load must succeed.
-                    load(2 + (i / 6) % 3)
-                        .unwrap_or_else(|e| panic!("seed {seed}: re-load failed: {e}"));
-                }
-                let b = 2 + i % 3;
-                match service.submit(&model, inputs_at(b)) {
-                    Ok(t) => tickets.push((b, t)),
-                    Err(ServeError::QueueFull { .. }) => observed_shed += 1,
-                    Err(other) => panic!("seed {seed}: unexpected admission error: {other}"),
-                }
-            }
-            for (b, t) in tickets {
-                match t.wait() {
-                    Ok(resp) => {
-                        observed_ok += 1;
-                        let out = resp.outputs[0].as_tensor().expect("tensor output");
-                        assert_eq!(
-                            out.shape(),
-                            [b, 4],
-                            "seed {seed}: response rows must match the submitted shape"
-                        );
-                    }
-                    // Canceled: batch crashed twice, or drained at shutdown.
-                    Err(ServeError::Canceled) => {}
-                    Err(other) => panic!("seed {seed}: unexpected terminal state: {other}"),
-                }
-            }
+    // Mixed batch sizes throughout. Plain rounds re-load at never-yet-loaded
+    // shapes so class hits (and therefore poison injections) happen
+    // mid-round; deadline rounds give every request 1.2–2.4 ms, so some shed
+    // as DeadlineExceeded and executions that outlive deadline + grace
+    // resolve as Timeout. The ledger must reconcile exactly either way.
+    let mut tickets = Vec::new();
+    for i in 0..18usize {
+        if !deadlines && i % 6 == 5 {
+            // A class hit unless poisoned; poison evicts the whole class
+            // and the retry recompiles it — either way the load must
+            // succeed.
+            load(2 + (i / 6) % 3).unwrap_or_else(|e| panic!("seed {seed}: re-load failed: {e}"));
         }
-        // Mode 2: the retry path. Transient sheds and cancellations are
-        // absorbed by bounded retry; only typed failures surface.
-        2 => {
-            let policy = RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::from_micros(100),
-                max_backoff: Duration::from_millis(2),
-            };
-            for i in 0..10usize {
-                let b = 2 + i % 3;
-                match service.submit_retry(&model, inputs_at(b), &policy) {
-                    Ok(resp) => {
-                        observed_ok += 1;
-                        assert_eq!(
-                            resp.outputs[0].as_tensor().expect("tensor output").shape(),
-                            [b, 4],
-                            "seed {seed}: retried response rows must match the submitted shape"
-                        );
-                    }
-                    Err(ServeError::QueueFull { .. }) | Err(ServeError::Canceled) => {}
-                    Err(other) => panic!("seed {seed}: unexpected retry outcome: {other}"),
-                }
-            }
+        let b = 2 + i % 3;
+        let deadline = deadlines.then(|| Duration::from_micros(1200 + 300 * (i % 5) as u64));
+        match service.submit_with(&model, inputs_at(b), deadline) {
+            Ok(t) => tickets.push((b, t)),
+            Err(ServeError::QueueFull { .. }) => observed_shed += 1,
+            Err(other) => panic!("seed {seed}: unexpected admission error: {other}"),
         }
-        // Mode 3: deadline-carrying traffic over the same fault schedule.
-        // Requests that miss their deadline shed as DeadlineExceeded;
-        // executions that outlive deadline + grace resolve as Timeout. The
-        // ledger must still reconcile exactly — no silent drops.
-        _ => {
-            let mut tickets = Vec::new();
-            for i in 0..18usize {
-                let deadline = Duration::from_micros(1200 + 300 * (i % 5) as u64);
-                let b = 2 + i % 3;
-                match service.submit_with(&model, inputs_at(b), Some(deadline)) {
-                    Ok(t) => tickets.push((b, t)),
-                    Err(ServeError::QueueFull { .. }) => observed_shed += 1,
-                    Err(other) => panic!("seed {seed}: unexpected admission error: {other}"),
-                }
+    }
+    for (b, t) in tickets {
+        match t.wait() {
+            Ok(resp) => {
+                observed_ok += 1;
+                let out = resp.outputs[0].as_tensor().expect("tensor output");
+                assert_eq!(
+                    out.shape(),
+                    [b, 4],
+                    "seed {seed}: response rows must match the submitted shape"
+                );
             }
-            for (b, t) in tickets {
-                match t.wait() {
-                    Ok(resp) => {
-                        observed_ok += 1;
-                        let out = resp.outputs[0].as_tensor().expect("tensor output");
-                        assert_eq!(
-                            out.shape(),
-                            [b, 4],
-                            "seed {seed}: response rows must match the submitted shape"
-                        );
-                    }
-                    Err(ServeError::DeadlineExceeded { .. })
-                    | Err(ServeError::Timeout { .. })
-                    | Err(ServeError::Canceled) => {}
-                    Err(other) => panic!("seed {seed}: unexpected terminal state: {other}"),
-                }
-            }
+            // Canceled: batch crashed twice, or drained at shutdown.
+            Err(ServeError::Canceled) => {}
+            Err(ServeError::DeadlineExceeded { .. } | ServeError::Timeout { .. }) if deadlines => {}
+            Err(other) => panic!("seed {seed}: unexpected terminal state: {other}"),
         }
     }
 
@@ -233,12 +165,10 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
         metrics.completed, observed_ok,
         "seed {seed}: observed successes disagree with the completed counter"
     );
-    if mode != 2 {
-        assert_eq!(
-            metrics.shed_queue_full, observed_shed,
-            "seed {seed}: observed sheds disagree with the shed counter"
-        );
-    }
+    assert_eq!(
+        metrics.shed_queue_full, observed_shed,
+        "seed {seed}: observed sheds disagree with the shed counter"
+    );
     // Fault accounting: the snapshot agrees with the plan's own count.
     assert_eq!(
         metrics.faults_injected,
@@ -263,10 +193,7 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
         metrics.worker_respawns
     );
     assert_eq!(report.per_worker.len(), 2, "seed {seed}: pool strength");
-    if mode != 1 {
-        assert_eq!(metrics.degraded_requests, 0, "seed {seed}: degradation off");
-    }
-    if mode != 3 {
+    if !deadlines {
         assert_eq!(
             metrics.timeouts, 0,
             "seed {seed}: no deadlines, no timeouts"
@@ -282,8 +209,6 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
     }
     totals.requeues += metrics.requeues;
     totals.respawns += metrics.worker_respawns;
-    totals.retries += metrics.retries;
-    totals.degraded += metrics.degraded_requests;
     totals.completed += metrics.completed;
     totals.deadline_outcomes += metrics.shed_deadline + metrics.timeouts;
     totals.class_hits += metrics.cache.class_hits;
@@ -313,8 +238,6 @@ fn two_hundred_seeded_schedules_never_drop_or_miscount() {
     }
     assert!(totals.requeues > 0, "suite never exercised batch re-queue");
     assert!(totals.respawns > 0, "suite never exercised worker respawn");
-    assert!(totals.retries > 0, "suite never exercised bounded retry");
-    assert!(totals.degraded > 0, "suite never entered degraded mode");
     assert!(
         totals.deadline_outcomes > 0,
         "suite never exercised deadlines/timeouts"

@@ -3,11 +3,7 @@
 //! batch-occupancy histograms all record into it, and
 //! [`Service::prometheus`] renders it as one exposition.
 
-use std::time::Duration;
-
-use tssa_serve::{
-    AdaptiveDegrade, BatchSpec, MetricsRegistry, PipelineKind, Profiler, ServeConfig, Service,
-};
+use tssa_serve::{BatchSpec, MetricsRegistry, PipelineKind, Profiler, ServeConfig, Service};
 use tssa_workloads::Workload;
 
 #[test]
@@ -107,13 +103,11 @@ fn exposition_family_set_is_pinned() {
 # TYPE tssa_request_latency_us histogram
 # TYPE tssa_requests_canceled_total counter
 # TYPE tssa_requests_completed_total counter
-# TYPE tssa_requests_degraded_total counter
 # TYPE tssa_requests_exec_failures_total counter
 # TYPE tssa_requests_shed_deadline_total counter
 # TYPE tssa_requests_shed_queue_full_total counter
 # TYPE tssa_requests_submitted_total counter
 # TYPE tssa_requests_timeout_total counter
-# TYPE tssa_retries_total counter
 # TYPE tssa_throughput_rps gauge
 # TYPE tssa_worker_respawns_total counter
 ";
@@ -217,35 +211,4 @@ fn default_plan_labels_name_pipeline_and_source() {
         .load()
         .unwrap();
     assert_eq!(again.label(), label);
-}
-
-#[test]
-fn adaptive_degrade_compiles_the_fallback_plan() {
-    let workload = Workload::by_name("yolov3").unwrap();
-    // Degradation must provision the zero-pass fallback at load time, even
-    // while the trigger is unarmed.
-    let service = Service::new(
-        ServeConfig::default()
-            .with_workers(1)
-            .with_adaptive_degrade(Some(AdaptiveDegrade {
-                cooldown: Duration::from_millis(1),
-                ..AdaptiveDegrade::default()
-            })),
-    );
-    let inputs = workload.inputs(2, 0, 9);
-    let model = service
-        .loader(workload.source)
-        .pipeline(PipelineKind::TensorSsa)
-        .example(&inputs)
-        .batch(BatchSpec::stacked(1, 1))
-        .load()
-        .unwrap();
-    assert!(
-        model.degraded_plan().is_some(),
-        "adaptive degradation provisions the degraded twin"
-    );
-    // And the service still serves normally while the trigger is unarmed.
-    let ticket = service.submit(&model, inputs).unwrap();
-    ticket.wait().expect("request completes");
-    assert_eq!(service.metrics().degraded_requests, 0);
 }

@@ -69,6 +69,15 @@ ONE_NAME='"(int_add|add_scalar|logical_and|float_lt)"'
 ONE_EVAL='wrapping_(add|sub|mul|div|rem|neg)'
 [ -z "$(guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)')" ] || { echo "host-scalar arithmetic outside ScalarKind::eval:"; guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)'; exit 1; }
 
+step "one overload response (no degraded mode, Eager twin or in-process retry)"
+# Queue pressure is answered by the autoscaler adding workers: every plan a
+# worker runs is the one its ModelHandle got from the plan cache, and a
+# transient shed or cancellation reaches the caller typed. Neither a second
+# controller that swaps plans under load nor a retry loop inside the
+# service comes back.
+ONE_RESPONSE='AdaptiveDegrade|DegradeController|degrade_adaptive|degraded_plan|is_degraded|submit_retry|RetryPolicy'
+[ -z "$(guard "$ONE_RESPONSE")" ] || { echo "a second overload response:"; guard "$ONE_RESPONSE"; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.
