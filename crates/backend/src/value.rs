@@ -75,7 +75,7 @@ impl RtValue {
     /// # Errors
     ///
     /// Returns [`ExecError::TypeMismatch`] for non-list values.
-    pub fn as_list(&self) -> Result<&[RtValue], ExecError> {
+    pub(crate) fn as_list(&self) -> Result<&[RtValue], ExecError> {
         match self {
             RtValue::List(v) => Ok(v),
             other => Err(ExecError::type_mismatch("list", other)),

@@ -55,10 +55,8 @@
 mod defunctionalize;
 mod pass;
 pub mod passes;
-mod shape_ratchet;
 mod tensorssa;
 
 pub use defunctionalize::defunctionalize;
 pub use pass::{Pass, PassHook, PassManager, PassRun, SanitizerViolation};
-pub use shape_ratchet::ShapeRatchet;
-pub use tensorssa::{convert_to_tensorssa, convert_with_options, ConversionStats};
+pub use tensorssa::{convert_to_tensorssa, ConversionStats};

@@ -127,24 +127,14 @@ pub struct PassRun {
     pub counters: Vec<(&'static str, i64)>,
 }
 
-impl PassRun {
-    /// Net change in live node count (positive = grew).
-    pub fn node_delta(&self) -> i64 {
-        self.nodes_after as i64 - self.nodes_before as i64
-    }
-}
-
 /// Runs an ordered sequence of passes over a graph, recording timing and
 /// graph deltas per pass, and emitting one `pass:<name>` span per pass when
 /// given an enabled [`TraceScope`]. Every run also feeds the per-pass
-/// wall-time histogram `tssa_pass_wall_us{pass=...}` in a
-/// [`MetricsRegistry`] — the process-wide one by default
-/// ([`MetricsRegistry::global`]), or the one set via
-/// [`PassManager::with_metrics`].
+/// wall-time histogram `tssa_pass_wall_us{pass=...}` in the process-wide
+/// [`MetricsRegistry::global`].
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     hooks: Vec<Box<dyn PassHook>>,
-    metrics: MetricsRegistry,
 }
 
 impl Default for PassManager {
@@ -160,16 +150,7 @@ impl PassManager {
         PassManager {
             passes: Vec::new(),
             hooks: Vec::new(),
-            metrics: MetricsRegistry::global().clone(),
         }
-    }
-
-    /// Register pass wall-time histograms into `registry` instead of the
-    /// process-wide default (isolation for tests and benchmarks).
-    #[must_use]
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> PassManager {
-        self.metrics = registry;
-        self
     }
 
     /// Append a pass (builder style).
@@ -195,11 +176,6 @@ impl PassManager {
     /// Register a sanitizer hook, re-checked after every pass.
     pub fn add_hook(&mut self, hook: impl PassHook + 'static) {
         self.hooks.push(Box::new(hook));
-    }
-
-    /// Names of the registered hooks.
-    pub fn hook_names(&self) -> Vec<&'static str> {
-        self.hooks.iter().map(|h| h.name()).collect()
     }
 
     /// Names of the registered passes, in run order.
@@ -264,7 +240,7 @@ impl PassManager {
             // When this compile is traced, the observation doubles as the
             // series' exemplar: the exposition line links back to the trace
             // (root span id) that produced it.
-            self.metrics
+            MetricsRegistry::global()
                 .histogram(
                     "tssa_pass_wall_us",
                     "Per-pass compile wall time (power-of-two buckets, µs)",
@@ -347,7 +323,7 @@ mod tests {
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].name, "cse");
         assert_eq!(runs[0].rewrites, 1, "duplicate relu merged");
-        assert_eq!(runs[0].node_delta(), -1);
+        assert_eq!(runs[0].nodes_after + 1, runs[0].nodes_before);
         // DCE sees the graph CSE left behind: the dead tanh dies.
         assert_eq!(runs[1].nodes_before, runs[0].nodes_after);
         assert!(runs[1].rewrites >= 1);
@@ -403,7 +379,6 @@ mod tests {
             .with(Cse)
             .with(Dce)
             .with_hook(FailAfter { target: "dce" });
-        assert_eq!(pm.hook_names(), vec!["fail-after"]);
         let err = pm.try_run(&mut g, &root.scope()).unwrap_err();
         root.finish();
         assert_eq!(err.pass, "dce");
@@ -429,19 +404,27 @@ mod tests {
 
     #[test]
     fn pass_timings_land_in_the_metrics_registry() {
-        let registry = MetricsRegistry::new();
+        // A pass name no other test runs, so the process-wide histogram's
+        // count is this test's alone.
+        struct TimingProbe;
+        impl Pass for TimingProbe {
+            fn name(&self) -> &'static str {
+                "timing-probe"
+            }
+            fn run(&mut self, _g: &mut Graph) -> usize {
+                0
+            }
+        }
         let mut g = sample();
-        let mut pm = PassManager::new()
-            .with(Cse)
-            .with(Dce)
-            .with_metrics(registry.clone());
+        let mut pm = PassManager::new().with(TimingProbe).with(Dce);
         pm.run(&mut g, &TraceScope::disabled());
         pm.run(&mut g, &TraceScope::disabled());
-        let dce = registry.histogram("tssa_pass_wall_us", "", &[("pass", "dce")]);
-        assert_eq!(dce.count(), 2, "one sample per dce run");
+        let registry = MetricsRegistry::global();
+        let probe = registry.histogram("tssa_pass_wall_us", "", &[("pass", "timing-probe")]);
+        assert_eq!(probe.count(), 2, "one sample per run");
         let text = registry.prometheus_text();
         assert!(
-            text.contains("tssa_pass_wall_us_count{pass=\"cse\"} 2"),
+            text.contains("tssa_pass_wall_us_count{pass=\"timing-probe\"} 2"),
             "{text}"
         );
     }

@@ -46,7 +46,7 @@ pub fn convert_to_tensorssa(g: &mut Graph) -> ConversionStats {
 /// Like [`convert_to_tensorssa`] but with block propagation optionally
 /// disabled — the "non-holistic" ablation: mutations whose versions would
 /// need to cross control-flow boundaries are left imperative.
-pub fn convert_with_options(g: &mut Graph, block_prop: bool) -> ConversionStats {
+pub(crate) fn convert_with_options(g: &mut Graph, block_prop: bool) -> ConversionStats {
     let mut stats = ConversionStats::default();
     normalize_mutation_outputs(g);
     let analysis = AliasAnalysis::build(g);

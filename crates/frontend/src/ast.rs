@@ -4,7 +4,7 @@ use tssa_ir::Type;
 
 /// A parsed `def` function.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Function {
+pub(crate) struct Function {
     /// Function name.
     pub name: String,
     /// Typed parameters.
@@ -15,7 +15,7 @@ pub struct Function {
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `target = value`
     Assign {
         /// Assignment target.
@@ -85,7 +85,7 @@ pub enum Stmt {
 
 /// Assignment target.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Target {
+pub(crate) enum Target {
     /// A plain variable.
     Name(String),
     /// `base[subs…] = …`: a partial (view-level) write.
@@ -99,7 +99,7 @@ pub enum Target {
 
 /// Augmented-assignment operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AugOp {
+pub(crate) enum AugOp {
     /// `+=`
     Add,
     /// `-=`
@@ -112,7 +112,7 @@ pub enum AugOp {
 
 /// One subscript item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Sub {
+pub(crate) enum Sub {
     /// `a[i]` — select.
     Index(Expr),
     /// `a[lo:hi:step]` — slice (any bound may be omitted).
@@ -130,7 +130,7 @@ pub enum Sub {
 
 /// Binary arithmetic operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     /// `+`
     Add,
     /// `-`
@@ -147,7 +147,7 @@ pub enum BinOp {
 
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
+pub(crate) enum CmpOp {
     /// `<`
     Lt,
     /// `<=`
@@ -164,7 +164,7 @@ pub enum CmpOp {
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Variable reference.
     Name(String),
     /// Integer literal.

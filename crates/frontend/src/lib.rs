@@ -39,10 +39,9 @@ mod lexer;
 mod lower;
 mod parser;
 
-pub use ast::{Expr, Function, Stmt};
 pub use error::FrontendError;
-pub use lower::lower;
-pub use parser::parse;
+use lower::lower;
+use parser::parse;
 
 use tssa_ir::Graph;
 

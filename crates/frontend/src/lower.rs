@@ -24,7 +24,7 @@ type Env = HashMap<String, ValueId>;
 ///
 /// Returns a [`FrontendError`] on type errors, unknown functions/methods or
 /// unsupported constructs (e.g. `return` inside control flow).
-pub fn lower(func: &Function) -> Result<Graph, FrontendError> {
+pub(crate) fn lower(func: &Function) -> Result<Graph, FrontendError> {
     let mut lw = Lowerer { g: Graph::new() };
     let mut env = Env::new();
     for (name, ty) in &func.params {

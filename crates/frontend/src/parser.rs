@@ -11,7 +11,7 @@ use crate::FrontendError;
 /// # Errors
 ///
 /// Returns a [`FrontendError`] with the line of the first syntax error.
-pub fn parse(source: &str) -> Result<Function, FrontendError> {
+pub(crate) fn parse(source: &str) -> Result<Function, FrontendError> {
     let toks = tokenize(source)?;
     let mut p = Parser { toks, pos: 0 };
     p.function()

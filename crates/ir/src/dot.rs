@@ -61,14 +61,6 @@ fn emit_block(g: &Graph, block: BlockId, depth: usize, out: &mut String) {
     }
 }
 
-/// `true` when the graph contains any node of the given operator name —
-/// a convenience for tooling that annotates DOT output.
-pub fn contains_op(g: &Graph, name: &str) -> bool {
-    g.nodes_recursive(g.top())
-        .into_iter()
-        .any(|n| g.node(n).op.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,18 +85,6 @@ mod tests {
         assert!(dot.contains("aten::relu"), "{dot}");
         assert!(dot.contains("->"), "{dot}");
         assert!(dot.trim_end().ends_with('}'), "{dot}");
-    }
-
-    #[test]
-    fn contains_op_finds_names() {
-        let g = parse_graph(
-            "graph(%x : Tensor):
-               %y : Tensor = aten::sigmoid(%x)
-               return (%y)",
-        )
-        .unwrap();
-        assert!(contains_op(&g, "aten::sigmoid"));
-        assert!(!contains_op(&g, "aten::matmul"));
     }
 
     #[test]

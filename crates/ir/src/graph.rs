@@ -487,7 +487,7 @@ impl Graph {
 
     /// Attach a debug name to `value` (used by the printer; parsed graphs
     /// keep their textual names through round trips).
-    pub fn set_value_name(&mut self, value: ValueId, name: &str) {
+    pub(crate) fn set_value_name(&mut self, value: ValueId, name: &str) {
         self.values[value.index()].name = Some(name.to_string());
     }
 
@@ -562,7 +562,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if the node has been removed.
-    pub fn node_index(&self, node: NodeId) -> usize {
+    pub(crate) fn node_index(&self, node: NodeId) -> usize {
         let block = self.node(node).owner;
         self.blocks[block.index()]
             .nodes

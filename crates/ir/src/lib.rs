@@ -50,11 +50,11 @@ mod symdim;
 mod types;
 mod verify;
 
-pub use dot::{contains_op, to_dot};
+pub use dot::to_dot;
 pub use graph::{Block, BlockId, Graph, Node, NodeId, SrcSpan, Use, Value, ValueDef, ValueId};
 pub use ops::{BinaryKind, MutateKind, Op, ScalarError, ScalarKind, UnaryKind, ViewKind};
 pub use parser::{parse_graph, ParseIrError};
-pub use shapes::{infer_shapes, infer_shapes_seeded, infer_shapes_symbolic, Shape, ShapeInfo};
+pub use shapes::{infer_shapes, infer_shapes_symbolic, Shape, ShapeInfo};
 pub use symdim::{Constraint, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};
 pub use types::{ConstValue, ScalarType, Type};
 pub use verify::{VerifyError, VerifyErrorKind};

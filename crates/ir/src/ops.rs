@@ -59,7 +59,7 @@ pub enum ViewKind {
 
 impl ViewKind {
     /// Number of *extra* data inputs beyond the base tensor.
-    pub fn extra_inputs(&self) -> usize {
+    pub(crate) fn extra_inputs(&self) -> usize {
         match self {
             ViewKind::Select { .. } => 1,
             ViewKind::SliceView { .. } => 3,

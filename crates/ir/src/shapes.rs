@@ -66,11 +66,6 @@ impl ShapeInfo {
             .unwrap_or(false)
     }
 
-    /// Symbolic value of the runtime integer `value`, when tracked.
-    pub fn int_of(&self, value: ValueId) -> Option<&SymExpr> {
-        self.ints.get(&value)
-    }
-
     /// The assumptions propagation made (deduplicated, in discovery order).
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
@@ -119,7 +114,7 @@ pub fn infer_shapes_symbolic(g: &Graph, input_ranks: &[Option<usize>]) -> ShapeI
 }
 
 /// Infer shapes from arbitrary symbolic seeds (one per graph input).
-pub fn infer_shapes_seeded(g: &Graph, seeds: &[Option<Shape>]) -> ShapeInfo {
+pub(crate) fn infer_shapes_seeded(g: &Graph, seeds: &[Option<Shape>]) -> ShapeInfo {
     let mut inf = Infer {
         g,
         info: ShapeInfo::default(),
@@ -1095,7 +1090,7 @@ mod tests {
         assert_eq!(ret_sym(&g, &info, 0), vec!["?", "in0.d1"]);
         // A step near i64::MAX: one element, no overflowing ceil-division.
         assert_eq!(ret_sym(&g, &info, 4), vec!["1", "in0.d1"]);
-        let int = |i: usize| info.int_of(g.block(g.top()).returns[i]);
+        let int = |i: usize| info.ints.get(&g.block(g.top()).returns[i]);
         assert_eq!(int(1), None);
         assert_eq!(int(2), Some(&SymExpr::constant(i64::MIN)));
         assert_eq!(int(3), None);

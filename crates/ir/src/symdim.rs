@@ -127,7 +127,7 @@ impl SymExpr {
     }
 
     /// `Some(v)` iff the expression is exactly the variable `v`.
-    pub fn as_var(&self) -> Option<DimVar> {
+    pub(crate) fn as_var(&self) -> Option<DimVar> {
         match (self.c0, self.terms.as_slice()) {
             (0, [(v, 1)]) => Some(*v),
             _ => None,
@@ -176,7 +176,7 @@ impl SymExpr {
     }
 
     /// `self / k` when every coefficient (and the constant) divides exactly.
-    pub fn div_exact(&self, k: i64) -> Option<SymExpr> {
+    pub(crate) fn div_exact(&self, k: i64) -> Option<SymExpr> {
         let div = |c: i64| (c.checked_rem(k)? == 0).then(|| c / k);
         Some(SymExpr {
             c0: div(self.c0)?,
@@ -513,22 +513,6 @@ impl ShapeSignature {
         }
     }
 
-    /// The variable-to-variable equalities among the constraints
-    /// (`inA.dB = inC.dD`): the dims a shape class must keep coupled when
-    /// admitting concrete shapes.
-    pub fn dim_couplings(&self) -> Vec<(DimVar, DimVar)> {
-        self.constraints
-            .iter()
-            .filter_map(|c| {
-                let (is_ge, a, b) = Self::parse_constraint(c)?;
-                if is_ge {
-                    return None;
-                }
-                Some((a.as_var()?, b.as_var()?))
-            })
-            .collect()
-    }
-
     /// Whether concrete input shapes satisfy every constraint the signature
     /// relies on. `shapes` has one entry per graph input (`None` for
     /// non-tensor inputs). Mirroring [`SymDim::admits`], a constraint that
@@ -765,6 +749,5 @@ mod tests {
         // A constraint over a missing input admits vacuously.
         let partial = vec![Some(vec![3, 5]), None];
         assert!(sig.constraints_admit(&partial));
-        assert_eq!(sig.dim_couplings(), vec![(v(0, 1), v(1, 0))]);
     }
 }

@@ -4,15 +4,10 @@ use std::fmt;
 
 use tssa_ir::{Graph, NodeId, SrcSpan, ValueId};
 
-/// How seriously a diagnostic is taken.
-///
-/// Every rule has a default severity which a [`crate::Linter`] can override
-/// per rule; `Allow` suppresses the rule entirely, `Deny` makes the `tssa-lint`
-/// CLI (and CI) fail.
+/// How seriously a diagnostic is taken. Each rule's severity is fixed in
+/// the rule table; `Deny` makes the `tssa-lint` CLI (and CI) fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Suppressed: the rule still runs nowhere (skipped before checking).
-    Allow,
     /// Reported, does not fail the build.
     Warn,
     /// Reported and fails the `tssa-lint` CLI / CI gate.
@@ -22,22 +17,9 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Severity::Allow => "allow",
             Severity::Warn => "warn",
             Severity::Deny => "deny",
         })
-    }
-}
-
-impl Severity {
-    /// Parse a CLI-style severity name.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "allow" => Some(Severity::Allow),
-            "warn" => Some(Severity::Warn),
-            "deny" => Some(Severity::Deny),
-            _ => None,
-        }
     }
 }
 
@@ -46,7 +28,7 @@ impl Severity {
 pub struct Diagnostic {
     /// Name of the rule (or effect judgment) that fired.
     pub rule: &'static str,
-    /// Effective severity (after per-rule overrides).
+    /// Severity of the rule (or judgment) that fired.
     pub severity: Severity,
     /// Offending node, when attributable.
     pub node: Option<NodeId>,
@@ -61,7 +43,7 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// A diagnostic attached to `node`, inheriting its source span and op
     /// name from `g`.
-    pub fn at_node(
+    pub(crate) fn at_node(
         rule: &'static str,
         severity: Severity,
         g: &Graph,
@@ -84,7 +66,7 @@ impl Diagnostic {
     }
 
     /// A diagnostic attached to a value (e.g. an escaping block return).
-    pub fn at_value(
+    pub(crate) fn at_value(
         rule: &'static str,
         severity: Severity,
         g: &Graph,
@@ -128,12 +110,11 @@ mod tests {
         g.set_current_span(Some(SrcSpan::line(7)));
         let n = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         g.set_current_span(None);
-        let d = Diagnostic::at_node("unused-value", Severity::Warn, &g, n, "result never used");
+        let d = Diagnostic::at_node("a-rule", Severity::Warn, &g, n, "result never used");
         assert_eq!(
             d.to_string(),
-            "warn[unused-value] line 7: node 0 (aten::relu): result never used"
+            "warn[a-rule] line 7: node 0 (aten::relu): result never used"
         );
-        assert_eq!(Severity::parse("deny"), Some(Severity::Deny));
         assert!(Severity::Warn < Severity::Deny);
     }
 }

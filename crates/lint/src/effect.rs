@@ -49,11 +49,6 @@ impl PurityReport {
 /// Run all three effect judgments over `g`.
 pub fn check_effects(g: &Graph) -> PurityReport {
     let alias = AliasAnalysis::build(g);
-    check_effects_with(g, &alias)
-}
-
-/// [`check_effects`] reusing a prebuilt [`AliasAnalysis`].
-pub fn check_effects_with(g: &Graph, alias: &AliasAnalysis) -> PurityReport {
     let mut report = PurityReport::default();
 
     // Alias components containing at least one mutation (by representative).

@@ -15,12 +15,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tssa_backend::{ExecConfig, Executor, RtValue};
-use tssa_core::Pass;
 use tssa_ir::{infer_shapes_symbolic, DimVar, Graph};
 use tssa_tensor::Tensor;
 
 /// Side length of every generated matrix (and the value of the `n` input).
-pub const DIM: usize = 4;
+const DIM: usize = 4;
 
 /// Generate the DSL source text for `seed`.
 ///
@@ -193,7 +192,7 @@ pub fn inputs_for(seed: u64) -> Vec<RtValue> {
 
 /// Execute `g` on fresh inputs for `seed` under `config`, returning the
 /// output tensors.
-pub fn run_with(g: &Graph, config: &ExecConfig, seed: u64) -> Result<Vec<Tensor>, String> {
+fn run_with(g: &Graph, config: &ExecConfig, seed: u64) -> Result<Vec<Tensor>, String> {
     let (outs, _stats) = Executor::new(config.clone())
         .run(g, &inputs_for(seed))
         .map_err(|e| format!("execution failed: {e}"))?;
@@ -206,15 +205,9 @@ pub fn run_with(g: &Graph, config: &ExecConfig, seed: u64) -> Result<Vec<Tensor>
         .collect()
 }
 
-/// Execute `g` on fresh inputs for `seed` with the reference (eager)
-/// interpreter, returning the output tensors.
-pub fn run_reference(g: &Graph, seed: u64) -> Result<Vec<Tensor>, String> {
-    run_with(g, &ExecConfig::eager(), seed)
-}
-
 /// Input ranks of the fuzz skeleton `(x: Tensor, y: Tensor, c: bool,
 /// n: int)` as the symbolic shape analysis expects them.
-pub const SYMBOLIC_RANKS: [Option<usize>; 4] = [Some(2), Some(2), None, None];
+const SYMBOLIC_RANKS: [Option<usize>; 4] = [Some(2), Some(2), None, None];
 
 /// Differential check of the symbolic shape analysis itself: run `g` under
 /// a shape-tracing executor and require that every concrete shape the
@@ -227,7 +220,7 @@ pub const SYMBOLIC_RANKS: [Option<usize>; 4] = [Some(2), Some(2), None, None];
 ///
 /// A description of the first value whose runtime shape the symbolic
 /// analysis fails to admit.
-pub fn check_concretization(g: &Graph, config: &ExecConfig, seed: u64) -> Result<(), String> {
+fn check_concretization(g: &Graph, config: &ExecConfig, seed: u64) -> Result<(), String> {
     let info = infer_shapes_symbolic(g, &SYMBOLIC_RANKS);
     let exec = Executor::with_shape_trace(config.clone());
     exec.run(g, &inputs_for(seed))
@@ -255,35 +248,27 @@ pub fn check_concretization(g: &Graph, config: &ExecConfig, seed: u64) -> Result
     Ok(())
 }
 
-/// One differential case: compile the seeded program, execute it, apply
-/// `transform`, execute again, and require element-wise agreement.
+/// A transform that also chooses the execution configuration for the
+/// transformed graph (a full pipeline's compile step).
+pub type CompileFn<'a> = &'a dyn Fn(&Graph) -> Result<(Graph, ExecConfig), String>;
+
+/// One differential case: compile the seeded program, execute it with the
+/// reference (eager) interpreter, apply `transform`, execute its output
+/// under the [`ExecConfig`] the transform chose (a full pipeline's fusion
+/// groups and parallel maps need their compiled one), and require
+/// bit-for-bit agreement.
 ///
 /// # Errors
 ///
 /// A description of the first divergence (or compile/run failure), prefixed
 /// with the seed, suitable for direct reporting.
-pub fn diff_case(
-    seed: u64,
-    transform: &dyn Fn(&Graph) -> Result<Graph, String>,
-) -> Result<(), String> {
-    diff_case_compiled(seed, &|g| transform(g).map(|h| (h, ExecConfig::eager())))
-}
-
-/// A transform that also chooses the execution configuration for the
-/// transformed graph (a full pipeline's compile step).
-pub type CompileFn<'a> = &'a dyn Fn(&Graph) -> Result<(Graph, ExecConfig), String>;
-
-/// As [`diff_case`], but the transform also chooses the execution
-/// configuration for the transformed graph — required for full pipelines
-/// whose output (fusion groups, parallel maps) runs under a compiled
-/// [`ExecConfig`].
 pub fn diff_case_compiled(seed: u64, transform: CompileFn<'_>) -> Result<(), String> {
     let source = generate_source(seed);
     let fail = |stage: &str, detail: String| -> String {
         format!("seed {seed}: {stage}: {detail}\n--- program ---\n{source}")
     };
     let g = tssa_frontend::compile(&source).map_err(|e| fail("frontend", e.to_string()))?;
-    let before = run_reference(&g, seed).map_err(|e| fail("reference run", e))?;
+    let before = run_with(&g, &ExecConfig::eager(), seed).map_err(|e| fail("reference run", e))?;
     check_concretization(&g, &ExecConfig::eager(), seed)
         .map_err(|e| fail("shape concretization (source)", e))?;
     let (h, config) = transform(&g).map_err(|e| fail("transform", e))?;
@@ -319,19 +304,28 @@ fn same_bits(x: &Tensor, y: &Tensor) -> bool {
         }
 }
 
-/// The standard transform under test: TensorSSA conversion plus the cleanup
-/// passes, i.e. the functionalization core of the paper's pipeline.
-pub fn functionalize(g: &Graph) -> Result<Graph, String> {
-    let mut out = g.clone();
-    tssa_core::convert_to_tensorssa(&mut out);
-    tssa_core::passes::Dce.run(&mut out);
-    out.verify().map_err(|e| e.to_string())?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tssa_core::Pass;
+
+    /// [`diff_case_compiled`] for a transform whose output runs eagerly.
+    fn diff_case(
+        seed: u64,
+        transform: &dyn Fn(&Graph) -> Result<Graph, String>,
+    ) -> Result<(), String> {
+        diff_case_compiled(seed, &|g| transform(g).map(|h| (h, ExecConfig::eager())))
+    }
+
+    /// TensorSSA conversion plus dead-code elimination: the
+    /// functionalization core of the paper's pipeline.
+    fn functionalize(g: &Graph) -> Result<Graph, String> {
+        let mut out = g.clone();
+        tssa_core::convert_to_tensorssa(&mut out);
+        tssa_core::passes::Dce.run(&mut out);
+        out.verify().map_err(|e| e.to_string())?;
+        Ok(out)
+    }
 
     #[test]
     fn generator_is_deterministic() {
@@ -345,7 +339,8 @@ mod tests {
             let source = generate_source(seed);
             let g = tssa_frontend::compile(&source)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{source}"));
-            run_reference(&g, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{source}"));
+            run_with(&g, &ExecConfig::eager(), seed)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{source}"));
         }
     }
 

@@ -10,20 +10,20 @@
 //!   the `tssa-alias` points-to graph proving a graph free of in-place
 //!   mutation, leftover `tssa::update` markers, and views escaping their
 //!   origin's control-flow region.
-//! - [`Linter`] — eight lint rules over pre-functionalization IR (view
-//!   escapes, dead mutations, redundant clones, non-functionalizable
-//!   mutations per Eq. (1)–(2), unused values, shape-incompatible view
-//!   chains, provably impossible broadcasts, data-dependent output dims)
-//!   behind a registry with per-rule allow/warn/deny.
+//! - [`lint`] — four lint rules over pre-functionalization IR, one fixed
+//!   table with one severity each: non-functionalizable mutations per
+//!   Eq. (1)–(2), shape-incompatible view chains and provably impossible
+//!   broadcasts (both deny), and data-dependent output dims.
 //! - [`certify_shapes`] — the shape-polymorphism certifier: seeds the
 //!   symbolic shape analysis with fresh per-input-dim variables and emits a
 //!   `ShapeSignature` classifying every input dim as polymorphic,
 //!   specialized or data-dependent — the certificate a bucketed plan cache
 //!   keys on.
-//! - [`PassSanitizer`] — a `tssa_core::PassHook` re-running `Graph::verify`
-//!   and the effect checker after every pass, attributing the first broken
-//!   invariant to `pass:<name>` (surfaced through the `tssa-obs` span
-//!   tree). Installed by `tssa-pipelines` in debug builds.
+//! - [`PassSanitizer`] — the one debug `tssa_core::PassHook`: after every
+//!   pass it re-runs `Graph::verify`, then the effect checker, then the
+//!   shape ratchet (no statically known output dim may widen), attributing
+//!   the first broken invariant to `pass:<name>` (surfaced through the
+//!   `tssa-obs` span tree). Installed by `tssa-pipelines` in debug builds.
 //! - [`fuzz`] — a TorchProbe-style differential harness: seeded random DSL
 //!   programs with views, mutations and nested control flow, executed by
 //!   the reference interpreter before and after a transformation and
@@ -32,7 +32,7 @@
 //! # Examples
 //!
 //! ```
-//! use tssa_lint::{check_effects, Linter};
+//! use tssa_lint::{check_effects, lint};
 //! use tssa_frontend::compile;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,7 @@
 //! // The imperative graph carries one effect (the row write)…
 //! assert_eq!(check_effects(&g).mutations, 1);
 //! // …which the linter proves functionalizable (no diagnostics).
-//! assert!(Linter::new().lint(&g).is_empty());
+//! assert!(lint(&g).is_empty());
 //! # Ok(())
 //! # }
 //! ```
@@ -59,7 +59,7 @@ mod sanitize;
 mod shapesig;
 
 pub use diag::{Diagnostic, Severity};
-pub use effect::{certify_pure, check_effects, check_effects_with, PurityReport};
-pub use rules::{LintContext, Linter, Rule};
+pub use effect::{certify_pure, check_effects, PurityReport};
+pub use rules::{lint, rules};
 pub use sanitize::PassSanitizer;
 pub use shapesig::certify_shapes;

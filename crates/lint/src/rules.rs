@@ -1,421 +1,298 @@
-//! Lint rules over pre-functionalization IR, plus the [`Linter`] registry.
+//! Lint rules over pre-functionalization IR, and [`lint`], which runs them.
 //!
 //! Rules inspect the imperative graph *before* TensorSSA conversion — the
-//! form the frontend lowers to — and flag patterns that are bugs, wasted
-//! work, or obstacles to functionalization. Each rule has a default
-//! [`Severity`] that a [`Linter`] can override per rule (`allow` / `warn` /
-//! `deny`), mirroring compiler lint flags.
+//! form the frontend lowers to — and flag what stops functionalization
+//! (Eq. 1–2) or fails on every input (structurally invalid views,
+//! impossible broadcasts), plus outputs whose extent no input dim explains.
+//! [`RULES`] is the one table of them; each rule's severity is fixed there.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use tssa_alias::{AliasAnalysis, DepKind};
 use tssa_ir::{
-    infer_shapes, infer_shapes_symbolic, Graph, NodeId, Op, Shape, ShapeInfo, SymDim, SymExpr,
-    Type, ValueDef, ValueId, ViewKind,
+    infer_shapes, Graph, NodeId, Op, Shape, ShapeInfo, SymDim, SymExpr, Type, ValueDef, ValueId,
+    ViewKind,
 };
 
 use crate::diag::{Diagnostic, Severity};
 
 /// Everything a rule may inspect.
-pub struct LintContext<'a> {
+struct LintContext<'a> {
     /// The graph under analysis.
-    pub graph: &'a Graph,
+    graph: &'a Graph,
     /// Points-to analysis of the graph.
-    pub alias: &'a AliasAnalysis,
+    alias: &'a AliasAnalysis,
     /// Shape inference results (ranks may be unknown).
-    pub shapes: &'a ShapeInfo,
+    shapes: &'a ShapeInfo,
 }
 
-impl<'a> LintContext<'a> {
-    /// Representatives of alias components containing a mutation.
-    fn mutated_components(&self) -> HashSet<ValueId> {
-        let g = self.graph;
-        let mut out = HashSet::new();
-        for n in g.nodes_recursive(g.top()) {
-            if let Op::Mutate(_) = g.node(n).op {
-                out.insert(self.alias.component_of(g.node(n).inputs[0]));
-            }
-        }
-        out
-    }
-
-    /// All values sharing `v`'s alias component.
-    fn component_members(&self, v: ValueId) -> Vec<ValueId> {
-        let rep = self.alias.component_of(v);
-        let mut seen: HashSet<ValueId> = HashSet::new();
-        seen.insert(v);
-        for e in self.alias.edges() {
-            for cand in [e.from, e.to] {
-                if self.alias.component_of(cand) == rep {
-                    seen.insert(cand);
-                }
-            }
-        }
-        seen.into_iter().collect()
-    }
+/// One lint rule: its stable kebab-case name, the severity its diagnostics
+/// carry, a one-line description for `tssa-lint rules`, and the check.
+struct Rule {
+    name: &'static str,
+    severity: Severity,
+    describe: &'static str,
+    check: fn(&Rule, &LintContext<'_>) -> Vec<Diagnostic>,
 }
 
-/// A single lint rule.
-pub trait Rule {
-    /// Stable kebab-case name used for allow/deny flags.
-    fn name(&self) -> &'static str;
-    /// Severity when the user has not overridden it.
-    fn default_severity(&self) -> Severity;
-    /// One-line description for `tssa-lint rules`.
-    fn describe(&self) -> &'static str;
-    /// Run the rule; emitted diagnostics should use `severity` (the
-    /// effective severity after overrides).
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic>;
+/// Every rule, in reporting order.
+const RULES: [Rule; 4] = [
+    Rule {
+        name: "shape-incompatible-view-chain",
+        severity: Severity::Deny,
+        describe: "view whose attributes are structurally invalid for the operand shape",
+        check: shape_incompatible_view_chain,
+    },
+    Rule {
+        name: "symbolic-broadcast-mismatch",
+        severity: Severity::Deny,
+        describe: "broadcast of two dims that can never be compatible for any input",
+        check: symbolic_broadcast_mismatch,
+    },
+    Rule {
+        name: "data-dependent-shape-escapes-output",
+        severity: Severity::Warn,
+        describe: "graph output has a data-dependent dimension (defeats shape-keyed caching)",
+        check: data_dependent_shape_escapes_output,
+    },
+    Rule {
+        name: "non-functionalizable",
+        severity: Severity::Warn,
+        describe: "mutation outside every functionalization candidate (Eq. 1-2)",
+        check: non_functionalizable,
+    },
+];
+
+/// `(name, severity, description)` of every rule, in reporting order.
+pub fn rules() -> impl Iterator<Item = (&'static str, Severity, &'static str)> {
+    RULES.iter().map(|r| (r.name, r.severity, r.describe))
 }
 
-// ---------------------------------------------------------------------------
-// Rule 1: view-escape
-// ---------------------------------------------------------------------------
-
-/// A control-flow block returns a view of storage defined outside the block
-/// while that storage is mutated somewhere — the pattern TensorSSA block
-/// propagation must repair, and a correctness hazard for any backend that
-/// materializes block boundaries.
-struct ViewEscape;
-
-impl Rule for ViewEscape {
-    fn name(&self) -> &'static str {
-        "view-escape"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn describe(&self) -> &'static str {
-        "control-flow block returns a mutable view of storage defined outside it"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mutated = cx.mutated_components();
-        let mut out = Vec::new();
-        for b in g.block_ids() {
-            let block = g.block(b);
-            let owner = match block.owner {
-                Some(n) => n,
-                None => continue,
-            };
-            if !matches!(g.node(owner).op, Op::If | Op::Loop) {
-                continue;
-            }
-            for &r in &block.returns {
-                if g.value(r).ty != Type::Tensor {
-                    continue;
-                }
-                let origin = cx.alias.origin_of(r);
-                if origin == r {
-                    continue;
-                }
-                let origin_block = g.def_block(origin);
-                if origin_block == b || !g.block_is_ancestor(origin_block, b) {
-                    continue;
-                }
-                if !mutated.contains(&cx.alias.component_of(r)) {
-                    continue;
-                }
-                out.push(Diagnostic::at_value(
-                    self.name(),
-                    severity,
-                    g,
-                    r,
-                    format!(
-                        "escapes the {} block as a view of {}, whose storage is mutated",
-                        g.node(owner).op.name(),
-                        g.value_name(origin)
-                    ),
-                ));
-            }
-        }
-        out
-    }
+/// Lint `g` with unknown input shapes.
+pub fn lint(g: &Graph) -> Vec<Diagnostic> {
+    let n_inputs = g.block(g.top()).params.len();
+    run(g, &infer_shapes(g, &vec![None; n_inputs]))
 }
 
-// ---------------------------------------------------------------------------
-// Rule 2: dead-mutation
-// ---------------------------------------------------------------------------
-
-/// An in-place mutation whose written storage is never read afterwards:
-/// nothing in the alias set escapes through returns and no later node reads
-/// any member. The write is wasted work (and blocks fusion for nothing).
-struct DeadMutation;
-
-impl Rule for DeadMutation {
-    fn name(&self) -> &'static str {
-        "dead-mutation"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn describe(&self) -> &'static str {
-        "in-place mutation whose result is never read"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mut out = Vec::new();
-        for m in g.nodes_recursive(g.top()) {
-            let node = g.node(m);
-            let k = match &node.op {
-                Op::Mutate(k) => *k,
-                _ => continue,
-            };
-            let recv = node.inputs[0];
-            let origin = cx.alias.origin_of(recv);
-            // Caller-owned storage: the effect is observable outside.
-            if matches!(g.value(origin).def, ValueDef::BlockParam { .. }) {
-                continue;
-            }
-            let members: HashSet<ValueId> = cx.component_members(recv).into_iter().collect();
-            // Any member in any block's returns escapes.
-            let escapes = g.block_ids().any(|b| {
-                g.block(b)
-                    .returns
-                    .iter()
-                    .any(|r| members.contains(r) || members.contains(&cx.alias.origin_of(*r)))
-            });
-            if escapes {
-                continue;
-            }
-            // A later read of any member keeps the write alive. "Later"
-            // is program pre-order; inside a loop, *any* read within the
-            // outermost enclosing loop subtree counts (iterations repeat).
-            let mpos = g.position(m);
-            let loop_scope = g
-                .block_ancestry(node.owner)
-                .into_iter()
-                .filter_map(|b| g.block(b).owner)
-                .find(|&n| matches!(g.node(n).op, Op::Loop)); // ancestry is top-first: outermost loop
-            let mut live = false;
-            'scan: for n in g.nodes_recursive(g.top()) {
-                if n == m {
-                    continue;
-                }
-                let user = g.node(n);
-                for &inp in &user.inputs {
-                    if !members.contains(&inp) {
-                        continue;
-                    }
-                    // Views only propagate the alias; their outputs are
-                    // already members, so a bare view is not a read.
-                    if user.op.is_view() {
-                        continue;
-                    }
-                    let after = g.position(n) > mpos;
-                    let in_loop = loop_scope
-                        .map(|lp| g.enclosing_node_in(g.node(lp).owner, n) == Some(lp) || n == lp)
-                        .unwrap_or(false);
-                    if after || in_loop {
-                        live = true;
-                        break 'scan;
-                    }
-                }
-            }
-            if !live {
-                out.push(Diagnostic::at_node(
-                    self.name(),
-                    severity,
-                    g,
-                    m,
-                    format!(
-                        "aten::{} writes storage of {} that is never read afterwards",
-                        k.name(),
-                        g.value_name(origin)
-                    ),
-                ));
-            }
-        }
-        out
-    }
+fn run(g: &Graph, shapes: &ShapeInfo) -> Vec<Diagnostic> {
+    let alias = AliasAnalysis::build(g);
+    let cx = LintContext {
+        graph: g,
+        alias: &alias,
+        shapes,
+    };
+    RULES.iter().flat_map(|r| (r.check)(r, &cx)).collect()
 }
-
-// ---------------------------------------------------------------------------
-// Rule 3: redundant-clone
-// ---------------------------------------------------------------------------
-
-/// `aten::clone` whose source and copy are both never mutated: the defensive
-/// copy protects nothing and costs a full tensor materialization.
-struct RedundantClone;
-
-impl Rule for RedundantClone {
-    fn name(&self) -> &'static str {
-        "redundant-clone"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn describe(&self) -> &'static str {
-        "clone of a tensor that is never mutated (neither source nor copy)"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mutated = cx.mutated_components();
-        let mut out = Vec::new();
-        for n in g.nodes_recursive(g.top()) {
-            let node = g.node(n);
-            if !matches!(node.op, Op::CloneOp) {
-                continue;
-            }
-            let src = node.inputs[0];
-            let dst = node.outputs[0];
-            if mutated.contains(&cx.alias.component_of(src))
-                || mutated.contains(&cx.alias.component_of(dst))
-            {
-                continue;
-            }
-            out.push(Diagnostic::at_node(
-                self.name(),
-                severity,
-                g,
-                n,
-                format!(
-                    "clone of {} is redundant: neither the source nor the copy is ever mutated",
-                    g.value_name(src)
-                ),
-            ));
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 4: non-functionalizable
-// ---------------------------------------------------------------------------
 
 /// An in-place mutation that no TensorSSA candidate covers (Eq. 1–2): the
 /// conversion pass will leave it imperative, so the fused/parallel pipeline
 /// falls back to eager semantics around it. The message states why.
-struct NonFunctionalizable;
-
-impl Rule for NonFunctionalizable {
-    fn name(&self) -> &'static str {
-        "non-functionalizable"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn describe(&self) -> &'static str {
-        "mutation outside every functionalization candidate (Eq. 1-2)"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let covered: HashSet<NodeId> = cx
-            .alias
-            .candidates()
-            .iter()
-            .flat_map(|c| c.mutations.iter().copied())
-            .collect();
-        // Components touched by a non-memory points-to edge.
-        let tainted: HashSet<ValueId> = cx
-            .alias
-            .edges()
-            .iter()
-            .filter(|e| e.kind != DepKind::Memory)
-            .map(|e| cx.alias.component_of(e.from))
-            .collect();
-        let mut out = Vec::new();
-        for m in g.nodes_recursive(g.top()) {
-            let node = g.node(m);
-            let k = match &node.op {
-                Op::Mutate(k) => *k,
-                _ => continue,
-            };
-            if covered.contains(&m) {
-                continue;
-            }
-            let recv = node.inputs[0];
-            let origin = cx.alias.origin_of(recv);
-            let reason = if matches!(g.value(origin).def, ValueDef::BlockParam { .. }) {
-                format!(
-                    "storage of {} is owned outside the graph (argument or loop-carried value); \
-                     clone it first to functionalize",
-                    g.value_name(origin)
-                )
-            } else if tainted.contains(&cx.alias.component_of(recv)) {
-                "its alias set crosses control flow or containers, \
-                 so the component is not memory-dependency-only"
-                    .to_string()
-            } else if g
-                .def_node(recv)
-                .map(|d| matches!(&g.node(d).op, Op::View(ViewKind::Expand { .. })))
-                .unwrap_or(false)
-            {
-                "the receiver is a broadcast (expand) view, whose stride-0 \
-                 storage cannot be written through"
-                    .to_string()
-            } else {
-                format!("origin {} does not own fresh storage", g.value_name(origin))
-            };
-            out.push(Diagnostic::at_node(
-                self.name(),
-                severity,
-                g,
-                m,
-                format!("aten::{} cannot be functionalized: {}", k.name(), reason),
-            ));
+fn non_functionalizable(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let g = cx.graph;
+    let covered: HashSet<NodeId> = cx
+        .alias
+        .candidates()
+        .iter()
+        .flat_map(|c| c.mutations.iter().copied())
+        .collect();
+    // Components touched by a non-memory points-to edge.
+    let tainted: HashSet<ValueId> = cx
+        .alias
+        .edges()
+        .iter()
+        .filter(|e| e.kind != DepKind::Memory)
+        .map(|e| cx.alias.component_of(e.from))
+        .collect();
+    let mut out = Vec::new();
+    for m in g.nodes_recursive(g.top()) {
+        let node = g.node(m);
+        let k = match &node.op {
+            Op::Mutate(k) => *k,
+            _ => continue,
+        };
+        if covered.contains(&m) {
+            continue;
         }
-        out
+        let recv = node.inputs[0];
+        let origin = cx.alias.origin_of(recv);
+        let reason = if matches!(g.value(origin).def, ValueDef::BlockParam { .. }) {
+            format!(
+                "storage of {} is owned outside the graph (argument or loop-carried value); \
+                 clone it first to functionalize",
+                g.value_name(origin)
+            )
+        } else if tainted.contains(&cx.alias.component_of(recv)) {
+            "its alias set crosses control flow or containers, \
+             so the component is not memory-dependency-only"
+                .to_string()
+        } else if g
+            .def_node(recv)
+            .map(|d| matches!(&g.node(d).op, Op::View(ViewKind::Expand { .. })))
+            .unwrap_or(false)
+        {
+            "the receiver is a broadcast (expand) view, whose stride-0 \
+             storage cannot be written through"
+                .to_string()
+        } else {
+            format!("origin {} does not own fresh storage", g.value_name(origin))
+        };
+        out.push(Diagnostic::at_node(
+            rule.name,
+            rule.severity,
+            g,
+            m,
+            format!("aten::{} cannot be functionalized: {}", k.name(), reason),
+        ));
     }
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Rule 5: unused-value
-// ---------------------------------------------------------------------------
-
-/// A pure computation whose every output is unused. Dead on arrival — DCE
-/// will drop it, but in source form it usually signals a typo (computing
-/// `x.relu()` and discarding it instead of rebinding).
-struct UnusedValue;
-
-impl Rule for UnusedValue {
-    fn name(&self) -> &'static str {
-        "unused-value"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn describe(&self) -> &'static str {
-        "pure computation whose results are never used"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mut out = Vec::new();
-        for n in g.nodes_recursive(g.top()) {
-            let node = g.node(n);
-            if !node.op.is_pure() || node.op.has_blocks() || node.outputs.is_empty() {
-                continue;
-            }
-            if matches!(node.op, Op::Constant(_)) {
-                continue; // constants are materialized eagerly by the lowerer
-            }
-            // A view with unused output can still carry aliasing relevance
-            // only if something mutates through it — but with no uses there
-            // is no such path, so views are reported too.
-            if node.outputs.iter().any(|&o| g.has_uses(o)) {
-                continue;
-            }
-            out.push(Diagnostic::at_node(
-                self.name(),
-                severity,
-                g,
-                n,
-                "result is never used",
-            ));
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: shape-incompatible-view-chain
-// ---------------------------------------------------------------------------
 
 /// Structural validity of view chains: dimension attributes must exist in
 /// the operand's rank, permutations must be complete, reshapes must
 /// preserve element count. Violations crash or silently corrupt at run
-/// time, so the rule denies by default.
-struct ShapeIncompatibleViewChain;
+/// time, so the rule denies.
+fn shape_incompatible_view_chain(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let g = cx.graph;
+    let mut out = Vec::new();
+    for n in g.nodes_recursive(g.top()) {
+        let kind = match &g.node(n).op {
+            Op::View(k) => k.clone(),
+            _ => continue,
+        };
+        let input = g.node(n).inputs[0];
+        let shape = match cx.shapes.shape(input) {
+            Some(s) => s.clone(),
+            None => continue, // rank unknown: nothing to check
+        };
+        let rank = shape.len();
+        let problem: Option<String> = match &kind {
+            ViewKind::Select { dim } | ViewKind::SliceView { dim } => {
+                if norm_dim(*dim, rank).is_none() {
+                    Some(format!("dim {dim} out of range for rank {rank}"))
+                } else {
+                    None
+                }
+            }
+            ViewKind::Transpose { dim0, dim1 } => {
+                if norm_dim(*dim0, rank).is_none() || norm_dim(*dim1, rank).is_none() {
+                    Some(format!(
+                        "transpose dims ({dim0}, {dim1}) out of range for rank {rank}"
+                    ))
+                } else {
+                    None
+                }
+            }
+            ViewKind::Squeeze { dim } => match norm_dim(*dim, rank) {
+                None => Some(format!("squeeze dim {dim} out of range for rank {rank}")),
+                // Squeezing a dim that provably cannot be 1 is a
+                // guaranteed runtime error; the symbolic domain can
+                // prove it even for non-constant dims (e.g. `2*in0.d0`
+                // after `cat(x, x)`).
+                Some(d) => match shape[d].expr() {
+                    Some(e) if !e.can_equal(1) => {
+                        Some(format!("squeeze dim {dim} of size {e} (provably never 1)"))
+                    }
+                    _ => None,
+                },
+            },
+            ViewKind::Unsqueeze { dim } => {
+                let d = if *dim < 0 {
+                    dim + rank as i64 + 1
+                } else {
+                    *dim
+                };
+                if d < 0 || d as usize > rank {
+                    Some(format!("unsqueeze dim {dim} out of range for rank {rank}"))
+                } else {
+                    None
+                }
+            }
+            ViewKind::Permute { perm } => {
+                let mut seen = vec![false; rank];
+                let mut bad = perm.len() != rank;
+                if !bad {
+                    for &p in perm {
+                        match norm_dim(p, rank) {
+                            Some(d) if !seen[d] => seen[d] = true,
+                            _ => {
+                                bad = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+                if bad {
+                    Some(format!(
+                        "permutation {perm:?} is not a permutation of 0..{rank}"
+                    ))
+                } else {
+                    None
+                }
+            }
+            ViewKind::Expand { shape: target } => {
+                if target.len() < rank {
+                    Some(format!(
+                        "expand to rank {} from rank {rank} (cannot drop dims)",
+                        target.len()
+                    ))
+                } else {
+                    let offset = target.len() - rank;
+                    let mut bad = None;
+                    for (i, dim) in shape.iter().enumerate() {
+                        let t = target[offset + i];
+                        if t == -1 {
+                            continue;
+                        }
+                        if let Some(d) = dim.as_const() {
+                            if d != 1 && t != d as i64 {
+                                bad = Some(format!(
+                                    "expand dim {} from size {d} to {t} (only size-1 \
+                                     dims broadcast)",
+                                    offset + i
+                                ));
+                                break;
+                            }
+                        } else if let Some(e) = dim.expr() {
+                            // Symbolic: expanding is only valid when the
+                            // dim can be 1 or already equal the target.
+                            if t >= 0 && !e.can_equal(1) && !e.can_equal(t) {
+                                bad = Some(format!(
+                                    "expand dim {} from size {e} to {t} (provably \
+                                     neither 1 nor {t})",
+                                    offset + i
+                                ));
+                                break;
+                            }
+                        }
+                    }
+                    bad
+                }
+            }
+            ViewKind::ViewShape { shape: target } => {
+                // The element count stays affine when at most one dim is
+                // non-constant; a reshape to a fixed total the affine
+                // form can never reach (e.g. `4*in0.d0` elements into 6)
+                // is unsatisfiable for every input.
+                if target.contains(&-1) {
+                    None
+                } else {
+                    let tn: i64 = target.iter().product();
+                    match symbolic_numel(&shape) {
+                        Some(e) if tn >= 0 && !e.can_equal(tn) => Some(format!(
+                            "reshape to {target:?} ({tn} elements) from {e} elements \
+                             (unsatisfiable)"
+                        )),
+                        _ => None,
+                    }
+                }
+            }
+        };
+        if let Some(p) = problem {
+            out.push(Diagnostic::at_node(rule.name, rule.severity, g, n, p));
+        }
+    }
+    out
+}
 
 /// Total element count of a symbolic shape as an affine expression, when at
 /// most one dim is non-constant.
@@ -441,170 +318,60 @@ fn norm_dim(dim: i64, rank: usize) -> Option<usize> {
     }
 }
 
-impl Rule for ShapeIncompatibleViewChain {
-    fn name(&self) -> &'static str {
-        "shape-incompatible-view-chain"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Deny
-    }
-    fn describe(&self) -> &'static str {
-        "view whose attributes are structurally invalid for the operand shape"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mut out = Vec::new();
-        for n in g.nodes_recursive(g.top()) {
-            let kind = match &g.node(n).op {
-                Op::View(k) => k.clone(),
-                _ => continue,
-            };
-            let input = g.node(n).inputs[0];
-            let shape = match cx.shapes.shape(input) {
-                Some(s) => s.clone(),
-                None => continue, // rank unknown: nothing to check
-            };
-            let rank = shape.len();
-            let problem: Option<String> = match &kind {
-                ViewKind::Select { dim } | ViewKind::SliceView { dim } => {
-                    if norm_dim(*dim, rank).is_none() {
-                        Some(format!("dim {dim} out of range for rank {rank}"))
-                    } else {
-                        None
-                    }
-                }
-                ViewKind::Transpose { dim0, dim1 } => {
-                    if norm_dim(*dim0, rank).is_none() || norm_dim(*dim1, rank).is_none() {
-                        Some(format!(
-                            "transpose dims ({dim0}, {dim1}) out of range for rank {rank}"
-                        ))
-                    } else {
-                        None
-                    }
-                }
-                ViewKind::Squeeze { dim } => match norm_dim(*dim, rank) {
-                    None => Some(format!("squeeze dim {dim} out of range for rank {rank}")),
-                    // Squeezing a dim that provably cannot be 1 is a
-                    // guaranteed runtime error; the symbolic domain can
-                    // prove it even for non-constant dims (e.g. `2*in0.d0`
-                    // after `cat(x, x)`).
-                    Some(d) => match shape[d].expr() {
-                        Some(e) if !e.can_equal(1) => {
-                            Some(format!("squeeze dim {dim} of size {e} (provably never 1)"))
-                        }
-                        _ => None,
-                    },
-                },
-                ViewKind::Unsqueeze { dim } => {
-                    let d = if *dim < 0 {
-                        dim + rank as i64 + 1
-                    } else {
-                        *dim
-                    };
-                    if d < 0 || d as usize > rank {
-                        Some(format!("unsqueeze dim {dim} out of range for rank {rank}"))
-                    } else {
-                        None
-                    }
-                }
-                ViewKind::Permute { perm } => {
-                    let mut seen = vec![false; rank];
-                    let mut bad = perm.len() != rank;
-                    if !bad {
-                        for &p in perm {
-                            match norm_dim(p, rank) {
-                                Some(d) if !seen[d] => seen[d] = true,
-                                _ => {
-                                    bad = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if bad {
-                        Some(format!(
-                            "permutation {perm:?} is not a permutation of 0..{rank}"
-                        ))
-                    } else {
-                        None
-                    }
-                }
-                ViewKind::Expand { shape: target } => {
-                    if target.len() < rank {
-                        Some(format!(
-                            "expand to rank {} from rank {rank} (cannot drop dims)",
-                            target.len()
-                        ))
-                    } else {
-                        let offset = target.len() - rank;
-                        let mut bad = None;
-                        for (i, dim) in shape.iter().enumerate() {
-                            let t = target[offset + i];
-                            if t == -1 {
-                                continue;
-                            }
-                            if let Some(d) = dim.as_const() {
-                                if d != 1 && t != d as i64 {
-                                    bad = Some(format!(
-                                        "expand dim {} from size {d} to {t} (only size-1 \
-                                         dims broadcast)",
-                                        offset + i
-                                    ));
-                                    break;
-                                }
-                            } else if let Some(e) = dim.expr() {
-                                // Symbolic: expanding is only valid when the
-                                // dim can be 1 or already equal the target.
-                                if t >= 0 && !e.can_equal(1) && !e.can_equal(t) {
-                                    bad = Some(format!(
-                                        "expand dim {} from size {e} to {t} (provably \
-                                         neither 1 nor {t})",
-                                        offset + i
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                        bad
-                    }
-                }
-                ViewKind::ViewShape { shape: target } => {
-                    // The element count stays affine when at most one dim is
-                    // non-constant; a reshape to a fixed total the affine
-                    // form can never reach (e.g. `4*in0.d0` elements into 6)
-                    // is unsatisfiable for every input.
-                    if target.contains(&-1) {
-                        None
-                    } else {
-                        let tn: i64 = target.iter().product();
-                        match symbolic_numel(&shape) {
-                            Some(e) if tn >= 0 && !e.can_equal(tn) => Some(format!(
-                                "reshape to {target:?} ({tn} elements) from {e} elements \
-                                 (unsatisfiable)"
-                            )),
-                            _ => None,
-                        }
-                    }
-                }
-            };
-            if let Some(p) = problem {
-                out.push(Diagnostic::at_node(self.name(), severity, g, n, p));
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 7: symbolic-broadcast-mismatch
-// ---------------------------------------------------------------------------
-
 /// Two dims feeding one broadcast can *provably never* be compatible: under
 /// no assignment of non-negative extents to the input-dim variables are they
 /// equal, nor is either 1. Every execution of the node fails, so the rule
 /// denies. Only the symbolic domain can prove this for non-constant dims
 /// (e.g. `2*in0.d0+4` against `2*in0.d0+2` after two different concats).
-struct SymbolicBroadcastMismatch;
+fn symbolic_broadcast_mismatch(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let g = cx.graph;
+    let mut out = Vec::new();
+    for n in g.nodes_recursive(g.top()) {
+        let node = g.node(n);
+        let broadcasting = matches!(node.op, Op::Binary(_) | Op::WhereSelect);
+        if !broadcasting {
+            continue;
+        }
+        // Check every pair of tensor operands (WhereSelect has three).
+        let shapes: Vec<Option<&Shape>> = node.inputs.iter().map(|&v| cx.shapes.shape(v)).collect();
+        'pairs: for i in 0..shapes.len() {
+            for j in i + 1..shapes.len() {
+                let (Some(a), Some(b)) = (shapes[i], shapes[j]) else {
+                    continue;
+                };
+                let rank = a.len().max(b.len());
+                for k in 0..rank {
+                    let one = SymDim::konst(1);
+                    let da = if k < rank - a.len() {
+                        &one
+                    } else {
+                        &a[k - (rank - a.len())]
+                    };
+                    let db = if k < rank - b.len() {
+                        &one
+                    } else {
+                        &b[k - (rank - b.len())]
+                    };
+                    if provable_broadcast_mismatch(da, db) {
+                        out.push(Diagnostic::at_node(
+                            rule.name,
+                            rule.severity,
+                            g,
+                            n,
+                            format!(
+                                "dim {k}: {} can never broadcast against {} \
+                                 (incompatible for every input)",
+                                da, db
+                            ),
+                        ));
+                        break 'pairs;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
 
 /// `true` when `a` and `b` can never broadcast together: no non-negative
 /// assignment makes them equal, and neither can be 1. Each disjunct is
@@ -620,240 +387,58 @@ fn provable_broadcast_mismatch(a: &SymDim, b: &SymDim) -> bool {
     }
 }
 
-impl Rule for SymbolicBroadcastMismatch {
-    fn name(&self) -> &'static str {
-        "symbolic-broadcast-mismatch"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Deny
-    }
-    fn describe(&self) -> &'static str {
-        "broadcast of two dims that can never be compatible for any input"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mut out = Vec::new();
-        for n in g.nodes_recursive(g.top()) {
-            let node = g.node(n);
-            let broadcasting = matches!(node.op, Op::Binary(_) | Op::WhereSelect);
-            if !broadcasting {
-                continue;
-            }
-            // Check every pair of tensor operands (WhereSelect has three).
-            let shapes: Vec<Option<&Shape>> =
-                node.inputs.iter().map(|&v| cx.shapes.shape(v)).collect();
-            'pairs: for i in 0..shapes.len() {
-                for j in i + 1..shapes.len() {
-                    let (Some(a), Some(b)) = (shapes[i], shapes[j]) else {
-                        continue;
-                    };
-                    let rank = a.len().max(b.len());
-                    for k in 0..rank {
-                        let one = SymDim::konst(1);
-                        let da = if k < rank - a.len() {
-                            &one
-                        } else {
-                            &a[k - (rank - a.len())]
-                        };
-                        let db = if k < rank - b.len() {
-                            &one
-                        } else {
-                            &b[k - (rank - b.len())]
-                        };
-                        if provable_broadcast_mismatch(da, db) {
-                            out.push(Diagnostic::at_node(
-                                self.name(),
-                                severity,
-                                g,
-                                n,
-                                format!(
-                                    "dim {k}: {} can never broadcast against {} \
-                                     (incompatible for every input)",
-                                    da, db
-                                ),
-                            ));
-                            break 'pairs;
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 8: data-dependent-shape-escapes-output
-// ---------------------------------------------------------------------------
-
 /// A graph output has a data-dependent (⊥) dimension: its extent cannot be
 /// expressed over the input dims, so no shape-keyed plan cache can bucket
 /// the program and callers cannot preallocate. Warn-level — legitimate
 /// programs (nonzero-style filters) do this on purpose.
-struct DataDependentShapeEscapesOutput;
-
-impl Rule for DataDependentShapeEscapesOutput {
-    fn name(&self) -> &'static str {
-        "data-dependent-shape-escapes-output"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn describe(&self) -> &'static str {
-        "graph output has a data-dependent dimension (defeats shape-keyed caching)"
-    }
-    fn check(&self, cx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let g = cx.graph;
-        let mut out = Vec::new();
-        for (i, &r) in g.block(g.top()).returns.iter().enumerate() {
-            if g.value(r).ty != Type::Tensor {
-                continue;
-            }
-            let Some(shape) = cx.shapes.shape(r) else {
-                continue; // rank unknown (unseeded input), not data-dependent
-            };
-            for (d, dim) in shape.iter().enumerate() {
-                if let SymDim::Unknown(taint) = dim {
-                    let blame = if taint.is_empty() {
-                        String::from("no input dim can explain it")
-                    } else {
-                        let vars: Vec<String> = taint.iter().map(|v| v.to_string()).collect();
-                        format!("tainted by {}", vars.join(", "))
-                    };
-                    out.push(Diagnostic::at_value(
-                        self.name(),
-                        severity,
-                        g,
-                        r,
-                        format!("output {i} dim {d} is data-dependent ({blame})"),
-                    ));
-                }
-            }
+fn data_dependent_shape_escapes_output(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let g = cx.graph;
+    let mut out = Vec::new();
+    for (i, &r) in g.block(g.top()).returns.iter().enumerate() {
+        if g.value(r).ty != Type::Tensor {
+            continue;
         }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// All built-in rules, in reporting order.
-fn builtin_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(ShapeIncompatibleViewChain),
-        Box::new(SymbolicBroadcastMismatch),
-        Box::new(DataDependentShapeEscapesOutput),
-        Box::new(ViewEscape),
-        Box::new(NonFunctionalizable),
-        Box::new(DeadMutation),
-        Box::new(RedundantClone),
-        Box::new(UnusedValue),
-    ]
-}
-
-/// Rule registry with per-rule severity overrides.
-pub struct Linter {
-    rules: Vec<Box<dyn Rule>>,
-    overrides: HashMap<&'static str, Severity>,
-}
-
-impl Default for Linter {
-    fn default() -> Self {
-        Linter::new()
-    }
-}
-
-impl Linter {
-    /// A linter running every built-in rule at its default severity.
-    pub fn new() -> Linter {
-        Linter {
-            rules: builtin_rules(),
-            overrides: HashMap::new(),
-        }
-    }
-
-    /// `(name, default severity, description)` of every registered rule.
-    pub fn rules(&self) -> Vec<(&'static str, Severity, &'static str)> {
-        self.rules
-            .iter()
-            .map(|r| (r.name(), r.default_severity(), r.describe()))
-            .collect()
-    }
-
-    /// Override the severity of rule `name`. Returns false (and changes
-    /// nothing) when no such rule exists.
-    pub fn set_severity(&mut self, name: &str, severity: Severity) -> bool {
-        match self.rules.iter().find(|r| r.name() == name) {
-            Some(r) => {
-                self.overrides.insert(r.name(), severity);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Suppress rule `name`.
-    pub fn allow(&mut self, name: &str) -> bool {
-        self.set_severity(name, Severity::Allow)
-    }
-
-    /// Escalate rule `name` to a hard failure.
-    pub fn deny(&mut self, name: &str) -> bool {
-        self.set_severity(name, Severity::Deny)
-    }
-
-    /// Lint `g` with unknown input shapes.
-    pub fn lint(&self, g: &Graph) -> Vec<Diagnostic> {
-        let n_inputs = g.block(g.top()).params.len();
-        self.lint_with_shapes(g, &vec![None; n_inputs])
-    }
-
-    /// Lint `g`, seeding shape inference with the given input shapes.
-    pub fn lint_with_shapes(
-        &self,
-        g: &Graph,
-        input_shapes: &[Option<Vec<usize>>],
-    ) -> Vec<Diagnostic> {
-        self.run(g, &infer_shapes(g, input_shapes))
-    }
-
-    /// Lint `g` with *symbolic* input shapes: tensor input `i` of rank `r`
-    /// gets fresh dims `in{i}.d0…`. This is the seeding that lets the
-    /// symbolic rules (provably-bad squeezes, unsatisfiable reshapes,
-    /// impossible broadcasts) fire on programs whose concrete shapes are
-    /// unknown.
-    pub fn lint_symbolic(&self, g: &Graph, input_ranks: &[Option<usize>]) -> Vec<Diagnostic> {
-        self.run(g, &infer_shapes_symbolic(g, input_ranks))
-    }
-
-    fn run(&self, g: &Graph, shapes: &ShapeInfo) -> Vec<Diagnostic> {
-        let alias = AliasAnalysis::build(g);
-        let cx = LintContext {
-            graph: g,
-            alias: &alias,
-            shapes,
+        let Some(shape) = cx.shapes.shape(r) else {
+            continue; // rank unknown (unseeded input), not data-dependent
         };
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            let severity = self
-                .overrides
-                .get(rule.name())
-                .copied()
-                .unwrap_or_else(|| rule.default_severity());
-            if severity == Severity::Allow {
-                continue;
+        for (d, dim) in shape.iter().enumerate() {
+            if let SymDim::Unknown(taint) = dim {
+                let blame = if taint.is_empty() {
+                    String::from("no input dim can explain it")
+                } else {
+                    let vars: Vec<String> = taint.iter().map(|v| v.to_string()).collect();
+                    format!("tainted by {}", vars.join(", "))
+                };
+                out.push(Diagnostic::at_value(
+                    rule.name,
+                    rule.severity,
+                    g,
+                    r,
+                    format!("output {i} dim {d} is data-dependent ({blame})"),
+                ));
             }
-            out.extend(rule.check(&cx, severity));
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssa_ir::{BinaryKind, MutateKind, UnaryKind};
+    use tssa_ir::{infer_shapes_symbolic, BinaryKind, MutateKind, UnaryKind};
+
+    /// Lint `g` with concrete input shapes.
+    fn lint_with_shapes(g: &Graph, input_shapes: &[Option<Vec<usize>>]) -> Vec<Diagnostic> {
+        run(g, &infer_shapes(g, input_shapes))
+    }
+
+    /// Lint `g` with *symbolic* input shapes: tensor input `i` of rank `r`
+    /// gets fresh dims `in{i}.d0…`, which lets the symbolic checks
+    /// (provably-bad squeezes, unsatisfiable reshapes, impossible
+    /// broadcasts) fire on programs whose concrete shapes are unknown.
+    fn lint_symbolic(g: &Graph, input_ranks: &[Option<usize>]) -> Vec<Diagnostic> {
+        run(g, &infer_shapes_symbolic(g, input_ranks))
+    }
 
     fn cloned_base(g: &mut Graph) -> ValueId {
         let x = g.add_input("x", Type::Tensor);
@@ -866,9 +451,17 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_eight_rules() {
-        let l = Linter::new();
-        assert_eq!(l.rules().len(), 8);
+    fn rule_table_lists_four_rules() {
+        let names: Vec<&str> = rules().map(|(name, _, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "shape-incompatible-view-chain",
+                "symbolic-broadcast-mismatch",
+                "data-dependent-shape-escapes-output",
+                "non-functionalizable",
+            ]
+        );
     }
 
     #[test]
@@ -878,97 +471,7 @@ mod tests {
         let r = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
-        assert!(Linter::new().lint(&g).is_empty());
-    }
-
-    #[test]
-    fn unused_pure_node_fires() {
-        let mut g = Graph::new();
-        let x = g.add_input("x", Type::Tensor);
-        g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
-        g.set_returns(g.top(), &[x]);
-        let diags = Linter::new().lint(&g);
-        assert_eq!(names(&diags), vec!["unused-value"]);
-    }
-
-    #[test]
-    fn allow_suppresses_rule() {
-        let mut g = Graph::new();
-        let x = g.add_input("x", Type::Tensor);
-        g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
-        g.set_returns(g.top(), &[x]);
-        let mut l = Linter::new();
-        assert!(l.allow("unused-value"));
-        assert!(!l.allow("no-such-rule"));
-        assert!(l.lint(&g).is_empty());
-    }
-
-    #[test]
-    fn deny_escalates_severity() {
-        let mut g = Graph::new();
-        let x = g.add_input("x", Type::Tensor);
-        g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
-        g.set_returns(g.top(), &[x]);
-        let mut l = Linter::new();
-        l.deny("unused-value");
-        let diags = l.lint(&g);
-        assert_eq!(diags[0].severity, Severity::Deny);
-    }
-
-    #[test]
-    fn redundant_clone_fires_without_mutation() {
-        let mut g = Graph::new();
-        let base = cloned_base(&mut g);
-        g.set_returns(g.top(), &[base]);
-        let diags = Linter::new().lint(&g);
-        assert_eq!(names(&diags), vec!["redundant-clone"]);
-    }
-
-    #[test]
-    fn clone_guarding_mutation_is_kept() {
-        let mut g = Graph::new();
-        let base = cloned_base(&mut g);
-        g.append(
-            g.top(),
-            Op::Mutate(MutateKind::Relu),
-            &[base],
-            &[Type::Tensor],
-        );
-        g.set_returns(g.top(), &[base]);
-        let diags = Linter::new().lint(&g);
-        assert!(!names(&diags).contains(&"redundant-clone"), "{diags:?}");
-    }
-
-    #[test]
-    fn dead_mutation_fires_when_never_read() {
-        let mut g = Graph::new();
-        let base = cloned_base(&mut g);
-        g.append(
-            g.top(),
-            Op::Mutate(MutateKind::Relu),
-            &[base],
-            &[Type::Tensor],
-        );
-        // base never returned, never read again.
-        let x2 = g.add_input("y", Type::Tensor);
-        g.set_returns(g.top(), &[x2]);
-        let diags = Linter::new().lint(&g);
-        assert!(names(&diags).contains(&"dead-mutation"), "{diags:?}");
-    }
-
-    #[test]
-    fn returned_mutation_is_live() {
-        let mut g = Graph::new();
-        let base = cloned_base(&mut g);
-        g.append(
-            g.top(),
-            Op::Mutate(MutateKind::Relu),
-            &[base],
-            &[Type::Tensor],
-        );
-        g.set_returns(g.top(), &[base]);
-        let diags = Linter::new().lint(&g);
-        assert!(!names(&diags).contains(&"dead-mutation"), "{diags:?}");
+        assert!(lint(&g).is_empty());
     }
 
     #[test]
@@ -977,7 +480,7 @@ mod tests {
         let x = g.add_input("x", Type::Tensor);
         g.append(g.top(), Op::Mutate(MutateKind::Relu), &[x], &[Type::Tensor]);
         g.set_returns(g.top(), &[x]);
-        let diags = Linter::new().lint(&g);
+        let diags = lint(&g);
         let d = diags
             .iter()
             .find(|d| d.rule == "non-functionalizable")
@@ -996,7 +499,7 @@ mod tests {
             &[Type::Tensor],
         );
         g.set_returns(g.top(), &[base]);
-        let diags = Linter::new().lint(&g);
+        let diags = lint(&g);
         assert!(
             !names(&diags).contains(&"non-functionalizable"),
             "{diags:?}"
@@ -1016,7 +519,7 @@ mod tests {
         );
         let sv = g.out(s);
         g.set_returns(g.top(), &[sv]);
-        let diags = Linter::new().lint_with_shapes(&g, &[Some(vec![4, 4])]);
+        let diags = lint_with_shapes(&g, &[Some(vec![4, 4])]);
         let d = diags
             .iter()
             .find(|d| d.rule == "shape-incompatible-view-chain")
@@ -1037,7 +540,7 @@ mod tests {
         );
         let pv = g.out(p);
         g.set_returns(g.top(), &[pv]);
-        let diags = Linter::new().lint_with_shapes(&g, &[Some(vec![4, 4])]);
+        let diags = lint_with_shapes(&g, &[Some(vec![4, 4])]);
         assert!(names(&diags).contains(&"shape-incompatible-view-chain"));
     }
 
@@ -1056,14 +559,14 @@ mod tests {
         );
         let sv = g.out(s);
         g.set_returns(g.top(), &[sv]);
-        let diags = Linter::new().lint_symbolic(&g, &[Some(2)]);
+        let diags = lint_symbolic(&g, &[Some(2)]);
         let d = diags
             .iter()
             .find(|d| d.rule == "shape-incompatible-view-chain")
             .expect("rule fired");
         assert!(d.message.contains("provably never 1"), "{}", d);
         // With concrete even shapes the same graph is still caught…
-        let diags = Linter::new().lint_with_shapes(&g, &[Some(vec![3, 4])]);
+        let diags = lint_with_shapes(&g, &[Some(vec![3, 4])]);
         assert!(names(&diags).contains(&"shape-incompatible-view-chain"));
     }
 
@@ -1082,7 +585,7 @@ mod tests {
         );
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
-        let diags = Linter::new().lint_symbolic(&g, &[Some(1)]);
+        let diags = lint_symbolic(&g, &[Some(1)]);
         let d = diags
             .iter()
             .find(|d| d.rule == "shape-incompatible-view-chain")
@@ -1119,7 +622,7 @@ mod tests {
         let s = g.append(g.top(), BinaryKind::Add, &[av, bv], &[Type::Tensor]);
         let sv = g.out(s);
         g.set_returns(g.top(), &[sv]);
-        let diags = Linter::new().lint_symbolic(&g, &[Some(1)]);
+        let diags = lint_symbolic(&g, &[Some(1)]);
         let d = diags
             .iter()
             .find(|d| d.rule == "symbolic-broadcast-mismatch")
@@ -1135,7 +638,7 @@ mod tests {
         let add = g2.append(g2.top(), BinaryKind::Add, &[ccv, y], &[Type::Tensor]);
         let addv = g2.out(add);
         g2.set_returns(g2.top(), &[addv]);
-        let diags = Linter::new().lint_symbolic(&g2, &[Some(1)]);
+        let diags = lint_symbolic(&g2, &[Some(1)]);
         assert!(!names(&diags).contains(&"symbolic-broadcast-mismatch"));
     }
 
@@ -1147,7 +650,7 @@ mod tests {
         let a = g.append(g.top(), Op::Arange, &[n], &[Type::Tensor]);
         let av = g.out(a);
         g.set_returns(g.top(), &[av]);
-        let diags = Linter::new().lint_symbolic(&g, &[None]);
+        let diags = lint_symbolic(&g, &[None]);
         let d = diags
             .iter()
             .find(|d| d.rule == "data-dependent-shape-escapes-output")
@@ -1163,7 +666,7 @@ mod tests {
         let r = g.append(g.top(), UnaryKind::Relu, &[x], &[Type::Tensor]);
         let rv = g.out(r);
         g.set_returns(g.top(), &[rv]);
-        let diags = Linter::new().lint_symbolic(&g, &[Some(2)]);
+        let diags = lint_symbolic(&g, &[Some(2)]);
         assert!(!names(&diags).contains(&"data-dependent-shape-escapes-output"));
     }
 
@@ -1179,7 +682,7 @@ mod tests {
         );
         let tv = g.out(t);
         g.set_returns(g.top(), &[tv]);
-        let diags = Linter::new().lint_with_shapes(&g, &[Some(vec![4, 4])]);
+        let diags = lint_with_shapes(&g, &[Some(vec![4, 4])]);
         assert!(!names(&diags).contains(&"shape-incompatible-view-chain"));
     }
 }

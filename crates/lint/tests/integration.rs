@@ -11,7 +11,7 @@
 use tssa_core::passes::{ConstantFold, Dce};
 use tssa_core::{convert_to_tensorssa, Pass, PassManager};
 use tssa_ir::{Graph, MutateKind, Op, Type};
-use tssa_lint::{certify_pure, check_effects, fuzz, Linter, PassSanitizer, Severity};
+use tssa_lint::{certify_pure, check_effects, fuzz, lint, PassSanitizer, Severity};
 use tssa_obs::{TraceScope, Tracer};
 use tssa_pipelines::{Pipeline, TensorSsa};
 use tssa_workloads::all_workloads;
@@ -41,11 +41,9 @@ fn tensorssa_output_is_pure_for_all_workloads() {
 fn workload_sources_lint_clean_at_deny_level() {
     // No workload should trip a Deny-level rule; warnings are allowed
     // (several workloads intentionally mutate caller tensors).
-    let linter = Linter::new();
     for w in all_workloads() {
         let g = w.graph().unwrap();
-        let denies: Vec<String> = linter
-            .lint(&g)
+        let denies: Vec<String> = lint(&g)
             .into_iter()
             .filter(|d| d.severity == Severity::Deny)
             .map(|d| d.to_string())

@@ -70,7 +70,7 @@ impl Default for AutoscaleConfig {
 
 /// What the controller wants done after a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleDecision {
+pub(crate) enum ScaleDecision {
     /// Add one worker.
     Grow,
     /// Retire one worker.
@@ -81,7 +81,7 @@ pub enum ScaleDecision {
 
 /// The pure scaling policy: feed it one histogram window per tick.
 #[derive(Debug)]
-pub struct ScaleController {
+pub(crate) struct ScaleController {
     config: AutoscaleConfig,
     /// Cumulative buckets at the previous tick, for windowed deltas.
     prev: Vec<(u64, u64)>,
@@ -94,7 +94,7 @@ pub struct ScaleController {
 
 impl ScaleController {
     /// A controller with no history (first window counts from zero).
-    pub fn new(config: AutoscaleConfig) -> ScaleController {
+    pub(crate) fn new(config: AutoscaleConfig) -> ScaleController {
         ScaleController {
             config,
             prev: Vec::new(),
@@ -107,14 +107,14 @@ impl ScaleController {
 
     /// The p99 queue wait of the most recent window (µs). Zero when the
     /// window was empty.
-    pub fn window_p99_us(&self) -> u64 {
+    pub(crate) fn window_p99_us(&self) -> u64 {
         self.window_p99_us
     }
 
     /// Observe this tick's cumulative histogram buckets (as returned by
     /// [`tssa_obs::HistogramMetric::cumulative_buckets`]) and the current
     /// active worker count; decide.
-    pub fn observe(&mut self, buckets: &[(u64, u64)], active: usize) -> ScaleDecision {
+    pub(crate) fn observe(&mut self, buckets: &[(u64, u64)], active: usize) -> ScaleDecision {
         self.window_p99_us = window_p99(&self.prev, buckets);
         self.prev = buckets.to_vec();
         if self.cooldown > 0 {
@@ -263,14 +263,17 @@ fn run(service: &Arc<Service>, config: AutoscaleConfig, stop: &AtomicBool) {
             break;
         }
         let active = service.worker_count();
+        // Count a decision before acting on it: the pool changes on the
+        // supervisor's thread, so a reader who sees the new pool size also
+        // sees the counter that explains it.
         match controller.observe(&queue_wait.cumulative_buckets(), active) {
             ScaleDecision::Grow => {
-                service.grow(1);
                 ups.inc();
+                service.grow(1);
             }
             ScaleDecision::Shrink => {
-                service.shrink(1);
                 downs.inc();
+                service.shrink(1);
             }
             ScaleDecision::Hold => {}
         }

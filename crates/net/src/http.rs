@@ -71,7 +71,7 @@ impl HttpRequest {
     /// Whether the connection should be reused after this request:
     /// HTTP/1.1 defaults to keep-alive, 1.0 to close, and an explicit
     /// `Connection` header overrides either way.
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         match self.header("connection") {
             Some(v) if v.eq_ignore_ascii_case("close") => false,
             Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
@@ -297,7 +297,7 @@ pub fn write_response<W: Write>(
 /// # Errors
 ///
 /// Propagates write failures on the connection.
-pub fn write_chunked<W: Write>(
+pub(crate) fn write_chunked<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,

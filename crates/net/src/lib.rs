@@ -13,7 +13,7 @@
 //! 2. **Wire format** ([`wire`]) — JSON (or negotiated binary) requests and
 //!    responses through a typed single-pass tensor codec, with a stable
 //!    machine-readable error `kind` per [`tssa_serve::ServeError`] variant.
-//! 3. **Autoscaling** ([`autoscale`]) — a controller that reads the live
+//! 3. **Autoscaling** ([`Autoscaler`]) — a controller that reads the live
 //!    `tssa_queue_wait_us` histogram from the shared
 //!    [`MetricsRegistry`](tssa_obs::MetricsRegistry), computes windowed
 //!    p99 queue wait by diffing cumulative buckets tick over tick, and
@@ -24,16 +24,16 @@
 //! driven graceful drain; `GET /metrics` exposes the whole stack —
 //! service, gateway, autoscaler — as one Prometheus exposition.
 
-pub mod autoscale;
+mod autoscale;
 pub mod http;
-pub mod server;
+mod server;
 pub mod wire;
 
-pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleController, ScaleDecision};
+pub use autoscale::{AutoscaleConfig, Autoscaler};
 pub use http::{HttpError, HttpRequest, HttpResponse, Limits};
 pub use server::{roundtrip, Gateway, GatewayConfig};
 pub use wire::{
-    encode_error, encode_error_binary, encode_infer_request, encode_infer_request_binary,
-    encode_response, encode_response_binary, error_parts, is_binary_content_type, parse_infer,
-    parse_infer_binary, parse_response_binary, BinaryReply, InferRequest, BINARY_CONTENT_TYPE,
+    encode_error_binary, encode_infer_request, encode_infer_request_binary, encode_response,
+    encode_response_binary, parse_infer, parse_infer_binary, parse_response_binary, BinaryReply,
+    InferRequest, BINARY_CONTENT_TYPE,
 };

@@ -523,7 +523,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Encode an error body with a stable `kind` discriminator.
-pub fn encode_error(kind: &str, message: &str) -> String {
+pub(crate) fn encode_error(kind: &str, message: &str) -> String {
     format!(
         "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"}}",
         json_escape(kind),
@@ -535,7 +535,7 @@ pub fn encode_error(kind: &str, message: &str) -> String {
 pub const BINARY_CONTENT_TYPE: &str = "application/x-tssa-tensor";
 
 /// Version byte leading every binary body; bumped on incompatible change.
-pub const BINARY_WIRE_VERSION: u8 = 1;
+pub(crate) const BINARY_WIRE_VERSION: u8 = 1;
 
 /// Nested lists deeper than this are rejected rather than recursed into,
 /// so adversarial bodies cannot exhaust the decoder's stack.
@@ -553,7 +553,7 @@ const DTYPE_BOOL: u8 = 2;
 
 /// True when a `Content-Type` header value selects the binary encoding.
 /// Parameters after `;` (charset etc.) are ignored.
-pub fn is_binary_content_type(header: Option<&str>) -> bool {
+pub(crate) fn is_binary_content_type(header: Option<&str>) -> bool {
     header.is_some_and(|v| {
         v.split(';')
             .next()
@@ -828,7 +828,7 @@ pub fn parse_response_binary(body: &[u8]) -> Result<BinaryReply, String> {
 ///
 /// Backpressure and deadline outcomes get distinct retryable statuses
 /// (429/504); caller bugs are 4xx; everything else is a 5xx.
-pub fn error_parts(e: &ServeError) -> (u16, &'static str) {
+pub(crate) fn error_parts(e: &ServeError) -> (u16, &'static str) {
     match e {
         ServeError::QueueFull { .. } => (429, "queue_full"),
         ServeError::DeadlineExceeded { .. } => (504, "deadline_exceeded"),

@@ -562,8 +562,16 @@ fn graceful_shutdown_drains_inflight_requests() {
         roundtrip(&mut stream, "POST", "/v1/infer", &[], INFER_BODY.as_bytes())
             .expect("request survives shutdown")
     });
-    // Let the request get in flight, then shut the edge down.
-    std::thread::sleep(Duration::from_millis(2));
+    // Wait until the request is in flight (submitted to the service, where
+    // the injected slow execution holds it), then shut the edge down.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.metrics().submitted < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the request never reached the service"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
     gateway.shutdown();
     let resp = handle.join().unwrap();
     assert_eq!(resp.status, 200, "in-flight request completed during drain");

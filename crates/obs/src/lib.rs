@@ -13,19 +13,17 @@
 //! * [`TraceSink`] — where finished spans go. [`RingSink`] (bounded, most
 //!   recent N) is the default for tests and ad-hoc profiling;
 //!   [`StreamSink`] writes NDJSON spans to any `io::Write` for long chaos
-//!   and load runs; [`NullSink`] backs [`Tracer::disabled`] so untraced
+//!   and load runs; [`Tracer::disabled`] records into nothing, so untraced
 //!   paths cost one branch.
 //! * [`Sampler`] / [`Tracer::sampled`] — always-on production tracing:
 //!   seeded head-sampling by trace root plus tail-keep rules that always
-//!   retain slow, errored and fault-marked traces.
+//!   retain errored and fault-marked traces.
 //! * [`MetricsRegistry`] — process-wide counters, gauges and labeled
 //!   histograms that every layer (serve, plan cache, `PassManager`)
 //!   registers into, rendered as one consolidated Prometheus exposition.
 //! * [`chrome_trace_json`] — exports any span set as Chrome-trace JSON for
 //!   `chrome://tracing` / Perfetto; [`text_tree`] renders the same tree for
 //!   terminals and docs.
-//! * [`PromText`] — the Prometheus text-exposition encoder behind
-//!   [`MetricsRegistry::prometheus_text`] and the sinks' own counters.
 //! * [`json`] — a tiny validating JSON reader so tests and CI can check the
 //!   exporters without external dependencies.
 //!
@@ -64,15 +62,14 @@ mod stream;
 pub use chrome::{chrome_trace_json, text_tree};
 pub use profile::{
     group_frame, GroupHotness, OpKey, OpStat, ProfileSink, ProfileSnapshot, Profiler,
-    PROFILE_BUCKETS, TOP_LEVEL_GROUP,
+    TOP_LEVEL_GROUP,
 };
-pub use prom::{escape_label_value, labels_fragment, PromText};
-pub use registry::{Counter, Exemplar, Gauge, HistogramMetric, MetricsRegistry, HISTOGRAM_BUCKETS};
+pub use registry::{Counter, Gauge, HistogramMetric, MetricsRegistry};
 pub use rotate::RotatingFile;
 pub use sample::{Sampler, SamplerStats, DEFAULT_KEEP_MARKS};
-pub use sink::{NullSink, RingSink, TraceSink};
+pub use sink::{RingSink, TraceSink};
 pub use span::{Span, SpanRecord, TraceScope, Tracer};
-pub use stream::{span_ndjson, StreamSink};
+pub use stream::StreamSink;
 
 // Spans cross thread boundaries by design (serve opens them at admission
 // and finishes them on workers); pin that contract at compile time.

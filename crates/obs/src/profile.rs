@@ -27,7 +27,7 @@ use crate::registry::MetricsRegistry;
 use crate::sample::Sampler;
 
 /// Number of log2 wall-time buckets per op (microseconds, up to ~2^39).
-pub const PROFILE_BUCKETS: usize = 40;
+pub(crate) const PROFILE_BUCKETS: usize = 40;
 
 /// Sentinel "fusion group" for ops executed at the top level of a plan
 /// (outside any fusion group). Rendered as the `top` frame.
@@ -257,7 +257,7 @@ impl Profiler {
     }
 
     /// `(merge count, cumulative merge wall µs)` — the profiler's own cost.
-    pub fn merge_stats(&self) -> (u64, u64) {
+    fn merge_stats(&self) -> (u64, u64) {
         (
             self.inner.merges.load(Ordering::Relaxed),
             self.inner.merge_us.load(Ordering::Relaxed),

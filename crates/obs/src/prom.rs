@@ -1,13 +1,13 @@
 //! Prometheus text-exposition encoder (version 0.0.4 of the format): the
-//! small, dependency-free subset needed to publish family headers, sample
-//! lines (with labels and exemplars) and plain counters.
+//! small, dependency-free subset needed to publish family headers and sample
+//! lines (with labels and exemplars).
 
 use std::fmt::Write as _;
 
 /// Builds one exposition document. Metric families are emitted in call
 /// order, each with its `# HELP` / `# TYPE` header.
 #[derive(Debug, Default)]
-pub struct PromText {
+pub(crate) struct PromText {
     out: String,
 }
 
@@ -25,7 +25,7 @@ fn sanitize(name: &str) -> String {
 
 /// Escape a label *value* per the text exposition format: backslash,
 /// double quote and newline must be escaped; everything else is literal.
-pub fn escape_label_value(v: &str) -> String {
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -40,7 +40,7 @@ pub fn escape_label_value(v: &str) -> String {
 
 /// Render `labels` as a `{k="v",...}` fragment (empty string when there
 /// are no labels). Label names are sanitized, values escaped.
-pub fn labels_fragment(labels: &[(String, String)]) -> String {
+fn labels_fragment(labels: &[(String, String)]) -> String {
     if labels.is_empty() {
         return String::new();
     }
@@ -53,27 +53,23 @@ pub fn labels_fragment(labels: &[(String, String)]) -> String {
 
 impl PromText {
     /// An empty document.
-    pub fn new() -> PromText {
+    pub(crate) fn new() -> PromText {
         PromText::default()
-    }
-
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
 
     /// Emit a family header (`# HELP` / `# TYPE`) alone, for callers that
     /// emit their own (typically labeled) sample lines via
     /// [`PromText::sample`]. Returns the sanitized family name.
-    pub fn family(&mut self, name: &str, help: &str, kind: &str) -> String {
+    pub(crate) fn family(&mut self, name: &str, help: &str, kind: &str) -> String {
         let name = sanitize(name);
-        self.header(&name, help, kind);
+        let _ = writeln!(self.out, "# HELP {name} {help}");
+        let _ = writeln!(self.out, "# TYPE {name} {kind}");
         name
     }
 
     /// One sample line: `name{labels} value`. `name` may carry a suffix
     /// (`_bucket`, `_sum`, `_count`); it is sanitized either way.
-    pub fn sample(
+    pub(crate) fn sample(
         &mut self,
         name: &str,
         labels: &[(String, String)],
@@ -92,7 +88,7 @@ impl PromText {
     /// `name{labels} value # {trace_id="<hex>"} exemplar_value`. Classic
     /// Prometheus text parsers must treat everything after `#` as ignorable;
     /// the in-repo scrapers strip the suffix explicitly.
-    pub fn sample_with_exemplar(
+    pub(crate) fn sample_with_exemplar(
         &mut self,
         name: &str,
         labels: &[(String, String)],
@@ -111,15 +107,8 @@ impl PromText {
         );
     }
 
-    /// A monotonically increasing counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        let name = sanitize(name);
-        self.header(&name, help, "counter");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
     /// The finished document.
-    pub fn render(self) -> String {
+    pub(crate) fn render(self) -> String {
         self.out
     }
 }
@@ -131,7 +120,8 @@ mod tests {
     #[test]
     fn counter_and_labeled_sample_format() {
         let mut p = PromText::new();
-        p.counter("reqs_total", "Total requests.", 7);
+        let reqs = p.family("reqs_total", "Total requests.", "counter");
+        p.sample(&reqs, &[], 7);
         let name = p.family("occupancy", "Mean batch occupancy.", "gauge");
         p.sample(&name, &[("plan".to_string(), "a\"b".to_string())], 2.5);
         let text = p.render();
@@ -144,7 +134,8 @@ mod tests {
     #[test]
     fn names_are_sanitized() {
         let mut p = PromText::new();
-        p.counter("bad-name.x", "h", 1);
+        let name = p.family("bad-name.x", "h", "counter");
+        p.sample(&name, &[], 1);
         assert!(p.render().contains("bad_name_x 1"));
     }
 }

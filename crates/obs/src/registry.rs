@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::prom::PromText;
 
 /// Number of power-of-two histogram buckets (up to ~2^39, ~6 days in µs).
-pub const HISTOGRAM_BUCKETS: usize = 40;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A monotonically increasing counter handle.
 #[derive(Debug, Clone)]
@@ -70,11 +70,11 @@ impl Gauge {
 /// OpenMetrics-style `# {trace_id="..."} value` suffix on the matching
 /// bucket line — the bridge from an aggregate back to one concrete trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Exemplar {
+pub(crate) struct Exemplar {
     /// The observed value (same unit as the histogram).
-    pub value: u64,
+    pub(crate) value: u64,
     /// Root span id of the trace that produced the observation.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
 }
 
 struct HistogramCore {
@@ -132,7 +132,7 @@ impl HistogramMetric {
     }
 
     /// The latest trace-linked observation, when one was recorded.
-    pub fn exemplar(&self) -> Option<Exemplar> {
+    pub(crate) fn exemplar(&self) -> Option<Exemplar> {
         let trace_id = self.0.exemplar_trace.load(Ordering::Relaxed);
         (trace_id != 0).then(|| Exemplar {
             value: self.0.exemplar_value.load(Ordering::Relaxed),
@@ -331,7 +331,7 @@ impl MetricsRegistry {
     }
 
     /// Registered family count (for tests and diagnostics).
-    pub fn family_count(&self) -> usize {
+    fn family_count(&self) -> usize {
         self.inner.lock().expect("registry lock").len()
     }
 

@@ -15,8 +15,6 @@
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A file writer that rotates by size at flush boundaries.
 pub struct RotatingFile {
@@ -26,7 +24,7 @@ pub struct RotatingFile {
     bytes: u64,
     max_bytes: u64,
     keep: usize,
-    rotations: Arc<AtomicU64>,
+    rotations: u64,
 }
 
 impl RotatingFile {
@@ -50,19 +48,13 @@ impl RotatingFile {
             bytes: 0,
             max_bytes: max_bytes.max(1),
             keep: keep.max(1),
-            rotations: Arc::new(AtomicU64::new(0)),
+            rotations: 0,
         })
     }
 
     /// Completed rotations so far.
     pub fn rotations(&self) -> u64 {
-        self.rotations.load(Ordering::Relaxed)
-    }
-
-    /// A shared handle to the rotation counter (usable after the file has
-    /// been moved into a sink).
-    pub fn rotation_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.rotations)
+        self.rotations
     }
 
     fn numbered(&self, i: usize) -> PathBuf {
@@ -80,7 +72,7 @@ impl RotatingFile {
         std::fs::rename(&self.path, self.numbered(1))?;
         self.file = File::create(&self.path)?;
         self.bytes = 0;
-        self.rotations.fetch_add(1, Ordering::Relaxed);
+        self.rotations += 1;
         Ok(())
     }
 }
@@ -109,17 +101,6 @@ impl crate::StreamSink<RotatingFile> {
     /// Completed rotations of the underlying rotating file.
     pub fn rotations(&self) -> u64 {
         self.with_writer(RotatingFile::rotations)
-    }
-
-    /// Sink health plus the rotation counter as Prometheus text.
-    pub fn prometheus_text_rotating(&self) -> String {
-        let mut prom = self.prometheus_partial();
-        prom.counter(
-            "tssa_obs_sink_rotations_total",
-            "Size-triggered rotations of the streaming sink's output file",
-            self.rotations(),
-        );
-        prom.render()
     }
 }
 
@@ -176,7 +157,6 @@ mod tests {
     fn stream_sink_rotation_cuts_at_line_boundaries() {
         let path = tmp("spans.ndjson");
         let file = RotatingFile::create(&path, 512, 4).unwrap();
-        let counter = file.rotation_counter();
         let sink = StreamSink::with_flush_every(file, 4);
         for id in 1..=200u64 {
             sink.record(SpanRecord {
@@ -192,13 +172,7 @@ mod tests {
         }
         sink.flush().unwrap();
         assert!(sink.rotations() > 0, "200 spans must overflow 512 bytes");
-        assert_eq!(sink.rotations(), counter.load(Ordering::Relaxed));
         assert_eq!(sink.dropped(), 0);
-        let prom = sink.prometheus_text_rotating();
-        assert!(
-            prom.contains("tssa_obs_sink_rotations_total"),
-            "rotation counter missing from exposition:\n{prom}"
-        );
         // Every generation on disk — current and rotated — is whole-line
         // NDJSON: rotation never split a record.
         let mut total_lines = 0u64;

@@ -13,10 +13,10 @@
 //!   traces.
 //! * **Tail keep.** Traces the head decision rejected are buffered until
 //!   their root finishes, then retained anyway if any span carries a
-//!   `fault:*` mark, one of the error marks in [`DEFAULT_KEEP_MARKS`]
-//!   (`timed_out`, `failed`, `deadline_exceeded`), or the root ran
-//!   past [`Sampler::slow_after`]. Everything else is discarded — the slow
-//!   and broken traces survive even at aggressive sampling rates.
+//!   `fault:*` mark or one of the error marks in [`DEFAULT_KEEP_MARKS`]
+//!   (`timed_out`, `failed`, `deadline_exceeded`). Everything else is
+//!   discarded — the broken traces survive even at aggressive sampling
+//!   rates.
 //!
 //! Buffering is bounded by the spans of currently *in-flight* traces; a
 //! finished trace either streams out or frees its buffer immediately.
@@ -26,7 +26,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use crate::sink::TraceSink;
 use crate::span::SpanRecord;
@@ -40,26 +39,17 @@ pub const DEFAULT_KEEP_MARKS: [&str; 3] = ["timed_out", "failed", "deadline_exce
 pub struct Sampler {
     seed: u64,
     rate: f64,
-    slow_after_ns: Option<u64>,
 }
 
 impl Sampler {
     /// Head-keep roughly `rate` (clamped to `[0, 1]`) of traces, decided by
     /// a seeded hash of each root's arrival index. Tail-keep rules are the
-    /// `fault:*` prefix plus [`DEFAULT_KEEP_MARKS`]; no slow-trace
-    /// threshold until [`Sampler::slow_after`] sets one.
+    /// `fault:*` prefix plus [`DEFAULT_KEEP_MARKS`].
     pub fn new(seed: u64, rate: f64) -> Sampler {
         Sampler {
             seed,
             rate: rate.clamp(0.0, 1.0),
-            slow_after_ns: None,
         }
-    }
-
-    /// Also tail-keep traces whose root span ran at least `threshold`.
-    pub fn slow_after(mut self, threshold: Duration) -> Sampler {
-        self.slow_after_ns = Some(threshold.as_nanos().min(u128::from(u64::MAX)) as u64);
-        self
     }
 
     /// The configured head-sampling rate.
@@ -90,14 +80,10 @@ impl Sampler {
     /// Whether a finished trace must be retained by the tail rules.
     fn tail_keep(&self, trace: &[SpanRecord]) -> bool {
         trace.iter().any(|r| {
-            let marked = r.counters.iter().any(|(name, v)| {
+            r.counters.iter().any(|(name, v)| {
                 *v != 0
                     && (name.starts_with("fault:") || DEFAULT_KEEP_MARKS.contains(&name.as_str()))
-            });
-            let slow = self
-                .slow_after_ns
-                .is_some_and(|limit| r.id == r.root && r.dur_ns >= limit);
-            marked || slow
+            })
         })
     }
 }
@@ -325,13 +311,6 @@ mod tests {
         root.mark("timed_out");
         root.finish();
         assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn slow_roots_are_tail_kept() {
-        let (tracer, sink) = sampled_ring(Sampler::new(7, 0.0).slow_after(Duration::ZERO));
-        tracer.root("request", "serve").finish();
-        assert_eq!(sink.len(), 1, "every root is >= the zero threshold");
     }
 
     #[test]

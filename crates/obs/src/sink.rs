@@ -17,7 +17,7 @@ pub trait TraceSink: Send + Sync {
 
 /// Discards everything; backs [`crate::Tracer::disabled`].
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
+pub(crate) struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&self, _span: SpanRecord) {}
@@ -80,17 +80,6 @@ impl RingSink {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
-
-    /// The sink's own health as Prometheus text: spans evicted on wrap.
-    pub fn prometheus_text(&self) -> String {
-        let mut prom = crate::PromText::new();
-        prom.counter(
-            "tssa_obs_spans_dropped_total",
-            "Spans dropped by the trace sink (ring wrapped)",
-            self.dropped(),
-        );
-        prom.render()
-    }
 }
 
 impl TraceSink for RingSink {
@@ -149,9 +138,6 @@ mod tests {
         let snap = sink.snapshot();
         assert_eq!(snap[0].id, 2);
         assert_eq!(snap[1].id, 3);
-        assert!(sink
-            .prometheus_text()
-            .contains("tssa_obs_spans_dropped_total 1"));
     }
 
     #[test]

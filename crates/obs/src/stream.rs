@@ -16,7 +16,7 @@ use crate::span::SpanRecord;
 /// One span as a single-line JSON object (no trailing newline): ids, root,
 /// timing, and counters as an array of `[name, value]` pairs (an array
 /// because duplicate counter names are allowed).
-pub fn span_ndjson(r: &SpanRecord) -> String {
+pub(crate) fn span_ndjson(r: &SpanRecord) -> String {
     use std::fmt::Write as _;
     let mut line = String::with_capacity(96);
     let _ = write!(line, "{{\"id\":{},\"root\":{}", r.id, r.root);
@@ -107,32 +107,9 @@ impl<W: Write + Send> StreamSink<W> {
 
     /// Run `f` with exclusive access to the underlying writer (blocks
     /// concurrent span recording for the duration — keep `f` cheap).
-    pub fn with_writer<T>(&self, f: impl FnOnce(&W) -> T) -> T {
+    pub(crate) fn with_writer<T>(&self, f: impl FnOnce(&W) -> T) -> T {
         let inner = self.inner.lock().expect("stream lock");
         f(&inner.writer)
-    }
-
-    /// The sink's health counters, left open for writer-specific series
-    /// (see `prometheus_text_rotating` on rotating-file sinks).
-    pub(crate) fn prometheus_partial(&self) -> crate::PromText {
-        let mut prom = crate::PromText::new();
-        prom.counter(
-            "tssa_obs_spans_written_total",
-            "Spans written by the streaming trace sink",
-            self.written(),
-        );
-        prom.counter(
-            "tssa_obs_spans_dropped_total",
-            "Spans dropped by the trace sink (write errors / backpressure)",
-            self.dropped(),
-        );
-        prom
-    }
-
-    /// The sink's own health as Prometheus text: spans written and spans
-    /// dropped to backpressure.
-    pub fn prometheus_text(&self) -> String {
-        self.prometheus_partial().render()
     }
 }
 
@@ -246,9 +223,6 @@ mod tests {
         sink.record(rec(2));
         assert_eq!(sink.written(), 1);
         assert_eq!(sink.dropped(), 1);
-        let prom = sink.prometheus_text();
-        assert!(prom.contains("tssa_obs_spans_dropped_total 1"));
-        assert!(prom.contains("tssa_obs_spans_written_total 1"));
     }
 
     #[test]

@@ -142,11 +142,6 @@ impl CompiledProgram {
     ) -> Result<(Vec<RtValue>, ExecStats), ExecError> {
         self.session().on_device(device).run(inputs)
     }
-
-    /// Total wall-clock time the pipeline spent inside passes.
-    pub fn pass_time(&self) -> std::time::Duration {
-        self.passes.iter().map(|r| r.duration).sum()
-    }
 }
 
 /// A configured execution of one [`CompiledProgram`]: owns the
@@ -351,16 +346,12 @@ fn compile_with(
     exec_config: ExecConfig,
 ) -> CompiledProgram {
     // In debug builds (including every test run) the lint pass sanitizer
-    // re-verifies the graph and re-runs the effect checker after each pass,
-    // attributing the first broken invariant to `pass:<name>`. The shape
-    // ratchet rides along: a pass may refine a statically known output dim
-    // but never widen it back to unknown. Both are compiled out of release
+    // re-verifies the graph, re-runs the effect checker and re-checks the
+    // statically known output dims after each pass, attributing the first
+    // broken invariant to `pass:<name>`. It is compiled out of release
     // pipelines, where pass cost is benchmarked.
     #[cfg(debug_assertions)]
-    {
-        passes.add_hook(tssa_lint::PassSanitizer::new());
-        passes.add_hook(tssa_core::ShapeRatchet::new());
-    }
+    passes.add_hook(tssa_lint::PassSanitizer::new());
     let mut span = scope.span(format!("compile:{name}"), "compile");
     let cscope = span.scope();
     let mut g = {
@@ -727,7 +718,10 @@ mod tests {
                 .rewrites,
             cp.fusion_groups
         );
-        assert!(cp.pass_time() > std::time::Duration::ZERO);
+        assert!(cp
+            .passes
+            .iter()
+            .any(|r| r.duration > std::time::Duration::ZERO));
         // Eager schedules nothing.
         assert!(Eager.compile(&g).passes.is_empty());
     }

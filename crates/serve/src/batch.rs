@@ -60,7 +60,7 @@ impl BatchSpec {
     }
 
     /// Whether this spec permits coalescing at all.
-    pub fn batchable(&self) -> bool {
+    pub(crate) fn batchable(&self) -> bool {
         self.args.contains(&ArgRole::Stacked)
     }
 

@@ -109,7 +109,7 @@ impl PipelineKind {
 
     /// The [`ExecConfig`](tssa_backend::ExecConfig) this pipeline would
     /// stamp on a compiled plan (part of the on-disk content identity).
-    pub fn exec_profile(self) -> tssa_backend::ExecConfig {
+    pub(crate) fn exec_profile(self) -> tssa_backend::ExecConfig {
         match self {
             PipelineKind::Eager => Eager.plan().1,
             PipelineKind::TorchScriptNnc => TorchScriptNnc.plan().1,
@@ -173,7 +173,7 @@ pub fn signature_of(inputs: &[RtValue]) -> Vec<ArgSig> {
 }
 
 /// FNV-1a hash of the model source, the cheap stand-in for content identity.
-pub fn source_hash(source: &str) -> u64 {
+pub(crate) fn source_hash(source: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in source.bytes() {
         h ^= u64::from(b);
@@ -312,7 +312,7 @@ impl PlanCache {
     ///
     /// Propagates `compile`'s error to the compiling caller; waiting callers
     /// retry compilation themselves (errors are not cached).
-    pub fn get_or_compile<F>(
+    pub(crate) fn get_or_compile<F>(
         &self,
         coarse: u64,
         args: &[ArgSig],

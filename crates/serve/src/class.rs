@@ -332,7 +332,7 @@ impl ClassSignature {
 /// (`2x4`), `i`/`f`/`b` for host scalars, parenthesized lists; arguments
 /// joined by `,`. Used as the census key and the `bucket` label on
 /// `tssa_plan_class_hits_total`.
-pub fn bucket_label_of(args: &[ArgSig]) -> String {
+pub(crate) fn bucket_label_of(args: &[ArgSig]) -> String {
     fn one(sig: &ArgSig) -> String {
         match sig {
             ArgSig::Tensor { shape, .. } => shape
@@ -352,7 +352,7 @@ pub fn bucket_label_of(args: &[ArgSig]) -> String {
 }
 
 /// The bucket label of concrete runtime inputs.
-pub fn bucket_label(inputs: &[RtValue]) -> String {
+pub(crate) fn bucket_label(inputs: &[RtValue]) -> String {
     bucket_label_of(&crate::cache::signature_of(inputs))
 }
 

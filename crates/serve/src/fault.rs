@@ -34,7 +34,7 @@ pub const INJECTED_PANIC: &str = "tssa-serve injected fault: worker panic";
 /// Panic payload used by injected compile panics (shares the
 /// `tssa-serve injected fault` prefix with [`INJECTED_PANIC`] so one hook
 /// filter silences both).
-pub const INJECTED_COMPILE_PANIC: &str = "tssa-serve injected fault: compile panic";
+pub(crate) const INJECTED_COMPILE_PANIC: &str = "tssa-serve injected fault: compile panic";
 
 /// Shared prefix of every injected-fault panic payload.
 const INJECTED_PREFIX: &str = "tssa-serve injected fault";
@@ -127,7 +127,7 @@ impl FaultKind {
 
 /// What a fault site must do when its fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Panic with [`INJECTED_PANIC`].
     Panic,
     /// Sleep for the given duration, then proceed.
@@ -234,7 +234,7 @@ impl FaultPlan {
 
     /// Record one arrival at `kind`'s site; `Some(action)` when the
     /// schedule says this arrival is faulted.
-    pub fn fire(&self, kind: FaultKind) -> Option<FaultAction> {
+    pub(crate) fn fire(&self, kind: FaultKind) -> Option<FaultAction> {
         let i = kind.index();
         let arrival = self.hits[i].fetch_add(1, Ordering::Relaxed);
         if self.schedule[i].binary_search(&arrival).is_err() {
@@ -291,7 +291,7 @@ impl Faults {
 
     /// Consult the plan (no-op returning `None` when disabled).
     #[inline]
-    pub fn fire(&self, kind: FaultKind) -> Option<FaultAction> {
+    pub(crate) fn fire(&self, kind: FaultKind) -> Option<FaultAction> {
         match &self.0 {
             None => None,
             Some(plan) => plan.fire(kind),

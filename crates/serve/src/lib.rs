@@ -70,25 +70,19 @@
 //! # }
 //! ```
 
-pub mod batch;
-pub mod cache;
-pub mod class;
-pub mod error;
-pub mod fault;
-pub mod metrics;
-pub mod service;
+mod batch;
+mod cache;
+mod class;
+mod error;
+mod fault;
+mod metrics;
+mod service;
 
 pub use batch::{ArgRole, BatchSpec};
-pub use cache::{signature_of, source_hash, ArgSig, CacheStats, PipelineKind, PlanCache};
-pub use class::{
-    bucket_label, bucket_label_of, coarse_class_hash, ArgKey, ClassEntry, ClassSignature,
-    PlanClassKey,
-};
+pub use cache::{signature_of, ArgSig, CacheStats, PipelineKind, PlanCache};
+pub use class::{coarse_class_hash, ArgKey, ClassEntry, ClassSignature, PlanClassKey};
 pub use error::ServeError;
-pub use fault::{
-    silence_injected_panics_for_tests, FaultAction, FaultKind, FaultPlan, Faults,
-    INJECTED_COMPILE_PANIC, INJECTED_PANIC,
-};
+pub use fault::{silence_injected_panics_for_tests, FaultKind, FaultPlan, Faults, INJECTED_PANIC};
 pub use metrics::MetricsSnapshot;
 pub use service::{ModelHandle, ModelLoader, PoolReport, Response, ServeConfig, Service, Ticket};
 // Re-exported so warm-restart callers can open a store and read its stats

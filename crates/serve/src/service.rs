@@ -1131,11 +1131,6 @@ impl Service {
         self.metrics.snapshot(self.cache.stats(), disk)
     }
 
-    /// The persistent plan store backing warm restarts, when configured.
-    pub fn plan_store(&self) -> Option<&Arc<PlanStore>> {
-        self.plan_store.as_ref()
-    }
-
     /// The registry this service records its metrics into.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry

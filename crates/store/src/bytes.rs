@@ -98,12 +98,6 @@ impl ByteWriter {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    /// Append a `u32` length prefix followed by `bytes` verbatim.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_u32(bytes.len() as u32);
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 /// Bounds-checked little-endian decoder over a borrowed buffer.
@@ -189,12 +183,6 @@ impl<'a> ByteReader<'a> {
         let bytes = self.take(len, what)?;
         std::str::from_utf8(bytes).map_err(|_| Truncated { what, at })
     }
-
-    /// Read a `u32`-length-prefixed byte run.
-    pub fn get_bytes(&mut self, what: &'static str) -> Result<&'a [u8], Truncated> {
-        let len = self.get_u32(what)? as usize;
-        self.take(len, what)
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +198,6 @@ mod tests {
         w.put_i64(-42);
         w.put_f64(-1.5e300);
         w.put_str("héllo");
-        w.put_bytes(&[1, 2, 3]);
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.get_u8("a").unwrap(), 7);
@@ -219,7 +206,6 @@ mod tests {
         assert_eq!(r.get_i64("d").unwrap(), -42);
         assert_eq!(r.get_f64("e").unwrap(), -1.5e300);
         assert_eq!(r.get_str("f").unwrap(), "héllo");
-        assert_eq!(r.get_bytes("g").unwrap(), &[1, 2, 3]);
         assert!(r.is_exhausted());
     }
 
@@ -244,13 +230,15 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_u32(1_000_000);
         let buf = w.into_bytes();
-        assert!(ByteReader::new(&buf).get_bytes("blob").is_err());
+        assert!(ByteReader::new(&buf).get_str("blob").is_err());
     }
 
     #[test]
     fn invalid_utf8_is_rejected() {
         let mut w = ByteWriter::new();
-        w.put_bytes(&[0xFF, 0xFE]);
+        w.put_u32(2);
+        w.put_u8(0xFF);
+        w.put_u8(0xFE);
         let buf = w.into_bytes();
         assert!(ByteReader::new(&buf).get_str("s").is_err());
     }

@@ -444,7 +444,7 @@ pub fn encode_plan(plan: &CompiledProgram, content_hash: u64, roster_fingerprint
 }
 
 /// Serialize `plan` into a self-contained plan file image.
-pub fn encode_plan_with(
+pub(crate) fn encode_plan_with(
     plan: &CompiledProgram,
     content_hash: u64,
     roster_fingerprint: u64,

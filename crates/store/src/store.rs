@@ -160,7 +160,7 @@ impl PlanStore {
     /// # Errors
     ///
     /// Any [`StoreError`]; `Io(NotFound)` means no entry exists.
-    pub fn load_entry(
+    pub(crate) fn load_entry(
         &self,
         content_hash: u64,
         roster_fingerprint: u64,

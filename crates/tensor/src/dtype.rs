@@ -75,7 +75,7 @@ impl Scalar {
     }
 
     /// Value as `f32`, converting integers and booleans.
-    pub fn as_f32(self) -> f32 {
+    pub(crate) fn as_f32(self) -> f32 {
         match self {
             Scalar::F32(v) => v,
             other => other.as_f64() as f32,

@@ -166,11 +166,6 @@ impl Layout {
         &self.shape
     }
 
-    /// Distance between neighbours along each dimension, in elements.
-    pub fn strides(&self) -> &[usize] {
-        &self.strides
-    }
-
     /// Number of logical elements.
     pub fn numel(&self) -> usize {
         self.shape.iter().product()
@@ -398,9 +393,9 @@ mod tests {
 
     #[test]
     fn contiguous_strides_row_major() {
-        assert_eq!(Layout::contiguous(&[2, 3, 4]).strides(), [12, 4, 1]);
-        assert!(Layout::contiguous(&[]).strides().is_empty());
-        assert_eq!(Layout::contiguous(&[5]).strides(), [1]);
+        assert_eq!(Layout::contiguous(&[2, 3, 4]).strides[..], [12, 4, 1]);
+        assert!(Layout::contiguous(&[]).strides.is_empty());
+        assert_eq!(Layout::contiguous(&[5]).strides[..], [1]);
     }
 
     #[test]
@@ -409,9 +404,9 @@ mod tests {
         assert_eq!(*broadcast_shapes(&[], &[4], "t").unwrap(), [4]);
         assert!(broadcast_shapes(&[2], &[3], "t").is_err());
         let l = Layout::contiguous(&[2, 1]);
-        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides(), [1, 0]);
+        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides[..], [1, 0]);
         let l = Layout::contiguous(&[3]);
-        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides(), [0, 1]);
+        assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides[..], [0, 1]);
         assert!(l.broadcast_to(&[3, 2]).is_err());
         assert!(l.broadcast_to(&[]).is_err());
     }
@@ -443,7 +438,10 @@ mod tests {
     fn slice_clamps_and_survives_huge_steps() {
         let l = Layout::contiguous(&[6]);
         let s = l.slice(0, 1, 100, 2).unwrap();
-        assert_eq!((s.offset, s.shape(), s.strides()), (1, &[3][..], &[2][..]));
+        assert_eq!(
+            (s.offset, s.shape(), &s.strides[..]),
+            (1, &[3][..], &[2][..])
+        );
         assert_eq!(l.slice(0, 4, 2, 1).unwrap().shape(), [0]);
         assert_eq!(l.slice(0, -2, isize::MAX, isize::MAX).unwrap().shape(), [1]);
         assert!(l.slice(0, 0, 6, 0).is_err());
@@ -494,10 +492,13 @@ mod tests {
             let up = base.unsqueeze(at as isize).unwrap();
             assert!(matches!(up.strides, Dims::Heap(_)));
             // What inserting into a `Vec` makes of them.
-            let (mut s, mut st) = (base.shape().to_vec(), base.strides().to_vec());
+            let (mut s, mut st) = (base.shape().to_vec(), base.strides.to_vec());
             s.insert(at, 1);
             st.insert(at, 0);
-            assert_eq!((up.offset, up.shape(), up.strides()), (1, &s[..], &st[..]));
+            assert_eq!(
+                (up.offset, up.shape(), &up.strides[..]),
+                (1, &s[..], &st[..])
+            );
             assert_eq!(rows(&up), walk, "unsqueeze at {at}");
             let down = up.squeeze(at as isize).unwrap();
             assert!(matches!(down.shape, Dims::Inline(..)));

@@ -404,7 +404,7 @@ mod tests {
     fn construction_and_metadata() {
         let t = Tensor::zeros(&[2, 3]);
         assert_eq!(t.shape(), &[2, 3]);
-        assert_eq!(t.layout().strides(), [3, 1]);
+        assert_eq!(t.layout().strides[..], [3, 1]);
         assert_eq!(t.rank(), 2);
         assert_eq!(t.numel(), 6);
         assert_eq!(t.dtype(), DType::F32);

@@ -78,6 +78,15 @@ step "one overload response (no degraded mode, Eager twin or in-process retry)"
 ONE_RESPONSE='AdaptiveDegrade|DegradeController|degrade_adaptive|degraded_plan|is_degraded|submit_retry|RetryPolicy'
 [ -z "$(guard "$ONE_RESPONSE")" ] || { echo "a second overload response:"; guard "$ONE_RESPONSE"; exit 1; }
 
+step "one public surface (no lint severity knob, style lints, second pass hook or sink-level exposition)"
+# The lint rules are one fixed table with one severity each; the pass
+# sanitizer is the one debug pass hook (verify, effects, shapes); sink
+# health reaches /metrics through the MetricsRegistry only. Neither a
+# per-rule severity override, the deleted style lints, a second hook nor a
+# sink-level Prometheus renderer comes back.
+ONE_SURFACE='set_severity|struct (ViewEscape|DeadMutation|RedundantClone|UnusedValue|ShapeRatchet)\b|prometheus_text_rotating|prometheus_partial'
+[ -z "$(guard "$ONE_SURFACE")" ] || { echo "a second public surface:"; guard "$ONE_SURFACE"; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.

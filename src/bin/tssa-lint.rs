@@ -1,8 +1,8 @@
 //! `tssa-lint`: static analysis CLI for imperative tensor DSL programs.
 //!
 //! ```text
-//! tssa-lint rules                              # list rules and defaults
-//! tssa-lint lint FILE... [--deny R] [--allow R] [--warn R]
+//! tssa-lint rules                              # list the four rules and their severities
+//! tssa-lint lint FILE...                       # lint DSL source files
 //! tssa-lint workloads                          # lint + purity-certify the paper workloads
 //! tssa-lint shapes                             # shape-polymorphism certificates for the workloads
 //! tssa-lint fuzz [--seeds N] [--start K]       # differential fuzz of the full pipeline
@@ -16,15 +16,15 @@ use std::process::ExitCode;
 
 use tensorssa::backend::RtValue;
 use tensorssa::ir::Graph;
-use tensorssa::lint::{certify_pure, certify_shapes, check_effects, fuzz, Linter, Severity};
+use tensorssa::lint::{certify_pure, certify_shapes, check_effects, fuzz, lint, Severity};
 use tensorssa::pipelines::{Pipeline, TensorSsa};
 use tensorssa::serve::{signature_of, ClassSignature, PipelineKind};
 use tensorssa::workloads::all_workloads;
 
 const USAGE: &str = "usage: tssa-lint <rules|lint|workloads|shapes|fuzz> [options]
 
-  rules                                list lint rules with default severities
-  lint FILE... [--deny R] [--allow R]  lint DSL source files (exit 1 on deny)
+  rules                                list the lint rules and their severities
+  lint FILE...                         lint DSL source files (exit 1 on deny)
   workloads                            lint the paper workloads and certify the
                                        TensorSSA pipeline output mutation-free
   shapes                               certify shape polymorphism of each
@@ -66,47 +66,25 @@ fn main() -> ExitCode {
 }
 
 fn cmd_rules() -> Result<bool, String> {
-    let linter = Linter::new();
-    for (name, severity, describe) in linter.rules() {
-        println!("{severity:<5} {name:<32} {describe}");
+    for (name, severity, describe) in tensorssa::lint::rules() {
+        println!("{severity:<5} {name:<36} {describe}");
     }
-    println!(
-        "deny {:<32} effect checker judgments (always deny)",
-        "effect"
-    );
     Ok(true)
 }
 
-fn cmd_lint(rest: &[String]) -> Result<bool, String> {
-    let mut linter = Linter::new();
-    let mut files: Vec<String> = Vec::new();
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--deny" | "--allow" | "--warn" => {
-                let rule = iter
-                    .next()
-                    .ok_or_else(|| format!("{arg} needs a rule name"))?;
-                let severity = Severity::parse(&arg[2..]).unwrap();
-                if !linter.set_severity(rule, severity) {
-                    return Err(format!("unknown rule `{rule}` (see `tssa-lint rules`)"));
-                }
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option `{other}`\n{USAGE}"));
-            }
-            path => files.push(path.to_string()),
-        }
+fn cmd_lint(files: &[String]) -> Result<bool, String> {
+    if let Some(option) = files.iter().find(|f| f.starts_with("--")) {
+        return Err(format!("unknown option `{option}`\n{USAGE}"));
     }
     if files.is_empty() {
         return Err(format!("no input files\n{USAGE}"));
     }
     let mut denies = 0usize;
     let mut warns = 0usize;
-    for path in &files {
+    for path in files {
         let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let graph = tensorssa::frontend::compile(&source).map_err(|e| format!("{path}: {e}"))?;
-        for d in linter.lint(&graph) {
+        for d in lint(&graph) {
             println!("{path}: {d}");
             match d.severity {
                 Severity::Deny => denies += 1,
@@ -122,12 +100,11 @@ fn cmd_lint(rest: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_workloads() -> Result<bool, String> {
-    let linter = Linter::new();
     let mut failed = false;
     for w in all_workloads() {
         let g = w.graph().map_err(|e| format!("{}: {e}", w.name))?;
         let report = check_effects(&g);
-        let diags = linter.lint(&g);
+        let diags = lint(&g);
         let denies = diags
             .iter()
             .filter(|d| d.severity == Severity::Deny)
@@ -231,8 +208,16 @@ fn cmd_fuzz(rest: &[String]) -> Result<bool, String> {
         let cp = TensorSsa::default().compile(g);
         Ok((cp.graph, cp.exec_config))
     };
+    // The last seed is `start + seeds - 1`; a range past `u64::MAX` would
+    // wrap to nothing (release) or panic (debug), so it is refused.
+    if seeds > 0 && start.checked_add(seeds - 1).is_none() {
+        return Err(format!(
+            "--start {start} with --seeds {seeds} runs past seed {}",
+            u64::MAX
+        ));
+    }
     let mut failures = 0usize;
-    for seed in start..start + seeds {
+    for seed in (0..seeds).map(|i| start + i) {
         if let Err(e) = fuzz::diff_case_compiled(seed, &compile) {
             failures += 1;
             eprintln!("{e}");

@@ -1,0 +1,65 @@
+//! The `tssa-lint` binary's command line: the rule table it lists, the
+//! options it refuses, and the seed ranges it refuses to run.
+
+use std::process::{Command, Output};
+
+fn tssa_lint(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tssa-lint"))
+        .args(args)
+        .output()
+        .expect("tssa-lint runs")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn rules_lists_the_four_rules() {
+    let out = tssa_lint(&["rules"]);
+    assert!(out.status.success());
+    let names: Vec<String> = text(&out.stdout)
+        .lines()
+        .map(|l| l.split_whitespace().nth(1).unwrap_or_default().to_string())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "shape-incompatible-view-chain",
+            "symbolic-broadcast-mismatch",
+            "data-dependent-shape-escapes-output",
+            "non-functionalizable",
+        ]
+    );
+}
+
+#[test]
+fn lint_accepts_no_severity_flag() {
+    for flag in ["--deny", "--allow", "--warn"] {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/dsl/figure4.tssa");
+        let out = tssa_lint(&["lint", flag, "non-functionalizable", file]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        let stderr = text(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option `{flag}`")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn fuzz_refuses_a_seed_range_past_u64_max() {
+    let out = tssa_lint(&["fuzz", "--start", &u64::MAX.to_string(), "--seeds", "2"]);
+    let stderr = text(&out.stderr);
+    assert!(!out.status.success(), "{}", text(&out.stdout));
+    assert!(stderr.contains("runs past seed"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn fuzz_runs_the_last_seed() {
+    let out = tssa_lint(&["fuzz", "--start", &u64::MAX.to_string(), "--seeds", "1"]);
+    let stdout = text(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", text(&out.stderr));
+    assert!(stdout.contains("fuzz: 1 seed(s)"), "{stdout}");
+}
