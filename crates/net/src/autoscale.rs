@@ -263,9 +263,8 @@ fn run(service: &Arc<Service>, config: AutoscaleConfig, stop: &AtomicBool) {
             break;
         }
         let active = service.worker_count();
-        // Count a decision before acting on it: the pool changes on the
-        // supervisor's thread, so a reader who sees the new pool size also
-        // sees the counter that explains it.
+        // Count a decision before acting on it, so a reader who sees the
+        // new pool size also sees the counter that explains it.
         match controller.observe(&queue_wait.cumulative_buckets(), active) {
             ScaleDecision::Grow => {
                 ups.inc();

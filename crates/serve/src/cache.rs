@@ -216,7 +216,7 @@ struct Resident {
 #[derive(Default)]
 struct Bucket {
     resident: Vec<Resident>,
-    in_flight: bool,
+    compiling: bool,
 }
 
 struct Inner {
@@ -232,7 +232,7 @@ impl Inner {
         if self
             .buckets
             .get(&coarse)
-            .is_some_and(|b| b.resident.is_empty() && !b.in_flight)
+            .is_some_and(|b| b.resident.is_empty() && !b.compiling)
         {
             self.buckets.remove(&coarse);
         }
@@ -266,7 +266,7 @@ impl Drop for InFlightCleanup<'_> {
         if self.armed {
             let mut guard = self.cache.inner.lock();
             if let Some(bucket) = guard.buckets.get_mut(&self.coarse) {
-                bucket.in_flight = false;
+                bucket.compiling = false;
             }
             guard.prune(self.coarse);
             drop(guard);
@@ -350,11 +350,11 @@ impl PlanCache {
                 }
                 return Ok(entry);
             }
-            if !bucket.in_flight {
+            if !bucket.compiling {
                 // This thread compiles. Mark the coarse hash in-flight; the
                 // lock drops below so lookups of other programs proceed
                 // during compilation.
-                bucket.in_flight = true;
+                bucket.compiling = true;
                 break;
             }
             waited = true;
@@ -383,7 +383,7 @@ impl PlanCache {
         let inner = &mut *guard;
         inner.tick += 1;
         let bucket = inner.buckets.entry(coarse).or_default();
-        bucket.in_flight = false;
+        bucket.compiling = false;
         bucket.resident.push(Resident {
             entry: Arc::clone(&entry),
             last_used: inner.tick,

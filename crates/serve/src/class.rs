@@ -16,8 +16,7 @@
 //!   certificate; [`ClassSignature::exact`] pins every argument and admits
 //!   only the example's shapes and dtypes (scalar values erased) — the class
 //!   of a plan `derive` refuses;
-//! * [`ClassEntry`] — the cached class: the one plan, its batch spec and a
-//!   per-bucket hit census.
+//! * [`ClassEntry`] — the cached class: the one plan and its batch spec.
 //!
 //! `derive` only generalizes signatures with zero data-dependent dims:
 //! those are exactly the plans whose output shapes are affine in the input
@@ -25,10 +24,8 @@
 //! compile at that shape (certified end-to-end by the cross-shape
 //! differential suite).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tssa_backend::RtValue;
 use tssa_ir::{DimClass, ShapeSignature};
 use tssa_pipelines::CompiledProgram;
@@ -330,8 +327,7 @@ impl ClassSignature {
 
 /// The canonical bucket label of a concrete signature: per-argument dims
 /// (`2x4`), `i`/`f`/`b` for host scalars, parenthesized lists; arguments
-/// joined by `,`. Used as the census key and the `bucket` label on
-/// `tssa_plan_class_hits_total`.
+/// joined by `,`. Used as the `bucket` label on `tssa_plan_class_hits_total`.
 pub(crate) fn bucket_label_of(args: &[ArgSig]) -> String {
     fn one(sig: &ArgSig) -> String {
         match sig {
@@ -356,9 +352,9 @@ pub(crate) fn bucket_label(inputs: &[RtValue]) -> String {
     bucket_label_of(&crate::cache::signature_of(inputs))
 }
 
-/// A resident shape class: the plan plus its per-bucket hit census. Shared
-/// (via `Arc`) between the cache and every
-/// [`ModelHandle`](crate::ModelHandle) that loaded into the class.
+/// A resident shape class: the plan and its batch spec. Shared (via `Arc`)
+/// between the cache and every [`ModelHandle`](crate::ModelHandle) that
+/// loaded into the class.
 #[derive(Debug)]
 pub struct ClassEntry {
     class: ClassSignature,
@@ -368,9 +364,6 @@ pub struct ClassEntry {
     example: Vec<ArgSig>,
     file_hash: u64,
     roster_fp: u64,
-    /// Requests served per concrete shape bucket, all-time. Persisted with
-    /// the class (v3 plan file) and re-seeded on warm boot.
-    census: Mutex<BTreeMap<String, u64>>,
 }
 
 impl ClassEntry {
@@ -389,7 +382,6 @@ impl ClassEntry {
             example,
             file_hash,
             roster_fp,
-            census: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -428,43 +420,6 @@ impl ClassEntry {
 
     pub(crate) fn roster_fp(&self) -> u64 {
         self.roster_fp
-    }
-
-    /// The per-bucket hit census, sorted by bucket label — what persists
-    /// into plan files (`tssa_plan_class_hits_total` counts the same hits
-    /// per process).
-    pub fn census(&self) -> Vec<(String, u64)> {
-        self.census
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// Merge a persisted census (from a plan file) into the live one,
-    /// keeping the larger count per bucket.
-    pub(crate) fn seed_census(&self, census: &[(String, u64)]) {
-        let mut guard = self.census.lock();
-        for (label, hits) in census {
-            let slot = guard.entry(label.clone()).or_default();
-            *slot = (*slot).max(*hits);
-        }
-    }
-
-    /// Bump a bucket by `inc` hits. Returns whether the bucket is new to
-    /// the census (the caller re-persists the class when it is).
-    pub(crate) fn touch_bucket(&self, label: &str, inc: u64) -> bool {
-        let mut guard = self.census.lock();
-        match guard.get_mut(label) {
-            Some(hits) => {
-                *hits += inc;
-                false
-            }
-            None => {
-                guard.insert(label.to_string(), inc);
-                true
-            }
-        }
     }
 }
 

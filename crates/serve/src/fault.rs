@@ -16,7 +16,7 @@
 //!
 //! | kind | site | exercises |
 //! |---|---|---|
-//! | [`FaultKind::WorkerPanic`] | worker, mid-batch | supervision: re-queue once, respawn |
+//! | [`FaultKind::WorkerPanic`] | worker, mid-batch | recovery in place: retry once, then `Canceled` |
 //! | [`FaultKind::CompileStall`] | plan compilation | load deadline → [`crate::ServeError::Timeout`] |
 //! | [`FaultKind::CachePoison`] | plan-cache hit | poisoned-entry eviction + recompile |
 //! | [`FaultKind::QueueFullBurst`] | admission | typed shed: [`crate::ServeError::QueueFull`] |

@@ -31,9 +31,10 @@
 //!    batch-occupancy counters) and [`Service::prometheus`] renders it as
 //!    one consolidated exposition.
 //! 5. **Fault tolerance** ([`fault`], plus the recovery paths in
-//!    [`service`]) — a supervisor re-queues a crashed worker's in-flight
-//!    batch exactly once and respawns the worker; deadline-carrying waiters
-//!    time out with [`ServeError::Timeout`] instead of hanging. Queue
+//!    [`service`]) — a worker that panics mid-batch retries the batch it
+//!    owns exactly once on its own thread, then fails it `Canceled`, and
+//!    keeps serving; deadline-carrying waiters time out with
+//!    [`ServeError::Timeout`] instead of hanging. Queue
 //!    pressure is answered by adding workers ([`Service::grow`]), not by
 //!    changing the plan a request runs. All of it is exercised
 //!    deterministically by seeded [`FaultPlan`] schedules

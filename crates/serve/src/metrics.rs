@@ -80,11 +80,11 @@ impl Metrics {
             ),
             requeues: counter(
                 "tssa_batch_requeues_total",
-                "Batches re-queued after a worker crash",
+                "Batches retried after a worker panic",
             ),
             worker_respawns: counter(
                 "tssa_worker_respawns_total",
-                "Worker threads respawned after a crash",
+                "Worker panics recovered in place",
             ),
             faults_injected: AtomicU64::new(0),
             batches: counter("tssa_batches_total", "Batches dispatched to workers"),
@@ -253,10 +253,11 @@ pub struct MetricsSnapshot {
     /// the caller synchronously and, like load compile errors, not counted
     /// here.
     pub timeouts: u64,
-    /// Batches re-queued after their worker crashed mid-execution (each
-    /// batch is re-queued at most once).
+    /// Batches retried after their worker panicked mid-execution (each
+    /// batch is retried at most once).
     pub requeues: u64,
-    /// Worker threads respawned by the supervisor after a crash.
+    /// Worker panics recovered in place (the worker retries or cancels the
+    /// batch and keeps serving on the same thread).
     pub worker_respawns: u64,
     /// Faults injected by the armed [`crate::FaultPlan`] across every site
     /// (0 in production configurations).

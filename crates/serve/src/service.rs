@@ -1,15 +1,14 @@
 //! The serving engine: bounded admission, a dispatcher that coalesces
-//! batches, a pool of executor workers, and a supervisor that replaces
-//! crashed workers.
+//! batches, and a pool of executor workers that recover from their own
+//! panics.
 //!
 //! ```text
 //!  submit() ──try_send──▶ [admission queue] ──▶ dispatcher ──▶ [batch queue] ──▶ worker 0
 //!     │                     (bounded)          per-plan bins     (bounded)       worker 1
 //!     └─▶ ServeError::QueueFull on overflow    flush on size         │              ...
 //!                                              or max_wait          └──▶ stack → run → split
-//!                                                                        ▲
-//!                                  supervisor ◀── crash events ──────────┘
-//!                                  (re-queue in-flight batch once, respawn worker)
+//!                                                                   (a panic retries the batch
+//!                                                                    once, on the same thread)
 //! ```
 //!
 //! Every accepted request terminates in exactly one of: a successful
@@ -22,11 +21,10 @@
 //!
 //! Two recovery mechanisms ride on the normal data path:
 //!
-//! - **Supervision.** Workers run inside a crash guard; a panic mid-batch
-//!   notifies the supervisor, which re-queues the batch parked in the
-//!   worker's in-flight slot (exactly once — a second crash on the same
-//!   batch fails its requests with `Canceled`) and respawns a replacement
-//!   worker on the same slot.
+//! - **Recovery in place.** A worker owns the batch it runs and runs it
+//!   under `catch_unwind`. A panic mid-batch retries the batch once on the
+//!   same thread; a second panic on the same batch fails its requests with
+//!   `Canceled`. The worker then keeps serving.
 //! - **Ticket timeouts.** When a request carries a deadline, its waiter
 //!   enforces `deadline + timeout_grace` wall-clock: if no terminal result
 //!   arrives by then, [`Ticket::wait`] returns [`crate::ServeError::Timeout`]
@@ -40,6 +38,7 @@
 //! default), every hook is a branch on a `None`.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,7 +53,7 @@ use tssa_store::{ClassMeta, DecodedPlan, PlanStore};
 
 use crate::batch::BatchSpec;
 use crate::cache::{signature_of, source_hash, PipelineKind, PlanCache};
-use crate::class::{bucket_label, bucket_label_of, coarse_class_hash, ClassEntry, ClassSignature};
+use crate::class::{bucket_label, coarse_class_hash, ClassEntry, ClassSignature};
 use crate::fault::{FaultAction, FaultKind, Faults, INJECTED_COMPILE_PANIC, INJECTED_PANIC};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::ServeError;
@@ -98,11 +97,10 @@ pub struct ServeConfig {
     /// Deterministic fault-injection schedule. Disabled by default; every
     /// injection site is a cheap `None` check when off.
     pub faults: Faults,
-    /// Persistent plan store backing warm restarts. When set, loads with
-    /// `warm_from_disk` enabled try the store before compiling (under the
-    /// same single-flight), and freshly compiled plans are written back
-    /// asynchronously. `None` (the default) keeps the service fully
-    /// in-memory.
+    /// Persistent plan store backing warm restarts. When set, loads try the
+    /// store before compiling (under the same single-flight), and freshly
+    /// compiled plans are written back asynchronously. `None` (the default)
+    /// keeps the service fully in-memory.
     pub plan_store: Option<Arc<PlanStore>>,
     /// Op-level execution profiler. When set, each worker records per-op
     /// self-time into its own [`tssa_obs::ProfileSink`] (subject to the
@@ -181,8 +179,7 @@ pub struct ModelHandle {
     /// `<pipeline>:<source-hash-prefix>`; name it with
     /// [`ModelLoader::named`].
     label: Arc<str>,
-    /// Shape-class entry this handle is admitted under: the plan, plus the
-    /// per-bucket hit census.
+    /// Shape-class entry this handle is admitted under.
     class: Arc<ClassEntry>,
 }
 
@@ -236,8 +233,6 @@ fn model_label(name: Option<&str>, pipeline: PipelineKind, source: &str) -> Arc<
 ///   specialized to (**required**);
 /// - [`batch`](ModelLoader::batch) — the batching contract (**required**);
 /// - [`deadline`](ModelLoader::deadline) — compile budget (optional);
-/// - [`warm_from_disk`](ModelLoader::warm_from_disk) — whether a configured
-///   [`PlanStore`] may satisfy this load from disk (default `true`);
 ///
 /// and finish with [`load`](ModelLoader::load).
 #[must_use = "a ModelLoader does nothing until .load() is called"]
@@ -249,7 +244,6 @@ pub struct ModelLoader<'s> {
     example_inputs: Vec<RtValue>,
     spec: Option<BatchSpec>,
     deadline: Option<Duration>,
-    warm_from_disk: bool,
 }
 
 impl ModelLoader<'_> {
@@ -286,14 +280,6 @@ impl ModelLoader<'_> {
     /// retry is a hit).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Whether this load may be satisfied from the service's persistent
-    /// [`PlanStore`] (when one is configured). Defaults to `true`; disable
-    /// to force a fresh compile, e.g. when benchmarking cold-start cost.
-    pub fn warm_from_disk(mut self, warm: bool) -> Self {
-        self.warm_from_disk = warm;
         self
     }
 
@@ -398,7 +384,7 @@ enum Delivery {
 }
 
 /// Completion side of a ticket. Completing consumes it; dropping it
-/// un-completed (worker panic past re-queue, shutdown race) delivers
+/// un-completed (a panic while delivering, shutdown race) delivers
 /// [`ServeError::Canceled`] so the waiter never hangs.
 struct Completer {
     shared: Arc<TicketShared>,
@@ -540,117 +526,51 @@ impl Request {
     }
 }
 
-struct Batch {
-    requests: Vec<Request>,
-    /// Whether this batch already survived one worker crash. A batch is
-    /// re-queued at most once; a second crash fails its requests.
-    requeued: bool,
-}
-
-/// Lifecycle events flowing from workers (and resize callers) to the
-/// supervisor, which owns every pool mutation so crash recovery and
-/// grow/shrink never race.
-enum WorkerEvent {
-    /// Worker `worker` panicked; its in-flight slot may hold a batch.
-    Crashed { worker: usize },
-    /// Add one worker on a fresh slot ([`Service::grow`]).
-    Grow,
-    /// Retire the highest-index active worker ([`Service::shrink`]).
-    /// Drain-on-shrink: the retire flag is honored *between* batches, never
-    /// mid-batch, and the slot's statistics survive in the final report.
-    Shrink,
-    /// Stop supervising and join the pool.
-    Shutdown,
-}
-
-/// Per-worker state shared between the worker thread, the supervisor, and
-/// the service. Outlives any one incarnation of the worker thread, so stats
-/// survive crashes and the in-flight batch survives an unwind.
-struct WorkerShared {
-    stats: Mutex<ExecStats>,
-    /// The batch currently being executed. Parked here (rather than on the
-    /// worker's stack) so the supervisor can recover it after a panic.
-    in_flight: Mutex<Option<Batch>>,
-    /// Retire flag set by shrink. The worker checks it only between
-    /// batches (a parked in-flight batch is always drained first), so
-    /// shrinking never abandons accepted work. Sticky: a respawn onto a
-    /// retired slot drains the recovered batch and exits again.
-    stop: AtomicBool,
-}
-
-impl WorkerShared {
-    fn new() -> WorkerShared {
-        WorkerShared {
-            stats: Mutex::new(ExecStats::default()),
-            in_flight: Mutex::new(None),
-            stop: AtomicBool::new(false),
-        }
-    }
-}
-
 /// How often an idle worker re-checks its retire flag while waiting for
 /// batches. Bounds shrink latency; disconnect (shutdown) still wakes the
 /// worker immediately.
 const STOP_POLL: Duration = Duration::from_millis(2);
 
+/// One worker slot in the pool. Retired slots stay: their statistics
+/// belong in the final report, and their threads are joined at shutdown.
+struct Worker {
+    /// Retire flag set by shrink. The worker checks it only between
+    /// batches, so shrinking never abandons accepted work.
+    retire: Arc<AtomicBool>,
+    /// Returns the slot's execution statistics when the thread exits.
+    thread: JoinHandle<ExecStats>,
+}
+
 /// Workers whose retire flag is unset.
-fn active_workers(pool: &Mutex<Vec<Arc<WorkerShared>>>) -> usize {
-    pool.lock().iter().filter(|s| !s.stop.load(Relaxed)).count()
+fn active_workers(pool: &[Worker]) -> usize {
+    pool.iter().filter(|w| !w.retire.load(Relaxed)).count()
 }
 
-/// Sends a crash event if the worker thread unwinds; disarmed on clean exit.
-struct CrashGuard {
-    worker: usize,
-    events: Sender<WorkerEvent>,
-    armed: bool,
-}
-
-impl Drop for CrashGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.events.send(WorkerEvent::Crashed {
-                worker: self.worker,
-            });
-        }
-    }
-}
-
-/// Everything a worker thread needs; cloned by the supervisor to respawn.
+/// Everything a worker thread owns.
 struct WorkerCtx {
-    id: usize,
-    rx: Receiver<Batch>,
-    shared: Arc<WorkerShared>,
+    rx: Receiver<Vec<Request>>,
+    retire: Arc<AtomicBool>,
     device: DeviceProfile,
     metrics: Arc<Metrics>,
     faults: Faults,
-    events: Sender<WorkerEvent>,
     profile: Option<WorkerProfile>,
 }
 
 /// A worker's view of the execution profiler: the shared sampling decision
-/// plus this worker's private lock-cheap sink. A respawned or grown worker
-/// gets a fresh sink; the profiler retains every sink it ever minted, so
-/// undrained samples from retired incarnations still reach the table.
+/// plus this worker's private lock-cheap sink. The profiler retains every
+/// sink it ever minted, so undrained samples from retired workers still
+/// reach the table.
 struct WorkerProfile {
     profiler: Profiler,
     sink: Arc<ProfileSink>,
-}
-
-impl WorkerProfile {
-    fn for_worker(profiler: Option<&Profiler>) -> Option<WorkerProfile> {
-        profiler.map(|p| WorkerProfile {
-            profiler: p.clone(),
-            sink: p.sink(),
-        })
-    }
 }
 
 /// Final accounting returned by [`Service::shutdown`].
 #[derive(Debug, Clone)]
 pub struct PoolReport {
     /// Execution statistics aggregated per worker slot, in slot order
-    /// (stats survive worker respawns: a slot's numbers cover every
-    /// incarnation of that worker).
+    /// (a worker recovers from a panic on its own thread, so a slot's
+    /// numbers cover every batch it ran).
     pub per_worker: Vec<ExecStats>,
     /// Sum over all workers.
     pub total: ExecStats,
@@ -673,28 +593,27 @@ pub struct Service {
     timeout_grace: Duration,
     /// Op-level execution profiler shared with every worker, when enabled.
     profiler: Option<Profiler>,
+    /// Device every worker executes on.
+    device: DeviceProfile,
     admit_tx: Option<Sender<Request>>,
-    events_tx: Sender<WorkerEvent>,
+    /// Batch-queue receiver each new worker clones.
+    batch_rx: Receiver<Vec<Request>>,
     dispatcher: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
-    /// Every worker slot ever created, shared with the supervisor (which
-    /// appends on grow). Retired slots stay: their stats belong in the
-    /// final report and their in-flight mutex must drain at shutdown.
-    pool: Arc<Mutex<Vec<Arc<WorkerShared>>>>,
+    /// Every worker slot ever created, in slot order.
+    pool: Mutex<Vec<Worker>>,
+    pool_gauge: Gauge,
 }
 
 impl Service {
-    /// Start the dispatcher, worker, and supervisor threads.
+    /// Start the dispatcher and worker threads.
     pub fn new(config: ServeConfig) -> Service {
-        let workers_n = config.workers.max(1);
         let cache = Arc::new(PlanCache::with_faults(
             config.cache_capacity,
             config.faults.clone(),
         ));
         let metrics = Arc::new(Metrics::new(&config.registry));
         let (admit_tx, admit_rx) = channel::bounded::<Request>(config.queue_depth.max(1));
-        let (batch_tx, batch_rx) = channel::bounded::<Batch>(config.queue_depth.max(1));
-        let (events_tx, events_rx) = channel::unbounded::<WorkerEvent>();
+        let (batch_tx, batch_rx) = channel::bounded::<Vec<Request>>(config.queue_depth.max(1));
 
         // The dispatcher records every request's admission-to-dispatch wait
         // into this histogram; the autoscaler reads it back from the
@@ -714,53 +633,13 @@ impl Service {
             };
             std::thread::spawn(move || dispatch_loop(&admit_rx, &batch_tx, ctx))
         };
-
-        let pool: Arc<Mutex<Vec<Arc<WorkerShared>>>> = Arc::new(Mutex::new(
-            (0..workers_n)
-                .map(|_| Arc::new(WorkerShared::new()))
-                .collect(),
-        ));
-        let handles: Vec<JoinHandle<()>> = pool
-            .lock()
-            .iter()
-            .enumerate()
-            .map(|(id, shared)| {
-                spawn_worker(WorkerCtx {
-                    id,
-                    rx: batch_rx.clone(),
-                    shared: Arc::clone(shared),
-                    device: config.device.clone(),
-                    metrics: Arc::clone(&metrics),
-                    faults: config.faults.clone(),
-                    events: events_tx.clone(),
-                    profile: WorkerProfile::for_worker(config.profiler.as_ref()),
-                })
-            })
-            .collect();
         let pool_gauge = config.registry.gauge(
             "tssa_pool_workers",
             "Active executor workers (autoscaler grow/shrink adjusts this)",
             &[],
         );
-        pool_gauge.set(workers_n as f64);
 
-        let supervisor = {
-            let ctx = SupervisorCtx {
-                events_rx,
-                batch_rx,
-                device: config.device.clone(),
-                metrics: Arc::clone(&metrics),
-                faults: config.faults.clone(),
-                events_tx: events_tx.clone(),
-                pool: Arc::clone(&pool),
-                handles,
-                pool_gauge,
-                profiler: config.profiler.clone(),
-            };
-            std::thread::spawn(move || supervisor_loop(ctx))
-        };
-
-        Service {
+        let service = Service {
             cache,
             plan_store: config.plan_store,
             metrics,
@@ -770,12 +649,15 @@ impl Service {
             queue_depth: config.queue_depth.max(1),
             timeout_grace: config.timeout_grace,
             profiler: config.profiler,
+            device: config.device,
             admit_tx: Some(admit_tx),
-            events_tx,
+            batch_rx,
             dispatcher: Some(dispatcher),
-            supervisor: Some(supervisor),
-            pool,
-        }
+            pool: Mutex::new(Vec::new()),
+            pool_gauge,
+        };
+        service.grow(config.workers.max(1));
+        service
     }
 
     /// Start loading a model: a [`ModelLoader`] builder over `source` —
@@ -789,7 +671,6 @@ impl Service {
     ///     .example(&example_inputs)
     ///     .batch(BatchSpec::stacked(1, 1))
     ///     .deadline(Duration::from_secs(5))
-    ///     .warm_from_disk(true)
     ///     .load()?;
     /// ```
     pub fn loader(&self, source: &str) -> ModelLoader<'_> {
@@ -801,7 +682,6 @@ impl Service {
             example_inputs: Vec::new(),
             spec: None,
             deadline: None,
-            warm_from_disk: true,
         }
     }
 
@@ -865,11 +745,10 @@ impl Service {
             let warm = self
                 .plan_store
                 .as_deref()
-                .filter(|_| req.warm_from_disk)
                 .and_then(|store| store.load_class(file_hash, coarse, roster_fp, admit));
             from_disk.set(Some(warm.is_some()));
-            let (plan, census) = match warm {
-                Some((decoded, _exact)) => (decoded.plan, decoded.class.census),
+            let plan = match warm {
+                Some((decoded, _exact)) => decoded.plan,
                 None => {
                     let graph = tssa_frontend::compile(source)?;
                     let mut plan = pipeline.compile_traced(&graph, &scope);
@@ -886,7 +765,7 @@ impl Service {
                         })
                         .collect();
                     plan.signature = Some(tssa_lint::certify_shapes(&plan.graph, &ranks));
-                    (plan, Vec::new())
+                    plan
                 }
             };
             // The shape class this plan certifies, so later loads and
@@ -897,20 +776,14 @@ impl Service {
                 .as_ref()
                 .and_then(|sig| ClassSignature::derive(source, pipeline, &args_sig, sig))
                 .unwrap_or(exact);
-            let entry = ClassEntry::new(
+            Ok(ClassEntry::new(
                 class,
                 Arc::new(plan),
                 Arc::new(spec.clone()),
                 args_sig.clone(),
                 file_hash,
                 roster_fp,
-            );
-            // Warm restarts rebuild the census from the persisted one; the
-            // deriving example is a resident bucket from birth (at zero
-            // hits) so persistence starts complete.
-            entry.seed_census(&census);
-            entry.touch_bucket(&bucket_label_of(&args_sig), 0);
-            Ok(entry)
+            ))
         })?;
         if span.enabled() {
             span.counter("cache_hit", i64::from(from_disk.get().is_none()));
@@ -926,10 +799,18 @@ impl Service {
         }
         // Write-back is asynchronous (encode + write happen on the store's
         // writer thread): the load path never blocks on I/O. The header
-        // carries the class hashes and census, so a restarted process can
-        // admit *new* shapes from this entry.
-        if from_disk.get() == Some(false) {
-            self.persist_class(&class);
+        // carries the class hashes, so a restarted process can admit *new*
+        // shapes from this entry.
+        if let (Some(store), Some(false)) = (self.plan_store.as_deref(), from_disk.get()) {
+            store.save_async_with(
+                class.file_hash(),
+                class.roster_fp(),
+                Arc::clone(class.plan()),
+                ClassMeta {
+                    class_hash: class.key().class_hash(),
+                    coarse_hash: class.key().coarse_hash(),
+                },
+            );
         }
         // Reuse the class's spec allocation when the caller's contract is
         // identical (the common case: every load of a model passes the same
@@ -962,23 +843,6 @@ impl Service {
                 .set(sig.polymorphic_dims() as f64);
         }
         Ok(ModelHandle { spec, label, class })
-    }
-
-    /// Queue an asynchronous re-save of a class entry (refreshed census)
-    /// when a persistent store is configured.
-    fn persist_class(&self, entry: &ClassEntry) {
-        if let Some(store) = self.plan_store.as_deref() {
-            store.save_async_with(
-                entry.file_hash(),
-                entry.roster_fp(),
-                Arc::clone(entry.plan()),
-                ClassMeta {
-                    class_hash: entry.key().class_hash(),
-                    coarse_hash: entry.key().coarse_hash(),
-                    census: entry.census(),
-                },
-            );
-        }
     }
 
     /// Submit a request with no deadline.
@@ -1056,10 +920,8 @@ impl Service {
         };
         match tx.try_send(request) {
             Ok(()) => {
-                // Shape-class bookkeeping, only once the request is admitted
-                // (a shed request is not served): bump the bucket census,
-                // export the per-bucket hit counter, and re-persist the
-                // class when a never-seen bucket appears.
+                // Counted only once the request is admitted: a shed request
+                // is not served.
                 self.registry
                     .counter(
                         "tssa_plan_class_hits_total",
@@ -1067,9 +929,6 @@ impl Service {
                         &[("plan", &model.label), ("bucket", &bucket)],
                     )
                     .inc();
-                if model.class.touch_bucket(&bucket, 1) {
-                    self.persist_class(&model.class);
-                }
                 Ok(ticket)
             }
             Err(TrySendError::Full(mut request)) => {
@@ -1089,29 +948,52 @@ impl Service {
         }
     }
 
-    /// Ask the supervisor to add `n` worker slots. Asynchronous: the pool
-    /// grows as the supervisor processes the events; observe the effect
-    /// through [`Service::worker_count`] or the `tssa_pool_workers` gauge.
+    /// Add `n` worker slots. Synchronous: [`Service::worker_count`] and the
+    /// `tssa_pool_workers` gauge read the new size when this returns.
     pub fn grow(&self, n: usize) {
+        let mut pool = self.pool.lock();
         for _ in 0..n {
-            let _ = self.events_tx.send(WorkerEvent::Grow);
+            let retire = Arc::new(AtomicBool::new(false));
+            let ctx = WorkerCtx {
+                rx: self.batch_rx.clone(),
+                retire: Arc::clone(&retire),
+                device: self.device.clone(),
+                metrics: Arc::clone(&self.metrics),
+                faults: self.faults.clone(),
+                profile: self.profiler.as_ref().map(|p| WorkerProfile {
+                    profiler: p.clone(),
+                    sink: p.sink(),
+                }),
+            };
+            let thread = std::thread::spawn(move || worker_loop(&ctx));
+            pool.push(Worker { retire, thread });
         }
+        self.pool_gauge.set(active_workers(&pool) as f64);
     }
 
-    /// Ask the supervisor to retire `n` workers (highest slots first),
-    /// never going below one active worker. Drain-on-shrink: a retiring
-    /// worker finishes its in-flight batch first, queued batches migrate to
-    /// the surviving workers over the shared channel, and the retired
+    /// Retire `n` workers (highest slots first), never going below one
+    /// active worker. Synchronous like [`Service::grow`]. Drain-on-shrink:
+    /// a retiring worker finishes the batch it holds first, queued batches
+    /// go to the surviving workers over the shared channel, and the retired
     /// slot's statistics remain in the final [`PoolReport`].
     pub fn shrink(&self, n: usize) {
-        for _ in 0..n {
-            let _ = self.events_tx.send(WorkerEvent::Shrink);
+        let pool = self.pool.lock();
+        let active = active_workers(&pool);
+        let retiring = n.min(active.saturating_sub(1));
+        for worker in pool
+            .iter()
+            .rev()
+            .filter(|w| !w.retire.load(Relaxed))
+            .take(retiring)
+        {
+            worker.retire.store(true, Relaxed);
         }
+        self.pool_gauge.set((active - retiring) as f64);
     }
 
     /// Active (non-retired) workers right now.
     pub fn worker_count(&self) -> usize {
-        active_workers(&self.pool)
+        active_workers(&self.pool.lock())
     }
 
     /// The shared plan cache (exposed for cache-centric tests and tools).
@@ -1160,9 +1042,7 @@ impl Service {
     /// Stop admitting, drain every queued request to a terminal state, join
     /// all threads, and report per-worker statistics.
     pub fn shutdown(mut self) -> PoolReport {
-        self.join_pool();
-        let slots: Vec<Arc<WorkerShared>> = self.pool.lock().clone();
-        let per_worker: Vec<ExecStats> = slots.iter().map(|shared| *shared.stats.lock()).collect();
+        let per_worker = self.join_pool();
         let mut total = ExecStats::default();
         for s in &per_worker {
             total.merge(s);
@@ -1174,28 +1054,20 @@ impl Service {
         }
     }
 
-    fn join_pool(&mut self) {
-        // Ordered, lossless shutdown: dropping the admission sender
-        // disconnects the dispatcher, which flushes its bins and drops the
-        // batch sender; the supervisor is then told to stop, drops its own
-        // channel handles, and joins the (drained) workers. Any batch left
-        // in a crashed worker's slot terminates here.
+    /// Ordered, lossless shutdown: dropping the admission sender
+    /// disconnects the dispatcher, which flushes its bins and drops the
+    /// only batch sender; the workers then drain the batch queue and exit.
+    /// Returns each slot's statistics, in slot order.
+    fn join_pool(&mut self) -> Vec<ExecStats> {
         drop(self.admit_tx.take());
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
-        if let Some(s) = self.supervisor.take() {
-            let _ = self.events_tx.send(WorkerEvent::Shutdown);
-            let _ = s.join();
-        }
-        let slots: Vec<Arc<WorkerShared>> = self.pool.lock().clone();
-        for shared in &slots {
-            if let Some(batch) = shared.in_flight.lock().take() {
-                for request in batch.requests {
-                    request.finish_with(Err(ServeError::Canceled));
-                }
-            }
-        }
+        let workers = std::mem::take(&mut *self.pool.lock());
+        workers
+            .into_iter()
+            .map(|w| w.thread.join().unwrap_or_default())
+            .collect()
     }
 }
 
@@ -1217,7 +1089,7 @@ struct DispatcherCtx {
     registry: MetricsRegistry,
 }
 
-fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx) {
+fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Vec<Request>>, ctx: DispatcherCtx) {
     let DispatcherCtx {
         max_batch,
         max_wait,
@@ -1257,10 +1129,7 @@ fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx)
         drop(handles);
         // A send error means every worker is gone; dropping the batch here
         // completes its tickets with Canceled via the completion guards.
-        let _ = tx.send(Batch {
-            requests,
-            requeued: false,
-        });
+        let _ = tx.send(requests);
     };
     loop {
         let now = Instant::now();
@@ -1346,132 +1215,110 @@ fn dispatch_loop(rx: &Receiver<Request>, tx: &Sender<Batch>, ctx: DispatcherCtx)
     }
 }
 
-/// Spawn a worker thread on `ctx`'s slot. If a batch is already parked in
-/// the slot (the re-queued batch from a crashed predecessor), it is
-/// processed before any channel work.
-fn spawn_worker(ctx: WorkerCtx) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut guard = CrashGuard {
-            worker: ctx.id,
-            events: ctx.events.clone(),
-            armed: true,
-        };
-        if ctx.shared.in_flight.lock().is_some() {
-            process_in_flight(&ctx);
+/// A worker thread: take batches until the batch queue disconnects or the
+/// slot is retired, and return the slot's execution statistics.
+fn worker_loop(ctx: &WorkerCtx) -> ExecStats {
+    let mut stats = ExecStats::default();
+    // Retire check between batches only — never mid-batch, so a shrink
+    // drains accepted work instead of dropping it.
+    while !ctx.retire.load(Relaxed) {
+        match ctx.rx.recv_timeout(STOP_POLL) {
+            Ok(batch) => serve_batch(ctx, batch, &mut stats),
+            Err(channel::RecvTimeoutError::Timeout) => {}
+            Err(channel::RecvTimeoutError::Disconnected) => break,
         }
-        loop {
-            // Retire check between batches only — never mid-batch, so a
-            // shrink drains accepted work instead of dropping it.
-            if ctx.shared.stop.load(Relaxed) {
-                break;
-            }
-            match ctx.rx.recv_timeout(STOP_POLL) {
-                Ok(batch) => {
-                    // Park the batch in the shared slot before touching it
-                    // so a panic anywhere below leaves it recoverable by
-                    // the supervisor.
-                    *ctx.shared.in_flight.lock() = Some(batch);
-                    process_in_flight(&ctx);
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        guard.armed = false;
-    })
+    }
+    stats
 }
 
-/// Everything staged out of the in-flight slot for execution; requests
-/// themselves stay parked in the slot until completion.
-type Staged = (
-    Arc<CompiledProgram>,
-    Arc<BatchSpec>,
-    Result<Vec<RtValue>, ServeError>,
-    usize,
-    Vec<Option<Span>>,
-    Arc<str>,
-);
-
-fn process_in_flight(ctx: &WorkerCtx) {
-    let now = Instant::now();
-
-    // Phase 1 — under the slot lock: expire stale requests and snapshot
-    // everything execution needs (plan, stacked inputs, spans). The
-    // requests stay in the slot so a crash during phase 2 can re-queue them.
-    let mut expired: Vec<Request> = Vec::new();
-    let staged: Option<Staged> = {
-        let mut slot = ctx.shared.in_flight.lock();
-        let Some(batch) = slot.as_mut() else {
+/// Run one batch to completion on this thread. The worker owns the batch,
+/// so a panic mid-run leaves it intact here: the first panic retries it
+/// once (`requeued`), a second one fails its requests with `Canceled`.
+fn serve_batch(ctx: &WorkerCtx, mut batch: Vec<Request>, stats: &mut ExecStats) {
+    let mut retry = false;
+    while std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_batch(ctx, &mut batch, retry, stats);
+    }))
+    .is_err()
+    {
+        ctx.metrics.worker_respawns.inc();
+        if batch.is_empty() {
             return;
-        };
-        let mut i = 0;
-        while i < batch.requests.len() {
-            if batch.requests[i].expired(now) {
-                expired.push(batch.requests.remove(i));
-            } else {
-                i += 1;
+        }
+        if retry {
+            for request in batch {
+                request.finish_with(Err(ServeError::Canceled));
+            }
+            return;
+        }
+        retry = true;
+        ctx.metrics.requeues.inc();
+        for request in &mut batch {
+            if let Some(s) = request.span.as_mut() {
+                s.mark("requeued");
             }
         }
-        if batch.requests.is_empty() {
-            *slot = None;
-            None
-        } else {
-            // The queueing phase ends here: close each request's `queue`
-            // span and open its `batch` child covering the shared execution.
-            let coalesced = batch.requests.len();
-            let requeued = batch.requeued;
-            let batch_spans: Vec<Option<Span>> = batch
-                .requests
-                .iter_mut()
-                .map(|request| {
-                    if let Some(queue) = request.queue_span.take() {
-                        queue.finish();
-                    }
-                    request.span.as_ref().map(|span| {
-                        let mut batch_span = span.child("batch", "serve");
-                        batch_span.counter("coalesced", coalesced as i64);
-                        if requeued {
-                            batch_span.mark("requeue_attempt");
-                        }
-                        batch_span
-                    })
-                })
-                .collect();
-            let head = &batch.requests[0];
-            let plan = Arc::clone(&head.plan);
-            let spec = Arc::clone(&head.spec);
-            let plan_label = Arc::clone(&head.plan_label);
-            let inputs: Result<Vec<RtValue>, ServeError> = if coalesced == 1 {
-                Ok(batch.requests[0].inputs.clone())
-            } else {
-                let arg_lists: Vec<&[RtValue]> =
-                    batch.requests.iter().map(|r| r.inputs.as_slice()).collect();
-                spec.stack(&arg_lists)
-            };
-            Some((plan, spec, inputs, coalesced, batch_spans, plan_label))
-        }
-    };
+    }
+}
+
+/// One attempt at a batch: expire stale requests, stack, execute, split and
+/// deliver. Requests stay in `batch` until execution is over, so a panic
+/// before delivery leaves every live request for the retry.
+fn run_batch(ctx: &WorkerCtx, batch: &mut Vec<Request>, retry: bool, stats: &mut ExecStats) {
+    let now = Instant::now();
+    let (expired, live): (Vec<Request>, Vec<Request>) = std::mem::take(batch)
+        .into_iter()
+        .partition(|r| r.expired(now));
+    *batch = live;
     for request in expired {
         request.expire();
     }
-    let Some((plan, spec, inputs, coalesced, mut batch_spans, plan_label)) = staged else {
+    if batch.is_empty() {
         return;
+    }
+
+    // The queueing phase ends here: close each request's `queue` span and
+    // open its `batch` child covering the shared execution.
+    let coalesced = batch.len();
+    let mut batch_spans: Vec<Option<Span>> = batch
+        .iter_mut()
+        .map(|request| {
+            if let Some(queue) = request.queue_span.take() {
+                queue.finish();
+            }
+            request.span.as_ref().map(|span| {
+                let mut batch_span = span.child("batch", "serve");
+                batch_span.counter("coalesced", coalesced as i64);
+                if retry {
+                    batch_span.mark("requeue_attempt");
+                }
+                batch_span
+            })
+        })
+        .collect();
+    let head = &batch[0];
+    let plan = Arc::clone(&head.plan);
+    let spec = Arc::clone(&head.spec);
+    let plan_label = Arc::clone(&head.plan_label);
+    let inputs = if coalesced == 1 {
+        Ok(head.inputs.clone())
+    } else {
+        let arg_lists: Vec<&[RtValue]> = batch.iter().map(|r| r.inputs.as_slice()).collect();
+        spec.stack(&arg_lists)
     };
     let inputs = match inputs {
         Ok(inputs) => inputs,
         Err(e) => {
-            if let Some(batch) = ctx.shared.in_flight.lock().take() {
-                for request in batch.requests {
-                    request.finish_with(Err(e.clone()));
-                }
+            for request in batch.drain(..) {
+                request.finish_with(Err(e.clone()));
             }
             return;
         }
     };
 
-    // Phase 2 — panic-prone execution, with no lock held. Injected faults
-    // land here: a slow execution delays the batch; a worker panic unwinds
-    // this frame (recording the batch spans) and trips the crash guard.
+    // Injected faults land here: a slow execution delays the batch; a
+    // worker panic unwinds this frame (recording the batch spans) back to
+    // `serve_batch`.
     if let Some(FaultAction::Stall(pause)) = ctx.faults.fire(FaultKind::SlowExec) {
         ctx.metrics.note_fault();
         for span in batch_spans.iter_mut().flatten() {
@@ -1503,7 +1350,7 @@ fn process_in_flight(ctx: &WorkerCtx) {
         // one sample per executed op into this worker's private sink.
         if let Some(profile) = ctx.profile.as_ref().filter(|p| p.profiler.should_profile()) {
             session = session.observed(Arc::new(ProfileRecorder::new(
-                Arc::clone(&plan_label),
+                plan_label,
                 Arc::clone(&profile.sink),
             )));
         }
@@ -1514,14 +1361,10 @@ fn process_in_flight(ctx: &WorkerCtx) {
     for batch_span in batch_spans.drain(..).flatten() {
         batch_span.finish();
     }
-    ctx.shared.stats.lock().merge(&scratch);
+    stats.merge(&scratch);
 
-    // Phase 3 — completion: lift the batch out of the slot (execution is
-    // past the crash window) and deliver each terminal result.
-    let Some(batch) = ctx.shared.in_flight.lock().take() else {
-        return;
-    };
-    let mut live = batch.requests;
+    // Execution is over: deliver each terminal result.
+    let mut live = std::mem::take(batch);
     match result {
         Ok((outputs, stats)) => {
             if coalesced == 1 {
@@ -1557,125 +1400,5 @@ fn process_in_flight(ctx: &WorkerCtx) {
                 request.finish_with(Err(ServeError::Exec(e.clone())));
             }
         }
-    }
-}
-
-/// State owned by the supervisor thread: worker handles for respawning, the
-/// shared slot vector (appended on grow), and the channel ends needed to
-/// rebuild a crashed worker's context.
-struct SupervisorCtx {
-    events_rx: Receiver<WorkerEvent>,
-    batch_rx: Receiver<Batch>,
-    device: DeviceProfile,
-    metrics: Arc<Metrics>,
-    faults: Faults,
-    events_tx: Sender<WorkerEvent>,
-    /// Slot vector shared with the service (`Service::pool`). Indexes here
-    /// match `handles` below; retired slots keep their entry.
-    pool: Arc<Mutex<Vec<Arc<WorkerShared>>>>,
-    handles: Vec<JoinHandle<()>>,
-    pool_gauge: Gauge,
-    /// Shared execution profiler; respawned and grown workers mint fresh
-    /// sinks from it.
-    profiler: Option<Profiler>,
-}
-
-fn supervisor_loop(mut ctx: SupervisorCtx) {
-    // Runs until a Shutdown event or the last event sender drops.
-    loop {
-        match ctx.events_rx.recv() {
-            Ok(WorkerEvent::Crashed { worker }) => {
-                let shared = Arc::clone(&ctx.pool.lock()[worker]);
-                // Recover the batch the crashed worker left in its slot:
-                // re-queue it once; on a second crash fail its requests.
-                // (Take in its own statement — an `if let` scrutinee would
-                // hold the slot lock across the re-park below.)
-                let recovered = shared.in_flight.lock().take();
-                if let Some(mut batch) = recovered {
-                    if batch.requeued {
-                        for request in batch.requests {
-                            request.finish_with(Err(ServeError::Canceled));
-                        }
-                    } else {
-                        batch.requeued = true;
-                        ctx.metrics.requeues.inc();
-                        for request in batch.requests.iter_mut() {
-                            if let Some(s) = request.span.as_mut() {
-                                s.mark("requeued");
-                            }
-                        }
-                        // Hand the batch straight to the replacement
-                        // worker's slot rather than back through the batch
-                        // channel: the dispatcher owns the only batch
-                        // sender, and keeping it that way preserves the
-                        // ordered drop-to-drain shutdown.
-                        *shared.in_flight.lock() = Some(batch);
-                    }
-                }
-                // Respawn a replacement on the same slot; it first drains
-                // any batch parked in the slot, then resumes channel work
-                // (or exits immediately if the slot was retired meanwhile).
-                let new_ctx = WorkerCtx {
-                    id: worker,
-                    rx: ctx.batch_rx.clone(),
-                    shared: Arc::clone(&shared),
-                    device: ctx.device.clone(),
-                    metrics: Arc::clone(&ctx.metrics),
-                    faults: ctx.faults.clone(),
-                    events: ctx.events_tx.clone(),
-                    profile: WorkerProfile::for_worker(ctx.profiler.as_ref()),
-                };
-                let replacement = spawn_worker(new_ctx);
-                let crashed = std::mem::replace(&mut ctx.handles[worker], replacement);
-                let _ = crashed.join();
-                ctx.metrics.worker_respawns.inc();
-            }
-            Ok(WorkerEvent::Grow) => {
-                let shared = Arc::new(WorkerShared::new());
-                let id = {
-                    let mut pool = ctx.pool.lock();
-                    pool.push(Arc::clone(&shared));
-                    pool.len() - 1
-                };
-                ctx.handles.push(spawn_worker(WorkerCtx {
-                    id,
-                    rx: ctx.batch_rx.clone(),
-                    shared,
-                    device: ctx.device.clone(),
-                    metrics: Arc::clone(&ctx.metrics),
-                    faults: ctx.faults.clone(),
-                    events: ctx.events_tx.clone(),
-                    profile: WorkerProfile::for_worker(ctx.profiler.as_ref()),
-                }));
-                ctx.pool_gauge.set(active_workers(&ctx.pool) as f64);
-            }
-            Ok(WorkerEvent::Shrink) => {
-                {
-                    let pool = ctx.pool.lock();
-                    // Retire the highest-index active worker — but never
-                    // the last one: a serving pool must keep serving.
-                    let active: Vec<usize> = pool
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.stop.load(Relaxed))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if active.len() > 1 {
-                        if let Some(&victim) = active.last() {
-                            pool[victim].stop.store(true, Relaxed);
-                        }
-                    }
-                }
-                ctx.pool_gauge.set(active_workers(&ctx.pool) as f64);
-            }
-            Ok(WorkerEvent::Shutdown) | Err(_) => break,
-        }
-    }
-    // Release our receiver handle and reap the workers; by now the
-    // dispatcher has dropped the only batch sender, so workers drain the
-    // queue and exit cleanly.
-    drop(ctx.batch_rx);
-    for handle in ctx.handles {
-        let _ = handle.join();
     }
 }

@@ -44,12 +44,14 @@ fn queue_full_sheds_with_typed_error_and_rest_complete() {
     for t in tickets {
         t.wait().expect("accepted requests complete successfully");
     }
-    // The class census counts requests *served*: shed ones never were.
-    let census = model.class().census();
-    assert_eq!(
-        census.iter().map(|(_, hits)| hits).sum::<u64>(),
-        accepted as u64
-    );
+    // The class-hit counter counts requests *served*: shed ones never were.
+    let class_hits: u64 = service
+        .prometheus()
+        .lines()
+        .filter(|l| l.starts_with("tssa_plan_class_hits_total{"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum();
+    assert_eq!(class_hits, accepted as u64);
     let report = service.shutdown();
     assert_eq!(report.metrics.completed, accepted as u64);
     assert_eq!(report.metrics.shed_queue_full, shed as u64);

@@ -1,7 +1,8 @@
-//! Worker supervision: a panic mid-batch must not lose the batch or shrink
-//! the pool. The supervisor re-queues the in-flight batch exactly once,
-//! respawns the worker on the same slot, and graceful shutdown still drains
-//! clean with full per-worker accounting.
+//! Worker recovery and pool sizing: a panic mid-batch must not lose the
+//! batch or shrink the pool. The worker that owns the batch retries it
+//! exactly once on its own thread and keeps serving, graceful shutdown still
+//! drains clean with full per-worker accounting, and grow/shrink take effect
+//! before they return.
 
 use std::sync::Once;
 use std::time::Duration;
@@ -60,7 +61,7 @@ fn panicked_worker_requeues_batch_once_and_pool_recovers() {
         .unwrap();
 
     // The request whose batch gets the panic still completes successfully —
-    // through the re-queue, on the respawned worker.
+    // through the retry, on the same worker.
     let first = service.submit(&model, inputs.clone()).unwrap();
     let response = first.wait().expect("re-queued batch completes");
     assert_eq!(response.coalesced, 1);
@@ -149,4 +150,33 @@ fn second_crash_on_same_batch_fails_typed_not_hangs() {
     assert_eq!(report.metrics.resolved(), 2, "{}", report.metrics);
     // Shutdown drains clean even with panics in the history.
     std::thread::sleep(Duration::from_millis(1));
+}
+
+#[test]
+fn grow_and_shrink_take_effect_before_they_return() {
+    let service = Service::new(ServeConfig::default().with_workers(1));
+    let pool_gauge = |service: &Service| {
+        let text = service.prometheus();
+        text.lines()
+            .find_map(|l| l.strip_prefix("tssa_pool_workers "))
+            .map(|v| v.parse::<f64>().unwrap())
+            .unwrap_or_else(|| panic!("no tssa_pool_workers in:\n{text}"))
+    };
+    assert_eq!(service.worker_count(), 1);
+
+    service.grow(2);
+    assert_eq!(service.worker_count(), 3, "grow is visible on return");
+    assert_eq!(pool_gauge(&service), 3.0);
+
+    // Shrinking past the pool size keeps the last worker.
+    service.shrink(10);
+    assert_eq!(
+        service.worker_count(),
+        1,
+        "shrink never retires the last worker"
+    );
+    assert_eq!(pool_gauge(&service), 1.0);
+
+    // Retired slots stay in the report.
+    assert_eq!(service.shutdown().per_worker.len(), 3);
 }

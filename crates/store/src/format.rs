@@ -30,9 +30,7 @@
 //! (device profile + host overheads), conversion stats, fusion/parallel
 //! counts, the pass roster (names, for reports), the transformed graph
 //! as textual IR — the printer/parser round-trip is the graph codec — the
-//! optional [`ShapeSignature`] (format v2), and the admitted-shape census
-//! (format v3: one `(bucket label, hits)` pair per concrete shape the class
-//! plan served, so warm restarts rebuild bucket heat).
+//! optional [`ShapeSignature`] (format v2).
 
 use crate::bytes::{ByteReader, ByteWriter, Truncated};
 use std::fmt;
@@ -52,7 +50,10 @@ pub const MAGIC: [u8; 8] = *b"TSSAPLAN";
 /// the admitted-shape census, and the checksum covers the header prefix as
 /// well as the payload.
 /// v4: the `ExecConfig` record loses its machine-local thread count.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the payload loses the admitted-shape census (per-bucket hits live in
+/// `tssa_plan_class_hits_total` only, so serving a request never rewrites a
+/// plan file). A v4 file is a stale miss: evicted, then recompiled.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
@@ -396,17 +397,14 @@ fn get_signature(p: &mut ByteReader<'_>) -> Result<Option<ShapeSignature>, Store
     }))
 }
 
-/// Shape-class metadata carried by a v3 plan file: the class identity
-/// hashes and the admitted-shape census. `Default` (all zeros, empty
-/// census) marks a plan that is not class-eligible.
+/// Shape-class metadata carried by a plan file header: the class identity
+/// hashes. `Default` (all zeros) marks a plan that is not class-eligible.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassMeta {
     /// The plan's `PlanClassKey` hash (0 when not class-eligible).
     pub class_hash: u64,
     /// The class hash with every pin erased (0 when not class-eligible).
     pub coarse_hash: u64,
-    /// `(bucket label, hits)` per concrete shape the class plan served.
-    pub census: Vec<(String, u64)>,
 }
 
 /// A fully decoded plan file: the program, the pass roster that compiled
@@ -480,11 +478,6 @@ pub(crate) fn encode_plan_with(
     }
     p.put_str(&plan.graph.to_string());
     put_signature(&mut p, plan.signature.as_ref());
-    p.put_u32(class.census.len() as u32);
-    for (label, hits) in &class.census {
-        p.put_str(label);
-        p.put_u64(*hits);
-    }
     let payload = p.into_bytes();
 
     let poly_dims = plan
@@ -619,13 +612,6 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
         .verify()
         .map_err(|e| StoreError::Parse(format!("graph verify: {e:?}")))?;
     let signature = get_signature(&mut p)?;
-    let n_census = p.get_u32("census count")? as usize;
-    let mut census = Vec::with_capacity(n_census.min(64));
-    for _ in 0..n_census {
-        let label = p.get_str("census bucket")?.to_owned();
-        let hits = p.get_u64("census hits")?;
-        census.push((label, hits));
-    }
     let mut plan = CompiledProgram::new(graph, exec_config, pipeline);
     plan.conversion = conversion;
     plan.fusion_groups = fusion_groups;
@@ -637,7 +623,6 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
         class: ClassMeta {
             class_hash,
             coarse_hash,
-            census,
         },
     })
 }

@@ -87,6 +87,15 @@ step "one public surface (no lint severity knob, style lints, second pass hook o
 ONE_SURFACE='set_severity|struct (ViewEscape|DeadMutation|RedundantClone|UnusedValue|ShapeRatchet)\b|prometheus_text_rotating|prometheus_partial'
 [ -z "$(guard "$ONE_SURFACE")" ] || { echo "a second public surface:"; guard "$ONE_SURFACE"; exit 1; }
 
+step "one worker lifecycle (recovery in place, no supervisor or persisted census)"
+# A worker owns the batch it runs and recovers from its own panic on its
+# own thread; grow and shrink change the pool under its lock. Neither a
+# supervisor thread with its event channel and crash guard, a batch slot a
+# second thread can take from, nor a shape census that rewrites plan files
+# from the request path comes back.
+ONE_LIFECYCLE='WorkerEvent|CrashGuard|supervisor_loop|SupervisorCtx|in_flight|touch_bucket|seed_census'
+[ -z "$(guard "$ONE_LIFECYCLE")" ] || { echo "a second worker lifecycle:"; guard "$ONE_LIFECYCLE"; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.
