@@ -55,6 +55,6 @@ pub use graph::{Block, BlockId, Graph, Node, NodeId, SrcSpan, Use, Value, ValueD
 pub use ops::{BinaryKind, MutateKind, Op, ScalarError, ScalarKind, UnaryKind, ViewKind};
 pub use parser::{parse_graph, ParseIrError};
 pub use shapes::{infer_shapes, infer_shapes_symbolic, Shape, ShapeInfo};
-pub use symdim::{Constraint, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};
+pub use symdim::{Constraint, DimClass, DimUnionFind, DimVar, ShapeSignature, SymDim, SymExpr};
 pub use types::{ConstValue, ScalarType, Type};
 pub use verify::{VerifyError, VerifyErrorKind};

@@ -21,26 +21,34 @@
 //! silently trusted; the shape certifier in `tssa-lint` surfaces them in
 //! the plan's `ShapeSignature`.
 //!
-//! The analysis is used by tests, tooling and the shape certifier; the
-//! executor itself computes exact shapes dynamically.
+//! The analysis is the one static definition of what each view and each
+//! broadcast does to its operands' shapes. Where an attribute or an operand
+//! pair fails for every input (a dim out of range, a squeeze of a dim that
+//! is never 1, a broadcast of dims that never match), it records the reason
+//! against the node ([`ShapeInfo::violation`]); `tssa-lint`'s deny rules
+//! report those records. The shape certifier classifies input dims from the
+//! shapes and constraints; the executor itself computes exact shapes
+//! dynamically.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::graph::{BlockId, Graph, ValueId};
+use crate::graph::{BlockId, Graph, NodeId, ValueId};
 use crate::ops::{Op, ScalarKind, ViewKind};
-use crate::symdim::{Constraint, DimVar, SymDim, SymExpr};
+use crate::symdim::{Constraint, DimUnionFind, DimVar, SymDim, SymExpr};
 use crate::types::{ConstValue, Type};
 
 /// A tensor shape: one [`SymDim`] per dimension.
 pub type Shape = Vec<SymDim>;
 
 /// The result of [`infer_shapes`]: per-value symbolic shapes (tensor values
-/// only), symbolic runtime integers, and the assumptions made en route.
+/// only), symbolic runtime integers, the assumptions made en route, and the
+/// nodes proven to fail on every input.
 #[derive(Debug, Clone, Default)]
 pub struct ShapeInfo {
     shapes: HashMap<ValueId, Shape>,
     ints: HashMap<ValueId, SymExpr>,
     constraints: Vec<Constraint>,
+    violations: BTreeMap<NodeId, String>,
 }
 
 impl ShapeInfo {
@@ -71,6 +79,14 @@ impl ShapeInfo {
         &self.constraints
     }
 
+    /// Why `node` fails on every input, when the analysis proved it: a view
+    /// whose attributes no operand shape satisfies, or a broadcast of a dim
+    /// pair that can never match. One reason per node, from the node's last
+    /// visit (the loop fixed point visits a body more than once).
+    pub fn violation(&self, node: NodeId) -> Option<&str> {
+        self.violations.get(&node).map(String::as_str)
+    }
+
     fn set(&mut self, value: ValueId, shape: Shape) {
         self.shapes.insert(value, shape);
     }
@@ -80,10 +96,24 @@ impl ShapeInfo {
     }
 }
 
+/// `dim` as an index into a shape of rank `rank` (negative counts from the
+/// end), or `None` when out of range. Rejects what the tensor library's
+/// dim normalisation rejects: every dim at rank 0.
 fn norm_dim(dim: i64, rank: usize) -> Option<usize> {
     let r = rank as i64;
     let d = if dim < 0 { dim + r } else { dim };
-    (0..r.max(1)).contains(&d).then_some(d as usize)
+    (0..r).contains(&d).then_some(d as usize)
+}
+
+/// Dim `k` of `shape` aligned to broadcast rank `rank`: trailing dims line
+/// up, and a missing leading dim reads as `one`.
+fn aligned<'s>(shape: &'s Shape, rank: usize, k: usize, one: &'s SymDim) -> &'s SymDim {
+    let pad = rank - shape.len();
+    if k < pad {
+        one
+    } else {
+        &shape[k - pad]
+    }
 }
 
 /// Infer shapes for all tensor values of `g`, given *constant* shapes for
@@ -118,6 +148,7 @@ pub(crate) fn infer_shapes_seeded(g: &Graph, seeds: &[Option<Shape>]) -> ShapeIn
     let mut inf = Infer {
         g,
         info: ShapeInfo::default(),
+        classes: DimUnionFind::default(),
     };
     let params = g.block(g.top()).params.clone();
     for (i, p) in params.iter().enumerate() {
@@ -133,15 +164,28 @@ pub(crate) fn infer_shapes_seeded(g: &Graph, seeds: &[Option<Shape>]) -> ShapeIn
 struct Infer<'g> {
     g: &'g Graph,
     info: ShapeInfo,
+    /// The variable-to-variable equalities assumed so far.
+    classes: DimUnionFind,
 }
 
 impl Infer<'_> {
     // ------------------------------------------------------------ plumbing
 
     fn assume(&mut self, c: Constraint) {
-        if !self.info.constraints.contains(&c) {
-            self.info.constraints.push(c);
+        if self.info.constraints.contains(&c) {
+            return;
         }
+        if let Constraint::Eq(x, y) = &c {
+            if let (Some(vx), Some(vy)) = (x.as_var(), y.as_var()) {
+                self.classes.union(vx, vy);
+            }
+        }
+        self.info.constraints.push(c);
+    }
+
+    /// Record why `n` fails on every input.
+    fn refute(&mut self, n: NodeId, why: String) {
+        self.info.violations.insert(n, why);
     }
 
     /// Record `a = b` unless trivially true or statically refuted elsewhere.
@@ -253,20 +297,43 @@ impl Infer<'_> {
         let rank = a.len().max(b.len());
         let one = SymDim::konst(1);
         let mut out = Vec::with_capacity(rank);
-        for i in 0..rank {
-            let da = if i < rank - a.len() {
-                &one
-            } else {
-                &a[i - (rank - a.len())]
-            };
-            let db = if i < rank - b.len() {
-                &one
-            } else {
-                &b[i - (rank - b.len())]
-            };
+        for k in 0..rank {
+            let (da, db) = (aligned(a, rank, k, &one), aligned(b, rank, k, &one));
             out.push(self.broadcast_dim(da, db)?);
         }
         Some(out)
+    }
+
+    /// Record against broadcasting node `n` the first pair of its operand
+    /// shapes, in operand order, with a dim pair no input can make
+    /// compatible: no assignment of extents makes the two equal, and neither
+    /// can be 1. Each disjunct is refuted on its own, which is sound: if all
+    /// three are unsatisfiable, so is their disjunction.
+    fn refute_broadcast(&mut self, n: NodeId, operands: &[Option<&Shape>]) {
+        let one = SymDim::konst(1);
+        for (i, a) in operands.iter().enumerate() {
+            for b in &operands[i + 1..] {
+                let (Some(a), Some(b)) = (a, b) else { continue };
+                let rank = a.len().max(b.len());
+                for k in 0..rank {
+                    let (da, db) = (aligned(a, rank, k, &one), aligned(b, rank, k, &one));
+                    let (Some(x), Some(y)) = (da.expr(), db.expr()) else {
+                        continue;
+                    };
+                    if !x.can_equal(1)
+                        && !y.can_equal(1)
+                        && x.sub(y).is_some_and(|d| !d.can_equal(0))
+                    {
+                        let why = format!(
+                            "dim {k}: {da} can never broadcast against {db} \
+                             (incompatible for every input)"
+                        );
+                        self.refute(n, why);
+                        return;
+                    }
+                }
+            }
+        }
     }
 
     /// Merge shapes from two control-flow paths: agreeing dims stay, others
@@ -288,36 +355,12 @@ impl Infer<'_> {
     /// to its `Eq`-class representative. Only variable-to-variable
     /// equalities build classes (constant refinements are already folded in
     /// by [`Infer::unify`]).
-    fn assumed_equal(&self, a: &SymExpr, b: &SymExpr) -> bool {
+    fn assumed_equal(&mut self, a: &SymExpr, b: &SymExpr) -> bool {
         if a == b {
             return true;
         }
-        let mut parent: HashMap<DimVar, DimVar> = HashMap::new();
-        fn leader(parent: &HashMap<DimVar, DimVar>, mut v: DimVar) -> DimVar {
-            while let Some(&p) = parent.get(&v) {
-                v = p;
-            }
-            v
-        }
-        for c in &self.info.constraints {
-            if let Constraint::Eq(x, y) = c {
-                if let (Some(vx), Some(vy)) = (x.as_var(), y.as_var()) {
-                    let (rx, ry) = (leader(&parent, vx), leader(&parent, vy));
-                    if rx != ry {
-                        parent.insert(rx, ry);
-                    }
-                }
-            }
-        }
-        let canon = |e: &SymExpr| -> Option<SymExpr> {
-            let mut out = SymExpr::constant(e.constant_term());
-            for &(v, c) in e.terms() {
-                out = out.add(&SymExpr::var(leader(&parent, v)).mul_const(c)?)?;
-            }
-            Some(out)
-        };
-        let a = canon(a);
-        a.is_some() && a == canon(b)
+        let a = self.classes.canon(a);
+        a.is_some() && a == self.classes.canon(b)
     }
 
     /// Loop-head join: like [`Infer::merge`], except a carried dim whose
@@ -328,7 +371,7 @@ impl Infer<'_> {
     /// flowing through matmuls against carried-in weights) stays `Known`;
     /// a genuinely growing dim (`h = cat(h, x)`) shares no assumed
     /// equality and still widens with taint.
-    fn join_assumed(&self, a: &Shape, b: &Shape) -> Shape {
+    fn join_assumed(&mut self, a: &Shape, b: &Shape) -> Shape {
         if a.len() != b.len() {
             return Self::merge(a, b);
         }
@@ -478,22 +521,42 @@ impl Infer<'_> {
             .collect()
     }
 
-    fn view_shape(&mut self, kind: &ViewKind, base: &Shape, extras: &[ValueId]) -> Option<Shape> {
+    /// The shape view node `n` of kind `kind` makes of `base`; `None` when
+    /// the analysis cannot tell. An attribute no shape of the operand
+    /// satisfies is recorded against `n`.
+    fn view_shape(
+        &mut self,
+        n: NodeId,
+        kind: &ViewKind,
+        base: &Shape,
+        extras: &[ValueId],
+    ) -> Option<Shape> {
+        let rank = base.len();
         match kind {
-            ViewKind::Select { dim } => {
-                let d = norm_dim(*dim, base.len())?;
+            ViewKind::Select { dim } | ViewKind::SliceView { dim } => {
+                let Some(d) = norm_dim(*dim, rank) else {
+                    self.refute(n, format!("dim {dim} out of range for rank {rank}"));
+                    return None;
+                };
                 let mut s = base.clone();
-                s.remove(d);
-                Some(s)
-            }
-            ViewKind::SliceView { dim } => {
-                let d = norm_dim(*dim, base.len())?;
-                let mut s = base.clone();
-                s[d] = self.slice_len(&base[d], extras);
+                if matches!(kind, ViewKind::Select { .. }) {
+                    s.remove(d);
+                } else {
+                    s[d] = self.slice_len(&base[d], extras);
+                }
                 Some(s)
             }
             ViewKind::Permute { perm } => {
-                if perm.len() != base.len() {
+                let mut seen = vec![false; rank];
+                let is_perm = perm.len() == rank
+                    && perm.iter().all(|&p| {
+                        norm_dim(p, rank).is_some_and(|d| !std::mem::replace(&mut seen[d], true))
+                    });
+                if !is_perm {
+                    let why = format!("permutation {perm:?} is not a permutation of 0..{rank}");
+                    self.refute(n, why);
+                }
+                if perm.len() != rank {
                     return None;
                 }
                 perm.iter()
@@ -501,26 +564,75 @@ impl Infer<'_> {
                     .collect()
             }
             ViewKind::Transpose { dim0, dim1 } => {
-                let d0 = norm_dim(*dim0, base.len())?;
-                let d1 = norm_dim(*dim1, base.len())?;
+                let (Some(d0), Some(d1)) = (norm_dim(*dim0, rank), norm_dim(*dim1, rank)) else {
+                    let why =
+                        format!("transpose dims ({dim0}, {dim1}) out of range for rank {rank}");
+                    self.refute(n, why);
+                    return None;
+                };
                 let mut s = base.clone();
                 s.swap(d0, d1);
                 Some(s)
             }
             ViewKind::Unsqueeze { dim } => {
-                let d = norm_dim(*dim, base.len() + 1)?;
+                let Some(d) = norm_dim(*dim, rank + 1) else {
+                    self.refute(
+                        n,
+                        format!("unsqueeze dim {dim} out of range for rank {rank}"),
+                    );
+                    return None;
+                };
                 let mut s = base.clone();
                 s.insert(d, SymDim::konst(1));
                 Some(s)
             }
             ViewKind::Squeeze { dim } => {
-                let d = norm_dim(*dim, base.len())?;
+                let Some(d) = norm_dim(*dim, rank) else {
+                    self.refute(n, format!("squeeze dim {dim} out of range for rank {rank}"));
+                    return None;
+                };
+                // The symbolic domain proves a dim never 1 even when it is
+                // not constant (`2*in0.d0` after `cat(x, x)`).
+                if let Some(e) = base[d].expr().filter(|e| !e.can_equal(1)) {
+                    self.refute(
+                        n,
+                        format!("squeeze dim {dim} of size {e} (provably never 1)"),
+                    );
+                }
                 let mut s = base.clone();
                 s.remove(d);
                 Some(s)
             }
             ViewKind::Expand { shape } => {
-                let pad = shape.len().checked_sub(base.len())?;
+                let Some(pad) = shape.len().checked_sub(rank) else {
+                    let why = format!(
+                        "expand to rank {} from rank {rank} (cannot drop dims)",
+                        shape.len()
+                    );
+                    self.refute(n, why);
+                    return None;
+                };
+                // Only a dim that can be 1, or already is the target, expands.
+                for (i, (dim, &t)) in base.iter().zip(&shape[pad..]).enumerate() {
+                    let at = pad + i;
+                    let why = if t == -1 {
+                        continue;
+                    } else if let Some(d) = dim.as_const() {
+                        if d == 1 || t == d as i64 {
+                            continue;
+                        }
+                        format!("expand dim {at} from size {d} to {t} (only size-1 dims broadcast)")
+                    } else if let Some(e) = dim.expr() {
+                        if t < 0 || e.can_equal(1) || e.can_equal(t) {
+                            continue;
+                        }
+                        format!("expand dim {at} from size {e} to {t} (provably neither 1 nor {t})")
+                    } else {
+                        continue;
+                    };
+                    self.refute(n, why);
+                    break;
+                }
                 Some(
                     shape
                         .iter()
@@ -541,6 +653,20 @@ impl Infer<'_> {
             }
             ViewKind::ViewShape { shape } => {
                 let total = Self::numel(base);
+                // A fixed element count the affine count can never reach
+                // (`4*in0.d0` elements into 6) fails on every input.
+                if !shape.contains(&-1) {
+                    let fixed = shape.iter().try_fold(1i64, |acc, &d| acc.checked_mul(d));
+                    if let (Some(tn), Some(e)) = (fixed, &total) {
+                        if tn >= 0 && !e.can_equal(tn) {
+                            let why = format!(
+                                "reshape to {shape:?} ({tn} elements) from {e} elements \
+                                 (unsatisfiable)"
+                            );
+                            self.refute(n, why);
+                        }
+                    }
+                }
                 let taint = Self::all_vars(base);
                 Some(self.resolve_reshape(shape, total, &taint))
             }
@@ -563,6 +689,9 @@ impl Infer<'_> {
     fn block(&mut self, block: BlockId) {
         let g = self.g;
         for &n in &g.block(block).nodes {
+            // A node revisited by the loop fixed point keeps only the
+            // violation of its last visit.
+            self.info.violations.remove(&n);
             let node = g.node(n);
             let in_shape = |inf: &Self, i: usize| -> Option<Shape> {
                 node.inputs.get(i).and_then(|&v| inf.info.get(v))
@@ -655,7 +784,7 @@ impl Infer<'_> {
                 Op::View(kind) | Op::Access(kind) => {
                     if let Some(base) = in_shape(self, 0) {
                         let kind = kind.clone();
-                        if let Some(s) = self.view_shape(&kind, &base, &node.inputs[1..]) {
+                        if let Some(s) = self.view_shape(n, &kind, &base, &node.inputs[1..]) {
                             self.info.set(node.outputs[0], s);
                         } else {
                             let u = self.unknown_like(node.inputs[0]);
@@ -671,16 +800,18 @@ impl Infer<'_> {
                     }
                 }
                 Op::Binary(_) => {
-                    if let (Some(a), Some(b)) = (in_shape(self, 0), in_shape(self, 1)) {
+                    let (a, b) = (in_shape(self, 0), in_shape(self, 1));
+                    self.refute_broadcast(n, &[a.as_ref(), b.as_ref()]);
+                    if let (Some(a), Some(b)) = (a, b) {
                         if let Some(s) = self.broadcast(&a, &b) {
                             self.info.set(node.outputs[0], s);
                         }
                     }
                 }
                 Op::WhereSelect => {
-                    if let (Some(c), Some(a), Some(b)) =
-                        (in_shape(self, 0), in_shape(self, 1), in_shape(self, 2))
-                    {
+                    let (c, a, b) = (in_shape(self, 0), in_shape(self, 1), in_shape(self, 2));
+                    self.refute_broadcast(n, &[c.as_ref(), a.as_ref(), b.as_ref()]);
+                    if let (Some(c), Some(a), Some(b)) = (c, a, b) {
                         if let Some(s) = self
                             .broadcast(&a, &b)
                             .and_then(|ab| self.broadcast(&c, &ab))

@@ -21,9 +21,11 @@
 //! `tssa-lint` shape certifier emits, classifying every graph input dim as
 //! [`DimClass::Polymorphic`], [`DimClass::Specialized`] or
 //! [`DimClass::DataDependent`], with symbolic output shapes and the
-//! equality/ordering assumptions the analysis made.
+//! equality/ordering assumptions the analysis made as typed
+//! [`Constraint`]s, and [`DimUnionFind`], the one solver of those
+//! equalities.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A named input-dimension variable: dimension `dim` of graph input `input`.
@@ -33,21 +35,6 @@ pub struct DimVar {
     pub input: u32,
     /// Dimension index within that input's shape.
     pub dim: u32,
-}
-
-impl DimVar {
-    /// Parse the rendered form `in<i>.d<d>` back into a variable — the
-    /// inverse of [`DimVar`]'s `Display`. Used when re-deriving machine
-    /// facts (couplings, admission checks) from a signature's rendered
-    /// constraint strings.
-    pub fn parse(s: &str) -> Option<DimVar> {
-        let rest = s.strip_prefix("in")?;
-        let (input, dim) = rest.split_once(".d")?;
-        Some(DimVar {
-            input: input.parse().ok()?,
-            dim: dim.parse().ok()?,
-        })
-    }
 }
 
 impl fmt::Display for DimVar {
@@ -194,50 +181,6 @@ impl SymExpr {
             acc = acc.checked_add(c.checked_mul(env(v)?)?)?;
         }
         Some(acc)
-    }
-
-    /// Parse the rendered affine form back into an expression — the inverse
-    /// of [`SymExpr`]'s `Display` (`"in0.d0+2*in1.d2-3"`, `"-4"`, …). Only
-    /// the shapes `Display` emits are accepted: terms `N`, `inA.dB` and
-    /// `N*inA.dB` joined by `+`/`-`. Anything else returns `None`, which
-    /// admission checks treat as a vacuous (unevaluable) constraint.
-    pub fn parse(s: &str) -> Option<SymExpr> {
-        let s = s.trim();
-        if s.is_empty() {
-            return None;
-        }
-        let mut chunks: Vec<(i64, String)> = Vec::new();
-        let mut sign = 1i64;
-        let mut chunk = String::new();
-        for (i, ch) in s.char_indices() {
-            match ch {
-                '+' | '-' if i > 0 => {
-                    chunks.push((sign, std::mem::take(&mut chunk)));
-                    sign = if ch == '+' { 1 } else { -1 };
-                }
-                '-' => sign = -1,
-                '+' => {}
-                _ => chunk.push(ch),
-            }
-        }
-        chunks.push((sign, chunk));
-        let mut expr = SymExpr::constant(0);
-        for (sgn, body) in chunks {
-            let body = body.trim();
-            if body.is_empty() {
-                return None;
-            }
-            if let Some((coef, var)) = body.split_once('*') {
-                let c: i64 = coef.trim().parse().ok()?;
-                expr.add_term(DimVar::parse(var.trim())?, sgn * c)?;
-            } else if let Some(v) = DimVar::parse(body) {
-                expr.add_term(v, sgn)?;
-            } else {
-                let c: i64 = body.parse().ok()?;
-                expr.c0 = expr.c0.checked_add(sgn * c)?;
-            }
-        }
-        Some(expr)
     }
 
     /// Whether *some* assignment of non-negative integers to the variables
@@ -403,12 +346,127 @@ pub enum Constraint {
     Ge(SymExpr, SymExpr),
 }
 
+impl Constraint {
+    /// Whether the constraint holds on concrete input shapes. `shapes` has
+    /// one entry per graph input (`None` for non-tensor inputs). Mirroring
+    /// [`SymDim::admits`], a side that cannot be evaluated (a variable the
+    /// shapes do not bind, an overflow) admits vacuously: `false` is a
+    /// guarantee of violation, `true` is "could not rule it out".
+    pub fn admits(&self, shapes: &[Option<Vec<usize>>]) -> bool {
+        let env = |v: DimVar| -> Option<i64> {
+            shapes
+                .get(v.input as usize)?
+                .as_ref()?
+                .get(v.dim as usize)
+                .map(|&n| n as i64)
+        };
+        let (Constraint::Eq(a, b) | Constraint::Ge(a, b)) = self;
+        match (a.eval(&env), b.eval(&env)) {
+            (Some(x), Some(y)) => match self {
+                Constraint::Eq(..) => x == y,
+                Constraint::Ge(..) => x >= y,
+            },
+            _ => true,
+        }
+    }
+}
+
 impl fmt::Display for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Constraint::Eq(a, b) => write!(f, "{a} = {b}"),
             Constraint::Ge(a, b) => write!(f, "{a} >= {b}"),
         }
+    }
+}
+
+/// Union-find over [`DimVar`]s, each class with an optional constant
+/// extent: the one solver of the analysis's equality assumptions. Shape
+/// inference unions the variable-to-variable equalities it records, so a
+/// loop-carried dim that differs only by an assumed equality stays known;
+/// the shape certifier solves every recorded [`Constraint`] with
+/// [`DimUnionFind::solve`] to classify the input dims.
+#[derive(Debug, Clone, Default)]
+pub struct DimUnionFind {
+    parent: HashMap<DimVar, DimVar>,
+    bound: HashMap<DimVar, i64>,
+}
+
+impl DimUnionFind {
+    /// Solve the equality constraints. Only the affine forms a solver can
+    /// use exactly are consumed: `c·v = k` with exact, non-negative `k / c`
+    /// binds `v`'s class to that constant, and `v = w` unions two classes.
+    /// Everything else stays an assumption on the constraint list.
+    pub fn solve(constraints: &[Constraint]) -> DimUnionFind {
+        let mut classes = DimUnionFind::default();
+        for c in constraints {
+            let Constraint::Eq(a, b) = c else { continue };
+            let Some(d) = a.sub(b) else { continue };
+            match d.terms() {
+                [(v, coef)] => {
+                    // coef·v + c0 = 0  →  v = -c0/coef when exact and ≥ 0.
+                    let c0 = d.constant_term();
+                    if c0 % coef == 0 {
+                        let k = -c0 / coef;
+                        if k >= 0 {
+                            classes.bind(*v, k);
+                        }
+                    }
+                }
+                [(v, 1), (w, -1)] | [(v, -1), (w, 1)] if d.constant_term() == 0 => {
+                    classes.union(*v, *w);
+                }
+                _ => {}
+            }
+        }
+        classes
+    }
+
+    /// The representative of `v`'s class.
+    pub fn find(&mut self, v: DimVar) -> DimVar {
+        let p = *self.parent.get(&v).unwrap_or(&v);
+        if p == v {
+            return v;
+        }
+        let root = self.find(p);
+        self.parent.insert(v, root);
+        root
+    }
+
+    /// Merge the classes of `a` and `b`; the merged class keeps `a`'s
+    /// constant, or `b`'s when `a`'s class has none.
+    pub(crate) fn union(&mut self, a: DimVar, b: DimVar) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return;
+        }
+        if let (None, Some(&k)) = (self.bound.get(&ra), self.bound.get(&rb)) {
+            self.bound.insert(ra, k);
+        }
+        self.parent.insert(rb, ra);
+    }
+
+    fn bind(&mut self, v: DimVar, k: i64) {
+        let r = self.find(v);
+        // First binding wins; a second, different constant would make the
+        // program unsatisfiable, and the constraint list still shows it.
+        self.bound.entry(r).or_insert(k);
+    }
+
+    /// The constant `v`'s class is bound to, if any.
+    pub fn constant_of(&mut self, v: DimVar) -> Option<i64> {
+        let r = self.find(v);
+        self.bound.get(&r).copied()
+    }
+
+    /// `e` with every variable rewritten to its class representative;
+    /// `None` when a coefficient overflows.
+    pub(crate) fn canon(&mut self, e: &SymExpr) -> Option<SymExpr> {
+        let mut out = SymExpr::constant(e.constant_term());
+        for &(v, c) in e.terms() {
+            out = out.add(&SymExpr::var(self.find(v)).mul_const(c)?)?;
+        }
+        Some(out)
     }
 }
 
@@ -450,8 +508,8 @@ pub struct ShapeSignature {
     pub inputs: Vec<Option<Vec<DimClass>>>,
     /// Symbolic output shapes.
     pub outputs: Vec<Option<Vec<SymDim>>>,
-    /// Rendered assumptions (equalities / bounds) the signature relies on.
-    pub constraints: Vec<String>,
+    /// The assumptions (equalities / bounds) the signature relies on.
+    pub constraints: Vec<Constraint>,
 }
 
 impl ShapeSignature {
@@ -502,56 +560,10 @@ impl ShapeSignature {
         )
     }
 
-    /// Parse one rendered constraint back into `(is_ge, lhs, rhs)`.
-    fn parse_constraint(c: &str) -> Option<(bool, SymExpr, SymExpr)> {
-        if let Some((a, b)) = c.split_once(" >= ") {
-            Some((true, SymExpr::parse(a)?, SymExpr::parse(b)?))
-        } else if let Some((a, b)) = c.split_once(" = ") {
-            Some((false, SymExpr::parse(a)?, SymExpr::parse(b)?))
-        } else {
-            None
-        }
-    }
-
     /// Whether concrete input shapes satisfy every constraint the signature
-    /// relies on. `shapes` has one entry per graph input (`None` for
-    /// non-tensor inputs). Mirroring [`SymDim::admits`], a constraint that
-    /// cannot be parsed or evaluated (missing variable) admits vacuously:
-    /// `false` is a guarantee of violation, `true` is "could not rule it
-    /// out".
+    /// relies on, each by [`Constraint::admits`].
     pub fn constraints_admit(&self, shapes: &[Option<Vec<usize>>]) -> bool {
-        self.constraints
-            .iter()
-            .all(|c| Self::constraint_admits(c, shapes))
-    }
-
-    /// Whether one rendered constraint holds on concrete input shapes, with
-    /// the same vacuous-admission rule as
-    /// [`ShapeSignature::constraints_admit`]. Exposed separately so callers
-    /// can evaluate constraints individually — e.g. to drop constraints a
-    /// known-good example violates (over-approximation artifacts such as
-    /// unmodeled broadcasting) while keeping the rest enforced.
-    pub fn constraint_admits(constraint: &str, shapes: &[Option<Vec<usize>>]) -> bool {
-        let env = |v: DimVar| -> Option<i64> {
-            shapes
-                .get(v.input as usize)?
-                .as_ref()?
-                .get(v.dim as usize)
-                .map(|&n| n as i64)
-        };
-        let Some((is_ge, a, b)) = Self::parse_constraint(constraint) else {
-            return true;
-        };
-        match (a.eval(&env), b.eval(&env)) {
-            (Some(x), Some(y)) => {
-                if is_ge {
-                    x >= y
-                } else {
-                    x == y
-                }
-            }
-            _ => true,
-        }
+        self.constraints.iter().all(|c| c.admits(shapes))
     }
 
     /// Stable human-readable rendering (one line per input/output), used by
@@ -577,7 +589,8 @@ impl ShapeSignature {
             }
         }
         if !self.constraints.is_empty() {
-            out.push_str(&format!("  assume: {}\n", self.constraints.join("; ")));
+            let body: Vec<String> = self.constraints.iter().map(|c| c.to_string()).collect();
+            out.push_str(&format!("  assume: {}\n", body.join("; ")));
         }
         out
     }
@@ -689,7 +702,7 @@ mod tests {
                 Some(vec![DimClass::DataDependent]),
             ],
             outputs: vec![Some(vec![SymDim::var(0, 0), SymDim::unknown()]), None],
-            constraints: vec!["in0.d1 = 16".into()],
+            constraints: vec![Constraint::Eq(SymExpr::var(v(0, 1)), SymExpr::constant(16))],
         };
         assert_eq!(sig.polymorphic_dims(), 1);
         assert_eq!(sig.specialized_dims(), 1);
@@ -705,36 +718,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_display() {
-        let exprs = [
-            affine(),
-            SymExpr::constant(-4),
-            SymExpr::var(v(0, 2)),
-            SymExpr::var(v(3, 1)).mul_const(4).unwrap(),
-            SymExpr::var(v(0, 1)).sub(&SymExpr::constant(2)).unwrap(),
-            SymExpr::var(v(0, 0)).mul_const(-1).unwrap(),
-        ];
-        for e in exprs {
-            let back = SymExpr::parse(&e.to_string());
-            assert_eq!(back.as_ref(), Some(&e), "round-trip of {e}");
-        }
-        assert_eq!(DimVar::parse("in12.d3"), Some(v(12, 3)));
-        assert!(DimVar::parse("x0.d3").is_none());
-        assert!(SymExpr::parse("in0.d0 * in1.d1").is_none());
-        assert!(SymExpr::parse("").is_none());
-    }
-
-    #[test]
     fn constraints_admit_checks_eq_and_ge() {
         let sig = ShapeSignature {
             inputs: vec![Some(vec![DimClass::Polymorphic; 2]); 2],
             outputs: vec![],
             constraints: vec![
-                "in0.d1 = in1.d0".into(),
-                "in0.d0 >= 2".into(),
-                "in1.d1 >= 2*in0.d0".into(),
+                Constraint::Eq(SymExpr::var(v(0, 1)), SymExpr::var(v(1, 0))),
+                Constraint::Ge(SymExpr::var(v(0, 0)), SymExpr::constant(2)),
+                Constraint::Ge(
+                    SymExpr::var(v(1, 1)),
+                    SymExpr::var(v(0, 0)).mul_const(2).unwrap(),
+                ),
             ],
         };
+        let rendered: Vec<String> = sig.constraints.iter().map(|c| c.to_string()).collect();
+        assert_eq!(
+            rendered,
+            ["in0.d1 = in1.d0", "in0.d0 >= 2", "in1.d1 >= 2*in0.d0"]
+        );
         let ok = vec![Some(vec![3, 5]), Some(vec![5, 6])];
         assert!(sig.constraints_admit(&ok));
         // Coupling broken: in0.d1 != in1.d0.

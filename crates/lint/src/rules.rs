@@ -5,13 +5,15 @@
 //! (Eq. 1–2) or fails on every input (structurally invalid views,
 //! impossible broadcasts), plus outputs whose extent no input dim explains.
 //! [`RULES`] is the one table of them; each rule's severity is fixed there.
+//! The two shape rules hold no shape logic of their own: they report the
+//! failures `tssa_ir`'s shape analysis records as it applies its view and
+//! broadcast rules.
 
 use std::collections::HashSet;
 
 use tssa_alias::{AliasAnalysis, DepKind};
 use tssa_ir::{
-    infer_shapes, Graph, NodeId, Op, Shape, ShapeInfo, SymDim, SymExpr, Type, ValueDef, ValueId,
-    ViewKind,
+    infer_shapes, Graph, NodeId, Op, ShapeInfo, SymDim, Type, ValueDef, ValueId, ViewKind,
 };
 
 use crate::diag::{Diagnostic, Severity};
@@ -148,174 +150,12 @@ fn non_functionalizable(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
 }
 
 /// Structural validity of view chains: dimension attributes must exist in
-/// the operand's rank, permutations must be complete, reshapes must
-/// preserve element count. Violations crash or silently corrupt at run
-/// time, so the rule denies.
+/// the operand's rank, permutations must be complete, squeezed and expanded
+/// dims must be able to be 1, reshapes must preserve element count.
+/// Violations crash or silently corrupt at run time, so the rule denies.
+/// The shape analysis proves them; the rule reports its record.
 fn shape_incompatible_view_chain(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-    let g = cx.graph;
-    let mut out = Vec::new();
-    for n in g.nodes_recursive(g.top()) {
-        let kind = match &g.node(n).op {
-            Op::View(k) => k.clone(),
-            _ => continue,
-        };
-        let input = g.node(n).inputs[0];
-        let shape = match cx.shapes.shape(input) {
-            Some(s) => s.clone(),
-            None => continue, // rank unknown: nothing to check
-        };
-        let rank = shape.len();
-        let problem: Option<String> = match &kind {
-            ViewKind::Select { dim } | ViewKind::SliceView { dim } => {
-                if norm_dim(*dim, rank).is_none() {
-                    Some(format!("dim {dim} out of range for rank {rank}"))
-                } else {
-                    None
-                }
-            }
-            ViewKind::Transpose { dim0, dim1 } => {
-                if norm_dim(*dim0, rank).is_none() || norm_dim(*dim1, rank).is_none() {
-                    Some(format!(
-                        "transpose dims ({dim0}, {dim1}) out of range for rank {rank}"
-                    ))
-                } else {
-                    None
-                }
-            }
-            ViewKind::Squeeze { dim } => match norm_dim(*dim, rank) {
-                None => Some(format!("squeeze dim {dim} out of range for rank {rank}")),
-                // Squeezing a dim that provably cannot be 1 is a
-                // guaranteed runtime error; the symbolic domain can
-                // prove it even for non-constant dims (e.g. `2*in0.d0`
-                // after `cat(x, x)`).
-                Some(d) => match shape[d].expr() {
-                    Some(e) if !e.can_equal(1) => {
-                        Some(format!("squeeze dim {dim} of size {e} (provably never 1)"))
-                    }
-                    _ => None,
-                },
-            },
-            ViewKind::Unsqueeze { dim } => {
-                let d = if *dim < 0 {
-                    dim + rank as i64 + 1
-                } else {
-                    *dim
-                };
-                if d < 0 || d as usize > rank {
-                    Some(format!("unsqueeze dim {dim} out of range for rank {rank}"))
-                } else {
-                    None
-                }
-            }
-            ViewKind::Permute { perm } => {
-                let mut seen = vec![false; rank];
-                let mut bad = perm.len() != rank;
-                if !bad {
-                    for &p in perm {
-                        match norm_dim(p, rank) {
-                            Some(d) if !seen[d] => seen[d] = true,
-                            _ => {
-                                bad = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if bad {
-                    Some(format!(
-                        "permutation {perm:?} is not a permutation of 0..{rank}"
-                    ))
-                } else {
-                    None
-                }
-            }
-            ViewKind::Expand { shape: target } => {
-                if target.len() < rank {
-                    Some(format!(
-                        "expand to rank {} from rank {rank} (cannot drop dims)",
-                        target.len()
-                    ))
-                } else {
-                    let offset = target.len() - rank;
-                    let mut bad = None;
-                    for (i, dim) in shape.iter().enumerate() {
-                        let t = target[offset + i];
-                        if t == -1 {
-                            continue;
-                        }
-                        if let Some(d) = dim.as_const() {
-                            if d != 1 && t != d as i64 {
-                                bad = Some(format!(
-                                    "expand dim {} from size {d} to {t} (only size-1 \
-                                     dims broadcast)",
-                                    offset + i
-                                ));
-                                break;
-                            }
-                        } else if let Some(e) = dim.expr() {
-                            // Symbolic: expanding is only valid when the
-                            // dim can be 1 or already equal the target.
-                            if t >= 0 && !e.can_equal(1) && !e.can_equal(t) {
-                                bad = Some(format!(
-                                    "expand dim {} from size {e} to {t} (provably \
-                                     neither 1 nor {t})",
-                                    offset + i
-                                ));
-                                break;
-                            }
-                        }
-                    }
-                    bad
-                }
-            }
-            ViewKind::ViewShape { shape: target } => {
-                // The element count stays affine when at most one dim is
-                // non-constant; a reshape to a fixed total the affine
-                // form can never reach (e.g. `4*in0.d0` elements into 6)
-                // is unsatisfiable for every input.
-                if target.contains(&-1) {
-                    None
-                } else {
-                    let tn: i64 = target.iter().product();
-                    match symbolic_numel(&shape) {
-                        Some(e) if tn >= 0 && !e.can_equal(tn) => Some(format!(
-                            "reshape to {target:?} ({tn} elements) from {e} elements \
-                             (unsatisfiable)"
-                        )),
-                        _ => None,
-                    }
-                }
-            }
-        };
-        if let Some(p) = problem {
-            out.push(Diagnostic::at_node(rule.name, rule.severity, g, n, p));
-        }
-    }
-    out
-}
-
-/// Total element count of a symbolic shape as an affine expression, when at
-/// most one dim is non-constant.
-fn symbolic_numel(shape: &Shape) -> Option<SymExpr> {
-    let mut acc = SymExpr::constant(1);
-    for d in shape {
-        let e = d.expr()?;
-        acc = match (acc.as_const(), e.as_const()) {
-            (_, Some(k)) => acc.mul_const(k)?,
-            (Some(k), None) => e.mul_const(k)?,
-            (None, None) => return None,
-        };
-    }
-    Some(acc)
-}
-
-fn norm_dim(dim: i64, rank: usize) -> Option<usize> {
-    let d = if dim < 0 { dim + rank as i64 } else { dim };
-    if d >= 0 && (d as usize) < rank {
-        Some(d as usize)
-    } else {
-        None
-    }
+    violations(rule, cx, |op| matches!(op, Op::View(_)))
 }
 
 /// Two dims feeding one broadcast can *provably never* be compatible: under
@@ -324,67 +164,27 @@ fn norm_dim(dim: i64, rank: usize) -> Option<usize> {
 /// denies. Only the symbolic domain can prove this for non-constant dims
 /// (e.g. `2*in0.d0+4` against `2*in0.d0+2` after two different concats).
 fn symbolic_broadcast_mismatch(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-    let g = cx.graph;
-    let mut out = Vec::new();
-    for n in g.nodes_recursive(g.top()) {
-        let node = g.node(n);
-        let broadcasting = matches!(node.op, Op::Binary(_) | Op::WhereSelect);
-        if !broadcasting {
-            continue;
-        }
-        // Check every pair of tensor operands (WhereSelect has three).
-        let shapes: Vec<Option<&Shape>> = node.inputs.iter().map(|&v| cx.shapes.shape(v)).collect();
-        'pairs: for i in 0..shapes.len() {
-            for j in i + 1..shapes.len() {
-                let (Some(a), Some(b)) = (shapes[i], shapes[j]) else {
-                    continue;
-                };
-                let rank = a.len().max(b.len());
-                for k in 0..rank {
-                    let one = SymDim::konst(1);
-                    let da = if k < rank - a.len() {
-                        &one
-                    } else {
-                        &a[k - (rank - a.len())]
-                    };
-                    let db = if k < rank - b.len() {
-                        &one
-                    } else {
-                        &b[k - (rank - b.len())]
-                    };
-                    if provable_broadcast_mismatch(da, db) {
-                        out.push(Diagnostic::at_node(
-                            rule.name,
-                            rule.severity,
-                            g,
-                            n,
-                            format!(
-                                "dim {k}: {} can never broadcast against {} \
-                                 (incompatible for every input)",
-                                da, db
-                            ),
-                        ));
-                        break 'pairs;
-                    }
-                }
-            }
-        }
-    }
-    out
+    violations(rule, cx, |op| matches!(op, Op::Binary(_) | Op::WhereSelect))
 }
 
-/// `true` when `a` and `b` can never broadcast together: no non-negative
-/// assignment makes them equal, and neither can be 1. Each disjunct is
-/// refuted independently, which is sound (if all three are unsatisfiable,
-/// so is their disjunction).
-fn provable_broadcast_mismatch(a: &SymDim, b: &SymDim) -> bool {
-    match (a.expr(), b.expr()) {
-        (Some(ea), Some(eb)) => {
-            let never_equal = ea.sub(eb).is_some_and(|d| !d.can_equal(0));
-            ea != eb && never_equal && !ea.can_equal(1) && !eb.can_equal(1)
-        }
-        _ => false,
-    }
+/// One diagnostic per node of the kinds `at` selects that the shape analysis
+/// proved to fail on every input, with the analysis's reason.
+fn violations(rule: &Rule, cx: &LintContext<'_>, at: fn(&Op) -> bool) -> Vec<Diagnostic> {
+    let g = cx.graph;
+    g.nodes_recursive(g.top())
+        .into_iter()
+        .filter(|&n| at(&g.node(n).op))
+        .filter_map(|n| {
+            let why = cx.shapes.violation(n)?;
+            Some(Diagnostic::at_node(
+                rule.name,
+                rule.severity,
+                g,
+                n,
+                why.to_string(),
+            ))
+        })
+        .collect()
 }
 
 /// A graph output has a data-dependent (⊥) dimension: its extent cannot be
@@ -668,6 +468,76 @@ mod tests {
         g.set_returns(g.top(), &[rv]);
         let diags = lint_symbolic(&g, &[Some(2)]);
         assert!(!names(&diags).contains(&"data-dependent-shape-escapes-output"));
+    }
+
+    #[test]
+    fn views_of_a_rank_0_value_are_denied_not_a_panic() {
+        let views = [
+            ViewKind::Select { dim: 0 },
+            ViewKind::SliceView { dim: 0 },
+            ViewKind::Squeeze { dim: 0 },
+            ViewKind::Transpose { dim0: 0, dim1: 0 },
+        ];
+        for kind in views {
+            let mut g = Graph::new();
+            let x = g.add_input("x", Type::Tensor);
+            let i = g.constant_int(0);
+            let extras = match kind {
+                ViewKind::Select { .. } => vec![i],
+                ViewKind::SliceView { .. } => vec![i, i, i],
+                _ => vec![],
+            };
+            let inputs: Vec<ValueId> = std::iter::once(x).chain(extras).collect();
+            let v = g.append(g.top(), Op::View(kind.clone()), &inputs, &[Type::Tensor]);
+            let vv = g.out(v);
+            g.set_returns(g.top(), &[vv]);
+            let diags = lint_with_shapes(&g, &[Some(vec![])]);
+            let denies: Vec<&Diagnostic> = diags
+                .iter()
+                .filter(|d| d.rule == "shape-incompatible-view-chain")
+                .collect();
+            assert_eq!(denies.len(), 1, "{kind:?}: {diags:?}");
+            assert_eq!(denies[0].severity, Severity::Deny);
+            assert!(
+                denies[0].message.contains("out of range for rank 0"),
+                "{kind:?}: {}",
+                denies[0]
+            );
+        }
+    }
+
+    #[test]
+    fn a_view_in_a_loop_body_is_judged_once_on_its_last_visit() {
+        // `cat(c, c)` changes the carried shape, so the fixed point visits
+        // the body twice: once with dim 0 known, once with it widened.
+        let body = |view: &str| {
+            format!(
+                "graph(%x : Tensor, %n : int):
+                   %t : bool = prim::Constant[value=true]()
+                   %i0 : int = prim::Constant[value=0]()
+                   %o : Tensor = prim::Loop(%n, %t, %x)
+                     block0(%i : int, %c : Tensor):
+                       %u : Tensor = aten::cat[dim=0](%c, %c)
+                       {view}
+                       -> (%t, %u)
+                   return (%o)"
+            )
+        };
+        let rule_hits = |src: &str| {
+            let g = tssa_ir::parse_graph(src).unwrap();
+            let diags = lint_symbolic(&g, &[Some(2), None]);
+            diags
+                .iter()
+                .filter(|d| d.rule == "shape-incompatible-view-chain")
+                .count()
+        };
+        // Out of range on every visit: reported once.
+        let select = body("%v : Tensor = aten::select[dim=5](%u, %i0)");
+        assert_eq!(rule_hits(&select), 1);
+        // `2*in0.d0` is never 1 on the first visit only; the widened dim
+        // of the last visit may be 1, so nothing is reported.
+        let squeeze = body("%v : Tensor = aten::squeeze[dim=0](%u)");
+        assert_eq!(rule_hits(&squeeze), 0);
     }
 
     #[test]

@@ -16,92 +16,14 @@
 //!   dimension; no static bucketing is possible.
 //!
 //! Equality constraints recorded by propagation (broadcast of two symbolic
-//! dims, matmul contractions, concat off-dims) are solved with a small
-//! union-find: variables unified with a constant become `Specialized`,
-//! variables unified with each other stay polymorphic *as a class* (the
-//! signature's rendered constraints carry the coupling).
-
-use std::collections::HashMap;
+//! dims, matmul contractions, concat off-dims) are solved by `tssa_ir`'s
+//! [`DimUnionFind`]: variables unified with a constant become
+//! `Specialized`, variables unified with each other stay polymorphic *as a
+//! class* (the signature's constraints carry the coupling).
 
 use tssa_ir::{
-    infer_shapes_symbolic, Constraint, DimClass, DimVar, Graph, ShapeSignature, SymDim, Type,
+    infer_shapes_symbolic, DimClass, DimUnionFind, DimVar, Graph, ShapeSignature, SymDim, Type,
 };
-
-/// Union-find over [`DimVar`]s with an optional constant binding per class.
-struct DimClasses {
-    parent: HashMap<DimVar, DimVar>,
-    bound: HashMap<DimVar, i64>,
-}
-
-impl DimClasses {
-    fn new() -> DimClasses {
-        DimClasses {
-            parent: HashMap::new(),
-            bound: HashMap::new(),
-        }
-    }
-
-    fn find(&mut self, v: DimVar) -> DimVar {
-        let p = *self.parent.get(&v).unwrap_or(&v);
-        if p == v {
-            return v;
-        }
-        let root = self.find(p);
-        self.parent.insert(v, root);
-        root
-    }
-
-    fn union(&mut self, a: DimVar, b: DimVar) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        // Keep rb's binding if ra has none.
-        if let (None, Some(&k)) = (self.bound.get(&ra), self.bound.get(&rb)) {
-            self.bound.insert(ra, k);
-        }
-        self.parent.insert(rb, ra);
-    }
-
-    fn bind(&mut self, v: DimVar, k: i64) {
-        let r = self.find(v);
-        // First binding wins; a second, different constant would make the
-        // program unsatisfiable — the rendered constraints still show it.
-        self.bound.entry(r).or_insert(k);
-    }
-
-    fn constant_of(&mut self, v: DimVar) -> Option<i64> {
-        let r = self.find(v);
-        self.bound.get(&r).copied()
-    }
-}
-
-/// Solve the recorded equality constraints into the union-find. Only the
-/// affine forms a solver can use exactly are consumed (`v = k`, `v = w`,
-/// `c·v = k` with exact division); everything else just stays as a rendered
-/// assumption in the signature.
-fn solve(classes: &mut DimClasses, constraints: &[Constraint]) {
-    for c in constraints {
-        let Constraint::Eq(a, b) = c else { continue };
-        let Some(d) = a.sub(b) else { continue };
-        match d.terms() {
-            [(v, coef)] => {
-                // coef·v + c0 = 0  →  v = -c0/coef when exact and ≥ 0.
-                let c0 = d.constant_term();
-                if c0 % coef == 0 {
-                    let k = -c0 / coef;
-                    if k >= 0 {
-                        classes.bind(*v, k);
-                    }
-                }
-            }
-            [(v, 1), (w, -1)] | [(v, -1), (w, 1)] if d.constant_term() == 0 => {
-                classes.union(*v, *w);
-            }
-            _ => {}
-        }
-    }
-}
 
 /// Certify the shape polymorphism of `g`: run the symbolic shape analysis
 /// with fresh per-input-dim variables and classify every input dimension.
@@ -112,8 +34,7 @@ fn solve(classes: &mut DimClasses, constraints: &[Constraint]) {
 pub fn certify_shapes(g: &Graph, input_ranks: &[Option<usize>]) -> ShapeSignature {
     let info = infer_shapes_symbolic(g, input_ranks);
 
-    let mut classes = DimClasses::new();
-    solve(&mut classes, info.constraints());
+    let mut classes = DimUnionFind::solve(info.constraints());
 
     // Symbolic output shapes, and the set of variables tainting a ⊥ output
     // dim (those inputs are data-dependent for caching purposes).
@@ -162,7 +83,7 @@ pub fn certify_shapes(g: &Graph, input_ranks: &[Option<usize>]) -> ShapeSignatur
     ShapeSignature {
         inputs,
         outputs,
-        constraints: info.constraints().iter().map(|c| c.to_string()).collect(),
+        constraints: info.constraints().to_vec(),
     }
 }
 
@@ -217,7 +138,9 @@ mod tests {
         let sig = certify_shapes(&g, &[Some(2), Some(2)]);
         assert_eq!(sig.polymorphic_dims(), 4, "{}", sig.render());
         assert!(
-            sig.constraints.iter().any(|c| c == "in0.d0 = in1.d0"),
+            sig.constraints
+                .iter()
+                .any(|c| c.to_string() == "in0.d0 = in1.d0"),
             "{:?}",
             sig.constraints
         );

@@ -172,16 +172,6 @@ pub fn signature_of(inputs: &[RtValue]) -> Vec<ArgSig> {
     inputs.iter().map(ArgSig::of).collect()
 }
 
-/// FNV-1a hash of the model source, the cheap stand-in for content identity.
-pub(crate) fn source_hash(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in source.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Monotonic counters exposed by [`PlanCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -556,12 +546,6 @@ mod tests {
         let b = signature_of(&[RtValue::Tensor(Tensor::zeros(&[4, 3]))]);
         assert_ne!(a, b);
         assert_eq!(a, signature_of(&[RtValue::Tensor(Tensor::zeros(&[2, 3]))]));
-    }
-
-    #[test]
-    fn source_hash_is_content_sensitive() {
-        assert_ne!(source_hash("a"), source_hash("b"));
-        assert_eq!(source_hash("same"), source_hash("same"));
     }
 
     #[test]

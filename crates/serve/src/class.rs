@@ -29,10 +29,11 @@ use std::sync::Arc;
 use tssa_backend::RtValue;
 use tssa_ir::{DimClass, ShapeSignature};
 use tssa_pipelines::CompiledProgram;
+use tssa_store::fnv64;
 use tssa_tensor::DType;
 
 use crate::batch::BatchSpec;
-use crate::cache::{source_hash, ArgSig, PipelineKind};
+use crate::cache::{ArgSig, PipelineKind};
 
 /// One argument's shape skeleton within a [`PlanClassKey`]: `None` dims are
 /// polymorphic (any extent admitted), `Some(n)` dims are pinned.
@@ -177,7 +178,7 @@ impl PlanClassKey {
 /// [`PlanClassKey::coarse_hash`] for any class that could admit the request.
 pub fn coarse_class_hash(source: &str, pipeline: PipelineKind, args: &[ArgSig]) -> u64 {
     let erased: Vec<ArgKey> = args.iter().map(ArgKey::erased).collect();
-    hash_identity(source_hash(source), pipeline, &erased)
+    hash_identity(fnv64(source.as_bytes()), pipeline, &erased)
 }
 
 fn hash_identity(source_hash: u64, pipeline: PipelineKind, skeleton: &[ArgKey]) -> u64 {
@@ -202,7 +203,7 @@ fn hash_identity(source_hash: u64, pipeline: PipelineKind, skeleton: &[ArgKey]) 
     ] {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    tssa_store::fnv64(&bytes)
+    fnv64(&bytes)
 }
 
 /// A class key together with the [`ShapeSignature`] that certifies it.
@@ -222,7 +223,7 @@ impl ClassSignature {
     pub fn exact(source: &str, pipeline: PipelineKind, example: &[ArgSig]) -> ClassSignature {
         ClassSignature {
             key: PlanClassKey {
-                source_hash: source_hash(source),
+                source_hash: fnv64(source.as_bytes()),
                 pipeline,
                 skeleton: example.iter().map(ArgKey::pinned).collect(),
             },
@@ -284,12 +285,10 @@ impl ClassSignature {
             })
             .collect();
         let mut signature = signature.clone();
-        signature
-            .constraints
-            .retain(|c| ShapeSignature::constraint_admits(c, &example_shapes));
+        signature.constraints.retain(|c| c.admits(&example_shapes));
         let class = ClassSignature {
             key: PlanClassKey {
-                source_hash: source_hash(source),
+                source_hash: fnv64(source.as_bytes()),
                 pipeline,
                 skeleton,
             },
@@ -426,6 +425,7 @@ impl ClassEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tssa_ir::{Constraint, DimVar, SymExpr};
 
     fn tensor(shape: &[usize]) -> ArgSig {
         ArgSig::Tensor {
@@ -537,7 +537,10 @@ mod tests {
     #[test]
     fn constraints_gate_admission() {
         let mut sig = poly_sig(&[2, 2]);
-        sig.constraints = vec!["in0.d1 = in1.d0".into()];
+        sig.constraints = vec![Constraint::Eq(
+            SymExpr::var(DimVar { input: 0, dim: 1 }),
+            SymExpr::var(DimVar { input: 1, dim: 0 }),
+        )];
         let class = ClassSignature::derive(
             "src",
             PipelineKind::TensorSsa,

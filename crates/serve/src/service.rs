@@ -49,10 +49,10 @@ use parking_lot::{Condvar, Mutex};
 use tssa_backend::{DeviceProfile, ExecStats, RtValue};
 use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, ProfileSink, Profiler, Span, Tracer};
 use tssa_pipelines::{CompiledProgram, ProfileRecorder};
-use tssa_store::{ClassMeta, DecodedPlan, PlanStore};
+use tssa_store::{fnv64, ClassMeta, DecodedPlan, PlanStore};
 
 use crate::batch::BatchSpec;
-use crate::cache::{signature_of, source_hash, PipelineKind, PlanCache};
+use crate::cache::{signature_of, PipelineKind, PlanCache};
 use crate::class::{bucket_label, coarse_class_hash, ClassEntry, ClassSignature};
 use crate::fault::{FaultAction, FaultKind, Faults, INJECTED_COMPILE_PANIC, INJECTED_PANIC};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -215,7 +215,7 @@ fn model_label(name: Option<&str>, pipeline: PipelineKind, source: &str) -> Arc<
             format!(
                 "{}:{:08x}",
                 pipeline.name(),
-                source_hash(source) & 0xFFFF_FFFF
+                fnv64(source.as_bytes()) & 0xFFFF_FFFF
             )
             .as_str(),
         ),

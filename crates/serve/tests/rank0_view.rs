@@ -1,0 +1,29 @@
+//! A program that selects from a rank-0 value fails on every input. It
+//! still loads, because shape certification reports the failure instead of
+//! panicking, and its request resolves to a typed execution error.
+
+use tssa_backend::RtValue;
+use tssa_serve::{BatchSpec, PipelineKind, ServeConfig, ServeError, Service};
+use tssa_tensor::Tensor;
+
+#[test]
+fn select_from_a_rank_0_value_loads_and_fails_at_execution() {
+    let service = Service::new(ServeConfig::default().with_workers(1));
+    let inputs = vec![RtValue::Tensor(Tensor::rand_uniform(&[4], -1.0, 1.0, 3))];
+    let model = match service
+        .loader("def f(x: Tensor):\n    s = x.sum(0)\n    return s[0]\n")
+        .pipeline(PipelineKind::TensorSsa)
+        .example(&inputs)
+        .batch(BatchSpec::unbatched(1))
+        .load()
+    {
+        Ok(model) => model,
+        Err(e) => panic!("load failed: {e}"),
+    };
+    match service.submit(&model, inputs).unwrap().wait() {
+        Err(ServeError::Exec(_)) => {}
+        Err(e) => panic!("expected an execution error, got {e}"),
+        Ok(_) => panic!("a select from a rank-0 value must not succeed"),
+    }
+    service.shutdown();
+}

@@ -30,13 +30,15 @@
 //! (device profile + host overheads), conversion stats, fusion/parallel
 //! counts, the pass roster (names, for reports), the transformed graph
 //! as textual IR — the printer/parser round-trip is the graph codec — the
-//! optional [`ShapeSignature`] (format v2).
+//! optional [`ShapeSignature`] (format v2) with its constraints as typed
+//! records (format v6).
 
 use crate::bytes::{ByteReader, ByteWriter, Truncated};
+use crate::fnv64_parts;
 use std::fmt;
 use tssa_backend::{DeviceProfile, ExecConfig};
 use tssa_core::ConversionStats;
-use tssa_ir::{parse_graph, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};
+use tssa_ir::{parse_graph, Constraint, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};
 use tssa_pipelines::CompiledProgram;
 
 /// File magic: the first eight bytes of every plan file.
@@ -53,7 +55,11 @@ pub const MAGIC: [u8; 8] = *b"TSSAPLAN";
 /// v5: the payload loses the admitted-shape census (per-bucket hits live in
 /// `tssa_plan_class_hits_total` only, so serving a request never rewrites a
 /// plan file). A v4 file is a stale miss: evicted, then recompiled.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6: the signature's constraints are typed records (a kind byte, 0 for
+/// `=` and 1 for `>=`, then both sides as affine expressions) instead of
+/// rendered strings, so admission never parses text. A v5 file is a stale
+/// miss: evicted, then recompiled.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
@@ -331,7 +337,13 @@ fn put_signature(w: &mut ByteWriter, sig: Option<&ShapeSignature>) {
     }
     w.put_u32(sig.constraints.len() as u32);
     for c in &sig.constraints {
-        w.put_str(c);
+        let (kind, a, b) = match c {
+            Constraint::Eq(a, b) => (0, a, b),
+            Constraint::Ge(a, b) => (1, a, b),
+        };
+        w.put_u8(kind);
+        put_expr(w, a);
+        put_expr(w, b);
     }
 }
 
@@ -388,7 +400,13 @@ fn get_signature(p: &mut ByteReader<'_>) -> Result<Option<ShapeSignature>, Store
     let n_constraints = p.get_u32("constraint count")? as usize;
     let mut constraints = Vec::with_capacity(n_constraints.min(64));
     for _ in 0..n_constraints {
-        constraints.push(p.get_str("constraint")?.to_owned());
+        let kind = p.get_u8("constraint kind")?;
+        let (a, b) = (get_expr(p)?, get_expr(p)?);
+        constraints.push(match kind {
+            0 => Constraint::Eq(a, b),
+            1 => Constraint::Ge(a, b),
+            t => return Err(StoreError::Parse(format!("unknown constraint kind {t}"))),
+        });
     }
     Ok(Some(ShapeSignature {
         inputs,
@@ -418,16 +436,6 @@ pub struct DecodedPlan {
     pub roster: Vec<String>,
     /// Shape-class metadata (all-default when not class-eligible).
     pub class: ClassMeta,
-}
-
-/// FNV-1a over the checksummed header prefix followed by the payload.
-fn file_checksum(prefix: &[u8], payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in prefix.iter().chain(payload) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Serialize `plan` into a self-contained plan file image with no
@@ -495,7 +503,7 @@ pub(crate) fn encode_plan_with(
     w.put_u64(payload.len() as u64);
     let mut bytes = w.into_bytes();
     debug_assert_eq!(bytes.len(), CHECKSUMMED_PREFIX);
-    let checksum = file_checksum(&bytes, &payload);
+    let checksum = fnv64_parts([&bytes[..], &payload]);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes
@@ -566,7 +574,7 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
         "payload", // declared length runs past EOF => truncated
     )?;
     if bytes.len() < CHECKSUMMED_PREFIX
-        || file_checksum(&bytes[..CHECKSUMMED_PREFIX], payload) != checksum
+        || fnv64_parts([&bytes[..CHECKSUMMED_PREFIX], payload]) != checksum
     {
         return Err(StoreError::ChecksumMismatch);
     }

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use tssa_pipelines::{Pipeline, TensorSsa};
-//! use tssa_store::{roster_fingerprint, PlanStore};
+//! use tssa_store::{roster_fingerprint, ClassMeta, PlanStore};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +41,7 @@
 //!
 //! let dir = std::env::temp_dir().join("tssa-store-doc");
 //! let store = PlanStore::open(&dir)?;
-//! store.save_async(0xF00D, fp, Arc::clone(&plan));
+//! store.save_async_with(0xF00D, fp, Arc::clone(&plan), ClassMeta::default());
 //! store.flush();
 //! let warm = store.load(0xF00D, fp).expect("intact entry");
 //! assert_eq!(warm.pipeline, "TensorSSA");
@@ -62,9 +62,14 @@ pub use store::{PlanStore, StoreStats};
 
 /// FNV-1a over a byte slice — the repo's standard content hash.
 pub fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_parts([bytes])
+}
+
+/// FNV-1a over the concatenation of `parts`, without building it.
+fn fnv64_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
+    for &b in parts.into_iter().flatten() {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
@@ -73,16 +78,11 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// Fingerprint of a pass roster: FNV-1a over the pass names in order, with
 /// a separator byte so `["a", "bc"]` and `["ab", "c"]` differ.
 pub fn roster_fingerprint<'a>(names: impl IntoIterator<Item = &'a str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for name in names {
-        for &b in name.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64_parts(
+        names
+            .into_iter()
+            .flat_map(|name| [name.as_bytes(), &[0xFF]]),
+    )
 }
 
 #[cfg(test)]
@@ -106,5 +106,7 @@ mod tests {
     fn fnv_matches_reference_vector() {
         // FNV-1a("a") from the published reference implementation.
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64_parts([&b"ab"[..], b"", b"c"]), fnv64(b"abc"));
+        assert_eq!(roster_fingerprint(["a"]), fnv64(b"a\xFF"));
     }
 }

@@ -302,17 +302,6 @@ impl PlanStore {
         None
     }
 
-    /// Queue `plan` for write-back with no shape-class metadata. Thin
-    /// wrapper over [`PlanStore::save_async_with`].
-    pub fn save_async(
-        &self,
-        content_hash: u64,
-        roster_fingerprint: u64,
-        plan: Arc<CompiledProgram>,
-    ) {
-        self.save_async_with(content_hash, roster_fingerprint, plan, ClassMeta::default());
-    }
-
     /// Queue `plan` for write-back. Returns immediately; encoding and the
     /// write happen on the store's writer thread.
     pub fn save_async_with(

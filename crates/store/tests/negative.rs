@@ -171,3 +171,24 @@ fn store_evicts_and_counts_each_flavor_then_recovers() {
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A plan file of format v5 carries its constraints as strings; this
+/// reader reads it as stale, evicts it and reports a miss.
+#[test]
+fn a_v5_plan_file_is_a_stale_miss() {
+    let dir = std::env::temp_dir().join(format!("tssa-store-v5-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = PlanStore::open(&dir).unwrap();
+    let (plan, fp) = compiled();
+    store.save_blocking(KEY, fp, &Arc::new(plan)).unwrap();
+    let path = store.path_for(KEY);
+    let mut v5 = std::fs::read(&path).unwrap();
+    v5[8..12].copy_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&path, &v5).unwrap();
+    assert!(store.load(KEY, fp).is_none());
+    assert_eq!(store.stats().stale_evicted, 1);
+    assert_eq!(store.stats().corrupt_evicted, 0);
+    assert!(!path.exists(), "a stale entry is evicted");
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,10 +6,11 @@
 use proptest::proptest;
 use std::sync::Arc;
 use tssa_backend::{DeviceProfile, RtValue};
+use tssa_ir::{Constraint, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};
 use tssa_pipelines::{CompiledProgram, Pipeline, TensorSsa};
 use tssa_store::{
-    format::{decode_plan, encode_plan},
-    roster_fingerprint, Expected, PlanStore,
+    format::{decode_plan, decode_plan_full, encode_plan},
+    roster_fingerprint, ClassMeta, Expected, PlanStore,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -46,7 +47,7 @@ fn all_eight_workloads_round_trip_through_the_store() {
         let g = w.graph().unwrap();
         let cold = Arc::new(pipeline.compile(&g));
         let key = 0x1000 + i as u64;
-        store.save_async(key, fp, Arc::clone(&cold));
+        store.save_async_with(key, fp, Arc::clone(&cold), ClassMeta::default());
         store.flush();
         let warm = store
             .load(key, fp)
@@ -120,6 +121,32 @@ fn shape_signature_round_trips_and_surfaces_in_the_header() {
     )
     .unwrap();
     assert_eq!(warm.signature, Some(sig));
+}
+
+#[test]
+fn typed_constraints_round_trip_through_the_plan_file() {
+    let g = tssa_frontend::compile(
+        "def f(x: Tensor, y: Tensor):
+             return x + y
+    ",
+    )
+    .unwrap();
+    let mut plan = TensorSsa::default().compile(&g);
+    let var = |input, dim| SymExpr::var(DimVar { input, dim });
+    let constraints = vec![
+        Constraint::Eq(var(0, 1), var(1, 1)),
+        Constraint::Ge(var(0, 0).mul_const(2).unwrap(), SymExpr::constant(-3)),
+    ];
+    plan.signature = Some(ShapeSignature {
+        inputs: vec![Some(vec![DimClass::Polymorphic; 2]); 2],
+        outputs: vec![Some(vec![SymDim::var(0, 0), SymDim::var(0, 1)])],
+        constraints: constraints.clone(),
+    });
+    let bytes = encode_plan(&plan, 11, 12);
+    let decoded = decode_plan_full(&bytes, Expected::default()).unwrap();
+    let sig = decoded.plan.signature.expect("signature decoded");
+    assert_eq!(sig.constraints, constraints);
+    assert_eq!(sig, plan.signature.unwrap());
 }
 
 #[test]

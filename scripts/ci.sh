@@ -96,6 +96,16 @@ step "one worker lifecycle (recovery in place, no supervisor or persisted census
 ONE_LIFECYCLE='WorkerEvent|CrashGuard|supervisor_loop|SupervisorCtx|in_flight|touch_bucket|seed_census'
 [ -z "$(guard "$ONE_LIFECYCLE")" ] || { echo "a second worker lifecycle:"; guard "$ONE_LIFECYCLE"; exit 1; }
 
+step "one shape authority (no constraint parser, second union-find or lint-side shape rule)"
+# The symbolic shape analysis in tssa-ir is the one static definition of
+# each view and broadcast rule, and the lint's shape rules report what it
+# records. Its constraints stay typed from the certifier to the plan file,
+# and DimUnionFind is the one solver of their equalities. Neither a parser
+# that reads constraints back from text, a second union-find nor a copy of
+# a shape rule in the lint comes back.
+ONE_SHAPE='fn parse_constraint|SymExpr::parse|DimVar::parse|struct DimClasses|fn symbolic_numel|fn provable_broadcast_mismatch|constraints: Vec<String>'
+[ -z "$(guard "$ONE_SHAPE")" ] || { echo "a second shape authority:"; guard "$ONE_SHAPE"; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.

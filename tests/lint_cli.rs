@@ -63,3 +63,22 @@ fn fuzz_runs_the_last_seed() {
     assert!(out.status.success(), "{stdout}{}", text(&out.stderr));
     assert!(stdout.contains("fuzz: 1 seed(s)"), "{stdout}");
 }
+
+#[test]
+fn lint_denies_a_select_from_a_rank_0_value_without_panicking() {
+    let path = std::env::temp_dir().join(format!("tssa-lint-rank0-{}.tssa", std::process::id()));
+    std::fs::write(
+        &path,
+        "def f(n: int):\n    z = zeros([4])\n    s = z.sum(0)\n    y = s[0]\n    return y\n",
+    )
+    .expect("write the program");
+    let out = tssa_lint(&["lint", path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).ok();
+    let stdout = text(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{}", text(&out.stderr));
+    assert!(
+        stdout.contains("shape-incompatible-view-chain")
+            && stdout.contains("out of range for rank 0"),
+        "{stdout}"
+    );
+}
