@@ -12,7 +12,7 @@
 //! * `ablation` — TensorSSA with individual optimizations disabled.
 
 use tssa_backend::{DeviceProfile, ExecStats};
-use tssa_pipelines::all_pipelines;
+use tssa_pipelines::PipelineKind;
 use tssa_workloads::Workload;
 
 /// One measurement of one (workload, pipeline, device, size) combination.
@@ -48,8 +48,8 @@ pub fn measure_all_pipelines(
 ) -> Vec<Record> {
     let g = workload.graph().expect("workload compiles");
     let inputs = workload.inputs(batch, seq, seed);
-    all_pipelines()
-        .iter()
+    PipelineKind::all()
+        .into_iter()
         .map(|p| {
             let cp = p.compile(&g);
             let (_, stats) = cp

@@ -878,32 +878,49 @@ impl Infer<'_> {
                         node.inputs.iter().map(|&v| self.info.get(v)).collect();
                     if let Some(shapes) = shapes {
                         if let Some(first) = shapes.first() {
-                            if let Some(d) = norm_dim(*dim, first.len()) {
-                                let mut out = first.clone();
-                                // The concat dim is the affine sum; any ⊥
-                                // operand widens it.
-                                let mut acc = Some(SymExpr::constant(0));
-                                let mut taint = BTreeSet::new();
-                                for s in &shapes {
-                                    taint.extend(s[d].vars());
-                                    acc = match (&acc, s[d].expr()) {
-                                        (Some(a), Some(e)) => a.add(e),
-                                        _ => None,
-                                    };
+                            // The tensor library checks the dim against
+                            // the first operand, then every operand's rank.
+                            let rank = first.len();
+                            let other_rank = shapes.iter().position(|s| s.len() != rank);
+                            match (norm_dim(*dim, rank), other_rank) {
+                                (None, _) => {
+                                    let why = format!("dim {dim} out of range for rank {rank}");
+                                    self.refute(n, why);
                                 }
-                                out[d] = match acc {
-                                    Some(e) => SymDim::Known(e),
-                                    None => SymDim::Unknown(taint),
-                                };
-                                // Off-dims must agree across operands.
-                                for s in &shapes[1..] {
-                                    for i in 0..out.len() {
-                                        if i != d {
-                                            out[i] = self.unify(&out[i], &s[i]);
+                                (Some(_), Some(i)) => {
+                                    let why = format!(
+                                        "cat operand {i} has rank {}, operand 0 has rank {rank}",
+                                        shapes[i].len()
+                                    );
+                                    self.refute(n, why);
+                                }
+                                (Some(d), None) => {
+                                    let mut out = first.clone();
+                                    // The concat dim is the affine sum; any ⊥
+                                    // operand widens it.
+                                    let mut acc = Some(SymExpr::constant(0));
+                                    let mut taint = BTreeSet::new();
+                                    for s in &shapes {
+                                        taint.extend(s[d].vars());
+                                        acc = match (&acc, s[d].expr()) {
+                                            (Some(a), Some(e)) => a.add(e),
+                                            _ => None,
+                                        };
+                                    }
+                                    out[d] = match acc {
+                                        Some(e) => SymDim::Known(e),
+                                        None => SymDim::Unknown(taint),
+                                    };
+                                    // Off-dims must agree across operands.
+                                    for s in &shapes[1..] {
+                                        for i in 0..out.len() {
+                                            if i != d {
+                                                out[i] = self.unify(&out[i], &s[i]);
+                                            }
                                         }
                                     }
+                                    self.info.set(node.outputs[0], out);
                                 }
-                                self.info.set(node.outputs[0], out);
                             }
                         }
                     }

@@ -42,7 +42,7 @@ const RULES: [Rule; 4] = [
     Rule {
         name: "shape-incompatible-view-chain",
         severity: Severity::Deny,
-        describe: "view whose attributes are structurally invalid for the operand shape",
+        describe: "view or cat whose attributes are structurally invalid for the operand shapes",
         check: shape_incompatible_view_chain,
     },
     Rule {
@@ -151,11 +151,13 @@ fn non_functionalizable(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
 
 /// Structural validity of view chains: dimension attributes must exist in
 /// the operand's rank, permutations must be complete, squeezed and expanded
-/// dims must be able to be 1, reshapes must preserve element count.
+/// dims must be able to be 1, reshapes must preserve element count. A `cat`
+/// is held to the same standard: its dim must exist, and its operands must
+/// share one rank.
 /// Violations crash or silently corrupt at run time, so the rule denies.
 /// The shape analysis proves them; the rule reports its record.
 fn shape_incompatible_view_chain(rule: &Rule, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-    violations(rule, cx, |op| matches!(op, Op::View(_)))
+    violations(rule, cx, |op| matches!(op, Op::View(_) | Op::Concat { .. }))
 }
 
 /// Two dims feeding one broadcast can *provably never* be compatible: under
@@ -501,6 +503,30 @@ mod tests {
             assert!(
                 denies[0].message.contains("out of range for rank 0"),
                 "{kind:?}: {}",
+                denies[0]
+            );
+        }
+    }
+
+    #[test]
+    fn a_cat_of_operands_with_different_ranks_is_denied_not_a_panic() {
+        for dim in [0, 1] {
+            let mut g = Graph::new();
+            let x = g.add_input("x", Type::Tensor);
+            let w = g.add_input("w", Type::Tensor);
+            let c = g.append(g.top(), Op::Concat { dim }, &[x, w], &[Type::Tensor]);
+            let cv = g.out(c);
+            g.set_returns(g.top(), &[cv]);
+            let diags = lint_with_shapes(&g, &[Some(vec![4, 2]), Some(vec![3])]);
+            let denies: Vec<&Diagnostic> = diags
+                .iter()
+                .filter(|d| d.rule == "shape-incompatible-view-chain")
+                .collect();
+            assert_eq!(denies.len(), 1, "dim {dim}: {diags:?}");
+            assert_eq!(denies[0].severity, Severity::Deny);
+            assert!(
+                denies[0].message.contains("operand 1 has rank 1"),
+                "dim {dim}: {}",
                 denies[0]
             );
         }

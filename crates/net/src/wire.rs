@@ -45,6 +45,7 @@ use std::fmt::{Display, Write as _};
 use std::str::FromStr;
 
 use tssa_backend::RtValue;
+use tssa_obs::json::escape;
 use tssa_serve::ServeError;
 use tssa_store::bytes::{ByteReader, ByteWriter};
 use tssa_tensor::{DType, Tensor};
@@ -485,7 +486,7 @@ fn size_hint(values: &[RtValue], binary: bool) -> usize {
 ///
 /// When an input tensor cannot be materialized.
 pub fn encode_infer_request(model: &str, inputs: &[RtValue]) -> Result<String, String> {
-    let mut out = format!("{{\"model\":\"{}\",\"inputs\":[", json_escape(model));
+    let mut out = format!("{{\"model\":\"{}\",\"inputs\":[", escape(model));
     out.reserve(size_hint(inputs, false));
     push_separated(&mut out, inputs, encode_value)?;
     out.push_str("]}");
@@ -508,26 +509,12 @@ pub fn encode_response(response: &tssa_serve::Response) -> Result<String, String
     Ok(out)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Encode an error body with a stable `kind` discriminator.
 pub(crate) fn encode_error(kind: &str, message: &str) -> String {
     format!(
         "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"}}",
-        json_escape(kind),
-        json_escape(message)
+        escape(kind),
+        escape(message)
     )
 }
 

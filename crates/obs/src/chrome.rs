@@ -9,24 +9,8 @@
 
 use std::collections::HashMap;
 
+use crate::json::escape;
 use crate::span::SpanRecord;
-
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Root ancestor of each span, for track assignment. Spans whose parent is
 /// missing from `records` (ring overflow) are treated as roots.

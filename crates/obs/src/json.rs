@@ -1,5 +1,7 @@
 //! A minimal JSON reader used to *validate* the exporters' output in tests
-//! and CI without an external dependency (the workspace builds offline).
+//! and CI without an external dependency (the workspace builds offline),
+//! and [`escape`], the one string escaper every JSON writer in the
+//! workspace uses.
 //!
 //! Supports the full JSON grammar except `\uXXXX` surrogate pairs, which are
 //! decoded as replacement characters. Not a performance-oriented parser —
@@ -82,6 +84,24 @@ impl std::error::Error for JsonError {}
 
 /// Deepest nesting of arrays and objects [`parse`] accepts.
 const MAX_DEPTH: usize = 128;
+
+/// Escape `s` for inclusion in a JSON string literal: quote, backslash and
+/// every control character, the common ones by their short escape.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -301,6 +321,16 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escaped_control_characters_parse_back() {
+        let raw: String = (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', '/', 'é', '\u{7f}'])
+            .collect();
+        let text = format!("\"{}\"", escape(&raw));
+        assert_eq!(parse(&text), Ok(JsonValue::Str(raw)), "{text}");
+    }
 
     #[test]
     fn parses_nested_document() {

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::escape;
 use crate::registry::MetricsRegistry;
 use crate::sample::Sampler;
 
@@ -327,19 +328,6 @@ fn frame(s: &str) -> String {
     s.replace([';', ' ', '\t', '\n'], "_")
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Integer microseconds, rounded up so any nonzero time stays visible.
 fn ceil_us(ns: u64) -> u64 {
     ns.div_ceil(1_000)
@@ -396,10 +384,10 @@ impl ProfileSnapshot {
             out.push_str(&format!(
                 "{{\"plan\":\"{}\",\"group\":\"{}\",\"node\":{},\"op\":\"{}\",\
                  \"count\":{},\"self_us\":{},\"bytes\":{},\"flops\":{}}}",
-                escape_json(&key.plan),
+                escape(&key.plan),
                 group_frame(key.group),
                 key.node,
-                escape_json(&stat.op),
+                escape(&stat.op),
                 stat.count,
                 ceil_us(stat.self_ns),
                 stat.bytes,
@@ -432,8 +420,8 @@ impl ProfileSnapshot {
                 "{{\"name\":\"{}\",\"cat\":\"profile\",\"ph\":\"X\",\"ts\":{cursor},\
                  \"dur\":{dur},\"pid\":1,\"tid\":1,\"args\":{{\"plan\":\"{}\",\
                  \"group\":\"{}\",\"count\":{},\"flops\":{}}}}}",
-                escape_json(&op),
-                escape_json(&plan),
+                escape(&op),
+                escape(&plan),
                 group_frame(group),
                 stat.count,
                 stat.flops,

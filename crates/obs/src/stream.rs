@@ -9,7 +9,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::chrome::escape;
+use crate::json::escape;
 use crate::sink::TraceSink;
 use crate::span::SpanRecord;
 

@@ -1,8 +1,13 @@
-//! The four compilation pipelines compared in the paper's evaluation (§5.1).
+//! The five compilation pipelines compared in the paper's evaluation (§5.1).
 //!
 //! Each pipeline takes the imperative graph captured by the frontend and
 //! produces a [`CompiledProgram`]: a transformed graph plus the framework
-//! overhead profile the backend charges while executing it.
+//! overhead profile the backend charges while executing it. That profile is
+//! a constant of the pipeline ([`Pipeline::exec_config`]).
+//!
+//! [`PipelineKind`] is the one list of the five: a `Copy` name for each
+//! that the serving layer keys plans by and the plan store writes to disk,
+//! mapped to its pipeline by one `match`.
 //!
 //! | Pipeline | Model of | Behaviour |
 //! |---|---|---|
@@ -220,23 +225,6 @@ impl<'p> ExecSession<'p> {
     ///
     /// Propagates any [`ExecError`] from the backend.
     pub fn run(&mut self, inputs: &[RtValue]) -> Result<(Vec<RtValue>, ExecStats), ExecError> {
-        let mut scratch = ExecStats::default();
-        self.run_collect(inputs, &mut scratch)
-    }
-
-    /// As [`ExecSession::run`], additionally folding the run's statistics
-    /// into `aggregate` — the hook long-lived callers (benchmark loops, the
-    /// serving worker pool) use to account many runs without re-merging at
-    /// every call site.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`ExecError`] from the backend.
-    pub fn run_collect(
-        &mut self,
-        inputs: &[RtValue],
-        aggregate: &mut ExecStats,
-    ) -> Result<(Vec<RtValue>, ExecStats), ExecError> {
         let batch = self.batches;
         self.batches += 1;
         let mut batch_span = if self.scope.enabled() {
@@ -253,9 +241,6 @@ impl<'p> ExecSession<'p> {
         }
         let program = self.program;
         let result = exec.run_plan(&program.graph, &program.plan, inputs);
-        if let Ok((_, stats)) = &result {
-            aggregate.merge(stats);
-        }
         if let Some(span) = batch_span.as_mut() {
             match &result {
                 Ok((_, stats)) => span.counters(stats.counters()),
@@ -302,30 +287,34 @@ impl OpObserver for ProfileRecorder {
 
 /// A compilation pipeline.
 ///
-/// A pipeline is fully described by its [`Pipeline::plan`]: the
-/// [`PassManager`] it would schedule plus the [`ExecConfig`] it stamps on
-/// the result. Compilation is derived from the plan, which means callers
-/// (the plan store, the serving cache's key) can inspect a pipeline's pass
-/// roster — [`Pipeline::roster`] — without compiling anything.
+/// A pipeline is fully described by its [`Pipeline::passes`], the
+/// [`PassManager`] it schedules, and its [`Pipeline::exec_config`], the
+/// execution profile it stamps on the result. Compilation is derived from
+/// the two, which means callers (the plan store, the serving cache's key)
+/// can inspect a pipeline's pass roster — [`Pipeline::roster`] — without
+/// compiling anything.
 pub trait Pipeline {
     /// Display name, e.g. `"TensorSSA"`.
     fn name(&self) -> &'static str;
 
-    /// The transformation schedule and execution profile this pipeline
-    /// applies, built fresh (a [`PassManager`] is consumed by a compile).
-    fn plan(&self) -> (PassManager, ExecConfig);
+    /// The transformation schedule this pipeline applies, built fresh (a
+    /// [`PassManager`] is consumed by a compile).
+    fn passes(&self) -> PassManager;
+
+    /// The execution profile this pipeline stamps on every program it
+    /// compiles: a constant of the pipeline.
+    fn exec_config(&self) -> ExecConfig;
 
     /// The pass names this pipeline would run, in order — the identity the
     /// on-disk plan cache fingerprints for invalidation.
     fn roster(&self) -> Vec<&'static str> {
-        self.plan().0.names()
+        self.passes().names()
     }
 
     /// Compile `graph` (the captured imperative program), emitting a
     /// `compile:<name>` span under `scope` with one child span per pass.
     fn compile_traced(&self, graph: &Graph, scope: &TraceScope) -> CompiledProgram {
-        let (passes, exec_config) = self.plan();
-        compile_with(self.name(), graph, scope, passes, exec_config)
+        compile_with(self.name(), graph, scope, self.passes(), self.exec_config())
     }
 
     /// Compile `graph` without tracing.
@@ -411,9 +400,23 @@ impl Pipeline for Eager {
         "Eager"
     }
 
-    fn plan(&self) -> (PassManager, ExecConfig) {
-        (PassManager::new(), ExecConfig::eager())
+    fn passes(&self) -> PassManager {
+        PassManager::new()
     }
+
+    fn exec_config(&self) -> ExecConfig {
+        ExecConfig::eager()
+    }
+}
+
+/// TorchScript's schedule: clean-ups, then vertical fusion under `cfg`.
+fn torchscript_passes(cfg: FusionConfig) -> PassManager {
+    PassManager::new()
+        .with(ConstantFold)
+        .with(Cse)
+        .with(Licm)
+        .with(Dce)
+        .with(VerticalFusion::new(cfg))
 }
 
 /// TorchScript with the NNC fuser: mutation and views are fusion barriers;
@@ -426,18 +429,15 @@ impl Pipeline for TorchScriptNnc {
         "TorchScript+NNC"
     }
 
-    fn plan(&self) -> (PassManager, ExecConfig) {
-        let cfg = FusionConfig {
+    fn passes(&self) -> PassManager {
+        torchscript_passes(FusionConfig {
             fuse_access_assign: false,
             ..FusionConfig::default()
-        };
-        let pm = PassManager::new()
-            .with(ConstantFold)
-            .with(Cse)
-            .with(Licm)
-            .with(Dce)
-            .with(VerticalFusion::new(cfg));
-        (pm, ExecConfig::compiled())
+        })
+    }
+
+    fn exec_config(&self) -> ExecConfig {
+        ExecConfig::compiled()
     }
 }
 
@@ -451,18 +451,15 @@ impl Pipeline for TorchScriptNvfuser {
         "TorchScript+nvFuser"
     }
 
-    fn plan(&self) -> (PassManager, ExecConfig) {
-        let cfg = FusionConfig {
+    fn passes(&self) -> PassManager {
+        torchscript_passes(FusionConfig {
             min_group_size: 3,
             fuse_access_assign: false,
-        };
-        let pm = PassManager::new()
-            .with(ConstantFold)
-            .with(Cse)
-            .with(Licm)
-            .with(Dce)
-            .with(VerticalFusion::new(cfg));
-        (pm, ExecConfig::compiled())
+        })
+    }
+
+    fn exec_config(&self) -> ExecConfig {
+        ExecConfig::compiled()
     }
 }
 
@@ -477,10 +474,10 @@ impl Pipeline for DynamoInductor {
         "Dynamo+Inductor"
     }
 
-    fn plan(&self) -> (PassManager, ExecConfig) {
+    fn passes(&self) -> PassManager {
         // Non-holistic functionalization: components whose mutations cross a
         // control-flow boundary are left imperative (graph breaks).
-        let pm = PassManager::new()
+        PassManager::new()
             .with(Convert::new(false))
             .with(PurifyViews)
             .with(ConstantFold)
@@ -488,8 +485,11 @@ impl Pipeline for DynamoInductor {
             .with(Licm)
             .with(Dce)
             .with(VerticalFusion::new(FusionConfig::default()))
-            .with(RevertUnfusedAccesses);
-        (pm, ExecConfig::traced_python_control())
+            .with(RevertUnfusedAccesses)
+    }
+
+    fn exec_config(&self) -> ExecConfig {
+        ExecConfig::traced_python_control()
     }
 }
 
@@ -505,13 +505,16 @@ pub struct TensorSsa {
     pub fuse_access_assign: bool,
 }
 
+/// The paper's configuration: every optimization on.
+const PAPER: TensorSsa = TensorSsa {
+    block_propagation: true,
+    horizontal: true,
+    fuse_access_assign: true,
+};
+
 impl Default for TensorSsa {
     fn default() -> Self {
-        TensorSsa {
-            block_propagation: true,
-            horizontal: true,
-            fuse_access_assign: true,
-        }
+        PAPER
     }
 }
 
@@ -520,7 +523,7 @@ impl Pipeline for TensorSsa {
         "TensorSSA"
     }
 
-    fn plan(&self) -> (PassManager, ExecConfig) {
+    fn passes(&self) -> PassManager {
         let mut pm = PassManager::new();
         pm.add(Convert::new(self.block_propagation));
         pm.add(PurifyViews);
@@ -539,19 +542,80 @@ impl Pipeline for TensorSsa {
         }));
         pm.add(RevertUnfusedAccesses);
         pm.add(Dce);
-        (pm, ExecConfig::compiled())
+        pm
+    }
+
+    fn exec_config(&self) -> ExecConfig {
+        ExecConfig::compiled()
     }
 }
 
-/// The pipelines of Figure 5, in the paper's order.
-pub fn all_pipelines() -> Vec<Box<dyn Pipeline>> {
-    vec![
-        Box::new(Eager),
-        Box::new(TorchScriptNnc),
-        Box::new(TorchScriptNvfuser),
-        Box::new(DynamoInductor),
-        Box::new(TensorSsa::default()),
-    ]
+/// The five pipelines of the paper's figures as a `Copy + Eq + Hash`
+/// value: the one list of them. It names a plan's compiler in the serving
+/// layer's class keys and in plan files, and everything that follows from
+/// the name (passes, roster, execution profile) is read off the pipeline
+/// it maps to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PipelineKind {
+    /// PyTorch eager baseline.
+    Eager,
+    /// TorchScript with the NNC fuser.
+    TorchScriptNnc,
+    /// TorchScript with nvFuser.
+    TorchScriptNvfuser,
+    /// TorchDynamo + TorchInductor.
+    DynamoInductor,
+    /// The paper's holistic TensorSSA pipeline.
+    TensorSsa,
+}
+
+impl PipelineKind {
+    /// The five pipelines, in the paper's (Figure 5) order.
+    pub fn all() -> [PipelineKind; 5] {
+        [
+            PipelineKind::Eager,
+            PipelineKind::TorchScriptNnc,
+            PipelineKind::TorchScriptNvfuser,
+            PipelineKind::DynamoInductor,
+            PipelineKind::TensorSsa,
+        ]
+    }
+
+    /// The pipeline this kind names.
+    pub fn pipeline(self) -> &'static dyn Pipeline {
+        match self {
+            PipelineKind::Eager => &Eager,
+            PipelineKind::TorchScriptNnc => &TorchScriptNnc,
+            PipelineKind::TorchScriptNvfuser => &TorchScriptNvfuser,
+            PipelineKind::DynamoInductor => &DynamoInductor,
+            PipelineKind::TensorSsa => &PAPER,
+        }
+    }
+
+    /// The kind whose [`Pipeline::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<PipelineKind> {
+        PipelineKind::all().into_iter().find(|k| k.name() == name)
+    }
+
+    /// [`Pipeline::name`] of this kind's pipeline.
+    pub fn name(self) -> &'static str {
+        self.pipeline().name()
+    }
+
+    /// [`Pipeline::compile`] with this kind's pipeline.
+    pub fn compile(self, graph: &Graph) -> CompiledProgram {
+        self.pipeline().compile(graph)
+    }
+
+    /// [`Pipeline::compile_traced`] with this kind's pipeline.
+    pub fn compile_traced(self, graph: &Graph, scope: &TraceScope) -> CompiledProgram {
+        self.pipeline().compile_traced(graph, scope)
+    }
+
+    /// [`Pipeline::roster`] of this kind's pipeline.
+    pub fn roster(self) -> Vec<&'static str> {
+        self.pipeline().roster()
+    }
 }
 
 #[cfg(test)]
@@ -573,8 +637,8 @@ mod tests {
     }
 
     fn run_all(g: &Graph, inputs: &[RtValue]) -> Vec<(String, Vec<RtValue>, ExecStats)> {
-        all_pipelines()
-            .iter()
+        PipelineKind::all()
+            .into_iter()
             .map(|p| {
                 let cp = p.compile(g);
                 assert!(
@@ -729,11 +793,25 @@ mod tests {
     #[test]
     fn roster_matches_compiled_pass_record() {
         let g = figure4();
-        for p in all_pipelines() {
+        for p in PipelineKind::all() {
             let roster = p.roster();
             let names: Vec<&str> = p.compile(&g).passes.iter().map(|r| r.name).collect();
             assert_eq!(roster, names, "{} roster drifted from compile", p.name());
         }
+    }
+
+    #[test]
+    fn pipeline_kinds_resolve_by_name_to_what_their_compile_stamps() {
+        let g = figure4();
+        for kind in PipelineKind::all() {
+            assert_eq!(PipelineKind::from_name(kind.name()), Some(kind));
+            let cp = kind.compile(&g);
+            assert_eq!(PipelineKind::from_name(cp.pipeline), Some(kind));
+            assert_eq!(cp.exec_config, kind.pipeline().exec_config());
+        }
+        assert_eq!(PipelineKind::TensorSsa.name(), "TensorSSA");
+        assert_eq!(PipelineKind::from_name("tensorssa"), None);
+        assert_eq!(PipelineKind::from_name(""), None);
     }
 
     #[test]
@@ -747,8 +825,10 @@ mod tests {
             RtValue::Int(8),
         ];
         let mut aggregate = ExecStats::default();
-        let (_, s1) = session.run_collect(&inputs, &mut aggregate).unwrap();
-        let (_, s2) = session.run_collect(&inputs, &mut aggregate).unwrap();
+        let (_, s1) = session.run(&inputs).unwrap();
+        aggregate.merge(&s1);
+        let (_, s2) = session.run(&inputs).unwrap();
+        aggregate.merge(&s2);
         assert_eq!(session.batches(), 2);
         assert_eq!(
             aggregate.kernel_launches,

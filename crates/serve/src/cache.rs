@@ -3,7 +3,9 @@
 //!
 //! Every compiled plan is a [`ClassEntry`] indexed by its coarse class hash
 //! ([`coarse_class_hash`](crate::coarse_class_hash): source, pipeline, rank
-//! and dtype per argument, every dim erased). A lookup returns the first
+//! and dtype per argument, every dim erased). The pipeline is a
+//! [`PipelineKind`](tssa_pipelines::PipelineKind), which `tssa-pipelines`
+//! owns together with everything its name determines. A lookup returns the first
 //! resident entry of its coarse hash whose class admits the concrete
 //! signature. Compilation is the expensive step of serving a model (the
 //! whole pipeline of conversion, optimization passes and fusion runs
@@ -28,108 +30,11 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use tssa_backend::RtValue;
-use tssa_ir::Graph;
-use tssa_obs::TraceScope;
-use tssa_pipelines::{
-    CompiledProgram, DynamoInductor, Eager, Pipeline, TensorSsa, TorchScriptNnc, TorchScriptNvfuser,
-};
 use tssa_tensor::DType;
 
 use crate::class::ClassEntry;
 use crate::fault::{FaultKind, Faults};
 use crate::ServeError;
-
-/// Which compilation pipeline a plan was (or will be) built with.
-///
-/// A `Copy + Eq + Hash` mirror of the pipeline structs in `tssa-pipelines`,
-/// so it can live inside a [`PlanClassKey`](crate::PlanClassKey) and cross
-/// thread boundaries freely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelineKind {
-    /// PyTorch eager baseline.
-    Eager,
-    /// TorchScript with the NNC fuser.
-    TorchScriptNnc,
-    /// TorchScript with nvFuser.
-    TorchScriptNvfuser,
-    /// TorchDynamo + TorchInductor.
-    DynamoInductor,
-    /// The paper's holistic TensorSSA pipeline.
-    TensorSsa,
-}
-
-impl PipelineKind {
-    /// Display name matching [`Pipeline::name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineKind::Eager => Eager.name(),
-            PipelineKind::TorchScriptNnc => TorchScriptNnc.name(),
-            PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.name(),
-            PipelineKind::DynamoInductor => DynamoInductor.name(),
-            PipelineKind::TensorSsa => TensorSsa::default().name(),
-        }
-    }
-
-    /// Compile `graph` with this pipeline.
-    pub fn compile(self, graph: &Graph) -> CompiledProgram {
-        self.compile_traced(graph, &TraceScope::disabled())
-    }
-
-    /// Compile `graph` with this pipeline, emitting the pipeline's
-    /// `compile:<name>` span (with per-pass children) under `scope`.
-    pub fn compile_traced(self, graph: &Graph, scope: &TraceScope) -> CompiledProgram {
-        match self {
-            PipelineKind::Eager => Eager.compile_traced(graph, scope),
-            PipelineKind::TorchScriptNnc => TorchScriptNnc.compile_traced(graph, scope),
-            PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.compile_traced(graph, scope),
-            PipelineKind::DynamoInductor => DynamoInductor.compile_traced(graph, scope),
-            PipelineKind::TensorSsa => TensorSsa::default().compile_traced(graph, scope),
-        }
-    }
-
-    /// The pass roster this pipeline would run, in order, without
-    /// compiling anything — the identity the persistent plan store
-    /// fingerprints for invalidation.
-    pub fn roster(self) -> Vec<&'static str> {
-        match self {
-            PipelineKind::Eager => Eager.roster(),
-            PipelineKind::TorchScriptNnc => TorchScriptNnc.roster(),
-            PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.roster(),
-            PipelineKind::DynamoInductor => DynamoInductor.roster(),
-            PipelineKind::TensorSsa => TensorSsa::default().roster(),
-        }
-    }
-
-    /// FNV-1a fingerprint of [`PipelineKind::roster`]. A plan file whose
-    /// header carries a different fingerprint was compiled by a different
-    /// optimizer and is treated as stale.
-    pub fn roster_fingerprint(self) -> u64 {
-        tssa_store::roster_fingerprint(self.roster().iter().copied())
-    }
-
-    /// The [`ExecConfig`](tssa_backend::ExecConfig) this pipeline would
-    /// stamp on a compiled plan (part of the on-disk content identity).
-    pub(crate) fn exec_profile(self) -> tssa_backend::ExecConfig {
-        match self {
-            PipelineKind::Eager => Eager.plan().1,
-            PipelineKind::TorchScriptNnc => TorchScriptNnc.plan().1,
-            PipelineKind::TorchScriptNvfuser => TorchScriptNvfuser.plan().1,
-            PipelineKind::DynamoInductor => DynamoInductor.plan().1,
-            PipelineKind::TensorSsa => TensorSsa::default().plan().1,
-        }
-    }
-
-    /// The paper's five pipelines, in the paper's order.
-    pub fn all() -> [PipelineKind; 5] {
-        [
-            PipelineKind::Eager,
-            PipelineKind::TorchScriptNnc,
-            PipelineKind::TorchScriptNvfuser,
-            PipelineKind::DynamoInductor,
-            PipelineKind::TensorSsa,
-        ]
-    }
-}
 
 /// Shape/dtype signature of one runtime argument.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -430,6 +335,7 @@ mod tests {
     use crate::batch::BatchSpec;
     use crate::class::ClassSignature;
     use tssa_ir::{DimClass, ShapeSignature};
+    use tssa_pipelines::PipelineKind;
     use tssa_tensor::Tensor;
 
     fn tensor(shape: &[usize]) -> Vec<ArgSig> {
@@ -546,14 +452,6 @@ mod tests {
         let b = signature_of(&[RtValue::Tensor(Tensor::zeros(&[4, 3]))]);
         assert_ne!(a, b);
         assert_eq!(a, signature_of(&[RtValue::Tensor(Tensor::zeros(&[2, 3]))]));
-    }
-
-    #[test]
-    fn pipeline_kind_names_match_structs() {
-        for k in PipelineKind::all() {
-            assert!(!k.name().is_empty());
-        }
-        assert_eq!(PipelineKind::TensorSsa.name(), "TensorSSA");
     }
 
     #[test]

@@ -28,12 +28,12 @@ use std::sync::Arc;
 
 use tssa_backend::RtValue;
 use tssa_ir::{DimClass, ShapeSignature};
-use tssa_pipelines::CompiledProgram;
+use tssa_pipelines::{CompiledProgram, PipelineKind};
 use tssa_store::fnv64;
 use tssa_tensor::DType;
 
 use crate::batch::BatchSpec;
-use crate::cache::{ArgSig, PipelineKind};
+use crate::cache::ArgSig;
 
 /// One argument's shape skeleton within a [`PlanClassKey`]: `None` dims are
 /// polymorphic (any extent admitted), `Some(n)` dims are pinned.
@@ -135,9 +135,11 @@ pub struct PlanClassKey {
 }
 
 impl PlanClassKey {
-    /// Identity hash of this class, in plan-file headers and — for a
-    /// load's exact class — as the plan's file name: FNV-1a over (source
-    /// hash, pipeline name, skeleton, execution profile).
+    /// Identity hash of this class — for a load's exact class, the plan's
+    /// file name: FNV-1a over (source hash, pipeline name, skeleton). The
+    /// pipeline's execution profile follows from its name and does not
+    /// change the compiled graph; a changed pass roster is caught by the
+    /// plan file's roster fingerprint.
     pub fn class_hash(&self) -> u64 {
         hash_identity(self.source_hash, self.pipeline, &self.skeleton)
     }
@@ -189,20 +191,6 @@ fn hash_identity(source_hash: u64, pipeline: PipelineKind, skeleton: &[ArgKey]) 
     // ArgKey's derived Debug output is deterministic and covers every
     // pin/dtype field — a stable textual encoding of the skeleton.
     bytes.extend_from_slice(format!("{skeleton:?}").as_bytes());
-    bytes.push(0xFE);
-    let cfg = pipeline.exec_profile();
-    bytes.extend_from_slice(cfg.device.name.as_bytes());
-    for v in [
-        cfg.device.launch_overhead_ns,
-        cfg.device.bytes_per_ns,
-        cfg.device.flops_per_ns,
-        cfg.host_dispatch_ns,
-        cfg.host_scalar_ns,
-        cfg.control_entry_ns,
-        cfg.sync_ns,
-    ] {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
     fnv64(&bytes)
 }
 

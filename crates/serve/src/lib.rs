@@ -80,12 +80,15 @@ mod metrics;
 mod service;
 
 pub use batch::{ArgRole, BatchSpec};
-pub use cache::{signature_of, ArgSig, CacheStats, PipelineKind, PlanCache};
+pub use cache::{signature_of, ArgSig, CacheStats, PlanCache};
 pub use class::{coarse_class_hash, ArgKey, ClassEntry, ClassSignature, PlanClassKey};
 pub use error::ServeError;
 pub use fault::{silence_injected_panics_for_tests, FaultKind, FaultPlan, Faults, INJECTED_PANIC};
 pub use metrics::MetricsSnapshot;
 pub use service::{ModelHandle, ModelLoader, PoolReport, Response, ServeConfig, Service, Ticket};
+// Re-exported so loaders can pick a pipeline without naming
+// `tssa-pipelines`, which owns the one list of them.
+pub use tssa_pipelines::PipelineKind;
 // Re-exported so warm-restart callers can open a store and read its stats
 // without naming `tssa-store`.
 pub use tssa_store::{PlanStore, StoreStats};

@@ -46,13 +46,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
-use tssa_backend::{DeviceProfile, ExecStats, RtValue};
+use tssa_backend::{ExecStats, RtValue};
 use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, ProfileSink, Profiler, Span, Tracer};
-use tssa_pipelines::{CompiledProgram, ProfileRecorder};
-use tssa_store::{fnv64, ClassMeta, DecodedPlan, PlanStore};
+use tssa_pipelines::{CompiledProgram, PipelineKind, ProfileRecorder};
+use tssa_store::{fnv64, roster_fingerprint, PlanStore};
 
 use crate::batch::BatchSpec;
-use crate::cache::{signature_of, PipelineKind, PlanCache};
+use crate::cache::{signature_of, PlanCache};
 use crate::class::{bucket_label, coarse_class_hash, ClassEntry, ClassSignature};
 use crate::fault::{FaultAction, FaultKind, Faults, INJECTED_COMPILE_PANIC, INJECTED_PANIC};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -74,8 +74,6 @@ pub struct ServeConfig {
     /// Plan-cache capacity: compiled plans resident, every shape class
     /// counted once.
     pub cache_capacity: usize,
-    /// Simulated device every worker executes on.
-    pub device: DeviceProfile,
     /// Where request/compile/exec spans are recorded. Defaults to the
     /// disabled tracer (zero overhead); install one with
     /// [`ServeConfig::with_tracer`] to capture end-to-end traces.
@@ -118,7 +116,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             cache_capacity: 32,
-            device: DeviceProfile::consumer(),
             tracer: Tracer::disabled(),
             timeout_grace: Duration::from_millis(250),
             registry: MetricsRegistry::new(),
@@ -153,8 +150,6 @@ with_field! {
     with_max_wait: max_wait, Duration;
     /// Set the plan-cache capacity.
     with_cache_capacity: cache_capacity, usize;
-    /// Set the execution device.
-    with_device: device, DeviceProfile;
     /// Record request/compile/exec spans into `tracer`.
     with_tracer: tracer, Tracer;
     /// Set the waiter's slack past the deadline before `Timeout`.
@@ -550,7 +545,6 @@ fn active_workers(pool: &[Worker]) -> usize {
 struct WorkerCtx {
     rx: Receiver<Vec<Request>>,
     retire: Arc<AtomicBool>,
-    device: DeviceProfile,
     metrics: Arc<Metrics>,
     faults: Faults,
     profile: Option<WorkerProfile>,
@@ -593,8 +587,6 @@ pub struct Service {
     timeout_grace: Duration,
     /// Op-level execution profiler shared with every worker, when enabled.
     profiler: Option<Profiler>,
-    /// Device every worker executes on.
-    device: DeviceProfile,
     admit_tx: Option<Sender<Request>>,
     /// Batch-queue receiver each new worker clones.
     batch_rx: Receiver<Vec<Request>>,
@@ -649,7 +641,6 @@ impl Service {
             queue_depth: config.queue_depth.max(1),
             timeout_grace: config.timeout_grace,
             profiler: config.profiler,
-            device: config.device,
             admit_tx: Some(admit_tx),
             batch_rx,
             dispatcher: Some(dispatcher),
@@ -729,7 +720,7 @@ impl Service {
             }
             let exact = ClassSignature::exact(source, pipeline, &args_sig);
             let file_hash = exact.key.class_hash();
-            let roster_fp = pipeline.roster_fingerprint();
+            let roster_fp = roster_fingerprint(pipeline.roster());
             // Warm start: an intact, roster-matched entry bypasses
             // compilation entirely — the exact file first, then any
             // same-coarse entry whose certified signature admits this
@@ -737,8 +728,8 @@ impl Service {
             // previous process never saw still avoids the compile. Damaged
             // or stale entries count their typed counter inside the store
             // and fall through to compile.
-            let admit = |decoded: &DecodedPlan| {
-                decoded.plan.signature.as_ref().is_some_and(|sig| {
+            let admit = |decoded: &CompiledProgram| {
+                decoded.signature.as_ref().is_some_and(|sig| {
                     ClassSignature::derive(source, pipeline, &args_sig, sig).is_some()
                 })
             };
@@ -748,7 +739,7 @@ impl Service {
                 .and_then(|store| store.load_class(file_hash, coarse, roster_fp, admit));
             from_disk.set(Some(warm.is_some()));
             let plan = match warm {
-                Some((decoded, _exact)) => decoded.plan,
+                Some(plan) => plan,
                 None => {
                     let graph = tssa_frontend::compile(source)?;
                     let mut plan = pipeline.compile_traced(&graph, &scope);
@@ -799,17 +790,14 @@ impl Service {
         }
         // Write-back is asynchronous (encode + write happen on the store's
         // writer thread): the load path never blocks on I/O. The header
-        // carries the class hashes, so a restarted process can admit *new*
-        // shapes from this entry.
+        // carries the coarse class hash, so a restarted process can admit
+        // *new* shapes from this entry.
         if let (Some(store), Some(false)) = (self.plan_store.as_deref(), from_disk.get()) {
             store.save_async_with(
                 class.file_hash(),
                 class.roster_fp(),
                 Arc::clone(class.plan()),
-                ClassMeta {
-                    class_hash: class.key().class_hash(),
-                    coarse_hash: class.key().coarse_hash(),
-                },
+                class.key().coarse_hash(),
             );
         }
         // Reuse the class's spec allocation when the caller's contract is
@@ -957,7 +945,6 @@ impl Service {
             let ctx = WorkerCtx {
                 rx: self.batch_rx.clone(),
                 retire: Arc::clone(&retire),
-                device: self.device.clone(),
                 metrics: Arc::clone(&self.metrics),
                 faults: self.faults.clone(),
                 profile: self.profiler.as_ref().map(|p| WorkerProfile {
@@ -1340,12 +1327,8 @@ fn run_batch(ctx: &WorkerCtx, batch: &mut Vec<Request>, retry: bool, stats: &mut
         .first()
         .and_then(Option::as_ref)
         .map_or_else(tssa_obs::TraceScope::disabled, Span::scope);
-    let mut scratch = ExecStats::default();
     let result = {
-        let mut session = plan
-            .session()
-            .on_device(ctx.device.clone())
-            .traced(&exec_scope);
+        let mut session = plan.session().traced(&exec_scope);
         // Per-op profiling, when this batch drew a keep from the sampler:
         // one sample per executed op into this worker's private sink.
         if let Some(profile) = ctx.profile.as_ref().filter(|p| p.profiler.should_profile()) {
@@ -1354,14 +1337,16 @@ fn run_batch(ctx: &WorkerCtx, batch: &mut Vec<Request>, retry: bool, stats: &mut
                 Arc::clone(&profile.sink),
             )));
         }
-        session.run_collect(&inputs, &mut scratch)
+        session.run(&inputs)
         // The session drops here, recording the `exec` span before the
         // batch spans below close over it.
     };
     for batch_span in batch_spans.drain(..).flatten() {
         batch_span.finish();
     }
-    stats.merge(&scratch);
+    if let Ok((_, run)) = &result {
+        stats.merge(run);
+    }
 
     // Execution is over: deliver each terminal result.
     let mut live = std::mem::take(batch);

@@ -6,40 +6,35 @@
 //! offset  size  field
 //! 0       8     magic  b"TSSAPLAN"
 //! 8       4     format version (FORMAT_VERSION)
-//! 12      4     flags — polymorphic input-dim count of the plan's shape
-//!               signature (0 when the plan carries none), so ops tooling
-//!               can read a plan's shape class without decoding the payload
-//! 16      8     content hash  — FNV-1a of (source, pipeline, config)
-//! 24      8     roster fingerprint — FNV-1a over the pass roster
-//! 32      8     class hash — the plan's `PlanClassKey` identity
-//!               (0 when the plan is not class-eligible)
-//! 40      8     coarse class hash — the class identity with every pin
+//! 12      8     content hash  — the cache key the file is named by
+//! 20      8     roster fingerprint — FNV-1a over the pass roster
+//! 28      8     coarse class hash — the class identity with every pin
 //!               erased (rank + dtype only; 0 when not class-eligible), so
 //!               a warm restart can find the class plan for a *new* concrete
 //!               shape without decoding every payload
-//! 48      8     payload length in bytes
-//! 56      8     checksum — FNV-1a over header bytes [0, 56) ++ payload,
+//! 36      8     payload length in bytes
+//! 44      8     checksum — FNV-1a over header bytes [0, 44) ++ payload,
 //!               so a flipped bit anywhere in the file is detected
-//! 64      …     payload
+//! 52      …     payload
 //! ```
 //!
 //! The header is self-describing: every field needed to decide whether the
 //! payload is worth decoding (right format? right program? right pass
 //! roster? intact?) sits at a fixed offset before the payload. The payload
-//! serializes the [`CompiledProgram`]: pipeline name, [`ExecConfig`]
-//! (device profile + host overheads), conversion stats, fusion/parallel
-//! counts, the pass roster (names, for reports), the transformed graph
-//! as textual IR — the printer/parser round-trip is the graph codec — the
-//! optional [`ShapeSignature`] (format v2) with its constraints as typed
-//! records (format v6).
+//! serializes the [`CompiledProgram`]: the pipeline's name, conversion
+//! stats, fusion/parallel counts, the transformed graph as textual IR — the
+//! printer/parser round-trip is the graph codec — and the optional
+//! [`ShapeSignature`] with its constraints as typed records. The
+//! [`ExecConfig`](tssa_backend::ExecConfig) is not stored: it is a constant
+//! of the pipeline, which decode looks up by name with
+//! [`PipelineKind::from_name`].
 
 use crate::bytes::{ByteReader, ByteWriter, Truncated};
 use crate::fnv64_parts;
 use std::fmt;
-use tssa_backend::{DeviceProfile, ExecConfig};
 use tssa_core::ConversionStats;
 use tssa_ir::{parse_graph, Constraint, DimClass, DimVar, ShapeSignature, SymDim, SymExpr};
-use tssa_pipelines::CompiledProgram;
+use tssa_pipelines::{CompiledProgram, PipelineKind};
 
 /// File magic: the first eight bytes of every plan file.
 pub const MAGIC: [u8; 8] = *b"TSSAPLAN";
@@ -59,14 +54,18 @@ pub const MAGIC: [u8; 8] = *b"TSSAPLAN";
 /// `=` and 1 for `>=`, then both sides as affine expressions) instead of
 /// rendered strings, so admission never parses text. A v5 file is a stale
 /// miss: evicted, then recompiled.
-pub const FORMAT_VERSION: u32 = 6;
+/// v7: the payload names the pipeline and stores neither its `ExecConfig`
+/// (a constant of the pipeline, looked up by name on decode) nor the pass
+/// names; the header loses the flags word and the class hash, which no
+/// reader used. A v6 file is a stale miss: evicted, then recompiled.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 64;
+pub const HEADER_LEN: usize = 52;
 
 /// Byte length of the checksummed header prefix (everything before the
 /// checksum field itself).
-const CHECKSUMMED_PREFIX: usize = 56;
+const CHECKSUMMED_PREFIX: usize = 44;
 
 /// Why a plan file could not be decoded. Every variant is a recoverable
 /// cache miss for the store: evict the file and recompile.
@@ -103,7 +102,7 @@ pub enum StoreError {
         /// Hash the caller asked for.
         expected: u64,
     },
-    /// The payload is structurally invalid (unknown pipeline/device name,
+    /// The payload is structurally invalid (unknown pipeline name,
     /// unparseable graph text).
     Parse(String),
 }
@@ -182,38 +181,6 @@ pub struct Expected {
     pub roster_fingerprint: Option<u64>,
 }
 
-/// Pipeline names that may appear in a plan file, interned so the decoded
-/// [`CompiledProgram::pipeline`] keeps its `&'static str` type.
-const KNOWN_PIPELINES: [&str; 5] = [
-    "Eager",
-    "TorchScript+NNC",
-    "TorchScript+nvFuser",
-    "Dynamo+Inductor",
-    "TensorSSA",
-];
-
-fn intern_pipeline(name: &str) -> Result<&'static str, StoreError> {
-    KNOWN_PIPELINES
-        .iter()
-        .find(|&&k| k == name)
-        .copied()
-        .ok_or_else(|| StoreError::Parse(format!("unknown pipeline {name:?}")))
-}
-
-fn intern_device(name: &str) -> Result<&'static str, StoreError> {
-    for known in [
-        DeviceProfile::consumer().name,
-        DeviceProfile::datacenter().name,
-    ] {
-        if known == name {
-            return Ok(known);
-        }
-    }
-    Err(StoreError::Parse(format!(
-        "unknown device profile {name:?}"
-    )))
-}
-
 /// The fixed-size header of a plan file, readable without decoding (or
 /// checksumming) the payload — the cheap surface ops tooling and the
 /// serving layer's cache reports use.
@@ -221,15 +188,10 @@ fn intern_device(name: &str) -> Result<&'static str, StoreError> {
 pub struct PlanHeader {
     /// Format version the file was written with.
     pub version: u32,
-    /// Polymorphic input-dim count of the plan's shape signature (0 when
-    /// the plan carries none).
-    pub polymorphic_dims: u32,
     /// Content hash (the cache key).
     pub content_hash: u64,
     /// Pass-roster fingerprint of the compiling pipeline.
     pub roster_fingerprint: u64,
-    /// Shape-class hash of the plan (0 when not class-eligible).
-    pub class_hash: u64,
     /// Coarse (rank + dtype) class hash (0 when not class-eligible). A warm
     /// restart scans headers for this value to find the class plan serving
     /// a concrete shape it has never stored exactly.
@@ -251,10 +213,8 @@ pub fn peek_header(bytes: &[u8]) -> Result<PlanHeader, StoreError> {
     }
     Ok(PlanHeader {
         version: r.get_u32("version")?,
-        polymorphic_dims: r.get_u32("flags")?,
         content_hash: r.get_u64("content hash")?,
         roster_fingerprint: r.get_u64("roster fingerprint")?,
-        class_hash: r.get_u64("class hash")?,
         coarse_hash: r.get_u64("coarse class hash")?,
         payload_len: r.get_u64("payload length")?,
     })
@@ -415,58 +375,22 @@ fn get_signature(p: &mut ByteReader<'_>) -> Result<Option<ShapeSignature>, Store
     }))
 }
 
-/// Shape-class metadata carried by a plan file header: the class identity
-/// hashes. `Default` (all zeros) marks a plan that is not class-eligible.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassMeta {
-    /// The plan's `PlanClassKey` hash (0 when not class-eligible).
-    pub class_hash: u64,
-    /// The class hash with every pin erased (0 when not class-eligible).
-    pub coarse_hash: u64,
-}
-
-/// A fully decoded plan file: the program, the pass roster that compiled
-/// it, and the shape-class metadata.
-#[derive(Debug)]
-pub struct DecodedPlan {
-    /// The decoded program (its `passes` record is empty — a disk-loaded
-    /// plan ran no passes in this process).
-    pub plan: CompiledProgram,
-    /// The roster the compiling process ran, for reports.
-    pub roster: Vec<String>,
-    /// Shape-class metadata (all-default when not class-eligible).
-    pub class: ClassMeta,
-}
-
-/// Serialize `plan` into a self-contained plan file image with no
-/// shape-class metadata. Thin wrapper over [`encode_plan_with`].
+/// Serialize `plan` into a self-contained plan file image that no shape
+/// class can find by its coarse hash.
 pub fn encode_plan(plan: &CompiledProgram, content_hash: u64, roster_fingerprint: u64) -> Vec<u8> {
-    encode_plan_with(
-        plan,
-        content_hash,
-        roster_fingerprint,
-        &ClassMeta::default(),
-    )
+    encode_plan_with(plan, content_hash, roster_fingerprint, 0)
 }
 
-/// Serialize `plan` into a self-contained plan file image.
+/// Serialize `plan` into a self-contained plan file image whose header
+/// carries `coarse_hash` (0 when the plan is not class-eligible).
 pub(crate) fn encode_plan_with(
     plan: &CompiledProgram,
     content_hash: u64,
     roster_fingerprint: u64,
-    class: &ClassMeta,
+    coarse_hash: u64,
 ) -> Vec<u8> {
     let mut p = ByteWriter::with_capacity(1024);
     p.put_str(plan.pipeline);
-    let cfg = &plan.exec_config;
-    p.put_str(cfg.device.name);
-    p.put_f64(cfg.device.launch_overhead_ns);
-    p.put_f64(cfg.device.bytes_per_ns);
-    p.put_f64(cfg.device.flops_per_ns);
-    p.put_f64(cfg.host_dispatch_ns);
-    p.put_f64(cfg.host_scalar_ns);
-    p.put_f64(cfg.control_entry_ns);
-    p.put_f64(cfg.sync_ns);
     let c = &plan.conversion;
     for v in [
         c.candidates,
@@ -480,26 +404,16 @@ pub(crate) fn encode_plan_with(
     }
     p.put_u64(plan.fusion_groups as u64);
     p.put_u64(plan.parallel_loops as u64);
-    p.put_u32(plan.passes.len() as u32);
-    for run in &plan.passes {
-        p.put_str(run.name);
-    }
     p.put_str(&plan.graph.to_string());
     put_signature(&mut p, plan.signature.as_ref());
     let payload = p.into_bytes();
 
-    let poly_dims = plan
-        .signature
-        .as_ref()
-        .map_or(0, |s| s.polymorphic_dims() as u32);
     let mut w = ByteWriter::with_capacity(HEADER_LEN + payload.len());
     w.put_raw(&MAGIC);
     w.put_u32(FORMAT_VERSION);
-    w.put_u32(poly_dims); // flags: polymorphic-dim count of the signature
     w.put_u64(content_hash);
     w.put_u64(roster_fingerprint);
-    w.put_u64(class.class_hash);
-    w.put_u64(class.coarse_hash);
+    w.put_u64(coarse_hash);
     w.put_u64(payload.len() as u64);
     let mut bytes = w.into_bytes();
     debug_assert_eq!(bytes.len(), CHECKSUMMED_PREFIX);
@@ -509,31 +423,18 @@ pub(crate) fn encode_plan_with(
     bytes
 }
 
-/// Decode a plan file image, validating the header against `expected`.
-/// Thin wrapper over [`decode_plan_full`] returning `(plan, roster)`.
-///
-/// # Errors
-///
-/// Any [`StoreError`]; callers treat every variant as a cache miss.
-pub fn decode_plan(
-    bytes: &[u8],
-    expected: Expected,
-) -> Result<(CompiledProgram, Vec<String>), StoreError> {
-    let decoded = decode_plan_full(bytes, expected)?;
-    Ok((decoded.plan, decoded.roster))
-}
-
-/// Decode a plan file image, validating the header against `expected`.
+/// Decode a whole plan file image, validating the header against
+/// `expected`.
 ///
 /// The decoded program's `passes` record is empty: a disk-loaded plan ran
-/// no passes in this process (that is the point). The roster the compiling
-/// process ran is returned alongside for reports, together with the
-/// shape-class metadata.
+/// no passes in this process (that is the point). Its `exec_config` is its
+/// pipeline's.
 ///
 /// # Errors
 ///
-/// Any [`StoreError`]; callers treat every variant as a cache miss.
-pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan, StoreError> {
+/// Any [`StoreError`]; callers treat every variant as a cache miss. A
+/// pipeline name no [`PipelineKind`] carries is [`StoreError::Parse`].
+pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<CompiledProgram, StoreError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.get_raw(8, "magic")?;
     if magic != MAGIC {
@@ -546,7 +447,6 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
             expected: FORMAT_VERSION,
         });
     }
-    let _flags = r.get_u32("flags")?;
     let content_hash = r.get_u64("content hash")?;
     if let Some(want) = expected.content_hash {
         if content_hash != want {
@@ -565,8 +465,7 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
             });
         }
     }
-    let class_hash = r.get_u64("class hash")?;
-    let coarse_hash = r.get_u64("coarse class hash")?;
+    let _coarse_hash = r.get_u64("coarse class hash")?;
     let payload_len = r.get_u64("payload length")? as usize;
     let checksum = r.get_u64("checksum")?;
     let payload = r.get_raw(
@@ -580,21 +479,10 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
     }
 
     let mut p = ByteReader::new(payload);
-    let pipeline = intern_pipeline(p.get_str("pipeline name")?)?;
-    let device_name = intern_device(p.get_str("device name")?)?;
-    let device = DeviceProfile {
-        name: device_name,
-        launch_overhead_ns: p.get_f64("launch overhead")?,
-        bytes_per_ns: p.get_f64("bytes/ns")?,
-        flops_per_ns: p.get_f64("flops/ns")?,
-    };
-    let exec_config = ExecConfig {
-        device,
-        host_dispatch_ns: p.get_f64("host dispatch")?,
-        host_scalar_ns: p.get_f64("host scalar")?,
-        control_entry_ns: p.get_f64("control entry")?,
-        sync_ns: p.get_f64("sync")?,
-    };
+    let name = p.get_str("pipeline name")?;
+    let pipeline = PipelineKind::from_name(name)
+        .ok_or_else(|| StoreError::Parse(format!("unknown pipeline {name:?}")))?
+        .pipeline();
     let mut conv = [0usize; 6];
     for (i, slot) in conv.iter_mut().enumerate() {
         *slot = p.get_u64(CONVERSION_FIELDS[i])? as usize;
@@ -609,30 +497,18 @@ pub fn decode_plan_full(bytes: &[u8], expected: Expected) -> Result<DecodedPlan,
     };
     let fusion_groups = p.get_u64("fusion groups")? as usize;
     let parallel_loops = p.get_u64("parallel loops")? as usize;
-    let n_passes = p.get_u32("pass count")? as usize;
-    let mut roster = Vec::with_capacity(n_passes.min(64));
-    for _ in 0..n_passes {
-        roster.push(p.get_str("pass name")?.to_owned());
-    }
     let text = p.get_str("graph text")?;
     let graph = parse_graph(text).map_err(|e| StoreError::Parse(format!("graph: {e}")))?;
     graph
         .verify()
         .map_err(|e| StoreError::Parse(format!("graph verify: {e:?}")))?;
     let signature = get_signature(&mut p)?;
-    let mut plan = CompiledProgram::new(graph, exec_config, pipeline);
+    let mut plan = CompiledProgram::new(graph, pipeline.exec_config(), pipeline.name());
     plan.conversion = conversion;
     plan.fusion_groups = fusion_groups;
     plan.parallel_loops = parallel_loops;
     plan.signature = signature;
-    Ok(DecodedPlan {
-        plan,
-        roster,
-        class: ClassMeta {
-            class_hash,
-            coarse_hash,
-        },
-    })
+    Ok(plan)
 }
 
 const CONVERSION_FIELDS: [&str; 6] = [

@@ -9,15 +9,17 @@
 //! - [`bytes`] — little-endian encode/decode primitives (also reused by the
 //!   binary tensor wire codec in `tssa-net`).
 //! - [`format`] — the plan file format: magic + version + content hash +
-//!   roster fingerprint + checksum header, payload carrying the transformed
-//!   graph as textual IR plus the [`ExecConfig`](tssa_backend::ExecConfig)
-//!   and compile statistics.
+//!   roster fingerprint + coarse class hash + checksum header, payload
+//!   carrying the pipeline's name, the transformed graph as textual IR and
+//!   the compile statistics. The
+//!   [`ExecConfig`](tssa_backend::ExecConfig) is the named pipeline's, so
+//!   the file does not store it.
 //! - [`store`] — [`PlanStore`]: a cache directory keyed by content hash,
 //!   reads that treat every damaged or stale entry as an evict-and-miss,
 //!   and an async writer thread so saves never block serving.
 //!
 //! Invalidation is two-level: the *content hash* (what program, which
-//! pipeline, what config) names the entry, and the *roster fingerprint*
+//! pipeline, which shapes) names the entry, and the *roster fingerprint*
 //! (which passes the compiler would run today) guards it — if the optimizer
 //! changed since the entry was written, the entry is stale and recompiled.
 //!
@@ -25,7 +27,7 @@
 //!
 //! ```
 //! use tssa_pipelines::{Pipeline, TensorSsa};
-//! use tssa_store::{roster_fingerprint, ClassMeta, PlanStore};
+//! use tssa_store::{roster_fingerprint, PlanStore};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +43,7 @@
 //!
 //! let dir = std::env::temp_dir().join("tssa-store-doc");
 //! let store = PlanStore::open(&dir)?;
-//! store.save_async_with(0xF00D, fp, Arc::clone(&plan), ClassMeta::default());
+//! store.save_async_with(0xF00D, fp, Arc::clone(&plan), 0);
 //! store.flush();
 //! let warm = store.load(0xF00D, fp).expect("intact entry");
 //! assert_eq!(warm.pipeline, "TensorSSA");
@@ -55,8 +57,7 @@ pub mod format;
 pub mod store;
 
 pub use format::{
-    peek_header, ClassMeta, DecodedPlan, Expected, PlanHeader, StoreError, FORMAT_VERSION,
-    HEADER_LEN, MAGIC,
+    peek_header, Expected, PlanHeader, StoreError, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use store::{PlanStore, StoreStats};
 

@@ -15,8 +15,7 @@
 //!   one. [`PlanStore::flush`] drains the queue for shutdown and tests.
 
 use crate::format::{
-    decode_plan, decode_plan_full, encode_plan_with, peek_header, ClassMeta, DecodedPlan, Expected,
-    StoreError, FORMAT_VERSION,
+    decode_plan_full, encode_plan_with, peek_header, Expected, StoreError, FORMAT_VERSION,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +57,7 @@ enum Job {
         plan: Arc<CompiledProgram>,
         content_hash: u64,
         roster_fingerprint: u64,
-        class: ClassMeta,
+        coarse_hash: u64,
     },
     Sync(Sender<()>),
 }
@@ -104,10 +103,14 @@ impl PlanStore {
                             plan,
                             content_hash,
                             roster_fingerprint,
-                            class,
+                            coarse_hash,
                         } => {
-                            let bytes =
-                                encode_plan_with(&plan, content_hash, roster_fingerprint, &class);
+                            let bytes = encode_plan_with(
+                                &plan,
+                                content_hash,
+                                roster_fingerprint,
+                                coarse_hash,
+                            );
                             match write_atomic(&path, &bytes) {
                                 Ok(()) => {
                                     thread_counters.writes.fetch_add(1, Ordering::Relaxed);
@@ -166,14 +169,13 @@ impl PlanStore {
         roster_fingerprint: u64,
     ) -> Result<CompiledProgram, StoreError> {
         let bytes = std::fs::read(self.path_for(content_hash))?;
-        let (plan, _roster) = decode_plan(
+        decode_plan_full(
             &bytes,
             Expected {
                 content_hash: Some(content_hash),
                 roster_fingerprint: Some(roster_fingerprint),
             },
-        )?;
-        Ok(plan)
+        )
     }
 
     /// Look up `content_hash`, requiring the entry to match
@@ -209,15 +211,14 @@ impl PlanStore {
     /// whose header carries `coarse_hash`, matches `roster_fingerprint`, and
     /// whose decoded plan passes the caller's `admit` check (the shape-class
     /// admission test) — this is how a warm restart serves a concrete shape
-    /// it never stored exactly. Returns the decoded plan and whether the hit
-    /// was exact.
+    /// it never stored exactly.
     pub fn load_class(
         &self,
         content_hash: u64,
         coarse_hash: u64,
         roster_fingerprint: u64,
-        admit: impl Fn(&DecodedPlan) -> bool,
-    ) -> Option<(DecodedPlan, bool)> {
+        admit: impl Fn(&CompiledProgram) -> bool,
+    ) -> Option<CompiledProgram> {
         let exact_path = self.path_for(content_hash);
         match std::fs::read(&exact_path) {
             Ok(bytes) => {
@@ -230,7 +231,7 @@ impl PlanStore {
                 ) {
                     Ok(decoded) => {
                         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some((decoded, true));
+                        return Some(decoded);
                     }
                     Err(e) => {
                         // Damaged or stale exact entry: evict (the one
@@ -294,7 +295,7 @@ impl PlanStore {
                 };
                 if admit(&decoded) {
                     self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((decoded, false));
+                    return Some(decoded);
                 }
             }
         }
@@ -302,21 +303,23 @@ impl PlanStore {
         None
     }
 
-    /// Queue `plan` for write-back. Returns immediately; encoding and the
-    /// write happen on the store's writer thread.
+    /// Queue `plan` for write-back under `coarse_hash`, its class hash with
+    /// every pin erased (0 when the plan is not class-eligible). Returns
+    /// immediately; encoding and the write happen on the store's writer
+    /// thread.
     pub fn save_async_with(
         &self,
         content_hash: u64,
         roster_fingerprint: u64,
         plan: Arc<CompiledProgram>,
-        class: ClassMeta,
+        coarse_hash: u64,
     ) {
         let job = Job::Save {
             path: self.path_for(content_hash),
             plan,
             content_hash,
             roster_fingerprint,
-            class,
+            coarse_hash,
         };
         let sent = self
             .tx
@@ -340,12 +343,7 @@ impl PlanStore {
         roster_fingerprint: u64,
         plan: &CompiledProgram,
     ) -> Result<(), StoreError> {
-        let bytes = encode_plan_with(
-            plan,
-            content_hash,
-            roster_fingerprint,
-            &ClassMeta::default(),
-        );
+        let bytes = encode_plan_with(plan, content_hash, roster_fingerprint, 0);
         write_atomic(&self.path_for(content_hash), &bytes)?;
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use tssa_pipelines::{CompiledProgram, Pipeline, TensorSsa};
 use tssa_store::{
-    format::{decode_plan, encode_plan},
+    format::{decode_plan_full, encode_plan},
     roster_fingerprint, Expected, PlanStore, StoreError, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 
@@ -44,7 +44,7 @@ fn truncation_at_every_length_is_a_typed_error() {
         .chain([HEADER_LEN + 1, bytes.len() / 2, bytes.len() - 1])
         .collect();
     for cut in cuts {
-        let err = decode_plan(&bytes[..cut], expect(fp)).unwrap_err();
+        let err = decode_plan_full(&bytes[..cut], expect(fp)).unwrap_err();
         assert!(
             matches!(err, StoreError::Truncated(_) | StoreError::ChecksumMismatch),
             "cut at {cut}: unexpected {err}"
@@ -61,7 +61,7 @@ fn bit_flips_never_panic_and_never_yield_a_wrong_plan() {
     for pos in (0..bytes.len()).step_by(step) {
         let mut evil = bytes.clone();
         evil[pos] ^= 0x10;
-        match decode_plan(&evil, expect(fp)) {
+        match decode_plan_full(&evil, expect(fp)) {
             // A flip inside the graph text can survive the checksum only if
             // the checksum itself was flipped to match — impossible for a
             // single-bit flip, so any Ok must be a flip in ignored bytes.
@@ -80,7 +80,7 @@ fn version_bump_is_rejected_before_payload_is_touched() {
     let mut bytes = encode_plan(&plan, KEY, fp);
     let future = (FORMAT_VERSION + 1).to_le_bytes();
     bytes[8..12].copy_from_slice(&future);
-    match decode_plan(&bytes, expect(fp)).unwrap_err() {
+    match decode_plan_full(&bytes, expect(fp)).unwrap_err() {
         StoreError::VersionMismatch { found, expected } => {
             assert_eq!(found, FORMAT_VERSION + 1);
             assert_eq!(expected, FORMAT_VERSION);
@@ -94,7 +94,7 @@ fn roster_change_is_stale_not_corrupt() {
     let (plan, fp) = compiled();
     let bytes = encode_plan(&plan, KEY, fp);
     let new_roster = roster_fingerprint(["some", "new", "pass", "order"]);
-    let err = decode_plan(&bytes, expect(new_roster)).unwrap_err();
+    let err = decode_plan_full(&bytes, expect(new_roster)).unwrap_err();
     assert!(matches!(err, StoreError::RosterMismatch { .. }));
     assert!(err.is_stale());
     assert_eq!(err.kind(), "roster");
@@ -106,7 +106,7 @@ fn wrong_magic_is_not_a_plan_file() {
     let mut bytes = encode_plan(&plan, KEY, fp);
     bytes[..8].copy_from_slice(b"NOTAPLAN");
     assert!(matches!(
-        decode_plan(&bytes, expect(fp)).unwrap_err(),
+        decode_plan_full(&bytes, expect(fp)).unwrap_err(),
         StoreError::BadMagic
     ));
     assert_eq!(&bytes[..8], b"NOTAPLAN");
@@ -172,23 +172,45 @@ fn store_evicts_and_counts_each_flavor_then_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A plan file of format v5 carries its constraints as strings; this
-/// reader reads it as stale, evicts it and reports a miss.
+/// A plan file of an older format is stale: v5 carries its constraints as
+/// strings; v6 stores the pipeline's `ExecConfig`, the pass names, a flags
+/// word and the class hash. The store evicts such a file and reports a
+/// miss.
 #[test]
-fn a_v5_plan_file_is_a_stale_miss() {
-    let dir = std::env::temp_dir().join(format!("tssa-store-v5-{}", std::process::id()));
+fn plan_files_of_older_formats_are_stale_misses() {
+    let dir = std::env::temp_dir().join(format!("tssa-store-old-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = PlanStore::open(&dir).unwrap();
     let (plan, fp) = compiled();
-    store.save_blocking(KEY, fp, &Arc::new(plan)).unwrap();
+    let plan = Arc::new(plan);
     let path = store.path_for(KEY);
-    let mut v5 = std::fs::read(&path).unwrap();
-    v5[8..12].copy_from_slice(&5u32.to_le_bytes());
-    std::fs::write(&path, &v5).unwrap();
-    assert!(store.load(KEY, fp).is_none());
-    assert_eq!(store.stats().stale_evicted, 1);
-    assert_eq!(store.stats().corrupt_evicted, 0);
-    assert!(!path.exists(), "a stale entry is evicted");
+    for (evicted, version) in [5u32, 6].into_iter().enumerate() {
+        store.save_blocking(KEY, fp, &plan).unwrap();
+        let mut old = std::fs::read(&path).unwrap();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        assert!(store.load(KEY, fp).is_none(), "v{version}");
+        assert_eq!(
+            store.stats().stale_evicted,
+            evicted as u64 + 1,
+            "v{version}"
+        );
+        assert_eq!(store.stats().corrupt_evicted, 0, "v{version}");
+        assert!(!path.exists(), "a stale v{version} entry is evicted");
+    }
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The payload names its pipeline; a name no pipeline carries is a parse
+/// error (a corrupt entry), not a plan with a guessed execution profile.
+#[test]
+fn an_unknown_pipeline_name_is_a_parse_error() {
+    let (mut plan, fp) = compiled();
+    plan.pipeline = "TorchScript+TVM";
+    let bytes = encode_plan(&plan, KEY, fp);
+    match decode_plan_full(&bytes, expect(fp)).unwrap_err() {
+        StoreError::Parse(msg) => assert!(msg.contains("TorchScript+TVM"), "{msg}"),
+        other => panic!("expected Parse, got {other}"),
+    }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use tensorssa::backend::DeviceProfile;
-use tensorssa::pipelines::all_pipelines;
+use tensorssa::pipelines::PipelineKind;
 use tensorssa::workloads::Workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{:>12}", format!("seq={s}"));
     }
     println!();
-    for pipeline in all_pipelines() {
+    for pipeline in PipelineKind::all() {
         let compiled = pipeline.compile(&graph);
         print!("{:<22}", pipeline.name());
         for s in seqs {

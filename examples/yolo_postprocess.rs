@@ -6,7 +6,7 @@
 //! ```
 
 use tensorssa::backend::DeviceProfile;
-use tensorssa::pipelines::all_pipelines;
+use tensorssa::pipelines::PipelineKind;
 use tensorssa::workloads::Workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "pipeline", "launches", "device(us)", "host(us)", "total(us)"
     );
     let mut eager_total = None;
-    for pipeline in all_pipelines() {
+    for pipeline in PipelineKind::all() {
         let compiled = pipeline.compile(&graph);
         let (_, stats) = compiled.run(device.clone(), &inputs)?;
         let total = stats.total_us();

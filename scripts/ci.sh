@@ -106,6 +106,15 @@ step "one shape authority (no constraint parser, second union-find or lint-side 
 ONE_SHAPE='fn parse_constraint|SymExpr::parse|DimVar::parse|struct DimClasses|fn symbolic_numel|fn provable_broadcast_mismatch|constraints: Vec<String>'
 [ -z "$(guard "$ONE_SHAPE")" ] || { echo "a second shape authority:"; guard "$ONE_SHAPE"; exit 1; }
 
+step "one list of pipelines (no mirror enum, name or device table outside tssa-pipelines)"
+# PipelineKind in tssa-pipelines names the five compilers of the paper's
+# figures once, and everything a name determines (passes, roster, execution
+# profile) is read off the pipeline it maps to. Neither a second enum of
+# them, a table of their names or device names, nor a second lookup of
+# their execution profile comes back outside that crate.
+ONE_LIST='enum PipelineKind|KNOWN_PIPELINES|fn intern_(pipeline|device)|fn exec_profile'
+[ -z "$(guard "$ONE_LIST" | grep -v '^crates/pipelines/src/')" ] || { echo "a second list of pipelines:"; guard "$ONE_LIST" | grep -v '^crates/pipelines/src/'; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.

@@ -4,13 +4,13 @@
 
 use tensorssa::backend::{DeviceProfile, RtValue};
 use tensorssa::frontend::compile;
-use tensorssa::pipelines::all_pipelines;
+use tensorssa::pipelines::PipelineKind;
 use tensorssa::tensor::Tensor;
 
 fn agree(src: &str, inputs: &[RtValue]) {
     let g = compile(src).unwrap_or_else(|e| panic!("{src}\n{e}"));
     let mut reference: Option<Tensor> = None;
-    for p in all_pipelines() {
+    for p in PipelineKind::all() {
         let cp = p.compile(&g);
         assert!(
             cp.graph.verify().is_ok(),

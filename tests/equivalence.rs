@@ -3,7 +3,7 @@
 //! kernels than any baseline.
 
 use tensorssa::backend::{DeviceProfile, ExecStats, RtValue};
-use tensorssa::pipelines::{all_pipelines, Pipeline, TensorSsa};
+use tensorssa::pipelines::{Pipeline, PipelineKind, TensorSsa};
 use tensorssa::workloads::all_workloads;
 
 fn run_workload(name: &str, batch: usize, seq: usize) -> Vec<(String, Vec<RtValue>, ExecStats)> {
@@ -13,8 +13,8 @@ fn run_workload(name: &str, batch: usize, seq: usize) -> Vec<(String, Vec<RtValu
         .expect("workload exists");
     let g = w.graph().expect("compiles");
     let inputs = w.inputs(batch, seq, 1234);
-    all_pipelines()
-        .iter()
+    PipelineKind::all()
+        .into_iter()
         .map(|p| {
             let cp = p.compile(&g);
             assert!(
@@ -185,7 +185,7 @@ fn overflowing_int_constants_compile_and_wrap_as_eager_does() {
     };
     let eager = ints(&tensorssa::pipelines::Eager);
     assert_eq!(eager, [i64::MIN, 0, i64::MIN, i64::MIN]);
-    for p in all_pipelines() {
-        assert_eq!(ints(p.as_ref()), eager, "{}", p.name());
+    for p in PipelineKind::all() {
+        assert_eq!(ints(p.pipeline()), eager, "{}", p.name());
     }
 }

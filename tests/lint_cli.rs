@@ -82,3 +82,35 @@ fn lint_denies_a_select_from_a_rank_0_value_without_panicking() {
         "{stdout}"
     );
 }
+
+#[test]
+fn lint_denies_a_cat_of_operands_with_different_ranks_without_panicking() {
+    for dim in [0, 1] {
+        let path = std::env::temp_dir().join(format!(
+            "tssa-lint-cat-rank-{dim}-{}.tssa",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            format!(
+                "def f(n: int):\n    z = zeros([4, 2])\n    w = zeros([3])\n    \
+                 y = cat([z, w], {dim})\n    return y\n"
+            ),
+        )
+        .expect("write the program");
+        let out = tssa_lint(&["lint", path.to_str().expect("utf-8 temp path")]);
+        std::fs::remove_file(&path).ok();
+        let stdout = text(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "dim {dim}: {stdout}{}",
+            text(&out.stderr)
+        );
+        assert!(
+            stdout.contains("shape-incompatible-view-chain")
+                && stdout.contains("operand 1 has rank 1"),
+            "dim {dim}: {stdout}"
+        );
+    }
+}

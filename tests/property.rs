@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use tensorssa::backend::{DeviceProfile, RtValue};
 use tensorssa::frontend::compile;
-use tensorssa::pipelines::all_pipelines;
+use tensorssa::pipelines::PipelineKind;
 use tensorssa::tensor::Tensor;
 
 const ROWS: usize = 4;
@@ -157,7 +157,7 @@ proptest! {
         let inputs = [RtValue::Tensor(x), RtValue::Bool(cond)];
         let mut reference: Option<Tensor> = None;
         let mut eager_launches = 0;
-        for p in all_pipelines() {
+        for p in PipelineKind::all() {
             let cp = p.compile(&graph);
             prop_assert!(cp.graph.verify().is_ok(), "{}:\n{src}\n{:?}", p.name(), cp.graph.verify());
             let (outs, stats) = cp
