@@ -1,7 +1,7 @@
 //! Registry-driven worker autoscaling.
 //!
 //! The autoscaler closes a feedback loop that already half-exists in the
-//! stack: the dispatcher records every request's admission-to-dispatch
+//! stack: the worker that takes a request records its admission-to-execution
 //! wait into the `tssa_queue_wait_us` histogram; the pool can now
 //! [`grow`](tssa_serve::Service::grow) and
 //! [`shrink`](tssa_serve::Service::shrink) safely. The autoscaler reads
@@ -221,11 +221,11 @@ impl Drop for Autoscaler {
 
 fn run(service: &Arc<Service>, config: AutoscaleConfig, stop: &AtomicBool) {
     let registry = service.registry();
-    // The same shared handle the dispatcher records into: reading it here
+    // The same shared handle the workers record into: reading it here
     // observes live traffic, not a point-in-time export.
     let queue_wait = registry.histogram(
         "tssa_queue_wait_us",
-        "Admission-to-dispatch queue wait (power-of-two buckets, µs)",
+        "Admission-to-execution queue wait (power-of-two buckets, µs)",
         &[],
     );
     let workers_gauge = registry.gauge(

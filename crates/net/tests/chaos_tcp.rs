@@ -51,7 +51,6 @@ fn chaos_round(seed: u64, totals: &mut Totals) {
             .with_workers(2)
             .with_queue_depth(8)
             .with_max_batch(4)
-            .with_max_wait(Duration::from_micros(500))
             .with_timeout_grace(Duration::from_millis(2))
             .with_faults(faults.clone()),
     ));

@@ -192,7 +192,6 @@ fn autoscaler_grows_under_load_and_shrinks_after_idle() {
             .with_workers(1)
             .with_queue_depth(8)
             .with_max_batch(2)
-            .with_max_wait(Duration::from_micros(200))
             .with_faults(plan.faults()),
     );
     let autoscaler = Autoscaler::spawn(

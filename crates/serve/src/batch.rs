@@ -8,9 +8,9 @@
 //!   (the batch dimension); coalescing concatenates them, and stacked
 //!   outputs are split back by each request's row count;
 //! * [`ArgRole::Shared`] arguments are common to every request in the batch
-//!   (weights, anchor points, sequence lengths); the dispatcher only
-//!   coalesces requests whose shared arguments are identical, so sharing is
-//!   sound by construction.
+//!   (weights, anchor points, sequence lengths); a worker only coalesces
+//!   requests whose shared arguments are identical, so sharing is sound by
+//!   construction.
 //!
 //! For programs that are elementwise over the batch dimension — the CV
 //! post-processing workloads — batched execution is *bit-for-bit* equal to

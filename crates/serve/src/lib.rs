@@ -11,16 +11,18 @@
 //!    its certified class admits, under one LRU bound and single-flight
 //!    compilation so a thundering herd on a cold model compiles exactly
 //!    once.
-//! 2. **Dynamic batcher** (the dispatcher inside [`Service`]) — requests
-//!    for the same plan are coalesced from a bounded queue into one batched
-//!    execution, up to `max_batch` requests or `max_wait`, whichever comes
-//!    first. The [`BatchSpec`] contract ([`ArgRole::Stacked`] /
-//!    [`ArgRole::Shared`]) makes coalescing sound, and bit-for-bit exact
-//!    for models elementwise over the batch dimension.
-//! 3. **Worker pool** — N executor threads drain batches, each holding its
-//!    own [`tssa_backend::ExecStats`] aggregate (reported by
-//!    [`Service::shutdown`]), with the machine's cores divided among
-//!    workers to avoid oversubscription.
+//! 2. **Dynamic batcher** (the request queue inside [`Service`]) — a free
+//!    worker takes the oldest queued request together with every queued
+//!    request for the same plan that can share its execution, up to
+//!    `max_batch`. No request waits for company while a worker is idle;
+//!    requests coalesce while every worker is busy. The [`BatchSpec`]
+//!    contract ([`ArgRole::Stacked`] / [`ArgRole::Shared`]) makes
+//!    coalescing sound, and bit-for-bit exact for models elementwise over
+//!    the batch dimension.
+//! 3. **Worker pool** — N executor threads take and run batches, each
+//!    holding its own [`tssa_backend::ExecStats`] aggregate (reported by
+//!    [`Service::shutdown`]); [`Service::grow`] and [`Service::shrink`]
+//!    resize the pool.
 //! 4. **Admission & metrics** — bounded-queue backpressure that sheds with
 //!    typed [`ServeError`]s instead of blocking or dropping. Every series
 //!    the service records — request and recovery counters, the latency,

@@ -87,7 +87,7 @@ impl Metrics {
                 "Worker panics recovered in place",
             ),
             faults_injected: AtomicU64::new(0),
-            batches: counter("tssa_batches_total", "Batches dispatched to workers"),
+            batches: counter("tssa_batches_total", "Batches executed by workers"),
             latency: registry.histogram(
                 "tssa_request_latency_us",
                 "End-to-end request latency (power-of-two buckets, µs)",
@@ -218,7 +218,7 @@ impl Metrics {
             ),
             (
                 "tssa_batch_max",
-                "Largest batch dispatched",
+                "Largest batch executed",
                 snap.max_batch as f64,
             ),
             (
@@ -277,11 +277,11 @@ pub struct MetricsSnapshot {
     pub latency_sum_us: u64,
     /// Latency samples recorded (successful completions).
     pub latency_count: u64,
-    /// Batches dispatched to workers.
+    /// Batches executed by workers.
     pub batches: u64,
     /// Mean requests coalesced per batch.
     pub avg_batch_occupancy: f64,
-    /// Largest batch dispatched.
+    /// Largest batch executed.
     pub max_batch: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,

@@ -85,7 +85,6 @@ fn chaos_round(seed: u64, tracer: &Tracer, totals: &mut SuiteTotals) {
         .with_workers(2)
         .with_queue_depth(8)
         .with_max_batch(4)
-        .with_max_wait(Duration::from_micros(500))
         .with_tracer(tracer.clone())
         .with_faults(faults.clone());
     if deadlines {

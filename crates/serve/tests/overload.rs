@@ -127,12 +127,7 @@ fn malformed_inputs_rejected_at_admission() {
 fn shutdown_drains_queued_work() {
     const SUBMITTED: usize = 12;
     let workload = Workload::by_name("fcos").unwrap();
-    let service = Service::new(
-        ServeConfig::default()
-            .with_workers(2)
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(50)),
-    );
+    let service = Service::new(ServeConfig::default().with_workers(2).with_max_batch(4));
     let inputs = workload.inputs(2, 0, 9);
     let spec = BatchSpec {
         args: vec![

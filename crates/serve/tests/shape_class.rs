@@ -13,7 +13,10 @@
 use std::sync::{Mutex, PoisonError};
 
 use tssa_backend::RtValue;
-use tssa_serve::{ArgRole, BatchSpec, MetricsRegistry, PipelineKind, ServeConfig, Service, Tracer};
+use tssa_serve::{
+    ArgRole, BatchSpec, FaultKind, FaultPlan, MetricsRegistry, PipelineKind, ServeConfig, Service,
+    Tracer,
+};
 use tssa_workloads::{all_workloads, Workload};
 
 // Batch 1 included deliberately: a class plan must not silently assume a
@@ -218,11 +221,17 @@ fn census_counts_every_served_bucket() {
 fn compatible_shapes_stack_pad_free_in_one_batch() {
     let _compiles = COMPILES.lock().unwrap_or_else(PoisonError::into_inner);
     let w = Workload::by_name("yolact").unwrap();
+    // The first execution sleeps, holding the one worker while both
+    // requests queue behind it.
+    let faults = FaultPlan::script()
+        .at(FaultKind::SlowExec, 0)
+        .with_slow_exec(std::time::Duration::from_millis(50))
+        .faults();
     let service = Service::new(
         ServeConfig::default()
             .with_workers(1)
             .with_max_batch(4)
-            .with_max_wait(std::time::Duration::from_millis(100)),
+            .with_faults(faults),
     );
     let model = service
         .loader(w.source)
@@ -231,6 +240,14 @@ fn compatible_shapes_stack_pad_free_in_one_batch() {
         .batch(BatchSpec::stacked(1, 1))
         .load()
         .unwrap();
+    // The hold: the same class loaded unbatched, so it runs alone.
+    let hold = service
+        .loader(w.source)
+        .example(&w.inputs(2, 0, 5))
+        .batch(shared_spec(&w))
+        .load()
+        .unwrap();
+    let held = service.submit(&hold, w.inputs(2, 0, 5)).unwrap();
     // Two requests from *different* concrete shapes of the class — only the
     // batch dim differs, so they concatenate with zero padding.
     let small = w.inputs(2, 0, 61);
@@ -256,7 +273,11 @@ fn compatible_shapes_stack_pad_free_in_one_batch() {
             assert!(rt_close(got, want), "stacked execution diverges");
         }
     }
+    assert_eq!(held.wait().unwrap().coalesced, 1);
     let metrics = service.shutdown().metrics;
-    assert_eq!(metrics.batches, 1, "one batch executed both shapes");
+    assert_eq!(
+        metrics.batches, 2,
+        "the hold, then one batch executed both shapes"
+    );
     assert_eq!(metrics.max_batch, 2);
 }

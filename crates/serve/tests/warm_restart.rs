@@ -85,7 +85,7 @@ fn restart_drill_first_load_is_a_disk_hit() {
         "a warm start must not compile"
     );
 
-    // The disk-loaded plan is the one the dispatcher serves, and it computes
+    // The disk-loaded plan is the one the workers run, and it computes
     // exactly what the cold plan computed.
     let warm_outputs = model
         .plan()

@@ -211,7 +211,8 @@ impl PlanStore {
     /// whose header carries `coarse_hash`, matches `roster_fingerprint`, and
     /// whose decoded plan passes the caller's `admit` check (the shape-class
     /// admission test) — this is how a warm restart serves a concrete shape
-    /// it never stored exactly.
+    /// it never stored exactly. The scan also evicts, and counts stale, every
+    /// plan file of an older format it meets.
     pub fn load_class(
         &self,
         content_hash: u64,
@@ -257,7 +258,11 @@ impl PlanStore {
         }
         // Exact miss: scan headers for the class. Files that fail to peek
         // or decode are skipped without counters — they belong to other
-        // keys, whose own loads will evict them.
+        // keys, whose own loads will evict them. A file of an older format
+        // is evicted here, since its name may be one no live key produces
+        // any more (v7 renamed every plan file) and then no exact load
+        // ever reaches it. A newer format's file belongs to another
+        // binary, and stays.
         if coarse_hash != 0 {
             let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)
                 .map(|rd| {
@@ -278,6 +283,11 @@ impl PlanStore {
                 let Ok(header) = peek_header(&bytes) else {
                     continue;
                 };
+                if header.version < FORMAT_VERSION {
+                    self.counters.stale_evicted.fetch_add(1, Ordering::Relaxed);
+                    let _ = std::fs::remove_file(&path);
+                    continue;
+                }
                 if header.version != FORMAT_VERSION
                     || header.coarse_hash != coarse_hash
                     || header.roster_fingerprint != roster_fingerprint

@@ -202,6 +202,33 @@ fn plan_files_of_older_formats_are_stale_misses() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An old-format file under a name no live key produces is reached by no
+/// exact load, so the class scan evicts it; a newer format's file belongs
+/// to another binary and stays.
+#[test]
+fn the_class_scan_evicts_old_format_files_under_dead_names() {
+    const DEAD: u64 = 0xDEAD;
+    let dir = std::env::temp_dir().join(format!("tssa-store-dead-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = PlanStore::open(&dir).unwrap();
+    let (plan, fp) = compiled();
+    let bytes = encode_plan(&plan, DEAD, fp);
+    let (old, new) = (store.path_for(DEAD), store.path_for(DEAD + 1));
+    for (path, version) in [(&old, 6u32), (&new, FORMAT_VERSION + 1)] {
+        let mut file = bytes.clone();
+        file[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(path, &file).unwrap();
+    }
+    assert!(store.load_class(KEY, 1, fp, |_| true).is_none());
+    let stats = store.stats();
+    assert_eq!(stats.stale_evicted, 1);
+    assert_eq!(stats.disk_misses, 1);
+    assert!(!old.exists(), "the v6 file is evicted");
+    assert!(new.exists(), "a newer format's file is left alone");
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The payload names its pipeline; a name no pipeline carries is a parse
 /// error (a corrupt entry), not a plan with a guessed execution profile.
 #[test]

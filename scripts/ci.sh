@@ -115,6 +115,15 @@ step "one list of pipelines (no mirror enum, name or device table outside tssa-p
 ONE_LIST='enum PipelineKind|KNOWN_PIPELINES|fn intern_(pipeline|device)|fn exec_profile'
 [ -z "$(guard "$ONE_LIST" | grep -v '^crates/pipelines/src/')" ] || { echo "a second list of pipelines:"; guard "$ONE_LIST" | grep -v '^crates/pipelines/src/'; exit 1; }
 
+step "one queue (no dispatcher thread, batching timer or channel crate)"
+# Admission pushes into one request queue and a free worker takes the
+# oldest request with the queued requests that can share its execution.
+# Neither a dispatcher thread with its bins, a timer that holds a batch
+# back while a worker is idle, an idle worker's poll, nor a channel crate
+# between admission and the workers comes back.
+ONE_QUEUE='fn dispatch_loop|DispatcherCtx|max_wait|STOP_POLL|crossbeam::'
+[ -z "$(guard "$ONE_QUEUE")" ] || { echo "a second queue:"; guard "$ONE_QUEUE"; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.
