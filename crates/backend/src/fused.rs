@@ -67,7 +67,7 @@ impl Slot {
     fn dense(buf: usize, shape: &[usize], dtype: DType) -> Slot {
         Slot {
             buf,
-            layout: Layout::contiguous(shape),
+            layout: Layout::contiguous(shape).expect("a planned buffer's shape fits"),
             dtype,
         }
     }

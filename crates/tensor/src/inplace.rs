@@ -21,7 +21,7 @@ impl Tensor {
     ) -> Result<()> {
         if src.shares_storage_with(self) {
             let snapshot = src.to_buffer();
-            let layout = Layout::contiguous(src.shape()).broadcast_to(self.shape())?;
+            let layout = Layout::contiguous(src.shape())?.broadcast_to(self.shape())?;
             f(&mut self.storage.write(), (&snapshot, &layout));
         } else {
             let layout = src.layout.broadcast_to(self.shape())?;

@@ -9,6 +9,7 @@
 
 use crate::dtype::promote;
 use crate::layout::INLINE;
+use crate::math;
 use crate::storage::Buffer;
 use crate::{DType, Layout, Result, Scalar, TensorError};
 
@@ -222,17 +223,29 @@ macro_rules! unary_fn {
             UnaryOp::Abs => $go!(|v: $A| v.abs()),
             UnaryOp::Not => $go!(|v: $A| !v.truthy()),
             UnaryOp::Relu => $go!(|v: $A| v.f32().max(0.0)),
-            UnaryOp::Sigmoid => $go!(|v: $A| 1.0 / (1.0 + (-v.f32()).exp())),
-            UnaryOp::Tanh => $go!(|v: $A| v.f32().tanh()),
-            UnaryOp::Exp => $go!(|v: $A| v.f32().exp()),
+            UnaryOp::Sigmoid => $go!(|v: $A| math::sigmoid(v.f32())),
+            UnaryOp::Tanh => $go!(|v: $A| math::tanh(v.f32())),
+            UnaryOp::Exp => $go!(|v: $A| math::exp(v.f32())),
             UnaryOp::Log => $go!(|v: $A| v.f32().ln()),
             UnaryOp::Sqrt => $go!(|v: $A| v.f32().sqrt()),
-            UnaryOp::AddC(c) => $go!(|v: $A| v.f32() + c),
-            UnaryOp::MulC(c) => $go!(|v: $A| v.f32() * c),
-            UnaryOp::SubC(c) => $go!(|v: $A| v.f32() - c),
-            UnaryOp::DivC(c) => $go!(|v: $A| v.f32() / c),
-            UnaryOp::PowC(c) => $go!(|v: $A| v.f32().powf(c)),
-            UnaryOp::Clamp(lo, hi) => $go!(|v: $A| v.f32().clamp(lo, hi)),
+            // Constants are moved in: the vectoriser cannot tell that the
+            // output does not alias a captured reference.
+            UnaryOp::AddC(c) => $go!(move |v: $A| v.f32() + c),
+            UnaryOp::MulC(c) => $go!(move |v: $A| v.f32() * c),
+            UnaryOp::SubC(c) => $go!(move |v: $A| v.f32() - c),
+            UnaryOp::DivC(c) => $go!(move |v: $A| v.f32() / c),
+            UnaryOp::PowC(c) => $go!(move |v: $A| v.f32().powf(c)),
+            // `f32::clamp` without its bounds check, which `result_dtype`
+            // makes once and which would keep the loop from vectorising.
+            UnaryOp::Clamp(lo, hi) => $go!(move |v: $A| {
+                let v = v.f32();
+                let v = if v < lo { lo } else { v };
+                if v > hi {
+                    hi
+                } else {
+                    v
+                }
+            }),
         }
     };
 }
@@ -413,8 +426,14 @@ fn map2<A: Copy, B: Copy, O>(
 /// stride 0 is read and written once per logical element.
 fn update1<D: Copy>(d: &mut [D], l: &Layout, f: impl Fn(D) -> D) {
     for_each_row(&l.shape, [l], |len, [at], [step]| {
-        for i in 0..len {
-            d[at + i * step] = f(d[at + i * step]);
+        if step == 1 {
+            for o in &mut d[at..at + len] {
+                *o = f(*o);
+            }
+        } else {
+            for i in 0..len {
+                d[at + i * step] = f(d[at + i * step]);
+            }
         }
     });
 }
@@ -447,7 +466,8 @@ fn as_dtype<'a>(
     if v.0.dtype() == dtype {
         return v;
     }
-    let (buf, layout) = tmp.insert((cast(v, dtype), Layout::contiguous(&v.1.shape)));
+    let dense = Layout::contiguous(&v.1.shape).expect("a layout's shape fits");
+    let (buf, layout) = tmp.insert((cast(v, dtype), dense));
     (buf, layout)
 }
 
@@ -539,14 +559,30 @@ pub fn select(cond: Operand, a: Operand, b: Operand) -> Result<Buffer> {
     };
     fn go<A: Elem>(m: (&[bool], &Layout), x: (&[A], &Layout), y: (&[A], &Layout)) -> Buffer {
         let mut out = Vec::with_capacity(m.1.numel());
-        let pick = |im, ix, iy| if m.0[im] { x.0[ix] } else { y.0[iy] };
-        for_each_row(
-            &m.1.shape,
-            [m.1, x.1, y.1],
-            |len, [im, ix, iy], [sm, sx, sy]| {
-                out.extend((0..len).map(|i| pick(im + i * sm, ix + i * sx, iy + i * sy)));
-            },
-        );
+        // An index rather than a branch: a mask that is not all one way
+        // would mispredict it, and the vectoriser leaves an `if` scalar.
+        let pick = |c: bool, a, b| [b, a][usize::from(c)];
+        for_each_row(&m.1.shape, [m.1, x.1, y.1], |len, [im, ix, iy], steps| {
+            let cs = &m.0[im..];
+            match steps {
+                [1, 1, 1] => {
+                    let xy = x.0[ix..ix + len].iter().zip(&y.0[iy..iy + len]);
+                    out.extend(cs[..len].iter().zip(xy).map(|(&c, (&a, &b))| pick(c, a, b)));
+                }
+                [1, 1, 0] => {
+                    let b = y.0[iy];
+                    let xs = &x.0[ix..ix + len];
+                    out.extend(cs[..len].iter().zip(xs).map(|(&c, &a)| pick(c, a, b)));
+                }
+                [1, 0, 1] => {
+                    let a = x.0[ix];
+                    let ys = &y.0[iy..iy + len];
+                    out.extend(cs[..len].iter().zip(ys).map(|(&c, &b)| pick(c, a, b)));
+                }
+                [sm, sx, sy] => out
+                    .extend((0..len).map(|i| pick(cs[i * sm], x.0[ix + i * sx], y.0[iy + i * sy]))),
+            }
+        });
         A::wrap(out)
     }
     let dtype = promote(a.0.dtype(), b.0.dtype());
@@ -607,7 +643,7 @@ mod tests {
             });
             seen
         };
-        let l = Layout::contiguous(&[2, 3, 4]);
+        let l = Layout::contiguous(&[2, 3, 4]).unwrap();
         assert_eq!(rows(&l.shape, &l), vec![(24, 0, 1)]);
         let t = l.transpose(0, 2).unwrap();
         assert_eq!(rows(&t.shape, &t).len(), 12);
@@ -617,13 +653,16 @@ mod tests {
         assert_eq!(rows(&s.shape, &s), vec![(12, 1, 2)]);
         let s = l.slice(2, 1, 4, 1).unwrap();
         assert_eq!(rows(&s.shape, &s)[..2], [(3, 1, 1), (3, 5, 1)]);
-        assert_eq!(rows(&[], &Layout::contiguous(&[])), vec![(1, 0, 0)]);
-        assert!(rows(&[2, 0], &Layout::contiguous(&[2, 0])).is_empty());
+        assert_eq!(
+            rows(&[], &Layout::contiguous(&[]).unwrap()),
+            vec![(1, 0, 0)]
+        );
+        assert!(rows(&[2, 0], &Layout::contiguous(&[2, 0]).unwrap()).is_empty());
     }
 
     #[test]
     fn integer_arithmetic_is_exact_and_wraps() {
-        let l = Layout::contiguous(&[3]);
+        let l = Layout::contiguous(&[3]).unwrap();
         let a = Buffer::I64(vec![16_777_217, 3_000_000_019, i64::MAX]);
         let b = Buffer::I64(vec![0, 3, 1]);
         let Buffer::I64(sum) = binary(BinaryOp::Add, (&a, &l), (&b, &l)) else {
@@ -656,7 +695,7 @@ mod tests {
         assert_eq!(BinaryOp::Div.result_dtype(I64, I64), F32);
         assert_eq!(BinaryOp::Pow.result_dtype(F32, F32), F32);
         assert_eq!(BinaryOp::Le.result_dtype(F32, F32), Bool);
-        let l = Layout::contiguous(&[1]);
+        let l = Layout::contiguous(&[1]).unwrap();
         let (f, b) = (Buffer::F32(vec![1.0]), Buffer::Bool(vec![true]));
         assert!(unary(UnaryOp::Neg, (&b, &l)).is_err());
         assert!(select((&f, &l), (&f, &l), (&f, &l)).is_err());
@@ -665,7 +704,7 @@ mod tests {
 
     #[test]
     fn mixed_operands_compute_in_the_promoted_type() {
-        let l = Layout::contiguous(&[2]);
+        let l = Layout::contiguous(&[2]).unwrap();
         let i = Buffer::I64(vec![3, -2]);
         let f = Buffer::F32(vec![0.5, 0.5]);
         let Buffer::F32(sum) = binary(BinaryOp::Add, (&i, &l), (&f, &l)) else {

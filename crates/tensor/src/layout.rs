@@ -122,6 +122,24 @@ pub(crate) fn normalize_index(index: isize, size: usize, dim: usize) -> Result<u
     Ok(i as usize)
 }
 
+/// The number of elements of `shape`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] if its non-zero dims multiply
+/// past what a `usize` counts, a 0 dim or not: then no product of its dims
+/// in any order overflows, [`Layout::numel`]'s included.
+pub(crate) fn checked_numel(shape: &[usize]) -> Result<usize> {
+    let nonzero = shape.iter().filter(|&&d| d != 0);
+    match nonzero.copied().try_fold(1usize, usize::checked_mul) {
+        Some(_) if shape.contains(&0) => Ok(0),
+        Some(n) => Ok(n),
+        None => Err(TensorError::invalid(format!(
+            "{shape:?}: more elements than a usize counts"
+        ))),
+    }
+}
+
 /// Broadcast two shapes per NumPy/PyTorch rules.
 ///
 /// # Errors
@@ -148,17 +166,23 @@ pub fn broadcast_shapes(
 
 impl Layout {
     /// All of a row-major buffer of `shape`.
-    pub fn contiguous(shape: &[usize]) -> Layout {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] if `shape` has more elements
+    /// than a `usize` counts.
+    pub fn contiguous(shape: &[usize]) -> Result<Layout> {
+        checked_numel(shape)?;
         let mut strides = Dims::from_fn(shape.len(), |_| 1);
         let s = &mut strides[..];
         for i in (1..shape.len()).rev() {
             s[i - 1] = s[i] * shape[i];
         }
-        Layout {
+        Ok(Layout {
             offset: 0,
             shape: shape.into(),
             strides,
-        }
+        })
     }
 
     /// Logical shape.
@@ -166,7 +190,8 @@ impl Layout {
         &self.shape
     }
 
-    /// Number of logical elements.
+    /// Number of logical elements. Unchecked: no constructor makes a layout
+    /// with more than a `usize` counts.
     pub fn numel(&self) -> usize {
         self.shape.iter().product()
     }
@@ -317,15 +342,7 @@ impl Layout {
             .len()
             .checked_sub(self.shape.len())
             .ok_or_else(mismatch)?;
-        let fits = shape
-            .iter()
-            .try_fold(1usize, |n, &d| n.checked_mul(d))
-            .is_some();
-        if !fits {
-            return Err(TensorError::invalid(format!(
-                "{shape:?}: more elements than a usize counts"
-            )));
-        }
+        checked_numel(shape)?;
         let (own, strides) = (&self.shape[..], &self.strides[..]);
         if (own.iter().zip(&shape[pad..])).any(|(&d, &t)| d != t && d != 1) {
             return Err(mismatch());
@@ -379,9 +396,10 @@ impl Layout {
             -1 => inferred,
             d => d as usize,
         });
+        // A product that saturated to a `total` of `usize::MAX` is refused here.
         Ok(Layout {
             offset: self.offset,
-            ..Layout::contiguous(&dims)
+            ..Layout::contiguous(&dims)?
         })
     }
 }
@@ -393,9 +411,12 @@ mod tests {
 
     #[test]
     fn contiguous_strides_row_major() {
-        assert_eq!(Layout::contiguous(&[2, 3, 4]).strides[..], [12, 4, 1]);
-        assert!(Layout::contiguous(&[]).strides.is_empty());
-        assert_eq!(Layout::contiguous(&[5]).strides[..], [1]);
+        assert_eq!(
+            Layout::contiguous(&[2, 3, 4]).unwrap().strides[..],
+            [12, 4, 1]
+        );
+        assert!(Layout::contiguous(&[]).unwrap().strides.is_empty());
+        assert_eq!(Layout::contiguous(&[5]).unwrap().strides[..], [1]);
     }
 
     #[test]
@@ -403,9 +424,9 @@ mod tests {
         assert_eq!(*broadcast_shapes(&[2, 1], &[3], "t").unwrap(), [2, 3]);
         assert_eq!(*broadcast_shapes(&[], &[4], "t").unwrap(), [4]);
         assert!(broadcast_shapes(&[2], &[3], "t").is_err());
-        let l = Layout::contiguous(&[2, 1]);
+        let l = Layout::contiguous(&[2, 1]).unwrap();
         assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides[..], [1, 0]);
-        let l = Layout::contiguous(&[3]);
+        let l = Layout::contiguous(&[3]).unwrap();
         assert_eq!(l.broadcast_to(&[2, 3]).unwrap().strides[..], [0, 1]);
         assert!(l.broadcast_to(&[3, 2]).is_err());
         assert!(l.broadcast_to(&[]).is_err());
@@ -422,7 +443,7 @@ mod tests {
 
     #[test]
     fn density_ignores_unit_dims_and_sees_gaps() {
-        let l = Layout::contiguous(&[2, 3, 4]);
+        let l = Layout::contiguous(&[2, 3, 4]).unwrap();
         assert!(l.is_dense());
         assert!(l.select(0, 1).unwrap().is_dense());
         assert!(!l.select(2, 1).unwrap().is_dense());
@@ -436,7 +457,7 @@ mod tests {
 
     #[test]
     fn slice_clamps_and_survives_huge_steps() {
-        let l = Layout::contiguous(&[6]);
+        let l = Layout::contiguous(&[6]).unwrap();
         let s = l.slice(0, 1, 100, 2).unwrap();
         assert_eq!(
             (s.offset, s.shape(), &s.strides[..]),
@@ -449,7 +470,7 @@ mod tests {
 
     #[test]
     fn view_resolves_and_validates_shapes() {
-        let l = Layout::contiguous(&[2, 6]);
+        let l = Layout::contiguous(&[2, 6]).unwrap();
         assert_eq!(l.view(&[3, -1]).unwrap().shape(), [3, 4]);
         assert_eq!(
             l.view(&[4, 5]),
@@ -484,7 +505,10 @@ mod tests {
         // middle dims swapped.
         let dims = [2, 3, 4, 5];
         assert_eq!(dims.len(), INLINE);
-        let base = Layout::contiguous(&dims).slice(-1, 1, 5, 2).unwrap();
+        let base = Layout::contiguous(&dims)
+            .unwrap()
+            .slice(-1, 1, 5, 2)
+            .unwrap();
         let base = base.transpose(1, 2).unwrap();
         let walk = rows(&base);
         assert_eq!((walk.len(), &walk[..2]), (24, &[(2, 1, 2), (2, 21, 2)][..]));

@@ -31,6 +31,7 @@ mod fmt;
 mod inplace;
 pub mod kernel;
 mod layout;
+mod math;
 mod ops;
 mod random;
 mod storage;

@@ -61,7 +61,7 @@ impl Tensor {
     /// value as f64. Each cell therefore sees its inputs in increasing `i`.
     fn walk_dim(&self, d: usize, cells: &[usize], mut f: impl FnMut(usize, usize, f64)) {
         let cells = Layout::contiguous(cells)
-            .broadcast_to(self.shape())
+            .and_then(|l| l.broadcast_to(self.shape()))
             .expect("unit dims broadcast");
         let index = index_along(self.shape(), d);
         let l = &self.layout;
@@ -174,7 +174,7 @@ impl Tensor {
     pub fn cumsum(&self, dim: isize) -> Result<Tensor> {
         let d = normalize_dim(dim, self.rank())?;
         let mut out = self.to_buffer();
-        let l = Layout::contiguous(self.shape());
+        let l = Layout::contiguous(self.shape())?;
         let index = index_along(self.shape(), d);
         let back = l.strides[d];
         // Row-major order reaches `i - 1` along `d` before `i`.

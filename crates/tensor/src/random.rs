@@ -3,14 +3,20 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::layout::checked_numel;
 use crate::storage::Buffer;
 use crate::Tensor;
 
 impl Tensor {
     /// Uniform samples in `[lo, hi)` from a deterministic seed.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::full_scalar`], if `shape` has more elements than a
+    /// `usize` counts.
     pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n: usize = shape.iter().product();
+        let n = checked_numel(shape).unwrap_or_else(|e| panic!("{e}"));
         let data: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
         Tensor::dense(Buffer::F32(data), shape)
     }

@@ -3,7 +3,7 @@
 use parking_lot::RwLockReadGuard;
 
 use crate::kernel::{self, for_each_row, typed};
-use crate::layout::{normalize_dim, normalize_index};
+use crate::layout::{checked_numel, normalize_dim, normalize_index};
 use crate::storage::{Buffer, Storage};
 use crate::{DType, Layout, Result, Scalar, TensorError};
 
@@ -62,7 +62,7 @@ impl Tensor {
 
     /// `buffer` as a row-major tensor of `shape`, which it must fill.
     pub(crate) fn dense(buffer: Buffer, shape: &[usize]) -> Tensor {
-        let layout = Layout::contiguous(shape);
+        let layout = Layout::contiguous(shape).expect("a buffer's shape fits");
         debug_assert_eq!(buffer.len(), layout.numel());
         Tensor {
             dtype: buffer.dtype(),
@@ -87,8 +87,14 @@ impl Tensor {
     }
 
     /// A new tensor of `value`'s dtype filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape` has more elements than a `usize` counts, as `vec!`
+    /// does past `isize::MAX` bytes; so do the constructors built on it.
     pub fn full_scalar(shape: &[usize], value: Scalar) -> Tensor {
-        let buffer = Buffer::filled(value.dtype(), shape.iter().product(), value);
+        let n = checked_numel(shape).unwrap_or_else(|e| panic!("{e}"));
+        let buffer = Buffer::filled(value.dtype(), n, value);
         Tensor::dense(buffer, shape)
     }
 
@@ -103,9 +109,11 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::NumelMismatch`] if the buffer's length does not
-    /// match the number of elements of `shape`.
+    /// match the number of elements of `shape`, and
+    /// [`TensorError::InvalidArgument`] if that number is more than a `usize`
+    /// counts.
     pub fn from_buffer(buffer: Buffer, shape: &[usize]) -> Result<Tensor> {
-        let to = shape.iter().product();
+        let to = checked_numel(shape)?;
         if buffer.len() != to {
             return Err(TensorError::NumelMismatch {
                 from: buffer.len(),
@@ -445,9 +453,15 @@ mod tests {
                 ..l.clone()
             })
             .is_err());
-        assert!(t.with_layout(Layout::contiguous(&[7])).is_err());
-        assert!(t.with_layout(Layout::contiguous(&[usize::MAX, 2])).is_err());
-        assert!(t.with_layout(Layout::contiguous(&[0, 9])).is_ok());
+        assert!(t.with_layout(Layout::contiguous(&[7]).unwrap()).is_err());
+        // The last element's index overflows.
+        assert!(t
+            .with_layout(Layout {
+                offset: usize::MAX,
+                ..l.clone()
+            })
+            .is_err());
+        assert!(t.with_layout(Layout::contiguous(&[0, 9]).unwrap()).is_ok());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tssa_tensor::{where_select, BinaryOp, DType, Scalar, Tensor, UnaryOp};
+use tssa_tensor::{where_select, BinaryOp, DType, Layout, Scalar, Tensor, TensorError, UnaryOp};
 
 /// Maps an index in a view's coordinate space back to base coordinates.
 type IndexMap = Box<dyn Fn(&[usize]) -> Vec<usize>>;
@@ -306,6 +306,107 @@ proptest! {
     fn kernels_match_a_naive_coordinate_walk(seed in 0u64..300) {
         Case::new(seed).run();
     }
+
+    /// No public constructor of a layout or tensor makes one whose element
+    /// count wraps: a shape with more elements than a `usize` counts is
+    /// refused with a typed error, or by a panic from the constructors that
+    /// allocate and return no `Result`, before anything is allocated.
+    #[test]
+    fn no_constructor_makes_a_layout_whose_numel_wraps(seed in 0u64..500) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rank = rng.gen_range(0..6usize);
+        let shape: Vec<usize> = (0..rank).map(|_| HUGE_DIMS[rng.gen_range(0..HUGE_DIMS.len())]).collect();
+        check_numel_is_exact(&shape);
+    }
+}
+
+/// Dims around every power of two a product of a few of them can wrap at.
+const HUGE_DIMS: [usize; 12] = [
+    0,
+    1,
+    2,
+    3,
+    1 << 16,
+    1 << 31,
+    1 << 32,
+    1 << 33,
+    1 << 62,
+    usize::MAX / 3,
+    isize::MAX as usize,
+    usize::MAX,
+];
+
+/// The number of elements of `shape`, if a `usize` counts the product of
+/// its non-zero dims (past that, a shape is refused even with a 0 dim).
+fn exact_numel(shape: &[usize]) -> Option<usize> {
+    let mut nonzero = shape.iter().filter(|&&d| d != 0);
+    let n = nonzero.try_fold(1u128, |n, &d| n.checked_mul(d as u128))?;
+    let n = usize::try_from(n).ok()?;
+    Some(if shape.contains(&0) { 0 } else { n })
+}
+
+fn check_numel_is_exact(shape: &[usize]) {
+    let exact = exact_numel(shape);
+    fn too_many<T>(r: &Result<T, TensorError>) -> bool {
+        matches!(r, Err(TensorError::InvalidArgument { .. }))
+    }
+    let layout = Layout::contiguous(shape);
+    match exact {
+        Some(n) => assert_eq!(layout.map(|l| l.numel()), Ok(n), "contiguous {shape:?}"),
+        None => assert!(too_many(&layout), "contiguous {shape:?}: {layout:?}"),
+    }
+    // A broadcast of a scalar, as a layout and as a tensor.
+    let scalar = Layout::contiguous(&[]).unwrap();
+    let wide = scalar.broadcast_to(shape);
+    assert_eq!(
+        wide.as_ref().ok().map(Layout::numel),
+        exact,
+        "broadcast {shape:?}"
+    );
+    assert!(
+        exact.is_some() || too_many(&wide),
+        "broadcast {shape:?}: {wide:?}"
+    );
+    let expanded = Tensor::zeros(&[]).expand(shape);
+    assert_eq!(expanded.ok().map(|t| t.numel()), exact, "expand {shape:?}");
+    // A buffer of no elements takes only a shape of none.
+    let empty = Tensor::from_vec_f32(vec![], shape);
+    match exact {
+        Some(0) => assert_eq!(empty.map(|t| t.numel()), Ok(0), "from_vec {shape:?}"),
+        Some(n) => assert_eq!(
+            empty.map(|t| t.numel()),
+            Err(TensorError::NumelMismatch { from: 0, to: n }),
+            "from_vec {shape:?}"
+        ),
+        None => assert!(too_many(&empty.map(|t| t.numel())), "from_vec {shape:?}"),
+    }
+    // A view of as many elements as a `usize` counts, or of as many as
+    // `shape` has, onto `shape`.
+    if let Ok(dims) = shape
+        .iter()
+        .map(|&d| isize::try_from(d))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        for total in [Some(usize::MAX), exact].into_iter().flatten() {
+            let base = Layout::contiguous(&[total]).unwrap();
+            let view = base.view(&dims);
+            let fits = exact == Some(total);
+            assert_eq!(
+                view.as_ref().ok().map(Layout::numel),
+                fits.then_some(total),
+                "view {total} as {shape:?}: {view:?}"
+            );
+            assert!(fits || view.is_err(), "view {total} as {shape:?}");
+        }
+    }
+    // The constructors that allocate panic rather than wrap; one whose count
+    // fits is not called, as it would allocate all of it.
+    if exact.is_none() {
+        let zeros = std::panic::catch_unwind(|| Tensor::zeros(shape).numel());
+        assert!(zeros.is_err(), "zeros {shape:?}: {zeros:?}");
+        let rand = std::panic::catch_unwind(|| Tensor::rand_uniform(shape, 0.0, 1.0, 0).numel());
+        assert!(rand.is_err(), "rand_uniform {shape:?}: {rand:?}");
+    }
 }
 
 // ------------------------------------------------ naive reference model
@@ -313,6 +414,8 @@ proptest! {
 // Independent of the crate's odometer and op table on purpose: views are
 // lists of base cells built coordinate by coordinate, element functions are
 // spelled out per dtype, and every loop is a plain walk over coordinates.
+// The transcendental element functions are spelled with f64 libm; the crate
+// computes them by polynomial forms held to the ulp bounds of [`ulp_bound`].
 
 /// Every coordinate of `shape` in row-major order.
 fn coords(shape: &[usize]) -> Vec<Vec<usize>> {
@@ -368,6 +471,40 @@ fn key(s: Scalar) -> (u8, u64) {
 
 fn keys(values: &[Scalar]) -> Vec<(u8, u64)> {
     values.iter().map(|&s| key(s)).collect()
+}
+
+/// How far an f32 result of `op` may be from the reference, in units in the
+/// last place: the bounds the crate states for its `exp`, `sigmoid` and
+/// `tanh`. Every other element function is exact.
+fn ulp_bound(op: UnaryOp) -> u32 {
+    match op {
+        UnaryOp::Exp => 2,
+        UnaryOp::Sigmoid | UnaryOp::Tanh => 8,
+        _ => 0,
+    }
+}
+
+/// `got` is `want` to the bit, except that f32 elements may be up to `ulps`
+/// representable values apart (NaN matching NaN).
+fn assert_within(got: &[Scalar], want: &[Scalar], ulps: u32, what: &str) {
+    if ulps == 0 {
+        return assert_eq!(keys(got), keys(want), "{what}");
+    }
+    let ordered = |v: f32| {
+        let i = v.to_bits() as i32;
+        i64::from(if i < 0 { i32::MIN - i } else { i })
+    };
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (&g, &w) in got.iter().zip(want) {
+        let near = match (g, w) {
+            (Scalar::F32(g), Scalar::F32(w)) if g.is_nan() || w.is_nan() => {
+                g.is_nan() && w.is_nan()
+            }
+            (Scalar::F32(g), Scalar::F32(w)) => (ordered(g) - ordered(w)).abs() <= i64::from(ulps),
+            _ => key(g) == key(w),
+        };
+        assert!(near, "{what}: {g:?} is not within {ulps} ulp of {w:?}");
+    }
 }
 
 /// The logical contents of `t` in row-major order.
@@ -439,9 +576,9 @@ fn ref_unary(op: UnaryOp, v: Scalar) -> Option<Scalar> {
                 UnaryOp::Neg => -x,
                 UnaryOp::Abs => x.abs(),
                 UnaryOp::Relu => x.max(0.0),
-                UnaryOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-                UnaryOp::Tanh => x.tanh(),
-                UnaryOp::Exp => x.exp(),
+                UnaryOp::Sigmoid => (1.0 / (1.0 + (-f64::from(x)).exp())) as f32,
+                UnaryOp::Tanh => f64::from(x).tanh() as f32,
+                UnaryOp::Exp => f64::from(x).exp() as f32,
                 UnaryOp::Log => x.ln(),
                 UnaryOp::Sqrt => x.sqrt(),
                 UnaryOp::AddC(c) => x + c,
@@ -566,16 +703,14 @@ impl Viewed {
 
     /// The base must now hold `memory`, and this view its cells of it.
     fn assert_memory(&self, what: &str) {
-        assert_eq!(
-            keys(&scalars(&self.base)),
-            keys(&self.memory),
-            "{what}: base"
-        );
-        assert_eq!(
-            keys(&scalars(&self.view)),
-            keys(&self.values()),
-            "{what}: view"
-        );
+        self.assert_memory_within(what, 0);
+    }
+
+    /// As [`Viewed::assert_memory`], f32 cells within `ulps` of the model.
+    fn assert_memory_within(&self, what: &str, ulps: u32) {
+        let (base, view) = (scalars(&self.base), scalars(&self.view));
+        assert_within(&base, &self.memory, ulps, &format!("{what}: base"));
+        assert_within(&view, &self.values(), ulps, &format!("{what}: view"));
     }
 }
 
@@ -823,7 +958,8 @@ impl Case {
                 match (x.view.unary(op), expected) {
                     (Ok(got), Some(expected)) => {
                         assert_eq!(got.shape(), &x.model.shape[..], "seed {seed} {op:?}");
-                        assert_eq!(keys(&scalars(&got)), keys(&expected), "seed {seed} {op:?}");
+                        let what = format!("seed {seed} {op:?}");
+                        assert_within(&scalars(&got), &expected, ulp_bound(op), &what);
                     }
                     // An empty view still refuses what its dtype refuses.
                     (Err(_), expected) => assert!(
@@ -910,7 +1046,7 @@ impl Case {
             for &c in w.model.cells.iter().filter(|_| !refused) {
                 w.memory[c] = conv(ref_unary(op, w.memory[c]).unwrap(), dtype);
             }
-            w.assert_memory("unary_");
+            w.assert_memory_within(&format!("seed {seed} {op:?}_"), ulp_bound(op));
 
             for op in [
                 None,

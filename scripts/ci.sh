@@ -69,6 +69,14 @@ ONE_NAME='"(int_add|add_scalar|logical_and|float_lt)"'
 ONE_EVAL='wrapping_(add|sub|mul|div|rem|neg)'
 [ -z "$(guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)')" ] || { echo "host-scalar arithmetic outside ScalarKind::eval:"; guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)'; exit 1; }
 
+step "one definition per transcendental (no libm tanh or exp in the kernels)"
+# tanh, exp and sigmoid are the polynomial forms of crates/tensor/src/math.rs,
+# which eager and fused execution both reach through the one op table. A
+# libm call beside them is one call per element that cannot vectorise, and
+# an executor that made it would no longer agree with the others to the bit.
+ONE_FN='\.(tanh|exp)\(\)'
+[ -z "$(guard "$ONE_FN" | grep -E '^crates/(tensor|backend)/src/')" ] || { echo "a libm transcendental in a kernel:"; guard "$ONE_FN" | grep -E '^crates/(tensor|backend)/src/'; exit 1; }
+
 step "one overload response (no degraded mode, Eager twin or in-process retry)"
 # Queue pressure is answered by the autoscaler adding workers: every plan a
 # worker runs is the one its ModelHandle got from the plan cache, and a
