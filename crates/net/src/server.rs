@@ -27,11 +27,10 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use tssa_obs::MetricsRegistry;
 use tssa_serve::{ModelHandle, Service};
 
@@ -67,6 +66,12 @@ impl Default for GatewayConfig {
 /// A callback run before each `/metrics` render to refresh registry
 /// series owned by other subsystems (e.g. span-sink counters).
 type MetricsRefresher = Box<dyn Fn(&MetricsRegistry) + Send>;
+
+/// One of the gateway's tables. A lock whose holder panicked stays usable:
+/// a connection thread that panics does not take the routes down with it.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Everything a connection handler needs, shared by `Arc`.
 struct Shared {
@@ -159,13 +164,13 @@ impl Gateway {
     /// Make `model` routable as `name` on `/v1/infer`. Re-registering a
     /// name swaps the model for subsequent requests.
     pub fn register_model(&self, name: &str, model: ModelHandle) {
-        self.shared.models.lock().insert(name.to_string(), model);
+        lock(&self.shared.models).insert(name.to_string(), model);
     }
 
     /// Register a callback run before every `/metrics` render, for
     /// bridging counters owned by other subsystems into the registry.
     pub fn on_metrics<F: Fn(&MetricsRegistry) + Send + 'static>(&self, f: F) {
-        self.shared.refreshers.lock().push(Box::new(f));
+        lock(&self.shared.refreshers).push(Box::new(f));
     }
 
     /// Stop accepting, drain in-flight requests, join every thread.
@@ -176,7 +181,7 @@ impl Gateway {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handlers.lock());
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.handlers));
         for h in handles {
             let _ = h.join();
         }
@@ -232,7 +237,7 @@ fn accept_loop(
                 );
             })
             .expect("spawn connection thread");
-        let mut guard = handlers.lock();
+        let mut guard = lock(handlers);
         // Reap finished handlers opportunistically so a long-lived gateway
         // does not accumulate joinable-but-dead threads.
         guard.retain(|h| !h.is_finished());
@@ -321,7 +326,7 @@ fn route(request: &HttpRequest, writer: &mut TcpStream, shared: &Arc<Shared>) ->
         }
         ("GET", "/metrics") => {
             shared.count_request("metrics");
-            for refresh in shared.refreshers.lock().iter() {
+            for refresh in lock(&shared.refreshers).iter() {
                 refresh(shared.registry());
             }
             let text = shared.service.prometheus();
@@ -447,7 +452,7 @@ fn infer(request: &HttpRequest, writer: &mut TcpStream, shared: &Arc<Shared>) ->
         },
         None => None,
     };
-    let model = match shared.models.lock().get(&parsed.model) {
+    let model = match lock(&shared.models).get(&parsed.model) {
         Some(m) => m.clone(),
         None => {
             return respond(

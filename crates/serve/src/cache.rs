@@ -26,9 +26,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::{Condvar, Mutex};
 use tssa_backend::RtValue;
 use tssa_tensor::DType;
 
@@ -159,7 +158,7 @@ struct InFlightCleanup<'a> {
 impl Drop for InFlightCleanup<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut guard = self.cache.inner.lock();
+            let mut guard = self.cache.lock();
             if let Some(bucket) = guard.buckets.get_mut(&self.coarse) {
                 bucket.compiling = false;
             }
@@ -199,6 +198,11 @@ impl PlanCache {
         }
     }
 
+    /// The table. A lock whose holder panicked stays usable.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetch the resident entry of coarse hash `coarse` that admits `args`,
     /// or run `compile` to make one — at most one compile per coarse hash at
     /// a time, no matter how many threads race on it.
@@ -217,7 +221,7 @@ impl PlanCache {
         F: FnOnce() -> Result<ClassEntry, ServeError>,
     {
         let mut waited = false;
-        let mut guard = self.inner.lock();
+        let mut guard = self.lock();
         loop {
             let inner = &mut *guard;
             let bucket = inner.buckets.entry(coarse).or_default();
@@ -253,7 +257,10 @@ impl PlanCache {
                 break;
             }
             waited = true;
-            self.ready.wait(&mut guard);
+            guard = self
+                .ready
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
@@ -274,7 +281,7 @@ impl PlanCache {
         };
         // Success: publish the entry and clear the marker under one lock.
         cleanup.armed = false;
-        let mut guard = self.inner.lock();
+        let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let bucket = inner.buckets.entry(coarse).or_default();
@@ -316,7 +323,7 @@ impl PlanCache {
 
     /// Current counter values.
     pub fn stats(&self) -> CacheStats {
-        let entries = self.inner.lock().entries;
+        let entries = self.lock().entries;
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

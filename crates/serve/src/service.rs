@@ -44,11 +44,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use tssa_backend::{ExecStats, RtValue};
 use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, ProfileSink, Profiler, Span, Tracer};
 use tssa_pipelines::{CompiledProgram, PipelineKind, ProfileRecorder};
@@ -325,6 +324,14 @@ struct TicketShared {
     metrics: Arc<Metrics>,
 }
 
+impl TicketShared {
+    /// The slot. A lock whose holder panicked stays usable, so a waiter
+    /// still gets its one terminal result.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The caller's handle to an in-flight request.
 pub struct Ticket {
     shared: Arc<TicketShared>,
@@ -338,7 +345,7 @@ impl Ticket {
     /// [`ServeError::Timeout`] even if a worker is still executing the
     /// request (its eventual result is discarded).
     pub fn wait(self) -> Result<Response, ServeError> {
-        let mut guard = self.shared.slot.lock();
+        let mut guard = self.shared.lock();
         loop {
             match std::mem::replace(&mut *guard, Slot::Pending) {
                 Slot::Done(result) => return result,
@@ -351,7 +358,13 @@ impl Ticket {
                 Slot::Pending => {}
             }
             match self.shared.timeout_at {
-                None => self.shared.cv.wait(&mut guard),
+                None => {
+                    guard = self
+                        .shared
+                        .cv
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
                 Some(at) => {
                     let now = Instant::now();
                     if now >= at {
@@ -362,7 +375,12 @@ impl Ticket {
                             waited: self.shared.submitted.elapsed(),
                         });
                     }
-                    self.shared.cv.wait_for(&mut guard, at - now);
+                    guard = self
+                        .shared
+                        .cv
+                        .wait_timeout(guard, at - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
             }
         }
@@ -451,7 +469,7 @@ impl Completer {
         on_delivered: impl FnOnce(),
     ) -> Delivery {
         self.done = true;
-        let mut guard = self.shared.slot.lock();
+        let mut guard = self.shared.lock();
         if matches!(*guard, Slot::TimedOut) {
             return Delivery::DiscardedTimedOut;
         }
@@ -553,12 +571,18 @@ struct QueueState {
 }
 
 impl Queue {
+    /// The queue's state. A lock whose holder panicked stays usable, so
+    /// admission and the workers keep going.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Block until there is work, then take the oldest request and, when
     /// its spec batches, up to `max_batch - 1` queued requests that can
     /// share its execution. `None` tells the worker to exit: it was retired,
     /// or the queue is closed and empty.
     fn take(&self, max_batch: usize, retire: &AtomicBool) -> Option<Vec<Request>> {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         let head = loop {
             if retire.load(Relaxed) {
                 drop(state);
@@ -574,7 +598,10 @@ impl Queue {
             if state.closed {
                 return None;
             }
-            self.ready.wait(&mut state);
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         };
         let mut batch = vec![head];
         if max_batch == 1 || !batch[0].spec.batchable() {
@@ -712,6 +739,11 @@ impl Service {
         };
         service.grow(config.workers.max(1));
         service
+    }
+
+    /// The worker slots. A lock whose holder panicked stays usable.
+    fn lock_pool(&self) -> MutexGuard<'_, Vec<Worker>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Start loading a model: a [`ModelLoader`] builder over `source` —
@@ -966,7 +998,7 @@ impl Service {
             span,
             queue_span,
         };
-        let mut queue = self.queue.state.lock();
+        let mut queue = self.queue.lock();
         let refused = if queue.closed {
             ServeError::ShuttingDown
         } else if queue.requests.len() >= self.queue_depth {
@@ -1002,7 +1034,7 @@ impl Service {
     /// Add `n` worker slots. Synchronous: [`Service::worker_count`] and the
     /// `tssa_pool_workers` gauge read the new size when this returns.
     pub fn grow(&self, n: usize) {
-        let mut pool = self.pool.lock();
+        let mut pool = self.lock_pool();
         for _ in 0..n {
             let retire = Arc::new(AtomicBool::new(false));
             let ctx = WorkerCtx {
@@ -1030,12 +1062,12 @@ impl Service {
     /// stay in the shared queue for the surviving workers, and the retired
     /// slot's statistics remain in the final [`PoolReport`].
     pub fn shrink(&self, n: usize) {
-        let pool = self.pool.lock();
+        let pool = self.lock_pool();
         let active = active_workers(&pool);
         let retiring = n.min(active.saturating_sub(1));
         // Under the queue lock, so no idle worker sits between its retire
         // check and its wait when the wake-up below goes out.
-        let queue = self.queue.state.lock();
+        let queue = self.queue.lock();
         for worker in pool
             .iter()
             .rev()
@@ -1051,7 +1083,7 @@ impl Service {
 
     /// Active (non-retired) workers right now.
     pub fn worker_count(&self) -> usize {
-        active_workers(&self.pool.lock())
+        active_workers(&self.lock_pool())
     }
 
     /// The shared plan cache (exposed for cache-centric tests and tools).
@@ -1116,9 +1148,9 @@ impl Service {
     /// workers drain what is queued before they exit. Returns each slot's
     /// statistics, in slot order.
     fn join_pool(&mut self) -> Vec<ExecStats> {
-        self.queue.state.lock().closed = true;
+        self.queue.lock().closed = true;
         self.queue.ready.notify_all();
-        let workers = std::mem::take(&mut *self.pool.lock());
+        let workers = std::mem::take(&mut *self.lock_pool());
         workers
             .into_iter()
             .map(|w| w.thread.join().unwrap_or_default())

@@ -6,9 +6,7 @@
 //! whether two tensors share memory without touching the data.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
-
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Once, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::{DType, Scalar};
 
@@ -108,21 +106,23 @@ impl Storage {
         self.len
     }
 
-    /// Shared access to the buffer.
+    /// Shared access to the buffer. A lock whose holder panicked stays
+    /// usable: the buffer holds whatever was written before the panic.
     pub(crate) fn read(&self) -> RwLockReadGuard<'_, Buffer> {
-        self.data.read()
+        self.data.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Exclusive access to the buffer.
+    /// Exclusive access to the buffer, under the same policy as
+    /// [`Storage::read`].
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Buffer> {
-        self.data.write()
+        self.data.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The buffer itself, if this is the only handle on it.
     pub(crate) fn into_buffer(self) -> Result<Buffer, Storage> {
         let Storage { id, len, data } = self;
         match Arc::try_unwrap(data) {
-            Ok(lock) => Ok(lock.into_inner()),
+            Ok(lock) => Ok(lock.into_inner().unwrap_or_else(PoisonError::into_inner)),
             Err(data) => Err(Storage { id, len, data }),
         }
     }
@@ -139,6 +139,21 @@ mod tests {
         assert_eq!(s.id(), t.id());
         *t.write() = Buffer::F32(vec![9.0, 2.0]);
         assert_eq!(s.read().get(0), Scalar::F32(9.0));
+    }
+
+    #[test]
+    fn a_writer_that_panics_leaves_the_storage_readable() {
+        let s = Storage::new(Buffer::F32(vec![1.0, 2.0]));
+        let t = s.clone();
+        let writer = std::thread::spawn(move || {
+            let mut buffer = t.write();
+            *buffer = Buffer::F32(vec![7.0, 2.0]);
+            panic!("writer panics holding the lock");
+        });
+        assert!(writer.join().is_err());
+        assert_eq!(s.read().get(0), Scalar::F32(7.0));
+        *s.write() = Buffer::F32(vec![8.0, 2.0]);
+        assert_eq!(s.read().get(0), Scalar::F32(8.0));
     }
 
     #[test]

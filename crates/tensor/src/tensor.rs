@@ -1,6 +1,6 @@
 //! The [`Tensor`] type: a strided view over shared storage.
 
-use parking_lot::RwLockReadGuard;
+use std::sync::RwLockReadGuard;
 
 use crate::kernel::{self, for_each_row, typed};
 use crate::layout::{checked_numel, normalize_dim, normalize_index};
