@@ -33,7 +33,7 @@
 //!    batch-occupancy counters) and [`Service::prometheus`] renders it as
 //!    one consolidated exposition.
 //! 5. **Fault tolerance** ([`fault`], plus the recovery paths in
-//!    [`service`]) — a worker that panics mid-batch retries the batch it
+//!    [`pool`]) — a worker that panics mid-batch retries the batch it
 //!    owns exactly once on its own thread, then fails it `Canceled`, and
 //!    keeps serving; deadline-carrying waiters time out with
 //!    [`ServeError::Timeout`] instead of hanging. Queue
@@ -76,18 +76,26 @@
 mod batch;
 mod cache;
 mod class;
+mod config;
 mod error;
 mod fault;
+mod loader;
 mod metrics;
+mod pool;
+mod queue;
 mod service;
+mod ticket;
 
 pub use batch::{ArgRole, BatchSpec};
 pub use cache::{signature_of, ArgSig, CacheStats, PlanCache};
 pub use class::{coarse_class_hash, ArgKey, ClassEntry, ClassSignature, PlanClassKey};
+pub use config::ServeConfig;
 pub use error::ServeError;
 pub use fault::{silence_injected_panics_for_tests, FaultKind, FaultPlan, Faults, INJECTED_PANIC};
+pub use loader::{ModelHandle, ModelLoader};
 pub use metrics::MetricsSnapshot;
-pub use service::{ModelHandle, ModelLoader, PoolReport, Response, ServeConfig, Service, Ticket};
+pub use service::{PoolReport, Service};
+pub use ticket::{Response, Ticket};
 // Re-exported so loaders can pick a pipeline without naming
 // `tssa-pipelines`, which owns the one list of them.
 pub use tssa_pipelines::PipelineKind;

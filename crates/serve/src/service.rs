@@ -41,628 +41,24 @@
 //! bursts, and slow executions on a seeded schedule. When disabled (the
 //! default), every hook is a branch on a `None`.
 
-use std::collections::{HashMap, VecDeque};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tssa_backend::{ExecStats, RtValue};
-use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, ProfileSink, Profiler, Span, Tracer};
-use tssa_pipelines::{CompiledProgram, PipelineKind, ProfileRecorder};
-use tssa_store::{fnv64, roster_fingerprint, PlanStore};
+use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, Profiler, Tracer};
+use tssa_store::PlanStore;
 
-use crate::batch::BatchSpec;
-use crate::cache::{signature_of, PlanCache};
-use crate::class::{bucket_label, coarse_class_hash, ClassEntry, ClassSignature};
-use crate::fault::{FaultAction, FaultKind, Faults, INJECTED_COMPILE_PANIC, INJECTED_PANIC};
+use crate::cache::PlanCache;
+use crate::class::bucket_label;
+use crate::config::ServeConfig;
+use crate::fault::{FaultKind, Faults};
+use crate::loader::ModelHandle;
 use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::pool::{active_workers, worker_loop, Worker, WorkerCtx, WorkerProfile};
+use crate::queue::{Queue, Request};
+use crate::ticket::{Completer, Ticket};
 use crate::ServeError;
-
-/// Tuning knobs for [`Service::new`]. Start from `Default` and override
-/// with the `with_*` builders.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Executor threads (≥ 1).
-    pub workers: usize,
-    /// Request-queue depth: the limit counts every admitted request no
-    /// worker has taken yet (no second queue of formed batches sits behind
-    /// it), and a submit beyond it is shed with [`ServeError::QueueFull`].
-    pub queue_depth: usize,
-    /// Maximum requests coalesced into one execution.
-    pub max_batch: usize,
-    /// Plan-cache capacity: compiled plans resident, every shape class
-    /// counted once.
-    pub cache_capacity: usize,
-    /// Where request/compile/exec spans are recorded. Defaults to the
-    /// disabled tracer (zero overhead); install one with
-    /// [`ServeConfig::with_tracer`] to capture end-to-end traces.
-    pub tracer: Tracer,
-    /// Slack a deadline-carrying waiter grants past its deadline before
-    /// giving up with [`ServeError::Timeout`]. The deadline itself governs
-    /// *starting* execution (checked by the worker that takes the request,
-    /// yielding `DeadlineExceeded`); the grace bounds how long the waiter
-    /// tolerates an execution that started in time but never finishes.
-    pub timeout_grace: Duration,
-    /// Registry holding every metric the service records — request and
-    /// recovery counters, latency, queue-wait and per-plan batch-occupancy
-    /// histograms; [`MetricsSnapshot`] is a typed read of it. Defaults to a
-    /// fresh registry per service (isolated tests); production binaries
-    /// typically pass `MetricsRegistry::global().clone()` so one scrape
-    /// covers the whole process. Services sharing a registry share its
-    /// series.
-    pub registry: MetricsRegistry,
-    /// Deterministic fault-injection schedule. Disabled by default; every
-    /// injection site is a cheap `None` check when off.
-    pub faults: Faults,
-    /// Persistent plan store backing warm restarts. When set, loads try the
-    /// store before compiling (under the same single-flight), and freshly
-    /// compiled plans are written back asynchronously. `None` (the default)
-    /// keeps the service fully in-memory.
-    pub plan_store: Option<Arc<PlanStore>>,
-    /// Op-level execution profiler. When set, each worker records per-op
-    /// self-time into its own [`tssa_obs::ProfileSink`] (subject to the
-    /// profiler's sampling decision per batch) and
-    /// [`Service::prometheus`] / [`Service::profiler`] expose the merged
-    /// table. `None` (the default) keeps the hot path observer-free.
-    pub profiler: Option<Profiler>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 2,
-            queue_depth: 64,
-            max_batch: 8,
-            cache_capacity: 32,
-            tracer: Tracer::disabled(),
-            timeout_grace: Duration::from_millis(250),
-            registry: MetricsRegistry::new(),
-            faults: Faults::disabled(),
-            plan_store: None,
-            profiler: None,
-        }
-    }
-}
-
-macro_rules! with_field {
-    ($(#[$doc:meta] $fn_name:ident: $field:ident, $ty:ty;)+) => {
-        impl ServeConfig {
-            $(#[$doc]
-            #[must_use]
-            pub fn $fn_name(mut self, value: $ty) -> ServeConfig {
-                self.$field = value;
-                self
-            })+
-        }
-    };
-}
-
-with_field! {
-    /// Set the worker count.
-    with_workers: workers, usize;
-    /// Set the request-queue depth.
-    with_queue_depth: queue_depth, usize;
-    /// Set the maximum batch size.
-    with_max_batch: max_batch, usize;
-    /// Set the plan-cache capacity.
-    with_cache_capacity: cache_capacity, usize;
-    /// Record request/compile/exec spans into `tracer`.
-    with_tracer: tracer, Tracer;
-    /// Set the waiter's slack past the deadline before `Timeout`.
-    with_timeout_grace: timeout_grace, Duration;
-    /// Record the service's metrics into this registry.
-    with_registry: registry, MetricsRegistry;
-    /// Install a fault-injection schedule.
-    with_faults: faults, Faults;
-    /// Back model loads with a persistent plan store (warm restarts).
-    with_plan_store: plan_store, Option<Arc<PlanStore>>;
-    /// Record per-op execution self-time into this profiler.
-    with_profiler: profiler, Option<Profiler>;
-}
-
-/// A loaded model: a cached shape class plus its batching contract.
-/// Cheap to clone; clones share the plan.
-#[derive(Clone)]
-pub struct ModelHandle {
-    spec: Arc<BatchSpec>,
-    /// Metric label identifying this model's plan (`plan="<label>"` on the
-    /// per-plan batch-occupancy histogram). Defaults to
-    /// `<pipeline>:<source-hash-prefix>`; name it with
-    /// [`ModelLoader::named`].
-    label: Arc<str>,
-    /// Shape-class entry this handle is admitted under.
-    class: Arc<ClassEntry>,
-}
-
-impl ModelHandle {
-    /// The compiled plan backing this handle.
-    pub fn plan(&self) -> &Arc<CompiledProgram> {
-        self.class.plan()
-    }
-
-    /// The batching contract.
-    pub fn spec(&self) -> &BatchSpec {
-        &self.spec
-    }
-
-    /// The metric label this model's batches are reported under.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The shape-class entry admitting this model.
-    pub fn class(&self) -> &Arc<ClassEntry> {
-        &self.class
-    }
-}
-
-/// The metric label for a model: its explicit name, or
-/// `<pipeline>:<low 32 bits of the FNV source hash>` — short, stable, and
-/// enough to tell models apart on a dashboard.
-fn model_label(name: Option<&str>, pipeline: PipelineKind, source: &str) -> Arc<str> {
-    match name {
-        Some(n) => Arc::from(n),
-        None => Arc::from(
-            format!(
-                "{}:{:08x}",
-                pipeline.name(),
-                fnv64(source.as_bytes()) & 0xFFFF_FFFF
-            )
-            .as_str(),
-        ),
-    }
-}
-
-/// Builder for loading a model into a [`Service`].
-///
-/// Obtain one with [`Service::loader`], then chain:
-///
-/// - [`named`](ModelLoader::named) — explicit metric label (optional);
-/// - [`pipeline`](ModelLoader::pipeline) — compilation pipeline
-///   (default [`PipelineKind::TensorSsa`]);
-/// - [`example`](ModelLoader::example) — example inputs the plan is
-///   specialized to (**required**);
-/// - [`batch`](ModelLoader::batch) — the batching contract (**required**);
-/// - [`deadline`](ModelLoader::deadline) — compile budget (optional);
-///
-/// and finish with [`load`](ModelLoader::load).
-#[must_use = "a ModelLoader does nothing until .load() is called"]
-pub struct ModelLoader<'s> {
-    service: &'s Service,
-    source: String,
-    name: Option<String>,
-    pipeline: PipelineKind,
-    example_inputs: Vec<RtValue>,
-    spec: Option<BatchSpec>,
-    deadline: Option<Duration>,
-}
-
-impl ModelLoader<'_> {
-    /// Report this model's batches under `plan="<name>"` instead of the
-    /// default `<pipeline>:<source-hash-prefix>` label.
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = Some(name.to_owned());
-        self
-    }
-
-    /// Compile through `pipeline` (default: [`PipelineKind::TensorSsa`]).
-    pub fn pipeline(mut self, pipeline: PipelineKind) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Example inputs the compiled plan is specialized to. Required: the
-    /// load is served by the shape class admitting the argument signature
-    /// these induce.
-    pub fn example(mut self, inputs: &[RtValue]) -> Self {
-        self.example_inputs = inputs.to_vec();
-        self
-    }
-
-    /// The batching contract requests against this model must satisfy.
-    /// Required; its arity must match the example inputs.
-    pub fn batch(mut self, spec: BatchSpec) -> Self {
-        self.spec = Some(spec);
-        self
-    }
-
-    /// Compile budget: loads running past `deadline` return
-    /// [`ServeError::Timeout`] (the plan still lands in the cache, so a
-    /// retry is a hit).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Execute the load.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidRequest`] when no batch spec was given or its
-    /// arity disagrees with the example inputs; [`ServeError::Frontend`]
-    /// when the source does not compile; [`ServeError::Timeout`] past a
-    /// configured deadline.
-    pub fn load(mut self) -> Result<ModelHandle, ServeError> {
-        let Some(spec) = self.spec.take() else {
-            return Err(ServeError::invalid(
-                "ModelLoader needs a batching contract: call .batch(spec) before .load()",
-            ));
-        };
-        self.service.load_inner(&self, spec)
-    }
-}
-
-/// A successful execution result delivered through a [`Ticket`].
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// The request's outputs (already split out of the batch).
-    pub outputs: Vec<RtValue>,
-    /// How many requests shared the execution (1 = ran alone).
-    pub coalesced: usize,
-    /// Execution statistics of the (shared) batch run.
-    pub stats: ExecStats,
-}
-
-/// Terminal-state slot shared between a [`Ticket`] and its [`Completer`].
-/// `TimedOut` is sticky: once the waiter gives up, a late completion is
-/// discarded rather than delivered (and rather than double-counted).
-enum Slot {
-    Pending,
-    Done(Result<Response, ServeError>),
-    TimedOut,
-}
-
-struct TicketShared {
-    slot: Mutex<Slot>,
-    cv: Condvar,
-    submitted: Instant,
-    /// Wall-clock point past which the waiter stops waiting
-    /// (`deadline + timeout_grace`), `None` for unbounded waits.
-    timeout_at: Option<Instant>,
-    metrics: Arc<Metrics>,
-}
-
-impl TicketShared {
-    /// The slot. A lock whose holder panicked stays usable, so a waiter
-    /// still gets its one terminal result.
-    fn lock(&self) -> MutexGuard<'_, Slot> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The caller's handle to an in-flight request.
-pub struct Ticket {
-    shared: Arc<TicketShared>,
-}
-
-impl Ticket {
-    /// Block until the request reaches a terminal state.
-    ///
-    /// When the request was submitted with a deadline, the wait itself is
-    /// bounded: after `deadline + timeout_grace` this returns
-    /// [`ServeError::Timeout`] even if a worker is still executing the
-    /// request (its eventual result is discarded).
-    pub fn wait(self) -> Result<Response, ServeError> {
-        let mut guard = self.shared.lock();
-        loop {
-            match std::mem::replace(&mut *guard, Slot::Pending) {
-                Slot::Done(result) => return result,
-                Slot::TimedOut => {
-                    *guard = Slot::TimedOut;
-                    return Err(ServeError::Timeout {
-                        waited: self.shared.submitted.elapsed(),
-                    });
-                }
-                Slot::Pending => {}
-            }
-            match self.shared.timeout_at {
-                None => {
-                    guard = self
-                        .shared
-                        .cv
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        *guard = Slot::TimedOut;
-                        drop(guard);
-                        self.shared.metrics.timeouts.inc();
-                        return Err(ServeError::Timeout {
-                            waited: self.shared.submitted.elapsed(),
-                        });
-                    }
-                    guard = self
-                        .shared
-                        .cv
-                        .wait_timeout(guard, at - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-        }
-    }
-}
-
-/// Whether a completion reached its waiter or was discarded because the
-/// waiter had already timed out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Delivery {
-    Delivered,
-    DiscardedTimedOut,
-}
-
-/// Completion side of a ticket. Completing consumes it; dropping it
-/// un-completed (a panic while delivering, shutdown race) delivers
-/// [`ServeError::Canceled`] so the waiter never hangs.
-struct Completer {
-    shared: Arc<TicketShared>,
-    metrics: Arc<Metrics>,
-    done: bool,
-}
-
-impl Completer {
-    fn new(
-        metrics: Arc<Metrics>,
-        submitted: Instant,
-        timeout_at: Option<Instant>,
-    ) -> (Ticket, Completer) {
-        let shared = Arc::new(TicketShared {
-            slot: Mutex::new(Slot::Pending),
-            cv: Condvar::new(),
-            submitted,
-            timeout_at,
-            metrics: Arc::clone(&metrics),
-        });
-        let ticket = Ticket {
-            shared: Arc::clone(&shared),
-        };
-        let completer = Completer {
-            shared,
-            metrics,
-            done: false,
-        };
-        (ticket, completer)
-    }
-
-    /// Deliver a terminal result and record its outcome metric — but only
-    /// when the waiter actually receives it; results discarded against a
-    /// timed-out ticket leave the metrics to the timeout counter.
-    fn complete(mut self, result: Result<Response, ServeError>) -> Delivery {
-        let latency = self.shared.submitted.elapsed();
-        let outcome = match &result {
-            Ok(_) => 0u8,
-            Err(ServeError::DeadlineExceeded { .. }) => 1,
-            Err(ServeError::Exec(_)) | Err(ServeError::InvalidRequest(_)) => 2,
-            Err(_) => 3,
-        };
-        let metrics = Arc::clone(&self.metrics);
-        self.deliver(result, || match outcome {
-            0 => {
-                metrics.completed.inc();
-                metrics.latency.observe_duration_us(latency);
-            }
-            1 => {
-                metrics.shed_deadline.inc();
-            }
-            2 => {
-                metrics.exec_failures.inc();
-            }
-            _ => {
-                metrics.canceled.inc();
-            }
-        })
-    }
-
-    /// Deliver and mark done. Returns whether the waiter will see the
-    /// result. `on_delivered` runs under the slot lock, before the waiter
-    /// is woken — so a metrics snapshot taken the instant `wait` returns
-    /// already reflects this request's outcome counter. A result that
-    /// arrives past the waiter's bound is late however soon the waiter
-    /// would have looked: it is discarded, and the timeout counted here.
-    fn deliver(
-        &mut self,
-        result: Result<Response, ServeError>,
-        on_delivered: impl FnOnce(),
-    ) -> Delivery {
-        self.done = true;
-        let mut guard = self.shared.lock();
-        if matches!(*guard, Slot::TimedOut) {
-            return Delivery::DiscardedTimedOut;
-        }
-        if self
-            .shared
-            .timeout_at
-            .is_some_and(|at| Instant::now() >= at)
-        {
-            *guard = Slot::TimedOut;
-            self.metrics.timeouts.inc();
-            drop(guard);
-            self.shared.cv.notify_all();
-            return Delivery::DiscardedTimedOut;
-        }
-        *guard = Slot::Done(result);
-        on_delivered();
-        drop(guard);
-        self.shared.cv.notify_all();
-        Delivery::Delivered
-    }
-
-    /// Forget the ticket without delivering (used when admission fails and
-    /// the caller gets the error synchronously instead).
-    fn abandon(mut self) {
-        self.done = true;
-    }
-}
-
-impl Drop for Completer {
-    fn drop(&mut self) {
-        if !self.done {
-            let metrics = Arc::clone(&self.metrics);
-            self.deliver(Err(ServeError::Canceled), || {
-                metrics.canceled.inc();
-            });
-        }
-    }
-}
-
-struct Request {
-    plan: Arc<CompiledProgram>,
-    spec: Arc<BatchSpec>,
-    /// Model label for per-plan metrics (shared with the [`ModelHandle`]).
-    plan_label: Arc<str>,
-    inputs: Vec<RtValue>,
-    rows: usize,
-    submitted: Instant,
-    deadline: Option<Instant>,
-    completer: Completer,
-    /// Root `request` span, opened at admission, recorded when the request
-    /// reaches a terminal state (the struct drop after completion).
-    span: Option<Span>,
-    /// `queue` child covering admission-to-execution wait; finished by the
-    /// worker just before the batch runs (or dropped on expiry).
-    queue_span: Option<Span>,
-}
-
-impl Request {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-
-    fn expire(mut self) {
-        let waited = self.submitted.elapsed();
-        if let Some(span) = self.span.as_mut() {
-            span.counter("deadline_exceeded", 1);
-        }
-        self.finish_with(Err(ServeError::DeadlineExceeded { waited }));
-    }
-
-    /// Complete the request, marking its span `timed_out` when the waiter
-    /// already gave up and the result is discarded.
-    fn finish_with(mut self, result: Result<Response, ServeError>) {
-        let mut span = self.span.take();
-        let delivery = self.completer.complete(result);
-        if let (Some(s), Delivery::DiscardedTimedOut) = (span.as_mut(), delivery) {
-            s.mark("timed_out");
-        }
-    }
-}
-
-/// The one request queue. Admission ([`Service::submit_with`]) pushes at
-/// the back; a free worker takes the oldest request together with the
-/// queued requests that can share its execution.
-#[derive(Default)]
-struct Queue {
-    state: Mutex<QueueState>,
-    /// Wakes an idle worker: one per push, every worker on shrink and at
-    /// shutdown.
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    requests: VecDeque<Request>,
-    /// Set at shutdown: admission refuses, and workers drain the queue and
-    /// exit.
-    closed: bool,
-}
-
-impl Queue {
-    /// The queue's state. A lock whose holder panicked stays usable, so
-    /// admission and the workers keep going.
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Block until there is work, then take the oldest request and, when
-    /// its spec batches, up to `max_batch - 1` queued requests that can
-    /// share its execution. `None` tells the worker to exit: it was retired,
-    /// or the queue is closed and empty.
-    fn take(&self, max_batch: usize, retire: &AtomicBool) -> Option<Vec<Request>> {
-        let mut state = self.lock();
-        let head = loop {
-            if retire.load(Relaxed) {
-                drop(state);
-                // Belt and braces: `shrink` sets the flag under this lock
-                // and then wakes every waiter, so no push's wake-up can end
-                // here; passing one on costs nothing if that ever changes.
-                self.ready.notify_one();
-                return None;
-            }
-            if let Some(head) = state.requests.pop_front() {
-                break head;
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        };
-        let mut batch = vec![head];
-        if max_batch == 1 || !batch[0].spec.batchable() {
-            return Some(batch);
-        }
-        // Same plan and same contract are pointer checks; whether the
-        // inputs fit may compare `Shared` tensors, a few KiB in the served
-        // models, so the check runs under the lock.
-        let mut at = 0;
-        while batch.len() < max_batch && at < state.requests.len() {
-            let (head, r) = (&batch[0], &state.requests[at]);
-            if Arc::ptr_eq(&r.plan, &head.plan)
-                && Arc::ptr_eq(&r.spec, &head.spec)
-                && head.spec.compatible(&head.inputs, &r.inputs)
-            {
-                batch.extend(state.requests.remove(at));
-            } else {
-                at += 1;
-            }
-        }
-        Some(batch)
-    }
-}
-
-/// One worker slot in the pool. Retired slots stay: their statistics
-/// belong in the final report, and their threads are joined at shutdown.
-struct Worker {
-    /// Retire flag set by shrink. The worker checks it only between
-    /// batches, so shrinking never abandons accepted work.
-    retire: Arc<AtomicBool>,
-    /// Returns the slot's execution statistics when the thread exits.
-    thread: JoinHandle<ExecStats>,
-}
-
-/// Workers whose retire flag is unset.
-fn active_workers(pool: &[Worker]) -> usize {
-    pool.iter().filter(|w| !w.retire.load(Relaxed)).count()
-}
-
-/// Everything a worker thread owns.
-struct WorkerCtx {
-    queue: Arc<Queue>,
-    max_batch: usize,
-    retire: Arc<AtomicBool>,
-    metrics: Arc<Metrics>,
-    /// Admission-to-execution wait of every request this worker runs.
-    queue_wait: HistogramMetric,
-    /// Registry the per-plan batch-occupancy histograms register into.
-    registry: MetricsRegistry,
-    faults: Faults,
-    profile: Option<WorkerProfile>,
-}
-
-/// A worker's view of the execution profiler: the shared sampling decision
-/// plus this worker's private lock-cheap sink. The profiler retains every
-/// sink it ever minted, so undrained samples from retired workers still
-/// reach the table.
-struct WorkerProfile {
-    profiler: Profiler,
-    sink: Arc<ProfileSink>,
-}
 
 /// Final accounting returned by [`Service::shutdown`].
 #[derive(Debug, Clone)]
@@ -682,24 +78,24 @@ pub struct PoolReport {
 /// [`Service::loader`], submit with [`Service::submit`], and finish with
 /// [`Service::shutdown`] (or just drop it — the pool joins either way).
 pub struct Service {
-    cache: Arc<PlanCache>,
-    plan_store: Option<Arc<PlanStore>>,
-    metrics: Arc<Metrics>,
-    registry: MetricsRegistry,
-    tracer: Tracer,
-    faults: Faults,
-    queue_depth: usize,
-    timeout_grace: Duration,
+    pub(crate) cache: Arc<PlanCache>,
+    pub(crate) plan_store: Option<Arc<PlanStore>>,
+    pub(crate) metrics: Arc<Metrics>,
+    pub(crate) registry: MetricsRegistry,
+    pub(crate) tracer: Tracer,
+    pub(crate) faults: Faults,
+    pub(crate) queue_depth: usize,
+    pub(crate) timeout_grace: Duration,
     /// Op-level execution profiler shared with every worker, when enabled.
-    profiler: Option<Profiler>,
-    queue: Arc<Queue>,
-    max_batch: usize,
+    pub(crate) profiler: Option<Profiler>,
+    pub(crate) queue: Arc<Queue>,
+    pub(crate) max_batch: usize,
     /// `tssa_queue_wait_us`; the autoscaler reads the same series back from
     /// the registry.
-    queue_wait: HistogramMetric,
+    pub(crate) queue_wait: HistogramMetric,
     /// Every worker slot ever created, in slot order.
-    pool: Mutex<Vec<Worker>>,
-    pool_gauge: Gauge,
+    pub(crate) pool: Mutex<Vec<Worker>>,
+    pub(crate) pool_gauge: Gauge,
 }
 
 impl Service {
@@ -744,188 +140,6 @@ impl Service {
     /// The worker slots. A lock whose holder panicked stays usable.
     fn lock_pool(&self) -> MutexGuard<'_, Vec<Worker>> {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Start loading a model: a [`ModelLoader`] builder over `source` —
-    /// *the* model-loading entry point.
-    ///
-    /// ```ignore
-    /// let model = service
-    ///     .loader(SOURCE)
-    ///     .named("default")
-    ///     .pipeline(PipelineKind::TensorSsa)
-    ///     .example(&example_inputs)
-    ///     .batch(BatchSpec::stacked(1, 1))
-    ///     .deadline(Duration::from_secs(5))
-    ///     .load()?;
-    /// ```
-    pub fn loader(&self, source: &str) -> ModelLoader<'_> {
-        ModelLoader {
-            service: self,
-            source: source.to_owned(),
-            name: None,
-            pipeline: PipelineKind::TensorSsa,
-            example_inputs: Vec::new(),
-            spec: None,
-            deadline: None,
-        }
-    }
-
-    fn load_inner(
-        &self,
-        req: &ModelLoader<'_>,
-        spec: BatchSpec,
-    ) -> Result<ModelHandle, ServeError> {
-        let (source, pipeline) = (req.source.as_str(), req.pipeline);
-        let example_inputs = req.example_inputs.as_slice();
-        if spec.args.len() != example_inputs.len() {
-            return Err(ServeError::invalid(format!(
-                "batch spec covers {} arguments, model takes {}",
-                spec.args.len(),
-                example_inputs.len()
-            )));
-        }
-        let started = Instant::now();
-        let args_sig = signature_of(example_inputs);
-        let coarse = coarse_class_hash(source, pipeline, &args_sig);
-        let mut span = self.tracer.root("request:load", "serve");
-        let scope = span.scope();
-        let stalled = std::cell::Cell::new(false);
-        // Set by the thread that runs the closure: whether its plan came
-        // from disk. Still `None` after the call means a resident class
-        // served the load.
-        let from_disk = std::cell::Cell::new(None::<bool>);
-        // A resident class admitting this signature serves the load at any
-        // admitted batch size — no compile, no disk. Disk interactions stay
-        // inside the single-flight closure, so when M threads race on a
-        // cold program, exactly one touches the store, and the exact key is
-        // hashed on the miss path only.
-        let class = self.cache.get_or_compile(coarse, &args_sig, || {
-            // Injected compile panic: the cache's catch_unwind converts this
-            // into the typed `ServeError::CompilePanic` and wakes any
-            // single-flight followers to retry.
-            if self.faults.fire(FaultKind::CompilePanic).is_some() {
-                self.metrics.note_fault();
-                std::panic::panic_any(INJECTED_COMPILE_PANIC);
-            }
-            if let Some(FaultAction::Stall(pause)) = self.faults.fire(FaultKind::CompileStall) {
-                self.metrics.note_fault();
-                stalled.set(true);
-                std::thread::sleep(pause);
-            }
-            let exact = ClassSignature::exact(source, pipeline, &args_sig);
-            let file_hash = exact.key.class_hash();
-            let roster_fp = roster_fingerprint(pipeline.roster());
-            // Warm start: an intact, roster-matched entry bypasses
-            // compilation entirely — the exact file first, then any
-            // same-coarse entry whose certified signature admits this
-            // concrete signature, so a warm restart at a batch size the
-            // previous process never saw still avoids the compile. Damaged
-            // or stale entries count their typed counter inside the store
-            // and fall through to compile.
-            let admit = |decoded: &CompiledProgram| {
-                decoded.signature.as_ref().is_some_and(|sig| {
-                    ClassSignature::derive(source, pipeline, &args_sig, sig).is_some()
-                })
-            };
-            let warm = self
-                .plan_store
-                .as_deref()
-                .and_then(|store| store.load_class(file_hash, coarse, roster_fp, admit));
-            from_disk.set(Some(warm.is_some()));
-            let plan = match warm {
-                Some(plan) => plan,
-                None => {
-                    let graph = tssa_frontend::compile(source)?;
-                    let mut plan = pipeline.compile_traced(&graph, &scope);
-                    // Certify shape polymorphism against the ranks this plan
-                    // is specialized to; the signature travels with the plan
-                    // into the cache and (via the wire format) the disk
-                    // store, so warm loads get it back without re-running
-                    // the analysis.
-                    let ranks: Vec<Option<usize>> = example_inputs
-                        .iter()
-                        .map(|v| match v {
-                            RtValue::Tensor(t) => Some(t.rank()),
-                            _ => None,
-                        })
-                        .collect();
-                    plan.signature = Some(tssa_lint::certify_shapes(&plan.graph, &ranks));
-                    plan
-                }
-            };
-            // The shape class this plan certifies, so later loads and
-            // requests at any admitted shape reuse it; a plan with
-            // data-dependent dims serves its exact signature only.
-            let class = plan
-                .signature
-                .as_ref()
-                .and_then(|sig| ClassSignature::derive(source, pipeline, &args_sig, sig))
-                .unwrap_or(exact);
-            Ok(ClassEntry::new(
-                class,
-                Arc::new(plan),
-                Arc::new(spec.clone()),
-                args_sig.clone(),
-                file_hash,
-                roster_fp,
-            ))
-        })?;
-        if span.enabled() {
-            span.counter("cache_hit", i64::from(from_disk.get().is_none()));
-            if from_disk.get().is_none() && !class.is_example(&args_sig) {
-                span.mark("class_hit");
-            }
-            if from_disk.get() == Some(true) {
-                span.mark("warm_hit");
-            }
-            if stalled.get() {
-                span.mark("fault:compile_stall");
-            }
-        }
-        // Write-back is asynchronous (encode + write happen on the store's
-        // writer thread): the load path never blocks on I/O. The header
-        // carries the coarse class hash, so a restarted process can admit
-        // *new* shapes from this entry.
-        if let (Some(store), Some(false)) = (self.plan_store.as_deref(), from_disk.get()) {
-            store.save_async_with(
-                class.file_hash(),
-                class.roster_fp(),
-                Arc::clone(class.plan()),
-                class.key().coarse_hash(),
-            );
-        }
-        // Reuse the class's spec allocation when the caller's contract is
-        // identical (the common case: every load of a model passes the same
-        // spec).
-        let spec = if **class.spec() == spec {
-            Arc::clone(class.spec())
-        } else {
-            Arc::new(spec)
-        };
-        if let Some(limit) = req.deadline {
-            let waited = started.elapsed();
-            if waited > limit {
-                // Reported synchronously to the caller, so not counted in
-                // `metrics.timeouts` (that counter reconciles asynchronous
-                // request outcomes).
-                span.mark("timed_out");
-                span.finish();
-                return Err(ServeError::Timeout { waited });
-            }
-        }
-        span.finish();
-        let label = model_label(req.name.as_deref(), pipeline, source);
-        if let Some(sig) = class.plan().signature.as_ref() {
-            self.registry
-                .gauge(
-                    "tssa_plan_polymorphic_dims",
-                    "Input dims the shape certifier proved batch-polymorphic, by plan",
-                    &[("plan", &label)],
-                )
-                .set(sig.polymorphic_dims() as f64);
-        }
-        Ok(ModelHandle { spec, label, class })
     }
 
     /// Submit a request with no deadline.
@@ -1161,227 +375,5 @@ impl Service {
 impl Drop for Service {
     fn drop(&mut self) {
         self.join_pool();
-    }
-}
-
-/// A worker's `tssa_batch_occupancy` handles, by plan label.
-type Occupancy = HashMap<Arc<str>, HistogramMetric>;
-
-/// A worker thread: take batches until the queue is closed and drained or
-/// the slot is retired, and return the slot's execution statistics.
-fn worker_loop(ctx: &WorkerCtx) -> ExecStats {
-    let mut stats = ExecStats::default();
-    // Occupancy handle per plan label, cached so steady-state batches skip
-    // the registry lock.
-    let mut occupancy = Occupancy::new();
-    // Retire check between batches only — never mid-batch, so a shrink
-    // drains accepted work instead of dropping it.
-    while let Some(batch) = ctx.queue.take(ctx.max_batch, &ctx.retire) {
-        serve_batch(ctx, batch, &mut occupancy, &mut stats);
-    }
-    stats
-}
-
-/// Run one batch to completion on this thread. The worker owns the batch,
-/// so a panic mid-run leaves it intact here: the first panic retries it
-/// once (`requeued`), a second one fails its requests with `Canceled`.
-fn serve_batch(
-    ctx: &WorkerCtx,
-    mut batch: Vec<Request>,
-    occupancy: &mut Occupancy,
-    stats: &mut ExecStats,
-) {
-    let mut retry = false;
-    while std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_batch(ctx, &mut batch, retry, occupancy, stats);
-    }))
-    .is_err()
-    {
-        ctx.metrics.worker_respawns.inc();
-        if batch.is_empty() {
-            return;
-        }
-        if retry {
-            for request in batch {
-                request.finish_with(Err(ServeError::Canceled));
-            }
-            return;
-        }
-        retry = true;
-        ctx.metrics.requeues.inc();
-        for request in &mut batch {
-            if let Some(s) = request.span.as_mut() {
-                s.mark("requeued");
-            }
-        }
-    }
-}
-
-/// One attempt at a batch: expire stale requests, stack, execute, split and
-/// deliver. Requests stay in `batch` until execution is over, so a panic
-/// before delivery leaves every live request for the retry.
-fn run_batch(
-    ctx: &WorkerCtx,
-    batch: &mut Vec<Request>,
-    retry: bool,
-    occupancy: &mut Occupancy,
-    stats: &mut ExecStats,
-) {
-    let now = Instant::now();
-    let (expired, live): (Vec<Request>, Vec<Request>) = std::mem::take(batch)
-        .into_iter()
-        .partition(|r| r.expired(now));
-    *batch = live;
-    for request in expired {
-        request.expire();
-    }
-    if batch.is_empty() {
-        return;
-    }
-    let coalesced = batch.len();
-    // The first attempt records the batch and each request's wait, so a
-    // retried batch counts once.
-    if !retry {
-        ctx.metrics.record_batch(coalesced);
-        occupancy
-            .entry(Arc::clone(&batch[0].plan_label))
-            .or_insert_with_key(|label| {
-                ctx.registry.histogram(
-                    "tssa_batch_occupancy",
-                    "Requests coalesced per executed batch, by plan",
-                    &[("plan", label)],
-                )
-            })
-            .observe(coalesced as u64);
-        for request in batch.iter() {
-            let wait = now.saturating_duration_since(request.submitted);
-            // Traced requests pin the observation as the histogram's
-            // exemplar: the scrape links back to the request's trace.
-            let trace_id = request.span.as_ref().map_or(0, Span::root_id);
-            ctx.queue_wait
-                .observe_with_exemplar(wait.as_micros().min(u128::from(u64::MAX)) as u64, trace_id);
-        }
-    }
-
-    // The queueing phase ends here: close each request's `queue` span and
-    // open its `batch` child covering the shared execution.
-    let mut batch_spans: Vec<Option<Span>> = batch
-        .iter_mut()
-        .map(|request| {
-            if let Some(queue) = request.queue_span.take() {
-                queue.finish();
-            }
-            request.span.as_ref().map(|span| {
-                let mut batch_span = span.child("batch", "serve");
-                batch_span.counter("coalesced", coalesced as i64);
-                if retry {
-                    batch_span.mark("requeue_attempt");
-                }
-                batch_span
-            })
-        })
-        .collect();
-    let head = &batch[0];
-    let plan = Arc::clone(&head.plan);
-    let spec = Arc::clone(&head.spec);
-    let plan_label = Arc::clone(&head.plan_label);
-    let inputs = if coalesced == 1 {
-        Ok(head.inputs.clone())
-    } else {
-        let arg_lists: Vec<&[RtValue]> = batch.iter().map(|r| r.inputs.as_slice()).collect();
-        spec.stack(&arg_lists)
-    };
-    let inputs = match inputs {
-        Ok(inputs) => inputs,
-        Err(e) => {
-            for request in batch.drain(..) {
-                request.finish_with(Err(e.clone()));
-            }
-            return;
-        }
-    };
-
-    // Injected faults land here: a slow execution delays the batch; a
-    // worker panic unwinds this frame (recording the batch spans) back to
-    // `serve_batch`.
-    if let Some(FaultAction::Stall(pause)) = ctx.faults.fire(FaultKind::SlowExec) {
-        ctx.metrics.note_fault();
-        for span in batch_spans.iter_mut().flatten() {
-            span.mark("fault:slow_exec");
-        }
-        std::thread::sleep(pause);
-    }
-    if let Some(FaultAction::Panic) = ctx.faults.fire(FaultKind::WorkerPanic) {
-        ctx.metrics.note_fault();
-        for span in batch_spans.iter_mut().flatten() {
-            span.mark("fault:worker_panic");
-        }
-        std::panic::panic_any(INJECTED_PANIC);
-    }
-
-    // The head request's batch span hosts the execution trace (`exec` with a
-    // `batch[0]` child); followers' spans still delimit the shared run.
-    let exec_scope = batch_spans
-        .first()
-        .and_then(Option::as_ref)
-        .map_or_else(tssa_obs::TraceScope::disabled, Span::scope);
-    let result = {
-        let mut session = plan.session().traced(&exec_scope);
-        // Per-op profiling, when this batch drew a keep from the sampler:
-        // one sample per executed op into this worker's private sink.
-        if let Some(profile) = ctx.profile.as_ref().filter(|p| p.profiler.should_profile()) {
-            session = session.observed(Arc::new(ProfileRecorder::new(
-                plan_label,
-                Arc::clone(&profile.sink),
-            )));
-        }
-        session.run(&inputs)
-        // The session drops here, recording the `exec` span before the
-        // batch spans below close over it.
-    };
-    for batch_span in batch_spans.drain(..).flatten() {
-        batch_span.finish();
-    }
-    if let Ok((_, run)) = &result {
-        stats.merge(run);
-    }
-
-    // Execution is over: deliver each terminal result.
-    let mut live = std::mem::take(batch);
-    match result {
-        Ok((outputs, stats)) => {
-            if coalesced == 1 {
-                if let Some(request) = live.pop() {
-                    request.finish_with(Ok(Response {
-                        outputs,
-                        coalesced: 1,
-                        stats,
-                    }));
-                }
-                return;
-            }
-            let rows: Vec<usize> = live.iter().map(|r| r.rows).collect();
-            match spec.split(&outputs, &rows) {
-                Ok(per_request) => {
-                    for (request, outs) in live.into_iter().zip(per_request) {
-                        request.finish_with(Ok(Response {
-                            outputs: outs,
-                            coalesced,
-                            stats,
-                        }));
-                    }
-                }
-                Err(e) => {
-                    for request in live {
-                        request.finish_with(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        Err(e) => {
-            for request in live {
-                request.finish_with(Err(ServeError::Exec(e.clone())));
-            }
-        }
     }
 }
