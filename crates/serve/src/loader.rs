@@ -12,6 +12,7 @@ use crate::batch::BatchSpec;
 use crate::cache::signature_of;
 use crate::class::{coarse_class_hash, ClassEntry, ClassSignature};
 use crate::fault::{FaultAction, FaultKind, INJECTED_COMPILE_PANIC};
+use crate::service::Core;
 use crate::{ServeError, Service};
 
 /// A loaded model: a cached shape class plus its batching contract.
@@ -25,7 +26,7 @@ pub struct ModelHandle {
     /// [`ModelLoader::named`].
     pub(crate) label: Arc<str>,
     /// Shape-class entry this handle is admitted under.
-    pub(crate) class: Arc<ClassEntry>,
+    class: Arc<ClassEntry>,
 }
 
 impl ModelHandle {
@@ -82,7 +83,7 @@ fn model_label(name: Option<&str>, pipeline: PipelineKind, source: &str) -> Arc<
 /// and finish with [`load`](ModelLoader::load).
 #[must_use = "a ModelLoader does nothing until .load() is called"]
 pub struct ModelLoader<'s> {
-    service: &'s Service,
+    core: &'s Core,
     source: String,
     name: Option<String>,
     pipeline: PipelineKind,
@@ -142,43 +143,8 @@ impl ModelLoader<'_> {
                 "ModelLoader needs a batching contract: call .batch(spec) before .load()",
             ));
         };
-        self.service.load_inner(&self, spec)
-    }
-}
-
-impl Service {
-    /// Start loading a model: a [`ModelLoader`] builder over `source` —
-    /// *the* model-loading entry point.
-    ///
-    /// ```ignore
-    /// let model = service
-    ///     .loader(SOURCE)
-    ///     .named("default")
-    ///     .pipeline(PipelineKind::TensorSsa)
-    ///     .example(&example_inputs)
-    ///     .batch(BatchSpec::stacked(1, 1))
-    ///     .deadline(Duration::from_secs(5))
-    ///     .load()?;
-    /// ```
-    pub fn loader(&self, source: &str) -> ModelLoader<'_> {
-        ModelLoader {
-            service: self,
-            source: source.to_owned(),
-            name: None,
-            pipeline: PipelineKind::TensorSsa,
-            example_inputs: Vec::new(),
-            spec: None,
-            deadline: None,
-        }
-    }
-
-    fn load_inner(
-        &self,
-        req: &ModelLoader<'_>,
-        spec: BatchSpec,
-    ) -> Result<ModelHandle, ServeError> {
-        let (source, pipeline) = (req.source.as_str(), req.pipeline);
-        let example_inputs = req.example_inputs.as_slice();
+        let (source, pipeline) = (self.source.as_str(), self.pipeline);
+        let example_inputs = self.example_inputs.as_slice();
         if spec.args.len() != example_inputs.len() {
             return Err(ServeError::invalid(format!(
                 "batch spec covers {} arguments, model takes {}",
@@ -186,10 +152,11 @@ impl Service {
                 example_inputs.len()
             )));
         }
+        let core = self.core;
         let started = Instant::now();
         let args_sig = signature_of(example_inputs);
         let coarse = coarse_class_hash(source, pipeline, &args_sig);
-        let mut span = self.tracer.root("request:load", "serve");
+        let mut span = core.tracer.root("request:load", "serve");
         let scope = span.scope();
         let stalled = std::cell::Cell::new(false);
         // Set by the thread that runs the closure: whether its plan came
@@ -201,16 +168,16 @@ impl Service {
         // inside the single-flight closure, so when M threads race on a
         // cold program, exactly one touches the store, and the exact key is
         // hashed on the miss path only.
-        let class = self.cache.get_or_compile(coarse, &args_sig, || {
+        let class = core.cache.get_or_compile(coarse, &args_sig, || {
             // Injected compile panic: the cache's catch_unwind converts this
             // into the typed `ServeError::CompilePanic` and wakes any
             // single-flight followers to retry.
-            if self.faults.fire(FaultKind::CompilePanic).is_some() {
-                self.metrics.note_fault();
+            if core.faults.fire(FaultKind::CompilePanic).is_some() {
+                core.metrics.note_fault();
                 std::panic::panic_any(INJECTED_COMPILE_PANIC);
             }
-            if let Some(FaultAction::Stall(pause)) = self.faults.fire(FaultKind::CompileStall) {
-                self.metrics.note_fault();
+            if let Some(FaultAction::Stall(pause)) = core.faults.fire(FaultKind::CompileStall) {
+                core.metrics.note_fault();
                 stalled.set(true);
                 std::thread::sleep(pause);
             }
@@ -229,7 +196,7 @@ impl Service {
                     ClassSignature::derive(source, pipeline, &args_sig, sig).is_some()
                 })
             };
-            let warm = self
+            let warm = core
                 .plan_store
                 .as_deref()
                 .and_then(|store| store.load_class(file_hash, coarse, roster_fp, admit));
@@ -288,7 +255,7 @@ impl Service {
         // writer thread): the load path never blocks on I/O. The header
         // carries the coarse class hash, so a restarted process can admit
         // *new* shapes from this entry.
-        if let (Some(store), Some(false)) = (self.plan_store.as_deref(), from_disk.get()) {
+        if let (Some(store), Some(false)) = (core.plan_store.as_deref(), from_disk.get()) {
             store.save_async_with(
                 class.file_hash(),
                 class.roster_fp(),
@@ -304,7 +271,7 @@ impl Service {
         } else {
             Arc::new(spec)
         };
-        if let Some(limit) = req.deadline {
+        if let Some(limit) = self.deadline {
             let waited = started.elapsed();
             if waited > limit {
                 // Reported synchronously to the caller, so not counted in
@@ -316,9 +283,10 @@ impl Service {
             }
         }
         span.finish();
-        let label = model_label(req.name.as_deref(), pipeline, source);
+        let label = model_label(self.name.as_deref(), pipeline, source);
         if let Some(sig) = class.plan().signature.as_ref() {
-            self.registry
+            core.metrics
+                .registry
                 .gauge(
                     "tssa_plan_polymorphic_dims",
                     "Input dims the shape certifier proved batch-polymorphic, by plan",
@@ -327,5 +295,32 @@ impl Service {
                 .set(sig.polymorphic_dims() as f64);
         }
         Ok(ModelHandle { spec, label, class })
+    }
+}
+
+impl Service {
+    /// Start loading a model: a [`ModelLoader`] builder over `source` —
+    /// *the* model-loading entry point.
+    ///
+    /// ```ignore
+    /// let model = service
+    ///     .loader(SOURCE)
+    ///     .named("default")
+    ///     .pipeline(PipelineKind::TensorSsa)
+    ///     .example(&example_inputs)
+    ///     .batch(BatchSpec::stacked(1, 1))
+    ///     .deadline(Duration::from_secs(5))
+    ///     .load()?;
+    /// ```
+    pub fn loader(&self, source: &str) -> ModelLoader<'_> {
+        ModelLoader {
+            core: &self.core,
+            source: source.to_owned(),
+            name: None,
+            pipeline: PipelineKind::TensorSsa,
+            example_inputs: Vec::new(),
+            spec: None,
+            deadline: None,
+        }
     }
 }

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use tssa_obs::{Counter, HistogramMetric, MetricsRegistry};
+use tssa_obs::{Counter, Gauge, HistogramMetric, MetricsRegistry};
 use tssa_store::StoreStats;
 
 use crate::cache::CacheStats;
@@ -22,7 +22,8 @@ use crate::cache::CacheStats;
 /// Live series owned by the service; see [`Metrics::snapshot`].
 pub(crate) struct Metrics {
     started: Instant,
-    registry: MetricsRegistry,
+    /// The registry every series of the service lives in.
+    pub(crate) registry: MetricsRegistry,
     pub(crate) submitted: Counter,
     pub(crate) completed: Counter,
     pub(crate) shed_queue_full: Counter,
@@ -40,6 +41,11 @@ pub(crate) struct Metrics {
     batches: Counter,
     batched_requests: AtomicU64,
     max_batch_seen: AtomicU64,
+    /// `tssa_queue_wait_us`; the autoscaler reads the same series back from
+    /// the registry.
+    pub(crate) queue_wait: HistogramMetric,
+    /// `tssa_pool_workers`, set by grow and shrink.
+    pub(crate) workers: Gauge,
 }
 
 impl Metrics {
@@ -95,6 +101,16 @@ impl Metrics {
             ),
             batched_requests: AtomicU64::new(0),
             max_batch_seen: AtomicU64::new(0),
+            queue_wait: registry.histogram(
+                "tssa_queue_wait_us",
+                "Admission-to-execution queue wait (power-of-two buckets, µs)",
+                &[],
+            ),
+            workers: registry.gauge(
+                "tssa_pool_workers",
+                "Active executor workers (autoscaler grow/shrink adjusts this)",
+                &[],
+            ),
         }
     }
 

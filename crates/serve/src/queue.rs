@@ -7,20 +7,17 @@ use std::time::Instant;
 
 use tssa_backend::RtValue;
 use tssa_obs::Span;
-use tssa_pipelines::CompiledProgram;
 
-use crate::batch::BatchSpec;
-use crate::ticket::{Completer, Delivery, Response};
+use crate::loader::ModelHandle;
+use crate::ticket::{Completer, Response};
 use crate::ServeError;
 
+/// One admitted request: the model it runs, its inputs, and the
+/// completion side of its ticket, which also holds when it was admitted.
 pub(crate) struct Request {
-    pub(crate) plan: Arc<CompiledProgram>,
-    pub(crate) spec: Arc<BatchSpec>,
-    /// Model label for per-plan metrics (shared with the [`ModelHandle`]).
-    pub(crate) plan_label: Arc<str>,
+    pub(crate) model: ModelHandle,
     pub(crate) inputs: Vec<RtValue>,
     pub(crate) rows: usize,
-    pub(crate) submitted: Instant,
     pub(crate) deadline: Option<Instant>,
     pub(crate) completer: Completer,
     /// Root `request` span, opened at admission, recorded when the request
@@ -32,12 +29,8 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    pub(crate) fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-
     pub(crate) fn expire(mut self) {
-        let waited = self.submitted.elapsed();
+        let waited = self.completer.submitted().elapsed();
         if let Some(span) = self.span.as_mut() {
             span.counter("deadline_exceeded", 1);
         }
@@ -48,16 +41,15 @@ impl Request {
     /// already gave up and the result is discarded.
     pub(crate) fn finish_with(mut self, result: Result<Response, ServeError>) {
         let mut span = self.span.take();
-        let delivery = self.completer.complete(result);
-        if let (Some(s), Delivery::DiscardedTimedOut) = (span.as_mut(), delivery) {
+        if let (Some(s), false) = (span.as_mut(), self.completer.complete(result)) {
             s.mark("timed_out");
         }
     }
 }
 
-/// The one request queue. Admission ([`Service::submit_with`]) pushes at
-/// the back; a free worker takes the oldest request together with the
-/// queued requests that can share its execution.
+/// The one request queue. Admission ([`crate::Service::submit_with`])
+/// pushes at the back; a free worker takes the oldest request together
+/// with the queued requests that can share its execution.
 #[derive(Default)]
 pub(crate) struct Queue {
     pub(crate) state: Mutex<QueueState>,
@@ -81,34 +73,36 @@ impl Queue {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Stop admission; the workers drain what is queued, then exit.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
     /// Block until there is work, then take the oldest request and, when
     /// its spec batches, up to `max_batch - 1` queued requests that can
     /// share its execution. `None` tells the worker to exit: it was retired,
     /// or the queue is closed and empty.
     pub(crate) fn take(&self, max_batch: usize, retire: &AtomicBool) -> Option<Vec<Request>> {
-        let mut state = self.lock();
-        let head = loop {
-            if retire.load(Relaxed) {
-                drop(state);
-                // Belt and braces: `shrink` sets the flag under this lock
-                // and then wakes every waiter, so no push's wake-up can end
-                // here; passing one on costs nothing if that ever changes.
-                self.ready.notify_one();
-                return None;
-            }
-            if let Some(head) = state.requests.pop_front() {
-                break head;
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        let idle = |state: &mut QueueState| {
+            state.requests.is_empty() && !state.closed && !retire.load(Relaxed)
         };
+        let mut state = self
+            .ready
+            .wait_while(self.lock(), idle)
+            .unwrap_or_else(PoisonError::into_inner);
+        if retire.load(Relaxed) {
+            drop(state);
+            // Belt and braces: `shrink` sets the flag under this lock and
+            // then wakes every waiter, so no push's wake-up can end here;
+            // passing one on costs nothing if that ever changes.
+            self.ready.notify_one();
+            return None;
+        }
+        // Empty only when closed: the worker exits.
+        let head = state.requests.pop_front()?;
         let mut batch = vec![head];
-        if max_batch == 1 || !batch[0].spec.batchable() {
+        if max_batch == 1 || !batch[0].model.spec.batchable() {
             return Some(batch);
         }
         // Same plan and same contract are pointer checks; whether the
@@ -117,9 +111,9 @@ impl Queue {
         let mut at = 0;
         while batch.len() < max_batch && at < state.requests.len() {
             let (head, r) = (&batch[0], &state.requests[at]);
-            if Arc::ptr_eq(&r.plan, &head.plan)
-                && Arc::ptr_eq(&r.spec, &head.spec)
-                && head.spec.compatible(&head.inputs, &r.inputs)
+            if Arc::ptr_eq(r.model.plan(), head.model.plan())
+                && Arc::ptr_eq(&r.model.spec, &head.model.spec)
+                && head.model.spec.compatible(&head.inputs, &r.inputs)
             {
                 batch.extend(state.requests.remove(at));
             } else {
@@ -127,5 +121,48 @@ impl Queue {
             }
         }
         Some(batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use tssa_backend::RtValue;
+    use tssa_tensor::Tensor;
+
+    use crate::{
+        silence_injected_panics_for_tests, BatchSpec, ServeConfig, Service, INJECTED_PANIC,
+    };
+
+    #[test]
+    fn a_thread_that_panics_holding_the_lock_leaves_submit_and_take_working() {
+        silence_injected_panics_for_tests();
+        let service = Service::new(ServeConfig::default().with_workers(1));
+        let example = [RtValue::Tensor(Tensor::ones(&[2, 4]))];
+        let model = service
+            .loader("def f(x: Tensor):\n    y = x + 1.0\n    return y\n")
+            .example(&example)
+            .batch(BatchSpec::stacked(1, 1))
+            .load()
+            .unwrap();
+        let queue = &service.core.queue;
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _state = queue.lock();
+                std::panic::panic_any(INJECTED_PANIC);
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(queue.state.is_poisoned());
+        // The deadline bounds the wait should the worker's take die on the
+        // poisoned lock.
+        let response = service
+            .submit_with(&model, example.to_vec(), Some(Duration::from_secs(5)))
+            .and_then(|ticket| ticket.wait())
+            .unwrap();
+        assert_eq!(response.outputs[0].as_tensor().unwrap().shape(), &[2, 4]);
+        assert_eq!(service.shutdown().metrics.completed, 1);
     }
 }

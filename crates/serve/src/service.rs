@@ -10,43 +10,24 @@
 //! ```
 //!
 //! A take is the oldest queued request plus every queued request that can
-//! share its execution (same plan, same [`BatchSpec`], compatible inputs),
+//! share its execution (same plan, same [`crate::BatchSpec`], compatible inputs),
 //! up to `max_batch`. Batching is work-conserving: a free worker never
 //! waits for company. Requests coalesce only while every worker is busy,
 //! and the next worker to come free takes them together.
 //!
 //! Every accepted request terminates in exactly one of: a successful
-//! [`Response`], [`crate::ServeError::DeadlineExceeded`],
-//! [`crate::ServeError::Timeout`], [`crate::ServeError::Exec`], or
-//! [`crate::ServeError::Canceled`] — the completion guard on each ticket
-//! makes silent drops impossible even if a worker panics.
-//!
-//! # Fault tolerance
-//!
-//! Two recovery mechanisms ride on the normal data path:
-//!
-//! - **Recovery in place.** A worker owns the batch it runs and runs it
-//!   under `catch_unwind`. A panic mid-batch retries the batch once on the
-//!   same thread; a second panic on the same batch fails its requests with
-//!   `Canceled`. The worker then keeps serving.
-//! - **Ticket timeouts.** When a request carries a deadline, its waiter
-//!   enforces `deadline + timeout_grace` wall-clock: if no terminal result
-//!   arrives by then, [`Ticket::wait`] returns [`crate::ServeError::Timeout`]
-//!   and a late worker completion is discarded (its span is marked
-//!   `timed_out`) instead of double-counting.
-//!
-//! Deterministic fault injection (see [`crate::fault`]) exercises both:
-//! a [`crate::FaultPlan`] threaded through [`ServeConfig::with_faults`]
-//! triggers worker panics, compile stalls, cache poisoning, admission
-//! bursts, and slow executions on a seeded schedule. When disabled (the
-//! default), every hook is a branch on a `None`.
+//! [`crate::Response`], [`ServeError::DeadlineExceeded`],
+//! [`ServeError::Timeout`], [`ServeError::Exec`], or
+//! [`ServeError::Canceled`] — the completion guard on each ticket
+//! makes silent drops impossible even if a worker panics, and a waiter
+//! gives up at `deadline + timeout_grace` ([`crate::ticket`]). A worker
+//! that panics mid-batch recovers in place ([`crate::pool`]).
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tssa_backend::{ExecStats, RtValue};
-use tssa_obs::{Gauge, HistogramMetric, MetricsRegistry, Profiler, Tracer};
+use tssa_obs::{MetricsRegistry, Profiler, Tracer};
 use tssa_store::PlanStore;
 
 use crate::cache::PlanCache;
@@ -55,7 +36,7 @@ use crate::config::ServeConfig;
 use crate::fault::{FaultKind, Faults};
 use crate::loader::ModelHandle;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pool::{active_workers, worker_loop, Worker, WorkerCtx, WorkerProfile};
+use crate::pool::Worker;
 use crate::queue::{Queue, Request};
 use crate::ticket::{Completer, Ticket};
 use crate::ServeError;
@@ -78,68 +59,47 @@ pub struct PoolReport {
 /// [`Service::loader`], submit with [`Service::submit`], and finish with
 /// [`Service::shutdown`] (or just drop it — the pool joins either way).
 pub struct Service {
-    pub(crate) cache: Arc<PlanCache>,
+    pub(crate) core: Arc<Core>,
+    /// Every worker slot ever created, in slot order.
+    pub(crate) pool: Mutex<Vec<Worker>>,
+}
+
+/// What the service and every worker share, built once from the config.
+pub(crate) struct Core {
+    pub(crate) cache: PlanCache,
     pub(crate) plan_store: Option<Arc<PlanStore>>,
     pub(crate) metrics: Arc<Metrics>,
-    pub(crate) registry: MetricsRegistry,
     pub(crate) tracer: Tracer,
     pub(crate) faults: Faults,
     pub(crate) queue_depth: usize,
     pub(crate) timeout_grace: Duration,
-    /// Op-level execution profiler shared with every worker, when enabled.
+    /// Op-level execution profiler, when enabled.
     pub(crate) profiler: Option<Profiler>,
-    pub(crate) queue: Arc<Queue>,
+    pub(crate) queue: Queue,
     pub(crate) max_batch: usize,
-    /// `tssa_queue_wait_us`; the autoscaler reads the same series back from
-    /// the registry.
-    pub(crate) queue_wait: HistogramMetric,
-    /// Every worker slot ever created, in slot order.
-    pub(crate) pool: Mutex<Vec<Worker>>,
-    pub(crate) pool_gauge: Gauge,
 }
 
 impl Service {
     /// Start the worker threads.
     pub fn new(config: ServeConfig) -> Service {
-        let cache = Arc::new(PlanCache::with_faults(
-            config.cache_capacity,
-            config.faults.clone(),
-        ));
-        let metrics = Arc::new(Metrics::new(&config.registry));
-        let queue_wait = config.registry.histogram(
-            "tssa_queue_wait_us",
-            "Admission-to-execution queue wait (power-of-two buckets, µs)",
-            &[],
-        );
-        let pool_gauge = config.registry.gauge(
-            "tssa_pool_workers",
-            "Active executor workers (autoscaler grow/shrink adjusts this)",
-            &[],
-        );
-
-        let service = Service {
-            cache,
+        let core = Arc::new(Core {
+            cache: PlanCache::with_faults(config.cache_capacity, config.faults.clone()),
             plan_store: config.plan_store,
-            metrics,
-            registry: config.registry,
+            metrics: Arc::new(Metrics::new(&config.registry)),
             tracer: config.tracer,
             faults: config.faults,
             queue_depth: config.queue_depth.max(1),
             timeout_grace: config.timeout_grace,
             profiler: config.profiler,
-            queue: Arc::default(),
+            queue: Queue::default(),
             max_batch: config.max_batch.max(1),
-            queue_wait,
-            pool: Mutex::new(Vec::new()),
-            pool_gauge,
+        });
+        let service = Service {
+            core,
+            pool: Mutex::default(),
         };
         service.grow(config.workers.max(1));
         service
-    }
-
-    /// The worker slots. A lock whose holder panicked stays usable.
-    fn lock_pool(&self) -> MutexGuard<'_, Vec<Worker>> {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Submit a request with no deadline.
@@ -168,19 +128,20 @@ impl Service {
         inputs: Vec<RtValue>,
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
+        let core = &*self.core;
         let rows = model.spec.rows(&inputs)?;
-        self.metrics.submitted.inc();
+        core.metrics.submitted.inc();
         // Injected admission pressure: shed as if the queue were full.
-        if self.faults.fire(FaultKind::QueueFullBurst).is_some() {
-            self.metrics.note_fault();
-            self.metrics.shed_queue_full.inc();
-            if self.tracer.enabled() {
-                let mut span = self.tracer.root("request", "serve");
+        if core.faults.fire(FaultKind::QueueFullBurst).is_some() {
+            core.metrics.note_fault();
+            core.metrics.shed_queue_full.inc();
+            if core.tracer.enabled() {
+                let mut span = core.tracer.root("request", "serve");
                 span.mark("fault:queue_full_burst");
                 span.mark("shed_queue_full");
             }
             return Err(ServeError::QueueFull {
-                depth: self.queue_depth,
+                depth: core.queue_depth,
             });
         }
         let now = Instant::now();
@@ -188,12 +149,12 @@ impl Service {
         // unbounded wait instead of panicking at admission.
         let timeout_at = deadline.and_then(|d| {
             now.checked_add(d)
-                .and_then(|at| at.checked_add(self.timeout_grace))
+                .and_then(|at| at.checked_add(core.timeout_grace))
         });
         let bucket = bucket_label(&inputs);
-        let (ticket, completer) = Completer::new(Arc::clone(&self.metrics), now, timeout_at);
-        let (span, queue_span) = if self.tracer.enabled() {
-            let mut span = self.tracer.root("request", "serve");
+        let (ticket, completer) = Completer::new(Arc::clone(&core.metrics), now, timeout_at);
+        let (span, queue_span) = if core.tracer.enabled() {
+            let mut span = core.tracer.root("request", "serve");
             span.counter("rows", rows as i64);
             let queue = span.child("queue", "serve");
             (Some(span), Some(queue))
@@ -201,31 +162,29 @@ impl Service {
             (None, None)
         };
         let mut request = Request {
-            plan: Arc::clone(model.plan()),
-            spec: Arc::clone(&model.spec),
-            plan_label: Arc::clone(&model.label),
+            model: model.clone(),
             inputs,
             rows,
-            submitted: now,
             deadline: deadline.and_then(|d| now.checked_add(d)),
             completer,
             span,
             queue_span,
         };
-        let mut queue = self.queue.lock();
+        let mut queue = core.queue.lock();
         let refused = if queue.closed {
             ServeError::ShuttingDown
-        } else if queue.requests.len() >= self.queue_depth {
+        } else if queue.requests.len() >= core.queue_depth {
             ServeError::QueueFull {
-                depth: self.queue_depth,
+                depth: core.queue_depth,
             }
         } else {
             queue.requests.push_back(request);
             drop(queue);
-            self.queue.ready.notify_one();
+            core.queue.ready.notify_one();
             // Counted only once the request is admitted: a shed request is
             // not served.
-            self.registry
+            core.metrics
+                .registry
                 .counter(
                     "tssa_plan_class_hits_total",
                     "Requests served by a shape-class plan, by concrete shape bucket",
@@ -236,7 +195,7 @@ impl Service {
         };
         drop(queue);
         if matches!(refused, ServeError::QueueFull { .. }) {
-            self.metrics.shed_queue_full.inc();
+            core.metrics.shed_queue_full.inc();
             if let Some(s) = request.span.as_mut() {
                 s.mark("shed_queue_full");
             }
@@ -245,64 +204,9 @@ impl Service {
         Err(refused)
     }
 
-    /// Add `n` worker slots. Synchronous: [`Service::worker_count`] and the
-    /// `tssa_pool_workers` gauge read the new size when this returns.
-    pub fn grow(&self, n: usize) {
-        let mut pool = self.lock_pool();
-        for _ in 0..n {
-            let retire = Arc::new(AtomicBool::new(false));
-            let ctx = WorkerCtx {
-                queue: Arc::clone(&self.queue),
-                max_batch: self.max_batch,
-                retire: Arc::clone(&retire),
-                metrics: Arc::clone(&self.metrics),
-                queue_wait: self.queue_wait.clone(),
-                registry: self.registry.clone(),
-                faults: self.faults.clone(),
-                profile: self.profiler.as_ref().map(|p| WorkerProfile {
-                    profiler: p.clone(),
-                    sink: p.sink(),
-                }),
-            };
-            let thread = std::thread::spawn(move || worker_loop(&ctx));
-            pool.push(Worker { retire, thread });
-        }
-        self.pool_gauge.set(active_workers(&pool) as f64);
-    }
-
-    /// Retire `n` workers (highest slots first), never going below one
-    /// active worker. Synchronous like [`Service::grow`]. Drain-on-shrink:
-    /// a retiring worker finishes the batch it holds first, queued requests
-    /// stay in the shared queue for the surviving workers, and the retired
-    /// slot's statistics remain in the final [`PoolReport`].
-    pub fn shrink(&self, n: usize) {
-        let pool = self.lock_pool();
-        let active = active_workers(&pool);
-        let retiring = n.min(active.saturating_sub(1));
-        // Under the queue lock, so no idle worker sits between its retire
-        // check and its wait when the wake-up below goes out.
-        let queue = self.queue.lock();
-        for worker in pool
-            .iter()
-            .rev()
-            .filter(|w| !w.retire.load(Relaxed))
-            .take(retiring)
-        {
-            worker.retire.store(true, Relaxed);
-        }
-        drop(queue);
-        self.queue.ready.notify_all();
-        self.pool_gauge.set((active - retiring) as f64);
-    }
-
-    /// Active (non-retired) workers right now.
-    pub fn worker_count(&self) -> usize {
-        active_workers(&self.lock_pool())
-    }
-
     /// The shared plan cache (exposed for cache-centric tests and tools).
     pub fn cache(&self) -> &PlanCache {
-        &self.cache
+        &self.core.cache
     }
 
     /// Current metrics: a typed read of the registry's series plus the
@@ -310,16 +214,17 @@ impl Service {
     /// through to the registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         let disk = self
+            .core
             .plan_store
             .as_ref()
             .map(|s| s.stats())
             .unwrap_or_default();
-        self.metrics.snapshot(self.cache.stats(), disk)
+        self.core.metrics.snapshot(self.core.cache.stats(), disk)
     }
 
     /// The registry this service records its metrics into.
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        &self.core.metrics.registry
     }
 
     /// One consolidated Prometheus exposition of the service's registry:
@@ -330,22 +235,22 @@ impl Service {
     pub fn prometheus(&self) -> String {
         // Read for its write-through, not its value.
         self.metrics();
-        if let Some(profiler) = &self.profiler {
-            profiler.snapshot().register_into(&self.registry);
+        if let Some(profiler) = &self.core.profiler {
+            profiler.snapshot().register_into(self.registry());
         }
-        self.registry.prometheus_text()
+        self.registry().prometheus_text()
     }
 
     /// The op-level execution profiler, when one was configured
     /// ([`ServeConfig::with_profiler`]). `GET /debug/profile` and the
     /// hotness tooling snapshot through this.
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
+        self.core.profiler.as_ref()
     }
 
     /// Stop admitting, drain every queued request to a terminal state, join
     /// all threads, and report per-worker statistics.
-    pub fn shutdown(mut self) -> PoolReport {
+    pub fn shutdown(self) -> PoolReport {
         let per_worker = self.join_pool();
         let mut total = ExecStats::default();
         for s in &per_worker {
@@ -356,19 +261,6 @@ impl Service {
             total,
             metrics: self.metrics(),
         }
-    }
-
-    /// Lossless shutdown: closing the queue stops admission, and the
-    /// workers drain what is queued before they exit. Returns each slot's
-    /// statistics, in slot order.
-    fn join_pool(&mut self) -> Vec<ExecStats> {
-        self.queue.lock().closed = true;
-        self.queue.ready.notify_all();
-        let workers = std::mem::take(&mut *self.lock_pool());
-        workers
-            .into_iter()
-            .map(|w| w.thread.join().unwrap_or_default())
-            .collect()
     }
 }
 

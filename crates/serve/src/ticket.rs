@@ -1,5 +1,9 @@
 //! Tickets: the caller's [`Ticket`] and the worker's [`Completer`], two
-//! ends of one terminal-state slot.
+//! ends of one terminal-state slot. When a request carries a deadline, its
+//! waiter enforces `deadline + timeout_grace` wall-clock: with no terminal
+//! result by then, [`Ticket::wait`] returns [`ServeError::Timeout`], and a
+//! late completion is discarded (its span marked `timed_out`) instead of
+//! counted twice.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -45,6 +49,42 @@ impl TicketShared {
     fn lock(&self) -> MutexGuard<'_, Slot> {
         self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Deliver a terminal result and record its outcome metric, or discard
+    /// it; whether the waiter will see it. The metric is recorded under the
+    /// slot lock, before the waiter is woken, so a metrics snapshot taken
+    /// the instant `wait` returns already reflects this outcome. A result
+    /// that arrives past the waiter's bound is late however soon the waiter
+    /// would have looked: it is discarded, and the timeout counted here.
+    fn deliver(&self, result: Result<Response, ServeError>) -> bool {
+        let latency = self.submitted.elapsed();
+        let mut guard = self.lock();
+        if matches!(*guard, Slot::TimedOut) {
+            return false;
+        }
+        if self.timeout_at.is_some_and(|at| Instant::now() >= at) {
+            *guard = Slot::TimedOut;
+            self.metrics.timeouts.inc();
+            drop(guard);
+            self.cv.notify_all();
+            return false;
+        }
+        match &result {
+            Ok(_) => {
+                self.metrics.completed.inc();
+                self.metrics.latency.observe_duration_us(latency);
+            }
+            Err(ServeError::DeadlineExceeded { .. }) => self.metrics.shed_deadline.inc(),
+            Err(ServeError::Exec(_) | ServeError::InvalidRequest(_)) => {
+                self.metrics.exec_failures.inc();
+            }
+            Err(_) => self.metrics.canceled.inc(),
+        }
+        *guard = Slot::Done(result);
+        drop(guard);
+        self.cv.notify_all();
+        true
+    }
 }
 
 /// The caller's handle to an in-flight request.
@@ -60,54 +100,36 @@ impl Ticket {
     /// [`ServeError::Timeout`] even if a worker is still executing the
     /// request (its eventual result is discarded).
     pub fn wait(self) -> Result<Response, ServeError> {
-        let mut guard = self.shared.lock();
-        loop {
-            match std::mem::replace(&mut *guard, Slot::Pending) {
-                Slot::Done(result) => return result,
-                Slot::TimedOut => {
-                    *guard = Slot::TimedOut;
-                    return Err(ServeError::Timeout {
-                        waited: self.shared.submitted.elapsed(),
-                    });
-                }
-                Slot::Pending => {}
+        let shared = &*self.shared;
+        let pending = |slot: &mut Slot| matches!(slot, Slot::Pending);
+        let guard = shared.lock();
+        let mut guard = match shared.timeout_at {
+            None => shared
+                .cv
+                .wait_while(guard, pending)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                let woken = shared.cv.wait_timeout_while(guard, left, pending);
+                woken.unwrap_or_else(PoisonError::into_inner).0
             }
-            match self.shared.timeout_at {
-                None => {
-                    guard = self
-                        .shared
-                        .cv
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        *guard = Slot::TimedOut;
-                        drop(guard);
-                        self.shared.metrics.timeouts.inc();
-                        return Err(ServeError::Timeout {
-                            waited: self.shared.submitted.elapsed(),
-                        });
-                    }
-                    guard = self
-                        .shared
-                        .cv
-                        .wait_timeout(guard, at - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
+        };
+        let timeout = || {
+            Err(ServeError::Timeout {
+                waited: shared.submitted.elapsed(),
+            })
+        };
+        match std::mem::replace(&mut *guard, Slot::TimedOut) {
+            Slot::Done(result) => result,
+            // A late delivery found the bound passed and counted it.
+            Slot::TimedOut => timeout(),
+            Slot::Pending => {
+                drop(guard);
+                shared.metrics.timeouts.inc();
+                timeout()
             }
         }
     }
-}
-
-/// Whether a completion reached its waiter or was discarded because the
-/// waiter had already timed out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivery {
-    Delivered,
-    DiscardedTimedOut,
 }
 
 /// Completion side of a ticket. Completing consumes it; dropping it
@@ -115,7 +137,6 @@ pub(crate) enum Delivery {
 /// [`ServeError::Canceled`] so the waiter never hangs.
 pub(crate) struct Completer {
     shared: Arc<TicketShared>,
-    metrics: Arc<Metrics>,
     done: bool,
 }
 
@@ -130,80 +151,24 @@ impl Completer {
             cv: Condvar::new(),
             submitted,
             timeout_at,
-            metrics: Arc::clone(&metrics),
-        });
-        let ticket = Ticket {
-            shared: Arc::clone(&shared),
-        };
-        let completer = Completer {
-            shared,
             metrics,
+        });
+        let completer = Completer {
+            shared: Arc::clone(&shared),
             done: false,
         };
-        (ticket, completer)
+        (Ticket { shared }, completer)
     }
 
-    /// Deliver a terminal result and record its outcome metric — but only
-    /// when the waiter actually receives it; results discarded against a
-    /// timed-out ticket leave the metrics to the timeout counter.
-    pub(crate) fn complete(mut self, result: Result<Response, ServeError>) -> Delivery {
-        let latency = self.shared.submitted.elapsed();
-        let outcome = match &result {
-            Ok(_) => 0u8,
-            Err(ServeError::DeadlineExceeded { .. }) => 1,
-            Err(ServeError::Exec(_)) | Err(ServeError::InvalidRequest(_)) => 2,
-            Err(_) => 3,
-        };
-        let metrics = Arc::clone(&self.metrics);
-        self.deliver(result, || match outcome {
-            0 => {
-                metrics.completed.inc();
-                metrics.latency.observe_duration_us(latency);
-            }
-            1 => {
-                metrics.shed_deadline.inc();
-            }
-            2 => {
-                metrics.exec_failures.inc();
-            }
-            _ => {
-                metrics.canceled.inc();
-            }
-        })
+    /// When the request was admitted.
+    pub(crate) fn submitted(&self) -> Instant {
+        self.shared.submitted
     }
 
-    /// Deliver and mark done. Returns whether the waiter will see the
-    /// result. `on_delivered` runs under the slot lock, before the waiter
-    /// is woken — so a metrics snapshot taken the instant `wait` returns
-    /// already reflects this request's outcome counter. A result that
-    /// arrives past the waiter's bound is late however soon the waiter
-    /// would have looked: it is discarded, and the timeout counted here.
-    fn deliver(
-        &mut self,
-        result: Result<Response, ServeError>,
-        on_delivered: impl FnOnce(),
-    ) -> Delivery {
+    /// Deliver a terminal result; whether the waiter will see it.
+    pub(crate) fn complete(mut self, result: Result<Response, ServeError>) -> bool {
         self.done = true;
-        let mut guard = self.shared.lock();
-        if matches!(*guard, Slot::TimedOut) {
-            return Delivery::DiscardedTimedOut;
-        }
-        if self
-            .shared
-            .timeout_at
-            .is_some_and(|at| Instant::now() >= at)
-        {
-            *guard = Slot::TimedOut;
-            self.metrics.timeouts.inc();
-            drop(guard);
-            self.shared.cv.notify_all();
-            return Delivery::DiscardedTimedOut;
-        }
-        *guard = Slot::Done(result);
-        on_delivered();
-        drop(guard);
-        self.shared.cv.notify_all();
-        Delivery::Delivered
+        self.shared.deliver(result)
     }
 
     /// Forget the ticket without delivering (used when admission fails and
@@ -216,10 +181,7 @@ impl Completer {
 impl Drop for Completer {
     fn drop(&mut self) {
         if !self.done {
-            let metrics = Arc::clone(&self.metrics);
-            self.deliver(Err(ServeError::Canceled), || {
-                metrics.canceled.inc();
-            });
+            self.shared.deliver(Err(ServeError::Canceled));
         }
     }
 }
