@@ -27,9 +27,6 @@ use crate::json::escape;
 use crate::registry::MetricsRegistry;
 use crate::sample::Sampler;
 
-/// Number of log2 wall-time buckets per op (microseconds, up to ~2^39).
-pub(crate) const PROFILE_BUCKETS: usize = 40;
-
 /// Sentinel "fusion group" for ops executed at the top level of a plan
 /// (outside any fusion group). Rendered as the `top` frame.
 pub const TOP_LEVEL_GROUP: u32 = u32::MAX;
@@ -58,7 +55,7 @@ pub fn group_frame(group: u32) -> String {
 }
 
 /// Accumulated statistics for one op site.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OpStat {
     /// Op kind name (e.g. `conv2d`, `view.slice`).
     pub op: String,
@@ -70,26 +67,6 @@ pub struct OpStat {
     pub bytes: u64,
     /// Estimated floating-point operations.
     pub flops: u64,
-    /// Log2 histogram of per-invocation wall self-time, microseconds.
-    pub hist: [u64; PROFILE_BUCKETS],
-}
-
-impl Default for OpStat {
-    fn default() -> OpStat {
-        OpStat {
-            op: String::new(),
-            count: 0,
-            self_ns: 0,
-            bytes: 0,
-            flops: 0,
-            hist: [0; PROFILE_BUCKETS],
-        }
-    }
-}
-
-fn bucket(value_us: u64) -> usize {
-    let idx = 63 - value_us.max(1).leading_zeros() as usize;
-    idx.min(PROFILE_BUCKETS - 1)
 }
 
 impl OpStat {
@@ -98,7 +75,6 @@ impl OpStat {
         self.self_ns += wall_ns;
         self.bytes += bytes;
         self.flops += flops;
-        self.hist[bucket(wall_ns / 1_000)] += 1;
     }
 
     fn merge(&mut self, other: &OpStat) {
@@ -109,9 +85,6 @@ impl OpStat {
         self.self_ns += other.self_ns;
         self.bytes += other.bytes;
         self.flops += other.flops;
-        for (a, b) in self.hist.iter_mut().zip(other.hist.iter()) {
-            *a += *b;
-        }
     }
 }
 
@@ -513,8 +486,6 @@ mod tests {
         assert_eq!(snap.entries[0].1.flops, 256);
         assert_eq!(snap.entries[1].1.op, "add");
         assert_eq!(snap.total_self_ns(), 9_000_000);
-        // Histogram: two 5ms/3ms samples land in the ms-range buckets.
-        assert_eq!(snap.entries[0].1.hist.iter().sum::<u64>(), 2);
     }
 
     #[test]

@@ -132,6 +132,25 @@ step "one queue (no dispatcher thread, batching timer or channel crate)"
 ONE_QUEUE='fn dispatch_loop|DispatcherCtx|max_wait|STOP_POLL|crossbeam::'
 [ -z "$(guard "$ONE_QUEUE")" ] || { echo "a second queue:"; guard "$ONE_QUEUE"; exit 1; }
 
+step "one lock vocabulary (std::sync, no parking_lot)"
+# Every lock is a std::sync one, and each lock owner states its poison
+# policy once, in the accessor that takes the lock. Neither the vendored
+# parking_lot shim nor a dependency on it comes back.
+LOCKS="$(guard 'parking_lot'; grep -Hn 'parking_lot' Cargo.toml crates/*/Cargo.toml || true)"
+[ -z "$LOCKS" ] || { echo "a second lock vocabulary:"; echo "$LOCKS"; exit 1; }
+
+step "no unused dependency (every [dependencies] entry is named in its crate)"
+# An edge nothing uses still orders the build: the crate waits for the
+# dependency and everything under it. Each [dependencies] entry of a crate
+# must be named, in snake_case, in some Rust file under that crate.
+UNUSED=""
+for manifest in crates/*/Cargo.toml; do
+  for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+    grep -rqw --include='*.rs' "${dep//-/_}" "$(dirname "$manifest")" || UNUSED="$UNUSED $manifest:$dep"
+  done
+done
+[ -z "$UNUSED" ] || { echo "dependencies nothing names:$UNUSED"; exit 1; }
+
 step "cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub"
 # A `pub` item nothing outside its crate can reach is `pub(crate)`, so the
 # public surface is what the crate roots export and nothing more.
