@@ -52,7 +52,7 @@ impl Request {
 /// with the queued requests that can share its execution.
 #[derive(Default)]
 pub(crate) struct Queue {
-    pub(crate) state: Mutex<QueueState>,
+    state: Mutex<QueueState>,
     /// Wakes an idle worker: one per push, every worker on shrink and at
     /// shutdown.
     pub(crate) ready: Condvar,
