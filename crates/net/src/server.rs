@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tssa_obs::{Gauge, MetricsRegistry};
+use tssa_obs::MetricsRegistry;
 use tssa_serve::{ModelHandle, Service};
 
 use crate::http::{self, HttpError, HttpRequest, Limits};
@@ -79,8 +79,6 @@ struct Shared {
     models: Mutex<HashMap<String, ModelHandle>>,
     stopping: AtomicBool,
     active: AtomicUsize,
-    /// `tssa_net_connections`: `active`, as the scrape sees it.
-    connections: Gauge,
     config: GatewayConfig,
     refreshers: Mutex<Vec<MetricsRefresher>>,
 }
@@ -128,20 +126,19 @@ impl Gateway {
     pub fn bind(config: GatewayConfig, service: Arc<Service>) -> std::io::Result<Gateway> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let connections = service.registry().gauge(
-            "tssa_net_connections",
-            "Connections currently being served by the gateway",
-            &[],
-        );
         let shared = Arc::new(Shared {
             service,
             models: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            connections,
             config,
             refreshers: Mutex::new(Vec::new()),
         });
+        shared.registry().gauge(
+            "tssa_net_connections",
+            "Connections currently being served by the gateway",
+            &[],
+        );
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
@@ -220,14 +217,24 @@ fn accept_loop(
             );
             continue;
         }
-        shared.connections.set(active as f64);
+        shared.registry().set_gauge(
+            "tssa_net_connections",
+            "Connections currently being served by the gateway",
+            &[],
+            active as f64,
+        );
         let conn_shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("tssa-net-conn".into())
             .spawn(move || {
                 handle_connection(stream, &conn_shared);
                 let now = conn_shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-                conn_shared.connections.set(now as f64);
+                conn_shared.registry().set_gauge(
+                    "tssa_net_connections",
+                    "Connections currently being served by the gateway",
+                    &[],
+                    now as f64,
+                );
             })
             .expect("spawn connection thread");
         let mut guard = lock(handlers);

@@ -147,6 +147,28 @@ pub struct PlanCache {
     class_hits: AtomicU64,
 }
 
+/// Clears the in-flight marker if the compiling thread unwinds or errors,
+/// so waiters retry instead of blocking forever.
+struct InFlightCleanup<'a> {
+    cache: &'a PlanCache,
+    coarse: u64,
+    armed: bool,
+}
+
+impl Drop for InFlightCleanup<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            let mut guard = self.cache.lock();
+            if let Some(bucket) = guard.buckets.get_mut(&self.coarse) {
+                bucket.compiling = false;
+            }
+            guard.prune(self.coarse);
+            drop(guard);
+            self.cache.ready.notify_all();
+        }
+    }
+}
+
 impl PlanCache {
     /// A cache retaining at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> PlanCache {
@@ -243,33 +265,36 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
 
+        let mut cleanup = InFlightCleanup {
+            cache: self,
+            coarse,
+            armed: true,
+        };
         // Compilation may unwind (an injected CompilePanic or a genuine
         // compiler bug). Catch it here so the leader gets a typed error and
-        // the in-flight marker is cleared below either way, waking followers
-        // to retry instead of blocking forever. Errors are not cached.
-        let entry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile))
-            .unwrap_or(Err(ServeError::CompilePanic))
-            .map(Arc::new);
-        // Publish the entry, if any, and clear the marker under one lock.
+        // the cleanup guard retracts the in-flight marker normally — waking
+        // followers to retry — instead of unwinding through their wait.
+        let entry = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
+            Ok(Ok(entry)) => Arc::new(entry),
+            Ok(Err(e)) => return Err(e),
+            Err(_payload) => return Err(ServeError::CompilePanic),
+        };
+        // Success: publish the entry and clear the marker under one lock.
+        cleanup.armed = false;
         let mut guard = self.lock();
         let inner = &mut *guard;
+        inner.tick += 1;
         let bucket = inner.buckets.entry(coarse).or_default();
         bucket.compiling = false;
-        match &entry {
-            Ok(entry) => {
-                inner.tick += 1;
-                bucket.resident.push(Resident {
-                    entry: Arc::clone(entry),
-                    last_used: inner.tick,
-                });
-                inner.entries += 1;
-                self.evict_over_capacity(inner);
-            }
-            Err(_) => inner.prune(coarse),
-        }
+        bucket.resident.push(Resident {
+            entry: Arc::clone(&entry),
+            last_used: inner.tick,
+        });
+        inner.entries += 1;
+        self.evict_over_capacity(inner);
         drop(guard);
         self.ready.notify_all();
-        entry
+        Ok(entry)
     }
 
     fn evict_over_capacity(&self, inner: &mut Inner) {

@@ -114,7 +114,14 @@ impl FaultKind {
 
     /// Position in [`FaultKind::ALL`] (stable; usable as an array index).
     pub fn index(self) -> usize {
-        self as usize
+        match self {
+            FaultKind::WorkerPanic => 0,
+            FaultKind::CompileStall => 1,
+            FaultKind::CachePoison => 2,
+            FaultKind::QueueFullBurst => 3,
+            FaultKind::SlowExec => 4,
+            FaultKind::CompilePanic => 5,
+        }
     }
 }
 
