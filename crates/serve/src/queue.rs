@@ -84,13 +84,15 @@ impl Queue {
     /// share its execution. `None` tells the worker to exit: it was retired,
     /// or the queue is closed and empty.
     pub(crate) fn take(&self, max_batch: usize, retire: &AtomicBool) -> Option<Vec<Request>> {
-        let idle = |state: &mut QueueState| {
-            state.requests.is_empty() && !state.closed && !retire.load(Relaxed)
-        };
-        let mut state = self
-            .ready
-            .wait_while(self.lock(), idle)
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.lock();
+        // Checked again after every wake-up: once the lock is poisoned a
+        // wait returns at once, whether or not there is work.
+        while state.requests.is_empty() && !state.closed && !retire.load(Relaxed) {
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
         if retire.load(Relaxed) {
             drop(state);
             // Belt and braces: `shrink` sets the flag under this lock and
@@ -138,7 +140,7 @@ mod tests {
     #[test]
     fn a_thread_that_panics_holding_the_lock_leaves_submit_and_take_working() {
         silence_injected_panics_for_tests();
-        let service = Service::new(ServeConfig::default().with_workers(1));
+        let service = Service::new(ServeConfig::default().with_workers(3));
         let example = [RtValue::Tensor(Tensor::ones(&[2, 4]))];
         let model = service
             .loader("def f(x: Tensor):\n    y = x + 1.0\n    return y\n")
@@ -146,6 +148,8 @@ mod tests {
             .batch(BatchSpec::stacked(1, 1))
             .load()
             .unwrap();
+        // Let the workers go idle in `take`, then poison the queue's lock.
+        std::thread::sleep(Duration::from_millis(50));
         let queue = &service.core.queue;
         let holder = std::thread::scope(|s| {
             s.spawn(|| {
@@ -156,10 +160,13 @@ mod tests {
         });
         assert!(holder.is_err());
         assert!(queue.state.is_poisoned());
-        // The deadline bounds the wait should the worker's take die on the
-        // poisoned lock.
+        // Retiring one worker wakes all three on the poisoned lock; the two
+        // that stay must wait again on the empty queue, not exit.
+        service.shrink(1);
+        assert_eq!(service.worker_count(), 2);
+        // The deadline bounds the wait should no worker be left to take it.
         let response = service
-            .submit_with(&model, example.to_vec(), Some(Duration::from_secs(5)))
+            .submit_with(&model, example.to_vec(), Some(Duration::from_secs(2)))
             .and_then(|ticket| ticket.wait())
             .unwrap();
         assert_eq!(response.outputs[0].as_tensor().unwrap().shape(), &[2, 4]);

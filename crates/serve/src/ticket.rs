@@ -101,34 +101,34 @@ impl Ticket {
     /// request (its eventual result is discarded).
     pub fn wait(self) -> Result<Response, ServeError> {
         let shared = &*self.shared;
-        let pending = |slot: &mut Slot| matches!(slot, Slot::Pending);
-        let guard = shared.lock();
-        let mut guard = match shared.timeout_at {
-            None => shared
-                .cv
-                .wait_while(guard, pending)
-                .unwrap_or_else(PoisonError::into_inner),
-            Some(at) => {
-                let left = at.saturating_duration_since(Instant::now());
-                let woken = shared.cv.wait_timeout_while(guard, left, pending);
-                woken.unwrap_or_else(PoisonError::into_inner).0
-            }
-        };
-        let timeout = || {
-            Err(ServeError::Timeout {
-                waited: shared.submitted.elapsed(),
-            })
-        };
-        match std::mem::replace(&mut *guard, Slot::TimedOut) {
-            Slot::Done(result) => result,
-            // A late delivery found the bound passed and counted it.
-            Slot::TimedOut => timeout(),
-            Slot::Pending => {
-                drop(guard);
-                shared.metrics.timeouts.inc();
-                timeout()
-            }
+        let mut guard = shared.lock();
+        // Checked again after every wake-up: once the slot is poisoned a
+        // wait returns at once, whether or not a result arrived.
+        while matches!(*guard, Slot::Pending) {
+            let left = shared
+                .timeout_at
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            guard = match left {
+                None => shared
+                    .cv
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) if left.is_zero() => break,
+                Some(left) => {
+                    let woken = shared.cv.wait_timeout(guard, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
+        match std::mem::replace(&mut *guard, Slot::TimedOut) {
+            Slot::Done(result) => return result,
+            // A late delivery found the bound passed and counted it.
+            Slot::TimedOut => {}
+            Slot::Pending => shared.metrics.timeouts.inc(),
+        }
+        Err(ServeError::Timeout {
+            waited: shared.submitted.elapsed(),
+        })
     }
 }
 
@@ -182,6 +182,42 @@ impl Drop for Completer {
     fn drop(&mut self) {
         if !self.done {
             self.shared.deliver(Err(ServeError::Canceled));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use tssa_obs::MetricsRegistry;
+
+    use super::*;
+    use crate::{silence_injected_panics_for_tests, INJECTED_PANIC};
+
+    #[test]
+    fn a_wake_up_on_a_poisoned_slot_leaves_the_waiter_waiting() {
+        silence_injected_panics_for_tests();
+        let far = Instant::now() + Duration::from_secs(30);
+        for timeout_at in [None, Some(far)] {
+            let metrics = Arc::new(Metrics::new(&MetricsRegistry::new()));
+            let (ticket, completer) = Completer::new(metrics, Instant::now(), timeout_at);
+            let shared = Arc::clone(&ticket.shared);
+            let holder = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _slot = shared.lock();
+                    std::panic::panic_any(INJECTED_PANIC);
+                })
+                .join()
+            });
+            assert!(holder.is_err());
+            let waiter = std::thread::spawn(move || ticket.wait());
+            // A wake-up with no result in the slot, as a spurious one is.
+            std::thread::sleep(Duration::from_millis(50));
+            shared.cv.notify_all();
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(completer.complete(Err(ServeError::Canceled)));
+            assert!(matches!(waiter.join().unwrap(), Err(ServeError::Canceled)));
         }
     }
 }
