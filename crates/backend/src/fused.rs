@@ -49,7 +49,7 @@ pub(crate) struct GroupResult {
     pub bytes: u64,
     /// Arithmetic work of the fused kernel.
     pub flops: u64,
-    /// Wall time the observer was told the body nodes took, summed.
+    /// Wall time the body nodes reported, summed (0 unobserved).
     pub node_ns: u64,
 }
 
@@ -64,6 +64,9 @@ struct Slot {
 
 impl Slot {
     /// All of a row-major buffer.
+    // Every shape given is one a tensor or a checked broadcast already has,
+    // so its element count fits.
+    #[allow(clippy::expect_used)]
     fn dense(buf: usize, shape: &[usize], dtype: DType) -> Slot {
         Slot {
             buf,
@@ -122,10 +125,9 @@ fn at<'a>(bufs: &'a [Buf], s: &'a Slot) -> (&'a Buffer, &'a Layout) {
 /// values its inputs have in `regs`. An input the plan would donate leaves
 /// its register if it can give up its buffer.
 ///
-/// When an [`OpObserver`] is supplied, each body node's share of the fused
-/// launch is timed during evaluation and attributed to its graph node id
-/// under the group (view nodes run nothing and report 0); the caller
-/// charges the rest of the launch to the group node itself.
+/// When an [`OpObserver`] is supplied, each body node is timed and reported
+/// under the group by its graph node id, views included; the caller reports
+/// the rest of the launch as the group node's own sample.
 pub(crate) fn run_group(
     g: &Graph,
     group: NodeId,
@@ -196,7 +198,10 @@ fn evaluate(
                     layout: t.layout().clone(),
                     dtype: t.dtype(),
                 });
-                bufs.push(Buf::Lent(storages.next().expect("one per lent tensor")));
+                let lent = storages.next();
+                let lent =
+                    lent.ok_or_else(|| ExecError::unsupported("lent input without storage"))?;
+                bufs.push(Buf::Lent(lent));
                 continue;
             }
             Some(RtValue::Float(f)) => Scalar::F32(*f as f32),
@@ -226,7 +231,7 @@ fn evaluate(
         let float = |i: usize| Ok(scalar(i)?.as_float()? as f32);
         let operand = |i: usize| &slots[pn.operands[i]];
         let fresh = |shape: &[usize], dtype: DType| Slot::dense(n_in + idx, shape, dtype);
-        let started = observer.map(|_| Instant::now());
+        let started = observer.is_some().then(Instant::now);
         // The node's slot, and its buffer if it runs a kernel.
         let (out, data) = match pn.kind {
             Kind::Unary => {
@@ -332,12 +337,8 @@ fn evaluate(
             0
         };
         flops += node_flops;
-        if let Some(obs) = observer {
-            // A view ran nothing.
-            let ns = match (&data, started) {
-                (Some(_), Some(at)) => at.elapsed().as_nanos() as u64,
-                _ => 0,
-            };
+        if let (Some(obs), Some(started)) = (observer, started) {
+            let ns = started.elapsed().as_nanos() as u64;
             node_ns += ns;
             let (group, node) = (group.index() as u32, pn.id.index() as u32);
             obs.record_op(group, node, op, ns, out.bytes(), node_flops);

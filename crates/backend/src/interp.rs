@@ -1,6 +1,6 @@
 //! The graph interpreter and cost accountant.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use tssa_ir::{
@@ -19,15 +19,41 @@ use crate::{ExecConfig, ExecError, ExecPlan, ExecStats, RtValue};
 /// again once the value has been moved out at its last use.
 type Env = Vec<Option<RtValue>>;
 
-/// One shape-trace entry: a value binding and the concrete shape it took.
-pub(crate) type ShapeTraceEntry = (ValueId, Vec<usize>);
+/// What a node's observer sample needs that the timing site in
+/// [`Executor::eval_block`] cannot see for itself.
+struct Sample {
+    /// The fusion group the node files under.
+    group: u32,
+    /// Wall time of the nodes nested in this one, which reported it.
+    nested_ns: u64,
+    /// `(bytes, flops)` where the node's own traffic is not what it
+    /// charged: a control node charges its body's, a group its kernel's.
+    traffic: Option<(u64, u64)>,
+}
+
+impl Sample {
+    /// A node with nothing nested that moved what it charged.
+    const LEAF: Sample = Sample {
+        group: TOP_LEVEL_GROUP,
+        nested_ns: 0,
+        traffic: None,
+    };
+
+    /// A top-level node holding a body, which moved `bytes` of its own.
+    fn control(nested_ns: u64, bytes: u64) -> Sample {
+        Sample {
+            group: TOP_LEVEL_GROUP,
+            nested_ns,
+            traffic: Some((bytes, 0)),
+        }
+    }
+}
 
 /// Executes graphs against a simulated device, with real tensor semantics.
 pub struct Executor {
     cfg: ExecConfig,
-    shape_trace: Option<Mutex<Vec<ShapeTraceEntry>>>,
-    /// Wall-time op observer ([`Executor::observed`]); `None` costs one
-    /// branch per node.
+    /// The one watcher ([`Executor::observed`]); `None` runs each block as
+    /// a bare loop over its nodes.
     observer: Option<Arc<dyn OpObserver>>,
 }
 
@@ -35,7 +61,6 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("cfg", &self.cfg)
-            .field("shape_trace", &self.shape_trace.is_some())
             .field("observed", &self.observer.is_some())
             .finish()
     }
@@ -46,59 +71,22 @@ impl Executor {
     pub fn new(cfg: ExecConfig) -> Executor {
         Executor {
             cfg,
-            shape_trace: None,
             observer: None,
         }
     }
 
-    /// Attach a wall-time op observer: every executed op reports its wall
-    /// self-time, invocation and traffic estimates. Control-flow nodes
-    /// report only their own bookkeeping (bodies report node by node);
-    /// fusion groups report per contained op plus a `fusion_group` overhead
-    /// sample.
+    /// Attach an observer. Every node the interpreter runs, control and
+    /// group nodes included, is timed at one site and reports its wall time
+    /// less what the nodes nested in it reported, so each nanosecond inside
+    /// a node is counted once and the time between a body's nodes goes to
+    /// the node that holds the body. A fusion group's body nodes report
+    /// under the group's id; the group's own sample is the launch's
+    /// binding and readback. The observer also sees the shape of every
+    /// tensor value bound ([`OpObserver::bound`]).
     #[must_use]
     pub fn observed(mut self, observer: Arc<dyn OpObserver>) -> Executor {
         self.observer = Some(observer);
         self
-    }
-
-    /// An executor that additionally records the exact shape of every
-    /// tensor value it binds — block parameters at entry and node outputs
-    /// after evaluation, in binding order, with loop-body re-bindings
-    /// recorded once per iteration. The fuzzer's concretization gate diffs
-    /// this trace against the symbolic shape analysis (every recorded shape
-    /// must refine the static one).
-    pub fn with_shape_trace(cfg: ExecConfig) -> Executor {
-        Executor {
-            cfg,
-            shape_trace: Some(Mutex::new(Vec::new())),
-            observer: None,
-        }
-    }
-
-    /// Drain the shape trace recorded by [`Executor::with_shape_trace`].
-    /// Empty when tracing is off or nothing ran.
-    pub fn take_shape_trace(&self) -> Vec<ShapeTraceEntry> {
-        self.shape_trace
-            .as_ref()
-            .map(|t| std::mem::take(&mut *t.lock().expect("shape trace lock")))
-            .unwrap_or_default()
-    }
-
-    fn record_shape(&self, env: &Env, v: ValueId) {
-        if let Some(trace) = &self.shape_trace {
-            if let Some(Some(RtValue::Tensor(t))) = env.get(v.index()) {
-                trace
-                    .lock()
-                    .expect("shape trace lock")
-                    .push((v, t.shape().to_vec()));
-            }
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ExecConfig {
-        &self.cfg
     }
 
     /// Run `graph` on `inputs`, returning outputs and execution statistics.
@@ -154,6 +142,9 @@ impl Executor {
         Ok((outs, stats))
     }
 
+    /// Run block `b`'s nodes in order. Observed, this is where every node
+    /// is timed and reported; returns the wall time of the nodes it ran
+    /// (0 unobserved).
     fn eval_block(
         &self,
         g: &Graph,
@@ -161,46 +152,30 @@ impl Executor {
         b: BlockId,
         env: &mut Env,
         stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        if self.shape_trace.is_some() {
-            for &p in &g.block(b).params {
-                self.record_shape(env, p);
+    ) -> Result<u64, ExecError> {
+        let block = g.block(b);
+        let Some(obs) = self.observer.as_deref() else {
+            for &n in &block.nodes {
+                self.eval_node(g, plan, n, env, stats)?;
             }
+            return Ok(0);
+        };
+        bind(obs, env, &block.params);
+        let mut wall_ns = 0;
+        for &n in &block.nodes {
+            let charged = (stats.bytes, stats.flops);
+            let started = Instant::now();
+            let sample = self.eval_node(g, plan, n, env, stats)?;
+            let ns = started.elapsed().as_nanos() as u64;
+            let (node, id) = (g.node(n), n.index() as u32);
+            let own = (stats.bytes - charged.0, stats.flops - charged.1);
+            let (bytes, flops) = sample.traffic.unwrap_or(own);
+            let self_ns = ns.saturating_sub(sample.nested_ns);
+            obs.record_op(sample.group, id, &node.op, self_ns, bytes, flops);
+            wall_ns += ns;
+            bind(obs, env, &node.outputs);
         }
-        for &n in &g.block(b).nodes {
-            // Wall-time observation: block-bearing nodes attribute their
-            // own self-time inside their eval arms (bodies report node by
-            // node), so only leaf ops are timed here.
-            let traffic_before = (stats.bytes, stats.flops);
-            let observed_at = match &self.observer {
-                Some(_)
-                    if !matches!(
-                        g.node(n).op,
-                        Op::If | Op::Loop | Op::FusionGroup | Op::ParallelMap { .. }
-                    ) =>
-                {
-                    Some(Instant::now())
-                }
-                _ => None,
-            };
-            self.eval_node(g, plan, n, env, stats)?;
-            if let (Some(started), Some(obs)) = (observed_at, &self.observer) {
-                obs.record_op(
-                    TOP_LEVEL_GROUP,
-                    n.index() as u32,
-                    &g.node(n).op,
-                    started.elapsed().as_nanos() as u64,
-                    stats.bytes - traffic_before.0,
-                    stats.flops - traffic_before.1,
-                );
-            }
-            if self.shape_trace.is_some() {
-                for &out in &g.node(n).outputs {
-                    self.record_shape(env, out);
-                }
-            }
-        }
-        Ok(())
+        Ok(wall_ns)
     }
 
     // ------------------------------------------------------------ charging
@@ -228,7 +203,7 @@ impl Executor {
         n: NodeId,
         env: &mut Env,
         stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
+    ) -> Result<Sample, ExecError> {
         stats.ops_executed += 1;
         let node = g.node(n);
         // Operands are read where they lie; nothing is cloned to look.
@@ -263,25 +238,18 @@ impl Executor {
                 }
             }
             Op::If => {
-                let started = self.observer.as_ref().map(|_| Instant::now());
                 stats.host_ns += self.cfg.control_entry_ns;
                 let cond = arg(0)?.as_bool()?;
                 let block = node.blocks[if cond { 0 } else { 1 }];
-                let body_at = started.map(|_| Instant::now());
-                self.eval_block(g, plan, block, env, stats)?;
-                let body_ns = body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                let nested_ns = self.eval_block(g, plan, block, env, stats)?;
                 for (i, &r) in g.block(block).returns.iter().enumerate() {
                     let v = lookup(env, r)?.clone();
                     set(env, i, v);
                 }
-                if let (Some(t0), Some(obs)) = (started, &self.observer) {
-                    let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(body_ns);
-                    obs.record_op(TOP_LEVEL_GROUP, n.index() as u32, &node.op, self_ns, 0, 0);
-                }
+                return Ok(Sample::control(nested_ns, 0));
             }
             Op::Loop => {
-                let started = self.observer.as_ref().map(|_| Instant::now());
-                let mut body_ns = 0u64;
+                let mut nested_ns = 0;
                 let trip = arg(0)?.as_int()?.max(0);
                 let mut cond = arg(1)?.as_bool()?;
                 // Carried values move: into the loop if the block is done
@@ -306,9 +274,7 @@ impl Executor {
                     for (&p, v) in body.params[1..].iter().zip(carried.drain(..)) {
                         env[p.index()] = Some(v);
                     }
-                    let body_at = started.map(|_| Instant::now());
-                    self.eval_block(g, plan, node.blocks[0], env, stats)?;
-                    body_ns += body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                    nested_ns += self.eval_block(g, plan, node.blocks[0], env, stats)?;
                     cond = lookup(env, body.returns[0])?.as_bool()?;
                     for (&r, &moved) in body.returns[1..].iter().zip(&moves.ret_moves) {
                         carried.push(pass(env, r, moved)?);
@@ -318,10 +284,7 @@ impl Executor {
                 for (k, v) in carried.into_iter().enumerate() {
                     set(env, k, v);
                 }
-                if let (Some(t0), Some(obs)) = (started, &self.observer) {
-                    let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(body_ns);
-                    obs.record_op(TOP_LEVEL_GROUP, n.index() as u32, &node.op, self_ns, 0, 0);
-                }
+                return Ok(Sample::control(nested_ns, 0));
             }
 
             // ------------------------------------------------- scalar ops
@@ -580,80 +543,53 @@ impl Executor {
 
             // ------------------------------------------------------ fused
             Op::FusionGroup => {
-                let started = self.observer.as_ref().map(|_| Instant::now());
                 let result = run_group(g, n, plan.group(n)?, env, self.observer.as_deref())?;
                 self.kernel(stats, result.bytes, result.flops);
                 for (i, v) in result.outputs.into_iter().enumerate() {
                     set(env, i, v);
                 }
-                // What the launch cost beyond its body nodes (import,
-                // lowering, readback, teardown) is the group's own sample.
-                if let (Some(t0), Some(obs)) = (started, &self.observer) {
-                    let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(result.node_ns);
-                    let id = n.index() as u32;
-                    obs.record_op(id, id, &node.op, self_ns, result.bytes, 0);
-                }
+                // The launch's binding and readback are the group's own
+                // sample, filed under the group.
+                return Ok(Sample {
+                    group: n.index() as u32,
+                    nested_ns: result.node_ns,
+                    traffic: Some((result.bytes, 0)),
+                });
             }
             Op::ParallelMap { dim } => {
-                let out = self.eval_parallel_map(g, plan, n, *dim, env, stats)?;
+                let trip = arg(0)?.as_int()?.max(0);
+                let out = tensor(1)?.clone_data();
+                let body = g.block(node.blocks[0]);
+                // All iterations are charged as one batched launch: their
+                // traffic and arithmetic are metered into a silent
+                // sub-account and folded into one overhead, one dispatch.
+                // An iteration only defines the body's own values, so
+                // iterations take turns in one register file and write
+                // their slice from it.
+                let (mut inner, mut nested_ns) = (ExecStats::default(), 0);
+                for i in 0..trip {
+                    env[body.params[0].index()] = Some(RtValue::Int(i));
+                    nested_ns += self.eval_block(g, plan, node.blocks[0], env, &mut inner)?;
+                    let slice = lookup(env, body.returns[0])?.as_tensor()?;
+                    out.select(*dim as isize, i as isize)?.copy_(slice)?;
+                }
+                // The map's own traffic is its scatter.
+                let scatter = 2 * t_bytes(&out);
+                self.kernel(stats, inner.bytes + scatter, inner.flops);
                 set(env, 0, RtValue::Tensor(out));
+                return Ok(Sample::control(nested_ns, scatter));
             }
         }
-        Ok(())
+        Ok(Sample::LEAF)
     }
+}
 
-    /// Execute all iterations of a `prim::ParallelMap`, charged as one
-    /// batched kernel.
-    fn eval_parallel_map(
-        &self,
-        g: &Graph,
-        plan: &ExecPlan,
-        n: NodeId,
-        dim: i64,
-        env: &mut Env,
-        stats: &mut ExecStats,
-    ) -> Result<Tensor, ExecError> {
-        let started = self.observer.as_ref().map(|_| Instant::now());
-        let node = g.node(n);
-        let trip = operand(env, node, 0)?.as_int()?.max(0);
-        let out = operand(env, node, 1)?.as_tensor()?.clone_data();
-        let body = node.blocks[0];
-        let i_param = g.block(body).params[0];
-        let ret = g.block(body).returns[0];
-
-        // Per-iteration work is metered into a silent sub-account and folded
-        // into a single batched launch afterwards. When observed, each
-        // iteration's body wall time is summed so the map node can report
-        // only its own overhead (bodies report node by node).
-        let mut inner = ExecStats::default();
-        let mut body_ns = 0u64;
-        // An iteration only defines the body's own values, so iterations
-        // take turns in one register file and write their slice from it.
-        for i in 0..trip {
-            env[i_param.index()] = Some(RtValue::Int(i));
-            let body_at = started.map(|_| Instant::now());
-            self.eval_block(g, plan, body, env, &mut inner)?;
-            body_ns += body_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let slice = lookup(env, ret)?.as_tensor()?;
-            out.select(dim as isize, i as isize)?.copy_(slice)?;
+/// Tell `obs` the shape of each of `values` that holds a tensor.
+fn bind(obs: &dyn OpObserver, env: &Env, values: &[ValueId]) {
+    for &v in values {
+        if let Some(Some(RtValue::Tensor(t))) = env.get(v.index()) {
+            obs.bound(v, t.shape());
         }
-
-        // One batched launch: all per-iteration traffic and arithmetic, one
-        // overhead, one dispatch.
-        self.kernel(stats, inner.bytes + 2 * t_bytes(&out), inner.flops);
-        if let (Some(t0), Some(obs)) = (started, &self.observer) {
-            // Scatter copies and launch folding.
-            let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(body_ns);
-            obs.record_op(
-                TOP_LEVEL_GROUP,
-                n.index() as u32,
-                &node.op,
-                self_ns,
-                2 * t_bytes(&out),
-                0,
-            );
-        }
-        Ok(out)
     }
 }
 

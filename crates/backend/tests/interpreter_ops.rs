@@ -371,3 +371,101 @@ fn profiling_attributes_costs_per_operator() {
     assert_eq!(samples.iter().map(|s| s.2).sum::<u64>(), stats.flops);
     assert!(stats.bytes > 0 && stats.flops > 0);
 }
+
+#[test]
+fn every_node_is_timed_once_per_run_and_control_nodes_move_nothing() {
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+    use tssa_backend::{OpObserver, TOP_LEVEL_GROUP};
+    use tssa_ir::Op;
+
+    /// `[samples, bytes, flops]` per `(group, node)`.
+    type Tally = HashMap<(u32, u32), [u64; 3]>;
+    /// The tally, and all wall time reported.
+    #[derive(Default)]
+    struct Counts(Mutex<(Tally, u64)>);
+    impl OpObserver for Counts {
+        fn record_op(&self, group: u32, node: u32, _: &Op, wall_ns: u64, bytes: u64, flops: u64) {
+            let mut counts = self.0.lock().unwrap();
+            let at = counts.0.entry((group, node)).or_default();
+            *at = [at[0] + 1, at[1] + bytes, at[2] + flops];
+            counts.1 += wall_ns;
+        }
+    }
+
+    let g = parse_graph(
+        "graph(%x : Tensor, %n : int, %c : bool):
+           %t : bool = prim::Constant[value=true]()
+           %y : Tensor = prim::If(%c)
+             block0():
+               %a : Tensor = aten::relu(%x)
+               -> (%a)
+             block1():
+               %b : Tensor = aten::neg(%x)
+               -> (%b)
+           %l : Tensor = prim::Loop(%n, %t, %y)
+             block0(%i : int, %acc : Tensor):
+               %f : Tensor = prim::FusionGroup(%acc)
+                 block0(%p : Tensor):
+                   %s : Tensor = aten::sigmoid(%p)
+                   %m : Tensor = aten::mul(%s, %p)
+                   -> (%m)
+               -> (%t, %f)
+           %o : Tensor = prim::ParallelMap[dim=0](%n, %l)
+             block0(%j : int):
+               %r : Tensor = immut::select[dim=0](%l, %j)
+               %h : Tensor = aten::tanh(%r)
+               -> (%h)
+           return (%o)",
+    )
+    .unwrap();
+    g.verify().unwrap();
+    let counts = Arc::new(Counts::default());
+    let exec = Executor::new(ExecConfig::compiled()).observed(counts.clone());
+    let inputs = [
+        t(vec![0.5; 12], &[3, 4]),
+        RtValue::Int(3),
+        RtValue::Bool(true),
+    ];
+    let started = Instant::now();
+    exec.run(&g, &inputs).unwrap();
+    let run_ns = started.elapsed().as_nanos() as u64;
+
+    let nodes = g.nodes_recursive(g.top());
+    let id = |name: &str| {
+        let n = nodes.iter().find(|&&n| g.node(n).op.name() == name);
+        n.unwrap_or_else(|| panic!("no {name}")).index() as u32
+    };
+    let (top, group) = (TOP_LEVEL_GROUP, id("prim::FusionGroup"));
+    // A [3, 4] f32 tensor is 48 bytes: a launch reads one and writes one,
+    // and the map scatters one.
+    #[rustfmt::skip]
+    let want = [
+        // (operator, group, samples, Some((bytes, flops)) where pinned)
+        ("prim::Constant", top, 1, None),
+        ("prim::If", top, 1, Some((0, 0))),
+        ("aten::relu", top, 1, None),
+        ("prim::Loop", top, 1, Some((0, 0))),
+        ("prim::FusionGroup", group, 3, Some((3 * 96, 0))),
+        ("aten::sigmoid", group, 3, None),
+        ("aten::mul", group, 3, None),
+        ("prim::ParallelMap", top, 1, Some((96, 0))),
+        ("immut::select", top, 3, None),
+        ("aten::tanh", top, 3, None),
+    ];
+    let (seen, wall_ns) = &*counts.0.lock().unwrap();
+    for (name, group, samples, traffic) in want {
+        let [count, bytes, flops] = seen[&(group, id(name))];
+        assert_eq!(count, samples, "{name}");
+        if let Some(traffic) = traffic {
+            assert_eq!((bytes, flops), traffic, "{name}");
+        }
+    }
+    // The branch not taken reports nothing, and nothing else reports.
+    assert_eq!(seen.len(), want.len());
+    assert!(
+        *wall_ns <= run_ns,
+        "{wall_ns} ns reported in a {run_ns} ns run"
+    );
+}

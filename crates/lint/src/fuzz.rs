@@ -12,10 +12,12 @@
 //! indices always stay in bounds, and only NaN-free operations are emitted
 //! (no `exp`/`log`/`sqrt`/division), so outputs are compared bit for bit.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tssa_backend::{ExecConfig, Executor, RtValue};
-use tssa_ir::{infer_shapes_symbolic, DimVar, Graph};
+use tssa_backend::{ExecConfig, Executor, OpObserver, RtValue};
+use tssa_ir::{infer_shapes_symbolic, DimVar, Graph, Op, ValueId};
 use tssa_tensor::Tensor;
 
 /// Side length of every generated matrix (and the value of the `n` input).
@@ -209,8 +211,21 @@ fn run_with(g: &Graph, config: &ExecConfig, seed: u64) -> Result<Vec<Tensor>, St
 /// n: int)` as the symbolic shape analysis expects them.
 const SYMBOLIC_RANKS: [Option<usize>; 4] = [Some(2), Some(2), None, None];
 
+/// Every tensor binding of a run with the shape it took, in binding order.
+#[derive(Default)]
+struct ShapeTrace(Mutex<Vec<(ValueId, Vec<usize>)>>);
+
+impl OpObserver for ShapeTrace {
+    fn record_op(&self, _: u32, _: u32, _: &Op, _: u64, _: u64, _: u64) {}
+
+    fn bound(&self, value: ValueId, shape: &[usize]) {
+        let mut trace = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        trace.push((value, shape.to_vec()));
+    }
+}
+
 /// Differential check of the symbolic shape analysis itself: run `g` under
-/// a shape-tracing executor and require that every concrete shape the
+/// a [`ShapeTrace`] and require that every concrete shape the
 /// interpreter binds refines the symbolic one — rank matches, and every
 /// `Known` dim evaluates (under `in*.d* = DIM`) to the observed extent.
 /// `Unknown` dims admit anything; a missing symbolic shape (a value the
@@ -222,11 +237,13 @@ const SYMBOLIC_RANKS: [Option<usize>; 4] = [Some(2), Some(2), None, None];
 /// analysis fails to admit.
 fn check_concretization(g: &Graph, config: &ExecConfig, seed: u64) -> Result<(), String> {
     let info = infer_shapes_symbolic(g, &SYMBOLIC_RANKS);
-    let exec = Executor::with_shape_trace(config.clone());
+    let trace = Arc::new(ShapeTrace::default());
+    let exec = Executor::new(config.clone()).observed(trace.clone());
     exec.run(g, &inputs_for(seed))
         .map_err(|e| format!("traced run failed: {e}"))?;
     let env = |_v: DimVar| Some(DIM as i64);
-    for (value, concrete) in exec.take_shape_trace() {
+    let trace = trace.0.lock().unwrap_or_else(PoisonError::into_inner);
+    for &(value, ref concrete) in trace.iter() {
         let Some(sym) = info.shape(value) else {
             continue;
         };
@@ -236,7 +253,7 @@ fn check_concretization(g: &Graph, config: &ExecConfig, seed: u64) -> Result<(),
                 sym.len()
             ));
         }
-        for (d, (s, &c)) in sym.iter().zip(&concrete).enumerate() {
+        for (d, (s, &c)) in sym.iter().zip(concrete).enumerate() {
             if !s.admits(c, &env) {
                 return Err(format!(
                     "{value:?} dim {d}: symbolic `{s}` does not admit runtime \

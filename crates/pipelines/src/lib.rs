@@ -203,21 +203,6 @@ impl<'p> ExecSession<'p> {
         self
     }
 
-    /// The effective configuration runs will use.
-    pub fn config(&self) -> &ExecConfig {
-        &self.config
-    }
-
-    /// The program this session executes.
-    pub fn program(&self) -> &'p CompiledProgram {
-        self.program
-    }
-
-    /// Runs performed so far.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
     /// Execute one batch of inputs, returning outputs and this run's
     /// statistics.
     ///
@@ -269,6 +254,10 @@ impl ProfileRecorder {
         }
     }
 }
+
+// Group ids pass from the backend to the profile table unchanged, so both
+// crates must spell "outside any fusion group" the same way.
+const _: () = assert!(tssa_backend::TOP_LEVEL_GROUP == tssa_obs::TOP_LEVEL_GROUP);
 
 impl OpObserver for ProfileRecorder {
     fn record_op(
@@ -818,18 +807,36 @@ mod tests {
     fn session_reuses_and_overrides_config() {
         let g = figure4();
         let cp = TensorSsa::default().compile(&g);
-        let mut session = cp.session().on_device(DeviceProfile::consumer());
-        assert_eq!(session.config().device, DeviceProfile::consumer());
         let inputs = [
             RtValue::Tensor(Tensor::rand_uniform(&[8, 4], -1.0, 1.0, 7)),
             RtValue::Int(8),
         ];
+        let moved = cp
+            .exec_config
+            .clone()
+            .with_device(DeviceProfile::datacenter());
+        let expected = Executor::new(moved).run(&cp.graph, &inputs).unwrap().1;
+        let (_, unmoved) = cp.session().run(&inputs).unwrap();
+        assert_ne!(expected.device_ns, unmoved.device_ns);
+
+        let (tracer, spans) = tssa_obs::Tracer::ring(16);
+        let mut session = (cp.session())
+            .on_device(DeviceProfile::datacenter())
+            .traced(&tracer.scope());
         let mut aggregate = ExecStats::default();
         let (_, s1) = session.run(&inputs).unwrap();
         aggregate.merge(&s1);
         let (_, s2) = session.run(&inputs).unwrap();
         aggregate.merge(&s2);
-        assert_eq!(session.batches(), 2);
+        drop(session);
+        // Every run of the session uses the device it was re-pointed at,
+        // and each run is one batch.
+        assert_eq!(
+            (s1.device_ns, s2.device_ns),
+            (expected.device_ns, expected.device_ns)
+        );
+        let names: Vec<String> = spans.snapshot().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["exec", "batch[0]", "batch[1]"]);
         assert_eq!(
             aggregate.kernel_launches,
             s1.kernel_launches + s2.kernel_launches
