@@ -50,10 +50,9 @@ fn profile_all(profiler: &Profiler, runs: usize) -> u64 {
             .graph()
             .unwrap_or_else(|e| panic!("{}: frontend: {e}", w.name));
         let program = TensorSsa::default().compile(&g);
-        let sink = profiler.sink();
         let mut session = program
             .session()
-            .observed(Arc::new(ProfileRecorder::new(w.name, sink)));
+            .observed(Arc::new(ProfileRecorder::new(profiler.sink(w.name))));
         let inputs = w.inputs(2, 8, 1);
         for _ in 0..runs {
             let t = Instant::now();

@@ -1,17 +1,16 @@
-//! Op-level execution profiler: per-worker [`ProfileSink`] buffers merged
-//! into one [`Profiler`] table, with flamegraph / Chrome-trace / JSON
-//! exports and a fusion-group hotness ranking.
+//! Op-level execution profiler: one [`ProfileSink`] table per plan, with
+//! flamegraph / Chrome-trace / JSON exports and a fusion-group hotness
+//! ranking.
 //!
 //! The tracing side of this crate stops at `exec -> batch[i]` spans; this
 //! module opens the box below the batch level. Executors attribute wall
 //! self-time, invocation counts and FLOP/byte estimates to every op —
-//! keyed by `(plan, fusion group, node)` — into a [`ProfileSink`] owned by
-//! the recording thread. Sinks are `Mutex`-guarded but uncontended in
-//! steady state (one sink per worker), so recording costs a hash insert.
-//! Merging into the shared table happens only at snapshot time (a scrape,
-//! a report), and the merge wall time is itself accounted
-//! (`tssa_obs_profile_merge_us`) so the profiler's own overhead is visible
-//! in the exposition it feeds.
+//! keyed by `(plan, fusion group, node)` — into the plan's table, which
+//! [`Profiler::sink`] binds once per label (a service binds it when a
+//! model loads) and every thread running the plan shares. A snapshot (a
+//! scrape, a report) copies the tables, and the copy's wall time is itself
+//! accounted (`tssa_obs_profile_merge_us`) so the profiler's own overhead
+//! is visible in the exposition it feeds.
 //!
 //! Production deployments keep the profiler always-on by sampling whole
 //! executions through the same seeded [`Sampler`] seam the tracer uses:
@@ -20,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::json::escape;
@@ -88,21 +87,25 @@ impl OpStat {
     }
 }
 
-/// A per-worker recording buffer. The mutex is uncontended in steady state
-/// (each worker records into its own sink); the profiler's snapshot path
-/// takes it briefly to drain.
+/// One plan's profile table, shared by every thread that runs the plan:
+/// [`Profiler::sink`] returns the same table for the same label. The lock
+/// recovers from poison, so a thread that panics mid-record leaves the
+/// table recording and readable.
 #[derive(Default)]
 pub struct ProfileSink {
-    local: Mutex<HashMap<OpKey, OpStat>>,
+    table: Mutex<HashMap<(u32, u32), OpStat>>,
 }
 
 impl ProfileSink {
-    /// Record one op execution. `op_name` is only invoked the first time
-    /// this site is seen, so steady-state recording never allocates a name.
-    #[allow(clippy::too_many_arguments)]
+    fn lock(&self) -> MutexGuard<'_, HashMap<(u32, u32), OpStat>> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record one execution of op `node` in fusion group `group`. `op_name`
+    /// is only invoked the first time this site is seen, so steady-state
+    /// recording never allocates a name.
     pub fn record(
         &self,
-        plan: &Arc<str>,
         group: u32,
         node: u32,
         wall_ns: u64,
@@ -110,46 +113,27 @@ impl ProfileSink {
         flops: u64,
         op_name: impl FnOnce() -> String,
     ) {
-        let key = OpKey {
-            plan: Arc::clone(plan),
-            group,
-            node,
-        };
-        let mut local = self.local.lock().expect("profile sink lock");
-        let stat = local.entry(key).or_default();
-        if stat.op.is_empty() {
-            stat.op = op_name();
-        }
-        stat.observe(wall_ns, bytes, flops);
-    }
-
-    /// Take everything recorded so far, leaving the sink empty.
-    pub fn drain(&self) -> HashMap<OpKey, OpStat> {
-        std::mem::take(&mut *self.local.lock().expect("profile sink lock"))
-    }
-
-    /// Recorded site count (tests and diagnostics).
-    pub fn len(&self) -> usize {
-        self.local.lock().expect("profile sink lock").len()
-    }
-
-    /// Whether nothing has been recorded since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lock()
+            .entry((group, node))
+            .or_insert_with(|| OpStat {
+                op: op_name(),
+                ..OpStat::default()
+            })
+            .observe(wall_ns, bytes, flops);
     }
 }
 
 struct ProfilerInner {
-    merged: Mutex<HashMap<OpKey, OpStat>>,
-    sinks: Mutex<Vec<Arc<ProfileSink>>>,
+    /// One table per plan label.
+    plans: Mutex<HashMap<Arc<str>, Arc<ProfileSink>>>,
     sampler: Option<Sampler>,
     runs: AtomicU64,
     merges: AtomicU64,
     merge_us: AtomicU64,
 }
 
-/// The shared profile table plus the sampling decision. Cheap to clone
-/// (shared interior); one per service / tool run.
+/// The plan tables plus the sampling decision. Cheap to clone (shared
+/// interior); one per service / tool run.
 #[derive(Clone)]
 pub struct Profiler {
     inner: Arc<ProfilerInner>,
@@ -186,8 +170,7 @@ impl Profiler {
     fn with_sampler(sampler: Option<Sampler>) -> Profiler {
         Profiler {
             inner: Arc::new(ProfilerInner {
-                merged: Mutex::new(HashMap::new()),
-                sinks: Mutex::new(Vec::new()),
+                plans: Mutex::new(HashMap::new()),
                 sampler,
                 runs: AtomicU64::new(0),
                 merges: AtomicU64::new(0),
@@ -196,18 +179,18 @@ impl Profiler {
         }
     }
 
-    /// Create a new recording sink registered with this profiler (one per
-    /// worker thread). The profiler keeps its own reference: samples a
-    /// crashed or retired worker never drained still reach the table at the
-    /// next snapshot, so totals stay monotone across worker churn.
-    pub fn sink(&self) -> Arc<ProfileSink> {
-        let sink = Arc::new(ProfileSink::default());
+    fn plans(&self) -> MutexGuard<'_, HashMap<Arc<str>, Arc<ProfileSink>>> {
         self.inner
-            .sinks
+            .plans
             .lock()
-            .expect("profiler sinks lock")
-            .push(Arc::clone(&sink));
-        sink
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The table of plan `plan`, made on first use. Every caller naming
+    /// the same label records into the same table, and the profiler keeps
+    /// it, so samples outlive every handle to it.
+    pub fn sink(&self, plan: &str) -> Arc<ProfileSink> {
+        Arc::clone(self.plans().entry(Arc::from(plan)).or_default())
     }
 
     /// Draw the sampling decision for the next execution. Always true for
@@ -230,40 +213,24 @@ impl Profiler {
         self.inner.runs.load(Ordering::Relaxed)
     }
 
-    /// `(merge count, cumulative merge wall µs)` — the profiler's own cost.
-    fn merge_stats(&self) -> (u64, u64) {
-        (
-            self.inner.merges.load(Ordering::Relaxed),
-            self.inner.merge_us.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Drain every live sink into the table and return a point-in-time
-    /// snapshot sorted by self-time (descending). Totals are cumulative:
-    /// successive snapshots are monotone non-decreasing.
+    /// Copy every plan table into a point-in-time snapshot sorted by
+    /// self-time (descending). Tables are never reset: successive
+    /// snapshots are monotone non-decreasing.
     pub fn snapshot(&self) -> ProfileSnapshot {
         let started = Instant::now();
-        let mut merged = self.inner.merged.lock().expect("profiler table lock");
-        {
-            let sinks = self.inner.sinks.lock().expect("profiler sinks lock");
-            for sink in sinks.iter() {
-                for (key, stat) in sink.drain() {
-                    merged.entry(key).or_default().merge(&stat);
-                }
+        let mut entries = Vec::new();
+        for (plan, table) in self.plans().iter() {
+            for (&(group, node), stat) in table.lock().iter() {
+                let plan = Arc::clone(plan);
+                entries.push((OpKey { plan, group, node }, stat.clone()));
             }
         }
-        let mut entries: Vec<(OpKey, OpStat)> =
-            merged.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        drop(merged);
         entries.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(&b.0)));
-        self.inner.merges.fetch_add(1, Ordering::Relaxed);
-        let merge_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.inner.merge_us.fetch_add(merge_us, Ordering::Relaxed);
-        let (merges, merge_us) = self.merge_stats();
+        let copy_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         ProfileSnapshot {
             entries,
-            merges,
-            merge_us,
+            merges: self.inner.merges.fetch_add(1, Ordering::Relaxed) + 1,
+            merge_us: self.inner.merge_us.fetch_add(copy_us, Ordering::Relaxed) + copy_us,
         }
     }
 }
@@ -289,9 +256,10 @@ pub struct GroupHotness {
 pub struct ProfileSnapshot {
     /// Per-site statistics, sorted by self-time descending.
     pub entries: Vec<(OpKey, OpStat)>,
-    /// Sink merges performed so far (including the one that built this).
+    /// Snapshots taken so far (including this one).
     pub merges: u64,
-    /// Cumulative merge wall time, microseconds.
+    /// Cumulative wall time spent copying tables into snapshots,
+    /// microseconds.
     pub merge_us: u64,
 }
 
@@ -433,7 +401,7 @@ impl ProfileSnapshot {
     }
 
     /// Bridge the snapshot into a registry: `tssa_op_self_us{plan,group,op}`
-    /// (aggregated over node ids) plus the profiler's own merge cost
+    /// (aggregated over node ids) plus the profiler's own snapshot cost
     /// (`tssa_obs_profile_merge_us`, `tssa_obs_profile_merges_total`).
     pub fn register_into(&self, registry: &MetricsRegistry) {
         for ((plan, group, op), stat) in self.by_op() {
@@ -446,13 +414,13 @@ impl ProfileSnapshot {
         }
         registry.set_counter(
             "tssa_obs_profile_merge_us",
-            "Cumulative wall time spent merging profile sinks (µs)",
+            "Cumulative wall time spent copying profile tables into snapshots (µs)",
             &[],
             self.merge_us,
         );
         registry.set_counter(
             "tssa_obs_profile_merges_total",
-            "Profile sink merges performed",
+            "Profile snapshots taken",
             &[],
             self.merges,
         );
@@ -463,20 +431,15 @@ impl ProfileSnapshot {
 mod tests {
     use super::*;
 
-    fn plan(label: &str) -> Arc<str> {
-        Arc::from(label)
-    }
-
     #[test]
     fn sink_records_and_snapshot_sorts_by_self_time() {
         let profiler = Profiler::new();
-        let sink = profiler.sink();
-        let p = plan("lstm");
-        sink.record(&p, 3, 10, 5_000_000, 64, 128, || "matmul".into());
-        sink.record(&p, 3, 10, 3_000_000, 64, 128, || {
+        let sink = profiler.sink("lstm");
+        sink.record(3, 10, 5_000_000, 64, 128, || "matmul".into());
+        sink.record(3, 10, 3_000_000, 64, 128, || {
             panic!("name closure must not run for a known site")
         });
-        sink.record(&p, TOP_LEVEL_GROUP, 2, 1_000_000, 8, 0, || "add".into());
+        sink.record(TOP_LEVEL_GROUP, 2, 1_000_000, 8, 0, || "add".into());
         let snap = profiler.snapshot();
         assert_eq!(snap.entries.len(), 2);
         assert_eq!(snap.entries[0].1.op, "matmul");
@@ -491,25 +454,23 @@ mod tests {
     #[test]
     fn totals_are_monotone_across_snapshots() {
         let profiler = Profiler::new();
-        let sink = profiler.sink();
-        let p = plan("ssd");
-        sink.record(&p, 1, 1, 500, 0, 0, || "mul".into());
+        let sink = profiler.sink("ssd");
+        sink.record(1, 1, 500, 0, 0, || "mul".into());
         let first = profiler.snapshot().total_self_ns();
         let mid = profiler.snapshot().total_self_ns();
-        sink.record(&p, 1, 1, 700, 0, 0, || "mul".into());
+        sink.record(1, 1, 700, 0, 0, || "mul".into());
         let last = profiler.snapshot().total_self_ns();
         assert_eq!(first, 500);
-        assert_eq!(mid, 500, "drained sinks must not reset the table");
+        assert_eq!(mid, 500, "a snapshot must not reset the table");
         assert_eq!(last, 1_200);
     }
 
     #[test]
     fn collapsed_lines_parse_as_collapsed_stack() {
         let profiler = Profiler::new();
-        let sink = profiler.sink();
-        let p = plan("yolo v3"); // space must be sanitized in frames
-        sink.record(&p, 7, 4, 2_000, 0, 0, || "conv2d".into());
-        sink.record(&p, TOP_LEVEL_GROUP, 9, 9_000, 0, 0, || "relu".into());
+        let sink = profiler.sink("yolo v3"); // space must be sanitized in frames
+        sink.record(7, 4, 2_000, 0, 0, || "conv2d".into());
+        sink.record(TOP_LEVEL_GROUP, 9, 9_000, 0, 0, || "relu".into());
         let collapsed = profiler.snapshot().collapsed(100);
         assert_eq!(collapsed.lines().count(), 2);
         for line in collapsed.lines() {
@@ -525,11 +486,10 @@ mod tests {
     #[test]
     fn hotness_ranks_groups_and_register_into_exports_series() {
         let profiler = Profiler::new();
-        let sink = profiler.sink();
-        let p = plan("attention");
-        sink.record(&p, 2, 1, 6_000, 0, 10, || "matmul".into());
-        sink.record(&p, 2, 2, 1_000, 0, 0, || "softmax".into());
-        sink.record(&p, 5, 3, 3_000, 0, 0, || "matmul".into());
+        let sink = profiler.sink("attention");
+        sink.record(2, 1, 6_000, 0, 10, || "matmul".into());
+        sink.record(2, 2, 1_000, 0, 0, || "softmax".into());
+        sink.record(5, 3, 3_000, 0, 0, || "matmul".into());
         let snap = profiler.snapshot();
         let hot = snap.hotness();
         assert_eq!(hot.len(), 2);
@@ -552,10 +512,9 @@ mod tests {
     #[test]
     fn json_and_chrome_exports_parse_and_bound_size() {
         let profiler = Profiler::new();
-        let sink = profiler.sink();
-        let p = plan("fcos");
+        let sink = profiler.sink("fcos");
         for node in 0..10 {
-            sink.record(&p, 1, node, 1_000, 4, 2, || format!("op\"{node}\""));
+            sink.record(1, node, 1_000, 4, 2, || format!("op\"{node}\""));
         }
         let snap = profiler.snapshot();
         let json = snap.json(3);
@@ -589,14 +548,43 @@ mod tests {
     }
 
     #[test]
-    fn dropped_sinks_still_reach_the_table() {
+    fn handles_of_one_plan_share_one_table_that_outlives_them() {
         let profiler = Profiler::new();
-        let sink = profiler.sink();
-        let p = plan("seq2seq");
-        sink.record(&p, 1, 1, 42_000, 0, 0, || "add".into());
-        // A crashed worker drops its handle before any scrape drained it;
-        // the profiler's own reference keeps the samples reachable.
-        drop(sink);
-        assert_eq!(profiler.snapshot().total_self_ns(), 42_000);
+        let first = profiler.sink("seq2seq");
+        let second = profiler.sink("seq2seq");
+        assert!(Arc::ptr_eq(&first, &second));
+        first.record(1, 1, 42_000, 0, 0, || "add".into());
+        second.record(1, 1, 8_000, 0, 0, || panic!("one table: the site is known"));
+        profiler
+            .sink("lstm")
+            .record(1, 1, 1_000, 0, 0, || "mul".into());
+        // A retired worker drops its handle; the profiler keeps the table.
+        drop(first);
+        let snap = profiler.snapshot();
+        assert_eq!(snap.entries.len(), 2, "one site per plan");
+        assert_eq!(
+            (&*snap.entries[0].0.plan, snap.entries[0].1.count),
+            ("seq2seq", 2)
+        );
+        assert_eq!(snap.total_self_ns(), 51_000);
+        assert_eq!(profiler.snapshot().total_self_ns(), 51_000, "no reset");
+    }
+
+    #[test]
+    fn a_panic_under_the_table_lock_leaves_it_recording_and_readable() {
+        let profiler = Profiler::new();
+        let table = profiler.sink("yolact");
+        let crashing = Arc::clone(&table);
+        let crashed = std::thread::spawn(move || {
+            crashing.record(2, 7, 900, 0, 0, || panic!("op name lookup failed"));
+        })
+        .join();
+        assert!(crashed.is_err(), "the name closure panicked under the lock");
+        table.record(2, 7, 500, 16, 4, || "softmax".into());
+        let snap = profiler.snapshot();
+        assert_eq!(snap.entries.len(), 1);
+        assert_eq!(snap.entries[0].1.op, "softmax");
+        assert_eq!(snap.entries[0].1.count, 1);
+        assert_eq!(snap.total_self_ns(), 500);
     }
 }

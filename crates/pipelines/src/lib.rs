@@ -236,22 +236,17 @@ impl<'p> ExecSession<'p> {
     }
 }
 
-/// Adapter from the backend's [`OpObserver`] seam onto a `tssa-obs`
-/// [`tssa_obs::ProfileSink`]: stamps every sample with the plan label the
-/// backend does not know. One recorder per (plan, sink) pairing; attach it
-/// with [`ExecSession::observed`].
+/// Adapter from the backend's [`OpObserver`] seam onto one plan's
+/// [`tssa_obs::ProfileSink`] table ([`tssa_obs::Profiler::sink`]); attach
+/// it with [`ExecSession::observed`].
 pub struct ProfileRecorder {
-    plan: Arc<str>,
-    sink: Arc<tssa_obs::ProfileSink>,
+    table: Arc<tssa_obs::ProfileSink>,
 }
 
 impl ProfileRecorder {
-    /// A recorder feeding `sink` under the plan label `plan`.
-    pub fn new(plan: impl Into<Arc<str>>, sink: Arc<tssa_obs::ProfileSink>) -> ProfileRecorder {
-        ProfileRecorder {
-            plan: plan.into(),
-            sink,
-        }
+    /// A recorder feeding `table`.
+    pub fn new(table: Arc<tssa_obs::ProfileSink>) -> ProfileRecorder {
+        ProfileRecorder { table }
     }
 }
 
@@ -269,8 +264,8 @@ impl OpObserver for ProfileRecorder {
         bytes: u64,
         flops: u64,
     ) {
-        self.sink
-            .record(&self.plan, group, node, wall_ns, bytes, flops, || op.name());
+        self.table
+            .record(group, node, wall_ns, bytes, flops, || op.name());
     }
 }
 
@@ -848,11 +843,10 @@ mod tests {
         let g = figure4();
         let cp = TensorSsa::default().compile(&g);
         let profiler = tssa_obs::Profiler::new();
-        let sink = profiler.sink();
         let mut session = cp
             .session()
             .on_device(DeviceProfile::consumer())
-            .observed(Arc::new(ProfileRecorder::new("figure4", Arc::clone(&sink))));
+            .observed(Arc::new(ProfileRecorder::new(profiler.sink("figure4"))));
         let inputs = [
             RtValue::Tensor(Tensor::rand_uniform(&[8, 4], -1.0, 1.0, 5)),
             RtValue::Int(8),

@@ -147,28 +147,6 @@ pub struct PlanCache {
     class_hits: AtomicU64,
 }
 
-/// Clears the in-flight marker if the compiling thread unwinds or errors,
-/// so waiters retry instead of blocking forever.
-struct InFlightCleanup<'a> {
-    cache: &'a PlanCache,
-    coarse: u64,
-    armed: bool,
-}
-
-impl Drop for InFlightCleanup<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut guard = self.cache.lock();
-            if let Some(bucket) = guard.buckets.get_mut(&self.coarse) {
-                bucket.compiling = false;
-            }
-            guard.prune(self.coarse);
-            drop(guard);
-            self.cache.ready.notify_all();
-        }
-    }
-}
-
 impl PlanCache {
     /// A cache retaining at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> PlanCache {
@@ -265,36 +243,35 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
 
-        let mut cleanup = InFlightCleanup {
-            cache: self,
-            coarse,
-            armed: true,
-        };
         // Compilation may unwind (an injected CompilePanic or a genuine
         // compiler bug). Catch it here so the leader gets a typed error and
-        // the cleanup guard retracts the in-flight marker normally — waking
-        // followers to retry — instead of unwinding through their wait.
-        let entry = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
-            Ok(Ok(entry)) => Arc::new(entry),
-            Ok(Err(e)) => return Err(e),
-            Err(_payload) => return Err(ServeError::CompilePanic),
+        // every outcome leaves by the one exit below, which retracts the
+        // in-flight marker and wakes followers instead of unwinding through
+        // their wait.
+        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
+            Ok(result) => result.map(Arc::new),
+            Err(_payload) => Err(ServeError::CompilePanic),
         };
-        // Success: publish the entry and clear the marker under one lock.
-        cleanup.armed = false;
+        // Under one lock: clear the marker, then publish the entry (success)
+        // or drop the bucket if it is left empty (errors are not cached).
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let bucket = inner.buckets.entry(coarse).or_default();
         bucket.compiling = false;
-        bucket.resident.push(Resident {
-            entry: Arc::clone(&entry),
-            last_used: inner.tick,
-        });
-        inner.entries += 1;
-        self.evict_over_capacity(inner);
+        if let Ok(entry) = &outcome {
+            bucket.resident.push(Resident {
+                entry: Arc::clone(entry),
+                last_used: inner.tick,
+            });
+            inner.entries += 1;
+            self.evict_over_capacity(inner);
+        } else {
+            inner.prune(coarse);
+        }
         drop(guard);
         self.ready.notify_all();
-        Ok(entry)
+        outcome
     }
 
     fn evict_over_capacity(&self, inner: &mut Inner) {
@@ -506,6 +483,31 @@ mod tests {
         cache.get_or_compile(12, &args, exact).unwrap();
         let s = cache.stats();
         assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn followers_survive_a_leader_compile_error() {
+        let cache = PlanCache::new(4);
+        let args = tensor(&[2, 4]);
+        let (started, leader_running) = std::sync::mpsc::channel();
+        let (leader, follower) = std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                cache.get_or_compile(13, &args, || {
+                    started.send(()).unwrap();
+                    // Hold the in-flight marker while the follower arrives.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    Err(ServeError::invalid("boom"))
+                })
+            });
+            leader_running.recv().unwrap();
+            let follower = s.spawn(|| cache.get_or_compile(13, &args, exact));
+            (leader.join().unwrap(), follower.join().unwrap())
+        });
+        assert!(matches!(leader, Err(ServeError::InvalidRequest(_))));
+        // The error was not shared: the woken follower compiled for itself.
+        assert!(follower.is_ok());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.coalesced, s.entries), (2, 0, 1));
     }
 
     #[test]

@@ -51,11 +51,11 @@ pub struct ServeConfig {
     /// compiled plans are written back asynchronously. `None` (the default)
     /// keeps the service fully in-memory.
     pub plan_store: Option<Arc<PlanStore>>,
-    /// Op-level execution profiler. When set, each worker records per-op
-    /// self-time into its own [`tssa_obs::ProfileSink`] (subject to the
-    /// profiler's sampling decision per batch) and
-    /// [`Service::prometheus`] / [`Service::profiler`] expose the merged
-    /// table. `None` (the default) keeps the hot path observer-free.
+    /// Op-level execution profiler. When set, each load binds its plan's
+    /// [`tssa_obs::ProfileSink`] table, workers record per-op self-time
+    /// into it (subject to the profiler's sampling decision per batch), and
+    /// [`Service::prometheus`] / [`Service::profiler`] expose the tables.
+    /// `None` (the default) keeps the hot path observer-free.
     pub profiler: Option<Profiler>,
 }
 

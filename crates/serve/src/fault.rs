@@ -112,16 +112,11 @@ impl FaultKind {
         }
     }
 
-    /// Position in [`FaultKind::ALL`] (stable; usable as an array index).
+    /// Position in [`FaultKind::ALL`], which is declaration order (usable
+    /// as an array index). Seeded schedules derive from it, so a new kind
+    /// goes last.
     pub fn index(self) -> usize {
-        match self {
-            FaultKind::WorkerPanic => 0,
-            FaultKind::CompileStall => 1,
-            FaultKind::CachePoison => 2,
-            FaultKind::QueueFullBurst => 3,
-            FaultKind::SlowExec => 4,
-            FaultKind::CompilePanic => 5,
-        }
+        self as usize
     }
 }
 
@@ -307,6 +302,13 @@ impl Faults {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, kind) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+    }
 
     #[test]
     fn scripted_plan_fires_at_exact_occurrences() {

@@ -73,6 +73,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod batch;
 mod cache;
 mod class;

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tssa_backend::RtValue;
+use tssa_obs::{HistogramMetric, ProfileSink};
 use tssa_pipelines::{CompiledProgram, PipelineKind};
 use tssa_store::{fnv64, roster_fingerprint};
 
@@ -15,8 +16,9 @@ use crate::fault::{FaultAction, FaultKind, INJECTED_COMPILE_PANIC};
 use crate::service::Core;
 use crate::{ServeError, Service};
 
-/// A loaded model: a cached shape class plus its batching contract.
-/// Cheap to clone; clones share the plan.
+/// A loaded model: a cached shape class plus its batching contract and
+/// its plan's per-plan state, bound at load. Cheap to clone; clones share
+/// the plan.
 #[derive(Clone)]
 pub struct ModelHandle {
     pub(crate) spec: Arc<BatchSpec>,
@@ -27,6 +29,10 @@ pub struct ModelHandle {
     pub(crate) label: Arc<str>,
     /// Shape-class entry this handle is admitted under.
     class: Arc<ClassEntry>,
+    /// `tssa_batch_occupancy{plan="<label>"}`.
+    pub(crate) occupancy: HistogramMetric,
+    /// The plan's profile table, when the service profiles.
+    pub(crate) profile: Option<Arc<ProfileSink>>,
 }
 
 impl ModelHandle {
@@ -294,7 +300,17 @@ impl ModelLoader<'_> {
                 )
                 .set(sig.polymorphic_dims() as f64);
         }
-        Ok(ModelHandle { spec, label, class })
+        Ok(ModelHandle {
+            occupancy: core.metrics.registry.histogram(
+                "tssa_batch_occupancy",
+                "Requests coalesced per executed batch, by plan",
+                &[("plan", &label)],
+            ),
+            profile: core.profiler.as_ref().map(|p| p.sink(&label)),
+            spec,
+            label,
+            class,
+        })
     }
 }
 

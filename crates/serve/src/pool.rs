@@ -1,10 +1,9 @@
 //! The worker pool. A worker shares the service's [`Core`] and owns only
-//! its retire flag and its profile sink. It takes its own batch from the
-//! request queue and runs it under `catch_unwind`: a panic mid-batch
-//! retries the batch once on the same thread, a second panic fails its
-//! requests with `Canceled`, and the worker keeps serving.
+//! its retire flag. It takes its own batch from the request queue and runs
+//! it under `catch_unwind`: a panic mid-batch retries the batch once on the
+//! same thread, a second panic fails its requests with `Canceled`, and the
+//! worker keeps serving.
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, MutexGuard, PoisonError};
@@ -12,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use tssa_backend::{ExecStats, RtValue};
-use tssa_obs::{HistogramMetric, ProfileSink, Profiler, Span};
+use tssa_obs::{Profiler, Span};
 use tssa_pipelines::ProfileRecorder;
 
 use crate::fault::{FaultAction, FaultKind, INJECTED_PANIC};
@@ -48,11 +47,8 @@ impl Service {
         let mut pool = self.lock_pool();
         for _ in 0..n {
             let retire = Arc::new(AtomicBool::new(false));
-            // The profiler retains every sink it mints, so undrained
-            // samples from retired workers still reach the table.
-            let sink = self.core.profiler.as_ref().map(Profiler::sink);
             let (core, flag) = (Arc::clone(&self.core), Arc::clone(&retire));
-            let thread = std::thread::spawn(move || worker_loop(&core, &flag, sink.as_ref()));
+            let thread = std::thread::spawn(move || worker_loop(&core, &flag));
             pool.push(Worker { retire, thread });
         }
         self.core.metrics.workers.set(active_workers(&pool) as f64);
@@ -101,20 +97,14 @@ impl Service {
     }
 }
 
-/// A worker's `tssa_batch_occupancy` handles, by plan label.
-type Occupancy = HashMap<Arc<str>, HistogramMetric>;
-
 /// A worker thread: take batches until the queue is closed and drained or
 /// the slot is retired, and return the slot's execution statistics.
-fn worker_loop(core: &Core, retire: &AtomicBool, sink: Option<&Arc<ProfileSink>>) -> ExecStats {
+fn worker_loop(core: &Core, retire: &AtomicBool) -> ExecStats {
     let mut stats = ExecStats::default();
-    // Occupancy handle per plan label, cached so steady-state batches skip
-    // the registry lock.
-    let mut occupancy = Occupancy::new();
     // Retire check between batches only — never mid-batch, so a shrink
     // drains accepted work instead of dropping it.
     while let Some(batch) = core.queue.take(core.max_batch, retire) {
-        serve_batch(core, sink, batch, &mut occupancy, &mut stats);
+        serve_batch(core, batch, &mut stats);
     }
     stats
 }
@@ -122,16 +112,10 @@ fn worker_loop(core: &Core, retire: &AtomicBool, sink: Option<&Arc<ProfileSink>>
 /// Run one batch to completion on this thread. The worker owns the batch,
 /// so a panic mid-run leaves it intact here: the first panic retries it
 /// once (`requeued`), a second one fails its requests with `Canceled`.
-fn serve_batch(
-    core: &Core,
-    sink: Option<&Arc<ProfileSink>>,
-    mut batch: Vec<Request>,
-    occupancy: &mut Occupancy,
-    stats: &mut ExecStats,
-) {
+fn serve_batch(core: &Core, mut batch: Vec<Request>, stats: &mut ExecStats) {
     let mut retry = false;
     while std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_batch(core, sink, &mut batch, retry, occupancy, stats);
+        run_batch(core, &mut batch, retry, stats);
     }))
     .is_err()
     {
@@ -158,14 +142,7 @@ fn serve_batch(
 /// One attempt at a batch: expire stale requests, stack, execute, split and
 /// deliver. Requests stay in `batch` until execution is over, so a panic
 /// before delivery leaves every live request for the retry.
-fn run_batch(
-    core: &Core,
-    sink: Option<&Arc<ProfileSink>>,
-    batch: &mut Vec<Request>,
-    retry: bool,
-    occupancy: &mut Occupancy,
-    stats: &mut ExecStats,
-) {
+fn run_batch(core: &Core, batch: &mut Vec<Request>, retry: bool, stats: &mut ExecStats) {
     let now = Instant::now();
     let (expired, live): (Vec<Request>, Vec<Request>) = std::mem::take(batch)
         .into_iter()
@@ -182,16 +159,7 @@ fn run_batch(
     // retried batch counts once.
     if !retry {
         core.metrics.record_batch(coalesced);
-        occupancy
-            .entry(Arc::clone(&batch[0].model.label))
-            .or_insert_with_key(|label| {
-                core.metrics.registry.histogram(
-                    "tssa_batch_occupancy",
-                    "Requests coalesced per executed batch, by plan",
-                    &[("plan", label)],
-                )
-            })
-            .observe(coalesced as u64);
+        batch[0].model.occupancy.observe(coalesced as u64);
         for request in batch.iter() {
             let wait = now.saturating_duration_since(request.completer.submitted());
             // Traced requests pin the observation as the histogram's
@@ -266,13 +234,10 @@ fn run_batch(
     let result = {
         let mut session = model.plan().session().traced(&exec_scope);
         // Per-op profiling, when this batch drew a keep from the sampler:
-        // one sample per executed op into this worker's private sink.
+        // one sample per executed op into the plan's table.
         let profiled = core.profiler.as_ref().is_some_and(Profiler::should_profile);
-        if let Some(sink) = sink.filter(|_| profiled) {
-            session = session.observed(Arc::new(ProfileRecorder::new(
-                Arc::clone(&model.label),
-                Arc::clone(sink),
-            )));
+        if let Some(table) = model.profile.as_ref().filter(|_| profiled) {
+            session = session.observed(Arc::new(ProfileRecorder::new(Arc::clone(table))));
         }
         session.run(&inputs)
         // The session drops here, recording the `exec` span before the

@@ -96,6 +96,17 @@ CLOCKS="$(guard 'Instant::now' | grep '^crates/backend/src/interp.rs:' || true)"
 [ "$(printf '%s' "$CLOCKS" | grep -c .)" -le 1 ] || { echo "more than one timing site in the interpreter:"; echo "$CLOCKS"; exit 1; }
 ); ok $?
 
+step "one profile table per plan (no per-worker sink, merged copy or label cache)"
+( set -e
+# A model's per-plan state (its occupancy histogram and its profile table)
+# binds once at load and travels on the handle; the profiler keeps one
+# table per plan label, which every thread running the plan records into
+# and a snapshot copies. Neither a worker-side cache nor a drain-and-merge
+# step comes back.
+[ -z "$(guard 'Occupancy|ProfileSink' | grep '^crates/serve/src/pool.rs:')" ] || { echo "per-plan state rebuilt in the worker:"; guard 'Occupancy|ProfileSink' | grep '^crates/serve/src/pool.rs:'; exit 1; }
+[ -z "$(guard 'fn drain\b|sinks: Mutex|merged: Mutex' | grep '^crates/obs/src/profile.rs:')" ] || { echo "a second profile table:"; guard 'fn drain\b|sinks: Mutex|merged: Mutex' | grep '^crates/obs/src/profile.rs:'; exit 1; }
+); ok $?
+
 step "one plan table (no concrete-key table, origin keys or second degrade trigger)"
 ( set -e
 # Every compiled plan is a shape class in the plan cache's one table, under
