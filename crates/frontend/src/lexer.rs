@@ -81,7 +81,9 @@ fn keyword(word: &str) -> Option<Tok> {
 /// whitespace like Python.
 pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, FrontendError> {
     let mut out = Vec::new();
-    let mut indents: Vec<usize> = vec![0];
+    // Open indentation levels past column 0, innermost last.
+    let mut indents: Vec<usize> = Vec::new();
+    let level = |indents: &[usize]| indents.last().copied().unwrap_or(0);
     for (lineno0, raw) in source.lines().enumerate() {
         let line = lineno0 + 1;
         let body = raw.split('#').next().unwrap_or("");
@@ -95,22 +97,21 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, FrontendError> {
                 "tabs are not supported; use spaces",
             ));
         }
-        let cur = *indents.last().expect("indent stack never empty");
-        if indent > cur {
+        if indent > level(&indents) {
             indents.push(indent);
             out.push(Token {
                 kind: Tok::Indent,
                 line,
             });
         } else {
-            while indent < *indents.last().expect("indent stack never empty") {
+            while indent < level(&indents) {
                 indents.pop();
                 out.push(Token {
                     kind: Tok::Dedent,
                     line,
                 });
             }
-            if indent != *indents.last().expect("indent stack never empty") {
+            if indent != level(&indents) {
                 return Err(FrontendError::at(line, "inconsistent indentation"));
             }
         }
@@ -120,8 +121,7 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, FrontendError> {
             line,
         });
     }
-    while indents.len() > 1 {
-        indents.pop();
+    for _ in indents {
         out.push(Token {
             kind: Tok::Dedent,
             line: source.lines().count(),

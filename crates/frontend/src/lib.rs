@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod ast;
 mod error;
 mod lexer;

@@ -22,49 +22,69 @@ type Env = HashMap<String, ValueId>;
 ///
 /// # Errors
 ///
-/// Returns a [`FrontendError`] on type errors, unknown functions/methods or
-/// unsupported constructs (e.g. `return` inside control flow).
+/// Returns a [`FrontendError`] on the offending statement's line on type
+/// errors, unknown functions/methods, a builtin given the wrong number of
+/// arguments, or unsupported constructs (e.g. `return` inside control
+/// flow).
 pub(crate) fn lower(func: &Function) -> Result<Graph, FrontendError> {
-    let mut lw = Lowerer { g: Graph::new() };
+    let mut lw = Lowerer {
+        g: Graph::new(),
+        line: 0,
+    };
     let mut env = Env::new();
     for (name, ty) in &func.params {
         let v = lw.g.add_input(name, ty.clone());
         env.insert(name.clone(), v);
     }
     let top = lw.g.top();
-    let mut returned = false;
-    for (i, stmt) in func.body.iter().enumerate() {
-        if let Stmt::Return { values, line } = stmt {
-            if i + 1 != func.body.len() {
-                return Err(FrontendError::at(
-                    *line,
-                    "return must be the last statement",
-                ));
-            }
-            lw.g.set_current_span(Some(SrcSpan::line(*line)));
-            let mut rets = Vec::new();
-            for v in values {
-                rets.push(lw.expr(v, top, &mut env)?);
-            }
-            lw.g.set_returns(top, &rets);
-            returned = true;
-        } else {
-            lw.stmt(stmt, top, &mut env)?;
-        }
+    let (ret, body) = match func.body.split_last() {
+        Some((Stmt::Return { values, line }, body)) => (Some((values, *line)), body),
+        _ => (None, func.body.as_slice()),
+    };
+    for stmt in body {
+        lw.stmt(stmt, top, &mut env)?;
     }
+    // Without a return, the error stays on the last statement's line.
+    let Some((values, line)) = ret else {
+        return lw.err("function must end with a return");
+    };
+    lw.set_line(line);
+    let mut rets = Vec::with_capacity(values.len());
+    for v in values {
+        rets.push(lw.expr(v, top, &mut env)?);
+    }
+    lw.g.set_returns(top, &rets);
     lw.g.set_current_span(None);
-    if !returned {
-        return Err(FrontendError::at(0, "function must end with a return"));
-    }
     Ok(lw.g)
 }
 
 struct Lowerer {
     g: Graph,
+    /// Line of the statement being lowered: the span of every node appended
+    /// and the line of every error raised.
+    line: usize,
 }
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, FrontendError> {
-    Err(FrontendError::at(line, message))
+/// The arguments of one builtin call, read only through the `arg*`
+/// accessors of [`Lowerer`] once [`Lowerer::takes`] has checked their
+/// count. A method's receiver, already lowered, is argument 0.
+struct Args<'e> {
+    name: &'e str,
+    recv: Option<ValueId>,
+    rest: &'e [Expr],
+    block: BlockId,
+}
+
+impl<'e> Args<'e> {
+    fn count(&self) -> usize {
+        usize::from(self.recv.is_some()) + self.rest.len()
+    }
+
+    /// The source of argument `i`; a receiver has none.
+    fn src(&self, i: usize) -> Option<&'e Expr> {
+        let skip = usize::from(self.recv.is_some());
+        i.checked_sub(skip).and_then(|k| self.rest.get(k))
+    }
 }
 
 /// Names rebound by `stmts` given the current environment (mutations through
@@ -118,6 +138,15 @@ fn literal_int_list(e: &Expr) -> Option<Vec<i64>> {
 }
 
 impl Lowerer {
+    fn err<T>(&self, message: impl Into<String>) -> Result<T, FrontendError> {
+        Err(FrontendError::at(self.line, message))
+    }
+
+    fn set_line(&mut self, line: usize) {
+        self.line = line;
+        self.g.set_current_span(Some(SrcSpan::line(line)));
+    }
+
     fn ty(&self, v: ValueId) -> Type {
         self.g.value(v).ty.clone()
     }
@@ -140,16 +169,11 @@ impl Lowerer {
     }
 
     /// Coerce an Int value to Float (identity for Float).
-    fn coerce_float(
-        &mut self,
-        block: BlockId,
-        v: ValueId,
-        line: usize,
-    ) -> Result<ValueId, FrontendError> {
+    fn coerce_float(&mut self, block: BlockId, v: ValueId) -> Result<ValueId, FrontendError> {
         match self.ty(v) {
             Type::Float => Ok(v),
             Type::Int => Ok(self.one(block, ScalarKind::IntToFloat, &[v], Type::Float)),
-            other => err(line, format!("expected a scalar, found {other}")),
+            other => self.err(format!("expected a scalar, found {other}")),
         }
     }
 
@@ -167,68 +191,42 @@ impl Lowerer {
             | Stmt::While { line, .. }
             | Stmt::Return { line, .. } => *line,
         };
-        if line > 0 {
-            self.g.set_current_span(Some(SrcSpan::line(line)));
-        }
+        self.set_line(line);
         match stmt {
-            Stmt::Return { line, .. } => {
-                err(*line, "return is only allowed at the end of the function")
-            }
-            Stmt::Expr { expr, .. } => {
-                self.expr(expr, block, env)?;
+            Stmt::Return { .. } => self.err("return is only allowed at the end of the function"),
+            Stmt::Expr { expr, .. } => self.expr(expr, block, env).map(drop),
+            Stmt::Assign {
+                target: Target::Name(name),
+                value,
+                ..
+            } => {
+                let v = self.expr(value, block, env)?;
+                env.insert(name.clone(), v);
                 Ok(())
             }
             Stmt::Assign {
-                target,
+                target: Target::Subscript { base, subs },
                 value,
-                line,
-            } => match target {
-                Target::Name(name) => {
-                    let v = self.expr(value, block, env)?;
-                    env.insert(name.clone(), v);
-                    Ok(())
-                }
-                Target::Subscript { base, subs } => {
-                    let base_v = self.expr(base, block, env)?;
-                    let view = self.view_chain(base_v, subs, block, env, *line)?;
-                    let rhs = self.expr(value, block, env)?;
-                    match self.ty(rhs) {
-                        Type::Tensor => {
-                            self.g.append(
-                                block,
-                                Op::Mutate(MutateKind::Copy),
-                                &[view, rhs],
-                                &[Type::Tensor],
-                            );
-                        }
-                        Type::Float | Type::Int => {
-                            let f = self.coerce_float(block, rhs, *line)?;
-                            self.g.append(
-                                block,
-                                Op::Mutate(MutateKind::Fill),
-                                &[view, f],
-                                &[Type::Tensor],
-                            );
-                        }
-                        other => return err(*line, format!("cannot store {other} into a tensor")),
-                    }
-                    Ok(())
-                }
-            },
-            Stmt::AugAssign {
-                target,
-                op,
-                value,
-                line,
+                ..
             } => {
-                match target {
+                let view = self.subscript(base, subs, block, env)?;
+                let rhs = self.expr(value, block, env)?;
+                let kind = match self.ty(rhs) {
+                    Type::Tensor => MutateKind::Copy,
+                    Type::Float | Type::Int => MutateKind::Fill,
+                    other => return self.err(format!("cannot store {other} into a tensor")),
+                };
+                self.mutate(kind, &mut [view, rhs], block)
+            }
+            Stmt::AugAssign {
+                target, op, value, ..
+            } => {
+                let view = match target {
                     Target::Name(name) => {
                         let Some(&cur) = env.get(name) else {
-                            return err(*line, format!("undefined variable `{name}`"));
+                            return self.err(format!("undefined variable `{name}`"));
                         };
-                        if self.ty(cur) == Type::Tensor {
-                            self.mutate_binary(cur, *op, value, block, env, *line)?;
-                        } else {
+                        if self.ty(cur) != Type::Tensor {
                             // Scalar augmented assignment rebinds.
                             let bin = match op {
                                 AugOp::Add => BinOp::Add,
@@ -237,77 +235,124 @@ impl Lowerer {
                                 AugOp::Div => BinOp::Div,
                             };
                             let rhs = self.expr(value, block, env)?;
-                            let v = self.binary(bin, cur, rhs, block, *line)?;
+                            let v = self.binary(bin, cur, rhs, block)?;
                             env.insert(name.clone(), v);
+                            return Ok(());
                         }
+                        cur
                     }
-                    Target::Subscript { base, subs } => {
-                        let base_v = self.expr(base, block, env)?;
-                        let view = self.view_chain(base_v, subs, block, env, *line)?;
-                        self.mutate_binary(view, *op, value, block, env, *line)?;
-                    }
-                }
-                Ok(())
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                line,
-            } => self.if_stmt(cond, then_body, else_body, block, env, *line),
-            Stmt::For {
-                var,
-                count,
-                body,
-                line,
-            } => self.for_stmt(var, count, body, block, env, *line),
-            Stmt::While { cond, body, line } => self.while_stmt(cond, body, block, env, *line),
-        }
-    }
-
-    /// In-place `target op= value` on a tensor view.
-    fn mutate_binary(
-        &mut self,
-        view: ValueId,
-        op: AugOp,
-        value: &Expr,
-        block: BlockId,
-        env: &mut Env,
-        line: usize,
-    ) -> Result<(), FrontendError> {
-        let rhs = self.expr(value, block, env)?;
-        match self.ty(rhs) {
-            Type::Tensor => {
+                    Target::Subscript { base, subs } => self.subscript(base, subs, block, env)?,
+                };
                 let kind = match op {
                     AugOp::Add => MutateKind::Add,
                     AugOp::Sub => MutateKind::Sub,
                     AugOp::Mul => MutateKind::Mul,
                     AugOp::Div => MutateKind::Div,
                 };
-                self.g
-                    .append(block, Op::Mutate(kind), &[view, rhs], &[Type::Tensor]);
+                let rhs = self.expr(value, block, env)?;
+                self.mutate(kind, &mut [view, rhs], block)
             }
-            Type::Float | Type::Int => {
-                let f = self.coerce_float(block, rhs, line)?;
-                let (kind, operand) = match op {
-                    AugOp::Add => (MutateKind::AddScalar, f),
-                    AugOp::Sub => {
-                        let neg = self.one(block, ScalarKind::FloatNeg, &[f], Type::Float);
-                        (MutateKind::AddScalar, neg)
-                    }
-                    AugOp::Mul => (MutateKind::MulScalar, f),
-                    AugOp::Div => {
-                        let one = self.c_float(block, 1.0);
-                        let inv = self.one(block, ScalarKind::FloatDiv, &[one, f], Type::Float);
-                        (MutateKind::MulScalar, inv)
-                    }
-                };
-                self.g
-                    .append(block, Op::Mutate(kind), &[view, operand], &[Type::Tensor]);
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                ..
+            } => self.if_stmt(cond, then_body, else_body, block, env),
+            Stmt::For {
+                var, count, body, ..
+            } => {
+                let trip = self.expr(count, block, env)?;
+                if self.ty(trip) != Type::Int {
+                    return self.err("range() needs an int");
+                }
+                let go = self.c_bool(block, true);
+                let head = [trip, go];
+                self.loop_stmt(head, Some(var), body, block, env, |lw, b, _| {
+                    Ok(lw.c_bool(b, true))
+                })
             }
-            other => return err(line, format!("cannot combine tensor with {other} in place")),
+            Stmt::While { cond, body, .. } => {
+                let go = self.host_bool(cond, "while", block, env)?;
+                let head = [self.c_int(block, i64::MAX), go];
+                self.loop_stmt(head, None, body, block, env, |lw, b, env| {
+                    lw.host_bool(cond, "while", b, env)
+                })
+            }
         }
+    }
+
+    /// Lower a nested body, then return to the enclosing statement's line.
+    fn body(&mut self, stmts: &[Stmt], block: BlockId, env: &mut Env) -> Result<(), FrontendError> {
+        let line = self.line;
+        for s in stmts {
+            self.stmt(s, block, env)?;
+        }
+        self.set_line(line);
         Ok(())
+    }
+
+    /// The one `Op::Mutate` append: `inputs[0]` is written in place from
+    /// `inputs[1..]`, which are coerced to floats for `fill_` and `clamp_`.
+    /// A scalar operand of `add_` … `div_` becomes the `add_scalar_` or
+    /// `mul_scalar_` it stands for.
+    fn mutate(
+        &mut self,
+        kind: MutateKind,
+        inputs: &mut [ValueId],
+        block: BlockId,
+    ) -> Result<(), FrontendError> {
+        use MutateKind::{Add, AddScalar, Clamp, Div, Fill, Mul, MulScalar, Sub};
+        let kind = match (kind, &mut *inputs) {
+            (Fill | Clamp, [_, operands @ ..]) => {
+                for v in operands {
+                    *v = self.coerce_float(block, *v)?;
+                }
+                kind
+            }
+            (Add | Sub | Mul | Div, [_, rhs]) => match self.ty(*rhs) {
+                Type::Tensor => kind,
+                Type::Float | Type::Int => {
+                    let f = self.coerce_float(block, *rhs)?;
+                    let (kind, operand) = match kind {
+                        Sub => (
+                            AddScalar,
+                            self.one(block, ScalarKind::FloatNeg, &[f], Type::Float),
+                        ),
+                        Div => {
+                            let one = self.c_float(block, 1.0);
+                            let inv = self.one(block, ScalarKind::FloatDiv, &[one, f], Type::Float);
+                            (MulScalar, inv)
+                        }
+                        Mul => (MulScalar, f),
+                        _ => (AddScalar, f),
+                    };
+                    *rhs = operand;
+                    kind
+                }
+                other => return self.err(format!("cannot combine tensor with {other} in place")),
+            },
+            _ => kind,
+        };
+        self.g
+            .append(block, Op::Mutate(kind), inputs, &[Type::Tensor]);
+        Ok(())
+    }
+
+    /// `cond` lowered and checked to be a host bool.
+    fn host_bool(
+        &mut self,
+        cond: &Expr,
+        what: &str,
+        block: BlockId,
+        env: &mut Env,
+    ) -> Result<ValueId, FrontendError> {
+        let v = self.expr(cond, block, env)?;
+        if self.ty(v) != Type::Bool {
+            return self.err(format!(
+                "{what} condition must be a host bool (use `.item()` on tensors)"
+            ));
+        }
+        Ok(v)
     }
 
     fn if_stmt(
@@ -317,27 +362,15 @@ impl Lowerer {
         else_body: &[Stmt],
         block: BlockId,
         env: &mut Env,
-        line: usize,
     ) -> Result<(), FrontendError> {
-        let cond_v = self.expr(cond, block, env)?;
-        if self.ty(cond_v) != Type::Bool {
-            return err(
-                line,
-                "if condition must be a host bool (use `.item()` on tensors)",
-            );
-        }
+        let cond_v = self.host_bool(cond, "if", block, env)?;
         let if_node = self.g.append(block, Op::If, &[cond_v], &[]);
         let then_b = self.g.add_node_block(if_node);
         let else_b = self.g.add_node_block(if_node);
-
         let mut env_then = env.clone();
-        for s in then_body {
-            self.stmt(s, then_b, &mut env_then)?;
-        }
+        self.body(then_body, then_b, &mut env_then)?;
         let mut env_else = env.clone();
-        for s in else_body {
-            self.stmt(s, else_b, &mut env_else)?;
-        }
+        self.body(else_body, else_b, &mut env_else)?;
 
         // Variables visible before the branch whose binding changed in
         // either arm become If outputs.
@@ -350,10 +383,7 @@ impl Lowerer {
             let e = env_else.get(name).copied().unwrap_or(before);
             if t != before || e != before {
                 if self.ty(t) != self.ty(e) {
-                    return err(
-                        line,
-                        format!("`{name}` has different types in the two branches"),
-                    );
+                    return self.err(format!("`{name}` has different types in the two branches"));
                 }
                 changed.push(name.clone());
             }
@@ -370,98 +400,42 @@ impl Lowerer {
         Ok(())
     }
 
-    fn for_stmt(
+    /// The `prim::Loop` behind `for` and `while`: `head` is its trip count
+    /// and entry condition, names the body rebinds are carried, `var` (if
+    /// any) binds the iteration number, and `next` lowers the body's
+    /// continue condition after the body. `while` follows TorchScript: its
+    /// trip count is `i64::MAX` and its condition is evaluated before entry
+    /// and again at the end of every iteration.
+    fn loop_stmt(
         &mut self,
-        var: &str,
-        count: &Expr,
+        head: [ValueId; 2],
+        var: Option<&str>,
         body: &[Stmt],
         block: BlockId,
         env: &mut Env,
-        line: usize,
+        next: impl FnOnce(&mut Self, BlockId, &mut Env) -> Result<ValueId, FrontendError>,
     ) -> Result<(), FrontendError> {
-        let n = self.expr(count, block, env)?;
-        if self.ty(n) != Type::Int {
-            return err(line, "range() needs an int");
-        }
-        let t = self.c_bool(block, true);
         let mut carried: Vec<String> = Vec::new();
         rebound_names(body, env, &self.g, &mut carried);
-        let inits: Vec<ValueId> = carried.iter().map(|n| env[n]).collect();
-        let out_types: Vec<Type> = inits.iter().map(|&v| self.ty(v)).collect();
-
-        let mut loop_inputs = vec![n, t];
-        loop_inputs.extend_from_slice(&inits);
-        let loop_node = self.g.append(block, Op::Loop, &loop_inputs, &out_types);
+        let mut inputs = head.to_vec();
+        inputs.extend(carried.iter().map(|n| env[n]));
+        let types: Vec<Type> = inputs[2..].iter().map(|&v| self.ty(v)).collect();
+        let loop_node = self.g.append(block, Op::Loop, &inputs, &types);
         let body_b = self.g.add_node_block(loop_node);
-        let i_p = self.g.add_block_param(body_b, Type::Int);
+        let i = self.g.add_block_param(body_b, Type::Int);
         let mut env_body = env.clone();
-        env_body.insert(var.to_string(), i_p);
-        for (k, name) in carried.iter().enumerate() {
-            let p = self.g.add_block_param(body_b, out_types[k].clone());
+        if let Some(var) = var {
+            env_body.insert(var.to_string(), i);
+        }
+        for (name, ty) in carried.iter().zip(types) {
+            let p = self.g.add_block_param(body_b, ty);
             env_body.insert(name.clone(), p);
         }
-        for s in body {
-            self.stmt(s, body_b, &mut env_body)?;
-        }
-        let cond = self.c_bool(body_b, true);
-        let mut rets = vec![cond];
-        for name in &carried {
-            rets.push(env_body[name]);
-        }
+        self.body(body, body_b, &mut env_body)?;
+        let mut rets = vec![next(self, body_b, &mut env_body)?];
+        rets.extend(carried.iter().map(|n| env_body[n]));
         self.g.set_returns(body_b, &rets);
-        for (k, name) in carried.iter().enumerate() {
-            let out = self.g.node(loop_node).outputs[k];
-            env.insert(name.clone(), out);
-        }
-        Ok(())
-    }
-
-    /// `while cond:` lowers to a `prim::Loop` with trip count `i64::MAX`:
-    /// the condition is evaluated once before entry (the loop's initial
-    /// condition) and re-evaluated at the end of every iteration (the body's
-    /// condition return), following TorchScript's convention.
-    fn while_stmt(
-        &mut self,
-        cond: &Expr,
-        body: &[Stmt],
-        block: BlockId,
-        env: &mut Env,
-        line: usize,
-    ) -> Result<(), FrontendError> {
-        let init_cond = self.expr(cond, block, env)?;
-        if self.ty(init_cond) != Type::Bool {
-            return err(line, "while condition must be a host bool");
-        }
-        let trip = self.c_int(block, i64::MAX);
-        let mut carried: Vec<String> = Vec::new();
-        rebound_names(body, env, &self.g, &mut carried);
-        let inits: Vec<ValueId> = carried.iter().map(|n| env[n]).collect();
-        let out_types: Vec<Type> = inits.iter().map(|&v| self.ty(v)).collect();
-
-        let mut loop_inputs = vec![trip, init_cond];
-        loop_inputs.extend_from_slice(&inits);
-        let loop_node = self.g.append(block, Op::Loop, &loop_inputs, &out_types);
-        let body_b = self.g.add_node_block(loop_node);
-        let _i = self.g.add_block_param(body_b, Type::Int);
-        let mut env_body = env.clone();
-        for (k, name) in carried.iter().enumerate() {
-            let p = self.g.add_block_param(body_b, out_types[k].clone());
-            env_body.insert(name.clone(), p);
-        }
-        for s in body {
-            self.stmt(s, body_b, &mut env_body)?;
-        }
-        let next_cond = self.expr(cond, body_b, &mut env_body)?;
-        if self.ty(next_cond) != Type::Bool {
-            return err(line, "while condition must be a host bool");
-        }
-        let mut rets = vec![next_cond];
-        for name in &carried {
-            rets.push(env_body[name]);
-        }
-        self.g.set_returns(body_b, &rets);
-        for (k, name) in carried.iter().enumerate() {
-            let out = self.g.node(loop_node).outputs[k];
+        for (name, &out) in carried.iter().zip(&self.g.node(loop_node).outputs) {
             env.insert(name.clone(), out);
         }
         Ok(())
@@ -471,10 +445,10 @@ impl Lowerer {
 
     fn expr(&mut self, e: &Expr, block: BlockId, env: &mut Env) -> Result<ValueId, FrontendError> {
         match e {
-            Expr::Name(n) => env
-                .get(n)
-                .copied()
-                .ok_or_else(|| FrontendError::at(0, format!("undefined variable `{n}`"))),
+            Expr::Name(n) => match env.get(n) {
+                Some(&v) => Ok(v),
+                None => self.err(format!("undefined variable `{n}`")),
+            },
             Expr::Int(v) => Ok(self.c_int(block, *v)),
             Expr::Float(v) => Ok(self.c_float(block, *v)),
             Expr::Bool(v) => Ok(self.c_bool(block, *v)),
@@ -484,7 +458,7 @@ impl Lowerer {
                     Type::Int => self.one(block, ScalarKind::IntNeg, &[v], Type::Int),
                     Type::Float => self.one(block, ScalarKind::FloatNeg, &[v], Type::Float),
                     Type::Tensor => self.one(block, UnaryKind::Neg, &[v], Type::Tensor),
-                    other => return err(0, format!("cannot negate {other}")),
+                    other => return self.err(format!("cannot negate {other}")),
                 })
             }
             Expr::Not(inner) => {
@@ -492,13 +466,13 @@ impl Lowerer {
                 Ok(match self.ty(v) {
                     Type::Bool => self.one(block, ScalarKind::BoolNot, &[v], Type::Bool),
                     Type::Tensor => self.one(block, UnaryKind::LogicalNot, &[v], Type::Tensor),
-                    other => return err(0, format!("cannot apply `not` to {other}")),
+                    other => return self.err(format!("cannot apply `not` to {other}")),
                 })
             }
             Expr::Binary { op, lhs, rhs } => {
                 let l = self.expr(lhs, block, env)?;
                 let r = self.expr(rhs, block, env)?;
-                self.binary(*op, l, r, block, 0)
+                self.binary(*op, l, r, block)
             }
             Expr::Compare { op, lhs, rhs } => {
                 let l = self.expr(lhs, block, env)?;
@@ -525,38 +499,43 @@ impl Lowerer {
                         };
                         Ok(self.one(block, op, &[l, r], Type::Tensor))
                     }
-                    (a, b) => err(0, format!("cannot combine {a} and {b} with and/or")),
+                    (a, b) => self.err(format!("cannot combine {a} and {b} with and/or")),
                 }
             }
-            Expr::Subscript { base, subs } => {
-                let b = self.expr(base, block, env)?;
-                self.view_chain(b, subs, block, env, 0)
+            Expr::Subscript { base, subs } => self.subscript(base, subs, block, env),
+            Expr::Call { func, args } => {
+                let a = Args {
+                    name: func,
+                    recv: None,
+                    rest: args,
+                    block,
+                };
+                self.call(&a, env)
             }
-            Expr::Call { func, args } => self.call(func, args, block, env),
             Expr::MethodCall { recv, name, args } => self.method(recv, name, args, block, env),
-            Expr::List(_) => err(0, "list literal is only valid as an operator argument"),
+            Expr::List(_) => self.err("list literal is only valid as an operator argument"),
         }
     }
 
-    fn view_chain(
+    /// `base[subs]` as a chain of select and slice views.
+    fn subscript(
         &mut self,
-        base: ValueId,
+        base: &Expr,
         subs: &[Sub],
         block: BlockId,
         env: &mut Env,
-        line: usize,
     ) -> Result<ValueId, FrontendError> {
-        if self.ty(base) != Type::Tensor {
-            return err(line, "only tensors can be subscripted");
+        let mut cur = self.expr(base, block, env)?;
+        if self.ty(cur) != Type::Tensor {
+            return self.err("only tensors can be subscripted");
         }
-        let mut cur = base;
         let mut dim = 0i64;
         for sub in subs {
             match sub {
                 Sub::Index(e) => {
                     let idx = self.expr(e, block, env)?;
                     if self.ty(idx) != Type::Int {
-                        return err(line, "tensor indices must be ints");
+                        return self.err("tensor indices must be ints");
                     }
                     cur = self.one(
                         block,
@@ -598,7 +577,6 @@ impl Lowerer {
         l: ValueId,
         r: ValueId,
         block: BlockId,
-        line: usize,
     ) -> Result<ValueId, FrontendError> {
         use Type::*;
         Ok(match (self.ty(l), self.ty(r)) {
@@ -610,22 +588,22 @@ impl Lowerer {
                     BinOp::FloorDiv => ScalarKind::IntDiv,
                     BinOp::Mod => ScalarKind::IntMod,
                     BinOp::Div => {
-                        let lf = self.coerce_float(block, l, line)?;
-                        let rf = self.coerce_float(block, r, line)?;
+                        let lf = self.coerce_float(block, l)?;
+                        let rf = self.coerce_float(block, r)?;
                         return Ok(self.one(block, ScalarKind::FloatDiv, &[lf, rf], Float));
                     }
                 };
                 self.one(block, o, &[l, r], Int)
             }
             (Float, Float) | (Float, Int) | (Int, Float) => {
-                let lf = self.coerce_float(block, l, line)?;
-                let rf = self.coerce_float(block, r, line)?;
+                let lf = self.coerce_float(block, l)?;
+                let rf = self.coerce_float(block, r)?;
                 let o = match op {
                     BinOp::Add => ScalarKind::FloatAdd,
                     BinOp::Sub => ScalarKind::FloatSub,
                     BinOp::Mul => ScalarKind::FloatMul,
                     BinOp::Div | BinOp::FloorDiv => ScalarKind::FloatDiv,
-                    BinOp::Mod => return err(line, "float modulo is not supported"),
+                    BinOp::Mod => return self.err("float modulo is not supported"),
                 };
                 self.one(block, o, &[lf, rf], Float)
             }
@@ -636,26 +614,26 @@ impl Lowerer {
                     BinOp::Mul => BinaryKind::Mul,
                     BinOp::Div => BinaryKind::Div,
                     BinOp::FloorDiv | BinOp::Mod => {
-                        return err(line, "floor-div/mod are not defined on tensors")
+                        return self.err("floor-div/mod are not defined on tensors")
                     }
                 };
                 self.one(block, o, &[l, r], Tensor)
             }
             (Tensor, Float) | (Tensor, Int) => {
-                let s = self.coerce_float(block, r, line)?;
+                let s = self.coerce_float(block, r)?;
                 let o = match op {
                     BinOp::Add => UnaryKind::AddScalar,
                     BinOp::Sub => UnaryKind::SubScalar,
                     BinOp::Mul => UnaryKind::MulScalar,
                     BinOp::Div => UnaryKind::DivScalar,
                     BinOp::FloorDiv | BinOp::Mod => {
-                        return err(line, "floor-div/mod are not defined on tensors")
+                        return self.err("floor-div/mod are not defined on tensors")
                     }
                 };
                 self.one(block, o, &[l, s], Tensor)
             }
             (Float, Tensor) | (Int, Tensor) => {
-                let s = self.coerce_float(block, l, line)?;
+                let s = self.coerce_float(block, l)?;
                 match op {
                     BinOp::Add => self.one(block, UnaryKind::AddScalar, &[r, s], Tensor),
                     BinOp::Mul => self.one(block, UnaryKind::MulScalar, &[r, s], Tensor),
@@ -671,11 +649,11 @@ impl Lowerer {
                         self.one(block, UnaryKind::MulScalar, &[inv, s], Tensor)
                     }
                     BinOp::FloorDiv | BinOp::Mod => {
-                        return err(line, "floor-div/mod are not defined on tensors")
+                        return self.err("floor-div/mod are not defined on tensors")
                     }
                 }
             }
-            (a, b) => return err(line, format!("cannot apply arithmetic to {a} and {b}")),
+            (a, b) => return self.err(format!("cannot apply arithmetic to {a} and {b}")),
         })
     }
 
@@ -700,8 +678,8 @@ impl Lowerer {
                 self.one(block, o, &[l, r], Bool)
             }
             (Float, Float) | (Float, Int) | (Int, Float) => {
-                let lf = self.coerce_float(block, l, 0)?;
-                let rf = self.coerce_float(block, r, 0)?;
+                let lf = self.coerce_float(block, l)?;
+                let rf = self.coerce_float(block, r)?;
                 match op {
                     CmpOp::Lt => self.one(block, ScalarKind::FloatLt, &[lf, rf], Bool),
                     CmpOp::Gt => self.one(block, ScalarKind::FloatGt, &[lf, rf], Bool),
@@ -713,21 +691,21 @@ impl Lowerer {
                         let lt = self.one(block, ScalarKind::FloatLt, &[lf, rf], Bool);
                         self.one(block, ScalarKind::BoolNot, &[lt], Bool)
                     }
-                    CmpOp::Eq | CmpOp::Ne => return err(0, "float equality is not supported"),
+                    CmpOp::Eq | CmpOp::Ne => return self.err("float equality is not supported"),
                 }
             }
             (Tensor, Tensor) => self.tensor_compare(op, l, r, block),
             (Tensor, Float) | (Tensor, Int) => {
-                let s = self.coerce_float(block, r, 0)?;
+                let s = self.coerce_float(block, r)?;
                 let full = self.one(block, Op::FullLike, &[l, s], Tensor);
                 self.tensor_compare(op, l, full, block)
             }
             (Float, Tensor) | (Int, Tensor) => {
-                let s = self.coerce_float(block, l, 0)?;
+                let s = self.coerce_float(block, l)?;
                 let full = self.one(block, Op::FullLike, &[r, s], Tensor);
                 self.tensor_compare(op, full, r, block)
             }
-            (a, b) => return err(0, format!("cannot compare {a} and {b}")),
+            (a, b) => return self.err(format!("cannot compare {a} and {b}")),
         })
     }
 
@@ -747,135 +725,149 @@ impl Lowerer {
         }
     }
 
-    fn call(
-        &mut self,
-        func: &str,
-        args: &[Expr],
-        block: BlockId,
-        env: &mut Env,
-    ) -> Result<ValueId, FrontendError> {
-        let tensor_arg =
-            |lw: &mut Self, env: &mut Env, i: usize| -> Result<ValueId, FrontendError> {
-                let v = lw.expr(&args[i], block, env)?;
-                if lw.ty(v) != Type::Tensor {
-                    return err(0, format!("`{func}` argument {i} must be a tensor"));
-                }
-                Ok(v)
-            };
-        if let Some(kind) = activation(func) {
-            let t = tensor_arg(self, env, 0)?;
-            return Ok(self.one(block, Op::Unary(kind), &[t], Type::Tensor));
+    // ------------------------------------------------- builtin arguments
+
+    /// Checks that `a` holds exactly `n` arguments, a receiver included.
+    fn takes(&self, a: &Args, n: usize) -> Result<(), FrontendError> {
+        if a.count() == n {
+            return Ok(());
         }
-        match func {
+        let n = n.saturating_sub(usize::from(a.recv.is_some()));
+        let s = if n == 1 { "" } else { "s" };
+        let got = a.rest.len();
+        self.err(format!("`{}` takes {n} argument{s}, got {got}", a.name))
+    }
+
+    fn arg_src<'e>(&self, a: &Args<'e>, i: usize) -> Result<&'e Expr, FrontendError> {
+        match a.src(i) {
+            Some(e) => Ok(e),
+            None => self.err(format!("`{}` has no argument {i}", a.name)),
+        }
+    }
+
+    /// Argument `i` as any value.
+    fn arg(&mut self, a: &Args, i: usize, env: &mut Env) -> Result<ValueId, FrontendError> {
+        match (a.recv, i) {
+            (Some(r), 0) => Ok(r),
+            _ => {
+                let e = self.arg_src(a, i)?;
+                self.expr(e, a.block, env)
+            }
+        }
+    }
+
+    fn arg_tensor(&mut self, a: &Args, i: usize, env: &mut Env) -> Result<ValueId, FrontendError> {
+        let v = self.arg(a, i, env)?;
+        if self.ty(v) != Type::Tensor {
+            return self.err(format!("`{}` argument {i} must be a tensor", a.name));
+        }
+        Ok(v)
+    }
+
+    fn arg_float(&mut self, a: &Args, i: usize, env: &mut Env) -> Result<ValueId, FrontendError> {
+        let v = self.arg(a, i, env)?;
+        self.coerce_float(a.block, v)
+    }
+
+    fn arg_int(&self, a: &Args, i: usize) -> Result<i64, FrontendError> {
+        match literal_int(self.arg_src(a, i)?) {
+            Some(v) => Ok(v),
+            None => self.err(format!("`{}` argument {i} must be a literal int", a.name)),
+        }
+    }
+
+    fn arg_ints(&self, a: &Args, i: usize) -> Result<Vec<i64>, FrontendError> {
+        match literal_int_list(self.arg_src(a, i)?) {
+            Some(v) => Ok(v),
+            None => self.err(format!(
+                "`{}` argument {i} must be a literal int list",
+                a.name
+            )),
+        }
+    }
+
+    // ------------------------------------------------------------ builtins
+
+    fn call(&mut self, a: &Args, env: &mut Env) -> Result<ValueId, FrontendError> {
+        let block = a.block;
+        if let Some((op, n)) = tensor_builtin(a.name) {
+            self.takes(a, n)?;
+            let mut inputs = Vec::with_capacity(n);
+            for i in 0..n {
+                inputs.push(self.arg_tensor(a, i, env)?);
+            }
+            return Ok(self.one(block, op, &inputs, Type::Tensor));
+        }
+        Ok(match a.name {
             "zeros" | "ones" => {
-                let shape = literal_int_list(&args[0])
-                    .ok_or_else(|| FrontendError::at(0, "zeros/ones need a literal shape list"))?;
-                let op = if func == "zeros" {
+                self.takes(a, 1)?;
+                let shape = self.arg_ints(a, 0)?;
+                let op = if a.name == "zeros" {
                     Op::Zeros { shape }
                 } else {
                     Op::Ones { shape }
                 };
-                Ok(self.one(block, op, &[], Type::Tensor))
+                self.one(block, op, &[], Type::Tensor)
             }
             "full" => {
-                let shape = literal_int_list(&args[0])
-                    .ok_or_else(|| FrontendError::at(0, "full needs a literal shape list"))?;
-                let v = self.expr(&args[1], block, env)?;
-                let f = self.coerce_float(block, v, 0)?;
-                Ok(self.one(block, Op::Full { shape }, &[f], Type::Tensor))
+                self.takes(a, 2)?;
+                let shape = self.arg_ints(a, 0)?;
+                let f = self.arg_float(a, 1, env)?;
+                self.one(block, Op::Full { shape }, &[f], Type::Tensor)
             }
             "arange" => {
-                let n = self.expr(&args[0], block, env)?;
-                Ok(self.one(block, Op::Arange, &[n], Type::Tensor))
+                self.takes(a, 1)?;
+                let n = self.arg(a, 0, env)?;
+                self.one(block, Op::Arange, &[n], Type::Tensor)
             }
-            "zeros_like" | "ones_like" => {
-                let t = tensor_arg(self, env, 0)?;
-                let op = if func == "zeros_like" {
-                    Op::ZerosLike
+            "full_like" | "pow" => {
+                self.takes(a, 2)?;
+                let t = self.arg_tensor(a, 0, env)?;
+                let f = self.arg_float(a, 1, env)?;
+                let op = if a.name == "pow" {
+                    Op::Unary(UnaryKind::PowScalar)
                 } else {
-                    Op::OnesLike
+                    Op::FullLike
                 };
-                Ok(self.one(block, op, &[t], Type::Tensor))
-            }
-            "full_like" => {
-                let t = tensor_arg(self, env, 0)?;
-                let v = self.expr(&args[1], block, env)?;
-                let f = self.coerce_float(block, v, 0)?;
-                Ok(self.one(block, Op::FullLike, &[t, f], Type::Tensor))
+                self.one(block, op, &[t, f], Type::Tensor)
             }
             "cat" | "stack" => {
-                let Expr::List(items) = &args[0] else {
-                    return err(0, "cat/stack need a list of tensors");
+                self.takes(a, 2)?;
+                let Expr::List(items) = self.arg_src(a, 0)? else {
+                    return self.err(format!("`{}` argument 0 must be a list", a.name));
                 };
-                let dim = literal_int(&args[1])
-                    .ok_or_else(|| FrontendError::at(0, "cat/stack need a literal dim"))?;
-                let mut vals = Vec::new();
+                let dim = self.arg_int(a, 1)?;
+                let mut vals = Vec::with_capacity(items.len());
                 for item in items {
-                    let v = self.expr(item, block, env)?;
-                    vals.push(v);
+                    vals.push(self.expr(item, block, env)?);
                 }
-                let op = if func == "cat" {
+                let op = if a.name == "cat" {
                     Op::Concat { dim }
                 } else {
                     Op::Stack { dim }
                 };
-                Ok(self.one(block, op, &vals, Type::Tensor))
+                self.one(block, op, &vals, Type::Tensor)
             }
-            "where" => {
-                let c = tensor_arg(self, env, 0)?;
-                let a = tensor_arg(self, env, 1)?;
-                let b = tensor_arg(self, env, 2)?;
-                Ok(self.one(block, Op::WhereSelect, &[c, a, b], Type::Tensor))
-            }
-            "minimum" | "maximum" => {
-                let a = tensor_arg(self, env, 0)?;
-                let b = tensor_arg(self, env, 1)?;
-                let op = if func == "minimum" {
-                    BinaryKind::Minimum
+            "gather" | "index_select" => {
+                self.takes(a, 3)?;
+                let t = self.arg_tensor(a, 0, env)?;
+                let dim = self.arg_int(a, 1)?;
+                let idx = self.arg_tensor(a, 2, env)?;
+                let op = if a.name == "gather" {
+                    Op::Gather { dim }
                 } else {
-                    BinaryKind::Maximum
+                    Op::IndexSelect { dim }
                 };
-                Ok(self.one(block, op, &[a, b], Type::Tensor))
-            }
-            "pow" => {
-                let t = tensor_arg(self, env, 0)?;
-                let v = self.expr(&args[1], block, env)?;
-                let f = self.coerce_float(block, v, 0)?;
-                Ok(self.one(block, UnaryKind::PowScalar, &[t, f], Type::Tensor))
-            }
-            "matmul" => {
-                let a = tensor_arg(self, env, 0)?;
-                let b = tensor_arg(self, env, 1)?;
-                Ok(self.one(block, Op::Matmul, &[a, b], Type::Tensor))
-            }
-            "bmm" => {
-                let a = tensor_arg(self, env, 0)?;
-                let b = tensor_arg(self, env, 1)?;
-                Ok(self.one(block, Op::Bmm, &[a, b], Type::Tensor))
-            }
-            "gather" => {
-                let t = tensor_arg(self, env, 0)?;
-                let dim = literal_int(&args[1])
-                    .ok_or_else(|| FrontendError::at(0, "gather needs a literal dim"))?;
-                let idx = tensor_arg(self, env, 2)?;
-                Ok(self.one(block, Op::Gather { dim }, &[t, idx], Type::Tensor))
-            }
-            "index_select" => {
-                let t = tensor_arg(self, env, 0)?;
-                let dim = literal_int(&args[1])
-                    .ok_or_else(|| FrontendError::at(0, "index_select needs a literal dim"))?;
-                let idx = tensor_arg(self, env, 2)?;
-                Ok(self.one(block, Op::IndexSelect { dim }, &[t, idx], Type::Tensor))
+                self.one(block, op, &[t, idx], Type::Tensor)
             }
             "float" => {
-                let v = self.expr(&args[0], block, env)?;
-                self.coerce_float(block, v, 0)
+                self.takes(a, 1)?;
+                self.arg_float(a, 0, env)?
             }
-            other => err(0, format!("unknown function `{other}`")),
-        }
+            other => return self.err(format!("unknown function `{other}`")),
+        })
     }
 
-    #[allow(clippy::too_many_lines)]
     fn method(
         &mut self,
         recv: &Expr,
@@ -886,195 +878,94 @@ impl Lowerer {
     ) -> Result<ValueId, FrontendError> {
         let r = self.expr(recv, block, env)?;
         if self.ty(r) != Type::Tensor {
-            return err(0, format!("method `{name}` requires a tensor receiver"));
+            return self.err(format!("method `{name}` requires a tensor receiver"));
         }
-        let lit = |e: &Expr, what: &str| -> Result<i64, FrontendError> {
-            literal_int(e)
-                .ok_or_else(|| FrontendError::at(0, format!("`{name}` needs a literal {what}")))
+        let a = Args {
+            name,
+            recv: Some(r),
+            rest: args,
+            block,
         };
-        let keepdim = |args: &[Expr]| -> bool { matches!(args.get(1), Some(Expr::Bool(true))) };
-        if let Some(kind) = activation(name) {
-            return Ok(self.one(block, Op::Unary(kind), &[r], Type::Tensor));
+        // The spellings shared with a call (`x.relu()`, `x.matmul(b)`).
+        if activation(name).is_some() || matches!(name, "matmul" | "bmm") {
+            return self.call(&a, env);
         }
-        Ok(match name {
-            "clone" => self.one(block, Op::CloneOp, &[r], Type::Tensor),
-            "contiguous" => self.one(block, Op::Contiguous, &[r], Type::Tensor),
+        let in_place = MutateKind::from_name(name)
+            .filter(|k| !matches!(k, MutateKind::AddScalar | MutateKind::MulScalar));
+        if let Some(kind) = in_place {
+            self.takes(&a, kind.arity())?;
+            let mut inputs = Vec::with_capacity(kind.arity());
+            for i in 0..kind.arity() {
+                inputs.push(self.arg(&a, i, env)?);
+            }
+            self.mutate(kind, &mut inputs, block)?;
+            return Ok(r);
+        }
+        let (op, ty) = match name {
+            "clone" | "contiguous" | "item" | "item_int" | "item_bool" => {
+                self.takes(&a, 1)?;
+                match name {
+                    "clone" => (Op::CloneOp, Type::Tensor),
+                    "contiguous" => (Op::Contiguous, Type::Tensor),
+                    "item" => (Op::ItemFloat, Type::Float),
+                    "item_int" => (Op::ItemInt, Type::Int),
+                    _ => (Op::ItemBool, Type::Bool),
+                }
+            }
             "clamp" => {
-                let lo = self.expr(&args[0], block, env)?;
-                let hi = self.expr(&args[1], block, env)?;
-                let lo = self.coerce_float(block, lo, 0)?;
-                let hi = self.coerce_float(block, hi, 0)?;
-                self.one(block, UnaryKind::Clamp, &[r, lo, hi], Type::Tensor)
+                self.takes(&a, 3)?;
+                let lo = self.arg_float(&a, 1, env)?;
+                let hi = self.arg_float(&a, 2, env)?;
+                return Ok(self.one(block, UnaryKind::Clamp, &[r, lo, hi], Type::Tensor));
             }
-            "softmax" => {
-                let dim = lit(&args[0], "dim")?;
-                self.one(block, Op::Softmax { dim }, &[r], Type::Tensor)
-            }
-            "cumsum" => {
-                let dim = lit(&args[0], "dim")?;
-                self.one(block, Op::Cumsum { dim }, &[r], Type::Tensor)
+            "softmax" | "cumsum" | "size" => {
+                self.takes(&a, 2)?;
+                let dim = self.arg_int(&a, 1)?;
+                match name {
+                    "softmax" => (Op::Softmax { dim }, Type::Tensor),
+                    "cumsum" => (Op::Cumsum { dim }, Type::Tensor),
+                    _ => (Op::Size { dim }, Type::Int),
+                }
             }
             "sum" | "mean" | "max" | "min" | "argmax" => {
-                let dim = lit(&args[0], "dim")?;
-                let kd = keepdim(args);
+                // `keepdim` is an optional second argument.
+                self.takes(&a, a.count().clamp(2, 3))?;
+                let dim = self.arg_int(&a, 1)?;
+                let keepdim = matches!(a.src(2), Some(Expr::Bool(true)));
                 let op = match name {
-                    "sum" => Op::SumDim { dim, keepdim: kd },
-                    "mean" => Op::MeanDim { dim, keepdim: kd },
-                    "max" => Op::MaxDim { dim, keepdim: kd },
-                    "min" => Op::MinDim { dim, keepdim: kd },
-                    _ => Op::ArgmaxDim { dim, keepdim: kd },
+                    "sum" => Op::SumDim { dim, keepdim },
+                    "mean" => Op::MeanDim { dim, keepdim },
+                    "max" => Op::MaxDim { dim, keepdim },
+                    "min" => Op::MinDim { dim, keepdim },
+                    _ => Op::ArgmaxDim { dim, keepdim },
                 };
-                self.one(block, op, &[r], Type::Tensor)
-            }
-            "matmul" => {
-                let b = self.expr(&args[0], block, env)?;
-                self.one(block, Op::Matmul, &[r, b], Type::Tensor)
-            }
-            "bmm" => {
-                let b = self.expr(&args[0], block, env)?;
-                self.one(block, Op::Bmm, &[r, b], Type::Tensor)
-            }
-            "size" => {
-                let dim = lit(&args[0], "dim")?;
-                self.one(block, Op::Size { dim }, &[r], Type::Int)
-            }
-            "item" => self.one(block, Op::ItemFloat, &[r], Type::Float),
-            "item_int" => self.one(block, Op::ItemInt, &[r], Type::Int),
-            "item_bool" => self.one(block, Op::ItemBool, &[r], Type::Bool),
-            "transpose" => {
-                let d0 = lit(&args[0], "dim")?;
-                let d1 = lit(&args[1], "dim")?;
-                self.one(
-                    block,
-                    Op::View(ViewKind::Transpose { dim0: d0, dim1: d1 }),
-                    &[r],
-                    Type::Tensor,
-                )
-            }
-            "permute" => {
-                let perm = literal_int_list(&args[0])
-                    .ok_or_else(|| FrontendError::at(0, "permute needs a literal list"))?;
-                self.one(
-                    block,
-                    Op::View(ViewKind::Permute { perm }),
-                    &[r],
-                    Type::Tensor,
-                )
-            }
-            "unsqueeze" => {
-                let dim = lit(&args[0], "dim")?;
-                self.one(
-                    block,
-                    Op::View(ViewKind::Unsqueeze { dim }),
-                    &[r],
-                    Type::Tensor,
-                )
-            }
-            "squeeze" => {
-                let dim = lit(&args[0], "dim")?;
-                self.one(
-                    block,
-                    Op::View(ViewKind::Squeeze { dim }),
-                    &[r],
-                    Type::Tensor,
-                )
-            }
-            "view" => {
-                let shape = literal_int_list(&args[0])
-                    .ok_or_else(|| FrontendError::at(0, "view needs a literal shape"))?;
-                self.one(
-                    block,
-                    Op::View(ViewKind::ViewShape { shape }),
-                    &[r],
-                    Type::Tensor,
-                )
-            }
-            "expand" => {
-                let shape = literal_int_list(&args[0])
-                    .ok_or_else(|| FrontendError::at(0, "expand needs a literal shape"))?;
-                self.one(
-                    block,
-                    Op::View(ViewKind::Expand { shape }),
-                    &[r],
-                    Type::Tensor,
-                )
+                (op, Type::Tensor)
             }
             "reshape" => {
-                let shape = literal_int_list(&args[0])
-                    .ok_or_else(|| FrontendError::at(0, "reshape needs a literal shape"))?;
-                self.one(block, Op::Reshape { shape }, &[r], Type::Tensor)
+                self.takes(&a, 2)?;
+                let shape = self.arg_ints(&a, 1)?;
+                (Op::Reshape { shape }, Type::Tensor)
             }
-            // ------------------------------------------------ in-place ops
-            "copy_" => {
-                let s = self.expr(&args[0], block, env)?;
-                self.g.append(
-                    block,
-                    Op::Mutate(MutateKind::Copy),
-                    &[r, s],
-                    &[Type::Tensor],
-                );
-                r
-            }
-            "fill_" => {
-                let v = self.expr(&args[0], block, env)?;
-                let f = self.coerce_float(block, v, 0)?;
-                self.g.append(
-                    block,
-                    Op::Mutate(MutateKind::Fill),
-                    &[r, f],
-                    &[Type::Tensor],
-                );
-                r
-            }
-            "add_" | "sub_" | "mul_" | "div_" => {
-                let s = self.expr(&args[0], block, env)?;
-                if self.ty(s) == Type::Tensor {
-                    let kind = match name {
-                        "add_" => MutateKind::Add,
-                        "sub_" => MutateKind::Sub,
-                        "mul_" => MutateKind::Mul,
-                        _ => MutateKind::Div,
-                    };
-                    self.g
-                        .append(block, Op::Mutate(kind), &[r, s], &[Type::Tensor]);
-                } else {
-                    let aug = match name {
-                        "add_" => AugOp::Add,
-                        "sub_" => AugOp::Sub,
-                        "mul_" => AugOp::Mul,
-                        _ => AugOp::Div,
-                    };
-                    self.mutate_binary(r, aug, &args[0], block, env, 0)?;
-                }
-                r
-            }
-            "relu_" | "sigmoid_" | "tanh_" | "exp_" | "neg_" => {
-                let kind = match name {
-                    "relu_" => MutateKind::Relu,
-                    "sigmoid_" => MutateKind::Sigmoid,
-                    "tanh_" => MutateKind::Tanh,
-                    "exp_" => MutateKind::Exp,
-                    _ => MutateKind::Neg,
+            "transpose" | "permute" | "unsqueeze" | "squeeze" | "view" | "expand" => {
+                self.takes(&a, if name == "transpose" { 3 } else { 2 })?;
+                let int = |i| self.arg_int(&a, i);
+                let ints = |i| self.arg_ints(&a, i);
+                let view = match name {
+                    "transpose" => ViewKind::Transpose {
+                        dim0: int(1)?,
+                        dim1: int(2)?,
+                    },
+                    "permute" => ViewKind::Permute { perm: ints(1)? },
+                    "unsqueeze" => ViewKind::Unsqueeze { dim: int(1)? },
+                    "squeeze" => ViewKind::Squeeze { dim: int(1)? },
+                    "view" => ViewKind::ViewShape { shape: ints(1)? },
+                    _ => ViewKind::Expand { shape: ints(1)? },
                 };
-                self.g
-                    .append(block, Op::Mutate(kind), &[r], &[Type::Tensor]);
-                r
+                (Op::View(view), Type::Tensor)
             }
-            "clamp_" => {
-                let lo = self.expr(&args[0], block, env)?;
-                let hi = self.expr(&args[1], block, env)?;
-                let lo = self.coerce_float(block, lo, 0)?;
-                let hi = self.coerce_float(block, hi, 0)?;
-                self.g.append(
-                    block,
-                    Op::Mutate(MutateKind::Clamp),
-                    &[r, lo, hi],
-                    &[Type::Tensor],
-                );
-                r
-            }
-            other => return err(0, format!("unknown method `{other}`")),
-        })
+            other => return self.err(format!("unknown method `{other}`")),
+        };
+        Ok(self.one(block, op, &[r], ty))
     }
 }
 
@@ -1084,6 +975,23 @@ fn activation(name: &str) -> Option<UnaryKind> {
     use UnaryKind::{Abs, Exp, Log, Neg, Relu, Sigmoid, Sqrt, Tanh};
     UnaryKind::from_name(name)
         .filter(|k| [Sigmoid, Exp, Relu, Tanh, Log, Sqrt, Abs, Neg].contains(k))
+}
+
+/// The builtins whose arguments are all tensors, with their count.
+fn tensor_builtin(name: &str) -> Option<(Op, usize)> {
+    if let Some(kind) = activation(name) {
+        return Some((Op::Unary(kind), 1));
+    }
+    Some(match name {
+        "zeros_like" => (Op::ZerosLike, 1),
+        "ones_like" => (Op::OnesLike, 1),
+        "minimum" => (Op::Binary(BinaryKind::Minimum), 2),
+        "maximum" => (Op::Binary(BinaryKind::Maximum), 2),
+        "matmul" => (Op::Matmul, 2),
+        "bmm" => (Op::Bmm, 2),
+        "where" => (Op::WhereSelect, 3),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

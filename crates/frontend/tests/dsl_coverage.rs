@@ -188,6 +188,7 @@ fn errors_carry_line_numbers() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("frobnicate"), "{err}");
+    assert_eq!(err.line, 3, "{err}");
 
     let err = compile("def f(x: Tensor):\n    y = x +\n    return y\n").unwrap_err();
     assert_eq!(err.line, 2, "{err}");
@@ -269,4 +270,108 @@ fn boolean_logic_on_scalars_and_tensors() {
     assert!(text.contains("aten::bool_not"), "{text}");
     assert!(text.contains("aten::logical_and"), "{text}");
     assert!(text.contains("aten::logical_not"), "{text}");
+}
+
+/// Every builtin and method spelling with its arguments, and how many of
+/// them are required (`keepdim` is the optional last one of a reduction).
+const BUILTINS: &[(&str, &[&str], usize)] = &[
+    ("relu", &["x"], 1),
+    ("sigmoid", &["x"], 1),
+    ("exp", &["x"], 1),
+    ("tanh", &["x"], 1),
+    ("log", &["x"], 1),
+    ("sqrt", &["x"], 1),
+    ("abs", &["x"], 1),
+    ("neg", &["x"], 1),
+    ("zeros", &["[2]"], 1),
+    ("ones", &["[2]"], 1),
+    ("full", &["[2]", "1.0"], 2),
+    ("arange", &["n"], 1),
+    ("zeros_like", &["x"], 1),
+    ("ones_like", &["x"], 1),
+    ("full_like", &["x", "1.0"], 2),
+    ("cat", &["[x, x]", "0"], 2),
+    ("stack", &["[x, x]", "0"], 2),
+    ("where", &["x > 0.0", "x", "x"], 3),
+    ("minimum", &["x", "x"], 2),
+    ("maximum", &["x", "x"], 2),
+    ("pow", &["x", "2.0"], 2),
+    ("matmul", &["x", "x"], 2),
+    ("bmm", &["x", "x"], 2),
+    ("gather", &["x", "0", "i"], 3),
+    ("index_select", &["x", "0", "i"], 3),
+    ("float", &["n"], 1),
+    ("x.relu", &[], 0),
+    ("x.sigmoid", &[], 0),
+    ("x.exp", &[], 0),
+    ("x.tanh", &[], 0),
+    ("x.log", &[], 0),
+    ("x.sqrt", &[], 0),
+    ("x.abs", &[], 0),
+    ("x.neg", &[], 0),
+    ("x.matmul", &["x"], 1),
+    ("x.bmm", &["x"], 1),
+    ("x.clone", &[], 0),
+    ("x.contiguous", &[], 0),
+    ("x.clamp", &["0.0", "1.0"], 2),
+    ("x.softmax", &["0"], 1),
+    ("x.cumsum", &["0"], 1),
+    ("x.sum", &["0", "True"], 1),
+    ("x.mean", &["0", "True"], 1),
+    ("x.max", &["0", "True"], 1),
+    ("x.min", &["0", "True"], 1),
+    ("x.argmax", &["0", "True"], 1),
+    ("x.size", &["0"], 1),
+    ("x.item", &[], 0),
+    ("x.item_int", &[], 0),
+    ("x.item_bool", &[], 0),
+    ("x.transpose", &["0", "1"], 2),
+    ("x.permute", &["[1, 0]"], 1),
+    ("x.unsqueeze", &["0"], 1),
+    ("x.squeeze", &["0"], 1),
+    ("x.view", &["[4]"], 1),
+    ("x.expand", &["[2, 2]"], 1),
+    ("x.reshape", &["[4]"], 1),
+    ("x.copy_", &["x"], 1),
+    ("x.fill_", &["1.0"], 1),
+    ("x.add_", &["x"], 1),
+    ("x.sub_", &["x"], 1),
+    ("x.mul_", &["x"], 1),
+    ("x.div_", &["x"], 1),
+    ("x.relu_", &[], 0),
+    ("x.sigmoid_", &[], 0),
+    ("x.tanh_", &[], 0),
+    ("x.exp_", &[], 0),
+    ("x.neg_", &[], 0),
+    ("x.clamp_", &["0.0", "1.0"], 2),
+];
+
+#[test]
+fn wrong_argument_counts_are_errors_on_their_line() {
+    let program = |head: &str, args: &[&str]| {
+        format!(
+            "def f(x: Tensor, i: Tensor, n: int):\n    y = x.relu()\n    z = {head}({})\n    return z\n",
+            args.join(", ")
+        )
+    };
+    for &(head, args, required) in BUILTINS {
+        let ok = program(head, args);
+        compile(&ok).unwrap_or_else(|e| panic!("{ok}\n{e}"));
+        let mut too_many = args.to_vec();
+        too_many.push("0");
+        let mut wrong = vec![program(head, &too_many)];
+        if required > 0 {
+            wrong.push(program(head, &args[..required - 1]));
+        }
+        let name = head.trim_start_matches("x.");
+        for src in wrong {
+            match compile(&src) {
+                Ok(_) => panic!("accepted:\n{src}"),
+                Err(err) => {
+                    assert_eq!(err.line, 3, "{src}\n{err}");
+                    assert!(err.message.contains(&format!("`{name}`")), "{src}\n{err}");
+                }
+            }
+        }
+    }
 }

@@ -5,10 +5,11 @@
 //! Invariants:
 //!
 //! - **Reads are infallible to the caller.** [`PlanStore::load`] returns
-//!   `Some(plan)` only for an intact, version- and roster-matched entry;
-//!   everything else — missing file, torn write, flipped bit, stale roster,
-//!   old format — counts a typed counter, evicts the bad file, and reads as
-//!   a miss. A poisoned file is just another fault kind.
+//!   `Some(plan)` only for an intact, version- and roster-matched entry.
+//!   A missing or unreadable file counts a miss and stays; a torn write,
+//!   flipped bit, stale roster or old format counts its typed counter,
+//!   evicts the bad file, and reads as a miss. A poisoned file is just
+//!   another fault kind.
 //! - **Writes are atomic and asynchronous.** Entries are encoded on the
 //!   writer thread and written to a temp file then renamed into place, so a
 //!   crash mid-write leaves either the old entry or none — never a torn
@@ -155,42 +156,29 @@ impl PlanStore {
             .unwrap_or(0)
     }
 
-    /// Typed read of one entry, with full header validation against the
-    /// caller's key and live roster. Does not touch counters or evict —
-    /// [`PlanStore::load`] layers that policy on top; tests use this
-    /// directly to assert error kinds.
-    ///
-    /// # Errors
-    ///
-    /// Any [`StoreError`]; `Io(NotFound)` means no entry exists.
-    pub(crate) fn load_entry(
+    /// The one read of the exact entry for `content_hash`, validated
+    /// against the caller's key and live roster, behind both
+    /// [`PlanStore::load`] and [`PlanStore::load_class`]. A hit is counted
+    /// here; a damaged or stale entry is counted under its typed counter and
+    /// evicted. A missing entry, or one that exists but cannot be read, is
+    /// [`Miss::Absent`]: it stays on disk and the caller counts the miss.
+    fn load_exact(
         &self,
         content_hash: u64,
         roster_fingerprint: u64,
-    ) -> Result<CompiledProgram, StoreError> {
-        let bytes = std::fs::read(self.path_for(content_hash))?;
-        decode_plan_full(
-            &bytes,
-            Expected {
-                content_hash: Some(content_hash),
-                roster_fingerprint: Some(roster_fingerprint),
-            },
-        )
-    }
-
-    /// Look up `content_hash`, requiring the entry to match
-    /// `roster_fingerprint`. Missing entries count as misses; damaged or
-    /// stale entries are evicted (file removed) under their typed counter
-    /// and also read as misses. Never panics, never surfaces an error.
-    pub fn load(&self, content_hash: u64, roster_fingerprint: u64) -> Option<CompiledProgram> {
-        match self.load_entry(content_hash, roster_fingerprint) {
+    ) -> Result<CompiledProgram, Miss> {
+        let path = self.path_for(content_hash);
+        let Ok(bytes) = std::fs::read(&path) else {
+            return Err(Miss::Absent);
+        };
+        let expected = Expected {
+            content_hash: Some(content_hash),
+            roster_fingerprint: Some(roster_fingerprint),
+        };
+        match decode_plan_full(&bytes, expected) {
             Ok(plan) => {
                 self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan)
-            }
-            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
+                Ok(plan)
             }
             Err(e) => {
                 let slot = if e.is_stale() {
@@ -199,7 +187,23 @@ impl PlanStore {
                     &self.counters.corrupt_evicted
                 };
                 slot.fetch_add(1, Ordering::Relaxed);
-                let _ = std::fs::remove_file(self.path_for(content_hash));
+                let _ = std::fs::remove_file(&path);
+                Err(Miss::Evicted)
+            }
+        }
+    }
+
+    /// Look up `content_hash`, requiring the entry to match
+    /// `roster_fingerprint`. Missing or unreadable entries count as misses;
+    /// damaged or stale entries are evicted (file removed) under their typed
+    /// counter and also read as misses. Never panics, never surfaces an
+    /// error.
+    pub fn load(&self, content_hash: u64, roster_fingerprint: u64) -> Option<CompiledProgram> {
+        match self.load_exact(content_hash, roster_fingerprint) {
+            Ok(plan) => Some(plan),
+            Err(Miss::Evicted) => None,
+            Err(Miss::Absent) => {
+                self.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -220,42 +224,14 @@ impl PlanStore {
         roster_fingerprint: u64,
         admit: impl Fn(&CompiledProgram) -> bool,
     ) -> Option<CompiledProgram> {
-        let exact_path = self.path_for(content_hash);
-        match std::fs::read(&exact_path) {
-            Ok(bytes) => {
-                match decode_plan_full(
-                    &bytes,
-                    Expected {
-                        content_hash: Some(content_hash),
-                        roster_fingerprint: Some(roster_fingerprint),
-                    },
-                ) {
-                    Ok(decoded) => {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(decoded);
-                    }
-                    Err(e) => {
-                        // Damaged or stale exact entry: evict (the one
-                        // counted outcome of this load) and stop — a bad
-                        // exact entry means the class scan would find the
-                        // same generation of files.
-                        let slot = if e.is_stale() {
-                            &self.counters.stale_evicted
-                        } else {
-                            &self.counters.corrupt_evicted
-                        };
-                        slot.fetch_add(1, Ordering::Relaxed);
-                        let _ = std::fs::remove_file(&exact_path);
-                        return None;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(_) => {
-                self.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        match self.load_exact(content_hash, roster_fingerprint) {
+            Ok(plan) => return Some(plan),
+            // A bad exact entry means the class scan would find the same
+            // generation of files: the eviction is this load's one outcome.
+            Err(Miss::Evicted) => return None,
+            Err(Miss::Absent) => {}
         }
+        let exact_path = self.path_for(content_hash);
         // Exact miss: scan headers for the class. Files that fail to peek
         // or decode are skipped without counters — they belong to other
         // keys, whose own loads will evict them. A file of an older format
@@ -398,6 +374,15 @@ impl Drop for PlanStore {
             }
         }
     }
+}
+
+/// Why the exact entry of a key served no plan.
+enum Miss {
+    /// No entry, or one that cannot be read: nothing is counted yet.
+    Absent,
+    /// A damaged or stale entry, counted under its typed counter and
+    /// evicted.
+    Evicted,
 }
 
 /// Write `bytes` to `path` via a temp file in the same directory plus an

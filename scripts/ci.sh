@@ -129,6 +129,15 @@ ONE_EVAL='wrapping_(add|sub|mul|div|rem|neg)'
 [ -z "$(guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)')" ] || { echo "host-scalar arithmetic outside ScalarKind::eval:"; guard "$ONE_EVAL" | grep -E '^crates/(core/src/|backend/src/interp.rs:)'; exit 1; }
 ); ok $?
 
+step "one argument reader in lowering (no indexed builtin argument, no line-0 error)"
+( set -e
+# Lowering reads every builtin's arguments through one checked reader, so a
+# missing or extra argument is a typed error on its statement's line, never
+# an index panic; and every error takes the line the lowerer keeps.
+[ -z "$(guard 'args\[' | grep '^crates/frontend/src/lower.rs:')" ] || { echo "an unchecked argument index:"; guard 'args\[' | grep '^crates/frontend/src/lower.rs:'; exit 1; }
+[ -z "$(guard 'err\(0,|at\(0,' | grep '^crates/frontend/src/lower.rs:')" ] || { echo "an error without a line:"; guard 'err\(0,|at\(0,' | grep '^crates/frontend/src/lower.rs:'; exit 1; }
+); ok $?
+
 step "one definition per transcendental (no libm tanh or exp in the kernels)"
 ( set -e
 # tanh, exp and sigmoid are the polynomial forms of crates/tensor/src/math.rs,

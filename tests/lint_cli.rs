@@ -1,5 +1,6 @@
 //! The `tssa-lint` binary's command line: the rule table it lists, the
-//! options it refuses, and the seed ranges it refuses to run.
+//! options it refuses, the seed ranges it refuses to run, and the source
+//! errors it reports.
 
 use std::process::{Command, Output};
 
@@ -113,4 +114,20 @@ fn lint_denies_a_cat_of_operands_with_different_ranks_without_panicking() {
             "dim {dim}: {stdout}"
         );
     }
+}
+
+#[test]
+fn lint_reports_a_builtin_missing_its_argument_on_its_line() {
+    let path = std::env::temp_dir().join(format!("tssa-lint-arity-{}.tssa", std::process::id()));
+    std::fs::write(
+        &path,
+        "def f(x: Tensor):\n    z = x.relu()\n    y = x.softmax()\n    return y\n",
+    )
+    .expect("write the program");
+    let out = tssa_lint(&["lint", path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).ok();
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 3:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
