@@ -331,6 +331,10 @@ impl Lowerer {
                 }
                 other => return self.err(format!("cannot combine tensor with {other} in place")),
             },
+            (MutateKind::Copy, [_, src]) => match self.ty(*src) {
+                Type::Tensor => kind,
+                other => return self.err(format!("`copy_` needs a tensor source, got {other}")),
+            },
             _ => kind,
         };
         self.g
@@ -928,10 +932,14 @@ impl Lowerer {
                 }
             }
             "sum" | "mean" | "max" | "min" | "argmax" => {
-                // `keepdim` is an optional second argument.
+                // `keepdim` is an optional literal second argument.
                 self.takes(&a, a.count().clamp(2, 3))?;
                 let dim = self.arg_int(&a, 1)?;
-                let keepdim = matches!(a.src(2), Some(Expr::Bool(true)));
+                let keepdim = match a.src(2) {
+                    None | Some(Expr::Bool(false)) => false,
+                    Some(Expr::Bool(true)) => true,
+                    Some(_) => return self.err(format!("`{name}` keepdim must be True or False")),
+                };
                 let op = match name {
                     "sum" => Op::SumDim { dim, keepdim },
                     "mean" => Op::MeanDim { dim, keepdim },

@@ -375,3 +375,42 @@ fn wrong_argument_counts_are_errors_on_their_line() {
         }
     }
 }
+
+/// Arguments that lower only as a literal or a tensor: a reduction's
+/// `keepdim` is `True` or `False`, and `copy_` copies from a tensor (a
+/// scalar store is `a[i] = s`, which lowers to `fill_`).
+const TYPED_ARGUMENTS: &[(&str, &str)] = &[
+    ("x.sum(0, 1)", "keepdim"),
+    ("x.mean(1, n)", "keepdim"),
+    ("x.max(0, c)", "keepdim"),
+    ("x.argmax(0, 1.0)", "keepdim"),
+    ("x.copy_(2.0)", "`copy_`"),
+    ("x.copy_(n)", "`copy_`"),
+    ("x.copy_(c)", "`copy_`"),
+];
+
+#[test]
+fn keepdim_is_a_literal_and_copy_takes_a_tensor() {
+    for &(call, needle) in TYPED_ARGUMENTS {
+        let src = format!(
+            "def f(x: Tensor, n: int, c: bool):\n    y = x.relu()\n    z = {call}\n    return z\n"
+        );
+        match compile(&src) {
+            Ok(_) => panic!("accepted:\n{src}"),
+            Err(err) => {
+                assert_eq!(err.line, 3, "{src}\n{err}");
+                assert!(err.message.contains(needle), "{src}\n{err}");
+            }
+        }
+    }
+    let text = ops_of(
+        "def f(x: Tensor, s: float):
+             a = x.sum(0, False)
+             b = x.clone()
+             b[0] = s
+             return a, b
+        ",
+    );
+    assert!(text.contains("aten::sum[dim=0, keepdim=false]"), "{text}");
+    assert!(text.contains("aten::fill_"), "{text}");
+}

@@ -191,6 +191,9 @@ impl Autoscaler {
     pub fn spawn(service: Arc<Service>, config: AutoscaleConfig) -> Autoscaler {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
+        // A host that cannot start this one thread at start-up cannot
+        // serve either; the panic is the report.
+        #[allow(clippy::expect_used)]
         let handle = std::thread::Builder::new()
             .name("tssa-autoscaler".into())
             .spawn(move || run(&service, config, &thread_stop))

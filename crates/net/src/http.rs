@@ -358,6 +358,7 @@ impl HttpResponse {
     }
 
     /// The body as UTF-8 (panics on invalid UTF-8 — client-side helper).
+    #[allow(clippy::expect_used)] // tests and load generators read their own replies
     pub fn text(&self) -> &str {
         std::str::from_utf8(&self.body).expect("response body is UTF-8")
     }

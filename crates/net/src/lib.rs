@@ -24,6 +24,8 @@
 //! driven graceful drain; `GET /metrics` exposes the whole stack —
 //! service, gateway, autoscaler — as one Prometheus exposition.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod autoscale;
 pub mod http;
 mod server;

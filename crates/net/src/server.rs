@@ -90,6 +90,12 @@ impl Shared {
         self.service.registry()
     }
 
+    /// A connection ended, or its thread never started: free its slot.
+    fn release(&self) {
+        let now = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.connections.set(now as f64);
+    }
+
     fn count_request(&self, route: &str) {
         self.registry()
             .counter(
@@ -148,8 +154,7 @@ impl Gateway {
             let handlers = Arc::clone(&handlers);
             std::thread::Builder::new()
                 .name("tssa-net-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &handlers))
-                .expect("spawn accept thread")
+                .spawn(move || accept_loop(&listener, &shared, &handlers))?
         };
         Ok(Gateway {
             shared,
@@ -222,14 +227,18 @@ fn accept_loop(
         }
         shared.connections.set(active as f64);
         let conn_shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("tssa-net-conn".into())
             .spawn(move || {
                 handle_connection(stream, &conn_shared);
-                let now = conn_shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-                conn_shared.connections.set(now as f64);
-            })
-            .expect("spawn connection thread");
+                conn_shared.release();
+            });
+        // A thread the host cannot start closes its connection and gives
+        // the slot back; the gateway keeps accepting.
+        let Ok(handle) = spawned else {
+            shared.release();
+            continue;
+        };
         let mut guard = lock(handlers);
         // Reap finished handlers opportunistically so a long-lived gateway
         // does not accumulate joinable-but-dead threads.

@@ -20,13 +20,14 @@
 //! {"ok": false, "kind": "queue_full", "error": "admission queue full (depth 64)"}
 //! ```
 //!
-//! Both directions are single-pass and typed: the decoder is a cursor that
-//! walks this grammar (any whitespace and key order, unknown keys skipped)
-//! and pushes each `data` token straight into the buffer its [`Tensor`]
-//! will own; the encoder writes into one pre-sized `String`. Values cross
-//! exactly: an f32 as the shortest decimal that parses back to the same
-//! bits (`0.7310586`; the 17-digit f64 spelling older clients send decodes
-//! to the same bits), an i64 never through f64, `null` only for a non-finite
+//! Both directions are single-pass and typed: the decoder walks this
+//! grammar (any whitespace and key order, unknown keys skipped) over the
+//! workspace's one JSON lexer, [`tssa_obs::json::Cursor`], and pushes each
+//! `data` token straight into the buffer its [`Tensor`] will own; the
+//! encoder writes into one pre-sized `String`. Values cross exactly: an
+//! f32 as the shortest decimal that parses back to the same bits
+//! (`0.7310586`; the 17-digit f64 spelling older clients send decodes to
+//! the same bits), an i64 never through f64, `null` only for a non-finite
 //! float (decoded as NaN). Nesting is capped at `MAX_LIST_DEPTH`, and an
 //! element count must fit `isize` before anything is allocated for it.
 //!
@@ -40,12 +41,10 @@
 //! the response (success or error) comes back in the same encoding. JSON
 //! remains the default for any other (or absent) content type.
 
-use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
-use std::str::FromStr;
 
 use tssa_backend::RtValue;
-use tssa_obs::json::escape;
+use tssa_obs::json::{escape, Cursor};
 use tssa_serve::ServeError;
 use tssa_store::bytes::{ByteReader, ByteWriter};
 use tssa_tensor::{DType, Tensor};
@@ -66,23 +65,19 @@ pub struct InferRequest {
 /// A human-readable description of the first violation (surfaced to the
 /// client as a 400).
 pub fn parse_infer(body: &str) -> Result<InferRequest, String> {
-    let mut c = Cursor { src: body, pos: 0 };
-    if c.peek() != Some(b'{') {
-        return Err(format!("body is not JSON: {}", c.expected("`{`")));
-    }
+    let mut c = Cursor::new(body);
+    let opened = c.open(b'{', b'}');
+    let mut more = opened.map_err(|e| format!("body is not JSON: {e}"))?;
     let (mut model, mut inputs) = (None, None);
-    let mut more = c.open(b'{', b'}')?;
     while more {
         match &*c.key()? {
             "model" => model = Some(c.string()?.into_owned()),
-            "inputs" => inputs = Some(c.elements("inputs", 0, |c| c.value(0))?),
-            _ => c.skip(0)?,
+            "inputs" => inputs = Some(elements(&mut c, "inputs", 0, |c| value(c, 0))?),
+            _ => c.skip(MAX_LIST_DEPTH)?,
         }
         more = c.more(b'}')?;
     }
-    if c.peek().is_some() {
-        return Err(c.expected("end of body"));
-    }
+    c.end()?;
     Ok(InferRequest {
         model: model.ok_or("missing string field `model`")?,
         inputs: inputs.ok_or("missing array field `inputs`")?,
@@ -100,306 +95,107 @@ fn checked_numel(shape: &[usize]) -> Result<usize, String> {
     Ok(if shape.contains(&0) { 0 } else { span })
 }
 
-/// A pull cursor over a JSON request body: each method consumes one
-/// production of the request grammar and returns it typed, so no value tree
-/// is built. Nesting is bounded by [`MAX_LIST_DEPTH`]; no body can exhaust
-/// the stack.
-struct Cursor<'a> {
-    src: &'a str,
-    pos: usize,
+/// The array `what`, decoded by `one` into a flat buffer sized by `hint`:
+/// an element takes at least two bytes (`0,`), so the reservation never
+/// exceeds what the body itself could hold.
+fn elements<'a, T, E: Display>(
+    c: &mut Cursor<'a>,
+    what: &str,
+    hint: usize,
+    one: impl Fn(&mut Cursor<'a>) -> Result<T, E>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(hint.min(c.remaining() / 2));
+    let mut more = c.open(b'[', b']')?;
+    while more {
+        out.push(one(c).map_err(|e| format!("{what}[{}]: {e}", out.len()))?);
+        more = c.more(b']')?;
+    }
+    Ok(out)
 }
 
-impl<'a> Cursor<'a> {
-    fn expected(&self, what: &str) -> String {
-        format!("expected {what} at byte {}", self.pos)
-    }
-
-    /// The next byte after any whitespace, not consumed.
-    fn peek(&mut self) -> Option<u8> {
-        let bytes = self.src.as_bytes();
-        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+/// A tensor's `data`, decoded straight into the buffers of a tensor of
+/// `shape`, whose element count is checked before anything is reserved.
+fn data(c: &mut Cursor<'_>, dtype: DType, shape: &[usize]) -> Result<Tensor, String> {
+    let numel = checked_numel(shape)?;
+    let tensor = match dtype {
+        DType::F32 => {
+            let data = elements(c, "data", numel, |c| c.float(f32::NAN))?;
+            Tensor::from_vec_f32(data, shape)
         }
-        bytes.get(self.pos).copied()
-    }
+        DType::I64 => {
+            let data = elements(c, "data", numel, |c| c.parsed("a 64-bit integer"))?;
+            Tensor::from_vec_i64(data, shape)
+        }
+        DType::Bool => Tensor::from_vec_bool(elements(c, "data", numel, Cursor::bool)?, shape),
+    };
+    tensor.map_err(|e| e.to_string())
+}
 
-    fn eat(&mut self, byte: u8) -> bool {
-        let hit = self.peek() == Some(byte);
-        self.pos += usize::from(hit);
-        hit
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        let hit = self.eat(byte).then_some(());
-        hit.ok_or_else(|| self.expected(&format!("`{}`", byte as char)))
-    }
-
-    fn literal(&mut self, word: &str) -> bool {
-        self.peek();
-        let hit = self.src.as_bytes()[self.pos..].starts_with(word.as_bytes());
-        self.pos += if hit { word.len() } else { 0 };
-        hit
-    }
-
-    /// Enter an array or object; `false` when it is empty (and now closed).
-    fn open(&mut self, open: u8, close: u8) -> Result<bool, String> {
-        self.expect(open)?;
-        Ok(!self.eat(close))
-    }
-
-    /// After an item: `true` past a comma, `false` past the `close`.
-    /// Inlined with [`Cursor::number`] into the per-element loop: as calls,
-    /// each would hand its `Result<_, String>` back through memory.
-    #[inline(always)]
-    fn more(&mut self, close: u8) -> Result<bool, String> {
-        let more = self.eat(b',');
-        let closed = more || self.eat(close);
-        closed
-            .then_some(more)
-            .ok_or_else(|| self.expected(&format!("`,` or `{}`", close as char)))
-    }
-
-    fn key(&mut self) -> Result<Cow<'a, str>, String> {
-        let key = self.string()?;
-        self.expect(b':')?;
-        Ok(key)
-    }
-
-    /// Validate and step over one value of any type (an unknown key's).
-    fn skip(&mut self, depth: u32) -> Result<(), String> {
-        let (open, close) = match self.peek() {
-            Some(b'{' | b'[') if depth >= MAX_LIST_DEPTH => {
-                return Err(format!("nesting exceeds {MAX_LIST_DEPTH}"))
+fn tensor(c: &mut Cursor<'_>) -> Result<Tensor, String> {
+    let (mut dtype, mut shape, mut tensor, mut deferred) = (None, None::<Vec<usize>>, None, None);
+    let mut more = c.open(b'{', b'}')?;
+    while more {
+        match &*c.key()? {
+            "dtype" => {
+                dtype = Some(match &*c.string()? {
+                    "f32" => DType::F32,
+                    "i64" => DType::I64,
+                    "bool" => DType::Bool,
+                    other => return Err(format!("unknown dtype `{other}`")),
+                });
             }
-            Some(b'{') => (b'{', b'}'),
-            Some(b'[') => (b'[', b']'),
-            Some(b'"') => return self.string().map(drop),
-            _ if self.literal("true") || self.literal("false") || self.literal("null") => {
-                return Ok(())
+            "shape" => {
+                let dim = |c: &mut Cursor<'_>| c.parsed("a non-negative integer");
+                shape = Some(elements(c, "shape", 8, dim)?);
             }
-            _ => return self.number().map(drop),
+            "data" => match (dtype, &shape) {
+                // The encoder's key order: type and shape are known,
+                // decode in place.
+                (Some(dtype), Some(shape)) => tensor = Some(data(c, dtype, shape)?),
+                // `data` ahead of either: validate it now, decode it
+                // once the object has ended and both are settled.
+                _ => {
+                    deferred = Some(*c);
+                    c.skip(MAX_LIST_DEPTH)?;
+                }
+            },
+            _ => c.skip(MAX_LIST_DEPTH)?,
+        }
+        more = c.more(b'}')?;
+    }
+    let shape = shape.ok_or("missing array field `shape`")?;
+    let dtype = dtype.unwrap_or(DType::F32);
+    match (tensor, deferred) {
+        (Some(tensor), _) => Ok(tensor),
+        (None, Some(mut at)) => data(&mut at, dtype, &shape),
+        (None, None) => Err("missing array field `data`".into()),
+    }
+}
+
+/// One tagged value: `{"tensor": …}`, `{"int": …}`, `{"float": …}`,
+/// `{"bool": …}` or `{"list": [value, …]}`.
+fn value(c: &mut Cursor<'_>, depth: u32) -> Result<RtValue, String> {
+    let mut tagged = None;
+    let mut more = c.open(b'{', b'}')?;
+    while more {
+        tagged = match &*c.key()? {
+            "tensor" => Some(RtValue::Tensor(
+                tensor(c).map_err(|e| format!("tensor: {e}"))?,
+            )),
+            "int" => Some(RtValue::Int(c.parsed("a 64-bit integer")?)),
+            "float" => Some(RtValue::Float(c.float(f64::NAN)?)),
+            "bool" => Some(RtValue::Bool(c.bool()?)),
+            "list" if depth >= MAX_LIST_DEPTH => {
+                return Err(format!("list nesting exceeds {MAX_LIST_DEPTH}"))
+            }
+            "list" => Some(RtValue::List(elements(c, "list", 0, |c| {
+                value(c, depth + 1)
+            })?)),
+            _ => c.skip(MAX_LIST_DEPTH).map(|()| tagged)?,
         };
-        let mut more = self.open(open, close)?;
-        while more {
-            if open == b'{' {
-                self.key()?;
-            }
-            self.skip(depth + 1)?;
-            more = self.more(close)?;
-        }
-        Ok(())
+        more = c.more(b'}')?;
     }
-
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        self.expect(b'"')?;
-        let bytes = self.src.as_bytes();
-        let mut out = Cow::Borrowed("");
-        // Start of the run of unescaped bytes not yet copied into `out`.
-        let mut run = self.pos;
-        loop {
-            match bytes.get(self.pos) {
-                None => return Err(self.expected("closing `\"`")),
-                Some(b'"') => {
-                    let tail = &self.src[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match out {
-                        Cow::Borrowed(_) => Cow::Borrowed(tail),
-                        Cow::Owned(s) => Cow::Owned(s + tail),
-                    });
-                }
-                Some(b'\\') => {
-                    out.to_mut().push_str(&self.src[run..self.pos]);
-                    self.pos += 1;
-                    let c = match bytes.get(self.pos) {
-                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
-                        Some(b'b') => '\u{8}',
-                        Some(b'f') => '\u{c}',
-                        Some(b'n') => '\n',
-                        Some(b'r') => '\r',
-                        Some(b't') => '\t',
-                        Some(b'u') => {
-                            let code = self
-                                .src
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .ok_or_else(|| self.expected("four hex digits after `\\u`"))?;
-                            self.pos += 4;
-                            // Surrogate halves decode as replacement characters.
-                            char::from_u32(code).unwrap_or('\u{fffd}')
-                        }
-                        _ => return Err(self.expected("an escape character")),
-                    };
-                    out.to_mut().push(c);
-                    self.pos += 1;
-                    run = self.pos;
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    /// One number token, checked against the JSON grammar before anything
-    /// parses it: `str::parse` alone would also take `inf`, `nan`, `+1`, `.5`.
-    #[inline(always)]
-    fn number(&mut self) -> Result<&'a str, String> {
-        self.peek();
-        let bytes = self.src.as_bytes();
-        let digits = |at: &mut usize| {
-            let from = *at;
-            while matches!(bytes.get(*at), Some(b'0'..=b'9')) {
-                *at += 1;
-            }
-            *at - from
-        };
-        let mut at = self.pos + usize::from(bytes.get(self.pos) == Some(&b'-'));
-        let leading_zero = bytes.get(at) == Some(&b'0');
-        let mut ok = matches!(digits(&mut at), n if n == 1 || (n > 1 && !leading_zero));
-        if bytes.get(at) == Some(&b'.') {
-            at += 1;
-            ok &= digits(&mut at) > 0;
-        }
-        if matches!(bytes.get(at), Some(b'e' | b'E')) {
-            at += 1 + usize::from(matches!(bytes.get(at + 1), Some(b'+' | b'-')));
-            ok &= digits(&mut at) > 0;
-        }
-        if !ok {
-            return Err(self.expected("a number"));
-        }
-        let token = &self.src[self.pos..at];
-        self.pos = at;
-        Ok(token)
-    }
-
-    /// A number of type `T`. An integer `T` is exact: it never goes through
-    /// `f64`, so a fraction, an exponent or a magnitude outside `T` is an
-    /// error, not a rounding.
-    fn parsed<T: FromStr>(&mut self, kind: &str) -> Result<T, String> {
-        let token = self.number()?;
-        let value = token.parse();
-        value.map_err(|_| format!("`{token}` is not {kind}"))
-    }
-
-    /// A float, or `null` — how the encoder spells the non-finite values
-    /// JSON has no literal for — decoded as `nan`.
-    fn float<F: FromStr>(&mut self, nan: F) -> Result<F, String> {
-        if self.literal("null") {
-            return Ok(nan);
-        }
-        self.parsed("a number")
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        let hit = self.literal("true");
-        let known = hit || self.literal("false");
-        known
-            .then_some(hit)
-            .ok_or_else(|| self.expected("`true` or `false`"))
-    }
-
-    /// The array `what`, decoded by `one` into a flat buffer sized by `hint`:
-    /// an element takes at least two bytes (`0,`), so the reservation never
-    /// exceeds what the body itself could hold.
-    fn elements<T>(
-        &mut self,
-        what: &str,
-        hint: usize,
-        one: impl Fn(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        let mut out = Vec::with_capacity(hint.min((self.src.len() - self.pos) / 2));
-        let mut more = self.open(b'[', b']')?;
-        while more {
-            out.push(one(self).map_err(|e| format!("{what}[{}]: {e}", out.len()))?);
-            more = self.more(b']')?;
-        }
-        Ok(out)
-    }
-
-    /// A tensor's `data`, decoded straight into the buffers of a tensor of
-    /// `shape`, whose element count is checked before anything is reserved.
-    fn data(&mut self, dtype: DType, shape: &[usize]) -> Result<Tensor, String> {
-        let numel = checked_numel(shape)?;
-        let tensor = match dtype {
-            DType::F32 => {
-                let data = self.elements("data", numel, |c| c.float(f32::NAN))?;
-                Tensor::from_vec_f32(data, shape)
-            }
-            DType::I64 => {
-                let data = self.elements("data", numel, |c| c.parsed("a 64-bit integer"))?;
-                Tensor::from_vec_i64(data, shape)
-            }
-            DType::Bool => Tensor::from_vec_bool(self.elements("data", numel, Self::bool)?, shape),
-        };
-        tensor.map_err(|e| e.to_string())
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, String> {
-        let (mut dtype, mut shape, mut tensor, mut deferred) =
-            (None, None::<Vec<usize>>, None, None);
-        let mut more = self.open(b'{', b'}')?;
-        while more {
-            match &*self.key()? {
-                "dtype" => {
-                    dtype = Some(match &*self.string()? {
-                        "f32" => DType::F32,
-                        "i64" => DType::I64,
-                        "bool" => DType::Bool,
-                        other => return Err(format!("unknown dtype `{other}`")),
-                    });
-                }
-                "shape" => {
-                    let dim = |c: &mut Self| c.parsed("a non-negative integer");
-                    shape = Some(self.elements("shape", 8, dim)?);
-                }
-                "data" => match (dtype, &shape) {
-                    // The encoder's key order: type and shape are known,
-                    // decode in place.
-                    (Some(dtype), Some(shape)) => tensor = Some(self.data(dtype, shape)?),
-                    // `data` ahead of either: validate it now, decode it
-                    // once the object has ended and both are settled.
-                    _ => {
-                        deferred = Some(self.pos);
-                        self.skip(0)?;
-                    }
-                },
-                _ => self.skip(0)?,
-            }
-            more = self.more(b'}')?;
-        }
-        let shape = shape.ok_or("missing array field `shape`")?;
-        let dtype = dtype.unwrap_or(DType::F32);
-        match (tensor, deferred) {
-            (Some(tensor), _) => Ok(tensor),
-            (None, Some(pos)) => Cursor { pos, ..*self }.data(dtype, &shape),
-            (None, None) => Err("missing array field `data`".into()),
-        }
-    }
-
-    /// One tagged value: `{"tensor": …}`, `{"int": …}`, `{"float": …}`,
-    /// `{"bool": …}` or `{"list": [value, …]}`.
-    fn value(&mut self, depth: u32) -> Result<RtValue, String> {
-        let mut value = None;
-        let mut more = self.open(b'{', b'}')?;
-        while more {
-            value = match &*self.key()? {
-                "tensor" => {
-                    let tensor = self.tensor();
-                    Some(RtValue::Tensor(tensor.map_err(|e| format!("tensor: {e}"))?))
-                }
-                "int" => Some(RtValue::Int(self.parsed("a 64-bit integer")?)),
-                "float" => Some(RtValue::Float(self.float(f64::NAN)?)),
-                "bool" => Some(RtValue::Bool(self.bool()?)),
-                "list" if depth >= MAX_LIST_DEPTH => {
-                    return Err(format!("list nesting exceeds {MAX_LIST_DEPTH}"))
-                }
-                "list" => Some(RtValue::List(
-                    self.elements("list", 0, |c| c.value(depth + 1))?,
-                )),
-                _ => self.skip(0).map(|()| value)?,
-            };
-            more = self.more(b'}')?;
-        }
-        value.ok_or_else(|| "expected one of `tensor`, `int`, `float`, `bool`, `list`".into())
-    }
+    tagged.ok_or_else(|| "expected one of `tensor`, `int`, `float`, `bool`, `list`".into())
 }
 
 fn push(out: &mut String, v: impl Display) -> Result<(), String> {
@@ -524,8 +320,9 @@ pub const BINARY_CONTENT_TYPE: &str = "application/x-tssa-tensor";
 /// Version byte leading every binary body; bumped on incompatible change.
 pub(crate) const BINARY_WIRE_VERSION: u8 = 1;
 
-/// Nested lists deeper than this are rejected rather than recursed into,
-/// so adversarial bodies cannot exhaust the decoder's stack.
+/// Nested lists, and skipped values, deeper than this are rejected rather
+/// than recursed into, so adversarial bodies cannot exhaust the decoder's
+/// stack.
 const MAX_LIST_DEPTH: u32 = 32;
 
 const TAG_TENSOR: u8 = 0;
@@ -660,21 +457,15 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, String> {
             let raw = r
                 .get_raw(bytes(4)?, "f32 tensor data")
                 .map_err(|e| e.to_string())?;
-            let data = raw
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            Tensor::from_vec_f32(data, &shape)
+            let data = raw.as_chunks().0.iter().map(|&c| f32::from_le_bytes(c));
+            Tensor::from_vec_f32(data.collect(), &shape)
         }
         DTYPE_I64 => {
             let raw = r
                 .get_raw(bytes(8)?, "i64 tensor data")
                 .map_err(|e| e.to_string())?;
-            let data = raw
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("exact chunk")))
-                .collect();
-            Tensor::from_vec_i64(data, &shape)
+            let data = raw.as_chunks().0.iter().map(|&c| i64::from_le_bytes(c));
+            Tensor::from_vec_i64(data.collect(), &shape)
         }
         DTYPE_BOOL => {
             let raw = r

@@ -1,18 +1,17 @@
-//! A minimal JSON reader used to *validate* the exporters' output in tests
-//! and CI without an external dependency (the workspace builds offline),
-//! and [`escape`], the one string escaper every JSON writer in the
-//! workspace uses.
+//! The workspace's one JSON reader, and [`escape`], the one string escaper
+//! every JSON writer in the workspace uses.
 //!
-//! Supports the full JSON grammar except `\uXXXX` surrogate pairs, which are
-//! decoded as replacement characters. Not a performance-oriented parser —
-//! keep it for validation, not data paths: it builds a boxed value tree and
-//! recurses once per nesting level. Documents nested deeper than 128
-//! levels are refused with a [`JsonError`], so no input can exhaust the
-//! stack. (The `/v1/infer` wire codec in `tssa-net` has its own typed,
-//! single-pass decoder and does not come through here.)
+//! [`Cursor`] is a pull lexer. A reader that knows its grammar walks it and
+//! builds no tree (the `/v1/infer` decoder in `tssa-net`); [`parse`] builds a
+//! [`JsonValue`] tree on it for everything else. Numbers follow the JSON
+//! grammar (`01`, `1.`, `.5`, `+1`, `inf` are refused), `\uXXXX` surrogate
+//! halves decode as replacement characters, and nesting is capped by the
+//! caller (128 levels in [`parse`]), so no input can exhaust the stack.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +26,7 @@ pub enum JsonValue {
     Str(String),
     /// An array.
     Arr(Vec<JsonValue>),
-    /// An object (insertion order preserved in `keys`).
+    /// An object. Key order is not kept; a repeated key keeps its last value.
     Obj(HashMap<String, JsonValue>),
 }
 
@@ -82,6 +81,13 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Lets `?` carry a lexer error out of a reader whose errors are strings.
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 /// Deepest nesting of arrays and objects [`parse`] accepts.
 const MAX_DEPTH: usize = 128;
 
@@ -103,218 +109,282 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(v)
+    let mut c = Cursor::new(text);
+    let value = tree(&mut c, MAX_DEPTH)?;
+    c.end().map(|()| value)
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
+/// One value and everything under it, opening at most `depth` more levels.
+fn tree(c: &mut Cursor<'_>, depth: usize) -> Result<JsonValue, JsonError> {
+    match c.peek() {
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(c.error(format!("nesting exceeds {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => {
+            let (mut map, mut more) = (HashMap::new(), c.open(b'{', b'}')?);
+            while more {
+                let key = c.key()?.into_owned();
+                map.insert(key, tree(c, depth - 1)?);
+                more = c.more(b'}')?;
+            }
+            Ok(JsonValue::Obj(map))
+        }
+        Some(b'[') => {
+            let (mut items, mut more) = (Vec::new(), c.open(b'[', b']')?);
+            while more {
+                items.push(tree(c, depth - 1)?);
+                more = c.more(b']')?;
+            }
+            Ok(JsonValue::Arr(items))
+        }
+        Some(b'"') => Ok(JsonValue::Str(c.string()?.into_owned())),
+        Some(b't' | b'f') => c.bool().map(JsonValue::Bool),
+        _ if c.literal("null") => Ok(JsonValue::Null),
+        _ => c.parsed("a number").map(JsonValue::Num),
+    }
+}
+
+/// A pull cursor over one JSON text. Each method consumes one production
+/// and returns it typed; whitespace before a token is skipped. `Copy`, so a
+/// reader can keep a position and come back to it.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `src`.
+    #[inline]
+    pub fn new(src: &'a str) -> Cursor<'a> {
+        Cursor { src, pos: 0 }
+    }
+
+    /// Bytes not yet consumed.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.src.len() - self.pos
+    }
+
+    #[inline]
+    fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
-            message: message.to_string(),
+            message: message.into(),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// The next byte after any whitespace, not consumed.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
+        let bytes = self.src.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+        bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
+    /// Consume `byte` if it comes next.
+    #[inline]
+    pub fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
+    /// Consume `byte`, which must come next.
+    #[inline]
+    pub fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
+        let hit = self.eat(byte).then_some(());
+        hit.ok_or_else(|| self.error(format!("expected `{}`", byte as char)))
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{' | b'[') if self.depth >= MAX_DEPTH => {
-                Err(self.err(&format!("nesting exceeds {MAX_DEPTH} levels")))
+    /// Consume the bare word `word` (`true`, `false`, `null`) if it comes next.
+    #[inline]
+    pub fn literal(&mut self, word: &str) -> bool {
+        self.peek();
+        let hit = self.src.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        self.pos += if hit { word.len() } else { 0 };
+        hit
+    }
+
+    /// Enter an array or object; `false` when it is empty (and now closed).
+    #[inline]
+    pub fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        self.expect(open)?;
+        Ok(!self.eat(close))
+    }
+
+    /// After an item: `true` past a comma, `false` past the `close`.
+    /// Inlined with [`Cursor::number`] into a per-element loop: as calls,
+    /// each would hand its `Result` back through memory.
+    #[inline(always)]
+    pub fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        let more = self.eat(b',');
+        let closed = more || self.eat(close);
+        closed
+            .then_some(more)
+            .ok_or_else(|| self.error(format!("expected `,` or `{}`", close as char)))
+    }
+
+    /// An object key and its `:`.
+    #[inline]
+    pub fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// Validate and step over one value of any type, opening at most `cap`
+    /// levels of arrays and objects.
+    #[inline]
+    pub fn skip(&mut self, cap: u32) -> Result<(), JsonError> {
+        let (open, close) = match self.peek() {
+            Some(b'{' | b'[') if cap == 0 => return Err(self.error("nesting exceeds the cap")),
+            Some(b'{') => (b'{', b'}'),
+            Some(b'[') => (b'[', b']'),
+            Some(b'"') => return self.string().map(drop),
+            _ if self.literal("true") || self.literal("false") || self.literal("null") => {
+                return Ok(())
             }
-            Some(open @ (b'{' | b'[')) => {
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
+            _ => return self.number().map(drop),
+        };
+        let mut more = self.open(open, close)?;
+        while more {
+            if open == b'{' {
+                self.key()?;
             }
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+            self.skip(cap - 1)?;
+            more = self.more(close)?;
         }
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut map = HashMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the text unless it holds an escape.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.src.as_bytes();
+        let mut out = Cow::Borrowed("");
+        // Start of the run of unescaped bytes not yet copied into `out`.
+        let mut run = self.pos;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
+            match bytes.get(self.pos) {
+                None => return Err(self.error("expected closing `\"`")),
                 Some(b'"') => {
+                    let tail = &self.src[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        Cow::Borrowed(_) => Cow::Borrowed(tail),
+                        Cow::Owned(s) => Cow::Owned(s + tail),
+                    });
                 }
                 Some(b'\\') => {
+                    out.to_mut().push_str(&self.src[run..self.pos]);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match bytes.get(self.pos) {
+                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self
+                                .src
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| {
+                                    self.error("expected four hex digits after `\\u`")
+                                })?;
                             self.pos += 4;
+                            // Surrogate halves decode as replacement characters.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
-                        _ => return Err(self.err("bad escape")),
-                    }
+                        _ => return Err(self.error("expected an escape character")),
+                    };
+                    out.to_mut().push(c);
                     self.pos += 1;
+                    run = self.pos;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+    /// One number token, checked against the JSON grammar before anything
+    /// parses it: `str::parse` alone would also take `inf`, `nan`, `+1`,
+    /// `.5`, `01` and `1.`.
+    #[inline(always)]
+    pub fn number(&mut self) -> Result<&'a str, JsonError> {
+        self.peek();
+        let bytes = self.src.as_bytes();
+        let digits = |at: &mut usize| {
+            let from = *at;
+            while matches!(bytes.get(*at), Some(b'0'..=b'9')) {
+                *at += 1;
             }
+            *at - from
+        };
+        let mut at = self.pos + usize::from(bytes.get(self.pos) == Some(&b'-'));
+        let leading_zero = bytes.get(at) == Some(&b'0');
+        let mut ok = matches!(digits(&mut at), n if n == 1 || (n > 1 && !leading_zero));
+        if bytes.get(at) == Some(&b'.') {
+            at += 1;
+            ok &= digits(&mut at) > 0;
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        if matches!(bytes.get(at), Some(b'e' | b'E')) {
+            at += 1 + usize::from(matches!(bytes.get(at + 1), Some(b'+' | b'-')));
+            ok &= digits(&mut at) > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err("bad number"))
+        if !ok {
+            return Err(self.error("expected a number"));
+        }
+        let token = &self.src[self.pos..at];
+        self.pos = at;
+        Ok(token)
+    }
+
+    /// A number of type `T`, named `kind` in the error. An integer `T` is
+    /// exact: it never goes through `f64`, so a fraction, an exponent or a
+    /// magnitude outside `T` is an error, not a rounding.
+    #[inline]
+    pub fn parsed<T: FromStr>(&mut self, kind: &str) -> Result<T, JsonError> {
+        let token = self.number()?;
+        let value = token.parse();
+        value.map_err(|_| self.error(format!("`{token}` is not {kind}")))
+    }
+
+    /// A float, or `null` — how the workspace's encoders spell the
+    /// non-finite values JSON has no literal for — decoded as `nan`.
+    #[inline]
+    pub fn float<F: FromStr>(&mut self, nan: F) -> Result<F, JsonError> {
+        if self.literal("null") {
+            return Ok(nan);
+        }
+        self.parsed("a number")
+    }
+
+    /// `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        let hit = self.literal("true");
+        let known = hit || self.literal("false");
+        known
+            .then_some(hit)
+            .ok_or_else(|| self.error("expected `true` or `false`"))
+    }
+
+    /// Nothing but whitespace is left.
+    #[inline]
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters after the document")),
+        }
     }
 }
 

@@ -24,8 +24,9 @@
 //! * [`chrome_trace_json`] — exports any span set as Chrome-trace JSON for
 //!   `chrome://tracing` / Perfetto; [`text_tree`] renders the same tree for
 //!   terminals and docs.
-//! * [`json`] — a tiny validating JSON reader so tests and CI can check the
-//!   exporters without external dependencies.
+//! * [`json`] — the workspace's one JSON reader: a pull [`json::Cursor`]
+//!   that the `/v1/infer` decoder walks, and [`json::parse`], the value
+//!   tree built on it that the harness and the suites read results with.
 //!
 //! # Examples
 //!
@@ -47,6 +48,10 @@
 //! let json = chrome_trace_json(&records);
 //! assert!(tssa_obs::json::parse(&json).is_ok());
 //! ```
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 mod chrome;
 pub mod json;
@@ -70,6 +75,12 @@ pub use sample::{Sampler, SamplerStats, DEFAULT_KEEP_MARKS};
 pub use sink::{RingSink, TraceSink};
 pub use span::{Span, SpanRecord, TraceScope, Tracer};
 pub use stream::StreamSink;
+
+/// Every lock in this crate is taken here and recovers from poison, so a
+/// thread that panics holding one leaves it working for every later caller.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 // Spans cross thread boundaries by design (serve opens them at admission
 // and finishes them on workers); pin that contract at compile time.

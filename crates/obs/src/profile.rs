@@ -19,10 +19,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::escape;
+use crate::lock;
 use crate::registry::MetricsRegistry;
 use crate::sample::Sampler;
 
@@ -97,10 +98,6 @@ pub struct ProfileSink {
 }
 
 impl ProfileSink {
-    fn lock(&self) -> MutexGuard<'_, HashMap<(u32, u32), OpStat>> {
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Record one execution of op `node` in fusion group `group`. `op_name`
     /// is only invoked the first time this site is seen, so steady-state
     /// recording never allocates a name.
@@ -113,7 +110,7 @@ impl ProfileSink {
         flops: u64,
         op_name: impl FnOnce() -> String,
     ) {
-        self.lock()
+        lock(&self.table)
             .entry((group, node))
             .or_insert_with(|| OpStat {
                 op: op_name(),
@@ -179,18 +176,11 @@ impl Profiler {
         }
     }
 
-    fn plans(&self) -> MutexGuard<'_, HashMap<Arc<str>, Arc<ProfileSink>>> {
-        self.inner
-            .plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The table of plan `plan`, made on first use. Every caller naming
     /// the same label records into the same table, and the profiler keeps
     /// it, so samples outlive every handle to it.
     pub fn sink(&self, plan: &str) -> Arc<ProfileSink> {
-        Arc::clone(self.plans().entry(Arc::from(plan)).or_default())
+        Arc::clone(lock(&self.inner.plans).entry(Arc::from(plan)).or_default())
     }
 
     /// Draw the sampling decision for the next execution. Always true for
@@ -219,8 +209,8 @@ impl Profiler {
     pub fn snapshot(&self) -> ProfileSnapshot {
         let started = Instant::now();
         let mut entries = Vec::new();
-        for (plan, table) in self.plans().iter() {
-            for (&(group, node), stat) in table.lock().iter() {
+        for (plan, table) in lock(&self.inner.plans).iter() {
+            for (&(group, node), stat) in lock(&table.table).iter() {
                 let plan = Arc::clone(plan);
                 entries.push((OpKey { plan, group, node }, stat.clone()));
             }

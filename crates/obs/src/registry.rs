@@ -18,6 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::lock;
 use crate::prom::PromText;
 
 /// Number of power-of-two histogram buckets (up to ~2^39, ~6 days in µs).
@@ -261,16 +262,9 @@ impl MetricsRegistry {
         make: impl FnOnce() -> Value,
     ) -> Value {
         let labels = normalize(labels);
-        let mut families = self.inner.lock().expect("registry lock");
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind, kind,
-                    "metric family `{name}` registered as {} and {kind}",
-                    f.kind
-                );
-                f
-            }
+        let mut families = lock(&self.inner);
+        let at = match families.iter().position(|f| f.name == name) {
+            Some(at) => at,
             None => {
                 families.push(Family {
                     name: name.to_string(),
@@ -278,9 +272,15 @@ impl MetricsRegistry {
                     kind,
                     series: Vec::new(),
                 });
-                families.last_mut().expect("just pushed")
+                families.len() - 1
             }
         };
+        let family = &mut families[at];
+        assert_eq!(
+            family.kind, kind,
+            "metric family `{name}` registered as {} and {kind}",
+            family.kind
+        );
         if let Some(series) = family.series.iter().find(|s| s.labels == labels) {
             return series.value.clone();
         }
@@ -332,12 +332,12 @@ impl MetricsRegistry {
 
     /// Registered family count (for tests and diagnostics).
     fn family_count(&self) -> usize {
-        self.inner.lock().expect("registry lock").len()
+        lock(&self.inner).len()
     }
 
     /// The whole registry as one Prometheus text-exposition document.
     pub fn prometheus_text(&self) -> String {
-        let families = self.inner.lock().expect("registry lock");
+        let families = lock(&self.inner);
         let mut prom = PromText::new();
         for family in families.iter() {
             let name = prom.family(&family.name, &family.help, family.kind);

@@ -23,10 +23,12 @@
 //! Spans whose trace is unknown (foreign roots, or stragglers finishing
 //! after their root closed the trace) fail open and are forwarded.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::lock;
 use crate::sink::TraceSink;
 use crate::span::SpanRecord;
 
@@ -170,7 +172,7 @@ impl SamplerCore {
 
     /// A new trace begins: take its head decision in arrival order.
     pub(crate) fn admit(&self, root_id: u64) {
-        let mut state = self.state.lock().expect("sampler lock");
+        let mut state = lock(&self.state);
         let index = state.next_root_index;
         state.next_root_index += 1;
         let head = self.cfg.head_keep(index);
@@ -193,22 +195,20 @@ impl SamplerCore {
     /// forward it untouched (unknown trace — fail open).
     pub(crate) fn offer(&self, record: SpanRecord, sink: &dyn TraceSink) {
         let verdict = {
-            let mut state = self.state.lock().expect("sampler lock");
+            let mut state = lock(&self.state);
             let is_root = record.id == record.root;
-            match state.pending.get_mut(&record.root) {
-                None => Verdict::Passthrough(record),
-                Some(p) if p.head => {
+            match state.pending.entry(record.root) {
+                Entry::Vacant(_) => Verdict::Passthrough(record),
+                Entry::Occupied(p) if p.get().head => {
                     if is_root {
-                        state.pending.remove(&record.root);
+                        p.remove();
                     }
                     Verdict::Forward(record)
                 }
-                Some(p) => {
-                    let root = record.root;
-                    p.buf.push(record);
+                Entry::Occupied(mut p) => {
+                    p.get_mut().buf.push(record);
                     if is_root {
-                        let p = state.pending.remove(&root).expect("pending entry");
-                        Verdict::Closed(p.buf)
+                        Verdict::Closed(p.remove().buf)
                     } else {
                         Verdict::Buffered
                     }

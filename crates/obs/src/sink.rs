@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::lock;
 use crate::span::SpanRecord;
 
 /// Consumer of finished spans. Implementations must be cheap and
@@ -48,27 +49,21 @@ impl RingSink {
     /// Copy out the buffered spans, oldest first, sorted by start time so
     /// parents precede children even though spans record at *finish*.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut v: Vec<SpanRecord> = self
-            .buf
-            .lock()
-            .expect("ring lock")
-            .iter()
-            .cloned()
-            .collect();
+        let mut v: Vec<SpanRecord> = lock(&self.buf).iter().cloned().collect();
         v.sort_by_key(|r| (r.start_ns, r.id));
         v
     }
 
     /// Drain the buffer, returning its contents sorted by start time.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut v: Vec<SpanRecord> = self.buf.lock().expect("ring lock").drain(..).collect();
+        let mut v: Vec<SpanRecord> = lock(&self.buf).drain(..).collect();
         v.sort_by_key(|r| (r.start_ns, r.id));
         v
     }
 
     /// Spans currently buffered.
     pub fn len(&self) -> usize {
-        self.buf.lock().expect("ring lock").len()
+        lock(&self.buf).len()
     }
 
     /// Whether the buffer is empty.
@@ -84,7 +79,7 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn record(&self, span: SpanRecord) {
-        let mut buf = self.buf.lock().expect("ring lock");
+        let mut buf = lock(&self.buf);
         if buf.len() == self.capacity {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);

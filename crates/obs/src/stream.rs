@@ -7,9 +7,10 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::json::escape;
+use crate::lock;
 use crate::sink::TraceSink;
 use crate::span::SpanRecord;
 
@@ -93,14 +94,17 @@ impl<W: Write + Send> StreamSink<W> {
 
     /// Force a flush now — a rotation point for external log shippers.
     pub fn flush(&self) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("stream lock");
+        let mut inner = lock(&self.inner);
         inner.since_flush = 0;
         inner.writer.flush()
     }
 
     /// Flush and return the underlying writer.
     pub fn into_inner(self) -> W {
-        let mut inner = self.inner.into_inner().expect("stream lock");
+        let mut inner = self
+            .inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let _ = inner.writer.flush();
         inner.writer
     }
@@ -108,7 +112,7 @@ impl<W: Write + Send> StreamSink<W> {
     /// Run `f` with exclusive access to the underlying writer (blocks
     /// concurrent span recording for the duration — keep `f` cheap).
     pub(crate) fn with_writer<T>(&self, f: impl FnOnce(&W) -> T) -> T {
-        let inner = self.inner.lock().expect("stream lock");
+        let inner = lock(&self.inner);
         f(&inner.writer)
     }
 }
@@ -117,7 +121,7 @@ impl<W: Write + Send> TraceSink for StreamSink<W> {
     fn record(&self, span: SpanRecord) {
         let mut line = span_ndjson(&span);
         line.push('\n');
-        let mut inner = self.inner.lock().expect("stream lock");
+        let mut inner = lock(&self.inner);
         match inner.writer.write_all(line.as_bytes()) {
             Ok(()) => {
                 self.written.fetch_add(1, Ordering::Relaxed);

@@ -138,6 +138,17 @@ step "one argument reader in lowering (no indexed builtin argument, no line-0 er
 [ -z "$(guard 'err\(0,|at\(0,' | grep '^crates/frontend/src/lower.rs:')" ] || { echo "an error without a line:"; guard 'err\(0,|at\(0,' | grep '^crates/frontend/src/lower.rs:'; exit 1; }
 ); ok $?
 
+step "one JSON reader (no second lexer, no unsafe in tssa-obs)"
+( set -e
+# tssa_obs::json::Cursor is the workspace's one JSON lexer: json::parse
+# builds its value tree on it and the /v1/infer decoder walks it. Neither a
+# lexer of the wire's own nor a second tree parser, with its unchecked
+# UTF-8 cut, comes back.
+SECOND_LEXER='fn (peek|eat|literal|string|number|skip)\b'
+[ -z "$(guard "$SECOND_LEXER" | grep '^crates/net/src/')" ] || { echo "a second JSON lexer:"; guard "$SECOND_LEXER" | grep '^crates/net/src/'; exit 1; }
+[ -z "$(guard 'struct Parser|unsafe' | grep '^crates/obs/src/')" ] || { echo "a second JSON parser or unsafe in tssa-obs:"; guard 'struct Parser|unsafe' | grep '^crates/obs/src/'; exit 1; }
+); ok $?
+
 step "one definition per transcendental (no libm tanh or exp in the kernels)"
 ( set -e
 # tanh, exp and sigmoid are the polynomial forms of crates/tensor/src/math.rs,
